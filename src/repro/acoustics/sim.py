@@ -16,8 +16,10 @@ validated against (and benchmarked against) the hand-written baseline:
     LIFT programs run by the reference interpreter (tiny rooms only).
 ``virtual_gpu``
     The full Listing-5 host orchestration executed on a virtual OpenCL
-    device (:mod:`repro.gpu.runtime`): per-step kernel launches with
-    modelled profiling times accumulated in ``modelled_gpu_time_ms``.
+    device (:mod:`repro.gpu.runtime`): the room is uploaded once (the
+    state arrays become the device buffers), then only kernels are
+    launched per step, with modelled profiling times accumulated in
+    ``modelled_gpu_time_ms``.
 
 The driver allocates state arrays with a one-z-plane guard of zeros at the
 end (see :mod:`.lift_programs` for why), rotates the three time levels
@@ -58,6 +60,11 @@ _LIFT_MODES = frozenset({"lift", "lift-legacy", "numpy-steady", "numba"})
 
 #: checkpoint container-format version (see docs/resilience.md)
 CHECKPOINT_VERSION = 1
+
+#: buffer-role rotations of the ``virtual_gpu`` host programs, by host
+#: parameter name: the leapfrog cycle every scheme has, then the FD-MM
+#: branch-velocity swap (see ``ResidentPlan.rotate``)
+_VGPU_ROTATIONS = (("prev2_h", "prev1_h", "__out__"), ("v2_h", "v1_h"))
 
 
 class SimulationDiverged(Exception):
@@ -184,7 +191,13 @@ class SimConfig:
         :class:`repro.gpu.resilient.ResilientGPU` (retry/degrade/fallback;
         policy log at ``RoomSimulation.policy_log``); with multiple
         devices each shard gets its own wrapper and a lost device is
-        recovered by re-shard-and-replay (see :meth:`RoomSimulation.run`);
+        recovered by re-shard-and-replay (see :meth:`RoomSimulation.run`).
+        Either of ``faults`` / ``resilient`` makes a single-device
+        simulation step through one ``VirtualGPU.execute()`` per step
+        (fresh buffers, host inputs untouched: what the per-step fault
+        sites target and what makes a retry idempotent) instead of the
+        default device-resident plan — same results, more host time per
+        step (``docs/performance.md``);
     ``devices``
         device selection for the ``virtual_gpu`` backend — anything
         :func:`repro.gpu.resolve_device` accepts (``None`` = the default
@@ -319,6 +332,9 @@ class RoomSimulation:
         self.last_overlap: dict | None = None
         self.last_checkpoint: Checkpoint | None = None
         self._energy_ref: float | None = None
+        #: the open resident plan of the single-device ``virtual_gpu``
+        #: path (None on every other path, and before the first step)
+        self._plan = None
         if config.backend in _LIFT_MODES:
             self._compile_lift()
         elif config.backend == "lift_interp":
@@ -370,50 +386,56 @@ class RoomSimulation:
                     fd_mm_boundary(prec, self.table.num_branches).kernel,
                     "fd_mm_boundary")
 
-    def _setup_virtual_gpu(self, device=None):
+    def _setup_virtual_gpu(self):
         from ..lift.codegen.host import compile_host
         from ..gpu.device import resolve_device
-        if self.config.host_program is not None:
-            self._host_program = self.config.host_program
-            self._gpu = self._make_gpu(resolve_device(
-                device if device is not None else self.config.devices))
-            return
-        scheme = self.config.scheme
-        if scheme == "fi":
-            from .lift_programs import fused_host
-            hp = fused_host(self.config.precision)
-        else:
-            from .lift_programs import two_kernel_host
-            hp = two_kernel_host(scheme, self.config.precision,
-                                 self.table.num_branches or 3)
-        self._host_program = compile_host(hp.program, hp.name)
-        self._gpu = self._make_gpu(resolve_device(
-            device if device is not None else self.config.devices))
+        self._host_program = self.config.host_program
+        if self._host_program is None:
+            scheme = self.config.scheme
+            if scheme == "fi":
+                from .lift_programs import fused_host
+                hp = fused_host(self.config.precision)
+            else:
+                from .lift_programs import two_kernel_host
+                hp = two_kernel_host(scheme, self.config.precision,
+                                     self.table.num_branches or 3)
+            self._host_program = compile_host(hp.program, hp.name)
+        self._rotations = (_VGPU_ROTATIONS if self.config.scheme == "fd_mm"
+                           else _VGPU_ROTATIONS[:1])
+        self._make_gpu(resolve_device(self.config.devices))
 
-    def _make_gpu(self, devices):
-        """Build the executor for a resolved device tuple: one spec gives
-        a plain VirtualGPU (optionally fault-carrying / resilient); more
-        than one gives the Z-slab decomposition across the pool."""
+    def _make_gpu(self, devices) -> None:
+        """Build the executor for a resolved device tuple and select the
+        stepping path, here and nowhere else: one device with neither a
+        fault plan nor ``resilient`` steps device-resident
+        (:meth:`_step_resident`); ``faults`` / ``resilient`` keep the
+        one-shot ``execute()`` per step, which is their subject (per-step
+        allocation/transfer fault sites; a retry needs fresh buffers and
+        untouched host inputs); more than one device gives the Z-slab
+        decomposition across the pool."""
+        cfg = self.config
+        self._plan = None       # a resident plan is bound to its executor
+        self._resident = False
         if len(devices) > 1:
-            if self.config.parallel:
+            if cfg.parallel:
                 from ..gpu.parallel import ParallelMultiGPU
-                return ParallelMultiGPU(
-                    devices, faults=self.config.faults,
-                    resilient=self.config.resilient,
-                    retry=self.config.retry,
-                    program_spec=(self.config.scheme,
-                                  self.config.precision,
+                self._gpu = ParallelMultiGPU(
+                    devices, faults=cfg.faults, resilient=cfg.resilient,
+                    retry=cfg.retry,
+                    program_spec=(cfg.scheme, cfg.precision,
                                   self.table.num_branches or 3))
-            from ..gpu.multi import MultiGPU
-            return MultiGPU(devices, faults=self.config.faults,
-                            resilient=self.config.resilient,
-                            retry=self.config.retry)
+            else:
+                from ..gpu.multi import MultiGPU
+                self._gpu = MultiGPU(devices, faults=cfg.faults,
+                                     resilient=cfg.resilient,
+                                     retry=cfg.retry)
+            return
         from ..gpu.runtime import VirtualGPU
-        gpu = VirtualGPU(devices[0], faults=self.config.faults)
-        if self.config.resilient:
+        self._gpu = VirtualGPU(devices[0], faults=cfg.faults)
+        if cfg.resilient:
             from ..gpu.resilient import ResilientGPU
-            gpu = ResilientGPU(gpu, retry=self.config.retry)
-        return gpu
+            self._gpu = ResilientGPU(self._gpu, retry=cfg.retry)
+        self._resident = cfg.faults is None and not cfg.resilient
 
     @property
     def devices(self):
@@ -443,7 +465,7 @@ class RoomSimulation:
         :func:`repro.gpu.resolve_device` does (a spec, a paper name,
         ``"name:k"`` shard syntax, or a list of those)."""
         from ..gpu.device import resolve_device
-        self._gpu = self._make_gpu(resolve_device(devices))
+        self._make_gpu(resolve_device(devices))
 
     def set_virtual_device(self, device) -> None:
         """Deprecated alias of :meth:`set_devices` (pre-multi-device
@@ -528,9 +550,19 @@ class RoomSimulation:
         else:
             self._step_lift_interp()
         # rotate time levels (the old prev buffer becomes the next target)
-        self.prev, self.curr, self.nxt = self.curr, self.nxt, self.prev
-        if self.config.scheme == "fd_mm":
-            self.v1, self.v2 = self.v2, self.v1
+        plan = self._plan
+        if plan is None:
+            self.prev, self.curr, self.nxt = self.curr, self.nxt, self.prev
+            if self.config.scheme == "fd_mm":
+                self.v1, self.v2 = self.v2, self.v1
+        else:
+            # the state arrays *are* the resident buffers: rotate once,
+            # in the plan, and read the new roles back
+            plan.rotate()
+            self.prev, self.curr, self.nxt = map(
+                plan.buffer_for, _VGPU_ROTATIONS[0])
+            if self.config.scheme == "fd_mm":
+                self.v2, self.v1 = map(plan.buffer_for, _VGPU_ROTATIONS[1])
         self.time_step += 1
         for name, (idx, sig) in self.receivers.items():
             sig.append(float(self.curr[idx]))
@@ -597,30 +629,9 @@ class RoomSimulation:
         for interval in (cfg.checkpoint_interval, cfg.health_interval):
             if interval:
                 n = min(n, interval - self.time_step % interval)
-        g = self.grid
-        t = self.topology
         sizes = self._size_env()
-        rotations = [("prev2_h", "prev1_h", "__out__")]
-        if cfg.scheme == "fi":
-            inputs = dict(neighbors=self._nbrs_guarded, prev1_h=self.curr,
-                          prev2_h=self.prev, lambda_h=self._lam(),
-                          beta_h=self.table.beta[0],
-                          Nx_h=g.nx, NxNy_h=g.nx * g.ny)
-        else:
-            inputs = dict(boundaries=t.boundary_indices,
-                          materialIdx=t.material,
-                          neighbors=self._nbrs_guarded,
-                          betaTable=self.table.beta, prev1_h=self.curr,
-                          prev2_h=self.prev, lambda_h=self._lam(),
-                          Nx_h=g.nx, NxNy_h=g.nx * g.ny)
-            if cfg.scheme == "fd_mm":
-                inputs.update(BI_h=self.table.BI.reshape(-1),
-                              DI_h=self.table.DI.reshape(-1),
-                              F_h=self.table.F.reshape(-1),
-                              D_h=self.table.D.reshape(-1),
-                              g1_h=self.g1, v2_h=self.v2, v1_h=self.v1,
-                              K=sizes["K"])
-                rotations.append(("v2_h", "v1_h"))
+        inputs = self._vgpu_inputs()
+        rotations = self._rotations
         o = _obs.get()
         recv = {name: idx for name, (idx, _s) in self.receivers.items()}
         if o is None:
@@ -869,47 +880,69 @@ class RoomSimulation:
                                 self.g1, self.v2, self.v1, lam, sizes["K"],
                                 M=sizes["M"], N=N, **bkw)
 
-    def _step_virtual_gpu(self):
+    def _vgpu_inputs(self) -> dict:
+        """Host-parameter values of the ``virtual_gpu`` host program,
+        backed by the live state arrays (not copies)."""
         g = self.grid
         t = self.topology
-        sizes = self._size_env()
-        if self.config.scheme == "fi":
-            inputs = dict(neighbors=self._nbrs_guarded, prev1_h=self.curr,
-                          prev2_h=self.prev, lambda_h=self._lam(),
-                          beta_h=self.table.beta[0],
-                          Nx_h=g.nx, NxNy_h=g.nx * g.ny)
-            res = self._gpu.execute(self._host_program, inputs, sizes,
-                                    fault_step=self.time_step)
-            self.nxt[:self._N] = np.asarray(res.result)[:self._N]
-            self.modelled_gpu_time_ms += res.kernel_time_ms()
-            self.modelled_halo_time_ms += getattr(
-                res, "halo_time_ms", lambda: 0.0)()
-            return
-        inputs = dict(boundaries=t.boundary_indices, materialIdx=t.material,
-                      neighbors=self._nbrs_guarded,
-                      betaTable=self.table.beta, prev1_h=self.curr,
+        inputs = dict(neighbors=self._nbrs_guarded, prev1_h=self.curr,
                       prev2_h=self.prev, lambda_h=self._lam(),
                       Nx_h=g.nx, NxNy_h=g.nx * g.ny)
+        if self.config.scheme == "fi":
+            inputs["beta_h"] = self.table.beta[0]
+            return inputs
+        inputs.update(boundaries=t.boundary_indices, materialIdx=t.material,
+                      betaTable=self.table.beta)
         if self.config.scheme == "fd_mm":
             inputs.update(BI_h=self.table.BI.reshape(-1),
                           DI_h=self.table.DI.reshape(-1),
                           F_h=self.table.F.reshape(-1),
                           D_h=self.table.D.reshape(-1),
                           g1_h=self.g1, v2_h=self.v2, v1_h=self.v1,
-                          K=sizes["K"])
-        res = self._gpu.execute(self._host_program, inputs, sizes,
-                                fault_step=self.time_step)
+                          K=t.num_boundary_points)
+        return inputs
+
+    def _step_virtual_gpu(self):
+        if self._resident:
+            self._step_resident()
+            return
+        res = self._gpu.execute(self._host_program, self._vgpu_inputs(),
+                                self._size_env(), fault_step=self.time_step)
         self.nxt[:self._N] = np.asarray(res.result)[:self._N]
         if self.config.scheme == "fd_mm":
             # read the branch-state device buffers back
-            for host_name, target in (("g1_h", self.g1),
-                                      ("v1_h", self.v1)):
-                buf = [b for n, b in res.buffers.items()
-                       if n.startswith(f"d_{host_name}")][0]
-                target[:] = buf
+            names = self._host_program.plan.host_buffers()
+            self.g1[:] = res.buffers[names["g1_h"]]
+            self.v1[:] = res.buffers[names["v1_h"]]
         self.modelled_gpu_time_ms += res.kernel_time_ms()
-        self.modelled_halo_time_ms += getattr(
-            res, "halo_time_ms", lambda: 0.0)()
+        self.modelled_halo_time_ms += res.halo_time_ms()
+
+    def _step_resident(self):
+        """One device-resident step: launches only.  The plan is opened
+        on the first step with every state, topology and coefficient
+        array bound in place (``CL_MEM_USE_HOST_PTR``), so the kernels
+        read and write ``prev``/``curr``/``nxt`` and the branch state
+        directly, and ``add_impulse``, receivers, checkpoints and the
+        health monitor need no sync.  :meth:`_step_impl` rotates through
+        the plan."""
+        plan = self._plan
+        if plan is None:
+            from ..gpu.runtime import ResidentPlan
+            inputs = self._vgpu_inputs()
+            sizes = self._size_env()
+            self._gpu._validate(self._host_program.plan, inputs, sizes)
+            in_place = {name: a for name, a in inputs.items()
+                        if isinstance(a, np.ndarray)}
+            in_place["__out__"] = self.nxt
+            plan = self._plan = ResidentPlan(
+                self._gpu, self._host_program.plan, inputs, sizes,
+                self._rotations, "boundaryIndices", [], in_place)
+        plan.run_step(self.time_step)
+        # only kernel time is charged, like RunResult.kernel_time_ms();
+        # drained every step so the event list cannot grow with the run
+        self.modelled_gpu_time_ms += sum(
+            e.duration_ms for e in plan.events if e.kind == "kernel")
+        plan.events.clear()
 
     def _step_lift_interp(self):
         g = self.grid

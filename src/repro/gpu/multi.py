@@ -545,10 +545,11 @@ class MultiGPU:
                         shards[op.dst_device].device, nbytes,
                         f"halo:{op.src_device}->{op.dst_device}",
                         halo_events, fault_step)
-        return self._merge_execute(shards, masks, shard_results, inputs,
+        return self._merge_execute(program.plan.host_buffers(), shards,
+                                   masks, shard_results, inputs,
                                    halo_events, halo_bytes)
 
-    def _merge_execute(self, shards, masks, results, inputs,
+    def _merge_execute(self, host_buffers, shards, masks, results, inputs,
                        halo_events, halo_bytes) -> MultiRunResult:
         field = np.concatenate(
             [np.asarray(r.result).reshape(-1)[:sh.n_local]
@@ -566,11 +567,10 @@ class MultiGPU:
             for sh, mask, r in zip(shards, masks, results):
                 if mask is None or not mask.any():
                     continue
-                cand = [b for n, b in r.buffers.items()
-                        if n.startswith(f"d_{name}")]
-                if cand:
-                    cols[:, mask] = np.asarray(cand[0]).reshape(mb, -1)
-            buffers[f"d_{name}"] = cols.reshape(-1)
+                # shard plans keep the program's buffer names
+                cols[:, mask] = np.asarray(
+                    r.buffers[host_buffers[name]]).reshape(mb, -1)
+            buffers[host_buffers[name]] = cols.reshape(-1)
         return MultiRunResult(
             result=field, buffers=buffers,
             shard_events=[r.events for r in results],
@@ -619,7 +619,7 @@ class MultiGPU:
                 gpu._validate(prog.plan, li, ls)
                 try:
                     st = ResidentPlan(gpu, prog.plan, li, ls, rots,
-                                      gather_index_param, ev, o)
+                                      gather_index_param, ev)
                 except ShardLost:
                     raise
                 except ClDeviceLost as err:

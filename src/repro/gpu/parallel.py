@@ -183,7 +183,7 @@ def _shard_worker_main(task: dict, result_q) -> None:
         events: list[ProfilingEvent] = []
         gpu._validate(plan, li, ls)
         st = ResidentPlan(gpu, plan, li, ls, rots,
-                          task["gather_index_param"], events, None)
+                          task["gather_index_param"], events)
         out_name = st.binding.get("__out__")
         if out_name is not None and st.buffers[out_name].size < np_local:
             grown = np.zeros(np_local, dtype=st.buffers[out_name].dtype)

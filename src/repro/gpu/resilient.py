@@ -28,7 +28,11 @@ tests (and operators) audit.
 Retries are only safe because ``execute``/``execute_many`` allocate fresh
 device buffers per call and never mutate host inputs — re-running a
 failed call is idempotent, which is what makes recovered runs
-bit-identical to fault-free ones.
+bit-identical to fault-free ones.  A
+:class:`~.runtime.ResidentPlan` opened with ``in_place`` arrays gives
+that up (its launches write the caller's memory), so
+:class:`repro.acoustics.RoomSimulation` steps device-resident only when
+neither this wrapper nor a fault plan is configured.
 """
 
 from __future__ import annotations
@@ -151,7 +155,6 @@ class ResilientGPU:
                                   workgroup=g.device.warp_size,
                                   faults=g.faults)
             degraded._np_kernels = g._np_kernels   # share compiled kernels
-            degraded._np_kernels_steady = g._np_kernels_steady
             degraded._resources = g._resources
             stages.append(("degrade_launch", degraded,
                            f"workgroup={g.device.warp_size}, autotune off"))

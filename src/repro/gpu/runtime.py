@@ -108,9 +108,10 @@ _WALLCLOCK_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
 def kernel_cache_stats() -> dict:
     """Sizes of the process-wide kernel caches (for tests/diagnostics).
 
-    ``np_kernels``/``resources`` count compile-cache entries (steady-state
-    arena variants are cached alongside the legacy emission, under a
-    ``#steady`` suffix of the same source hash); ``arena`` reports the
+    ``np_kernels``/``resources`` count compile-cache entries (per kernel
+    source hash: the steady-state arena emission under a ``#steady``
+    suffix and its compiled-loop upgrade under ``#loops``; the legacy
+    allocating emission is never compiled here); ``arena`` reports the
     workspace arena's process-wide hit/miss counters and resident bytes
     (see :func:`repro.lift.codegen.arena.arena_stats`); ``loops_disk``
     reports the on-disk compiled-artifact cache the cc tier shares
@@ -231,7 +232,6 @@ class VirtualGPU:
         #: pins the vectorised arena emitter, "numba" demands loops
         self.kernel_backend = kernel_backend
         self._np_kernels: dict[str, NumpyKernel] = {}
-        self._np_kernels_steady: dict[str, NumpyKernel] = {}
         self._resources: dict[str, Resources] = {}
         #: workspace arenas for the one-shot execute() path, keyed by
         #: (kernel, array shapes/dtypes, sizes) so repeated per-step
@@ -274,7 +274,7 @@ class VirtualGPU:
         return ev
 
     # -- kernel caches -------------------------------------------------------------
-    def _np_kernel(self, launch: Launch, steady: bool = False) -> NumpyKernel:
+    def _np_kernel(self, launch: Launch) -> NumpyKernel:
         """Instance map (name -> kernel) over the shared source-hash cache.
 
         The per-instance map keeps the one-program-per-device fast path
@@ -282,13 +282,13 @@ class VirtualGPU:
         degraded executor); on a miss the process-wide
         :data:`_NP_KERNEL_CACHE` is consulted by source hash, so a pool
         of devices running the same program compiles each kernel once.
-        ``steady=True`` returns the zero-allocation arena variant (cached
-        under the same source hash with a ``#steady`` suffix); results
-        are bit-identical to the default emission.
+        Only the zero-allocation arena emission is compiled (cached
+        under a ``#steady`` suffix of the source hash): it is the one
+        the runtime executes, directly or as the reference of the
+        compiled-loop upgrade.
         """
         ks = launch.kernel
-        instance = self._np_kernels_steady if steady else self._np_kernels
-        nk = instance.get(ks.name)
+        nk = self._np_kernels.get(ks.name)
         if nk is None:
             if ks.kernel_lambda is None:
                 raise ClInvalidValue(
@@ -297,13 +297,13 @@ class VirtualGPU:
                     f"build KernelSource through compile_kernel()/compile_host() "
                     f"(which attach the Lambda) instead of constructing it by "
                     f"hand", kernel=ks.name)
-            key = _kernel_source_key(ks) + ("#steady" if steady else "")
+            key = _kernel_source_key(ks) + "#steady"
             nk = _NP_KERNEL_CACHE.get(key)
             if nk is None:
                 nk = compile_numpy(ks.kernel_lambda, ks.name, lower=False,
-                                   steady=steady)
+                                   steady=True)
                 _NP_KERNEL_CACHE[key] = nk
-            instance[ks.name] = nk
+            self._np_kernels[ks.name] = nk
         return nk
 
     def _exec_kernel(self, launch: Launch):
@@ -314,7 +314,7 @@ class VirtualGPU:
         upgrade is bit-identical; loop-opaque programs (e.g. rank-3
         full-array stores) fall back to the steady emitter per kernel,
         cached under a ``#loops`` suffix of the same source hash."""
-        nk = self._np_kernel(launch, steady=True)
+        nk = self._np_kernel(launch)
         mode = self.kernel_backend
         if mode is None:
             mode = "numba" if _loops_available() else "numpy-steady"
@@ -427,14 +427,57 @@ class VirtualGPU:
         return 0
 
     # -- buffers / transfers ------------------------------------------------------------
-    def _allocate_buffers(self, plan: HostPlan,
-                          sizes: dict[str, int]) -> dict[str, np.ndarray]:
+    def _use_host_ptr(self, decl: BufferDecl, host, count: int,
+                      guard: int) -> bool:
+        """Whether host array ``host`` can back buffer ``decl`` of
+        ``count`` elements in place (``CL_MEM_USE_HOST_PTR``).
+
+        Kernels receive the array itself, so it must be a flat,
+        C-contiguous, writable ndarray of the declared dtype and exact
+        element count — anything else is a typed error.  The one
+        tolerated mismatch is the same as for transfers: an array short
+        by at most the guard plane returns ``False`` and the caller
+        allocates and copies instead.
+        """
+        dtype = np.dtype(decl.scalar.np_dtype)
+        if not (isinstance(host, np.ndarray) and host.ndim == 1
+                and host.dtype == dtype and host.flags.c_contiguous
+                and host.flags.writeable):
+            raise ClInvalidBufferSize(
+                f"cannot bind {type(host).__name__} (shape "
+                f"{getattr(host, 'shape', None)}, dtype "
+                f"{getattr(host, 'dtype', None)}, strides "
+                f"{getattr(host, 'strides', None)}) to device buffer "
+                f"{decl.name!r} in place: it takes a flat, C-contiguous, "
+                f"writable ndarray of dtype {dtype}",
+                buffer=decl.name, dtype=str(dtype))
+        if host.size == count:
+            return True
+        if 0 < count - host.size <= guard:
+            return False
+        raise ClInvalidBufferSize(
+            f"cannot bind a host array of {host.size} elements to device "
+            f"buffer {decl.name!r} of {count} in place (symbolic count "
+            f"{decl.count!r}); only a shortfall of up to the guard plane "
+            f"({guard} elements) is tolerated, by allocating and copying",
+            buffer=decl.name, host_elems=int(host.size),
+            buffer_elems=count, guard_elems=guard)
+
+    def _allocate_buffers(self, plan: HostPlan, sizes: dict[str, int],
+                          bound: dict[str, np.ndarray] | None = None
+                          ) -> dict[str, np.ndarray]:
         """``clCreateBuffer`` for every declared buffer, with device-memory
-        capacity enforcement when the DeviceSpec declares a capacity."""
+        capacity enforcement when the DeviceSpec declares a capacity.
+
+        ``bound`` maps buffer names to host arrays that become the
+        buffer itself instead of a fresh allocation (see
+        :meth:`_use_host_ptr`); they count against the device capacity
+        like any other buffer."""
         buffers: dict[str, np.ndarray] = {}
         cap = self.device.global_mem_bytes
         max_alloc = self.device.max_alloc_bytes
         used = 0
+        guard = self._guard_elems(sizes)
         o = _obs.get()
         for decl in plan.buffers:
             count = int(decl.count.evaluate(sizes))
@@ -467,7 +510,12 @@ class VirtualGPU:
                     requested_bytes=nbytes, in_use_bytes=used,
                     capacity_bytes=cap)
             used += nbytes
-            buffers[decl.name] = np.zeros(count, dtype=dtype)
+            host = bound.get(decl.name) if bound else None
+            if host is not None and self._use_host_ptr(decl, host, count,
+                                                       guard):
+                buffers[decl.name] = host
+            else:
+                buffers[decl.name] = np.zeros(count, dtype=dtype)
             if o is not None:
                 # instantaneous on the modelled timeline; the span exists
                 # so per-buffer sizes show up in the trace
@@ -491,11 +539,20 @@ class VirtualGPU:
         Earlier revisions copied ``min(src.size, buf.size)`` elements and
         silently dropped the rest; any mismatch beyond the guard-plane
         shortfall is now a typed error naming the host param and the
-        buffer's symbolic count.
+        buffer's symbolic count.  A buffer that *is* the host array
+        (bound in place) has nothing to transfer; only the modelled
+        event is recorded.
         """
+        buf = buffers[op.buffer]
+        if buf is inputs[op.host_name]:
+            # bound in place by _allocate_buffers: nothing to copy, but
+            # the upload a real device would need is still modelled
+            self._record(events, "h2d", op.host_name,
+                         transfer_time_ms(buf.nbytes, self.device),
+                         bytes=buf.nbytes, buffer=op.buffer)
+            return
         src = np.asarray(inputs[op.host_name])
         flat = src.reshape(-1)
-        buf = buffers[op.buffer]
         guard = self._guard_elems(sizes)
         if flat.size > buf.size or buf.size - flat.size > guard:
             decl = decls[op.buffer]
@@ -621,15 +678,15 @@ class VirtualGPU:
             try:
                 return self._execute_many(plan, inputs, sizes, steps,
                                           rotations, gather_index_param,
-                                          events, o)
+                                          events)
             except ClError as err:
                 err.events = events
                 raise
 
     def _execute_many(self, plan, inputs, sizes, steps, rotations,
-                      gather_index_param, events, o) -> RunResult:
+                      gather_index_param, events) -> RunResult:
         state = ResidentPlan(self, plan, inputs, sizes, rotations,
-                             gather_index_param, events, o)
+                             gather_index_param, events)
         for step in range(steps):
             state.run_step(step)
             state.rotate()
@@ -640,7 +697,7 @@ class VirtualGPU:
                 events: list[ProfilingEvent],
                 gather_index_param: str,
                 step: int | None = None) -> np.ndarray | None:
-        nk = self._np_kernel(op)
+        nk = self._exec_kernel(op)
         if self.faults is not None:
             site = f"launch:{op.kernel.name}"
             if self.faults.should_inject("device_lost", site, step):
@@ -694,13 +751,12 @@ class VirtualGPU:
                 f"but its launch has no 'out' buffer binding; "
                 f"compile_host() normally adds one — check the plan's "
                 f"Launch.args", kernel=op.kernel.name)
-        steady_nk = self._exec_kernel(op)
-        ws = self._workspace_for(steady_nk, args, out_array, size_kwargs)
+        ws = self._workspace_for(nk, args, out_array, size_kwargs)
         t0 = _time.perf_counter()
-        if steady_nk.returns_out:
-            ret = steady_nk.fn(*args, **size_kwargs, out=out_array, _ws=ws)
+        if nk.returns_out:
+            ret = nk.fn(*args, **size_kwargs, out=out_array, _ws=ws)
         else:
-            ret = steady_nk.fn(*args, **size_kwargs, _ws=ws)
+            ret = nk.fn(*args, **size_kwargs, _ws=ws)
         host_secs = _time.perf_counter() - t0
 
         n_items = (int(op.global_size.evaluate(sizes))
@@ -951,13 +1007,23 @@ class ResidentPlan:
     ``"__out__"`` sentinel) to the buffer currently playing that role;
     :meth:`buffer_for` resolves a name to its array under the current
     rotation.
+
+    ``in_place`` maps rotation names to host arrays that become the
+    resident buffers themselves instead of being copied into fresh ones
+    (``CL_MEM_USE_HOST_PTR``; requirements in
+    :meth:`VirtualGPU._use_host_ptr`): launches then read and write the
+    caller's memory, which is how :class:`repro.acoustics.RoomSimulation`
+    steps without any per-step transfer.  The plan mutates those arrays,
+    so a caller that must be able to re-run from unchanged inputs (the
+    retry ladder of :class:`~.resilient.ResilientGPU`) must not bind.
     """
 
     def __init__(self, gpu: VirtualGPU, plan: HostPlan, inputs: dict,
                  sizes: dict[str, int],
                  rotations: list[tuple[str, ...]] | None,
                  gather_index_param: str,
-                 events: list[ProfilingEvent], o):
+                 events: list[ProfilingEvent],
+                 in_place: dict[str, np.ndarray] | None = None):
         self.gpu = gpu
         self.plan = plan
         self.inputs = inputs
@@ -965,21 +1031,13 @@ class ResidentPlan:
         self.rotations = list(rotations or [])
         self.gather_index_param = gather_index_param
         self.events = events
-        self._o = o
 
-        buffers = gpu._allocate_buffers(plan, sizes)
-        decls = {d.name: d for d in plan.buffers}
-        host_to_buffer: dict[str, str] = {}
-        launches: list[Launch] = []
+        host_to_buffer = plan.host_buffers()
+        launches = [op for op in plan.ops if isinstance(op, Launch)]
         out_buffer: str | None = None
-        for op in plan.ops:
-            if isinstance(op, CopyIn):
-                gpu._copy_in(op, inputs, buffers, decls, sizes, events)
-                host_to_buffer[op.host_name] = op.buffer
-            elif isinstance(op, Launch):
-                launches.append(op)
-                if op.out_buffer is not None:
-                    out_buffer = op.out_buffer
+        for op in launches:
+            if op.out_buffer is not None:
+                out_buffer = op.out_buffer
 
         # name -> current buffer array (rotation permutes this binding)
         binding: dict[str, str] = dict(host_to_buffer)
@@ -994,16 +1052,38 @@ class ResidentPlan:
                         f"is not a transferred host parameter or the "
                         f"'__out__' sentinel; rotatable names: {rotatable}",
                         rotation=tuple(cycle), available=rotatable)
+        in_place = in_place or {}
+        unknown = sorted(set(in_place) - set(binding))
+        if unknown:
+            raise ClInvalidValue(
+                f"in_place name(s) {unknown} are not transferred host "
+                f"parameters or the '__out__' sentinel; bindable names: "
+                f"{rotatable}", in_place=unknown, available=rotatable)
+
+        # the out buffer is bound below, against its cycle peers' size
+        buffers = gpu._allocate_buffers(
+            plan, sizes, {binding[n]: a for n, a in in_place.items()
+                          if n != "__out__"})
+        decls = {d.name: d for d in plan.buffers}
+        for op in plan.ops:
+            if isinstance(op, CopyIn):
+                gpu._copy_in(op, inputs, buffers, decls, sizes, events)
         if out_buffer is not None:
             # a rotating output buffer must be as large as its cycle peers
             # (state buffers carry the guard plane; see lift_programs)
+            want = buffers[out_buffer].size
             for cycle in self.rotations:
                 if "__out__" in cycle:
-                    peer = max((buffers[binding[n]].size for n in cycle
-                                if n != "__out__"), default=0)
-                    if peer > buffers[out_buffer].size:
-                        buffers[out_buffer] = np.zeros(
-                            peer, dtype=buffers[out_buffer].dtype)
+                    want = max([want, *(buffers[binding[n]].size
+                                        for n in cycle if n != "__out__")])
+            out_host = in_place.get("__out__")
+            if out_host is not None and gpu._use_host_ptr(
+                    decls[out_buffer], out_host, want,
+                    gpu._guard_elems(sizes)):
+                buffers[out_buffer] = out_host
+            elif want > buffers[out_buffer].size:
+                buffers[out_buffer] = np.zeros(
+                    want, dtype=buffers[out_buffer].dtype)
 
         self.buffers = buffers
         self.binding = binding
@@ -1061,7 +1141,9 @@ class ResidentPlan:
 
     def run_step(self, step: int, **span_attrs) -> None:
         """Run every launch of the plan once (one simulation step)."""
-        o = self._o
+        # looked up per step: a plan may outlive the obs session it was
+        # opened under (or be opened before one starts)
+        o = _obs.get()
         step_span = (o.tracer.start("gpu.step", "step", step=step,
                                     device=self.gpu.device.name,
                                     **span_attrs)

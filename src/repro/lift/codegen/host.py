@@ -170,6 +170,12 @@ class HostPlan:
         return {n: c for n, c in self.required_inputs().items()
                 if n not in inputs}
 
+    def host_buffers(self) -> dict[str, str]:
+        """Transferred host parameter name -> the device buffer its
+        ``CopyIn`` fills (how results name a parameter's device copy)."""
+        return {op.host_name: op.buffer for op in self.ops
+                if isinstance(op, CopyIn)}
+
 
 @dataclass
 class HostProgram:

@@ -1,0 +1,228 @@
+"""Device-resident stepping on the single-device ``virtual_gpu`` path.
+
+The default path opens one :class:`~repro.gpu.runtime.ResidentPlan` with
+the simulation's own arrays bound in place and then only launches
+kernels; ``faults`` / ``resilient`` / device pools keep the one-shot
+``execute()`` per step.  The one-shot path (``resilient=True``, no
+faults) is the reference the resident one must match bit for bit.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.acoustics import (BoxRoom, DomeRoom, Grid3D, Room, RoomSimulation,
+                             SimConfig)
+from repro.gpu import (ClInvalidBufferSize, ClMemAllocationFailure, FaultPlan,
+                       NVIDIA_TITAN_BLACK, VirtualGPU)
+from repro.gpu.runtime import ResidentPlan
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_session():
+    yield
+    obs.disable()
+
+
+def _sim(scheme="fd_mm", dims=(14, 12, 10), shape=None, **kw):
+    return RoomSimulation(SimConfig(
+        room=Room(Grid3D(*dims), shape or BoxRoom()), scheme=scheme,
+        backend="virtual_gpu", **kw))
+
+
+def _scenario(sim):
+    """Everything that touches the state arrays from outside the
+    kernels, interleaved with steps."""
+    sim.add_impulse("center")
+    sim.add_receiver("mic", "center")
+    sim.add_receiver("off", (4, 4, 4))
+    sim.run(4)
+    sim.add_impulse((5, 5, 5), 0.5)          # writes into a bound buffer
+    sim.run(2)
+    cp = sim.checkpoint()
+    sim.run(3)
+    sim.restore(cp)                          # in place, plan stays open
+    sim.run(3)
+    sim.set_devices("AMD7970")               # plan dropped and re-bound
+    sim.run(3)
+    return sim
+
+
+@pytest.mark.parametrize("shape", [BoxRoom, DomeRoom])
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
+def test_resident_bit_identical_to_one_shot(scheme, precision, shape):
+    resident, one_shot = (
+        _scenario(_sim(scheme, shape=shape(), precision=precision,
+                       health_interval=1, resilient=resilient))
+        for resilient in (False, True))
+    assert resident._plan is not None and one_shot._plan is None
+    assert resident.time_step == one_shot.time_step == 12
+    for name in ("curr", "prev", "g1", "v1", "v2"):
+        assert np.array_equal(getattr(resident, name),
+                              getattr(one_shot, name)), name
+    for mic in ("mic", "off"):
+        assert np.array_equal(resident.receiver_signal(mic),
+                              one_shot.receiver_signal(mic))
+    assert resident.modelled_gpu_time_ms == one_shot.modelled_gpu_time_ms
+    assert resident.devices[0].name == one_shot.devices[0].name
+
+
+def test_uploads_once_then_launches_only():
+    sim = _sim()
+    sim.add_impulse("center")
+    with obs.observe() as o:
+        sim.run(6)
+    plan = sim._host_program.plan
+    h2d = [s.name for s in o.tracer.find(cat="h2d")]
+    assert sorted(h2d) == sorted(plan.host_buffers())
+    allocs = [s.name for s in o.tracer.find("alloc:")]
+    assert sorted(allocs) == sorted(f"alloc:{d.name}" for d in plan.buffers)
+    assert not o.tracer.find(cat="d2h") and not o.tracer.find("gpu.execute")
+    gpu_steps = o.tracer.find("gpu.step")
+    assert [s.attrs["step"] for s in gpu_steps] == list(range(6))
+    sim_steps = o.tracer.find("sim.step")
+    assert [s.parent_id for s in gpu_steps] == [s.span_id for s in sim_steps]
+    kernels = o.tracer.find(cat="kernel")
+    assert len(kernels) == 12                # two launches a step, no more
+    assert [s.attrs["step"] for s in kernels] == [i // 2 for i in range(12)]
+
+
+def test_plan_opened_before_the_session_still_traces():
+    sim = _sim("fi_mm")
+    sim.add_impulse("center")
+    sim.run(2)                               # plan opens untraced
+    with obs.observe() as o:
+        sim.run(2)
+    assert [s.attrs["step"] for s in o.tracer.find("gpu.step")] == [2, 3]
+    assert not o.tracer.find(cat="h2d")      # nothing is uploaded again
+
+
+@pytest.mark.parametrize("kw", [dict(faults=FaultPlan([], seed=1)),
+                                dict(resilient=True),
+                                dict(devices="TitanBlack:2")],
+                         ids=["faults", "resilient", "pool"])
+def test_one_shot_path_survives_where_selected(kw):
+    sim = _sim("fi_mm", **kw)
+    sim.add_impulse("center")
+    with obs.observe() as o:
+        sim.run(2)
+    assert sim._plan is None
+    assert len(o.tracer.find("gpu.execute")) >= 2
+    assert not o.tracer.find("gpu.step")
+
+
+def test_state_arrays_are_the_resident_buffers():
+    sim = _sim(dims=(8, 8, 8))
+    sim.add_impulse("center")
+    roles = dict(curr="prev1_h", prev="prev2_h", nxt="__out__", g1="g1_h",
+                 v1="v1_h", v2="v2_h")
+    for step in range(500):
+        sim.step()
+        plan = sim._plan
+        if step < 6:                         # two full rotation cycles
+            for attr, name in roles.items():
+                assert getattr(sim, attr) is plan.buffer_for(name), attr
+        assert np.shares_memory(sim.curr, plan.buffer_for("prev1_h"))
+    assert len(plan.events) == 0
+    # topology and coefficients are bound too: no second copy of the room
+    assert plan.buffer_for("neighbors") is sim._nbrs_guarded
+    assert plan.buffer_for("boundaries") is sim.topology.boundary_indices
+    assert np.shares_memory(plan.buffer_for("BI_h"), sim.table.BI)
+
+
+def test_steady_steps_allocate_nothing():
+    sim = _sim(dims=(50, 34, 25))            # the scale-6 room
+    sim.add_impulse("center")
+    sim.add_receiver("mic", "center")
+    sim.run(5)
+    tracemalloc.start()
+    try:
+        sim.run(2)                           # tracemalloc's own warm-up
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        sim.run(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one field is 340 KB: a single temporary or copy would show
+    assert peak - before < 64 * 1024
+
+
+class TestBinding:
+    @pytest.fixture()
+    def parts(self):
+        sim = _sim("fi_mm")
+        sim.add_impulse("center")
+        return sim, sim._vgpu_inputs(), sim._size_env()
+
+    def _open(self, sim, inputs, sizes, **override):
+        inputs = dict(inputs, **override)
+        in_place = {n: a for n, a in inputs.items()
+                    if isinstance(a, np.ndarray)}
+        in_place["__out__"] = sim.nxt
+        return ResidentPlan(VirtualGPU(NVIDIA_TITAN_BLACK),
+                            sim._host_program.plan, inputs, sizes,
+                            sim._rotations, "boundaryIndices", [], in_place)
+
+    def test_wrong_dtype_is_typed_error(self, parts):
+        sim, inputs, sizes = parts
+        with pytest.raises(ClInvalidBufferSize, match="dtype float64"):
+            self._open(sim, inputs, sizes,
+                       prev1_h=sim.curr.astype(np.float32))
+
+    def test_non_contiguous_is_typed_error(self, parts):
+        sim, inputs, sizes = parts
+        strided = np.zeros(2 * sizes["NP"])[::2]
+        with pytest.raises(ClInvalidBufferSize, match="C-contiguous"):
+            self._open(sim, inputs, sizes, prev1_h=strided)
+
+    def test_wrong_size_is_typed_error(self, parts):
+        sim, inputs, sizes = parts
+        for size in (sizes["N"] - 1, sizes["NP"] + 1):
+            with pytest.raises(ClInvalidBufferSize) as ei:
+                self._open(sim, inputs, sizes, prev1_h=np.zeros(size))
+            assert ei.value.context["host_elems"] == size
+            assert ei.value.context["buffer_elems"] == sizes["NP"]
+
+    def test_guard_plane_shortfall_falls_back_to_copy(self, parts):
+        sim, inputs, sizes = parts
+        short = sim.curr[:sizes["N"]].copy()     # no guard plane
+        plan = self._open(sim, inputs, sizes, prev1_h=short)
+        dev = plan.buffer_for("prev1_h")
+        assert dev.size == sizes["NP"] and not np.shares_memory(dev, short)
+        assert np.array_equal(dev[:sizes["N"]], short)
+        assert plan.buffer_for("prev2_h") is sim.prev    # the rest binds
+        plan.run_step(0)
+        ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute(
+            sim._host_program, dict(inputs, prev1_h=short), sizes)
+        assert np.array_equal(plan.buffer_for("__out__")[:sizes["N"]],
+                              np.asarray(ref.result)[:sizes["N"]])
+
+    def test_unknown_name_is_typed_error(self, parts):
+        from repro.gpu import ClInvalidValue
+        sim, inputs, sizes = parts
+        with pytest.raises(ClInvalidValue, match="not_a_param"):
+            ResidentPlan(VirtualGPU(NVIDIA_TITAN_BLACK),
+                         sim._host_program.plan, inputs, sizes, [],
+                         "boundaryIndices", [],
+                         {"not_a_param": np.zeros(3)})
+
+    def test_bound_buffers_count_against_device_capacity(self):
+        sim = _sim()
+        sizes = sim._size_env()
+        total = sum(int(d.count.evaluate(sizes))
+                    * np.dtype(d.scalar.np_dtype).itemsize
+                    for d in sim._host_program.plan.buffers)
+        sim.set_devices(dataclasses.replace(NVIDIA_TITAN_BLACK,
+                                            global_mem_bytes=total))
+        sim.step()                           # exactly fits
+        sim.set_devices(dataclasses.replace(NVIDIA_TITAN_BLACK,
+                                            global_mem_bytes=total - 1))
+        with pytest.raises(ClMemAllocationFailure) as ei:
+            sim.step()
+        assert ei.value.context["capacity_bytes"] == total - 1
+        assert not ei.value.injected

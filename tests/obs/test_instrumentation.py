@@ -260,10 +260,28 @@ class TestSimulationSpans:
         for s in steps:
             assert s.parent_id == runs[0].span_id
             names = {d.name for d in o.tracer.descendants_of(s)}
-            assert "gpu.execute" in names
+            # the default path is device-resident: launches only
+            assert "gpu.step" in names and "gpu.execute" not in names
             assert "volume_handling_kernel" in names
         assert o.metrics.get("repro_sim_steps_total").value(
             scheme="fi_mm", backend="virtual_gpu") == 2
+
+    def test_one_shot_step_spans_nest_down_to_launches(self):
+        # resilient=True keeps the one-shot execute() per step, and the
+        # trace says so
+        with obs.observe() as o:
+            sim = make_sim(resilient=True)
+            sim.add_impulse("center")
+            sim.run(2)
+        steps = o.tracer.find("sim.step")
+        assert len(steps) == 2
+        for s in steps:
+            below = o.tracer.descendants_of(s)
+            names = {d.name for d in below}
+            assert "gpu.execute" in names and "gpu.step" not in names
+            assert "volume_handling_kernel" in names
+            # every step allocates, uploads and reads back again
+            assert {"alloc", "h2d", "d2h"} <= {d.cat for d in below}
 
     def test_seeded_fault_reaches_policy_log_and_metrics(self):
         plan = FaultPlan([FaultSpec("launch_abort", steps=(1,))], seed=3)
