@@ -464,7 +464,8 @@ class VirtualGPU:
             buffer_elems=count, guard_elems=guard)
 
     def _allocate_buffers(self, plan: HostPlan, sizes: dict[str, int],
-                          bound: dict[str, np.ndarray] | None = None
+                          bound: dict[str, np.ndarray] | None = None,
+                          at_least: dict[str, int] | None = None
                           ) -> dict[str, np.ndarray]:
         """``clCreateBuffer`` for every declared buffer, with device-memory
         capacity enforcement when the DeviceSpec declares a capacity.
@@ -472,7 +473,9 @@ class VirtualGPU:
         ``bound`` maps buffer names to host arrays that become the
         buffer itself instead of a fresh allocation (see
         :meth:`_use_host_ptr`); they count against the device capacity
-        like any other buffer."""
+        like any other buffer.  ``at_least`` maps buffer names to a
+        minimum element count above the declared one (a rotating output
+        buffer is as large as its cycle peers)."""
         buffers: dict[str, np.ndarray] = {}
         cap = self.device.global_mem_bytes
         max_alloc = self.device.max_alloc_bytes
@@ -486,6 +489,8 @@ class VirtualGPU:
                     f"buffer {decl.name!r} has non-positive element count "
                     f"{count} (symbolic count {decl.count!r} under sizes "
                     f"{sizes})", buffer=decl.name, count=count)
+            if at_least:
+                count = max(count, at_least.get(decl.name, 0))
             dtype = np.dtype(decl.scalar.np_dtype)
             nbytes = count * dtype.itemsize
             if self.faults is not None and self.faults.should_inject(
@@ -1060,30 +1065,19 @@ class ResidentPlan:
                 f"parameters or the '__out__' sentinel; bindable names: "
                 f"{rotatable}", in_place=unknown, available=rotatable)
 
-        # the out buffer is bound below, against its cycle peers' size
-        buffers = gpu._allocate_buffers(
-            plan, sizes, {binding[n]: a for n, a in in_place.items()
-                          if n != "__out__"})
         decls = {d.name: d for d in plan.buffers}
+        # a rotating output buffer must be as large as its cycle peers
+        # (state buffers carry the guard plane; see lift_programs)
+        peers = [binding[n] for cycle in self.rotations if "__out__" in cycle
+                 for n in cycle if n != "__out__"]
+        at_least = {out_buffer: max(int(decls[b].count.evaluate(sizes))
+                                    for b in peers)} if peers else None
+        buffers = gpu._allocate_buffers(
+            plan, sizes, {binding[n]: a for n, a in in_place.items()},
+            at_least)
         for op in plan.ops:
             if isinstance(op, CopyIn):
                 gpu._copy_in(op, inputs, buffers, decls, sizes, events)
-        if out_buffer is not None:
-            # a rotating output buffer must be as large as its cycle peers
-            # (state buffers carry the guard plane; see lift_programs)
-            want = buffers[out_buffer].size
-            for cycle in self.rotations:
-                if "__out__" in cycle:
-                    want = max([want, *(buffers[binding[n]].size
-                                        for n in cycle if n != "__out__")])
-            out_host = in_place.get("__out__")
-            if out_host is not None and gpu._use_host_ptr(
-                    decls[out_buffer], out_host, want,
-                    gpu._guard_elems(sizes)):
-                buffers[out_buffer] = out_host
-            elif want > buffers[out_buffer].size:
-                buffers[out_buffer] = np.zeros(
-                    want, dtype=buffers[out_buffer].dtype)
 
         self.buffers = buffers
         self.binding = binding

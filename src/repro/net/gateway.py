@@ -343,11 +343,6 @@ class Gateway:
             return
         svc._journal("start", handle, fp)
         svc._transition(handle, "RUNNING")
-        # lead and dedup-mate alike leave the tenant's queue share here;
-        # they stay outstanding until _finish_tenant
-        name = self._tenant_of.get(handle.job_id)
-        if name is not None:
-            self.admission.on_started(name)
         mates = self._inflight.get(fp)
         if mates is not None:
             # fingerprint dedup: ride the already-dispatched execution

@@ -18,9 +18,6 @@ TENANTS = (
            max_concurrent=64, queue_share=0.9),
     Tenant("tiny", "key-tiny", rate=0.5, burst=1.0,
            max_concurrent=2, queue_share=0.5),
-    # queue_share x max_queue = 4 queued jobs at a time
-    Tenant("narrow", "key-narrow", rate=200.0, burst=100.0,
-           max_concurrent=64, queue_share=0.25),
 )
 
 
@@ -111,19 +108,6 @@ def test_rate_limit_429_with_retry_after(gateway):
     refusal = codes[429]
     assert refusal["reason"] == "rate"
     assert refusal["tenant"] == "tiny"
-
-
-def test_started_jobs_leave_the_tenants_queue_share(gateway):
-    # a job stops counting as queued when it starts running: a tenant
-    # whose share is 4 queued jobs can run any number one after another
-    narrow = GatewayClient(gateway.url, api_key="key-narrow")
-    for i in range(12):
-        code, payload = narrow.submit(_req(steps=2 + i, dims=(9, 8, 8),
-                                           scheme="fi"))
-        assert code in (200, 202), (i, code, payload)
-        assert narrow.wait(payload["job_id"])["state"] == "DONE"
-    counts = narrow.healthz()["gateway"]["tenants"]["narrow"]
-    assert counts == {"queued": 0, "outstanding": 0}
 
 
 def test_result_before_done_is_409_and_cancel(gateway, client):
