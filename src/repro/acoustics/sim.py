@@ -50,9 +50,12 @@ SCHEMES = ("fi", "fi_mm", "fd_mm")
 #: to ``numpy-steady`` (its long-standing default realisation);
 #: ``lift-legacy`` is the allocating NumPy emitter, ``numpy-steady``
 #: the workspace-arena emitter, and ``numba`` the compiled fused-loop
-#: emitter (numba / C tiers, falling back to ``numpy-steady`` with a
-#: once-per-process warning when no compiled tier is available).  All
-#: of them lower the same ArenaProgram artifact and are bit-identical.
+#: emitter (numba / C tiers).  ``numba`` is an explicit request: with no
+#: compiled tier on the host, or a loop-opaque program, the constructor
+#: raises ``LoopsUnsupported`` naming what is missing — only the
+#: ``virtual_gpu`` default (no emitter named) falls back per kernel.
+#: All of them lower the same ArenaProgram artifact and are
+#: bit-identical.
 BACKENDS = ("numpy", "scalar", "lift", "lift-legacy", "numpy-steady",
             "numba", "lift_interp", "virtual_gpu")
 #: backends realised by the LIFT codegen tree (one lowering, N emitters)
@@ -364,12 +367,11 @@ class RoomSimulation:
             nk = compile_numpy(kernel, label, steady=steady)
             ws = Workspace(f"lift:{label}") if steady else None
             if mode == "numba":
-                # every generated program (rank-1 gid and rank-3 grid3
-                # domains alike) is loop-lowerable; nothing falls back,
-                # so nothing warns — LoopsUnsupported would indicate a
-                # genuinely new program shape and should surface loudly
+                # an explicit request never falls back: LoopsUnsupported
+                # (no compiled tier, or a loop-opaque program) surfaces
+                # from the constructor
                 from ..lift.codegen.loops import compile_loops
-                return compile_loops(nk.program, reference_fn=nk.fn), ws
+                return compile_loops(nk.program), ws
             return nk, ws
 
         if self.config.scheme == "fi":

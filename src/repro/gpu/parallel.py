@@ -12,9 +12,8 @@ exchange — the MPI-X playbook for generated finite-difference solvers
 see ``docs/sharding.md``):
 
 * step 0 runs full-range — :meth:`~.multi.Shard.shard_field` pre-filled
-  the ``prev1``/``prev2`` halos, so no exchange is needed (this full
-  pass also builds the compiled-loop specialisations that later ranged
-  calls require);
+  the ``prev1``/``prev2`` halos, so there is nothing to exchange and
+  nothing to overlap with;
 * every later step: **post** the freshly rotated field's edge planes to
   both neighbours, launch the **interior** range ``[h_lo, N-h_hi)`` of
   the footprint kernel (cells whose stencil never touches halo data),
@@ -226,8 +225,7 @@ def _shard_worker_main(task: dict, result_q) -> None:
             if kill_at is not None and step == kill_at:
                 os.kill(os.getpid(), 9)
             if step == 0:
-                # halos pre-filled by shard_field; the full-range pass
-                # also creates the loop specialisations ranged calls need
+                # halos pre-filled by shard_field: nothing to exchange
                 st.run_step(step, shard=index)
             else:
                 field = st.buffer_for(halo_binding)

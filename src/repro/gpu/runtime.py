@@ -113,7 +113,9 @@ def kernel_cache_stats() -> dict:
     suffix and its compiled-loop upgrade under ``#loops``; the legacy
     allocating emission is never compiled here); ``arena`` reports the
     workspace arena's process-wide hit/miss counters and resident bytes
-    (see :func:`repro.lift.codegen.arena.arena_stats`); ``loops_disk``
+    (see :func:`repro.lift.codegen.arena.arena_stats`) — the temporaries
+    of kernels running on the steady emitter; a compiled-loop kernel
+    keeps only its ``const`` / ``pad`` slots there; ``loops_disk``
     reports the on-disk compiled-artifact cache the cc tier shares
     across processes (see
     :func:`repro.lift.codegen.loops.loops_disk_cache_stats`).
@@ -229,7 +231,8 @@ class VirtualGPU:
         #: which emitter realises kernel launches on the host: None picks
         #: the compiled fused-loop backend when available (falling back
         #: per kernel when a program is loop-opaque), "numpy-steady"
-        #: pins the vectorised arena emitter, "numba" demands loops
+        #: pins the vectorised arena emitter, "numba" demands loops — a
+        #: launch it cannot compile raises ``LoopsUnsupported``
         self.kernel_backend = kernel_backend
         self._np_kernels: dict[str, NumpyKernel] = {}
         self._resources: dict[str, Resources] = {}
@@ -283,9 +286,9 @@ class VirtualGPU:
         :data:`_NP_KERNEL_CACHE` is consulted by source hash, so a pool
         of devices running the same program compiles each kernel once.
         Only the zero-allocation arena emission is compiled (cached
-        under a ``#steady`` suffix of the source hash): it is the one
-        the runtime executes, directly or as the reference of the
-        compiled-loop upgrade.
+        under a ``#steady`` suffix of the source hash): the runtime
+        executes it directly, or hands its :class:`ArenaProgram` to the
+        compiled-loop emitter.
         """
         ks = launch.kernel
         nk = self._np_kernels.get(ks.name)
@@ -311,22 +314,27 @@ class VirtualGPU:
         arena kernel, upgraded to the compiled fused-loop emitter when
         :attr:`kernel_backend` requests (or auto-detects) one.  Both
         emitters consume the identical :class:`ArenaProgram`, so the
-        upgrade is bit-identical; loop-opaque programs (e.g. rank-3
-        full-array stores) fall back to the steady emitter per kernel,
-        cached under a ``#loops`` suffix of the same source hash."""
+        upgrade is bit-identical.  One fallback rule: in auto mode a
+        kernel the loop emitter declines (``LoopsUnsupported``: a
+        loop-opaque program) runs on the steady emitter, remembered
+        under a ``#loops`` suffix of the same source hash; an explicit
+        ``kernel_backend="numba"`` propagates the typed error."""
         nk = self._np_kernel(launch)
         mode = self.kernel_backend
-        if mode is None:
-            mode = "numba" if _loops_available() else "numpy-steady"
-        if mode != "numba":
+        if mode == "numpy-steady" or (mode is None
+                                      and not _loops_available()):
             return nk
+        from ..lift.codegen.loops import (LoopKernel, LoopsUnsupported,
+                                          compile_loops)
+        explicit = mode == "numba"
         key = _kernel_source_key(launch.kernel) + "#loops"
         lk = _NP_KERNEL_CACHE.get(key)
-        if lk is None:
-            from ..lift.codegen.loops import LoopsUnsupported, compile_loops
+        if lk is None or (explicit and not isinstance(lk, LoopKernel)):
             try:
-                lk = compile_loops(nk.program, reference_fn=nk.fn)
+                lk = compile_loops(nk.program)
             except LoopsUnsupported:
+                if explicit:
+                    raise
                 lk = nk
             _NP_KERNEL_CACHE[key] = lk
         return lk
@@ -702,90 +710,12 @@ class VirtualGPU:
                 events: list[ProfilingEvent],
                 gather_index_param: str,
                 step: int | None = None) -> np.ndarray | None:
-        nk = self._exec_kernel(op)
-        if self.faults is not None:
-            site = f"launch:{op.kernel.name}"
-            if self.faults.should_inject("device_lost", site, step):
-                raise ClDeviceLost(
-                    f"device {self.device.name} lost while enqueueing "
-                    f"kernel {op.kernel.name!r}"
-                    + (f" at step {step}" if step is not None else ""),
-                    kernel=op.kernel.name, step=step, injected=True)
-            if self.faults.should_inject("launch_abort", site, step):
-                raise ClOutOfResources(
-                    f"clEnqueueNDRangeKernel aborted for kernel "
-                    f"{op.kernel.name!r}"
-                    + (f" at step {step}" if step is not None else ""),
-                    kernel=op.kernel.name, step=step, injected=True)
-        args: list = []
-        size_kwargs: dict[str, int] = {}
-        out_array: np.ndarray | None = None
-        gather_index: np.ndarray | None = None
-
-        for binding in op.args:
-            if binding.kind == "buffer":
-                buf = buffers[binding.source]
-                if binding.param_name == "out":
-                    out_array = buf
-                else:
-                    args.append(buf)
-                if binding.param_name == gather_index_param:
-                    gather_index = buf
-            elif binding.kind == "scalar":
-                args.append(inputs[binding.source])
-            elif binding.kind == "size":
-                name = binding.param_name
-                size_kwargs[name] = int(sizes[name])
-            else:
-                raise ClInvalidKernelArgs(
-                    f"launch of kernel {op.kernel.name!r}: argument "
-                    f"{binding.param_name!r} has unknown binding kind "
-                    f"{binding.kind!r} (expected 'buffer', 'scalar' or "
-                    f"'size'); HostPlans built by compile_host() only emit "
-                    f"those three — was this plan edited by hand?",
-                    kernel=op.kernel.name, param=binding.param_name,
-                    kind=binding.kind)
-
-        for s in nk.size_params:
-            if s not in size_kwargs:
-                size_kwargs[s] = int(sizes[s])
-
-        if nk.returns_out and out_array is None:
-            raise ClInvalidKernelArgs(
-                f"kernel {op.kernel.name!r} allocates a fresh output "
-                f"but its launch has no 'out' buffer binding; "
-                f"compile_host() normally adds one — check the plan's "
-                f"Launch.args", kernel=op.kernel.name)
-        ws = self._workspace_for(nk, args, out_array, size_kwargs)
-        t0 = _time.perf_counter()
-        if nk.returns_out:
-            ret = nk.fn(*args, **size_kwargs, out=out_array, _ws=ws)
-        else:
-            ret = nk.fn(*args, **size_kwargs, _ws=ws)
-        host_secs = _time.perf_counter() - t0
-
-        n_items = (int(op.global_size.evaluate(sizes))
-                   if op.global_size is not None else 0)
-        res = self._kernel_resources(op)
-        precision = self._launch_precision(op)
-        if self.autotune:
-            timing = autotune_workgroup(res, n_items, self.device, precision,
-                                        self.traits, gather_index)
-        else:
-            from .costmodel import kernel_time
-            timing = kernel_time(res, n_items, self.device, precision,
-                                 self.traits, gather_index,
-                                 workgroup=self.workgroup)
-        attrs: dict = {}
-        o = _obs.get()
-        if o is not None:
-            attrs = self._launch_attrs(timing, n_items, precision)
-            if step is not None:
-                attrs["step"] = step
-            self._observe_host_time(o, op.kernel.name, host_secs)
-        self._record(events, "kernel", op.kernel.name, timing.time_ms,
-                     timing, **attrs)
-        return ret if isinstance(ret, np.ndarray) else None
+        """A one-shot launch is a prepared launch with nothing rotating,
+        on the arena cached per (kernel, shapes, sizes)."""
+        prep = self._prepare_launch(op, buffers, inputs, sizes,
+                                    gather_index_param, set(),
+                                    shared_arena=True)
+        return self._run_prepared(prep, {}, events, step)
 
     def _launch_attrs(self, timing: KernelTiming, n_items: int,
                       precision: str) -> dict:
@@ -805,14 +735,17 @@ class VirtualGPU:
     def _prepare_launch(self, op: Launch, buffers: dict[str, np.ndarray],
                         inputs: dict, sizes: dict[str, int],
                         gather_index_param: str,
-                        rotating_sources: set[str]) -> "_PreparedLaunch":
+                        rotating_sources: set[str],
+                        shared_arena: bool = False) -> "_PreparedLaunch":
         """Hoist every per-step-invariant part of a launch out of the
-        resident-plan step loop: the steady (arena) kernel, scalar
+        resident-plan step loop: the executable kernel, scalar
         argument values, resolved ``size_kwargs``, resource analysis,
         precision, ``global_size`` evaluation and — when the gather
         buffer does not rotate — the autotuned :class:`KernelTiming`.
         What remains per step is patching the rotating buffer positions
-        and the kernel call itself.
+        and the kernel call itself.  The launch gets an arena of its
+        own unless ``shared_arena`` asks for the one
+        :meth:`_workspace_for` keeps across one-shot ``execute()`` calls.
         """
         nk = self._exec_kernel(op)
         args: list = []
@@ -868,9 +801,12 @@ class VirtualGPU:
             timing = self._launch_timing(res, n_items, precision,
                                          gather_static)
         from ..lift.codegen.loops import LoopKernel
+        ws = (self._workspace_for(nk, args, out_static, size_kwargs)
+              if shared_arena
+              else Workspace(f"{self.device.name}:{op.kernel.name}"))
         return _PreparedLaunch(
-            op=op, nk=nk, ws=Workspace(f"{self.device.name}:{op.kernel.name}"),
-            site=f"launch:{op.kernel.name}", args=args, rotating=rotating,
+            op=op, nk=nk, ws=ws, site=f"launch:{op.kernel.name}",
+            args=args, rotating=rotating,
             out_src=out_src, out_static=out_static,
             out_rotates=(out_src is not None
                          and out_src in rotating_sources),

@@ -17,13 +17,16 @@ write — and compiles that loop through the best available tier:
 * ``python`` — the numba source interpreted with ``prange = range``;
   exact but slow, a debugging/test tier that is never auto-selected.
 
-Bit-identity strategy — *probe-first specialisation*: the first call
-for a given argument-dtype set runs the reference NumPy-steady kernel
-(so the first result is bit-identical by definition) and snapshots the
-workspace's slot dtypes.  Codegen then emits every operation with its
-operands explicitly cast to the dtype NumPy actually produced, so the
-compiled loop performs the same IEEE operation at the same width as
-NumPy's ufunc inner loops.  Negative affine offsets reproduce fancy
+Bit-identity strategy — *every slot typed before anything runs*:
+:func:`_slot_dtypes` walks the program once per argument-dtype set and
+lets NumPy name each slot's dtype by applying the op's own NumPy
+operation to one-element stand-ins of its operands (scalar operands
+keep their call-time values, so weak-scalar promotion is NumPy's, on
+whichever NumPy is installed).  Codegen then emits every operation with
+its operands explicitly cast to that dtype, so the compiled loop
+performs the same IEEE operation at the same width as NumPy's ufunc
+inner loops — from the first call on; no other emitter ever runs on a
+loop kernel's behalf.  Negative affine offsets reproduce fancy
 indexing's wraparound (``index += size`` when negative), exactly as
 :meth:`Workspace.shift` does.
 
@@ -58,8 +61,10 @@ __all__ = ["LoopKernel", "LoopsUnsupported", "available_tiers",
 
 
 class LoopsUnsupported(RuntimeError):
-    """The fused-loop emitter cannot lower this program (the caller
-    should fall back to the NumPy-steady emitter)."""
+    """The fused-loop emitter cannot realise this program here: the
+    program is loop-opaque, or no compiled tier exists on this host.
+    An explicit ``numba`` request lets it propagate; only the
+    ``virtual_gpu`` auto mode falls back (per kernel, to NumPy-steady)."""
 
 
 # --- tier discovery ---------------------------------------------------------
@@ -419,7 +424,6 @@ def _lower_ops(gen: _Gen, scalar_values: dict) -> None:
             if op.base in prog.written:
                 raise LoopsUnsupported(
                     f"rank-3 slice of written array {op.base!r}")
-            gen.dt[op.name] = gen.dt[op.base]
             gen._use_array(op.base)
             st0 = gen._need_stride(op.base, 0)
             st1 = gen._need_stride(op.base, 1)
@@ -443,7 +447,6 @@ def _lower_ops(gen: _Gen, scalar_values: dict) -> None:
         if isinstance(op, ScalarOp):
             continue                       # host prologue
         if isinstance(op, ConstOp):
-            gen.dt[op.name] = gen.dt[op.name]      # set by snapshot
             gen.local[op.name] = f"{op.name}[_i]"
             gen.const_arrays.append(op.name)
             gen._use_array(op.name)
@@ -459,12 +462,10 @@ def _lower_ops(gen: _Gen, scalar_values: dict) -> None:
             src = _strip(op.src)
             if src not in gen.local:
                 raise LoopsUnsupported(f"alias of non-vector {op.src!r}")
-            gen.dt[op.name] = gen.dt[src]
             gen.assign(op.name, gen.local[src], gen.local[src])
             continue
         if isinstance(op, ShiftOp):
             off, _dt = gen.scal(op.offset)
-            gen.dt[op.name] = gen.dt[op.base]
             gen.indexed_load(op.name, op.base, f"_i + {off}",
                              f"_i + {off}")
             continue
@@ -577,75 +578,73 @@ def _host_env(prog: ArenaProgram, bound: dict) -> dict:
     return {n: bound[n] for n in _scalar_names(prog)}
 
 
-def _snapshot_dtypes(prog: ArenaProgram, bound: dict,
-                     ws: Workspace) -> dict:
-    """Slot name -> dtype, from the probe call's workspace plus the
-    rules for slots the workspace never records (views, aliases)."""
-    dt: dict[str, np.dtype] = {}
-    for p in list(prog.array_params) + list(prog.array3_params):
-        dt[p] = np.asarray(bound[p]).dtype
-    if prog.returns_out and "out" in bound:
+def _slot_dtypes(prog: ArenaProgram, bound: dict) -> tuple[dict, dict]:
+    """Type the program before it runs: one forward pass over the ops.
+
+    Returns ``(slot name -> dtype, scalar operand expr -> value)``.
+    Views and gathers (shift / pad / slice3 / take / alias) take their
+    base's dtype, a cast its declared one; every ``ufunc`` / ``where``
+    applies *its own NumPy operation* to ``np.ones(1, dtype)`` stand-ins
+    of its vector operands and the call-time values of its scalar
+    operands, and a ``const`` expression is evaluated on the first
+    element of the step-invariant vectors it names (``_gid`` is
+    ``np.arange(1)``) — so NumPy decides every result dtype, weak
+    Python scalars included, and no array argument's data is read.
+    The values are kept because codegen needs each scalar operand's
+    dtype and ``np.result_type`` its weak-scalar semantics.
+    """
+    glb = {"np": np}
+    env = _host_env(prog, bound)
+    dt = {p: np.asarray(bound[p]).dtype
+          for p in (*prog.array_params, *prog.array3_params)}
+    if prog.returns_out:
         dt["out"] = np.asarray(bound["out"]).dtype
+    inv: dict[str, np.ndarray] = {}     # step-invariant vector -> element 0
+    values: dict[str, object] = {}
+
+    def arg(expr: str):
+        s = _strip(expr)
+        if s in prog.vec:
+            return np.ones(1, dt[s])
+        if expr not in values:
+            values[expr] = eval(expr, glb, env)  # noqa: S307
+        return values[expr]
+
     for op in prog.ops:
-        if isinstance(op, GidOp):
-            ent = ws._consts.get(f"_gid@{op.n}")
-            dt[op.name] = (ent[1].dtype if ent is not None
-                           else np.dtype(np.int64))
+        if isinstance(op, ScalarOp):
+            env[op.name] = eval(op.expr, glb, env)  # noqa: S307
+        elif isinstance(op, GidOp):
+            inv[op.name] = np.arange(1)
+            dt[op.name] = inv[op.name].dtype
         elif isinstance(op, AliasOp):
             src = _strip(op.src)
             if src in dt:
                 dt[op.name] = dt[src]
-        elif isinstance(op, (ShiftOp, PadOp, Slice3Op)):
-            dt[op.name] = dt[op.base]
+            if src in inv:
+                inv[op.name] = inv[src]
         elif isinstance(op, ConstOp):
-            ent = ws._consts.get(op.name)
-            if ent is None:
-                raise LoopsUnsupported(
-                    f"const slot {op.name!r} missing from probe workspace")
-            dt[op.name] = np.asarray(ent[1]).dtype
-        elif isinstance(op, (TakeOp, UfuncOp, WhereOp, CastOp)):
-            buf = ws._slots.get(op.name)
-            if buf is None:
-                raise LoopsUnsupported(
-                    f"slot {op.name!r} missing from probe workspace")
-            dt[op.name] = buf.dtype
-    return dt
-
-
-def _scalar_arg_dtypes(prog: ArenaProgram, env: dict) -> dict:
-    """Host-evaluate every scalar operand expression once (with the
-    probe call's values) to learn its dtype; returns expr -> value so
-    codegen can also ask ``np.result_type`` with weak-scalar
-    semantics."""
-    values: dict[str, object] = {}
-    local = dict(env)
-    glb = {"np": np}
-    for op in prog.ops:
-        if isinstance(op, ScalarOp):
-            local[op.name] = eval(op.expr, glb, local)  # noqa: S307
-    def ev(expr: str):
-        if expr not in values:
-            values[expr] = eval(expr, glb, dict(local))  # noqa: S307
-        return values[expr]
-    for op in prog.ops:
-        if isinstance(op, ShiftOp):
-            ev(op.offset)
+            inv[op.name] = np.asarray(
+                eval(op.expr, glb, {**env, **inv}))  # noqa: S307
+            dt[op.name] = inv[op.name].dtype
+        elif isinstance(op, (ShiftOp, PadOp, Slice3Op, TakeOp)):
+            dt[op.name] = dt[op.base]
+            if isinstance(op, ShiftOp):
+                arg(op.offset)
+        elif isinstance(op, CastOp):
+            arg(op.value)
+            dt[op.name] = np.dtype(eval(op.dtype, glb))  # noqa: S307
+        elif isinstance(op, UfuncOp):
+            uf = eval(op.ufunc, glb)  # noqa: S307
+            dt[op.name] = uf(*map(arg, op.args)).dtype
+        elif isinstance(op, WhereOp):
+            dt[op.name] = np.where(arg(op.cond), arg(op.if_true),
+                                   arg(op.if_false)).dtype
         elif isinstance(op, SliceStoreOp):
-            ev(op.start)
-            if _strip(op.value) not in prog.vec:
-                ev(op.value)
-        elif isinstance(op, IndexStoreOp):
-            if _strip(op.value) not in prog.vec:
-                ev(op.value)
-        elif isinstance(op, (UfuncOp, WhereOp, CastOp)):
-            args = (op.args if isinstance(op, UfuncOp)
-                    else (op.cond, op.if_true, op.if_false)
-                    if isinstance(op, WhereOp) else (op.value,))
-            for a in args:
-                s = _strip(a)
-                if s not in prog.vec:
-                    ev(a)
-    return values
+            arg(op.start)
+            arg(op.value)
+        elif isinstance(op, (IndexStoreOp, FullStoreOp)):
+            arg(op.value)
+    return dt, values
 
 
 @dataclass
@@ -656,14 +655,14 @@ class _Spec:
     fn: object                    # python/numba callable or ctypes symbol
     tier: str
     arg_arrays: list[str]         # kernel array-argument order
-    const_items: list             # (name, expr code) in program order
+    const_items: list             # (name, expr code, is const slot)
     pad_items: list               # (name, base, before, after, fill codes)
     size_arrays: list[str]
     scal_items: list              # (expr code, 'f'|'i') in arg order
     scalarop_items: list          # (name, code) in program order
     shift_checks: list            # (offset code, n code, base name)
     n_code: object
-    gid_const: tuple | None       # ('_gid@N', n code) when consts need it
+    gid_const: tuple | None       # ('_gid@N', n code) when there are consts
     c_argtypes: list | None = None
     domain: str = "gid"           # "gid" | "grid3"
     stride_items: list = field(default_factory=list)   # (array, dim)
@@ -671,18 +670,20 @@ class _Spec:
     eyx_code: object = None       # grid3: ey * ex
 
 
-def _build_spec(prog: ArenaProgram, bound: dict, ws: Workspace,
-                tier: str) -> _Spec:
-    env = _host_env(prog, bound)
-    dt = _snapshot_dtypes(prog, bound, ws)
-    values = _scalar_arg_dtypes(prog, env)
+def _build_spec(prog: ArenaProgram, bound: dict, tier: str) -> _Spec:
+    dt, values = _slot_dtypes(prog, bound)
     scalar_dt = {e: np.asarray(v).dtype for e, v in values.items()}
     gen = _Gen(prog, dt, scalar_dt)
     _lower_ops(gen, values)
 
-    const_ops = [op for op in prog.ops if isinstance(op, ConstOp)]
+    # step-invariant values the host materialises before the loop, in
+    # program order: the const slots, and the aliases (``i_0 = _gid``)
+    # their expressions may name
+    has_const = bool(gen.const_arrays)
+    host_ops = [op for op in prog.ops if isinstance(op, ConstOp)
+                or (has_const and isinstance(op, AliasOp)
+                    and op.name in prog.inv)]
     pad_ops = [op for op in prog.ops if isinstance(op, PadOp)]
-    needs_gid = any("_gid" in op.expr for op in const_ops)
 
     if gen.grid3:
         slices = [op for op in prog.ops if isinstance(op, Slice3Op)]
@@ -748,7 +749,9 @@ def _build_spec(prog: ArenaProgram, bound: dict, ws: Workspace,
 
     return _Spec(
         source=source, fn=fn, tier=tier, arg_arrays=arrays,
-        const_items=[(op.name, cc(op.expr)) for op in const_ops],
+        const_items=[(op.name, cc(op.expr), True)
+                     if isinstance(op, ConstOp)
+                     else (op.name, cc(op.src), False) for op in host_ops],
         pad_items=[(op.name, op.base, cc(op.before), cc(op.after),
                     cc(op.fill)) for op in pad_ops],
         size_arrays=list(gen.sizes),
@@ -759,7 +762,7 @@ def _build_spec(prog: ArenaProgram, bound: dict, ws: Workspace,
         shift_checks=[(cc(op.offset), cc(op.n), op.base) for op in prog.ops
                       if isinstance(op, ShiftOp)],
         n_code=cc(n_expr),
-        gid_const=(f"_gid@{gid.n}", cc(gid.n)) if needs_gid else None,
+        gid_const=(f"_gid@{gid.n}", cc(gid.n)) if has_const else None,
         c_argtypes=None,
         domain="grid3" if gen.grid3 else "gid",
         stride_items=list(gen.strides),
@@ -822,9 +825,12 @@ class LoopKernel:
     """A fused-loop realisation of one :class:`ArenaProgram`.
 
     Call-compatible with the NumPy-steady kernel (same positional and
-    keyword signature, including the trailing ``_ws``); the first call
-    per argument-dtype set runs the reference NumPy-steady kernel and
-    is therefore bit-identical by construction.
+    keyword signature, including the trailing ``_ws``, plus an optional
+    ``_range=(lo, hi)`` restricting the sweep to those work-items).  The
+    first call per argument-dtype set types the program
+    (:func:`_slot_dtypes`), generates and compiles the loop, and runs
+    it; every later call only runs it.  ``_ws`` holds what a loop kernel
+    keeps between calls — ``const`` and ``pad`` slots — and nothing else.
     """
 
     name: str
@@ -840,9 +846,8 @@ class LoopKernel:
 
 
 class _Dispatch:
-    def __init__(self, kernel: LoopKernel, reference_fn):
+    def __init__(self, kernel: LoopKernel):
         self.kernel = kernel
-        self.ref = reference_fn
         self.specs: dict = {}
         self.own_ws: Workspace | None = None
         prog = kernel.program
@@ -882,18 +887,9 @@ class _Dispatch:
         key = self._key(bound)
         spec = self.specs.get(key)
         if spec is None:
-            if rng is not None:
-                raise LoopsUnsupported(
-                    "ranged call requires an existing specialisation "
-                    "(run one full-range call first)")
-            # probe: the reference NumPy-steady kernel produces this
-            # call's result AND the dtype snapshot for specialisation
-            result = self.ref(*[bound[n] for n in self.names], _ws=ws)
-            spec = _build_spec(self.kernel.program, bound, ws,
-                               self.kernel.tier)
-            self.specs[key] = spec
+            spec = self.specs[key] = _build_spec(self.kernel.program, bound,
+                                                 self.kernel.tier)
             self.kernel.source = spec.source
-            return result
         return self._run(spec, bound, ws, rng)
 
     def _run(self, spec: _Spec, bound: dict, ws: Workspace, rng=None):
@@ -913,12 +909,14 @@ class _Dispatch:
         arrays = {a: bound[a] for a in self.names
                   if a in prog.array_params or a in prog.array3_params
                   or a == "out"}
-        for name, code in spec.const_items:
-            snap = dict(host)
-            val = ws.const(name, _key,
-                           lambda: eval(code, glb, snap))  # noqa: S307
-            host[name] = val
-            arrays[name] = np.asarray(val)
+        for name, code, is_slot in spec.const_items:
+            if is_slot:
+                snap = dict(host)
+                host[name] = ws.const(
+                    name, _key, lambda: eval(code, glb, snap))  # noqa: S307
+                arrays[name] = np.asarray(host[name])
+            else:
+                host[name] = eval(code, glb, host)  # noqa: S307
         for name, base, before, after, fill in spec.pad_items:
             arrays[name] = ws.pad(name, arrays[base],
                                   eval(before, glb, host),   # noqa: S307
@@ -991,29 +989,26 @@ class _Dispatch:
         return None if tail == "None" else bound.get(tail)
 
 
-def compile_loops(program: ArenaProgram, *, tier: str | None = None,
-                  reference_fn=None) -> LoopKernel:
+def compile_loops(program: ArenaProgram, *,
+                  tier: str | None = None) -> LoopKernel:
     """Lower an :class:`ArenaProgram` to a compiled fused loop.
 
     Raises :class:`LoopsUnsupported` when the program is structurally
-    loop-opaque or no compiled tier is available (callers fall back to
-    the NumPy-steady emitter).  ``reference_fn`` overrides the probe
-    callable (defaults to exec-compiling ``program.render()``, i.e. the
-    NumPy-steady realisation of the *same* artifact).
+    loop-opaque or no compiled tier is available; what the caller does
+    with that is the caller's rule (an explicit ``numba`` request
+    propagates it, the ``virtual_gpu`` auto mode falls back per kernel
+    to the NumPy-steady emitter).  Code generation itself happens on
+    the kernel's first call, when the argument dtypes are known; a
+    dtype the emitter has no C type for raises from there.
     """
     reasons = program.loop_opaque_reasons()
     if reasons:
         raise LoopsUnsupported("; ".join(reasons))
     resolved = select_tier(tier)
-    if reference_fn is None:
-        ns: dict = {"np": np, "_Workspace": Workspace}
-        exec(compile(program.render(), f"<loops ref:{program.name}>",
-                     "exec"), ns)
-        reference_fn = ns[program.name]
     kernel = LoopKernel(name=program.name, program=program, tier=resolved,
                         param_names=list(program.param_names),
                         size_params=list(program.size_params),
                         out_alloc=program.alloc,
                         returns_out=program.returns_out)
-    kernel.fn = _Dispatch(kernel, reference_fn)
+    kernel.fn = _Dispatch(kernel)
     return kernel

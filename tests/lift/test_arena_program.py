@@ -61,7 +61,7 @@ def test_lower_once_feeds_both_emitters():
                        steady=True)
     # the NumPy emitter's source is exactly the IR's own rendering
     assert nk.source == nk.program.render()
-    lk = compile_loops(nk.program, tier="python", reference_fn=nk.fn)
+    lk = compile_loops(nk.program, tier="python")
     assert lk.program is nk.program
     assert lk.param_names == nk.program.param_names
     assert lk.size_params == nk.program.size_params
@@ -78,7 +78,7 @@ def test_rank3_full_store_program_is_loop_lowerable():
                        steady=True)
     assert nk.program.loop_domain() == "grid3"
     assert nk.program.loop_opaque_reasons() == []
-    lk = compile_loops(nk.program, tier="python", reference_fn=nk.fn)
+    lk = compile_loops(nk.program, tier="python")
     assert lk.program is nk.program
 
 
