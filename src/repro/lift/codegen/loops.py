@@ -11,9 +11,11 @@ write — and compiles that loop through the best available tier:
 * ``numba`` — ``njit(parallel=True, fastmath=False)`` over a Z-tiled
   ``prange`` (one Z-plane per block when the kernel carries an ``NxNy``
   size, matching the Devito-style tiled-stencil playbook);
-* ``cc``    — generated C, built with ``cc -O2 -ffp-contract=off
-  -fwrapv`` (no fastmath, no FMA contraction: IEEE semantics identical
-  to NumPy's per-op loops) and loaded through :mod:`ctypes`;
+* ``cc``    — generated C, the sweep one flat untiled loop
+  (OpenMP-static when the compiler has it), built with ``cc -O2
+  -ffp-contract=off -fwrapv`` (no fastmath, no FMA contraction: IEEE
+  semantics identical to NumPy's per-op loops) and loaded through
+  :mod:`ctypes`;
 * ``python`` — the numba source interpreted with ``prange = range``;
   exact but slow, a debugging/test tier that is never auto-selected.
 
@@ -27,8 +29,15 @@ its operands explicitly cast to that dtype, so the compiled loop
 performs the same IEEE operation at the same width as NumPy's ufunc
 inner loops — from the first call on; no other emitter ever runs on a
 loop kernel's behalf.  Negative affine offsets reproduce fancy
-indexing's wraparound (``index += size`` when negative), exactly as
-:meth:`Workspace.shift` does.
+indexing's wraparound (``index += size`` when negative) the way
+:meth:`Workspace.shift` does — by splitting the sweep, not by testing
+every element: ``_i + offset`` can only be negative for ``_i`` below the
+largest ``-offset``, so every loop is emitted as a serial *head*
+``[_lo, _hd)`` whose shifted loads carry the wrap test and a *main
+sweep* ``[_hd, _n)`` (the parallel one) whose shifted loads are plain
+``base[_i + offset]``.  The host computes ``_hd`` per launch from the
+offsets it range-checks anyway; data-dependent ``take`` / indexed-store
+indices keep their wrap test in both.
 
 Fusing the whole program into one pass over the grid reorders stores of
 element *i* before loads of element *j > i*.  That is value-preserving
@@ -312,8 +321,11 @@ def _strip(s: str) -> str:
 
 
 class _Gen:
-    """Shared lowering state: one pass over the ops produces both the
-    python/numba body and the C body, plus the host-prologue plan."""
+    """Shared lowering state: one pass over the ops produces the loop
+    body for the wraparound head ``[_lo, _hd)`` and for the main sweep
+    ``[_hd, _n)`` — each line as a (python/numba, C) pair — plus the
+    host-prologue plan.  The two bodies differ only in the affine loads
+    (:meth:`indexed_load`)."""
 
     def __init__(self, program: ArenaProgram, dt: dict, scalar_dt: dict):
         self.prog = program
@@ -327,8 +339,8 @@ class _Gen:
         self.strides: list[tuple[str, int]] = []  # rank-3 (array, dim) args
         self.grid3 = program.loop_domain() == "grid3"
         self.scal_args: dict[str, str] = {}  # expr -> arg token
-        self.py: list[str] = []
-        self.c: list[str] = []
+        self.head: list[tuple] = []          # (py line, C line | None)
+        self.main: list[tuple] = []
 
     # -- operand resolution ------------------------------------------
 
@@ -375,23 +387,38 @@ class _Gen:
 
     # -- emission ------------------------------------------------------
 
-    def line(self, py: str, c: str) -> None:
-        self.py.append(py)
-        self.c.append(c)
+    def line(self, py: str, c: str | None, into=None) -> None:
+        for body in into or (self.head, self.main):
+            body.append((py, c))
 
-    def assign(self, name: str, py_rhs: str, c_rhs: str) -> None:
+    def assign(self, name: str, py_rhs: str, c_rhs: str, into=None) -> None:
         c = _code(self.dt[name])
         self.local[name] = name
-        self.line(f"{name} = {py_rhs}", f"{_CTYPE[c]} {name} = {c_rhs};")
+        self.line(f"{name} = {py_rhs}", f"{_CTYPE[c]} {name} = {c_rhs};",
+                  into)
+
+    def wrapped_index(self, base: str, py_idx: str, c_idx: str,
+                      into=None) -> None:
+        """``_j`` = the index into ``base``, wrapped the way fancy
+        indexing wraps a negative one."""
+        sz = self._need_size(base)
+        self.line(f"_j = {py_idx}", f"_j = {c_idx};", into)
+        self.line("if _j < 0:", f"if (_j < 0) _j += {sz};", into)
+        self.line(f"    _j += {sz}", None, into)
 
     def indexed_load(self, name: str, base: str, py_idx: str,
-                     c_idx: str) -> None:
+                     c_idx: str, *, affine: bool = False) -> None:
+        """Load ``base[index]`` with wraparound.  An ``affine`` index is
+        ``_i`` plus a loop-invariant offset, negative only for ``_i``
+        below the head bound the host passes as ``_hd``: the head keeps
+        the wrap test, the main sweep loads ``base[index]`` directly."""
         self._use_array(base)
-        sz = self._need_size(base)
-        self.line(f"_j = {py_idx}", f"_j = {c_idx};")
-        self.line("if _j < 0:", f"if (_j < 0) _j += {sz};")
-        self.line(f"    _j += {sz}", None)
-        self.assign(name, f"{base}[_j]", f"{base}[_j]")
+        wrapping = (self.head,) if affine else None
+        self.wrapped_index(base, py_idx, c_idx, wrapping)
+        self.assign(name, f"{base}[_j]", f"{base}[_j]", wrapping)
+        if affine:
+            self.assign(name, f"{base}[{py_idx}]", f"{base}[{c_idx}]",
+                        (self.main,))
 
 
 def _result_type(gen: _Gen, args: tuple, values: dict):
@@ -467,7 +494,7 @@ def _lower_ops(gen: _Gen, scalar_values: dict) -> None:
         if isinstance(op, ShiftOp):
             off, _dt = gen.scal(op.offset)
             gen.indexed_load(op.name, op.base, f"_i + {off}",
-                             f"_i + {off}")
+                             f"_i + {off}", affine=True)
             continue
         if isinstance(op, TakeOp):
             idx = _strip(op.index)
@@ -508,12 +535,9 @@ def _lower_ops(gen: _Gen, scalar_values: dict) -> None:
                 raise LoopsUnsupported(f"store index {op.index!r} is not "
                                        "a vector slot")
             gen._use_array(op.target)
-            sz = gen._need_size(op.target)
             tok = gen.local[idx]
             vp, vc = gen.cast(op.value, gen.dt[op.target])
-            gen.line(f"_j = {tok}", f"_j = (long long)({tok});")
-            gen.line("if _j < 0:", f"if (_j < 0) _j += {sz};")
-            gen.line(f"    _j += {sz}", None)
+            gen.wrapped_index(op.target, tok, f"(long long)({tok})")
             gen.line(f"{op.target}[_j] = {vp}", f"{op.target}[_j] = {vc};")
             continue
         raise LoopsUnsupported(f"op {type(op).__name__} has no loop "
@@ -663,7 +687,6 @@ class _Spec:
     shift_checks: list            # (offset code, n code, base name)
     n_code: object
     gid_const: tuple | None       # ('_gid@N', n code) when there are consts
-    c_argtypes: list | None = None
     domain: str = "gid"           # "gid" | "grid3"
     stride_items: list = field(default_factory=list)   # (array, dim)
     ex_code: object = None        # grid3: window extent ex
@@ -709,7 +732,7 @@ def _build_spec(prog: ArenaProgram, bound: dict, tier: str) -> _Spec:
     args = (arrays + [f"_sz_{a}" for a in gen.sizes]
             + [f"_st{d}_{a}" for a, d in gen.strides]
             + [gen.scal_args[e] for e in scal_order]
-            + extent_args + ["_lo", "_n", "_tile"])
+            + extent_args + ["_lo", "_hd", "_n", "_tile"])
 
     source = _render_python(prog.name, args, gen)
     if tier == "cc":
@@ -763,24 +786,34 @@ def _build_spec(prog: ArenaProgram, bound: dict, tier: str) -> _Spec:
                       if isinstance(op, ShiftOp)],
         n_code=cc(n_expr),
         gid_const=(f"_gid@{gid.n}", cc(gid.n)) if has_const else None,
-        c_argtypes=None,
         domain="grid3" if gen.grid3 else "gid",
         stride_items=list(gen.strides),
         ex_code=cc(ex_expr) if ex_expr is not None else None,
         eyx_code=cc(eyx_expr) if eyx_expr is not None else None)
 
 
+def _loop_body(lines: list, col: int, indent: str) -> list:
+    """One loop's body in the python (``col`` 0) or C (1) rendering;
+    ``_j`` is declared only where a wrap test uses it."""
+    body = [ln[col] for ln in lines if ln[col] is not None]
+    if any(ln.startswith("_j = ") for ln in body):
+        body.insert(0, ("_j = 0", "long long _j = 0;")[col])
+    return [indent + ln for ln in body]
+
+
 def _render_python(name: str, args: list[str], gen: _Gen) -> str:
-    lines = [f"def _loop_{name}({', '.join(args)}):",
-             "    for _tb in prange((_n - _lo + _tile - 1) // _tile):",
-             "        _b0 = _lo + _tb * _tile",
-             "        _b1 = _b0 + _tile",
-             "        if _b1 > _n:",
-             "            _b1 = _n",
-             "        for _i in range(_b0, _b1):",
-             "            _j = 0"]
-    lines += ["            " + ln for ln in gen.py]
-    return "\n".join(lines) + "\n"
+    return "\n".join([
+        f"def _loop_{name}({', '.join(args)}):",
+        "    for _i in range(_lo, _hd):",
+        *_loop_body(gen.head, 0, " " * 8),
+        "    for _tb in prange((_n - _hd + _tile - 1) // _tile):",
+        "        _b0 = _hd + _tb * _tile",
+        "        _b1 = _b0 + _tile",
+        "        if _b1 > _n:",
+        "            _b1 = _n",
+        "        for _i in range(_b0, _b1):",
+        *_loop_body(gen.main, 0, " " * 12),
+    ]) + "\n"
 
 
 def _render_c(name: str, arrays: list[str], gen: _Gen,
@@ -798,20 +831,17 @@ def _render_c(name: str, arrays: list[str], gen: _Gen,
         params.append(f"{ctp} {gen.scal_args[e]}")
     if gen.grid3:
         params += ["long long _ex", "long long _eyx"]
-    params += ["long long _lo", "long long _n", "long long _tile"]
-    body = []
-    for ln in gen.c:
-        if ln is not None:
-            body.append("        " + ln)
+    params += ["long long _lo", "long long _hd", "long long _n"]
     return "\n".join([
         "#include <math.h>",
         f"void repro_loop_{name}({', '.join(params)})",
         "{",
-        "    (void)_tile;",
+        "    for (long long _i = _lo; _i < _hd; ++_i) {",
+        *_loop_body(gen.head, 1, " " * 8),
+        "    }",
         "    #pragma omp parallel for schedule(static)",
-        "    for (long long _i = _lo; _i < _n; ++_i) {",
-        "        long long _j = 0; (void)_j;",
-        *body,
+        "    for (long long _i = _hd; _i < _n; ++_i) {",
+        *_loop_body(gen.main, 1, " " * 8),
         "    }",
         "}",
     ]) + "\n"
@@ -938,6 +968,7 @@ class _Dispatch:
             extents = [int(eval(spec.ex_code, glb, env)),    # noqa: S307
                        int(eval(spec.eyx_code, glb, env))]   # noqa: S307
         sizes = {a: int(arrays[a].shape[0]) for a in spec.size_arrays}
+        head = 0       # a shifted index can be negative only below this
         for off_code, n_code, base in spec.shift_checks:
             off = int(eval(off_code, glb, env))  # noqa: S307
             ln = int(eval(n_code, glb, env))  # noqa: S307
@@ -946,16 +977,12 @@ class _Dispatch:
                 raise IndexError(
                     f"shifted gather out of range: offset {off}, "
                     f"length {ln}, array size {size}")
+            head = max(head, -off)
         lo, hi = 0, n
         if rng is not None:
             lo = max(0, int(rng[0]))
             hi = min(n, int(rng[1]))
-        if spec.domain == "grid3":
-            tile = extents[1]          # one output z-plane per task
-        else:
-            tile = int(env.get("NxNy") or 0)
-            if tile <= 0 or tile > n:
-                tile = max(1, -(-n // (8 * (os.cpu_count() or 1))))
+        hd = min(hi, max(lo, head))
         scal_vals = [eval(code, glb, env)  # noqa: S307
                      for code, _k in spec.scal_items]
         if hi <= lo:
@@ -973,15 +1000,21 @@ class _Dispatch:
             for v, (_c, kind) in zip(scal_vals, spec.scal_items):
                 argv.append(int(v) if kind == "i" else float(v))
             argv += extents
-            argv += [lo, hi, tile]
+            argv += [lo, hd, hi]
             spec.fn(*argv)
         else:
+            if spec.domain == "grid3":
+                tile = extents[1]          # one output z-plane per task
+            else:
+                tile = int(env.get("NxNy") or 0)
+                if tile <= 0 or tile > n:
+                    tile = max(1, -(-n // (8 * (os.cpu_count() or 1))))
             argv = [arrays[a] for a in spec.arg_arrays]
             argv += [sizes[a] for a in spec.size_arrays]
             argv += strides
             argv += scal_vals
             argv += extents
-            argv += [lo, hi, tile]
+            argv += [lo, hd, hi, tile]
             spec.fn(*argv)
         if prog.returns_out:
             return bound["out"]
