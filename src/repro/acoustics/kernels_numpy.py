@@ -8,7 +8,10 @@ HPC-Python guides.  The LIFT-generated kernels are validated against these
 (and both against the scalar oracles).
 
 All functions operate on flat arrays (``idx = (z*Ny + y)*Nx + x``) and
-write in place where the paper's kernels do.
+write in place where the paper's kernels do.  ``nbrs`` may be any integer
+width: each kernel converts the counts it uses to the field's dtype
+first, as the paper's kernels do with ``(float)nbr``, so the arithmetic
+does not depend on how NumPy would promote the storage type.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def fi_fused_step(prev, curr, nxt, nbrs, shape, lam, beta):
     """
     l2 = lam * lam
     s = _neighbour_sum(curr, shape)
-    nbr = nbrs
+    nbr = nbrs.astype(curr.dtype)
     free = (2.0 - l2 * nbr) * curr + l2 * s - prev
     cf = 0.5 * lam * (6 - nbr) * beta
     lossy = ((2.0 - l2 * nbr) * curr + l2 * s + (cf - 1.0) * prev) / (1.0 + cf)
@@ -52,15 +55,16 @@ def volume_step(prev, curr, nxt, nbrs, shape, lam):
     """Listing 2 kernel 1: lossless update wherever nbr > 0, else 0."""
     l2 = lam * lam
     s = _neighbour_sum(curr, shape)
-    free = (2.0 - l2 * nbrs) * curr + l2 * s - prev
-    np.copyto(nxt, np.where(nbrs > 0, free, 0.0))
+    nbr = nbrs.astype(curr.dtype)
+    free = (2.0 - l2 * nbr) * curr + l2 * s - prev
+    np.copyto(nxt, np.where(nbr > 0, free, 0.0))
     return nxt
 
 
 def fi_boundary(nxt, prev, boundary_indices, nbrs, lam, beta):
     """Listing 2 kernel 2: in-place single-material boundary absorption."""
     idx = boundary_indices
-    nbr = nbrs[idx]
+    nbr = nbrs[idx].astype(nxt.dtype)
     cf = 0.5 * lam * (6 - nbr) * beta
     nxt[idx] = (nxt[idx] + cf * prev[idx]) / (1.0 + cf)
     return nxt
@@ -69,7 +73,7 @@ def fi_boundary(nxt, prev, boundary_indices, nbrs, lam, beta):
 def fi_mm_boundary(nxt, prev, boundary_indices, nbrs, material, beta, lam):
     """Listing 3: in-place FI-MM boundary (per-material beta)."""
     idx = boundary_indices
-    nbr = nbrs[idx]
+    nbr = nbrs[idx].astype(nxt.dtype)
     cf = 0.5 * lam * (6 - nbr) * beta[material]
     nxt[idx] = (nxt[idx] + cf * prev[idx]) / (1.0 + cf)
     return nxt

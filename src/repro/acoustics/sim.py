@@ -315,9 +315,11 @@ class RoomSimulation:
         self.prev = np.zeros(total, dtype=dtype)
         self.curr = np.zeros(total, dtype=dtype)
         self.nxt = np.zeros(total, dtype=dtype)
-        self.nbrs = self.topology.nbrs
-        self._nbrs_guarded = np.concatenate(
-            [self.nbrs, np.zeros(self._guard, dtype=np.int32)])
+        # one guarded array; the dtype is the topology's (int8), which
+        # every emitter widens on load
+        self._nbrs_guarded = np.zeros(total, dtype=self.topology.nbrs.dtype)
+        self._nbrs_guarded[:self._N] = self.topology.nbrs
+        self.nbrs = self._nbrs_guarded[:self._N]
 
         K = self.topology.num_boundary_points
         MB = self.table.num_branches

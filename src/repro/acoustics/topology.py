@@ -28,21 +28,24 @@ from .grid import Grid3D
 
 
 def compute_nbrs(inside: np.ndarray) -> np.ndarray:
-    """Count inside face-neighbours per point (int32, 0 outside).
+    """Count inside face-neighbours per point (int8, 0 outside).
 
     ``inside`` is the (z, y, x) boolean mask.  Matches the on-the-fly
     computation of paper Listing 1 for a box, and the pre-computed lookup
-    of §II-B for general shapes.
+    of §II-B for general shapes.  The counts are 0-6, so one byte per
+    point holds them: the six shifted slices of the mask are added in
+    place, with no widened copy of the volume.
     """
-    ins = inside.astype(np.int32)
-    nbr = np.zeros_like(ins)
+    # bool is one byte holding 0 or 1
+    ins = np.asarray(inside, dtype=bool).view(np.int8)
+    nbr = np.zeros(ins.shape, dtype=np.int8)
     nbr[:, :, 1:] += ins[:, :, :-1]
     nbr[:, :, :-1] += ins[:, :, 1:]
     nbr[:, 1:, :] += ins[:, :-1, :]
     nbr[:, :-1, :] += ins[:, 1:, :]
     nbr[1:, :, :] += ins[:-1, :, :]
     nbr[:-1, :, :] += ins[1:, :, :]
-    nbr[~inside] = 0  # outside points are never updated
+    nbr *= ins  # outside points are never updated
     return nbr
 
 
@@ -52,7 +55,7 @@ class RoomTopology:
 
     grid: Grid3D
     inside: np.ndarray            # (z,y,x) bool
-    nbrs: np.ndarray              # flat int32, 0 outside
+    nbrs: np.ndarray              # flat int8 (values 0-6), 0 outside
     boundary_indices: np.ndarray  # flat indices, ascending, int32
     material: np.ndarray          # per-boundary-point material id, int32
     num_materials: int
@@ -118,10 +121,10 @@ def assign_materials(grid: Grid3D, inside: np.ndarray,
 def build_topology(room: Room, num_materials: int = 1) -> RoomTopology:
     """Voxelise a room and derive all boundary data structures."""
     inside = room.inside_mask()
-    nbr_vol = compute_nbrs(inside)
-    nbrs = nbr_vol.reshape(-1).astype(np.int32)
-    flat_inside = inside.reshape(-1)
-    is_boundary = flat_inside & (nbrs >= 1) & (nbrs <= 5)
+    nbrs = compute_nbrs(inside).reshape(-1)
+    # outside points count 0, so the range test alone selects the
+    # inside points that miss at least one neighbour
+    is_boundary = (nbrs >= 1) & (nbrs <= 5)
     boundary_indices = np.flatnonzero(is_boundary).astype(np.int32)
     material = assign_materials(room.grid, inside, boundary_indices,
                                 num_materials)

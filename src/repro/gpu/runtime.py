@@ -117,7 +117,8 @@ def kernel_cache_stats() -> dict:
     of kernels running on the steady emitter; a compiled-loop kernel
     keeps only its ``const`` / ``pad`` slots there; ``loops_disk``
     reports the on-disk compiled-artifact cache the cc tier shares
-    across processes (see
+    across processes and, as ``cc_rung``, which rung of the compiler
+    flag ladder built them (see
     :func:`repro.lift.codegen.loops.loops_disk_cache_stats`).
     """
     from ..lift.codegen.loops import loops_disk_cache_stats
@@ -436,28 +437,37 @@ class VirtualGPU:
 
     # -- buffers / transfers ------------------------------------------------------------
     def _use_host_ptr(self, decl: BufferDecl, host, count: int,
-                      guard: int) -> bool:
+                      guard: int, written: bool) -> bool:
         """Whether host array ``host`` can back buffer ``decl`` of
         ``count`` elements in place (``CL_MEM_USE_HOST_PTR``).
 
         Kernels receive the array itself, so it must be a flat,
         C-contiguous, writable ndarray of the declared dtype and exact
-        element count — anything else is a typed error.  The one
-        tolerated mismatch is the same as for transfers: an array short
-        by at most the guard plane returns ``False`` and the caller
-        allocates and copies instead.
+        element count — anything else is a typed error.  Storage width
+        is a host binding, not a device type: a buffer no kernel writes
+        (``written`` false) may also be backed by a signed-integer array
+        *narrower* than its declared integer type — every value it holds
+        is one the declared type holds, and the executable kernels widen
+        on load.  The one tolerated size mismatch is the same as for
+        transfers: an array short by at most the guard plane returns
+        ``False`` and the caller allocates and copies instead.
         """
         dtype = np.dtype(decl.scalar.np_dtype)
-        if not (isinstance(host, np.ndarray) and host.ndim == 1
-                and host.dtype == dtype and host.flags.c_contiguous
-                and host.flags.writeable):
+        ok = (isinstance(host, np.ndarray) and host.ndim == 1
+              and host.flags.c_contiguous and host.flags.writeable)
+        if ok and host.dtype != dtype:
+            ok = (not written and dtype.kind == "i" and host.dtype.kind == "i"
+                  and host.dtype.itemsize < dtype.itemsize)
+        if not ok:
             raise ClInvalidBufferSize(
                 f"cannot bind {type(host).__name__} (shape "
                 f"{getattr(host, 'shape', None)}, dtype "
                 f"{getattr(host, 'dtype', None)}, strides "
                 f"{getattr(host, 'strides', None)}) to device buffer "
                 f"{decl.name!r} in place: it takes a flat, C-contiguous, "
-                f"writable ndarray of dtype {dtype}",
+                f"writable ndarray of dtype {dtype}"
+                + (" (or, as no kernel writes it, a narrower signed "
+                   "integer)" if dtype.kind == "i" and not written else ""),
                 buffer=decl.name, dtype=str(dtype))
         if host.size == count:
             return True
@@ -480,8 +490,10 @@ class VirtualGPU:
 
         ``bound`` maps buffer names to host arrays that become the
         buffer itself instead of a fresh allocation (see
-        :meth:`_use_host_ptr`); they count against the device capacity
-        like any other buffer.  ``at_least`` maps buffer names to a
+        :meth:`_use_host_ptr`).  The device holds the *declared* type:
+        a bound array counts ``count × declared itemsize`` against the
+        device capacity like any other buffer, also when the host keeps
+        it in a narrower integer.  ``at_least`` maps buffer names to a
         minimum element count above the declared one (a rotating output
         buffer is as large as its cycle peers)."""
         buffers: dict[str, np.ndarray] = {}
@@ -489,6 +501,7 @@ class VirtualGPU:
         max_alloc = self.device.max_alloc_bytes
         used = 0
         guard = self._guard_elems(sizes)
+        written = plan.written_buffers() if bound else ()
         o = _obs.get()
         for decl in plan.buffers:
             count = int(decl.count.evaluate(sizes))
@@ -524,8 +537,8 @@ class VirtualGPU:
                     capacity_bytes=cap)
             used += nbytes
             host = bound.get(decl.name) if bound else None
-            if host is not None and self._use_host_ptr(decl, host, count,
-                                                       guard):
+            if host is not None and self._use_host_ptr(
+                    decl, host, count, guard, decl.name in written):
                 buffers[decl.name] = host
             else:
                 buffers[decl.name] = np.zeros(count, dtype=dtype)
@@ -559,10 +572,12 @@ class VirtualGPU:
         buf = buffers[op.buffer]
         if buf is inputs[op.host_name]:
             # bound in place by _allocate_buffers: nothing to copy, but
-            # the upload a real device would need is still modelled
+            # the upload a real device would need is still modelled, at
+            # the declared width
+            nbytes = buf.size * decls[op.buffer].scalar.nbytes
             self._record(events, "h2d", op.host_name,
-                         transfer_time_ms(buf.nbytes, self.device),
-                         bytes=buf.nbytes, buffer=op.buffer)
+                         transfer_time_ms(nbytes, self.device),
+                         bytes=nbytes, buffer=op.buffer)
             return
         src = np.asarray(inputs[op.host_name])
         flat = src.reshape(-1)
@@ -1011,6 +1026,15 @@ class ResidentPlan:
         buffers = gpu._allocate_buffers(
             plan, sizes, {binding[n]: a for n, a in in_place.items()},
             at_least)
+        for cycle in self.rotations:
+            # cycle peers trade roles, a written one included: an array
+            # bound narrower than its peers cannot take their place
+            dtypes = {n: str(buffers[binding[n]].dtype) for n in cycle}
+            if len(set(dtypes.values())) > 1:
+                raise ClInvalidBufferSize(
+                    f"rotation cycle {tuple(cycle)!r} mixes element types "
+                    f"{dtypes}; buffers that rotate must be interchangeable",
+                    rotation=tuple(cycle), dtypes=dtypes)
         for op in plan.ops:
             if isinstance(op, CopyIn):
                 gpu._copy_in(op, inputs, buffers, decls, sizes, events)

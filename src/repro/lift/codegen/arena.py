@@ -467,6 +467,19 @@ class ArenaProgram:
         """Offset expressions of every affine gather in the program."""
         return [op.offset for op in self.ops if isinstance(op, ShiftOp)]
 
+    def _with_scalar_ops(self, env: dict) -> dict:
+        """``env`` plus the program's host-side scalars (``ScalarOp``),
+        as far as ``env`` lets them be evaluated."""
+        local = dict(env)
+        for op in self.ops:
+            if isinstance(op, ScalarOp):
+                try:
+                    local[op.name] = eval(  # noqa: S307
+                        op.expr, {"np": np}, local)
+                except Exception:
+                    pass
+        return local
+
     def halo_footprint(self, env: dict) -> tuple[int, int]:
         """The kernel's shift-op offset footprint ``(h_lo, h_hi)``:
         how many elements below / above a work item's own index its
@@ -478,22 +491,81 @@ class ArenaProgram:
         vectors (TakeOp) are owner-partitioned boundary reads and are
         not part of the affine footprint.
         """
-        local = dict(env)
-        glb = {"np": np}
-        for op in self.ops:
-            if isinstance(op, ScalarOp):
-                try:
-                    local[op.name] = eval(op.expr, glb, local)  # noqa: S307
-                except Exception:
-                    pass
+        local = self._with_scalar_ops(env)
         lo = hi = 0
         for off in self.shift_offsets():
-            v = int(eval(off, glb, dict(local)))  # noqa: S307
+            v = int(eval(off, {"np": np}, dict(local)))  # noqa: S307
             if v < 0:
                 lo = max(lo, -v)
             else:
                 hi = max(hi, v)
         return lo, hi
+
+    def min_bytes(self, bound: dict) -> int:
+        """The fewest bytes one call can move: every element the program
+        touches, read once and (if stored) written once, at the item
+        size of the array *bound* to the parameter — storage width is a
+        host binding, so ``nbrs`` held as ``int8`` moves a quarter of
+        what ``int32`` does through the same program.  ``bound`` maps
+        the parameter and size names (and ``"out"``) to the call's
+        arguments.
+
+        Per array and direction: an affine access (shift, slice store)
+        touches the ``n`` elements of its sweep, and windows that
+        overlap — a stencil's neighbours — are one window, disjoint ones
+        (``fd_mm``'s branch planes) one each; how far a window reaches
+        past the sweep is :meth:`halo_footprint`'s subject and is not
+        counted.  A gather or scatter touches ``n`` elements per
+        distinct index vector; pad, rank-3 slice and full store touch
+        the whole array.  All capped at the array's size (a coefficient
+        table gathered ``K`` times is read once).  The arena's
+        temporaries and cache misses are not traffic the algorithm
+        needs, so this is the denominator for achieved bytes/s.
+        """
+        env = self._with_scalar_ops(
+            {k: v for k, v in bound.items() if not isinstance(v, np.ndarray)})
+
+        def value(expr: str) -> int:
+            return int(eval(expr, {"np": np}, env))  # noqa: S307
+
+        windows: dict = {}    # (array, is_write) -> [(offset, n)]
+        vectors: dict = {}    # (array, is_write) -> {index slot}
+        whole: set = set()    # (array, is_write)
+        n_gid = 0
+        for op in self.ops:
+            if isinstance(op, (VecExprOp, RawOp)):
+                raise ValueError(
+                    f"{self.name}: no structured access to count in "
+                    f"{op.render()!r}")
+            if isinstance(op, GidOp):
+                n_gid = value(op.n)
+            elif isinstance(op, ShiftOp):
+                windows.setdefault((op.base, False), []).append(
+                    (value(op.offset), value(op.n)))
+            elif isinstance(op, SliceStoreOp):
+                windows.setdefault((op.target, True), []).append(
+                    (value(op.start), value(op.count)))
+            elif isinstance(op, TakeOp):
+                vectors.setdefault((op.base, False), set()).add(op.index)
+            elif isinstance(op, IndexStoreOp):
+                vectors.setdefault((op.target, True), set()).add(op.index)
+            elif isinstance(op, (PadOp, Pad3Op, Slice3Op)):
+                whole.add((op.base, False))
+            elif isinstance(op, FullStoreOp):
+                whole.add((op.target, True))
+        total = 0
+        for key in {*windows, *vectors, *whole}:
+            array = np.asarray(bound[key[0]])
+            elems = n_gid * len(vectors.get(key, ()))
+            end = None
+            for off, n in sorted(windows.get(key, ())):
+                if end is None or off >= end:
+                    elems += n
+                    end = off + n
+            if key in whole:
+                elems = array.size
+            total += min(elems, array.size) * array.itemsize
+        return total
 
     # -- emitters ------------------------------------------------------
 

@@ -176,6 +176,20 @@ class HostPlan:
         return {op.host_name: op.buffer for op in self.ops
                 if isinstance(op, CopyIn)}
 
+    def written_buffers(self) -> set[str]:
+        """Device buffers some launch writes: every output buffer, and
+        the buffer behind each parameter a kernel updates in place."""
+        written: set[str] = set()
+        for op in self.ops:
+            if not isinstance(op, Launch):
+                continue
+            if op.out_buffer is not None:
+                written.add(op.out_buffer)
+            in_place = op.kernel.allocation.written_param_names
+            written.update(b.source for b in op.args
+                           if b.kind == "buffer" and b.param_name in in_place)
+        return written
+
 
 @dataclass
 class HostProgram:

@@ -11,11 +11,21 @@ write — and compiles that loop through the best available tier:
 * ``numba`` — ``njit(parallel=True, fastmath=False)`` over a Z-tiled
   ``prange`` (one Z-plane per block when the kernel carries an ``NxNy``
   size, matching the Devito-style tiled-stencil playbook);
-* ``cc``    — generated C, the sweep one flat untiled loop
-  (OpenMP-static when the compiler has it), built with ``cc -O2
-  -ffp-contract=off -fwrapv`` (no fastmath, no FMA contraction: IEEE
-  semantics identical to NumPy's per-op loops) and loaded through
-  :mod:`ctypes`;
+* ``cc``    — generated C, the sweep one flat untiled loop, built with
+  ``cc -O2 -ffp-contract=off -fwrapv`` (``_CC_FLAGS``: no fastmath, no
+  FMA contraction — IEEE semantics identical to NumPy's per-op loops)
+  plus the best rung of ``_CC_LADDER`` the compiler accepts, and loaded
+  through :mod:`ctypes`.  The first rung is what makes GCC *vectorise*
+  the main sweep (``-ftree-vectorize -fvect-cost-model=dynamic
+  -fno-tree-sink``, with OpenMP-static when the compiler has it): at
+  ``-O2`` or ``-O3`` alone its sink pass moves the loads feeding a
+  select's arm behind the select's test and the vectoriser reports
+  ``not vectorized: control flow in loop``.  Element-wise operations at
+  unchanged width, so results are the same to the last bit; no ``-m``
+  flag, so cached objects stay portable.  A compiler that rejects a
+  rung takes the next (vector flags, then OpenMP, dropped); the rung is
+  found once per process and recorded on the kernel
+  (``LoopKernel.cc_rung``) and in ``loops_disk_cache_stats()``;
 * ``python`` — the numba source interpreted with ``prange = range``;
   exact but slow, a debugging/test tier that is never auto-selected.
 
@@ -93,7 +103,8 @@ def _numba_available() -> bool:
 def _cc_path() -> str | None:
     """A working C compiler, probed once per process with a real
     compile-and-load round trip (never satisfied from the disk cache —
-    a cached probe artifact would hide a missing compiler)."""
+    a cached probe artifact would hide a missing compiler).  The probe
+    walks :data:`_CC_LADDER` and keeps the first rung that builds."""
     if "path" in _cc_state:
         return _cc_state["path"]
     path = None
@@ -101,15 +112,27 @@ def _cc_path() -> str | None:
         if cand and shutil.which(cand):
             path = shutil.which(cand)
             break
+    rung = None
     if path is not None:
-        try:
-            lib = _cc_build(path, "void repro_loop_probe(void) {}\n",
-                            "probe", cache=False)
-            getattr(lib, "repro_loop_probe")
-        except Exception:
-            path = None
-    _cc_state["path"] = path
+        for rung in _CC_LADDER:
+            try:
+                lib = _cc_build(path, "void repro_loop_probe(void) {}\n",
+                                "probe", cache=False, rung=rung)
+                getattr(lib, "repro_loop_probe")
+                break
+            except Exception:
+                continue
+        else:
+            path = rung = None
+    _cc_state.update(path=path, rung=rung)
     return path
+
+
+def _cc_rung() -> str | None:
+    """The rung of :data:`_CC_LADDER` this process's C compiler builds
+    with (``None`` without a working compiler) — the first one the probe
+    of :func:`_cc_path` could compile, link and load."""
+    return _cc_state["rung"] if _cc_path() else None
 
 
 # -- on-disk compiled-artifact cache -----------------------------------------
@@ -123,6 +146,24 @@ def _cc_path() -> str | None:
 # key changes with it.
 
 _CC_FLAGS = ("-O2", "-fPIC", "-shared", "-fwrapv", "-ffp-contract=off")
+#: What makes GCC vectorise the main sweep.  ``-O2`` alone never does:
+#: its ``tree-sink`` pass moves the loads that feed a select's taken arm
+#: behind the select's test, and the vectoriser then reports ``not
+#: vectorized: control flow in loop``; the dynamic cost model admits the
+#: runtime alias check the pointer arguments need.  Element-wise IEEE
+#: operations at unchanged width, so results do not move; no ``-m`` flag,
+#: so a cached ``.so`` runs on any host of the same architecture.
+_CC_VECTOR_FLAGS = ("-ftree-vectorize", "-fvect-cost-model=dynamic",
+                    "-fno-tree-sink")
+#: Flag sets on top of :data:`_CC_FLAGS`, best first.  A compiler that
+#: rejects a rung (clang refuses ``-fvect-cost-model=``; a gcc without
+#: libgomp fails to link ``-fopenmp``) takes the next one; the probe of
+#: :func:`_cc_path` walks the ladder once per process and every kernel
+#: is built with the rung it found (:func:`_cc_rung`).
+_CC_LADDER = {"vector+openmp": (*_CC_VECTOR_FLAGS, "-fopenmp"),
+              "vector": _CC_VECTOR_FLAGS,
+              "openmp": ("-fopenmp",),
+              "plain": ()}
 _disk_cache: dict = {}          # {"dir": str|None, "hits": int, "misses": int}
 
 
@@ -159,15 +200,17 @@ def set_loops_cache_dir(path) -> None:
 
 
 def loops_disk_cache_stats() -> dict:
-    """Hit/miss counters and entry count of the on-disk ``.so`` cache
-    (surfaced through :func:`repro.gpu.runtime.kernel_cache_stats`)."""
+    """Hit/miss counters and entry count of the on-disk ``.so`` cache,
+    and the flag-ladder rung its artifacts are built with (``None``
+    until a cc-tier kernel made the process probe its compiler);
+    surfaced through :func:`repro.gpu.runtime.kernel_cache_stats`."""
     d = loops_cache_dir()
     entries = 0
     if d is not None and os.path.isdir(d):
         entries = sum(1 for f in os.listdir(d) if f.endswith(".so"))
     return {"dir": d, "enabled": d is not None,
             "hits": _disk_cache["hits"], "misses": _disk_cache["misses"],
-            "entries": entries}
+            "entries": entries, "cc_rung": _cc_state.get("rung")}
 
 
 _build_dir: list = []
@@ -182,19 +225,18 @@ def _cc_workdir() -> str:
     return _build_dir[0]
 
 
-def _cc_compile(cc: str, src: str, so: str):
-    """Run the compiler (OpenMP first, plain fallback); raises
-    :class:`LoopsUnsupported` when both invocations fail."""
-    base = [cc, *_CC_FLAGS, src, "-o", so, "-lm"]
-    for cmd in (base[:1] + ["-fopenmp"] + base[1:], base):
-        r = subprocess.run(cmd, capture_output=True, text=True)
-        if r.returncode == 0:
-            return
-    raise LoopsUnsupported(f"C compilation failed:\n{r.stderr}")
+def _cc_compile(cc: str, flags: tuple, src: str, so: str):
+    """Run the compiler; raises :class:`LoopsUnsupported` when it fails."""
+    r = subprocess.run([cc, *flags, src, "-o", so, "-lm"],
+                       capture_output=True, text=True)
+    if r.returncode != 0:
+        raise LoopsUnsupported(f"C compilation failed:\n{r.stderr}")
 
 
-def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True):
-    """Compile ``source`` to a shared object and load it.
+def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
+              rung: str | None = None):
+    """Compile ``source`` to a shared object and load it, with the flags
+    of ladder rung ``rung`` (default: the one the probe found).
 
     With the disk cache enabled the artifact is content-addressed by
     (source, compiler, flags): a prior build — by any process — is
@@ -204,10 +246,11 @@ def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True):
     torn file.  Any cache-directory failure silently falls back to the
     per-process temp-dir build.
     """
+    flags = _CC_FLAGS + _CC_LADDER[rung or _cc_rung()]
     cdir = loops_cache_dir() if cache else None
     if cdir is not None:
         key = hashlib.sha1("|".join(
-            ("v1", cc, " ".join(_CC_FLAGS), source)).encode()).hexdigest()
+            ("v1", cc, " ".join(flags), source)).encode()).hexdigest()
         so = os.path.join(cdir, f"{stem}-{key[:16]}.so")
         if os.path.exists(so):
             try:
@@ -222,7 +265,7 @@ def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True):
             src = so[:-3] + ".c"          # kept beside the .so for debugging
             with open(src, "w") as f:
                 f.write(source)
-            _cc_compile(cc, src, tmp)
+            _cc_compile(cc, flags, src, tmp)
             os.replace(tmp, so)
             lib = ctypes.CDLL(so)
             _disk_cache["misses"] += 1
@@ -238,7 +281,7 @@ def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True):
     so = os.path.join(d, f"{stem}.so")
     with open(src, "w") as f:
         f.write(source)
-    _cc_compile(cc, src, so)
+    _cc_compile(cc, flags, src, so)
     return ctypes.CDLL(so)
 
 
@@ -341,6 +384,7 @@ class _Gen:
         self.scal_args: dict[str, str] = {}  # expr -> arg token
         self.head: list[tuple] = []          # (py line, C line | None)
         self.main: list[tuple] = []
+        self.c_invariants: dict[str, str] = {}   # C declaration -> token
 
     # -- operand resolution ------------------------------------------
 
@@ -378,12 +422,19 @@ class _Gen:
         return tok, dt, True
 
     def cast(self, expr: str, to: np.dtype) -> tuple[str, str]:
-        """Python and C tokens for the operand cast to ``to``."""
-        tok, dt, _ = self.operand(expr)
+        """Python and C tokens for the operand cast to ``to``.  In C a
+        scalar argument is converted once, before the loops: inside a
+        select's arm the conversion would be control flow to the
+        vectoriser (a float conversion may trap)."""
+        tok, dt, is_scalar = self.operand(expr)
         if dt == to:
             return tok, tok
         c = _code(to)
-        return f"{_NPCTOR[c]}({tok})", f"({_CTYPE[c]})({tok})"
+        py, cc = f"{_NPCTOR[c]}({tok})", f"({_CTYPE[c]})({tok})"
+        if is_scalar:
+            cc = self.c_invariants.setdefault(
+                f"const {_CTYPE[c]} {tok}_{c} = {cc};", f"{tok}_{c}")
+        return py, cc
 
     # -- emission ------------------------------------------------------
 
@@ -836,6 +887,7 @@ def _render_c(name: str, arrays: list[str], gen: _Gen,
         "#include <math.h>",
         f"void repro_loop_{name}({', '.join(params)})",
         "{",
+        *(f"    {decl}" for decl in gen.c_invariants),
         "    for (long long _i = _lo; _i < _hd; ++_i) {",
         *_loop_body(gen.head, 1, " " * 8),
         "    }",
@@ -866,6 +918,7 @@ class LoopKernel:
     name: str
     program: ArenaProgram
     tier: str
+    cc_rung: str | None = None    # cc tier: the _CC_LADDER rung built with
     fn: object = None
     source: str = ""              # loop source of the latest specialisation
     param_names: list = field(default_factory=list)
@@ -1039,6 +1092,7 @@ def compile_loops(program: ArenaProgram, *,
         raise LoopsUnsupported("; ".join(reasons))
     resolved = select_tier(tier)
     kernel = LoopKernel(name=program.name, program=program, tier=resolved,
+                        cc_rung=_cc_rung() if resolved == "cc" else None,
                         param_names=list(program.param_names),
                         size_params=list(program.size_params),
                         out_alloc=program.alloc,

@@ -159,20 +159,73 @@ class TestBinding:
         sim.add_impulse("center")
         return sim, sim._vgpu_inputs(), sim._size_env()
 
-    def _open(self, sim, inputs, sizes, **override):
+    def _open(self, sim, inputs, sizes, events=None, **override):
         inputs = dict(inputs, **override)
         in_place = {n: a for n, a in inputs.items()
                     if isinstance(a, np.ndarray)}
         in_place["__out__"] = sim.nxt
         return ResidentPlan(VirtualGPU(NVIDIA_TITAN_BLACK),
                             sim._host_program.plan, inputs, sizes,
-                            sim._rotations, "boundaryIndices", [], in_place)
+                            sim._rotations, "boundaryIndices",
+                            [] if events is None else events, in_place)
 
     def test_wrong_dtype_is_typed_error(self, parts):
         sim, inputs, sizes = parts
         with pytest.raises(ClInvalidBufferSize, match="dtype float64"):
             self._open(sim, inputs, sizes,
                        prev1_h=sim.curr.astype(np.float32))
+
+    def test_narrower_signed_int_backs_a_read_only_buffer(self, parts):
+        sim, inputs, sizes = parts
+        assert sim._nbrs_guarded.dtype == np.int8
+        ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute(
+            sim._host_program, inputs, sizes)            # copy path: widens
+        assert ref.buffers[sim._host_program.plan.host_buffers()[
+            "neighbors"]].dtype == np.int32
+        uploads = set()
+        for width in (np.int8, np.int16, np.int32):
+            events = []
+            plan = self._open(sim, inputs, sizes, events=events,
+                              neighbors=sim._nbrs_guarded.astype(width))
+            assert plan.buffer_for("neighbors").dtype == width
+            uploads.add(next(e.duration_ms for e in events
+                             if e.name == "neighbors"))
+            plan.run_step(0)
+            assert np.array_equal(plan.buffer_for("__out__")[:sizes["N"]],
+                                  np.asarray(ref.result)[:sizes["N"]])
+        # the modelled upload is the declared buffer's, whatever backs it
+        assert len(uploads) == 1
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32, bool])
+    def test_other_widths_and_kinds_are_refused(self, parts, dtype):
+        sim, inputs, sizes = parts
+        with pytest.raises(ClInvalidBufferSize, match="narrower signed"):
+            self._open(sim, inputs, sizes,
+                       neighbors=sim._nbrs_guarded.astype(dtype))
+
+    def test_written_buffer_takes_the_declared_type_only(self):
+        from repro.lift.codegen.host import BufferDecl
+        from repro.lift.types import Int
+        sim = _sim("fd_mm")
+        plan = sim._host_program.plan
+        names = plan.host_buffers()
+        assert plan.written_buffers() == {
+            names["g1_h"], names["v1_h"],
+            next(op.out_buffer for op in plan.ops
+                 if getattr(op, "out_buffer", None))}
+        gpu = VirtualGPU(NVIDIA_TITAN_BLACK)
+        decl, narrow = BufferDecl("counts", Int, None), np.zeros(8, np.int8)
+        assert gpu._use_host_ptr(decl, narrow, 8, 0, written=False)
+        with pytest.raises(ClInvalidBufferSize, match="dtype int32$"):
+            gpu._use_host_ptr(decl, narrow, 8, 0, written=True)
+
+    def test_rotation_peers_must_share_a_type(self, parts):
+        sim, inputs, sizes = parts
+        with pytest.raises(ClInvalidBufferSize, match="interchangeable"):
+            ResidentPlan(VirtualGPU(NVIDIA_TITAN_BLACK),
+                         sim._host_program.plan, inputs, sizes,
+                         [("neighbors", "materialIdx")], "boundaryIndices",
+                         [], {"neighbors": sim._nbrs_guarded})
 
     def test_non_contiguous_is_typed_error(self, parts):
         sim, inputs, sizes = parts
@@ -214,8 +267,14 @@ class TestBinding:
     def test_bound_buffers_count_against_device_capacity(self):
         sim = _sim()
         sim.step()
-        # the rotating out buffer is resident at its cycle peers' size
-        total = sum(b.nbytes for b in sim._plan.buffers.values())
+        # the device holds the declared type (the host keeps `neighbors`
+        # in one byte), and the rotating out buffer is resident at its
+        # cycle peers' size
+        decls = {d.name: d for d in sim._host_program.plan.buffers}
+        assert sim._plan.buffer_for("neighbors").itemsize == 1
+        assert decls[sim._plan.binding["neighbors"]].scalar.nbytes == 4
+        total = sum(b.size * decls[name].scalar.nbytes
+                    for name, b in sim._plan.buffers.items())
         sim.set_devices(dataclasses.replace(NVIDIA_TITAN_BLACK,
                                             global_mem_bytes=total))
         sim.step()                           # exactly fits

@@ -71,8 +71,9 @@ def test_corrupt_artifact_falls_back_to_rebuild(cache_dir):
     # source will hash to (never dlopen'd, so safe to replace in place)
     import hashlib
     source = _source("corrupt")
+    flags = loops._CC_FLAGS + loops._CC_LADDER[loops._cc_rung()]
     key = hashlib.sha1("|".join(
-        ("v1", CC, " ".join(loops._CC_FLAGS), source)).encode()).hexdigest()
+        ("v1", CC, " ".join(flags), source)).encode()).hexdigest()
     planted = cache_dir / f"corrupt-{key[:16]}.so"
     planted.write_bytes(b"not a shared object")
     base = loops.loops_disk_cache_stats()
