@@ -12,6 +12,7 @@ from conftest import SCALE, write_artifact
 from repro.acoustics import kernels_numpy as kn
 from repro.acoustics.lift_programs import fi_fused_flat
 from repro.bench.report import render_fig4
+from repro.lift.codegen.arena import Workspace
 from repro.lift.codegen.numpy_backend import compile_numpy
 
 
@@ -27,11 +28,14 @@ def lift_kernel():
 def test_bench_fi_lift_generated(benchmark, box_problem, lift_kernel):
     p = box_problem
     g = p.grid
+    # kept across rounds, so what is timed is warm generated code (a call
+    # without a workspace builds a cold arena every time)
+    ws = Workspace("bench")
 
     def step():
         lift_kernel.fn(p.prev, p.curr, p.nbrs_guarded, g.courant, 0.3,
                        g.nx, g.nx * g.ny, N=p.N, NP=p.N + p.guard,
-                       out=p.nxt)
+                       out=p.nxt, _ws=ws)
         return p.nxt
 
     out = benchmark(step)

@@ -7,6 +7,7 @@ from conftest import SCALE, write_artifact
 from repro.acoustics import kernels_numpy as kn
 from repro.acoustics.lift_programs import fi_mm_boundary
 from repro.bench.report import render_fig5
+from repro.lift.codegen.arena import Workspace
 from repro.lift.codegen.numpy_backend import compile_numpy
 
 
@@ -25,12 +26,15 @@ def test_bench_fimm_lift_generated(benchmark, which, box_problem,
     p = box_problem if which == "box" else dome_problem
     t = p.topo
     g = p.grid
+    # kept across rounds, so what is timed is warm generated code (a call
+    # without a workspace builds a cold arena every time)
+    ws = Workspace("bench")
 
     def step():
         lift_kernel.fn(t.boundary_indices, t.material, t.nbrs,
                        p.fi_table.beta, p.nxt, p.prev, g.courant,
                        N=p.N, K=t.num_boundary_points,
-                       M=p.fi_table.num_materials)
+                       M=p.fi_table.num_materials, _ws=ws)
         return p.nxt
 
     benchmark(step)

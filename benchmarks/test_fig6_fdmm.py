@@ -7,6 +7,7 @@ from conftest import SCALE, write_artifact
 from repro.acoustics import kernels_numpy as kn
 from repro.acoustics.lift_programs import fd_mm_boundary
 from repro.bench.report import render_fig6
+from repro.lift.codegen.arena import Workspace
 from repro.lift.codegen.numpy_backend import compile_numpy
 
 
@@ -28,13 +29,16 @@ def test_bench_fdmm_lift_generated(benchmark, which, box_problem,
     g = p.grid
     tab = p.fd_table
     K = t.num_boundary_points
+    # kept across rounds, so what is timed is warm generated code (a call
+    # without a workspace builds a cold arena every time)
+    ws = Workspace("bench")
 
     def step():
         lift_kernel.fn(t.boundary_indices, t.material, t.nbrs, tab.beta,
                        tab.BI.reshape(-1), tab.DI.reshape(-1),
                        tab.F.reshape(-1), tab.D.reshape(-1),
                        p.nxt, p.prev, p.g1, p.v2, p.v1, g.courant, K,
-                       N=p.N, M=tab.num_materials)
+                       N=p.N, M=tab.num_materials, _ws=ws)
         return p.nxt
 
     benchmark(step)

@@ -9,9 +9,10 @@ validated against (and benchmarked against) the hand-written baseline:
     stand-in for the paper's tuned OpenCL baseline.
 ``scalar``
     The loop transliterations of the paper listings (tiny rooms only).
-``lift``
-    LIFT programs (:mod:`.lift_programs`) compiled through the NumPy
-    backend — i.e. *generated* code.
+``lift`` (= ``numpy-steady``), ``numba``
+    LIFT programs (:mod:`.lift_programs`) lowered once to an
+    ``ArenaProgram`` and run by the emitter named — i.e. *generated*
+    code: the NumPy workspace-arena source, or the compiled fused loop.
 ``lift_interp``
     LIFT programs run by the reference interpreter (tiny rooms only).
 ``virtual_gpu``
@@ -37,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs as _obs
+from ..lift.codegen.loops import EMITTERS, realise
 from . import kernels_numpy as kn
 from . import kernels_scalar as ks
 from .geometry import Room
@@ -47,19 +49,16 @@ from .topology import RoomTopology, build_topology
 
 SCHEMES = ("fi", "fi_mm", "fd_mm")
 #: the unified backend registry.  ``lift`` is an alias that normalises
-#: to ``numpy-steady`` (its long-standing default realisation);
-#: ``lift-legacy`` is the allocating NumPy emitter, ``numpy-steady``
-#: the workspace-arena emitter, and ``numba`` the compiled fused-loop
-#: emitter (numba / C tiers).  ``numba`` is an explicit request: with no
-#: compiled tier on the host, or a loop-opaque program, the constructor
-#: raises ``LoopsUnsupported`` naming what is missing — only the
-#: ``virtual_gpu`` default (no emitter named) falls back per kernel.
-#: All of them lower the same ArenaProgram artifact and are
-#: bit-identical.
-BACKENDS = ("numpy", "scalar", "lift", "lift-legacy", "numpy-steady",
-            "numba", "lift_interp", "virtual_gpu")
-#: backends realised by the LIFT codegen tree (one lowering, N emitters)
-_LIFT_MODES = frozenset({"lift", "lift-legacy", "numpy-steady", "numba"})
+#: to ``numpy-steady``; that and ``numba`` are the two names of
+#: ``repro.lift.codegen.loops.EMITTERS`` — the NumPy workspace-arena
+#: emitter and the compiled fused-loop emitter (numba / C tiers) of one
+#: ArenaProgram, bit-identical.  Naming one is an explicit request
+#: (``realise``): with no compiled tier on the host, or a loop-opaque
+#: program, ``numba`` raises ``LoopsUnsupported`` from the constructor —
+#: only the ``virtual_gpu`` default (no emitter named) falls back per
+#: kernel.
+BACKENDS = ("numpy", "scalar", "lift", "numpy-steady", "numba",
+            "lift_interp", "virtual_gpu")
 
 #: checkpoint container-format version (see docs/resilience.md)
 CHECKPOINT_VERSION = 1
@@ -244,27 +243,12 @@ class SimConfig:
     #: cache (``repro.serve.cache``) supplies this so repeated shapes
     #: compile once per process, not per job
     host_program: "HostProgram | None" = None
-    #: deprecated (warns once): the pre-registry boolean that selected
-    #: between the steady and legacy ``lift`` emitters.  ``True`` maps to
-    #: ``backend="numpy-steady"``, ``False`` to ``backend="lift-legacy"``;
-    #: use the backend registry string instead
-    lift_steady: bool | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; one of {SCHEMES}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; one of {BACKENDS}")
-        if self.lift_steady is not None:
-            from .._deprecation import warn_once
-            warn_once("SimConfig.lift_steady",
-                      "SimConfig(lift_steady=...) is deprecated; select the "
-                      "emitter through the backend registry instead: "
-                      "backend='numpy-steady' (was lift_steady=True) or "
-                      "backend='lift-legacy' (was lift_steady=False)")
-            if self.backend == "lift":
-                self.backend = ("numpy-steady" if self.lift_steady
-                                else "lift-legacy")
         if self.backend == "lift":
             self.backend = "numpy-steady"
         if self.precision not in ("single", "double"):
@@ -340,7 +324,7 @@ class RoomSimulation:
         #: the open resident plan of the single-device ``virtual_gpu``
         #: path (None on every other path, and before the first step)
         self._plan = None
-        if config.backend in _LIFT_MODES:
+        if config.backend in EMITTERS:
             self._compile_lift()
         elif config.backend == "lift_interp":
             self._setup_interp()
@@ -353,42 +337,32 @@ class RoomSimulation:
                 "K": self.topology.num_boundary_points,
                 "M": self.table.num_materials}
 
-    def _compile_lift(self):
-        from ..lift.codegen.arena import Workspace
-        from ..lift.codegen.numpy_backend import compile_numpy
+    def _programs(self) -> dict:
+        """The scheme's LIFT kernels by role, in launch order."""
         from .lift_programs import (fd_mm_boundary, fi_fused_flat,
                                     fi_mm_boundary, volume_kernel)
-        mode = self.config.backend
         prec = self.config.precision
-        steady = mode != "lift-legacy"
-
-        # one workspace per kernel: shapes/dtypes are fixed for the life
-        # of the simulation, so slots warm up on the first step and every
-        # later step is allocation-free
-        def build(kernel, label):
-            nk = compile_numpy(kernel, label, steady=steady)
-            ws = Workspace(f"lift:{label}") if steady else None
-            if mode == "numba":
-                # an explicit request never falls back: LoopsUnsupported
-                # (no compiled tier, or a loop-opaque program) surfaces
-                # from the constructor
-                from ..lift.codegen.loops import compile_loops
-                return compile_loops(nk.program), ws
-            return nk, ws
-
         if self.config.scheme == "fi":
-            self._k_fused, self._ws_fused = build(
-                fi_fused_flat(prec).kernel, "fi_fused_flat")
-        else:
-            self._k_volume, self._ws_volume = build(
-                volume_kernel(prec).kernel, "volume_kernel")
-            if self.config.scheme == "fi_mm":
-                self._k_boundary, self._ws_boundary = build(
-                    fi_mm_boundary(prec).kernel, "fi_mm_boundary")
-            else:
-                self._k_boundary, self._ws_boundary = build(
-                    fd_mm_boundary(prec, self.table.num_branches).kernel,
-                    "fd_mm_boundary")
+            return {"fused": fi_fused_flat(prec)}
+        return {"volume": volume_kernel(prec),
+                "boundary": (fi_mm_boundary(prec)
+                             if self.config.scheme == "fi_mm" else
+                             fd_mm_boundary(prec, self.table.num_branches))}
+
+    def _compile_lift(self):
+        """Bind ``_k_<role>`` / ``_ws_<role>`` for each of
+        :meth:`_programs` (``fused``, or ``volume`` and ``boundary``)."""
+        from ..lift.codegen.arena import Workspace
+        from ..lift.codegen.numpy_backend import compile_numpy
+        for role, p in self._programs().items():
+            # the backend names its emitter, so ``numba`` never falls back
+            setattr(self, "_k_" + role,
+                    realise(compile_numpy(p.kernel, p.name),
+                            self.config.backend))
+            # one workspace per kernel: shapes/dtypes are fixed for the
+            # life of the simulation, so slots warm up on the first step
+            # and every later step is allocation-free
+            setattr(self, "_ws_" + role, Workspace(f"lift:{p.name}"))
 
     def _setup_virtual_gpu(self):
         from ..lift.codegen.host import compile_host
@@ -471,31 +445,10 @@ class RoomSimulation:
         from ..gpu.device import resolve_device
         self._make_gpu(resolve_device(devices))
 
-    def set_virtual_device(self, device) -> None:
-        """Deprecated alias of :meth:`set_devices` (pre-multi-device
-        API); warns once per process."""
-        from .._deprecation import warn_once
-        warn_once("RoomSimulation.set_virtual_device",
-                  "RoomSimulation.set_virtual_device() is deprecated; use "
-                  "set_devices(), which also accepts paper-name strings, "
-                  "'name:k' shard syntax, and device lists")
-        self.set_devices(device)
-
     def _setup_interp(self):
         from ..lift.interp import Interp
-        from .lift_programs import (fd_mm_boundary, fi_fused_flat,
-                                    fi_mm_boundary, volume_kernel)
-        prec = self.config.precision
         self._interp = Interp(sizes=self._size_env())
-        if self.config.scheme == "fi":
-            self._p_fused = fi_fused_flat(prec).kernel
-        else:
-            self._p_volume = volume_kernel(prec).kernel
-            if self.config.scheme == "fi_mm":
-                self._p_boundary = fi_mm_boundary(prec).kernel
-            else:
-                self._p_boundary = fd_mm_boundary(
-                    prec, self.table.num_branches).kernel
+        self._p = {role: p.kernel for role, p in self._programs().items()}
 
     # -- sources / receivers --------------------------------------------------------------
     def point_index(self, position: tuple[int, int, int] | str) -> int:
@@ -547,7 +500,7 @@ class RoomSimulation:
             self._step_numpy()
         elif backend == "scalar":
             self._step_scalar()
-        elif backend in _LIFT_MODES:
+        elif backend in EMITTERS:
             self._step_lift()
         elif backend == "virtual_gpu":
             self._step_virtual_gpu()
@@ -851,38 +804,35 @@ class RoomSimulation:
                                      self.table.F, self.table.D,
                                      self.g1, self.v1, self.v2, lam)
 
-    def _step_lift(self):
+    def _kernel_args(self) -> dict:
+        """Positional arguments of each of :meth:`_programs`, by role."""
         g = self.grid
-        N = self._N
-        lam = self._lam()
         t = self.topology
-        sizes = self._size_env()
-        NP = N + self._guard
+        tb = self.table
+        lam = self._lam()
         if self.config.scheme == "fi":
-            fkw = {} if self._ws_fused is None else {"_ws": self._ws_fused}
-            self._k_fused.fn(self.prev, self.curr, self._nbrs_guarded, lam,
-                             self.table.beta[0], g.nx, g.nx * g.ny,
-                             N=N, NP=NP, out=self.nxt, **fkw)
-            return
-        vkw = {} if self._ws_volume is None else {"_ws": self._ws_volume}
-        bkw = ({} if self._ws_boundary is None
-               else {"_ws": self._ws_boundary})
-        self._k_volume.fn(self.prev, self.curr, self._nbrs_guarded, lam,
-                          g.nx, g.nx * g.ny, N=N, NP=NP, out=self.nxt, **vkw)
+            return {"fused": (self.prev, self.curr, self._nbrs_guarded, lam,
+                              tb.beta[0], g.nx, g.nx * g.ny)}
+        boundary = (t.boundary_indices, t.material, self.nbrs, tb.beta)
         if self.config.scheme == "fi_mm":
-            self._k_boundary.fn(t.boundary_indices, t.material, self.nbrs,
-                                self.table.beta, self.nxt, self.prev, lam,
-                                K=sizes["K"], M=sizes["M"], N=N, **bkw)
+            boundary += (self.nxt, self.prev, lam)
         else:
-            self._k_boundary.fn(t.boundary_indices, t.material, self.nbrs,
-                                self.table.beta,
-                                self.table.BI.reshape(-1),
-                                self.table.DI.reshape(-1),
-                                self.table.F.reshape(-1),
-                                self.table.D.reshape(-1),
-                                self.nxt, self.prev,
-                                self.g1, self.v2, self.v1, lam, sizes["K"],
-                                M=sizes["M"], N=N, **bkw)
+            boundary += (tb.BI.reshape(-1), tb.DI.reshape(-1),
+                         tb.F.reshape(-1), tb.D.reshape(-1),
+                         self.nxt, self.prev, self.g1, self.v2, self.v1,
+                         lam, t.num_boundary_points)
+        return {"volume": (self.prev, self.curr, self._nbrs_guarded, lam,
+                           g.nx, g.nx * g.ny),
+                "boundary": boundary}
+
+    def _step_lift(self):
+        sizes = self._size_env()
+        for role, args in self._kernel_args().items():
+            k = getattr(self, "_k_" + role)
+            kw = {s: sizes[s] for s in k.size_params}
+            if k.returns_out:
+                kw["out"] = self.nxt
+            k.fn(*args, _ws=getattr(self, "_ws_" + role), **kw)
 
     def _vgpu_inputs(self) -> dict:
         """Host-parameter values of the ``virtual_gpu`` host program,
@@ -949,34 +899,12 @@ class RoomSimulation:
         plan.events.clear()
 
     def _step_lift_interp(self):
-        g = self.grid
-        N = self._N
-        lam = float(self.grid.courant)
-        t = self.topology
-        K = t.num_boundary_points
-        if self.config.scheme == "fi":
-            res = self._interp.run(self._p_fused, self.prev, self.curr,
-                                   self._nbrs_guarded, lam,
-                                   float(self.table.beta[0]),
-                                   g.nx, g.nx * g.ny)
-            self.nxt[:N] = np.asarray(res)
-            return
-        res = self._interp.run(self._p_volume, self.prev, self.curr,
-                               self._nbrs_guarded, lam, g.nx, g.nx * g.ny)
-        self.nxt[:N] = np.asarray(res)
-        if self.config.scheme == "fi_mm":
-            self._interp.run(self._p_boundary, t.boundary_indices,
-                             t.material, self.nbrs, self.table.beta,
-                             self.nxt, self.prev, lam)
-        else:
-            self._interp.run(self._p_boundary, t.boundary_indices,
-                             t.material, self.nbrs, self.table.beta,
-                             self.table.BI.reshape(-1),
-                             self.table.DI.reshape(-1),
-                             self.table.F.reshape(-1),
-                             self.table.D.reshape(-1),
-                             self.nxt, self.prev, self.g1, self.v2, self.v1,
-                             lam, K)
+        for role, args in self._kernel_args().items():
+            res = self._interp.run(
+                self._p[role], *(float(a) if isinstance(a, np.floating)
+                                 else a for a in args))
+            if role != "boundary":      # the boundary kernels write in place
+                self.nxt[:self._N] = np.asarray(res)
 
     # -- diagnostics -------------------------------------------------------------------------
     def energy(self) -> float:

@@ -21,14 +21,12 @@ def main(argv=None) -> int:
                              "(1 = full paper sizes; larger = faster)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="additionally write a JSON CI artifact: the "
-                             "wallclock payload when 'wallclock' is among "
-                             "the artefacts, the serve-throughput stats "
-                             "when 'serve' is, the 'scaling' rows otherwise")
+                             "serve-throughput stats when 'serve' is among "
+                             "the artefacts, the 'scaling' rows otherwise")
     parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help="with 'wallclock': committed baseline JSON to "
-                             "compare against; exits non-zero when the "
-                             "steady-state speedup ratio regresses >20%% "
-                             "or bit-identity is lost")
+                        help="scaling --wallclock: committed baseline JSON "
+                             "to compare against; exits non-zero on a "
+                             "regression")
     parser.add_argument("--wallclock", action="store_true",
                         help="with 'scaling': sweep shard counts through "
                              "the multi-process overlap executor and "
@@ -38,10 +36,8 @@ def main(argv=None) -> int:
                         help="scaling --wallclock: comma-separated shard "
                              "counts to sweep")
     parser.add_argument("--steps", type=int, default=10,
-                        help="with 'wallclock': timed steps per variant "
-                             "(more = tighter ratios on small rooms)")
-    parser.add_argument("--warmup", type=int, default=3,
-                        help="with 'wallclock': untimed warm-up steps")
+                        help="scaling --wallclock: timed steps per "
+                             "shard count")
     parser.add_argument("--loadgen", action="store_true",
                         help="with 'serve': open-loop Poisson load against "
                              "a real gateway (wallclock, worker processes) "
@@ -103,28 +99,8 @@ def main(argv=None) -> int:
                 return 1
             print(f"no scaling regression vs {args.baseline}")
         return 0 if payload["all_bit_identical"] else 1
-    if args.json is not None or ("wallclock" in artefacts
-                                 and args.baseline is not None):
+    if args.json is not None:
         import json
-        if "wallclock" in artefacts:
-            from .wallclock import check_regression, wallclock_benchmark
-            payload = wallclock_benchmark(scale=args.scale,
-                                          steps=args.steps,
-                                          warmup=args.warmup)
-            if args.json is not None:
-                with open(args.json, "w") as f:
-                    json.dump(payload, f, indent=2, sort_keys=True)
-                print(f"wrote {args.json}")
-            if args.baseline is not None:
-                with open(args.baseline) as f:
-                    baseline = json.load(f)
-                failures = check_regression(payload, baseline)
-                for msg in failures:
-                    print(f"REGRESSION: {msg}", file=sys.stderr)
-                if failures:
-                    return 1
-                print(f"no wallclock regression vs {args.baseline}")
-            return 0
         if "serve" in artefacts:
             from .serve import serve_benchmark
             payload = serve_benchmark()

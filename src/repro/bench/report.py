@@ -214,11 +214,6 @@ def render_serve(scale: int = 1) -> str:
     return _render(scale)
 
 
-def render_wallclock(scale: int = 1) -> str:
-    from .wallclock import render_wallclock as _render
-    return _render(scale)
-
-
 RENDERERS = {
     "table2": render_table2,
     "table3": lambda scale=1: render_table3(),
@@ -229,14 +224,10 @@ RENDERERS = {
     "counts": render_counts,
     "scaling": render_scaling,
     "serve": render_serve,
-    "wallclock": render_wallclock,
 }
 
 
 def render_all(scale: int = 1) -> str:
-    # wallclock is excluded from 'all': it measures real host time (noisy
-    # and machine-dependent), not the modelled clock the other artefacts
-    # report — run it explicitly via `python -m repro.bench wallclock`
     parts = [RENDERERS[k](scale) for k in
              ("table2", "table3", "counts", "fig2", "fig4", "fig5", "fig6",
               "scaling", "serve")]

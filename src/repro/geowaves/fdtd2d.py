@@ -150,10 +150,8 @@ class GPRSimulation:
         from ..lift.codegen.arena import Workspace
         from ..lift.codegen.numpy_backend import compile_numpy
         from .lift_programs import e_update_program, h_update_program
-        self._k_h = compile_numpy(h_update_program().kernel, "gpr_h_update",
-                                  steady=True)
-        self._k_e = compile_numpy(e_update_program().kernel, "gpr_e_update",
-                                  steady=True)
+        self._k_h = compile_numpy(h_update_program().kernel, "gpr_h_update")
+        self._k_e = compile_numpy(e_update_program().kernel, "gpr_e_update")
         self._ws_h = Workspace("gpr:h_update")
         self._ws_e = Workspace("gpr:e_update")
 

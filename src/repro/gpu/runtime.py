@@ -40,6 +40,7 @@ from ..lift.analysis import Resources, analyse_kernel
 from ..lift.codegen.arena import Workspace, arena_stats
 from ..lift.codegen.host import (ArgBinding, BufferDecl, CopyIn, CopyOut,
                                  HostPlan, HostProgram, Launch)
+from ..lift.codegen.loops import EMITTERS, realise
 from ..lift.codegen.numpy_backend import NumpyKernel, compile_numpy
 from .autotune import autotune_workgroup
 from .costmodel import ImplTraits, KernelTiming, LIFT_TRAITS, transfer_time_ms
@@ -79,26 +80,6 @@ def _kernel_source_key(ks) -> str:
     return f"{ks.name}:{hashlib.sha1(basis.encode()).hexdigest()}"
 
 
-#: kernel execution backends a VirtualGPU accepts (None = auto: the
-#: compiled fused-loop emitter when a numba/cc tier exists, else the
-#: steady arena emitter — both consume the same ArenaProgram and are
-#: bit-identical, so auto-upgrading never changes results)
-_KERNEL_BACKENDS = ("numpy-steady", "numba")
-
-#: memoised compiled-loop availability: ``False`` = not yet probed,
-#: ``None`` = probed and unavailable, str = the tier that will be used
-_LOOPS_TIER: str | None | bool = False
-
-
-def _loops_available() -> bool:
-    global _LOOPS_TIER
-    if _LOOPS_TIER is False:
-        from ..lift.codegen.loops import available_tiers
-        compiled = [t for t in available_tiers() if t != "python"]
-        _LOOPS_TIER = compiled[0] if compiled else None
-    return _LOOPS_TIER is not None
-
-
 #: real-seconds histogram buckets for ``repro_host_wallclock_seconds``
 #: (the modelled-ms default buckets are the wrong scale for host time)
 _WALLCLOCK_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
@@ -109,10 +90,10 @@ def kernel_cache_stats() -> dict:
     """Sizes of the process-wide kernel caches (for tests/diagnostics).
 
     ``np_kernels``/``resources`` count compile-cache entries (per kernel
-    source hash: the steady-state arena emission under a ``#steady``
-    suffix and its compiled-loop upgrade under ``#loops``; the legacy
-    allocating emission is never compiled here); ``arena`` reports the
-    workspace arena's process-wide hit/miss counters and resident bytes
+    source hash: the NumPy kernel under a ``#steady`` suffix and the
+    executable that runs it when no emitter is pinned under ``#loops``);
+    ``arena`` reports the workspace arena's process-wide hit/miss
+    counters and resident bytes
     (see :func:`repro.lift.codegen.arena.arena_stats`) — the temporaries
     of kernels running on the steady emitter; a compiled-loop kernel
     keeps only its ``const`` / ``pad`` slots there; ``loops_disk``
@@ -219,21 +200,19 @@ class VirtualGPU:
                  autotune: bool = True, workgroup: int = 256,
                  faults: FaultPlan | None = None,
                  kernel_backend: str | None = None):
-        if kernel_backend is not None and kernel_backend not in _KERNEL_BACKENDS:
+        if kernel_backend is not None and kernel_backend not in EMITTERS:
             raise ClInvalidValue(
                 f"unknown kernel_backend {kernel_backend!r}; expected one "
-                f"of {_KERNEL_BACKENDS} or None (auto)",
+                f"of {EMITTERS} or None (auto)",
                 backend=kernel_backend)
         self.device = device
         self.traits = traits
         self.autotune = autotune
         self.workgroup = workgroup
         self.faults = faults
-        #: which emitter realises kernel launches on the host: None picks
-        #: the compiled fused-loop backend when available (falling back
-        #: per kernel when a program is loop-opaque), "numpy-steady"
-        #: pins the vectorised arena emitter, "numba" demands loops — a
-        #: launch it cannot compile raises ``LoopsUnsupported``
+        #: which emitter realises kernel launches on the host, passed to
+        #: :func:`repro.lift.codegen.loops.realise` (None = best
+        #: available, falling back per kernel)
         self.kernel_backend = kernel_backend
         self._np_kernels: dict[str, NumpyKernel] = {}
         self._resources: dict[str, Resources] = {}
@@ -286,10 +265,9 @@ class VirtualGPU:
         degraded executor); on a miss the process-wide
         :data:`_NP_KERNEL_CACHE` is consulted by source hash, so a pool
         of devices running the same program compiles each kernel once.
-        Only the zero-allocation arena emission is compiled (cached
-        under a ``#steady`` suffix of the source hash): the runtime
-        executes it directly, or hands its :class:`ArenaProgram` to the
-        compiled-loop emitter.
+        The entry is cached under a ``#steady`` suffix of the source
+        hash: the runtime executes it directly, or hands its
+        :class:`ArenaProgram` to the compiled-loop emitter.
         """
         ks = launch.kernel
         nk = self._np_kernels.get(ks.name)
@@ -304,41 +282,27 @@ class VirtualGPU:
             key = _kernel_source_key(ks) + "#steady"
             nk = _NP_KERNEL_CACHE.get(key)
             if nk is None:
-                nk = compile_numpy(ks.kernel_lambda, ks.name, lower=False,
-                                   steady=True)
+                nk = compile_numpy(ks.kernel_lambda, ks.name, lower=False)
                 _NP_KERNEL_CACHE[key] = nk
             self._np_kernels[ks.name] = nk
         return nk
 
     def _exec_kernel(self, launch: Launch):
-        """The executable realising a launch on the hot path: the steady
-        arena kernel, upgraded to the compiled fused-loop emitter when
-        :attr:`kernel_backend` requests (or auto-detects) one.  Both
-        emitters consume the identical :class:`ArenaProgram`, so the
-        upgrade is bit-identical.  One fallback rule: in auto mode a
-        kernel the loop emitter declines (``LoopsUnsupported``: a
-        loop-opaque program) runs on the steady emitter, remembered
-        under a ``#loops`` suffix of the same source hash; an explicit
-        ``kernel_backend="numba"`` propagates the typed error."""
+        """The executable realising a launch on the hot path: what
+        :func:`~repro.lift.codegen.loops.realise` makes of the NumPy
+        kernel under :attr:`kernel_backend`, remembered process-wide
+        under a ``#loops`` suffix of the same source hash.  A remembered
+        fallback (the NumPy kernel itself) never answers an explicit
+        request, which asks again and gets the typed error."""
         nk = self._np_kernel(launch)
         mode = self.kernel_backend
-        if mode == "numpy-steady" or (mode is None
-                                      and not _loops_available()):
+        if mode == "numpy-steady":      # the kernel itself: nothing to keep
             return nk
-        from ..lift.codegen.loops import (LoopKernel, LoopsUnsupported,
-                                          compile_loops)
-        explicit = mode == "numba"
         key = _kernel_source_key(launch.kernel) + "#loops"
-        lk = _NP_KERNEL_CACHE.get(key)
-        if lk is None or (explicit and not isinstance(lk, LoopKernel)):
-            try:
-                lk = compile_loops(nk.program)
-            except LoopsUnsupported:
-                if explicit:
-                    raise
-                lk = nk
-            _NP_KERNEL_CACHE[key] = lk
-        return lk
+        ex = _NP_KERNEL_CACHE.get(key)
+        if ex is None or (mode is not None and isinstance(ex, NumpyKernel)):
+            ex = _NP_KERNEL_CACHE[key] = realise(nk, mode)
+        return ex
 
     def _workspace_for(self, nk: NumpyKernel, args: list,
                        out_array: np.ndarray | None,

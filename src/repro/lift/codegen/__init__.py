@@ -7,11 +7,14 @@
 * :mod:`.arena` — the backend-neutral :class:`~repro.lift.codegen.arena.
   ArenaProgram` three-address artifact every executable emitter consumes,
   plus the :class:`~repro.lift.codegen.arena.Workspace` slot arena.
-* :mod:`.numpy_backend` — a vectorising compiler emitting executable NumPy
-  Python source (steady zero-allocation or legacy allocating emission).
+* :mod:`.numpy_backend` — the vectorising compiler: lowers a kernel to
+  its :class:`ArenaProgram` and compiles the zero-allocation NumPy source
+  that program renders to.
 * :mod:`.loops` — compiled parallel fused loops over the same
-  :class:`ArenaProgram` (numba jit or C-via-system-compiler tiers, with
-  graceful fallback when neither is available).
+  :class:`ArenaProgram` (numba jit or C-via-system-compiler tiers), and
+  :func:`~repro.lift.codegen.loops.realise`, the one place that picks
+  between the two emitters (``EMITTERS``) and decides when a request may
+  fall back.
 """
 
 from .opencl import KernelSource, compile_kernel

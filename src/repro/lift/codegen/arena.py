@@ -2,24 +2,24 @@
 
 Two layers live here:
 
-* :class:`ArenaProgram` — the explicit three-address artifact the
-  steady-state lowering produces: a straight-line list of typed ops
+* :class:`ArenaProgram` — the explicit three-address artifact
+  :func:`~repro.lift.codegen.numpy_backend.compile_numpy` lowers a kernel
+  to: a straight-line list of typed ops
   (pad / shift / take / ufunc / where / cast / const / stores) with the
   slot table, CSE, and affine-gather decisions already applied.  It is
   **backend-neutral**: ``render()`` prints the NumPy realisation
-  (the exact source :func:`repro.lift.codegen.numpy_backend.compile_numpy`
-  compiles), and :func:`repro.lift.codegen.loops.compile_loops` lowers
+  (the exact source ``compile_numpy`` compiles), and
+  :func:`repro.lift.codegen.loops.compile_loops` lowers
   the *same object* to a compiled fused loop.  ``dump()`` is the stable
   golden-IR serialisation pinned by ``tests/lift/test_arena_program.py``.
 * :class:`Workspace` — the runtime arena the rendered NumPy program
   executes against.
 
-The NumPy backend's steady-state emitter (``compile_numpy(...,
-steady=True)``) lowers the kernel's expression tree to three-address
-form where every full-grid operation routes through a :class:`Workspace`
+The lowering puts the kernel's expression tree in three-address form
+where every full-grid operation routes through a :class:`Workspace`
 instead of allocating a fresh array:
 
-* the **first** call of each slot performs the exact legacy operation
+* the **first** call of each slot performs the plain NumPy operation
   (``np.add(a, b)``, ``np.where(c, t, f)``, ``arr[idx]``, ``np.pad``)
   and *keeps* the result as the slot's buffer — NumPy itself decides the
   result dtype, so the arena never has to re-derive promotion rules;
@@ -29,9 +29,9 @@ instead of allocating a fresh array:
   construction, exactly what the allocating form would have produced.
 
 A workspace is keyed by the caller to one ``(kernel, sizes, dtype)``
-combination — reusing a workspace across different shapes simply misses
-and reallocates (shape mismatches are validated per slot), but reusing
-it across dtypes for the *same* shapes is a caller bug; key properly.
+combination — reusing it across different shapes raises (NumPy checks
+each ``out=`` buffer against the result), and reusing it across dtypes
+for the *same* shapes is a caller bug; key properly.
 
 ``freeze()`` turns any further slot allocation into an error and is the
 allocation-tracking test hook: warm a kernel once, freeze its workspace,
@@ -52,7 +52,7 @@ __all__ = ["ArenaFrozenError", "ArenaOp", "ArenaProgram", "Slice3Op",
 
 # --- the arena program IR ----------------------------------------------------------
 #
-# Every op renders exactly one line of the steady-state NumPy source
+# Every op renders exactly one line of the NumPy source
 # (``render()``), and carries enough structure for a second emitter to
 # lower it without re-parsing strings.  Operand fields hold *Python
 # expression strings* over the kernel's parameters, size arguments and
@@ -103,7 +103,7 @@ class AliasOp(ArenaOp):
 
 @dataclass(frozen=True)
 class VecExprOp(ArenaOp):
-    """Fallback: a vector value kept as a legacy (allocating) NumPy
+    """Fallback: a vector value kept as an allocating NumPy
     expression.  Never produced by the hot FDTD kernels; its presence
     marks the program unsupported for the fused-loop emitter."""
 
@@ -384,13 +384,13 @@ _GRID3_OPS = (ScalarOp, AliasOp, Slice3Op, UfuncOp, WhereOp, CastOp,
 
 @dataclass
 class ArenaProgram:
-    """The backend-neutral steady-state lowering of one kernel Lambda.
+    """The backend-neutral lowering of one kernel Lambda.
 
     A straight-line three-address program over named slots: CSE, affine
     gather/scatter decisions, step-invariant hoisting and float-width
     discipline are already applied, so every consumer sees the same
     lowering.  ``render()`` prints the NumPy realisation (what
-    ``compile_numpy(steady=True)`` executes); the fused-loop emitter
+    ``compile_numpy`` executes); the fused-loop emitter
     (:mod:`repro.lift.codegen.loops`) walks ``ops`` directly.
     """
 
@@ -574,8 +574,7 @@ class ArenaProgram:
                 + (["out"] if self.returns_out else []) + ["_ws=None"])
 
     def render(self) -> str:
-        """The steady-state NumPy source, byte-identical to what
-        ``compile_numpy(steady=True)`` compiles."""
+        """The NumPy source: exactly what ``compile_numpy`` compiles."""
         lines = [f"def {self.name}({', '.join(self.signature())}):"]
         lines.append("    if _ws is None:")
         lines.append("        _ws = _Workspace()")

@@ -74,16 +74,19 @@ from .arena import (AliasOp, ArenaProgram, CastOp, ConstOp, FullStoreOp,
                     GidOp, IndexStoreOp, PadOp, ScalarOp, ShiftOp, Slice3Op,
                     SliceStoreOp, TakeOp, UfuncOp, WhereOp, Workspace)
 
-__all__ = ["LoopKernel", "LoopsUnsupported", "available_tiers",
+__all__ = ["EMITTERS", "LoopKernel", "LoopsUnsupported", "available_tiers",
            "compile_loops", "loops_cache_dir", "loops_disk_cache_stats",
-           "select_tier", "set_loops_cache_dir"]
+           "realise", "select_tier", "set_loops_cache_dir"]
+
+#: the executable emitters of an :class:`ArenaProgram`, under the names the
+#: backend registry and ``VirtualGPU(kernel_backend=)`` select them by
+EMITTERS = ("numpy-steady", "numba")
 
 
 class LoopsUnsupported(RuntimeError):
     """The fused-loop emitter cannot realise this program here: the
     program is loop-opaque, or no compiled tier exists on this host.
-    An explicit ``numba`` request lets it propagate; only the
-    ``virtual_gpu`` auto mode falls back (per kernel, to NumPy-steady)."""
+    What a caller's request makes of it is :func:`realise`'s rule."""
 
 
 # --- tier discovery ---------------------------------------------------------
@@ -925,7 +928,6 @@ class LoopKernel:
     size_params: list = field(default_factory=list)
     out_alloc: object = None
     returns_out: bool = False
-    steady: bool = True
 
 
 class _Dispatch:
@@ -1080,12 +1082,10 @@ def compile_loops(program: ArenaProgram, *,
     """Lower an :class:`ArenaProgram` to a compiled fused loop.
 
     Raises :class:`LoopsUnsupported` when the program is structurally
-    loop-opaque or no compiled tier is available; what the caller does
-    with that is the caller's rule (an explicit ``numba`` request
-    propagates it, the ``virtual_gpu`` auto mode falls back per kernel
-    to the NumPy-steady emitter).  Code generation itself happens on
-    the kernel's first call, when the argument dtypes are known; a
-    dtype the emitter has no C type for raises from there.
+    loop-opaque or no compiled tier is available (:func:`realise` turns
+    that into a fallback or lets it propagate).  Code generation itself
+    happens on the kernel's first call, when the argument dtypes are
+    known; a dtype the emitter has no C type for raises from there.
     """
     reasons = program.loop_opaque_reasons()
     if reasons:
@@ -1099,3 +1099,29 @@ def compile_loops(program: ArenaProgram, *,
                         returns_out=program.returns_out)
     kernel.fn = _Dispatch(kernel)
     return kernel
+
+
+def realise(kernel, emitter: str | None = None):
+    """The executable that runs a compiled ``NumpyKernel`` under
+    ``emitter`` — the one statement of which emitter realises an
+    :class:`ArenaProgram` and when a request may fall back.
+
+    ``"numpy-steady"`` is the kernel itself (its source is
+    ``kernel.program.render()``).  ``"numba"`` is an explicit request for
+    the fused loop: :class:`LoopsUnsupported` (no compiled tier on this
+    host, or a loop-opaque program) propagates.  ``None`` names no
+    emitter: the best compiled tier, or — per kernel — the kernel itself
+    when the loop emitter declines.  Both run the same program, so the
+    choice never changes a result.
+    """
+    if emitter == "numpy-steady":
+        return kernel
+    if emitter is not None and emitter not in EMITTERS:
+        raise ValueError(f"unknown emitter {emitter!r}; expected one of "
+                         f"{EMITTERS} or None (best available)")
+    try:
+        return compile_loops(kernel.program)
+    except LoopsUnsupported:
+        if emitter is not None:
+            raise
+        return kernel

@@ -1,23 +1,28 @@
 """Vectorising NumPy backend for the LIFT IR.
 
 Since this reproduction has no physical GPU, the executable target of the
-code generator is NumPy: :func:`compile_numpy` emits *textual Python
-source* for a kernel Lambda (inspectable, golden-testable) and compiles it
-with ``exec``.  The emission mirrors the OpenCL generator's structure but
-trades the work-item loop for whole-array operations:
+code generator is NumPy: :func:`compile_numpy` lowers a kernel Lambda to
+an :class:`~repro.lift.codegen.arena.ArenaProgram` — a straight-line list
+of three-address ops over named workspace slots — and compiles the
+*textual Python source* that program renders to (inspectable,
+golden-testable) with ``exec``.  The lowering mirrors the OpenCL
+generator's structure but trades the work-item loop for whole-array
+operations:
 
-* a flat ``MapGlb`` becomes a ``_gid = np.arange(N)`` gather/compute/
-  scatter pipeline — boundary kernels (paper Listings 7–8) turn into fancy
-  indexing plus in-place scatters (``next[idx] = ...``), which is exactly
-  the memory behaviour the paper's in-place primitives encode;
+* a flat ``MapGlb`` becomes a gather/compute/scatter pipeline over the
+  contiguous work range — affine gathers are views or slice copies
+  (``_ws.shift``), data-dependent ones ``_ws.take``, and boundary kernels
+  (paper Listings 7–8) end in in-place stores (``next[idx] = ...``), which
+  is exactly the memory behaviour the paper's in-place primitives encode;
 * a 3-D ``MapGlb3D`` stencil becomes shifted-slice arithmetic over padded
-  grids (``Pad3D`` materialises with ``np.pad``);
+  grids (``Pad3D`` keeps persistent ghost cells in ``_ws.pad3``);
 * sequential inner maps / reductions over constant trip counts (the FD-MM
   ODE branches) are unrolled at generation time.
 
-The generated functions receive the kernel's array/scalar arguments plus
-size parameters and write through the same output/aliasing decisions as
-:mod:`repro.lift.memory`.
+The generated functions receive the kernel's array/scalar arguments, the
+size parameters and a trailing ``_ws`` workspace, write through the same
+output/aliasing decisions as :mod:`repro.lift.memory`, and allocate no
+full-grid array once the workspace is warm.
 """
 
 from __future__ import annotations
@@ -40,9 +45,9 @@ from ..patterns import (AbstractMap, AbstractReduce, ArrayAccess,
 from ..types import (ArrayType, Bool, Double, Float, Int, LiftType, Long,
                      ScalarType)
 from .arena import (AliasOp, ArenaProgram, CastOp, ConstOp, ElemStoreOp,
-                    FullStoreOp, GidOp, IndexStoreOp, Pad3Op, PadOp, RawOp,
-                    ScalarOp, ShiftOp, Slice3Op, SliceStoreOp, TakeOp,
-                    UfuncOp, VecExprOp, WhereOp, Workspace)
+                    FullStoreOp, GidOp, IndexStoreOp, Pad3Op, PadOp, ScalarOp,
+                    ShiftOp, Slice3Op, SliceStoreOp, TakeOp, UfuncOp,
+                    VecExprOp, WhereOp, Workspace)
 from .c_ast import NameGen
 
 
@@ -72,17 +77,16 @@ class NumpyKernel:
     size_params: list[str]
     out_alloc: object           # KernelAllocation
     returns_out: bool           # True when a fresh `out` buffer is written
-    steady: bool = False        # steady-state (arena) emission
-    #: the backend-neutral lowering artifact (steady emission only);
-    #: ``source`` is exactly ``program.render()``
-    program: ArenaProgram | None = None
+    #: the backend-neutral lowering artifact every executable emitter
+    #: consumes; ``source`` is exactly ``program.render()``
+    program: ArenaProgram
 
     def __call__(self, *args, **sizes):
         return self.fn(*args, **sizes)
 
 
 class _SteadyInfo:
-    """Codegen-time tracking for the steady-state (arena) emitter.
+    """Codegen-time tracking for the arena lowering.
 
     * ``vec`` — names whose runtime value is a full-grid array (any
       expression mentioning one is "vector" and must not allocate);
@@ -272,53 +276,34 @@ class NpZip3(Np3D):
 
 
 class _Ctx:
-    def __init__(self, lines: list[str], names: NameGen,
-                 steady: "_SteadyInfo | None" = None):
+    def __init__(self, names: NameGen, steady: _SteadyInfo):
         self.env: dict[str, object] = {}
         self.arith: dict[str, object] = {}  # name -> Var or Cst
-        self.lines = lines
         self.names = names
         self.memo: dict[int, object] = {}
         self.steady = steady
 
     def child(self) -> "_Ctx":
-        c = _Ctx(self.lines, self.names, self.steady)
+        c = _Ctx(self.names, self.steady)
         c.env = dict(self.env)
         c.arith = dict(self.arith)
         return c
 
-    def emit(self, line: str) -> None:
-        # in steady mode every source line must exist in the program
-        # artifact; structured sites use add(), anything else is opaque
-        if self.steady is not None:
-            self.steady.program.ops.append(RawOp(line))
-        self.lines.append("    " + line)
-
     def add(self, op) -> None:
         """Record an arena-program op; its render IS the source line."""
-        assert self.steady is not None
         self.steady.program.ops.append(op)
-        self.lines.append("    " + op.render())
-
-    def temp(self, value: str, prefix: str = "t") -> str:
-        if self.steady is not None:
-            return _steady_temp(self, value, prefix)
-        name = self.names.fresh(prefix)
-        self.emit(f"{name} = {value}")
-        return name
 
 
-def _steady_temp(ctx: _Ctx, value: str, prefix: str) -> str:
-    """Name a value in steady mode without allocating on the hot path.
+def _temp(ctx: _Ctx, value: str, prefix: str = "t") -> str:
+    """Name a value without allocating on the hot path.
 
-    Scalar values keep the legacy nested-expression form.  Vector values
-    are lowered: plain gathers become arena ``shift``/``take`` calls,
+    Scalar values keep the nested-expression form.  Vector values are
+    lowered: plain gathers become arena ``shift``/``take`` calls,
     step-invariant expressions become keyed ``const`` slots, and pure
-    aliases propagate their tracking marks.  Anything else falls through
-    to the legacy emission (marked vector so consumers stay correct).
+    aliases propagate their tracking marks.  Anything else is kept as an
+    allocating NumPy expression (marked vector so consumers stay correct).
     """
     st = ctx.steady
-    assert st is not None
     if not _vec_expr(st, value):
         name = ctx.names.fresh(prefix)
         ctx.add(ScalarOp(name, value))
@@ -387,8 +372,8 @@ def _steady_temp(ctx: _Ctx, value: str, prefix: str) -> str:
         st.vec.add(name)
         st.note(name, m3.group(1))
         return name
-    # fallback: legacy (allocating) emission — not reached by the hot
-    # FDTD kernels; keeps exotic IR shapes compiling correctly
+    # fallback: an allocating expression — not reached by the hot FDTD
+    # kernels; keeps exotic IR shapes compiling correctly
     name = ctx.names.fresh(prefix)
     ctx.add(VecExprOp(name, value))
     st.vec.add(name)
@@ -401,35 +386,40 @@ def _render_arith(e: ArithExpr, ctx: _Ctx) -> str:
 
 
 def compile_numpy(kernel: Lambda, name: str = "lift_kernel",
-                  lower: bool = True, *, steady: bool = False) -> NumpyKernel:
+                  lower: bool = True, *, steady: bool = True) -> NumpyKernel:
     """Generate and compile the NumPy realisation of a kernel Lambda.
 
-    With ``steady=True`` the emitter produces the steady-state (arena)
-    variant: the generated function takes a trailing ``_ws`` workspace
-    argument and performs zero full-grid allocations once the workspace
-    is warm — persistent ghost cells instead of per-call ``np.pad``,
-    view/slice gathers for affine indices, keyed ``const`` slots for
-    step-invariant index arrays, and in-place ufunc calls for the
-    arithmetic.  Results are bit-identical to the default emission (the
-    first call of each slot *is* the legacy operation; later calls
-    re-run it into the kept buffer).
+    The kernel is lowered to its :class:`ArenaProgram` (kept on the
+    result as ``.program``, the artifact
+    :func:`repro.lift.codegen.loops.compile_loops` also consumes) and the
+    source that program renders to is compiled.  The generated function
+    takes a trailing ``_ws`` workspace argument and performs zero
+    full-grid allocations once the workspace is warm — persistent ghost
+    cells instead of per-call ``np.pad``, view/slice gathers for affine
+    indices, keyed ``const`` slots for step-invariant index arrays, and
+    in-place ufunc calls for the arithmetic.  The first call of each slot
+    *is* the plain NumPy operation; later calls re-run it into the kept
+    buffer.
+
+    ``steady`` is accepted only because the perf ledger's probe still
+    passes ``steady=True``; there is no other emission, so ``False``
+    raises ``ValueError``.
     """
+    if not steady:
+        raise ValueError("compile_numpy has one emission (the workspace "
+                         "arena); the allocating emitter that steady=... "
+                         "used to select was removed")
     from ..rewrite import lower_simple
     if lower:
         kernel = lower_simple(kernel)
     alloc = allocate(kernel)
 
-    names = NameGen()
-    lines: list[str] = []
-    info = None
-    program = None
-    if steady:
-        written = set(alloc.written_param_names)
-        if alloc.allocates_output:
-            written.add("out")
-        program = ArenaProgram(name=name)
-        info = _SteadyInfo(written, program)
-    ctx = _Ctx(lines, names, info)
+    written = set(alloc.written_param_names)
+    if alloc.allocates_output:
+        written.add("out")
+    program = ArenaProgram(name=name)
+    info = _SteadyInfo(written, program)
+    ctx = _Ctx(NameGen(), info)
 
     param_names = [p.name for p in kernel.params]
     for p in kernel.params:
@@ -438,17 +428,14 @@ def compile_numpy(kernel: Lambda, name: str = "lift_kernel",
             dims = t.shape()
             if len(dims) == 1:
                 ctx.env[p.name] = NpMem(p.name)
-                if info is not None:
-                    info.arrays.add(p.name)
+                info.arrays.add(p.name)
             elif len(dims) == 3:
                 sn = tuple(_dim_name(d, i, p.name, ctx) for i, d in enumerate(dims))
                 ctx.env[p.name] = NpMem3(p.name, sn)  # type: ignore[arg-type]
-                if info is not None:
-                    info.arrays3.add(p.name)
+                info.arrays3.add(p.name)
             else:
                 raise NumpyCodegenError(f"unsupported rank for {p.name}")
-            if info is not None:
-                info.vec.add(p.name)
+            info.vec.add(p.name)
         else:
             ctx.env[p.name] = p.name
             ctx.arith[p.name] = Var(p.name)
@@ -466,8 +453,7 @@ def compile_numpy(kernel: Lambda, name: str = "lift_kernel",
         non_aliased = [o for o in alloc.outputs if not o.is_in_place]
         if len(non_aliased) != 1:
             raise NumpyCodegenError("at most one fresh output supported")
-        if info is not None:
-            info.vec.add("out")
+        info.vec.add("out")
 
     result_expr = _gen_top(kernel.body, out_name, ctx, kernel)
 
@@ -480,34 +466,24 @@ def compile_numpy(kernel: Lambda, name: str = "lift_kernel",
                    if o.aliased_param is not None]
         return_line = f"return {aliased[0] if aliased else 'None'}"
 
-    if steady:
-        assert program is not None and info is not None
-        program.param_names = param_names
-        program.size_params = size_params
-        program.scalar_params = ([p.name for p in kernel.params
-                                  if not isinstance(p.declared_type,
-                                                    ArrayType)]
-                                 + size_params)
-        program.array_params = array_params
-        program.array3_params = [p.name for p in kernel.params
-                                 if isinstance(p.declared_type, ArrayType)
-                                 and len(p.declared_type.shape()) == 3]
-        program.written = frozenset(info.written)
-        program.returns_out = returns_out
-        program.return_line = return_line
-        program.vec = frozenset(info.vec)
-        program.inv = frozenset(info.inv)
-        program.alloc = alloc
-        # the NumPy emitter consumes the program artifact: the compiled
-        # source IS its rendering (pinned by tests/lift/test_arena_program.py)
-        source = program.render()
-    else:
-        sig_parts = param_names + size_params + (["out"] if returns_out
-                                                 else [])
-        src_lines = [f"def {name}({', '.join(sig_parts)}):"]
-        src_lines += lines
-        src_lines.append("    " + return_line)
-        source = "\n".join(src_lines)
+    program.param_names = param_names
+    program.size_params = size_params
+    program.scalar_params = ([p.name for p in kernel.params
+                              if not isinstance(p.declared_type, ArrayType)]
+                             + size_params)
+    program.array_params = array_params
+    program.array3_params = [p.name for p in kernel.params
+                             if isinstance(p.declared_type, ArrayType)
+                             and len(p.declared_type.shape()) == 3]
+    program.written = frozenset(info.written)
+    program.returns_out = returns_out
+    program.return_line = return_line
+    program.vec = frozenset(info.vec)
+    program.inv = frozenset(info.inv)
+    program.alloc = alloc
+    # the compiled source IS the program's rendering (pinned by
+    # tests/lift/test_arena_program.py)
+    source = program.render()
 
     namespace: dict[str, object] = {"np": np, "_Workspace": Workspace}
     exec(compile(source, f"<numpy backend:{name}>", "exec"), namespace)
@@ -515,20 +491,7 @@ def compile_numpy(kernel: Lambda, name: str = "lift_kernel",
     return NumpyKernel(name=name, source=source, fn=fn,
                        param_names=param_names, size_params=size_params,
                        out_alloc=alloc, returns_out=returns_out,
-                       steady=steady, program=program)
-
-
-def lower_arena(kernel: Lambda, name: str = "lift_kernel",
-                lower: bool = True) -> ArenaProgram:
-    """Lower a kernel Lambda to its backend-neutral :class:`ArenaProgram`.
-
-    The single lowering artifact every executable emitter consumes:
-    ``program.render()`` is the NumPy realisation (what
-    :func:`compile_numpy` with ``steady=True`` compiles), and
-    :func:`repro.lift.codegen.loops.compile_loops` lowers the same
-    object to a compiled fused loop.
-    """
-    return compile_numpy(kernel, name, lower, steady=True).program
+                       program=program)
 
 
 def _dim_name(d: ArithExpr, i: int, pname: str, ctx: _Ctx) -> str:
@@ -583,16 +546,13 @@ def _gen_mapglb(expr: FunCall, out_name: str | None, ctx: _Ctx):
     n_py = _render_arith(arr_t.size, ctx)
     view = _gen(expr.args[0], ctx)
     st = ctx.steady
-    if st is not None:
-        # the slot name carries the extent expression so two MapGlbs of
-        # different lengths never share a cached arange
-        ctx.add(GidOp(n_py))
-        st.vec.add("_gid")
-        st.inv.add("_gid")
-        st.affine["_gid"] = "0"
-        st.n = n_py
-    else:
-        ctx.emit(f"_gid = np.arange({n_py})")
+    # the slot name carries the extent expression so two MapGlbs of
+    # different lengths never share a cached arange
+    ctx.add(GidOp(n_py))
+    st.vec.add("_gid")
+    st.inv.add("_gid")
+    st.affine["_gid"] = "0"
+    st.n = n_py
     inner = ctx.child()
     elem = view.access("_gid") if isinstance(view, NpView) else None
     if elem is None:
@@ -614,14 +574,11 @@ def _gen_mapglb(expr: FunCall, out_name: str | None, ctx: _Ctx):
         # the body's own WriteTo already realised the update (in-place
         # element-write kernels return the written value)
         return None
-    if st is not None:
-        # _gid is the contiguous range 0..n-1: the scatter is a slice
-        # store, with no duplicate-index hazard
-        ctx.add(SliceStoreOp(out_name, "0", n_py, val,
-                             lhs=f"{out_name}[0:{n_py}]"))
-        st.kill(out_name)
-    else:
-        ctx.emit(f"{out_name}[_gid] = {val}")
+    # _gid is the contiguous range 0..n-1: the scatter is a slice store,
+    # with no duplicate-index hazard
+    ctx.add(SliceStoreOp(out_name, "0", n_py, val,
+                         lhs=f"{out_name}[0:{n_py}]"))
+    st.kill(out_name)
     return None
 
 
@@ -658,17 +615,13 @@ def _gen_rows_into(expr: Expr, buffer: str, ctx: _Ctx):
         vals = _materialise_small(part, ctx)
         for j, v in enumerate(vals):
             idx = base if j == 0 else f"{base}+{j}"
-            if ctx.steady is not None:
-                # a Skip length that is itself a vector slot makes this a
-                # per-work-item scatter (indices injective by construction)
-                if j == 0 and _strip_parens(base) in ctx.steady.vec:
-                    ctx.add(IndexStoreOp(buffer, idx, v))
-                else:
-                    ctx.add(ElemStoreOp(buffer, idx, v))
+            # a Skip length that is itself a vector slot makes this a
+            # per-work-item scatter (indices injective by construction)
+            if j == 0 and _strip_parens(base) in ctx.steady.vec:
+                ctx.add(IndexStoreOp(buffer, idx, v))
             else:
-                ctx.emit(f"{buffer}[{idx}] = {v}")
-        if ctx.steady is not None:
-            ctx.steady.kill(buffer)
+                ctx.add(ElemStoreOp(buffer, idx, v))
+        ctx.steady.kill(buffer)
         t = part.type
         if isinstance(t, ArrayType):
             offset_parts.append(f"({_render_arith(t.size, ctx)})")
@@ -710,7 +663,7 @@ def _gen_writeto(expr: FunCall, ctx: _Ctx):
         if not isinstance(view, NpMem):
             raise NumpyCodegenError("element WriteTo target must be memory")
         st = ctx.steady
-        if st is not None and st.n is not None:
+        if st.n is not None:
             off = _ast_affine(t.args[1], ctx)
             if off is not None:
                 # affine scatter over the contiguous work range: a slice
@@ -722,14 +675,11 @@ def _gen_writeto(expr: FunCall, ctx: _Ctx):
                 return sl
         idx = _gen_scalar(t.args[1], ctx)
         val = _gen_scalar(expr.args[1], ctx)
-        if ctx.steady is not None:
-            if _strip_parens(idx) in ctx.steady.vec:
-                ctx.add(IndexStoreOp(view.name, idx, val))
-            else:
-                ctx.add(ElemStoreOp(view.name, idx, val))
-            ctx.steady.kill(view.name)
+        if _strip_parens(idx) in st.vec:
+            ctx.add(IndexStoreOp(view.name, idx, val))
         else:
-            ctx.emit(f"{view.name}[{idx}] = {val}")
+            ctx.add(ElemStoreOp(view.name, idx, val))
+        st.kill(view.name)
         return f"{view.name}[{idx}]"
     view = _gen(t, ctx)
     if isinstance(view, NpMem):
@@ -743,11 +693,8 @@ def _gen_writeto(expr: FunCall, ctx: _Ctx):
         if isinstance(value, FunCall) and isinstance(value.fun, MapGlb):
             return _gen_mapglb(value, view.name, ctx)
         val = _gen_scalar(value, ctx)
-        if ctx.steady is not None:
-            ctx.add(FullStoreOp(view.name, val, rank=1))
-            ctx.steady.kill(view.name)
-        else:
-            ctx.emit(f"{view.name}[:] = {val}")
+        ctx.add(FullStoreOp(view.name, val, rank=1))
+        ctx.steady.kill(view.name)
         return view.name
     if isinstance(view, NpMem3):
         value = expr.args[1]
@@ -778,11 +725,8 @@ def _gen_mapglb3d(expr: FunCall, out_name: str | None, ctx: _Ctx):
     val = _gen_scalar(f.body, inner)
     if out_name is None:
         raise NumpyCodegenError("MapGlb3D needs an output grid")
-    if ctx.steady is not None:
-        ctx.add(FullStoreOp(out_name, val, rank=3))
-        ctx.steady.kill(out_name)
-    else:
-        ctx.emit(f"{out_name}[:, :, :] = {val}")
+    ctx.add(FullStoreOp(out_name, val, rank=3))
+    ctx.steady.kill(out_name)
     return None
 
 
@@ -799,7 +743,7 @@ def _np3_element(c):
 
 def _bind(ctx: _Ctx, p: Param, value, prefer: str | None = None):
     if isinstance(value, str) and not _IDENT.match(value):
-        tmp = ctx.temp(value, prefer or p.name)
+        tmp = _temp(ctx, value, prefer or p.name)
         value = tmp
     if isinstance(value, str) and _IDENT.match(value):
         ctx.arith[p.name] = Var(value)
@@ -835,7 +779,7 @@ def _gen(expr: Expr, ctx: _Ctx):
     if isinstance(value, str) and not _IDENT.match(value) \
             and isinstance(expr, FunCall) and isinstance(expr.type, ScalarType) \
             and not isinstance(expr.fun, WriteTo):
-        value = ctx.temp(value)
+        value = _temp(ctx, value)
     ctx.memo[key] = value
     return value
 
@@ -853,30 +797,30 @@ def _gen_uncached(expr: Expr, ctx: _Ctx):
             a = _coerce_f32(expr.lhs, a, ctx)
             b = _coerce_f32(expr.rhs, b, ctx)
         if expr.op == "min":
-            legacy = f"np.minimum({a}, {b})"
+            plain = f"np.minimum({a}, {b})"
         elif expr.op == "max":
-            legacy = f"np.maximum({a}, {b})"
+            plain = f"np.maximum({a}, {b})"
         else:
             py_op = {"==": "==", "!=": "!=", "<": "<", "<=": "<=",
                      ">": ">", ">=": ">=", "+": "+", "-": "-",
                      "*": "*", "/": "/"}[expr.op]
-            legacy = f"({a} {py_op} {b})"
-        if st is None or not _vec_expr(st, legacy):
-            return legacy
-        return _steady_binop(ctx, st, expr.op, a, b, legacy)
+            plain = f"({a} {py_op} {b})"
+        if not _vec_expr(st, plain):
+            return plain
+        return _steady_binop(ctx, st, expr.op, a, b, plain)
     if isinstance(expr, UnaryOp):
         v = _gen_scalar(expr.operand, ctx)
         # toFloat follows the declared IR type: Float is f32 (matching
         # the OpenCL backend's `(float)` cast); only Double renders f64.
         # toInt stays int64 on purpose — its results feed indexing.
         float_dt = "np.float64" if expr.type is Double else "np.float32"
-        legacy = {"neg": f"(-({v}))", "sqrt": f"np.sqrt({v})",
+        plain = {"neg": f"(-({v}))", "sqrt": f"np.sqrt({v})",
                   "abs": f"np.abs({v})",
                   "toInt": f"np.asarray({v}).astype(np.int64)",
                   "toFloat": f"np.asarray({v}).astype({float_dt})"}[expr.op]
-        if st is None or not _vec_expr(st, legacy):
-            return legacy
-        return _steady_unop(ctx, st, expr.op, v, legacy, float_dt)
+        if not _vec_expr(st, plain):
+            return plain
+        return _steady_unop(ctx, st, expr.op, v, plain, float_dt)
     if isinstance(expr, Select):
         c = _gen_scalar(expr.cond, ctx)
         t = _gen_scalar(expr.if_true, ctx)
@@ -884,11 +828,11 @@ def _gen_uncached(expr: Expr, ctx: _Ctx):
         if expr.type is Float:
             t = _coerce_f32(expr.if_true, t, ctx)
             f = _coerce_f32(expr.if_false, f, ctx)
-        legacy = f"np.where({c}, {t}, {f})"
-        if st is None or not _vec_expr(st, legacy):
-            return legacy
-        if _inv_expr(st, legacy):
-            return _steady_const(ctx, st, legacy)
+        plain = f"np.where({c}, {t}, {f})"
+        if not _vec_expr(st, plain):
+            return plain
+        if _inv_expr(st, plain):
+            return _steady_const(ctx, st, plain)
         hit = st.reuse(("where", c, t, f))
         if hit is not None:
             return hit
@@ -903,19 +847,19 @@ def _gen_uncached(expr: Expr, ctx: _Ctx):
     raise NumpyCodegenError(f"cannot generate {expr!r}")
 
 
-def _steady_const(ctx: _Ctx, st: _SteadyInfo, legacy: str) -> str:
+def _steady_const(ctx: _Ctx, st: _SteadyInfo, plain: str) -> str:
     """Hoist a step-invariant vector expression into a keyed const slot."""
     name = ctx.names.fresh("c")
-    ctx.add(ConstOp(name, legacy))
+    ctx.add(ConstOp(name, plain))
     st.vec.add(name)
     st.inv.add(name)
     return name
 
 
 def _steady_binop(ctx: _Ctx, st: _SteadyInfo, op: str, a: str, b: str,
-                  legacy: str) -> str:
-    if _inv_expr(st, legacy):
-        name = _steady_const(ctx, st, legacy)
+                  plain: str) -> str:
+    if _inv_expr(st, plain):
+        name = _steady_const(ctx, st, plain)
     else:
         hit = st.reuse(("binop", op, a, b))
         if hit is not None:
@@ -936,10 +880,10 @@ def _steady_binop(ctx: _Ctx, st: _SteadyInfo, op: str, a: str, b: str,
     return name
 
 
-def _steady_unop(ctx: _Ctx, st: _SteadyInfo, op: str, v: str, legacy: str,
+def _steady_unop(ctx: _Ctx, st: _SteadyInfo, op: str, v: str, plain: str,
                  float_dt: str) -> str:
-    if _inv_expr(st, legacy):
-        return _steady_const(ctx, st, legacy)
+    if _inv_expr(st, plain):
+        return _steady_const(ctx, st, plain)
     hit = st.reuse(("unop", op, float_dt, v))
     if hit is not None:
         return hit
@@ -963,12 +907,12 @@ def _coerce_f32(operand: Expr, v: str, ctx: _Ctx) -> str:
     programs silently run their int-mixing subexpressions in float64)."""
     if operand.type not in (Int, Long):
         return v
-    legacy = f"np.asarray({v}).astype(np.float32)"
+    plain = f"np.asarray({v}).astype(np.float32)"
     st = ctx.steady
-    if st is None or not _vec_expr(st, v):
-        return legacy
+    if not _vec_expr(st, v):
+        return plain
     if _inv_expr(st, v):
-        return _steady_const(ctx, st, legacy)
+        return _steady_const(ctx, st, plain)
     hit = st.reuse(("unop", "toFloat", "np.float32", v))
     if hit is not None:
         return hit
@@ -1011,8 +955,8 @@ def _gen_call(expr: FunCall, ctx: _Ctx):
     if isinstance(fun, ArrayAccess):
         view = _gen(expr.args[0], ctx)
         st = ctx.steady
-        if (st is not None and isinstance(view, NpMem)
-                and view.name in st.arrays and st.n is not None):
+        if (isinstance(view, NpMem) and view.name in st.arrays
+                and st.n is not None):
             off = _ast_affine(expr.args[1], ctx)
             if off is not None:
                 # affine gather: a view (or a slice copy when the kernel
@@ -1054,19 +998,14 @@ def _gen_call(expr: FunCall, ctx: _Ctx):
             # materialise the parent first
             raise NumpyCodegenError("Pad over non-memory view")
         st = ctx.steady
-        if st is not None:
-            # persistent ghost cells: halo written once at allocation,
-            # interior refreshed by slice assignment on later calls
-            padded = ctx.names.fresh("pad")
-            ctx.add(PadOp(padded, view.name, str(fun.left), str(fun.right),
-                          repr(float(fun.value.value))))
-            st.vec.add(padded)
-            st.arrays.add(padded)
-            st.note(padded, view.name)
-            return NpMem(padded)
-        padded = ctx.temp(
-            f"np.pad({view.name}, ({fun.left}, {fun.right}), "
-            f"constant_values={float(fun.value.value)!r})", "pad")
+        # persistent ghost cells: halo written once at allocation,
+        # interior refreshed by slice assignment on later calls
+        padded = ctx.names.fresh("pad")
+        ctx.add(PadOp(padded, view.name, str(fun.left), str(fun.right),
+                      repr(float(fun.value.value))))
+        st.vec.add(padded)
+        st.arrays.add(padded)
+        st.note(padded, view.name)
         return NpMem(padded)
 
     if isinstance(fun, Pad3D):
@@ -1074,16 +1013,11 @@ def _gen_call(expr: FunCall, ctx: _Ctx):
         if not isinstance(view, NpMem3):
             raise NumpyCodegenError("Pad3D over non-memory view")
         st = ctx.steady
-        if st is not None:
-            padded = ctx.names.fresh("pad3")
-            ctx.add(Pad3Op(padded, view.name, str(fun.left),
-                           repr(float(fun.value.value))))
-            st.vec.add(padded)
-            st.note(padded, view.name)
-            return NpMem3(padded, view.shape_names)
-        padded = ctx.temp(
-            f"np.pad({view.name}, {fun.left}, "
-            f"constant_values={float(fun.value.value)!r})", "pad3")
+        padded = ctx.names.fresh("pad3")
+        ctx.add(Pad3Op(padded, view.name, str(fun.left),
+                       repr(float(fun.value.value))))
+        st.vec.add(padded)
+        st.note(padded, view.name)
         return NpMem3(padded, view.shape_names)
 
     if isinstance(fun, Slide3D):
@@ -1128,8 +1062,6 @@ def _ast_affine(e: Expr, ctx: _Ctx) -> str | None:
     materialising the index array.
     """
     st = ctx.steady
-    if st is None:
-        return None
     if isinstance(e, Param):
         v = ctx.env.get(e.name)
         if isinstance(v, str):
@@ -1199,7 +1131,7 @@ def _gen_reduce(expr: FunCall, ctx: _Ctx) -> str:
             acc = _inline_userfun(fun.f, [acc, elem])
         else:
             raise NumpyCodegenError("unsupported reduce function")
-        acc = ctx.temp(acc, "acc")
+        acc = _temp(ctx, acc, "acc")
     return acc
 
 

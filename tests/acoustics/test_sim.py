@@ -262,7 +262,7 @@ class TestVirtualGPUBackend:
                                      backend="virtual_gpu", materials=mats))
         b = RoomSimulation(SimConfig(room=room, scheme="fi_mm",
                                      backend="virtual_gpu", materials=mats))
-        b.set_virtual_device(AMD_HD7970)
+        b.set_devices(AMD_HD7970)
         for sim in (a, b):
             sim.add_impulse("center")
             sim.run(3)

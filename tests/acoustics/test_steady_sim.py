@@ -1,11 +1,7 @@
-"""Simulation-level legacy-vs-arena bit-identity and zero-allocation.
-
-``SimConfig.lift_steady`` selects between the legacy (allocating) NumPy
-emitter and the steady-state arena emitter on the ``lift`` backend.
-Both must produce **bit-identical** trajectories over many steps, for
-every scheme and both precisions — the acceptance bar of the
-steady-state optimiser (and what `repro.bench wallclock` re-verifies on
-every run).
+"""Simulation-level zero-allocation and dtype discipline of the
+``numpy-steady`` backend (its trajectories are pinned against every
+other backend, and the reference interpreter, by
+``test_backend_matrix.py``).
 """
 
 import numpy as np
@@ -17,41 +13,22 @@ from repro.acoustics.grid import Grid3D
 from repro.acoustics.materials import (default_fd_materials,
                                        default_fi_materials)
 
-STEPS = 50
 
-
-def make_sim(scheme, precision, steady, grid=(12, 10, 9)):
+def make_sim(scheme, precision, grid=(12, 10, 9)):
     mats = (default_fd_materials(3) if scheme == "fd_mm"
             else default_fi_materials(3))
     sim = RoomSimulation(SimConfig(
         room=Room(Grid3D(*grid), DomeRoom()), scheme=scheme,
-        backend="lift", precision=precision, materials=mats,
-        lift_steady=steady))
+        backend="numpy-steady", precision=precision, materials=mats))
     sim.add_impulse("center")
     return sim
-
-
-@pytest.mark.parametrize("precision", ["single", "double"])
-@pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
-def test_steady_trajectory_bit_identical_to_legacy(scheme, precision):
-    legacy = make_sim(scheme, precision, steady=False)
-    steady = make_sim(scheme, precision, steady=True)
-    for _ in range(STEPS):
-        legacy.step()
-        steady.step()
-    np.testing.assert_array_equal(steady.curr, legacy.curr)
-    np.testing.assert_array_equal(steady.prev, legacy.prev)
-    if scheme == "fd_mm":                   # FD branch state too
-        np.testing.assert_array_equal(steady.g1, legacy.g1)
-        np.testing.assert_array_equal(steady.v1, legacy.v1)
-        np.testing.assert_array_equal(steady.v2, legacy.v2)
 
 
 @pytest.mark.parametrize("scheme", ["fi", "fd_mm"])
 def test_steady_stepping_is_allocation_free(scheme):
     """Warm up, freeze every workspace, keep stepping: no full-grid
     allocation may happen after warm-up (frozen arenas raise)."""
-    sim = make_sim(scheme, "double", steady=True)
+    sim = make_sim(scheme, "double")
     sim.run(3)
     workspaces = [ws for ws in (getattr(sim, "_ws_fused", None),
                                 getattr(sim, "_ws_volume", None),
@@ -65,7 +42,7 @@ def test_steady_stepping_is_allocation_free(scheme):
 
 
 def test_single_precision_sim_state_stays_float32():
-    sim = make_sim("fi_mm", "single", steady=True)
+    sim = make_sim("fi_mm", "single")
     sim.run(5)
     assert sim.curr.dtype == np.float32
     for ws in (sim._ws_volume, sim._ws_boundary):

@@ -1,10 +1,7 @@
-"""resolve_device error paths and the set_virtual_device deprecation shim."""
-
-import warnings
+"""resolve_device error paths and RoomSimulation.set_devices routing."""
 
 import pytest
 
-from repro import _deprecation
 from repro.acoustics import BoxRoom, Grid3D, Room
 from repro.acoustics.sim import RoomSimulation, SimConfig
 from repro.gpu import DeviceSpec, NVIDIA_GTX780, resolve_device
@@ -53,7 +50,7 @@ def test_sequences_flatten_in_order():
     assert all(isinstance(d, DeviceSpec) for d in specs)
 
 
-# -- deprecation shim -----------------------------------------------------------
+# -- RoomSimulation.set_devices routes through resolve_device ------------------
 
 def _sim():
     cfg = SimConfig(room=Room(Grid3D(8, 8, 8), BoxRoom()),
@@ -61,24 +58,16 @@ def _sim():
     return RoomSimulation(cfg)
 
 
-def test_set_virtual_device_warns_once_and_still_routes():
-    _deprecation.reset()
+def test_set_devices_retargets_by_name():
     sim = _sim()
-    with pytest.warns(DeprecationWarning, match="set_devices"):
-        sim.set_virtual_device("GTX780")
-    assert [d.name for d in sim.devices] == ["GTX780"]   # still re-targets
-    # second call: routed, but silent (once-per-process warning)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sim.set_virtual_device("AMD7970")
+    sim.set_devices("GTX780")
+    assert [d.name for d in sim.devices] == ["GTX780"]
+    sim.set_devices("AMD7970")
     assert [d.name for d in sim.devices] == ["AMD7970"]
-    _deprecation.reset()
+    assert sim._gpu.device.name == "AMD7970"
 
 
-def test_shim_accepts_new_designation_forms():
-    _deprecation.reset()
+def test_set_devices_accepts_shard_syntax():
     sim = _sim()
-    with pytest.warns(DeprecationWarning):
-        sim.set_virtual_device("TitanBlack:2")
+    sim.set_devices("TitanBlack:2")
     assert [d.name for d in sim.devices] == ["TitanBlack#0", "TitanBlack#1"]
-    _deprecation.reset()

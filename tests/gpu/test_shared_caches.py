@@ -32,8 +32,8 @@ def test_kernel_compile_shared_across_instances():
     _run()
     first = _compile_caches()
     assert first["np_kernels"] > 0 and first["resources"] > 0
-    # only executable emissions are compiled: the steady arena kernel and
-    # its compiled-loop upgrade, never the legacy allocating one
+    # one entry per kernel and executable: the NumPy arena kernel and
+    # its compiled-loop upgrade
     assert all(key.endswith(("#steady", "#loops")) for key in _NP_KERNEL_CACHE)
     # a second simulation of the same program adds no new cache entries
     _run()

@@ -1,7 +1,7 @@
 """Unit tests for the workspace arena (steady-state buffer slots).
 
 Every operation has the same contract: the first call (miss) performs
-the exact legacy allocating operation and keeps the result as the slot
+the plain allocating NumPy operation and keeps the result as the slot
 buffer; every later call (hit) re-executes the operation *into* that
 buffer and must be elementwise identical to the allocating form.
 """

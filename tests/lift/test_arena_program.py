@@ -37,11 +37,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 def _artefacts():
     return {
         "fi_fused_flat_double.ir.txt":
-            compile_numpy(fi_fused_flat("double").kernel, "fi_fused_flat",
-                          steady=True).program.dump() + "\n",
+            compile_numpy(fi_fused_flat("double").kernel, "fi_fused_flat").program.dump() + "\n",
         "fi_mm_boundary_double.ir.txt":
-            compile_numpy(fi_mm_boundary("double").kernel, "fi_mm_boundary",
-                          steady=True).program.dump() + "\n",
+            compile_numpy(fi_mm_boundary("double").kernel, "fi_mm_boundary").program.dump() + "\n",
     }
 
 
@@ -57,8 +55,7 @@ def test_arena_ir_matches_snapshot(name):
 def test_lower_once_feeds_both_emitters():
     """The NumPy-steady source and the loop kernel come from one
     lowering: same ArenaProgram object, no re-lowering in between."""
-    nk = compile_numpy(fi_fused_flat("double").kernel, "fi_fused_flat",
-                       steady=True)
+    nk = compile_numpy(fi_fused_flat("double").kernel, "fi_fused_flat")
     # the NumPy emitter's source is exactly the IR's own rendering
     assert nk.source == nk.program.render()
     lk = compile_loops(nk.program, tier="python")
@@ -74,8 +71,7 @@ def test_available_tiers_always_lists_python():
 
 def test_rank3_full_store_program_is_loop_lowerable():
     from repro.acoustics.lift_programs import fi_fused_3d
-    nk = compile_numpy(fi_fused_3d("double").kernel, "fi_fused_3d",
-                       steady=True)
+    nk = compile_numpy(fi_fused_3d("double").kernel, "fi_fused_3d")
     assert nk.program.loop_domain() == "grid3"
     assert nk.program.loop_opaque_reasons() == []
     lk = compile_loops(nk.program, tier="python")

@@ -29,8 +29,7 @@ def _loop_source(program, *args, **sizes):
     """The python-tier loop source for these argument dtypes.  A loop
     kernel generates its code on the first call, from the dtypes alone;
     the empty ``_range`` makes that call sweep nothing."""
-    lk = compile_loops(compile_numpy(program.kernel, program.name,
-                                     steady=True).program, tier="python")
+    lk = compile_loops(compile_numpy(program.kernel, program.name).program, tier="python")
     lk.fn(*args, **sizes, _range=(0, 0))
     return lk.source
 

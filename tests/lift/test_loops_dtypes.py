@@ -119,7 +119,7 @@ def test_slot_dtypes_are_what_numpy_produces(name, precision, numpy_scalar):
     the dtype the forward pass predicted for the same arguments."""
     from repro.lift.codegen.loops import _slot_dtypes
     kernel, args, kw = _case(name, precision, numpy_scalar)
-    nk = compile_numpy(kernel, name, steady=True)
+    nk = compile_numpy(kernel, name)
     assert nk.program.loop_opaque_reasons() == []
     dt, _values = _slot_dtypes(nk.program, _bound(nk.program, args, kw))
     ws = Workspace("probe")
@@ -152,7 +152,7 @@ def test_slot_dtypes_cover_const_and_pad_slots():
                               BinOp("*", i, lit(2, Int))), 0.5)
     prog = Lambda([A], FunCall(Map(Lambda([i], body)),
                                FunCall(Iota(Var("K")))))
-    nk = compile_numpy(prog, "padded_stride", steady=True)
+    nk = compile_numpy(prog, "padded_stride")
     kinds = {type(op).__name__ for op in nk.program.ops}
     assert {"ConstOp", "PadOp"} <= kinds, nk.source
     a = np.arange(1, 9, dtype=np.float32)
@@ -177,7 +177,7 @@ def test_slot_dtypes_cover_const_and_pad_slots():
 @pytest.mark.parametrize("precision", ["single", "double"])
 def test_first_call_may_be_ranged(precision):
     kernel, args, kw = _case("volume_kernel", precision)
-    nk = compile_numpy(kernel, "volume_kernel", steady=True)
+    nk = compile_numpy(kernel, "volume_kernel")
     ref = np.zeros_like(kw["out"])
     nk.fn(*args, **{**kw, "out": ref}, _ws=Workspace("ref"))
     lk = compile_loops(nk.program, tier="python")
@@ -260,7 +260,6 @@ def _execute(kernel_backend, problem):
 @pytest.fixture
 def fresh_kernel_caches(monkeypatch):
     monkeypatch.delenv("REPRO_LOOP_TIER", raising=False)
-    monkeypatch.setattr(runtime, "_LOOPS_TIER", False)   # re-probe
     runtime.clear_kernel_caches()
     yield
     runtime.clear_kernel_caches()
@@ -299,3 +298,14 @@ def test_loop_opaque_program(monkeypatch, fresh_kernel_caches):
     for _ in range(2):                        # second pass: cached
         with pytest.raises(LoopsUnsupported, match="RawOp: demo"):
             _execute("numba", problem)
+
+
+def test_emitters_are_the_registrys_lift_names():
+    """``EMITTERS`` is the one list of emitter names: each is a backend,
+    ``realise`` takes those (or ``None``) and nothing else."""
+    from repro.acoustics.sim import BACKENDS
+    assert set(loops.EMITTERS) < set(BACKENDS)
+    nk = compile_numpy(volume_kernel("double").kernel, "volume_kernel")
+    assert loops.realise(nk, "numpy-steady") is nk
+    with pytest.raises(ValueError, match="unknown emitter"):
+        loops.realise(nk, "cuda")

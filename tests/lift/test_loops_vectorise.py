@@ -41,10 +41,10 @@ def _case(name, precision, nbrs_dtype):
             rng.standard_normal(N + NXNY).astype(dt),
             rng.integers(0, 7, N + NXNY).astype(nbrs_dtype), dt(0.57)]
     if name == "fi_fused_flat":
-        nk = compile_numpy(fi_fused_flat(precision).kernel, name, steady=True)
+        nk = compile_numpy(fi_fused_flat(precision).kernel, name)
         args.append(dt(0.3))
     else:
-        nk = compile_numpy(volume_kernel(precision).kernel, name, steady=True)
+        nk = compile_numpy(volume_kernel(precision).kernel, name)
     return nk, args + [NX, NXNY], dict(N=N, NP=N + NXNY), dt
 
 

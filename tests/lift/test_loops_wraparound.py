@@ -49,8 +49,7 @@ def _volume_case(precision, n, nx, nxny):
 
 
 def _volume_kernels(precision, tier):
-    nk = compile_numpy(volume_kernel(precision).kernel, "volume_kernel",
-                       steady=True)
+    nk = compile_numpy(volume_kernel(precision).kernel, "volume_kernel")
     return nk, compile_loops(nk.program, tier=tier)
 
 
@@ -123,7 +122,7 @@ def _fd_mm_case(precision):
 
 def _fd_mm_kernels(precision, tier):
     nk = compile_numpy(fd_mm_boundary(precision, MB).kernel,
-                       "fd_mm_boundary", steady=True)
+                       "fd_mm_boundary")
     return nk, compile_loops(nk.program, tier=tier)
 
 

@@ -1,13 +1,11 @@
 """The repro.api session facade: parity with the low-level API, typed
-results, deprecation-shim behaviour."""
-
-import warnings
+results."""
 
 import numpy as np
 import pytest
 
 import repro
-from repro import _deprecation, api
+from repro import api
 from repro.acoustics.geometry import DomeRoom, Room
 from repro.acoustics.grid import Grid3D
 from repro.acoustics.sim import RoomSimulation, SimConfig
@@ -101,27 +99,3 @@ class TestRootExports:
         for mod in (repro, api):
             for name in mod.__all__:
                 assert getattr(mod, name) is not None
-
-
-class TestDeprecationShims:
-    def test_set_virtual_device_warns_exactly_once(self, room):
-        _deprecation.reset()
-        sim = RoomSimulation(SimConfig(room=room, backend="virtual_gpu"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sim.set_virtual_device("AMD7970")
-            sim.set_virtual_device("GTX780")
-        dep = [w for w in caught
-               if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "set_devices" in str(dep[0].message)
-        # the shim still works: the device actually changed
-        assert sim._gpu.device.name == "GTX780"
-
-    def test_shim_accepts_every_resolve_form(self, room):
-        _deprecation.reset()
-        sim = RoomSimulation(SimConfig(room=room, backend="virtual_gpu"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            sim.set_virtual_device("RadeonR9:2")
-        assert len(sim._gpu.devices) == 2
