@@ -12,7 +12,9 @@ validated against (and benchmarked against) the hand-written baseline:
 ``lift`` (= ``numpy-steady``), ``numba``
     LIFT programs (:mod:`.lift_programs`) lowered once to an
     ``ArenaProgram`` and run by the emitter named — i.e. *generated*
-    code: the NumPy workspace-arena source, or the compiled fused loop.
+    code: the NumPy workspace-arena source, or the scheme's programs
+    compiled into one step (:func:`repro.lift.codegen.loops.compile_step`)
+    that overwrites ``prev`` in place.
 ``lift_interp``
     LIFT programs run by the reference interpreter (tiny rooms only).
 ``virtual_gpu``
@@ -24,7 +26,8 @@ validated against (and benchmarked against) the hand-written baseline:
 
 The driver allocates state arrays with a one-z-plane guard of zeros at the
 end (see :mod:`.lift_programs` for why), rotates the three time levels
-without copying, and swaps the FD-MM branch velocity arrays each step just
+without copying — two on ``numba``, whose step writes the next level over
+the oldest — and swaps the FD-MM branch velocity arrays each step just
 like the paper's multi-GPU driver.
 """
 
@@ -38,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs as _obs
-from ..lift.codegen.loops import EMITTERS, realise
+from ..lift.codegen.loops import EMITTERS, compile_step
 from . import kernels_numpy as kn
 from . import kernels_scalar as ks
 from .geometry import Room
@@ -52,16 +55,16 @@ SCHEMES = ("fi", "fi_mm", "fd_mm")
 #: to ``numpy-steady``; that and ``numba`` are the two names of
 #: ``repro.lift.codegen.loops.EMITTERS`` — the NumPy workspace-arena
 #: emitter and the compiled fused-loop emitter (numba / C tiers) of one
-#: ArenaProgram, bit-identical.  Naming one is an explicit request
-#: (``realise``): with no compiled tier on the host, or a loop-opaque
-#: program, ``numba`` raises ``LoopsUnsupported`` from the constructor —
-#: only the ``virtual_gpu`` default (no emitter named) falls back per
-#: kernel.
+#: ArenaProgram, bit-identical.  Naming one is an explicit request: with
+#: no compiled tier on the host, or programs the step cannot run,
+#: ``numba`` raises ``LoopsUnsupported`` from the constructor — only the
+#: ``virtual_gpu`` default (no emitter named) falls back per kernel.
 BACKENDS = ("numpy", "scalar", "lift", "numpy-steady", "numba",
             "lift_interp", "virtual_gpu")
 
-#: checkpoint container-format version (see docs/resilience.md)
-CHECKPOINT_VERSION = 1
+#: checkpoint container-format version (see docs/resilience.md); v1
+#: archives also held ``nxt``, which loading ignores
+CHECKPOINT_VERSION = 2
 
 #: buffer-role rotations of the ``virtual_gpu`` host programs, by host
 #: parameter name: the leapfrog cycle every scheme has, then the FD-MM
@@ -91,9 +94,11 @@ class SimulationDiverged(Exception):
 class Checkpoint:
     """A restartable snapshot of a :class:`RoomSimulation`.
 
-    Holds copies of everything the time-stepper mutates: the three
-    rotating pressure levels, the FD-MM branch state (g1/v1/v2), the step
-    counter, accumulated receiver signals, and the modelled GPU time.
+    Holds copies of everything a resumed run reads: the two pressure
+    levels ``prev`` and ``curr``, the FD-MM branch state (g1/v1/v2), the
+    step counter, accumulated receiver signals, and the modelled GPU time.
+    A third level, where one exists, is scratch: every step overwrites
+    ``nxt[:N]`` before reading it and never writes its guard plane.
     ``scheme``/``precision``/``grid_shape`` stamp the config it belongs
     to; :meth:`RoomSimulation.restore` refuses a mismatched checkpoint.
     """
@@ -104,7 +109,6 @@ class Checkpoint:
     grid_shape: tuple[int, int, int]
     prev: np.ndarray
     curr: np.ndarray
-    nxt: np.ndarray
     g1: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
@@ -112,7 +116,7 @@ class Checkpoint:
     modelled_gpu_time_ms: float = 0.0
 
     def save(self, path) -> None:
-        """Write the checkpoint as a ``.npz`` archive (format v1).
+        """Write the checkpoint as a ``.npz`` archive (format v2).
 
         The write is **atomic**: the archive is serialised to
         ``<path>.tmp``, flushed and fsynced, then moved into place with
@@ -131,7 +135,7 @@ class Checkpoint:
         tmp = path + ".tmp"
         try:
             with open(tmp, "wb") as f:
-                np.savez(f, prev=self.prev, curr=self.curr, nxt=self.nxt,
+                np.savez(f, prev=self.prev, curr=self.curr,
                          g1=self.g1, v1=self.v1, v2=self.v2,
                          meta=np.frombuffer(json.dumps(meta).encode(),
                                             dtype=np.uint8))
@@ -146,17 +150,16 @@ class Checkpoint:
     def load(cls, path) -> "Checkpoint":
         with np.load(path) as z:
             meta = json.loads(bytes(z["meta"]).decode())
-            if meta.get("version") != CHECKPOINT_VERSION:
+            if meta.get("version") not in (1, CHECKPOINT_VERSION):
                 raise ValueError(
                     f"unsupported checkpoint version {meta.get('version')!r} "
-                    f"(this build reads v{CHECKPOINT_VERSION})")
+                    f"(this build reads v1 and v{CHECKPOINT_VERSION})")
             return cls(
                 time_step=int(meta["time_step"]), scheme=meta["scheme"],
                 precision=meta["precision"],
                 grid_shape=tuple(meta["grid_shape"]),
                 prev=z["prev"].copy(), curr=z["curr"].copy(),
-                nxt=z["nxt"].copy(), g1=z["g1"].copy(), v1=z["v1"].copy(),
-                v2=z["v2"].copy(),
+                g1=z["g1"].copy(), v1=z["v1"].copy(), v2=z["v2"].copy(),
                 receivers={k: (int(i), list(s))
                            for k, (i, s) in meta["receivers"].items()},
                 modelled_gpu_time_ms=float(meta["modelled_gpu_time_ms"]))
@@ -298,7 +301,10 @@ class RoomSimulation:
         total = self._N + self._guard
         self.prev = np.zeros(total, dtype=dtype)
         self.curr = np.zeros(total, dtype=dtype)
-        self.nxt = np.zeros(total, dtype=dtype)
+        if config.backend != "numba":
+            # the third time level; ``numba``'s compiled step writes the
+            # next level over ``prev`` instead
+            self.nxt = np.zeros(total, dtype=dtype)
         # one guarded array; the dtype is the topology's (int8), which
         # every emitter widens on load
         self._nbrs_guarded = np.zeros(total, dtype=self.topology.nbrs.dtype)
@@ -324,6 +330,8 @@ class RoomSimulation:
         #: the open resident plan of the single-device ``virtual_gpu``
         #: path (None on every other path, and before the first step)
         self._plan = None
+        #: the compiled two-level step of ``numba`` (None elsewhere)
+        self._step = None
         if config.backend in EMITTERS:
             self._compile_lift()
         elif config.backend == "lift_interp":
@@ -350,19 +358,23 @@ class RoomSimulation:
                              fd_mm_boundary(prec, self.table.num_branches))}
 
     def _compile_lift(self):
-        """Bind ``_k_<role>`` / ``_ws_<role>`` for each of
-        :meth:`_programs` (``fused``, or ``volume`` and ``boundary``)."""
+        """``numba``: compile :meth:`_programs` into one step
+        (``_step``).  ``numpy-steady``: bind ``_k_<role>`` /
+        ``_ws_<role>`` for each of them (``fused``, or ``volume`` and
+        ``boundary``)."""
         from ..lift.codegen.arena import Workspace
         from ..lift.codegen.numpy_backend import compile_numpy
-        for role, p in self._programs().items():
-            # the backend names its emitter, so ``numba`` never falls back
-            setattr(self, "_k_" + role,
-                    realise(compile_numpy(p.kernel, p.name),
-                            self.config.backend))
+        kernels = {role: compile_numpy(p.kernel, p.name)
+                   for role, p in self._programs().items()}
+        if self.config.backend == "numba":
+            self._step = compile_step([k.program for k in kernels.values()])
+            return
+        for role, k in kernels.items():
+            setattr(self, "_k_" + role, k)
             # one workspace per kernel: shapes/dtypes are fixed for the
             # life of the simulation, so slots warm up on the first step
             # and every later step is allocation-free
-            setattr(self, "_ws_" + role, Workspace(f"lift:{p.name}"))
+            setattr(self, "_ws_" + role, Workspace(f"lift:{k.name}"))
 
     def _setup_virtual_gpu(self):
         from ..lift.codegen.host import compile_host
@@ -500,7 +512,9 @@ class RoomSimulation:
             self._step_numpy()
         elif backend == "scalar":
             self._step_scalar()
-        elif backend in EMITTERS:
+        elif backend == "numba":
+            self._step.fn(**self._step_args())
+        elif backend == "numpy-steady":
             self._step_lift()
         elif backend == "virtual_gpu":
             self._step_virtual_gpu()
@@ -509,7 +523,11 @@ class RoomSimulation:
         # rotate time levels (the old prev buffer becomes the next target)
         plan = self._plan
         if plan is None:
-            self.prev, self.curr, self.nxt = self.curr, self.nxt, self.prev
+            if self._step is not None:      # the step overwrote prev
+                self.prev, self.curr = self.curr, self.prev
+            else:
+                self.prev, self.curr, self.nxt = (self.curr, self.nxt,
+                                                  self.prev)
             if self.config.scheme == "fd_mm":
                 self.v1, self.v2 = self.v2, self.v1
         else:
@@ -665,8 +683,7 @@ class RoomSimulation:
             time_step=self.time_step, scheme=self.config.scheme,
             precision=self.config.precision, grid_shape=self.grid.shape,
             prev=self.prev.copy(), curr=self.curr.copy(),
-            nxt=self.nxt.copy(), g1=self.g1.copy(), v1=self.v1.copy(),
-            v2=self.v2.copy(),
+            g1=self.g1.copy(), v1=self.v1.copy(), v2=self.v2.copy(),
             receivers={k: (i, list(s)) for k, (i, s) in
                        self.receivers.items()},
             modelled_gpu_time_ms=self.modelled_gpu_time_ms)
@@ -686,7 +703,6 @@ class RoomSimulation:
                 f"grid={tuple(self.grid.shape)}")
         self.prev[:] = cp.prev
         self.curr[:] = cp.curr
-        self.nxt[:] = cp.nxt
         self.g1[:] = cp.g1
         self.v1[:] = cp.v1
         self.v2[:] = cp.v2
@@ -804,8 +820,9 @@ class RoomSimulation:
                                      self.table.F, self.table.D,
                                      self.g1, self.v1, self.v2, lam)
 
-    def _kernel_args(self) -> dict:
-        """Positional arguments of each of :meth:`_programs`, by role."""
+    def _kernel_args(self, nxt) -> dict:
+        """Positional arguments of each of :meth:`_programs`, by role,
+        with ``nxt`` as the level the step writes."""
         g = self.grid
         t = self.topology
         tb = self.table
@@ -815,19 +832,30 @@ class RoomSimulation:
                               tb.beta[0], g.nx, g.nx * g.ny)}
         boundary = (t.boundary_indices, t.material, self.nbrs, tb.beta)
         if self.config.scheme == "fi_mm":
-            boundary += (self.nxt, self.prev, lam)
+            boundary += (nxt, self.prev, lam)
         else:
             boundary += (tb.BI.reshape(-1), tb.DI.reshape(-1),
                          tb.F.reshape(-1), tb.D.reshape(-1),
-                         self.nxt, self.prev, self.g1, self.v2, self.v1,
+                         nxt, self.prev, self.g1, self.v2, self.v1,
                          lam, t.num_boundary_points)
         return {"volume": (self.prev, self.curr, self._nbrs_guarded, lam,
                            g.nx, g.nx * g.ny),
                 "boundary": boundary}
 
+    def _step_args(self) -> dict:
+        """The compiled step's arguments by name: :meth:`_kernel_args`
+        with ``prev`` as the written level, one value per name — the
+        sweep's, so the boundary program reads the guarded ``nbrs``."""
+        args = self._size_env()
+        for prog, values in zip(self._step.programs,
+                                self._kernel_args(self.prev).values()):
+            for name, value in zip(prog.param_names, values):
+                args.setdefault(name, value)
+        return args
+
     def _step_lift(self):
         sizes = self._size_env()
-        for role, args in self._kernel_args().items():
+        for role, args in self._kernel_args(self.nxt).items():
             k = getattr(self, "_k_" + role)
             kw = {s: sizes[s] for s in k.size_params}
             if k.returns_out:
@@ -899,7 +927,7 @@ class RoomSimulation:
         plan.events.clear()
 
     def _step_lift_interp(self):
-        for role, args in self._kernel_args().items():
+        for role, args in self._kernel_args(self.nxt).items():
             res = self._interp.run(
                 self._p[role], *(float(a) if isinstance(a, np.floating)
                                  else a for a in args))

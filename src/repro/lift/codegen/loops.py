@@ -6,7 +6,9 @@ first is the NumPy-steady emitter, which simply ``exec``-compiles
 ``program.render()``).  It lowers the same straight-line three-address
 program to one fused per-element loop — every slot becomes a scalar
 local, every shift/take becomes an indexed load, every store an indexed
-write — and compiles that loop through the best available tier:
+write — and compiles that loop through the best available tier
+(:func:`compile_step` compiles a scheme's programs into one step the
+same way):
 
 * ``numba`` — ``njit(parallel=True, fastmath=False)`` over a Z-tiled
   ``prange`` (one Z-plane per block when the kernel carries an ``NxNy``
@@ -55,6 +57,23 @@ here because the lowering only gathers from written arrays at the
 element's own locations (boundary index sets are owner-partitioned and
 injective by construction) — pinned process-wide by the cross-backend
 bit-identity matrix in ``tests/acoustics/test_backend_matrix.py``.
+
+:func:`compile_step` fuses two programs — a sweep and the boundary
+program that follows it — into one step, and writes the sweep's output
+over the sweep's ``prev`` (two time levels instead of three).  Each
+program's body is lowered exactly as above; the step is one parallel
+loop over Z-plane blocks of ``NxNy`` points that, per block, saves the
+old ``prev`` at its boundary points (``_pb``; ``boundaryIndices``
+ascends, so a block owns a contiguous run of ordinals, ``_kb``), sweeps
+the block in place and updates its boundary points.  That is
+value-preserving because the sweep reads ``prev`` only at its own
+element and before storing it there, and the boundary program reads
+``prev`` only at its boundary point — served from ``_pb`` — and the
+sweep's output only at that point, already swept; no block writes an
+element another block reads.  :func:`_step_links` checks exactly that
+and refuses every other access of the overwritten array.  The step is
+the only loop here whose sweep carries no ``omp`` pragma: the block loop
+does.
 """
 
 from __future__ import annotations
@@ -74,9 +93,10 @@ from .arena import (AliasOp, ArenaProgram, CastOp, ConstOp, FullStoreOp,
                     GidOp, IndexStoreOp, PadOp, ScalarOp, ShiftOp, Slice3Op,
                     SliceStoreOp, TakeOp, UfuncOp, WhereOp, Workspace)
 
-__all__ = ["EMITTERS", "LoopKernel", "LoopsUnsupported", "available_tiers",
-           "compile_loops", "loops_cache_dir", "loops_disk_cache_stats",
-           "realise", "select_tier", "set_loops_cache_dir"]
+__all__ = ["EMITTERS", "LoopKernel", "LoopsUnsupported", "StepKernel",
+           "available_tiers", "compile_loops", "compile_step",
+           "loops_cache_dir", "loops_disk_cache_stats", "realise",
+           "select_tier", "set_loops_cache_dir"]
 
 #: the executable emitters of an :class:`ArenaProgram`, under the names the
 #: backend registry and ``VirtualGPU(kernel_backend=)`` select them by
@@ -371,12 +391,24 @@ class _Gen:
     body for the wraparound head ``[_lo, _hd)`` and for the main sweep
     ``[_hd, _n)`` — each line as a (python/numba, C) pair — plus the
     host-prologue plan.  The two bodies differ only in the affine loads
-    (:meth:`indexed_load`)."""
+    (:meth:`indexed_load`).
 
-    def __init__(self, program: ArenaProgram, dt: dict, scalar_dt: dict):
+    A program lowered into a step (:func:`compile_step`) shares one
+    function with another: ``names`` renames array parameters (the
+    sweep's ``out`` is the ``prev`` it overwrites), ``prefix`` keeps its
+    scalar arguments and slot locals apart, and ``saved`` lowers a
+    gather ``(array, index slot)`` to a token instead (``_pb[_i]``, the
+    value saved before the sweep overwrote it)."""
+
+    def __init__(self, program: ArenaProgram, dt: dict, scalar_dt: dict,
+                 names: dict | None = None, prefix: str = "",
+                 saved: dict | None = None):
         self.prog = program
         self.dt = dt                  # name -> np.dtype (slots + arrays)
         self.scalar_dt = scalar_dt    # scalar-arg expr -> np.dtype
+        self.names = names or {}      # array parameter -> source token
+        self.prefix = prefix
+        self.saved = saved or {}      # (array, index slot) -> token
         self.local: dict[str, str] = {}      # slot -> loop token (py == C)
         self.const_arrays: list[str] = []    # host-materialised array args
         self.pad_arrays: list[str] = []
@@ -391,6 +423,10 @@ class _Gen:
 
     # -- operand resolution ------------------------------------------
 
+    def arr(self, name: str) -> str:
+        """The source token of array parameter ``name``."""
+        return self.names.get(name, name)
+
     def _use_array(self, name: str) -> None:
         if name not in self.used_arrays:
             self.used_arrays.append(name)
@@ -398,7 +434,7 @@ class _Gen:
     def _need_size(self, name: str) -> str:
         if name not in self.sizes:
             self.sizes.append(name)
-        return f"_sz_{name}"
+        return f"_sz_{self.arr(name)}"
 
     def _need_stride(self, name: str, dim: int) -> str:
         """A flattening stride of a 3-D array argument (dim 0: plane,
@@ -410,7 +446,7 @@ class _Gen:
     def scal(self, expr: str) -> tuple[str, np.dtype]:
         tok = self.scal_args.get(expr)
         if tok is None:
-            tok = f"_s{len(self.scal_args)}"
+            tok = f"_{self.prefix}s{len(self.scal_args)}"
             self.scal_args[expr] = tok
         return tok, self.scalar_dt[expr]
 
@@ -447,8 +483,8 @@ class _Gen:
 
     def assign(self, name: str, py_rhs: str, c_rhs: str, into=None) -> None:
         c = _code(self.dt[name])
-        self.local[name] = name
-        self.line(f"{name} = {py_rhs}", f"{_CTYPE[c]} {name} = {c_rhs};",
+        tok = self.local[name] = self.prefix + name
+        self.line(f"{tok} = {py_rhs}", f"{_CTYPE[c]} {tok} = {c_rhs};",
                   into)
 
     def wrapped_index(self, base: str, py_idx: str, c_idx: str,
@@ -469,9 +505,10 @@ class _Gen:
         self._use_array(base)
         wrapping = (self.head,) if affine else None
         self.wrapped_index(base, py_idx, c_idx, wrapping)
-        self.assign(name, f"{base}[_j]", f"{base}[_j]", wrapping)
+        a = self.arr(base)
+        self.assign(name, f"{a}[_j]", f"{a}[_j]", wrapping)
         if affine:
-            self.assign(name, f"{base}[{py_idx}]", f"{base}[{c_idx}]",
+            self.assign(name, f"{a}[{py_idx}]", f"{a}[{c_idx}]",
                         (self.main,))
 
 
@@ -555,6 +592,10 @@ def _lower_ops(gen: _Gen, scalar_values: dict) -> None:
             if idx not in gen.local:
                 raise LoopsUnsupported(f"take index {op.index!r} is not "
                                        "a vector slot")
+            saved = gen.saved.get((op.base, idx))
+            if saved is not None:
+                gen.assign(op.name, saved, saved)
+                continue
             tok = gen.local[idx]
             gen.indexed_load(op.name, op.base, tok, f"(long long)({tok})")
             continue
@@ -580,8 +621,8 @@ def _lower_ops(gen: _Gen, scalar_values: dict) -> None:
             gen._use_array(op.target)
             start, _dt = gen.scal(op.start)
             vp, vc = gen.cast(op.value, gen.dt[op.target])
-            gen.line(f"{op.target}[{start} + _i] = {vp}",
-                     f"{op.target}[{start} + _i] = {vc};")
+            a = gen.arr(op.target)
+            gen.line(f"{a}[{start} + _i] = {vp}", f"{a}[{start} + _i] = {vc};")
             continue
         if isinstance(op, IndexStoreOp):
             idx = _strip(op.index)
@@ -592,7 +633,8 @@ def _lower_ops(gen: _Gen, scalar_values: dict) -> None:
             tok = gen.local[idx]
             vp, vc = gen.cast(op.value, gen.dt[op.target])
             gen.wrapped_index(op.target, tok, f"(long long)({tok})")
-            gen.line(f"{op.target}[_j] = {vp}", f"{op.target}[_j] = {vc};")
+            a = gen.arr(op.target)
+            gen.line(f"{a}[_j] = {vp}", f"{a}[_j] = {vc};")
             continue
         raise LoopsUnsupported(f"op {type(op).__name__} has no loop "
                                f"lowering: {op.render()}")
@@ -747,10 +789,14 @@ class _Spec:
     eyx_code: object = None       # grid3: ey * ex
 
 
-def _build_spec(prog: ArenaProgram, bound: dict, tier: str) -> _Spec:
+def _lower(prog: ArenaProgram, bound: dict, tier: str,
+           **gen_kw) -> tuple[_Gen, _Spec]:
+    """Type ``prog`` for the arguments ``bound`` and lower it: the loop
+    bodies are on the returned generator, the host plan of a launch in
+    the spec, whose ``source`` and ``fn`` the caller renders and builds."""
     dt, values = _slot_dtypes(prog, bound)
     scalar_dt = {e: np.asarray(v).dtype for e, v in values.items()}
-    gen = _Gen(prog, dt, scalar_dt)
+    gen = _Gen(prog, dt, scalar_dt, **gen_kw)
     _lower_ops(gen, values)
 
     # step-invariant values the host materialises before the loop, in
@@ -780,52 +826,11 @@ def _build_spec(prog: ArenaProgram, bound: dict, tier: str) -> _Spec:
         n_expr = gid.n
         ex_expr = eyx_expr = None
 
-    arrays = gen.used_arrays
-    scal_order = list(gen.scal_args)
-    extent_args = ["_ex", "_eyx"] if gen.grid3 else []
-    args = (arrays + [f"_sz_{a}" for a in gen.sizes]
-            + [f"_st{d}_{a}" for a, d in gen.strides]
-            + [gen.scal_args[e] for e in scal_order]
-            + extent_args + ["_lo", "_hd", "_n", "_tile"])
-
-    source = _render_python(prog.name, args, gen)
-    if tier == "cc":
-        source = _render_c(prog.name, arrays, gen, scal_order, dt)
-        lib = _cc_build(_cc_path(), source, prog.name)
-        fn = getattr(lib, f"repro_loop_{prog.name}")
-        argtypes = ([ctypes.c_void_p] * len(arrays)
-                    + [ctypes.c_longlong] * len(gen.sizes)
-                    + [ctypes.c_longlong] * len(gen.strides))
-        for e in scal_order:
-            argtypes.append(ctypes.c_longlong
-                            if scalar_dt[e].kind in "iub"
-                            else ctypes.c_double)
-        argtypes += [ctypes.c_longlong] * (len(extent_args) + 3)
-        fn.argtypes = argtypes
-        fn.restype = None
-    else:
-        ns: dict = {"np": np}
-        if tier == "numba":
-            cdir = loops_cache_dir()
-            if cdir is not None:
-                # point numba's own disk cache alongside ours so worker
-                # processes share whatever it can persist
-                os.environ.setdefault("NUMBA_CACHE_DIR",
-                                      os.path.join(cdir, "numba"))
-            from numba import njit, prange
-            ns["prange"] = prange
-        else:
-            ns["prange"] = range
-        exec(compile(source, f"<loops:{prog.name}>", "exec"), ns)
-        fn = ns[f"_loop_{prog.name}"]
-        if tier == "numba":
-            fn = njit(parallel=True, fastmath=False)(fn)
-
     def cc(expr):
         return compile(expr, "<loop host>", "eval")
 
-    return _Spec(
-        source=source, fn=fn, tier=tier, arg_arrays=arrays,
+    return gen, _Spec(
+        source="", fn=None, tier=tier, arg_arrays=list(gen.used_arrays),
         const_items=[(op.name, cc(op.expr), True)
                      if isinstance(op, ConstOp)
                      else (op.name, cc(op.src), False) for op in host_ops],
@@ -833,7 +838,7 @@ def _build_spec(prog: ArenaProgram, bound: dict, tier: str) -> _Spec:
                     cc(op.fill)) for op in pad_ops],
         size_arrays=list(gen.sizes),
         scal_items=[(cc(e), "i" if scalar_dt[e].kind in "iub" else "f")
-                    for e in scal_order],
+                    for e in gen.scal_args],
         scalarop_items=[(op.name, cc(op.expr)) for op in prog.ops
                         if isinstance(op, ScalarOp)],
         shift_checks=[(cc(op.offset), cc(op.n), op.base) for op in prog.ops
@@ -844,6 +849,65 @@ def _build_spec(prog: ArenaProgram, bound: dict, tier: str) -> _Spec:
         stride_items=list(gen.strides),
         ex_code=cc(ex_expr) if ex_expr is not None else None,
         eyx_code=cc(eyx_expr) if eyx_expr is not None else None)
+
+
+def _scalar_ctype(kind: str):
+    """The ctypes type a scalar argument of kind ``'i'`` / ``'f'`` is
+    passed as (``long long`` / ``double`` in the generated C)."""
+    return ctypes.c_longlong if kind == "i" else ctypes.c_double
+
+
+def _load_c(source: str, stem: str, symbol: str, argtypes: list):
+    fn = getattr(_cc_build(_cc_path(), source, stem), symbol)
+    fn.argtypes = argtypes
+    fn.restype = None
+    return fn
+
+
+def _load_python(source: str, tier: str, label: str, symbol: str):
+    """Execute a python rendering; on the numba tier, jit it with
+    ``prange`` as numba's, elsewhere ``prange`` is ``range``."""
+    ns: dict = {"np": np}
+    if tier == "numba":
+        cdir = loops_cache_dir()
+        if cdir is not None:
+            # point numba's own disk cache alongside ours so worker
+            # processes share whatever it can persist
+            os.environ.setdefault("NUMBA_CACHE_DIR",
+                                  os.path.join(cdir, "numba"))
+        from numba import njit, prange
+        ns["prange"] = prange
+    else:
+        ns["prange"] = range
+    exec(compile(source, f"<loops:{label}>", "exec"), ns)
+    fn = ns[symbol]
+    if tier == "numba":
+        fn = njit(parallel=True, fastmath=False)(fn)
+    return fn
+
+
+def _build_spec(prog: ArenaProgram, bound: dict, tier: str) -> _Spec:
+    gen, spec = _lower(prog, bound, tier)
+    arrays = gen.used_arrays
+    extent_args = ["_ex", "_eyx"] if gen.grid3 else []
+    if tier == "cc":
+        spec.source = _render_c(prog.name, arrays, gen, list(gen.scal_args),
+                                gen.dt)
+        spec.fn = _load_c(
+            spec.source, prog.name, f"repro_loop_{prog.name}",
+            [ctypes.c_void_p] * len(arrays)
+            + [ctypes.c_longlong] * (len(gen.sizes) + len(gen.strides))
+            + [_scalar_ctype(kind) for _c, kind in spec.scal_items]
+            + [ctypes.c_longlong] * (len(extent_args) + 3))
+    else:
+        args = (arrays + [f"_sz_{a}" for a in gen.sizes]
+                + [f"_st{d}_{a}" for a, d in gen.strides]
+                + list(gen.scal_args.values())
+                + extent_args + ["_lo", "_hd", "_n", "_tile"])
+        spec.source = _render_python(prog.name, args, gen)
+        spec.fn = _load_python(spec.source, tier, prog.name,
+                               f"_loop_{prog.name}")
+    return spec
 
 
 def _loop_body(lines: list, col: int, indent: str) -> list:
@@ -930,14 +994,135 @@ class LoopKernel:
     returns_out: bool = False
 
 
+def _call_names(prog: ArenaProgram) -> list[str]:
+    """A program's call signature: parameters, sizes, then ``out``."""
+    return (list(prog.param_names) + list(prog.size_params)
+            + (["out"] if prog.returns_out else []))
+
+
+def _dtype_key(prog: ArenaProgram, bound: dict) -> tuple:
+    """What a specialisation depends on: every argument's dtype, and for
+    a scalar whether it is a weak Python one."""
+    key = []
+    for n in _call_names(prog):
+        v = bound[n]
+        if n in prog.array_params or n in prog.array3_params or n == "out":
+            key.append(np.asarray(v).dtype.str)
+        else:
+            key.append((np.asarray(v).dtype.str,
+                        type(v) in (int, float, bool)))
+    return tuple(key)
+
+
+@dataclass
+class _Args:
+    """One launch's arguments, evaluated and checked by :func:`_prologue`."""
+
+    arrays: dict                  # array argument -> ndarray (rank 3 flat)
+    sizes: dict                   # array -> length, for the wrap tests
+    strides: list
+    scalars: list                 # values, in ``_Spec.scal_items`` order
+    extents: list
+    env: dict                     # scalar arguments and ScalarOp values
+    n: int
+    lo: int
+    hd: int
+    hi: int
+
+
+def _prologue(prog: ArenaProgram, spec: _Spec, bound: dict,
+              ws: Workspace | None, rng=None) -> _Args:
+    """Everything a launch does on the host before the loop stores
+    anything: scalars, the ``const`` / ``pad`` slots, and the range
+    check of every shift (``IndexError``), which also yields the head
+    bound ``_hd``."""
+    env = _host_env(prog, bound)
+    glb = {"np": np}
+    for name, code in spec.scalarop_items:
+        env[name] = eval(code, glb, env)  # noqa: S307
+    n = int(eval(spec.n_code, glb, env))  # noqa: S307
+    _key = tuple(env[s] for s in prog.scalar_params)
+    host = dict(env)
+    if spec.gid_const is not None:
+        cname, ncode = spec.gid_const
+        nv = int(eval(ncode, glb, env))  # noqa: S307
+        host["_gid"] = ws.const(cname, _key,
+                                lambda: np.arange(nv))
+    arrays = {a: bound[a] for a in _call_names(prog)
+              if a in prog.array_params or a in prog.array3_params
+              or a == "out"}
+    for name, code, is_slot in spec.const_items:
+        if is_slot:
+            snap = dict(host)
+            host[name] = ws.const(
+                name, _key, lambda: eval(code, glb, snap))  # noqa: S307
+            arrays[name] = np.asarray(host[name])
+        else:
+            host[name] = eval(code, glb, host)  # noqa: S307
+    for name, base, before, after, fill in spec.pad_items:
+        arrays[name] = ws.pad(name, arrays[base],
+                              eval(before, glb, host),   # noqa: S307
+                              eval(after, glb, host),    # noqa: S307
+                              eval(fill, glb, host))     # noqa: S307
+    strides = []
+    extents = []
+    if spec.domain == "grid3":
+        for a, d in spec.stride_items:
+            shp = np.asarray(arrays[a]).shape
+            strides.append(int(np.prod(shp[d + 1:])))
+        for a in list(arrays):
+            arr = np.asarray(arrays[a])
+            if arr.ndim > 1:
+                if not arr.flags["C_CONTIGUOUS"]:
+                    raise LoopsUnsupported(
+                        f"rank-3 argument {a!r} is not contiguous")
+                arrays[a] = arr.reshape(-1)
+        extents = [int(eval(spec.ex_code, glb, env)),    # noqa: S307
+                   int(eval(spec.eyx_code, glb, env))]   # noqa: S307
+    sizes = {a: int(arrays[a].shape[0]) for a in spec.size_arrays}
+    head = 0       # a shifted index can be negative only below this
+    for off_code, n_code, base in spec.shift_checks:
+        off = int(eval(off_code, glb, env))  # noqa: S307
+        ln = int(eval(n_code, glb, env))  # noqa: S307
+        size = int(arrays[base].shape[0])
+        if off + ln > size or size + off < 0:
+            raise IndexError(
+                f"shifted gather out of range: offset {off}, "
+                f"length {ln}, array size {size}")
+        head = max(head, -off)
+    lo, hi = 0, n
+    if rng is not None:
+        lo = max(0, int(rng[0]))
+        hi = min(n, int(rng[1]))
+    hd = min(hi, max(lo, head))
+    scalars = [eval(code, glb, env)  # noqa: S307
+               for code, _k in spec.scal_items]
+    return _Args(arrays, sizes, strides, scalars, extents, env, n, lo, hd,
+                 hi)
+
+
+def _pointers(names: list[str], arrays: dict) -> list[int]:
+    """Data pointers for the C tier, which indexes every array flat."""
+    ptrs = []
+    for a in names:
+        arr = arrays[a]
+        if not arr.flags["C_CONTIGUOUS"]:
+            raise LoopsUnsupported(f"array argument {a!r} is not contiguous")
+        ptrs.append(arr.ctypes.data)
+    return ptrs
+
+
+def _c_scalars(spec: _Spec, values: list) -> list:
+    return [int(v) if kind == "i" else float(v)
+            for v, (_c, kind) in zip(values, spec.scal_items)]
+
+
 class _Dispatch:
     def __init__(self, kernel: LoopKernel):
         self.kernel = kernel
         self.specs: dict = {}
         self.own_ws: Workspace | None = None
-        prog = kernel.program
-        self.names = (list(prog.param_names) + list(prog.size_params)
-                      + (["out"] if prog.returns_out else []))
+        self.names = _call_names(kernel.program)
 
     def _bind(self, args, kwargs) -> tuple[dict, Workspace]:
         bound = dict(zip(self.names, args))
@@ -953,23 +1138,10 @@ class _Dispatch:
                             f"{missing}")
         return bound, ws
 
-    def _key(self, bound: dict) -> tuple:
-        prog = self.kernel.program
-        key = []
-        for n in self.names:
-            v = bound[n]
-            if (n in prog.array_params or n in prog.array3_params
-                    or n == "out"):
-                key.append(np.asarray(v).dtype.str)
-            else:
-                key.append((np.asarray(v).dtype.str,
-                            type(v) in (int, float, bool)))
-        return tuple(key)
-
     def __call__(self, *args, **kwargs):
         rng = kwargs.pop("_range", None)
         bound, ws = self._bind(args, kwargs)
-        key = self._key(bound)
+        key = _dtype_key(self.kernel.program, bound)
         spec = self.specs.get(key)
         if spec is None:
             spec = self.specs[key] = _build_spec(self.kernel.program, bound,
@@ -979,98 +1151,24 @@ class _Dispatch:
 
     def _run(self, spec: _Spec, bound: dict, ws: Workspace, rng=None):
         prog = self.kernel.program
-        env = _host_env(prog, bound)
-        glb = {"np": np}
-        for name, code in spec.scalarop_items:
-            env[name] = eval(code, glb, env)  # noqa: S307
-        n = int(eval(spec.n_code, glb, env))  # noqa: S307
-        _key = tuple(env[s] for s in prog.scalar_params)
-        host = dict(env)
-        if spec.gid_const is not None:
-            cname, ncode = spec.gid_const
-            nv = int(eval(ncode, glb, env))  # noqa: S307
-            host["_gid"] = ws.const(cname, _key,
-                                    lambda: np.arange(nv))
-        arrays = {a: bound[a] for a in self.names
-                  if a in prog.array_params or a in prog.array3_params
-                  or a == "out"}
-        for name, code, is_slot in spec.const_items:
-            if is_slot:
-                snap = dict(host)
-                host[name] = ws.const(
-                    name, _key, lambda: eval(code, glb, snap))  # noqa: S307
-                arrays[name] = np.asarray(host[name])
-            else:
-                host[name] = eval(code, glb, host)  # noqa: S307
-        for name, base, before, after, fill in spec.pad_items:
-            arrays[name] = ws.pad(name, arrays[base],
-                                  eval(before, glb, host),   # noqa: S307
-                                  eval(after, glb, host),    # noqa: S307
-                                  eval(fill, glb, host))     # noqa: S307
-        strides = []
-        extents = []
-        if spec.domain == "grid3":
-            for a, d in spec.stride_items:
-                shp = np.asarray(arrays[a]).shape
-                strides.append(int(np.prod(shp[d + 1:])))
-            for a in list(arrays):
-                arr = np.asarray(arrays[a])
-                if arr.ndim > 1:
-                    if not arr.flags["C_CONTIGUOUS"]:
-                        raise LoopsUnsupported(
-                            f"rank-3 argument {a!r} is not contiguous")
-                    arrays[a] = arr.reshape(-1)
-            extents = [int(eval(spec.ex_code, glb, env)),    # noqa: S307
-                       int(eval(spec.eyx_code, glb, env))]   # noqa: S307
-        sizes = {a: int(arrays[a].shape[0]) for a in spec.size_arrays}
-        head = 0       # a shifted index can be negative only below this
-        for off_code, n_code, base in spec.shift_checks:
-            off = int(eval(off_code, glb, env))  # noqa: S307
-            ln = int(eval(n_code, glb, env))  # noqa: S307
-            size = int(arrays[base].shape[0])
-            if off + ln > size or size + off < 0:
-                raise IndexError(
-                    f"shifted gather out of range: offset {off}, "
-                    f"length {ln}, array size {size}")
-            head = max(head, -off)
-        lo, hi = 0, n
-        if rng is not None:
-            lo = max(0, int(rng[0]))
-            hi = min(n, int(rng[1]))
-        hd = min(hi, max(lo, head))
-        scal_vals = [eval(code, glb, env)  # noqa: S307
-                     for code, _k in spec.scal_items]
-        if hi <= lo:
+        a = _prologue(prog, spec, bound, ws, rng)
+        if a.hi <= a.lo:
             pass
         elif spec.tier == "cc":
-            argv = []
-            for a in spec.arg_arrays:
-                arr = arrays[a]
-                if not arr.flags["C_CONTIGUOUS"]:
-                    raise LoopsUnsupported(
-                        f"array argument {a!r} is not contiguous")
-                argv.append(arr.ctypes.data)
-            argv += [sizes[a] for a in spec.size_arrays]
-            argv += strides
-            for v, (_c, kind) in zip(scal_vals, spec.scal_items):
-                argv.append(int(v) if kind == "i" else float(v))
-            argv += extents
-            argv += [lo, hd, hi]
-            spec.fn(*argv)
+            spec.fn(*_pointers(spec.arg_arrays, a.arrays),
+                    *(a.sizes[x] for x in spec.size_arrays), *a.strides,
+                    *_c_scalars(spec, a.scalars), *a.extents,
+                    a.lo, a.hd, a.hi)
         else:
             if spec.domain == "grid3":
-                tile = extents[1]          # one output z-plane per task
+                tile = a.extents[1]        # one output z-plane per task
             else:
-                tile = int(env.get("NxNy") or 0)
-                if tile <= 0 or tile > n:
-                    tile = max(1, -(-n // (8 * (os.cpu_count() or 1))))
-            argv = [arrays[a] for a in spec.arg_arrays]
-            argv += [sizes[a] for a in spec.size_arrays]
-            argv += strides
-            argv += scal_vals
-            argv += extents
-            argv += [lo, hd, hi, tile]
-            spec.fn(*argv)
+                tile = int(a.env.get("NxNy") or 0)
+                if tile <= 0 or tile > a.n:
+                    tile = max(1, -(-a.n // (8 * (os.cpu_count() or 1))))
+            spec.fn(*(a.arrays[x] for x in spec.arg_arrays),
+                    *(a.sizes[x] for x in spec.size_arrays), *a.strides,
+                    *a.scalars, *a.extents, a.lo, a.hd, a.hi, tile)
         if prog.returns_out:
             return bound["out"]
         tail = prog.return_line[len("return "):].strip()
@@ -1125,3 +1223,334 @@ def realise(kernel, emitter: str | None = None):
         if emitter is not None:
             raise
         return kernel
+
+
+# --- one compiled step over two time levels ----------------------------------
+
+#: the time level a step overwrites: the parameter every LIFT sweep
+#: program names the state at t - 1 (Listing 5's ``prev2``), which its
+#: ``out`` — the state at t + 1 — replaces in a two-level leapfrog
+_IN_PLACE = "prev"
+
+
+def _step_links(programs: list) -> tuple[str, str, str] | None:
+    """Check that ``programs`` — a sweep, then at most one boundary
+    program — can run as one in-place step, and name the boundary
+    program's links to it: ``(target, index array, index slot)``, the
+    array it scatters through its boundary index (the sweep's output),
+    the array that index is read from, and the slot holding it (``None``
+    without a boundary program).
+
+    In place is legal when the sweep reads ``prev`` only at its own
+    point and before storing there, and the boundary program reads
+    ``prev`` and the sweep's output only at its boundary point and
+    stores nothing the sweep reads; anything else raises
+    :class:`LoopsUnsupported`."""
+    if not 1 <= len(programs) <= 2:
+        raise LoopsUnsupported(f"a step is a sweep and at most one boundary "
+                               f"program, not {len(programs)} programs")
+    arrays = {a for p in programs for a in p.array_params}
+    for p in programs:
+        reasons = p.loop_opaque_reasons()
+        if p.loop_domain() != "gid":
+            reasons.append("a rank-3 program")
+        reasons += [f"a step keeps no workspace slots: {op.render()}"
+                    for op in p.ops if isinstance(op, (ConstOp, PadOp))]
+        reasons += [f"{a!r} is an array in another program of the step"
+                    for a in p.param_names
+                    if a in arrays and a not in p.array_params]
+        if reasons:
+            raise LoopsUnsupported(f"{p.name}: {'; '.join(reasons)}")
+    sweep = programs[0]
+    if not (sweep.returns_out and sweep.written == {"out"}
+            and _IN_PLACE in sweep.array_params
+            and "NxNy" in sweep.param_names):
+        raise LoopsUnsupported(
+            f"{sweep.name} is not a sweep over Z-planes of NxNy points "
+            f"that stores only its output and reads {_IN_PLACE!r}")
+    stored = False
+    for op in sweep.ops:
+        if isinstance(op, (SliceStoreOp, IndexStoreOp)):
+            legal = isinstance(op, SliceStoreOp) and op.start == "0"
+            stored = True
+        else:
+            legal = getattr(op, "base", None) != _IN_PLACE or (
+                isinstance(op, ShiftOp) and op.offset == "0" and not stored)
+        if not legal:
+            raise LoopsUnsupported(f"{sweep.name} cannot overwrite "
+                                   f"{_IN_PLACE!r} in place: {op.render()}")
+    if len(programs) == 1:
+        return None
+    bnd = programs[1]
+    stores = [op for op in bnd.ops if isinstance(op, IndexStoreOp)]
+    shifts = {op.name: op for op in bnd.ops if isinstance(op, ShiftOp)}
+    index = shifts.get(_strip(stores[0].index)) if len(stores) == 1 else None
+    if (index is None or index.offset != "0" or bnd.returns_out
+            or index.n != bnd.gid_ops()[0].n):
+        raise LoopsUnsupported(
+            f"{bnd.name} is not a boundary program: it must scatter the "
+            f"sweep's output through one index read at its own ordinal")
+    target, slot = stores[0].target, index.name
+    clash = (bnd.written | {target}) & set(sweep.param_names)
+    if clash:
+        raise LoopsUnsupported(f"{bnd.name} stores {sorted(clash)}, which "
+                               f"the sweep of another Z-plane may read")
+    for op in bnd.ops:
+        base = getattr(op, "base", None)
+        if base in (_IN_PLACE, target) and not (
+                isinstance(op, TakeOp) and _strip(op.index) == slot):
+            raise LoopsUnsupported(f"{bnd.name} reads {base!r} other than "
+                                   f"at its boundary point: {op.render()}")
+    return target, index.base, slot
+
+
+@dataclass
+class StepKernel:
+    """A scheme's programs compiled into one step (:func:`compile_step`).
+
+    ``fn(**args)`` takes one value per name of :attr:`param_names` — the
+    programs' parameters and sizes, as one host buffer feeds both
+    kernels of Listing 5 — and advances the state in place: the sweep's
+    output overwrites ``prev``, and the boundary program's updates of
+    that output (its ``next``) land there too.  The first call per
+    argument-dtype set types, generates and compiles the step.
+    """
+
+    name: str
+    programs: list
+    tier: str
+    param_names: list
+    #: the boundary program's (output, index array, index slot) —
+    #: :func:`_step_links`; None for a sweep alone
+    links: tuple | None = None
+    cc_rung: str | None = None    # cc tier: the _CC_LADDER rung built with
+    fn: object = None
+    source: str = ""              # the step source of the latest build
+
+    def bind(self, args: dict) -> list[dict]:
+        """Each program's arguments, bound as its own launch would be:
+        the sweep's ``out`` and the boundary's output are ``prev``."""
+        missing = [n for n in self.param_names if n not in args]
+        if missing:
+            raise TypeError(f"{self.name}() missing arguments: {missing}")
+        shared = {**args, "out": args[_IN_PLACE]}
+        if self.links is not None:
+            shared[self.links[0]] = args[_IN_PLACE]
+        return [{n: shared[n] for n in _call_names(p)}
+                for p in self.programs]
+
+
+@dataclass
+class _StepSpec:
+    """One compiled specialisation of a step."""
+
+    source: str
+    fn: object
+    parts: list                   # one _Spec (host plan) per program
+    arrays: dict                  # source token -> (program index, array)
+    sizes: dict                   # _sz_ token -> (program index, array)
+
+
+def _step_blocks(index: np.ndarray, n: int, blk: int, dtype) -> tuple:
+    """The boundary ordinals of each block — ``_kb[b]`` to ``_kb[b + 1]``
+    for the points in ``[b * blk, (b + 1) * blk)`` — and the scratch their
+    old values are saved to.  Needs ``index`` strictly ascending inside
+    the sweep, which ``build_topology`` guarantees (``np.flatnonzero``)."""
+    if index.size and (np.any(index[1:] <= index[:-1]) or index[0] < 0
+                       or index[-1] >= n):
+        raise LoopsUnsupported(
+            "boundary indices must ascend strictly inside the sweep for "
+            "each Z-plane to own its boundary points")
+    starts = np.minimum(np.arange(-(-n // blk) + 1, dtype=np.int64) * blk, n)
+    return (np.searchsorted(index, starts).astype(np.int64),
+            np.empty(index.size, dtype))
+
+
+def _render_step(name: str, gens: list, links, params: list,
+                 col: int) -> str:
+    """The step in the python (``col`` 0) or C (1) rendering: one
+    parallel loop over Z-plane blocks, each saving its boundary points'
+    old values, sweeping its plane — the wraparound head clamped to the
+    block — and updating its boundary points."""
+    py = col == 0
+    lines = []
+
+    def loop(lo, hi, body):
+        if py:
+            lines.append(f"        for _i in range({lo}, {hi}):")
+        else:
+            lines.append(f"        for (long long _i = {lo}; _i < {hi}; "
+                         f"++_i) {{")
+        lines.extend(_loop_body(body, col, " " * 12))
+        if not py:
+            lines.append("        }")
+
+    if links:
+        a, i = gens[0].arr(_IN_PLACE), gens[1].arr(links[1])
+        loop("_k0", "_k1", [(f"_pb[_i] = {a}[{i}[_i]]",
+                             f"_pb[_i] = {a}[{i}[_i]];")])
+    for k, gen in enumerate(gens):
+        lo, hi = ("_b0", "_b1") if k == 0 else ("_k0", "_k1")
+        hd = f"_hd{k}"
+        if py:
+            loop(lo, f"min({hd}, {hi})", gen.head)
+            loop(f"max({hd}, {lo})", hi, gen.main)
+        else:
+            loop(lo, f"({hd} < {hi} ? {hd} : {hi})", gen.head)
+            loop(f"({hd} > {lo} ? {hd} : {lo})", hi, gen.main)
+    if py:
+        return "\n".join([
+            f"def _step_{name}({', '.join(params)}):",
+            "    for _b in prange((_n + _blk - 1) // _blk):",
+            "        _b0 = _b * _blk",
+            "        _b1 = min(_b0 + _blk, _n)",
+            *(["        _k0 = _kb[_b]", "        _k1 = _kb[_b + 1]"]
+              if links else []),
+            *lines]) + "\n"
+    invariants = [decl for gen in gens for decl in gen.c_invariants]
+    return "\n".join([
+        "#include <math.h>",
+        f"void repro_step_{name}({', '.join(params)})",
+        "{",
+        *(f"    {decl}" for decl in invariants),
+        "    #pragma omp parallel for schedule(static)",
+        "    for (long long _b = 0; _b < (_n + _blk - 1) / _blk; ++_b) {",
+        "        const long long _b0 = _b * _blk;",
+        "        const long long _b1 = _b0 + _blk < _n ? _b0 + _blk : _n;",
+        *(["        const long long _k0 = _kb[_b], _k1 = _kb[_b + 1];"]
+          if links else []),
+        *lines,
+        "    }",
+        "}"]) + "\n"
+
+
+def _build_step(kernel: StepKernel, bounds: list) -> _StepSpec:
+    links = kernel.links
+    gens, parts = [], []
+    for k, (prog, bound) in enumerate(zip(kernel.programs, bounds)):
+        names, saved = {"out": _IN_PLACE}, {}
+        if k:
+            names = {links[0]: _IN_PLACE}
+            saved = {(_IN_PLACE, links[2]): "_pb[_i]"}
+        gen, spec = _lower(prog, bound, kernel.tier, names=names,
+                           prefix=f"p{k}_", saved=saved)
+        gens.append(gen)
+        parts.append(spec)
+    # one source parameter per array token: ``out``, the boundary's
+    # output and ``prev`` are one array
+    arrays, sizes = {}, {}
+    for k, gen in enumerate(gens):
+        for a in gen.used_arrays:
+            arrays.setdefault(gen.arr(a), (k, a))
+        for a in gen.sizes:
+            sizes.setdefault(f"_sz_{gen.arr(a)}", (k, a))
+    heads = [f"_hd{k}" for k in range(len(gens))]
+    scalars = [(tok, kind) for gen, part in zip(gens, parts)
+               for tok, (_c, kind) in zip(gen.scal_args.values(),
+                                          part.scal_items)]
+    ptrs = [(tok, _CTYPE[_code(gens[k].dt[a])])
+            for tok, (k, a) in arrays.items()]
+    if links:
+        ptrs += [("_pb", _CTYPE[_code(gens[0].dt[_IN_PLACE])]),
+                 ("_kb", "long long")]
+    if kernel.tier == "cc":
+        params = ([f"{ct}* {tok}" for tok, ct in ptrs]
+                  + [f"long long {s}" for s in sizes]
+                  + [f"{'long long' if kind == 'i' else 'double'} {tok}"
+                     for tok, kind in scalars]
+                  + [f"long long {h}" for h in (*heads, "_n", "_blk")])
+        source = _render_step(kernel.name, gens, links, params, 1)
+        fn = _load_c(source, f"step_{kernel.name}",
+                     f"repro_step_{kernel.name}",
+                     [ctypes.c_void_p] * len(ptrs)
+                     + [ctypes.c_longlong] * len(sizes)
+                     + [_scalar_ctype(kind) for _t, kind in scalars]
+                     + [ctypes.c_longlong] * (len(heads) + 2))
+    else:
+        params = ([tok for tok, _ct in ptrs] + list(sizes)
+                  + [tok for tok, _k in scalars] + [*heads, "_n", "_blk"])
+        source = _render_step(kernel.name, gens, links, params, 0)
+        fn = _load_python(source, kernel.tier, kernel.name,
+                          f"_step_{kernel.name}")
+    return _StepSpec(source, fn, parts, arrays, sizes)
+
+
+class _StepDispatch:
+    def __init__(self, kernel: StepKernel):
+        self.kernel = kernel
+        self.specs: dict = {}
+        #: per index array, checked once: (array, (K, n, blk, dtype), _kb, _pb)
+        self.blocks: tuple = (None, None)
+
+    def __call__(self, **args) -> None:
+        kernel = self.kernel
+        bounds = kernel.bind(args)
+        key = tuple(map(_dtype_key, kernel.programs, bounds))
+        spec = self.specs.get(key)
+        if spec is None:
+            spec = self.specs[key] = _build_step(kernel, bounds)
+            kernel.source = spec.source
+        # every program's prologue — shift range checks included — runs
+        # before the step stores anything
+        launches = [_prologue(p, s, b, None) for p, s, b in
+                    zip(kernel.programs, spec.parts, bounds)]
+        sweep = launches[0]
+        blk = int(sweep.env["NxNy"])
+        if blk <= 0:
+            raise ValueError(f"{kernel.name}: NxNy must be positive, "
+                             f"got {blk}")
+        arrays = {tok: launches[k].arrays[a]
+                  for tok, (k, a) in spec.arrays.items()}
+        order = list(spec.arrays)
+        if kernel.links:
+            bnd = launches[1]
+            index = bnd.arrays[kernel.links[1]]
+            ident = (bnd.n, sweep.n, blk, arrays[_IN_PLACE].dtype)
+            if self.blocks[0] is not index or self.blocks[1] != ident:
+                self.blocks = (index, ident,
+                               *_step_blocks(np.asarray(index[:bnd.n]),
+                                             sweep.n, blk, ident[3]))
+            arrays["_kb"], arrays["_pb"] = self.blocks[2:]
+            order += ["_pb", "_kb"]
+        sizes = [launches[k].sizes[a] for k, a in spec.sizes.values()]
+        tail = [launch.hd for launch in launches] + [sweep.n, blk]
+        if kernel.tier == "cc":
+            spec.fn(*_pointers(order, arrays), *sizes,
+                    *(v for part, launch in zip(spec.parts, launches)
+                      for v in _c_scalars(part, launch.scalars)), *tail)
+        else:
+            spec.fn(*(arrays[t] for t in order), *sizes,
+                    *(v for launch in launches for v in launch.scalars),
+                    *tail)
+
+
+def compile_step(programs: list) -> StepKernel:
+    """Compile a scheme's programs into one step over two time levels.
+
+    ``programs`` is a sweep (``volume_kernel``, ``fi_fused_flat``) and
+    optionally the boundary program that follows it.  Each program is
+    lowered exactly as :func:`compile_loops` lowers it; the step runs
+    them in one parallel loop over Z-plane blocks of ``NxNy`` points
+    (the sweep's own size argument), and per block saves the old values
+    of its boundary points, sweeps it in place — writing ``out`` into
+    ``prev`` under one name — and updates its boundary points, whose
+    gather of ``prev`` reads the saved values.  Blocks share no written
+    element, so they need no order among them.  Raises
+    :class:`LoopsUnsupported` when the programs are not legal in place
+    (:func:`_step_links`) or no compiled tier exists; the tier is the
+    one :func:`select_tier` picks.
+    """
+    links = _step_links(programs)
+    tier = select_tier()
+    names = []
+    for prog in programs:
+        for n in _call_names(prog):
+            if n not in names and n != "out" and (
+                    links is None or n != links[0]):
+                names.append(n)
+    kernel = StepKernel(
+        name="_".join(p.name for p in programs), programs=list(programs),
+        tier=tier, param_names=names, links=links,
+        cc_rung=_cc_rung() if tier == "cc" else None)
+    kernel.fn = _StepDispatch(kernel)
+    return kernel

@@ -9,6 +9,10 @@ from repro.acoustics.grid import Grid3D
 from repro.acoustics.materials import (default_fd_materials,
                                        default_fi_materials)
 from repro.acoustics.sim import Checkpoint, SimulationDiverged
+from repro.lift.codegen.loops import available_tiers
+
+needs_compiled_tier = pytest.mark.skipif(
+    available_tiers() == ("python",), reason="no compiled loop tier")
 
 
 def make_sim(scheme="fi_mm", backend="numpy", **cfg):
@@ -45,6 +49,28 @@ class TestCheckpointRestart:
         np.testing.assert_array_equal(resumed.receiver_signal("mic"),
                                       ref.receiver_signal("mic"))
 
+    @needs_compiled_tier
+    @pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
+    def test_resume_numba_backend(self, scheme):
+        """Two time levels: the checkpoint holds all the state there is."""
+        steps, cut = 12, 7
+        ref = make_sim(scheme, backend="numba")
+        ref.run(steps)
+        first = make_sim(scheme, backend="numba")
+        first.run(cut)
+        resumed = make_sim(scheme, backend="numba")
+        resumed.restore(first.checkpoint())
+        resumed.run(steps - cut)
+        for name in ("curr", "prev", "g1", "v1", "v2"):
+            np.testing.assert_array_equal(getattr(resumed, name),
+                                          getattr(ref, name))
+        np.testing.assert_array_equal(resumed.receiver_signal("mic"),
+                                      ref.receiver_signal("mic"))
+        # and it is the three-level run's state, to the last bit
+        steady = make_sim(scheme, backend="numpy-steady")
+        steady.run(steps)
+        np.testing.assert_array_equal(resumed.curr, steady.curr)
+
     @pytest.mark.parametrize("scheme", ["fi_mm", "fd_mm"])
     def test_resume_virtual_gpu_backend(self, scheme):
         steps, cut = 8, 5
@@ -80,6 +106,38 @@ class TestCheckpointRestart:
         resumed.run(5)
         np.testing.assert_array_equal(resumed.curr, ref.curr)
         np.testing.assert_array_equal(resumed.g1, ref.g1)
+        np.testing.assert_array_equal(resumed.receiver_signal("mic"),
+                                      ref.receiver_signal("mic"))
+
+    @needs_compiled_tier
+    def test_v1_archive_roundtrip(self, tmp_path):
+        """v2 archives carry no ``nxt``; a v1 archive, which does, still
+        loads — its ``nxt`` ignored — and resumes bit-identically on the
+        two-level ``numba`` path."""
+        import json
+        path = tmp_path / "cp.npz"
+        sim = make_sim("fd_mm", backend="numba")
+        sim.run(6)
+        sim.save_checkpoint(path)
+        with np.load(path) as z:
+            data = {k: z[k] for k in z.files}
+        assert "nxt" not in data
+        meta = json.loads(bytes(data["meta"]).decode())
+        assert meta["version"] == 2
+        meta["version"] = 1
+        data["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        data["nxt"] = np.full_like(data["prev"], np.nan)
+        np.savez(tmp_path / "v1.npz", **data)
+
+        ref = make_sim("fd_mm", backend="numba")
+        ref.run(11)
+        resumed = make_sim("fd_mm", backend="numba")
+        resumed.load_checkpoint(tmp_path / "v1.npz")
+        assert resumed.time_step == 6
+        resumed.run(5)
+        for name in ("curr", "prev", "g1", "v1", "v2"):
+            np.testing.assert_array_equal(getattr(resumed, name),
+                                          getattr(ref, name))
         np.testing.assert_array_equal(resumed.receiver_signal("mic"),
                                       ref.receiver_signal("mic"))
 

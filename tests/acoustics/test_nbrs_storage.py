@@ -116,23 +116,21 @@ def _ledger_formula(sim) -> int:
 
 
 def _step_min_bytes(sim) -> int:
-    """Σ ``program.min_bytes(bound)`` over the kernels one step calls,
-    with the arguments the simulation really binds."""
+    """Σ ``program.min_bytes(bound)`` over the programs one compiled step
+    runs, with the arguments the simulation really binds."""
     total = []
-    kernels = [k for k in (getattr(sim, a, None) for a in
-                           ("_k_fused", "_k_volume", "_k_boundary")) if k]
-    dispatches = [k.fn for k in kernels]
-    for kernel, dispatch in zip(kernels, dispatches):
-        def recording(*args, _d=dispatch, _k=kernel, **kwargs):
-            bound, _ws = _d._bind(args, dict(kwargs))
-            total.append(_k.program.min_bytes(bound))
-            return _d(*args, **kwargs)
-        kernel.fn = recording
+    step, dispatch = sim._step, sim._step.fn
+
+    def recording(**args):
+        total.extend(p.min_bytes(b)
+                     for p, b in zip(step.programs, step.bind(args)))
+        return dispatch(**args)
+
+    step.fn = recording
     try:
         sim.step()
     finally:
-        for kernel, dispatch in zip(kernels, dispatches):
-            kernel.fn = dispatch
+        step.fn = dispatch
     return sum(total)
 
 

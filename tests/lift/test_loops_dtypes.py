@@ -30,7 +30,7 @@ from repro.gpu import runtime
 from repro.lift.codegen import loops
 from repro.lift.codegen.arena import ArenaProgram, Workspace
 from repro.lift.codegen.host import compile_host
-from repro.lift.codegen.loops import (LoopKernel, LoopsUnsupported,
+from repro.lift.codegen.loops import (LoopsUnsupported, StepKernel,
                                       compile_loops)
 from repro.lift.codegen.numpy_backend import NumpyKernel, compile_numpy
 
@@ -197,7 +197,7 @@ def test_first_call_may_be_ranged(precision):
 
 
 def test_compiled_simulation_keeps_no_arena():
-    """Step 0 of a ``backend="numba"`` run is the compiled loop: neither
+    """Step 0 of a ``backend="numba"`` run is the compiled step: neither
     the arena nor the first step's transient allocations reach the size
     of one field (the reference run this replaces kept ~28 of them)."""
     dims = (50, 33, 25)                       # the paper's room / 6
@@ -216,10 +216,12 @@ def test_compiled_simulation_keeps_no_arena():
     finally:
         tracemalloc.stop()
     sim.run(2)
-    assert isinstance(sim._k_volume, LoopKernel) and sim._k_volume.source
+    assert isinstance(sim._step, StepKernel) and sim._step.source
+    assert [p.name for p in sim._step.programs] == ["volume_kernel",
+                                                    "fd_mm_boundary"]
     grown = runtime.kernel_cache_stats()["arena"]["nbytes"] - before
     assert grown < field, (grown, field)
-    if sim._k_volume.tier != "numba":         # the jit allocates in-process
+    if sim._step.tier != "numba":             # the jit allocates in-process
         assert peak < field, (peak, field)
     ref = RoomSimulation(SimConfig(room=Room(Grid3D(*dims), BoxRoom()),
                                    scheme="fd_mm", backend="numpy-steady"))

@@ -1,0 +1,247 @@
+"""One compiled step over two time levels.
+
+``backend="numba"`` steps through ``loops.compile_step``: the scheme's
+sweep and boundary programs in one parallel loop over Z-plane blocks,
+each saving its boundary points' old ``prev`` values, sweeping the plane
+in place (``out`` is ``prev``) and updating its boundary points from
+the saved values.  These tests pin that step against the three-level
+``numpy-steady`` simulation, bit for bit, and pin what makes it legal:
+every other access of the overwritten array is refused.
+"""
+
+import dataclasses
+import re
+import subprocess
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.acoustics import RoomSimulation, SimConfig
+from repro.acoustics.geometry import BoxRoom, DomeRoom, Room
+from repro.acoustics.grid import Grid3D
+from repro.acoustics.lift_programs import fi_mm_boundary, volume_kernel
+from repro.acoustics.materials import (default_fd_materials,
+                                       default_fi_materials)
+from repro.lift.arith import Var
+from repro.lift.ast import BinOp, FunCall, Lambda, Param, lit
+from repro.lift.codegen import loops
+from repro.lift.codegen.arena import (ShiftOp, SliceStoreOp, TakeOp,
+                                      Workspace)
+from repro.lift.codegen.loops import (LoopsUnsupported, available_tiers,
+                                      compile_step)
+from repro.lift.codegen.numpy_backend import compile_numpy
+from repro.lift.patterns import ArrayAccess, Iota, Map
+from repro.lift.types import ArrayType, Double, Int
+
+TIERS = [pytest.param(t, marks=pytest.mark.skipif(
+    t not in available_tiers(), reason=f"no {t} tier on this host"))
+    for t in ("python", "cc", "numba")]
+STEPS = 50
+
+
+def _sim(scheme, precision, shape, backend, dims=(12, 10, 9)):
+    mats = (default_fd_materials(3) if scheme == "fd_mm"
+            else default_fi_materials(3))
+    sim = RoomSimulation(SimConfig(
+        room=Room(Grid3D(*dims), shape()), scheme=scheme, backend=backend,
+        precision=precision, materials=mats))
+    sim.add_impulse("center")
+    sim.add_receiver("mic", (3, 3, 3))
+    sim.add_receiver("centre", "center")
+    sim.run(STEPS // 2)
+    sim.add_impulse((4, 5, 4), amplitude=-0.5)
+    sim.run(STEPS - STEPS // 2)
+    return sim
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("shape", [BoxRoom, DomeRoom])
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
+def test_step_bit_equals_numpy_steady(scheme, precision, shape, tier,
+                                      monkeypatch):
+    monkeypatch.setenv("REPRO_LOOP_TIER", tier)
+    ref = _sim(scheme, precision, shape, "numpy-steady")
+    sim = _sim(scheme, precision, shape, "numba")
+    assert sim._step.tier == tier
+    n = ref._N
+    for name in ("curr", "prev"):
+        assert np.array_equal(getattr(sim, name)[:n],
+                              getattr(ref, name)[:n]), name
+        assert not getattr(sim, name)[n:].any(), f"{name}: guard plane"
+    for name in ("g1", "v1", "v2"):
+        assert np.array_equal(getattr(sim, name), getattr(ref, name)), name
+    for name in ("mic", "centre"):
+        assert np.array_equal(sim.receiver_signal(name),
+                              ref.receiver_signal(name)), name
+    assert np.any(sim.receiver_signal("mic") != 0)
+
+
+def _wide_sweep():
+    """A sweep reaching two Z-planes back: its wraparound head is two
+    ``NxNy`` blocks wide (the acoustics sweeps reach one plane, so their
+    head is exactly the first block, whatever the room)."""
+    NP = Var("NP")
+    prev = Param("prev", ArrayType(Double, NP))
+    curr = Param("curr", ArrayType(Double, NP))
+    NxNy = Param("NxNy", Int)
+    i = Param("i", Int)
+
+    def at(arr, idx):
+        return FunCall(ArrayAccess(), arr, idx)
+
+    back = BinOp("-", i, BinOp("*", lit(2, Int), NxNy))
+    body = BinOp("-", BinOp("+", at(curr, i), at(curr, back)), at(prev, i))
+    kernel = Lambda([prev, curr, NxNy],
+                    FunCall(Map(Lambda([i], body)), FunCall(Iota(Var("N")))))
+    return compile_numpy(kernel, "wide_sweep")
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_a_head_wider_than_one_block(tier, monkeypatch):
+    monkeypatch.setenv("REPRO_LOOP_TIER", tier)
+    nk = _wide_sweep()
+    nxny, planes = 12, 5
+    n, npad = nxny * planes, nxny * (planes + 1)
+    assert nk.program.halo_footprint(dict(NxNy=nxny, N=n))[0] == 2 * nxny
+    rng = np.random.default_rng(5)
+    prev, curr = rng.standard_normal(npad), rng.standard_normal(npad)
+    ref = np.zeros(npad)
+    nk.fn(prev, curr, nxny, N=n, NP=npad, out=ref, _ws=Workspace("ref"))
+    step = compile_step([nk.program])
+    step.fn(prev=prev, curr=curr, NxNy=nxny, N=n, NP=npad)
+    assert np.array_equal(prev[:n], ref[:n])
+
+
+@pytest.mark.parametrize("scheme", ["fi", "fd_mm"])
+def test_two_time_levels(scheme):
+    """No third level on ``numba``, and a step allocates less than one
+    field (the boundary points' saved values, once)."""
+    sim = RoomSimulation(SimConfig(room=Room(Grid3D(50, 33, 25), BoxRoom()),
+                                   scheme=scheme, backend="numba"))
+    assert not hasattr(sim, "nxt")
+    assert hasattr(RoomSimulation(SimConfig(
+        room=Room(Grid3D(8, 8, 8), BoxRoom()), scheme=scheme,
+        backend="numpy-steady")), "nxt")
+    sim.add_impulse("center")
+    field = sim.curr.nbytes
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for _ in range(3):
+            sim.step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    if sim._step.tier != "numba":             # the jit allocates in-process
+        assert peak < field, (peak, field)
+    assert not hasattr(sim, "nxt")
+
+
+# -- what the step refuses ---------------------------------------------------
+
+
+def _programs(precision="double"):
+    return [compile_numpy(p.kernel, p.name).program for p in
+            (volume_kernel(precision), fi_mm_boundary(precision))]
+
+
+def _edit(program, match, **changes):
+    """``program`` with the first op ``match`` accepts changed."""
+    ops = list(program.ops)
+    k = next(k for k, op in enumerate(ops) if match(op))
+    ops[k] = dataclasses.replace(ops[k], **changes)
+    return dataclasses.replace(program, ops=ops)
+
+
+def test_a_boundary_gathering_prev_by_another_index_is_refused():
+    volume, boundary = _programs()
+    # fi_mm_boundary gathers ``prev[t_0]``, t_0 = boundaryIndices[_gid];
+    # t_1 is the material index
+    def prev_take(op):
+        return isinstance(op, TakeOp) and op.base == "prev"
+    compile_step([volume, boundary])
+    with pytest.raises(LoopsUnsupported, match="reads 'prev' other than"):
+        compile_step([volume, _edit(boundary, prev_take, index="t_1")])
+    with pytest.raises(LoopsUnsupported, match="reads 'next' other than"):
+        compile_step([volume, _edit(
+            boundary, lambda op: isinstance(op, TakeOp)
+            and op.base == "next", index="t_1")])
+
+
+def test_a_sweep_touching_prev_off_its_point_is_refused():
+    volume, boundary = _programs()
+    shifted = _edit(volume, lambda op: isinstance(op, ShiftOp)
+                    and op.base == "prev", offset="(0 + (1))")
+    with pytest.raises(LoopsUnsupported, match="cannot overwrite 'prev'"):
+        compile_step([shifted, boundary])
+    offset = _edit(volume, lambda op: isinstance(op, SliceStoreOp),
+                   start="1")
+    with pytest.raises(LoopsUnsupported, match="cannot overwrite 'prev'"):
+        compile_step([offset, boundary])
+
+
+def test_boundary_points_must_ascend():
+    sim = RoomSimulation(SimConfig(room=Room(Grid3D(10, 9, 8), DomeRoom()),
+                                   scheme="fi_mm", backend="numba"))
+    sim.topology = dataclasses.replace(
+        sim.topology, boundary_indices=sim.topology.boundary_indices[::-1])
+    with pytest.raises(LoopsUnsupported, match="ascend"):
+        sim.step()
+
+
+# -- the C the step is --------------------------------------------------------
+
+
+def test_step_source_does_not_depend_on_the_room(monkeypatch):
+    """So an artifact cache primed on a small room serves the full one."""
+    if "cc" not in available_tiers():
+        pytest.skip("no working C compiler")
+    monkeypatch.setenv("REPRO_LOOP_TIER", "cc")
+    sources = set()
+    for dims in ((12, 10, 9), (20, 14, 12)):
+        sim = RoomSimulation(SimConfig(room=Room(Grid3D(*dims), BoxRoom()),
+                                       scheme="fd_mm", backend="numba"))
+        sim.step()
+        sources.add(sim._step.source)
+    assert len(sources) == 1
+
+
+def _is_gcc(cc) -> bool:
+    banner = subprocess.run([cc, "--version"], capture_output=True,
+                            text=True).stdout
+    return "Free Software Foundation" in banner
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
+def test_one_pragma_and_a_vectorised_sweep(scheme, precision, tmp_path,
+                                           monkeypatch):
+    cc = loops._cc_path()
+    if cc is None or not _is_gcc(cc):
+        pytest.skip("the vectorisation report read here is gcc's")
+    monkeypatch.setenv("REPRO_LOOP_TIER", "cc")
+    sim = RoomSimulation(SimConfig(room=Room(Grid3D(12, 10, 9), DomeRoom()),
+                                   scheme=scheme, precision=precision,
+                                   backend="numba"))
+    sim.step()
+    step = sim._step
+    assert step.cc_rung.startswith("vector")
+    assert step.source.count("#pragma omp") == 1
+    lines = step.source.splitlines()
+    first = next(i for i, ln in enumerate(lines, 1)
+                 if ln.startswith("        for (long long _i = (_hd0 > "))
+    last = next(i for i, ln in enumerate(lines[first:], first + 1)
+                if ln == "        }")
+    src = tmp_path / "step.c"
+    src.write_text(step.source)
+    report = subprocess.run(
+        [cc, *loops._CC_FLAGS, *loops._CC_LADDER[step.cc_rung],
+         "-fopt-info-vec-optimized", str(src), "-o", str(tmp_path / "s.so"),
+         "-lm"], capture_output=True, text=True)
+    assert report.returncode == 0, report.stderr
+    vectorised = [int(m.group(1)) for m in re.finditer(
+        r"\.c:(\d+):\d+: optimized: loop vectorized", report.stderr)]
+    assert any(first <= ln <= last for ln in vectorised), report.stderr
