@@ -29,6 +29,7 @@ import random
 import time
 
 from ..serve import SimulationService, SubmitRequest
+from ..serve.job import verify_against_serial
 
 #: (scheme, precision, priority, grid dims) cycled over the job count;
 #: entries 5 and 9 duplicate entries 2 and 0 (→ result-cache hits), and
@@ -258,31 +259,18 @@ def loadgen_benchmark(*, rate: float = 40.0, jobs: int = 120,
 def _verify_loadgen(client, workload, accepted: dict,
                     finals: dict) -> dict:
     """Bit-compare each unique DONE fingerprint to a serial session run."""
-    import numpy as np
-    from ..api import Session
     by_fp = {accepted[jid]: jid for jid, st in finals.items()
              if st["state"] == "DONE"}
-    session = Session()
+    unique = {r.fingerprint(): r for r in workload
+              if r.fingerprint() in by_fp}
     mismatches = []
-    checked = 0
-    seen = set()
-    for req in workload:
-        fp = req.fingerprint()
-        if fp in seen or fp not in by_fp:
-            continue
-        seen.add(fp)
-        checked += 1
+    for fp, req in unique.items():
         arrays = client.result_arrays(by_fp[fp])
-        serial = session.simulate(
-            req.room, req.steps, scheme=req.scheme,
-            precision=req.precision,
-            receivers=dict(req.receiver_items()) or None)
-        if not np.array_equal(arrays["field"], serial.field):
+        if verify_against_serial(req, arrays["field"],
+                                 {k[5:]: v for k, v in arrays.items()
+                                  if k.startswith("recv:")}):
             mismatches.append(fp[:12])
-        elif any(not np.array_equal(arrays[f"recv:{k}"], np.asarray(v))
-                 for k, v in serial.receivers.items()):
-            mismatches.append(fp[:12])
-    return {"checked": checked, "bit_identical": not mismatches,
+    return {"checked": len(unique), "bit_identical": not mismatches,
             "mismatches": mismatches}
 
 

@@ -12,8 +12,8 @@ real OS worker processes so wallclock throughput scales with cores:
 * :mod:`.ratelimit` — per-tenant :class:`TokenBucket` rate limiting plus
   concurrent-job and queue-share quotas (:class:`AdmissionController`);
 * :mod:`.pool` — the :class:`WorkerPool` of multiprocessing worker
-  processes executing jobs through the same ``RoomSimulation`` +
-  retry-escalation path the in-process scheduler uses;
+  processes executing jobs through :func:`repro.serve.job.run_job`,
+  the same path the in-process scheduler uses;
 * :mod:`.gateway` — the :class:`Gateway` itself: routes
   ``POST/GET/DELETE /v1/jobs``, ``GET /v1/jobs/{id}/result`` (served
   from the content-addressed :class:`~repro.serve.ResultStore`),

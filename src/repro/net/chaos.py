@@ -37,9 +37,8 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
 from ..serve.chaos import build_workload
+from ..serve.job import verify_against_serial
 from .client import GatewayClient
 
 __all__ = ["run_gateway_chaos"]
@@ -207,7 +206,13 @@ def run_gateway_chaos(*, jobs: int = 8, workers: int = 2, steps: int = 12,
             (fp[:12], st["state"]) for fp, st in by_fp.items())
 
         if verify:
-            mismatches = verify_against_serial(client2, workload, job_of2)
+            mismatches = []
+            for fp, req in {r.fingerprint(): r for r in workload}.items():
+                arrays = client2.result_arrays(job_of2[fp])
+                mismatches += verify_against_serial(
+                    req, arrays["field"],
+                    {k[5:]: v for k, v in arrays.items()
+                     if k.startswith("recv:")})
             report["verified"] = len(workload) - len(mismatches)
             errors.extend(mismatches)
     finally:
@@ -219,31 +224,3 @@ def run_gateway_chaos(*, jobs: int = 8, workers: int = 2, steps: int = 12,
             proc2.wait(timeout=10)
     report["ok"] = not errors
     return report
-
-
-def verify_against_serial(client: GatewayClient, workload,
-                          job_of: dict) -> list[str]:
-    """Compare each unique job's npz arrays to a serial Session run."""
-    from ..api import Session
-    errors = []
-    session = Session()
-    seen: set[str] = set()
-    for req in workload:
-        fp = req.fingerprint()
-        if fp in seen:
-            continue
-        seen.add(fp)
-        arrays = client.result_arrays(job_of[fp])
-        serial = session.simulate(
-            req.room, req.steps, scheme=req.scheme,
-            precision=req.precision, impulse=req.impulse,
-            receivers=dict(req.receiver_items()) or None,
-            materials=req.materials, num_branches=req.num_branches)
-        if not np.array_equal(arrays["field"], serial.field):
-            errors.append(f"field mismatch vs serial for {fp[:12]}")
-        for name, sig in serial.receivers.items():
-            got = arrays.get(f"recv:{name}")
-            if got is None or not np.array_equal(got, np.asarray(sig)):
-                errors.append(
-                    f"receiver {name!r} mismatch vs serial for {fp[:12]}")
-    return errors

@@ -41,6 +41,7 @@ import signal
 import threading
 import time
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -329,12 +330,7 @@ class Gateway:
         now = self._sync_clock()
         # second-chance cache check: a twin may have finished while this
         # handle sat in the queue (mirrors the in-process scheduler)
-        cached = svc.result_cache.get(fp)
-        if cached is None and svc.store is not None:
-            stored = svc.store.get(fp)
-            if stored is not None:
-                svc.result_cache.put(fp, stored)
-                cached = stored
+        cached = svc._stored_result(fp)
         if cached is not None:
             svc._complete(handle, ResultCache.rebase(
                 cached, submit_ms=handle.submit_ms, now_ms=now))
@@ -383,15 +379,15 @@ class Gateway:
                                  "time_step": step, "total_steps": total,
                                  "worker": worker_id})
         elif kind == "done":
-            _, fp, payload, worker_id = msg
+            _, fp, result, worker_id = msg
             self._worker_task.pop(worker_id, None)
-            self._complete_fp(fp, payload)
+            self._complete_fp(fp, result)
         elif kind == "failed":
             _, fp, error, worker_id = msg
             self._worker_task.pop(worker_id, None)
             self._fail_fp(fp, error)
 
-    def _complete_fp(self, fp: str, payload: dict) -> None:
+    def _complete_fp(self, fp: str, result: JobResult) -> None:
         svc = self.svc
         handles = self._inflight.pop(fp, [])
         start = self._dispatch_ms.pop(fp, 0.0)
@@ -399,27 +395,14 @@ class Gateway:
             return                          # cancelled or already answered
         end = self._sync_clock()
         lead = handles[0]
-        result = JobResult(
-            field=payload["field"], time_step=payload["time_step"],
-            scheme=payload["scheme"], precision=payload["precision"],
-            devices=tuple(payload["devices"]),
-            kernel_time_ms=payload["kernel_time_ms"],
-            halo_time_ms=payload["halo_time_ms"],
-            receivers=payload["receivers"],
-            submit_ms=lead.submit_ms, start_ms=start, end_ms=end,
-            attempts=payload["attempts"])
-        svc.executions += 1
-        svc.executed_fingerprints.append(fp)
+        # the worker's result, stamped on the gateway's wall clock
+        result = replace(result, submit_ms=lead.submit_ms, start_ms=start,
+                         end_ms=end)
         self._executed.add(fp)
-        if svc.store is not None:
-            # durable-before-visible, same ordering as the scheduler
-            svc.store.put(fp, result)
-        svc.result_cache.put(fp, result)
-        svc._complete(lead, result)
+        svc._complete_executed(lead, fp, result)
         for extra in handles[1:]:
             svc._complete(extra, ResultCache.rebase(
                 result, submit_ms=extra.submit_ms, now_ms=end))
-        svc._drop_checkpoint(fp)
         for h in handles:
             self._finish_tenant(h)
             self._broadcast_one(h.job_id, self._event_payload(h))

@@ -3,15 +3,18 @@
 Workers are real OS processes (``multiprocessing`` with the ``spawn``
 start method — the gateway runs threads, so forking is off the table)
 pulling task dicts from a queue and posting message tuples back.  Each
-worker executes jobs through the same path the in-process scheduler
-uses — decode the journalled request, build a ``SimConfig``, run
-``RoomSimulation`` with retry escalation onto the resilient executor —
-so a job computes the same bits no matter which side of the process
-boundary runs it.  Wallclock throughput scales with cores because each
-worker owns a full interpreter (no GIL sharing) and its own per-process
-``CompileCache``; the on-disk loops artifact cache (set
-``loops_cache_dir``) keeps cc/numba compilations shared *across*
-processes.
+worker decodes the journalled request and hands it to
+:func:`repro.serve.job.run_job`, the same function the in-process
+scheduler calls, so a job computes the same bits (and the same
+``policy_log``) no matter which side of the process boundary runs it.
+Wallclock throughput scales with cores because each worker owns a full
+interpreter (no GIL sharing) and its own per-process ``CompileCache``;
+the on-disk loops artifact cache (set ``loops_cache_dir``) keeps
+cc/numba compilations shared *across* processes.
+
+Workers are daemonic, and a daemonic process may not spawn children, so
+a ``shards>1`` job runs the serial in-process ``MultiGPU`` here rather
+than the multi-process overlap executor.
 
 Transport protocol (all values picklable):
 
@@ -22,7 +25,9 @@ Transport protocol (all values picklable):
   ``checkpoint_every``; ``None`` is the shutdown sentinel.
 * worker → gateway: ``("started", fp, worker_id)``,
   ``("progress", fp, time_step, total_steps, worker_id)``,
-  ``("done", fp, payload_dict, worker_id)`` or
+  ``("done", fp, job_result, worker_id)`` — the
+  :class:`~repro.serve.job.JobResult` from ``run_job`` with its clock
+  stamps left for the gateway to set — or
   ``("failed", fp, error_str, worker_id)``.
 """
 
@@ -41,17 +46,14 @@ def _worker_main(worker_id: int, cfg: dict, task_q, result_q) -> None:
         os.environ.setdefault("REPRO_LOOPS_CACHE_DIR",
                               cfg["loops_cache_dir"])
     # imports happen inside the child: spawn re-imports repro fresh
-    from ..acoustics.sim import (Checkpoint, RoomSimulation, SimConfig,
-                                 SimulationDiverged)
+    from ..acoustics.sim import Checkpoint
     from ..gpu.device import resolve_device
-    from ..gpu.errors import ClError
     from ..serve.cache import CompileCache
+    from ..serve.job import run_job
     from ..serve.journal import decode_request
 
     devices = resolve_device(cfg.get("devices"))
     compile_cache = CompileCache()
-    job_attempts = int(cfg.get("job_attempts", 2))
-    resilient = bool(cfg.get("resilient", False))
 
     while True:
         task = task_q.get()
@@ -61,8 +63,7 @@ def _worker_main(worker_id: int, cfg: dict, task_q, result_q) -> None:
         try:
             req = decode_request(task["request"])
             result_q.put(("started", fp, worker_id))
-            shards = min(req.shards, len(devices))
-            lease = devices[:shards]
+            lease = devices[:min(req.shards, len(devices))]
             program = None
             if req.backend == "virtual_gpu":
                 program = compile_cache.program_for(req, lease[0])
@@ -73,58 +74,25 @@ def _worker_main(worker_id: int, cfg: dict, task_q, result_q) -> None:
                     resume = Checkpoint.load(task["resume_path"])
                 except Exception:
                     resume = None          # unreadable snapshot: run fresh
-            every = int(task.get("checkpoint_every", 0))
             cp_path = task.get("checkpoint_path")
 
-            def hook(cp, _fp=fp, _path=cp_path, _steps=req.steps):
-                if _path:
-                    cp.save(_path)         # atomic (tmp + rename)
-                result_q.put(("progress", _fp, cp.time_step, _steps,
+            def hook(cp):
+                if cp_path:
+                    cp.save(cp_path)       # atomic (tmp + rename)
+                result_q.put(("progress", fp, cp.time_step, req.steps,
                               worker_id))
 
-            error = ""
-            payload = None
-            for attempt in range(1, job_attempts + 1):
-                sim_cfg = SimConfig(
-                    room=req.room, scheme=req.scheme, backend=req.backend,
-                    precision=req.precision, materials=req.materials,
-                    num_branches=req.num_branches,
-                    resilient=resilient or attempt > 1,
-                    devices=lease, host_program=program,
-                    checkpoint_interval=every,
-                    on_checkpoint=hook if every > 0 else None)
-                try:
-                    sim = RoomSimulation(sim_cfg)
-                    if resume is not None:
-                        sim.restore(resume)
-                    else:
-                        if req.impulse is not None:
-                            sim.add_impulse(req.impulse)
-                        for name, pos in req.receiver_items():
-                            sim.add_receiver(name, pos)
-                    sim.run(req.steps - sim.time_step)
-                except (ClError, SimulationDiverged) as failed:
-                    error = f"attempt {attempt}: {failed}"
-                    continue
-                payload = {
-                    "field": sim.curr[:sim._N].copy(),
-                    "time_step": sim.time_step,
-                    "scheme": req.scheme,
-                    "precision": req.precision,
-                    "devices": tuple(
-                        d.name for d in (sim.devices or lease)),
-                    "kernel_time_ms": sim.modelled_gpu_time_ms,
-                    "halo_time_ms": sim.modelled_halo_time_ms,
-                    "receivers": {k: sim.receiver_signal(k)
-                                  for k in sim.receivers},
-                    "attempts": attempt,
-                }
-                break
-            if payload is not None:
-                result_q.put(("done", fp, payload, worker_id))
+            result, error = run_job(
+                req, lease, program=program,
+                resilient=bool(cfg.get("resilient", False)),
+                attempts=int(cfg.get("job_attempts", 2)),
+                checkpoint_every=int(task.get("checkpoint_every", 0)),
+                on_checkpoint=hook, resume=resume,
+                job_id=task.get("job_id"))
+            if result is not None:
+                result_q.put(("done", fp, result, worker_id))
             else:
-                result_q.put(("failed", fp,
-                              error or "exhausted retry budget", worker_id))
+                result_q.put(("failed", fp, error, worker_id))
         except Exception as exc:           # noqa: BLE001 - worker firewall
             result_q.put(("failed", fp,
                           f"{type(exc).__name__}: {exc}", worker_id))

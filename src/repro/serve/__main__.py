@@ -23,9 +23,7 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .job import SubmitRequest
+from .job import SubmitRequest, verify_against_serial
 from .scheduler import SimulationService
 
 #: the deterministic job mix the smoke cycles through
@@ -53,26 +51,6 @@ def build_jobs(n: int, steps: int) -> list[SubmitRequest]:
             room=room, steps=steps, scheme=scheme, precision=precision,
             priority=priority, receivers={"mic": "center"}))
     return jobs
-
-
-def verify_serial(svc: SimulationService, handles) -> list[str]:
-    """Re-run every DONE job serially and demand bit-identity."""
-    from ..api import Session
-    errors = []
-    for h in handles:
-        if h.state != "DONE":
-            continue
-        got = h._result
-        req = h.request
-        ref = Session(devices=svc.pool.devices[:1]).simulate(
-            req.room, req.steps, scheme=req.scheme, precision=req.precision,
-            receivers=dict(req.receiver_items()))
-        if not np.array_equal(got.field, ref.field):
-            errors.append(f"job {h.job_id}: field differs from serial run")
-        for name, sig in ref.receivers.items():
-            if not np.array_equal(got.receivers.get(name), sig):
-                errors.append(f"job {h.job_id}: receiver {name!r} differs")
-    return errors
 
 
 def main(argv=None) -> int:
@@ -118,7 +96,10 @@ def main(argv=None) -> int:
     errors = [f"non-terminal jobs: {nonterminal}"] if nonterminal else []
     errors += [f"failed jobs: {failed}"] if failed else []
     if args.verify:
-        errors += verify_serial(svc, handles)
+        for h in handles:
+            if h.state == "DONE":
+                errors += verify_against_serial(
+                    h.request, h._result.field, h._result.receivers)
 
     stats["verified"] = args.verify and not errors
     stats["errors"] = errors

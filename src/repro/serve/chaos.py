@@ -38,10 +38,8 @@ import json
 import sys
 import tempfile
 
-import numpy as np
-
 from ..gpu.faults import FaultPlan, FaultSpec
-from .job import SubmitRequest
+from .job import SubmitRequest, verify_against_serial
 from .journal import DurabilityError, WorkerCrash
 from .scheduler import SimulationService
 
@@ -183,7 +181,11 @@ def run_chaos(*, jobs: int = 8, kills: int = 5, steps: int = 12,
         errors.append(f"re-executed store-resident jobs: {sorted(overlap)}")
 
     if verify:
-        errors += verify_against_serial(svc, workload, by_fp)
+        for fp, req in {r.fingerprint(): r for r in workload}.items():
+            got = by_fp.get(fp)
+            if got is not None:           # never-DONE is reported above
+                errors += verify_against_serial(req, got.field,
+                                                got.receivers)
     artifacts: dict[str, str] = {}
     if trace_path is not None:
         from ..obs import write_stitched_trace
@@ -215,29 +217,6 @@ def run_chaos(*, jobs: int = 8, kills: int = 5, steps: int = 12,
     }
     svc.close()
     return report
-
-
-def verify_against_serial(svc: SimulationService, workload,
-                          by_fp: dict) -> list[str]:
-    """Demand bit-identity of every chaos survivor against an
-    uninterrupted serial :meth:`repro.api.Session.simulate`."""
-    from ..api import Session
-    errors = []
-    session = Session(devices=svc.pool.devices[:1])
-    for req in workload:
-        fp = req.fingerprint()
-        got = by_fp.get(fp)
-        if got is None:
-            continue                  # already reported as never-DONE
-        ref = session.simulate(
-            req.room, req.steps, scheme=req.scheme, precision=req.precision,
-            receivers=dict(req.receiver_items()))
-        if not np.array_equal(got.field, ref.field):
-            errors.append(f"job {fp[:12]}: field differs from serial run")
-        for name, sig in ref.receivers.items():
-            if not np.array_equal(got.receivers.get(name), sig):
-                errors.append(f"job {fp[:12]}: receiver {name!r} differs")
-    return errors
 
 
 def main(argv=None) -> int:

@@ -17,6 +17,13 @@ bit-reproducible run to run.  ``JobHandle.result()`` drives the
 scheduler until the job is terminal — the service is cooperative and
 single-threaded, like the sequential host programs it serves, so
 "async" means *deterministically interleaved*, not threaded.
+
+:func:`run_job` is the one code path that turns a request into a
+:class:`JobResult`; the in-process scheduler and the gateway's pool
+workers both call it, so a job computes the same bits on either side
+of the process boundary.  :func:`verify_against_serial` is the one
+oracle that checks such a result against an independent serial
+:meth:`repro.api.Session.simulate`.
 """
 
 from __future__ import annotations
@@ -27,8 +34,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .. import obs as _obs
 from ..acoustics.geometry import Room
-from ..acoustics.sim import SCHEMES
+from ..acoustics.sim import (SCHEMES, RoomSimulation, SimConfig,
+                             SimulationDiverged)
+from ..gpu.errors import ClError
+from .journal import WorkerCrash
 
 if TYPE_CHECKING:   # pragma: no cover - typing only
     from .scheduler import SimulationService
@@ -251,3 +262,110 @@ class JobHandle:
         return (f"JobHandle(#{self.job_id}, {self.request.scheme}/"
                 f"{self.request.precision}, prio={self.request.priority}, "
                 f"{self.state})")
+
+
+def run_job(request: SubmitRequest, lease, *, program=None, faults=None,
+            resilient: bool = False, retry=None, attempts: int = 1,
+            checkpoint_every: int = 0, on_checkpoint=None, resume=None,
+            on_failure=None, job_id: int | None = None,
+            trace_id: str | None = None) -> tuple[JobResult | None, str]:
+    """Run one request on the devices of ``lease``, retrying with
+    escalation; returns ``(result, "")`` or ``(None, error)``.
+
+    Attempt 1 runs with ``resilient`` as given; every later attempt
+    forces the resilient executor, so the fault layer's retry/degrade/
+    fallback ladder engages.  A typed failure (:class:`ClError`,
+    :class:`SimulationDiverged`) ends its attempt with the error
+    ``"attempt k: ..."``; after ``attempts`` of them the job has failed.
+    ``on_failure(attempt, exc)`` is called for each failed attempt and
+    for a :class:`~repro.serve.journal.WorkerCrash`, which then
+    propagates: the (modelled) process is dying.
+
+    ``program`` is a compiled host program for the ``virtual_gpu``
+    backend (``None`` compiles per simulation).  More than one leased
+    device runs Z-slab-decomposed with ``parallel=True``; the parallel
+    executor falls back to the serial in-process ``MultiGPU`` on its own
+    whenever it cannot run (``ParallelMultiGPU._parallel_eligible``).
+    ``resume`` is a mid-job :class:`~repro.acoustics.sim.Checkpoint`:
+    the simulation restores it and runs only the remaining steps, which
+    is bit-identical to an unbroken run.  ``on_checkpoint`` is called
+    every ``checkpoint_every`` steps.
+
+    Each attempt runs inside a ``serve.execute`` span carrying the job's
+    trace context (a no-op when no observability session is active).
+    The result's clock stamps (``submit_ms`` / ``start_ms`` /
+    ``end_ms``) are left at zero for the caller to set.
+    """
+    fp = request.fingerprint()
+    if trace_id is None:
+        trace_id = derive_trace_id(fp)
+    error = ""
+    for attempt in range(1, attempts + 1):
+        cfg = SimConfig(
+            room=request.room, scheme=request.scheme,
+            backend=request.backend, precision=request.precision,
+            materials=request.materials, num_branches=request.num_branches,
+            faults=faults, resilient=resilient or attempt > 1, retry=retry,
+            devices=tuple(lease), host_program=program,
+            parallel=len(lease) > 1,
+            checkpoint_interval=checkpoint_every, on_checkpoint=on_checkpoint)
+        try:
+            # every gpu.*/sim.* span opened underneath nests inside this
+            # one, so the whole attempt carries the job's trace context
+            with _obs.span("serve.execute", "serve", trace_id=trace_id,
+                           job_id=job_id, attempt=attempt,
+                           scheme=request.scheme, fingerprint=fp[:12]):
+                sim = RoomSimulation(cfg)
+                if resume is not None:
+                    sim.restore(resume)
+                else:
+                    if request.impulse is not None:
+                        sim.add_impulse(request.impulse)
+                    for name, pos in request.receiver_items():
+                        sim.add_receiver(name, pos)
+                sim.run(request.steps - sim.time_step)
+        except (ClError, SimulationDiverged) as failed:
+            error = f"attempt {attempt}: {failed}"
+            if on_failure is not None:
+                on_failure(attempt, failed)
+            continue
+        except WorkerCrash as death:
+            if on_failure is not None:
+                on_failure(attempt, death)
+            raise
+        return JobResult(
+            field=sim.curr[:sim._N].copy(), time_step=sim.time_step,
+            scheme=request.scheme, precision=request.precision,
+            devices=tuple(d.name for d in (sim.devices or lease)),
+            kernel_time_ms=sim.modelled_gpu_time_ms,
+            halo_time_ms=sim.modelled_halo_time_ms,
+            receivers={k: sim.receiver_signal(k) for k in sim.receivers},
+            policy_log=tuple(sim.policy_log), attempts=attempt), ""
+    return None, error or "exhausted retry budget"
+
+
+def verify_against_serial(request: SubmitRequest, field: np.ndarray,
+                          receivers: dict) -> list[str]:
+    """Mismatches of a job's ``field`` and ``receivers`` (name → signal)
+    against an uninterrupted serial :meth:`repro.api.Session.simulate`
+    of ``request``; empty when they are bit-identical.
+
+    Every field of the request that determines the answer reaches the
+    reference (room, steps, scheme, precision, impulse, receivers,
+    materials, branch count); the scheduling and execution knobs do not,
+    because they never change it.
+    """
+    from ..api import Session
+    ref = Session().simulate(
+        request.room, request.steps, scheme=request.scheme,
+        precision=request.precision, impulse=request.impulse,
+        receivers=dict(request.receiver_items()) or None,
+        materials=request.materials, num_branches=request.num_branches)
+    tag = f"job {request.fingerprint()[:12]}"
+    errors = []
+    if not np.array_equal(field, ref.field):
+        errors.append(f"{tag}: field differs from serial run")
+    for name, sig in ref.receivers.items():
+        if not np.array_equal(receivers.get(name), sig):
+            errors.append(f"{tag}: receiver {name!r} differs")
+    return errors

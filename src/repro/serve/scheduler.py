@@ -4,8 +4,9 @@
 substrate — jobs are admitted into a
 :class:`~repro.serve.queue.BoundedPriorityQueue`, placed onto a
 :class:`DevicePool` of virtual devices, executed through
-:class:`~repro.acoustics.sim.RoomSimulation` (reusing the fault and
-resilience layers per job), and answered through
+:func:`~repro.serve.job.run_job` (the same path the gateway's pool
+workers take, reusing the fault and resilience layers per job), and
+answered through
 :class:`~repro.serve.job.JobHandle` futures.
 
 Time is **modelled**, like everywhere else in this reproduction: each
@@ -61,14 +62,13 @@ from __future__ import annotations
 
 import os
 import threading
+from dataclasses import replace
 
 from .. import obs as _obs
-from ..acoustics.sim import (Checkpoint, RoomSimulation, SimConfig,
-                             SimulationDiverged)
+from ..acoustics.sim import Checkpoint, SimulationDiverged
 from ..gpu.device import DeviceSpec, resolve_device
-from ..gpu.errors import ClError
 from .cache import CompileCache, ResultCache
-from .job import JOB_STATES, JobHandle, JobResult, SubmitRequest
+from .job import JOB_STATES, JobHandle, JobResult, SubmitRequest, run_job
 from .journal import (Journal, WorkerCrash, decode_request, encode_request)
 from .queue import BoundedPriorityQueue, InvalidRequest, QueueFull
 from .store import ResultStore
@@ -247,13 +247,7 @@ class SimulationService:
         fp = request.fingerprint()
         handle = JobHandle(self._next_id, request, self.now_ms, self)
         self._next_id += 1
-        cached = self.result_cache.get(fp)
-        self._cache_metric("result", hit=cached is not None)
-        if cached is None and self.store is not None:
-            stored = self.store.get(fp)
-            if stored is not None:
-                self.result_cache.put(fp, stored)
-                cached = stored
+        cached = self._stored_result(fp)
         if cached is not None:
             self._journal("submit", handle, fp, request=encoded)
             self.flight.record("submit", self.now_ms, job=handle.job_id,
@@ -400,13 +394,7 @@ class SimulationService:
                                f"exceeds deadline_ms={req.deadline_ms:g}")
                 continue
             fp = req.fingerprint()
-            cached = self.result_cache.get(fp)
-            self._cache_metric("result", hit=cached is not None)
-            if cached is None and self.store is not None:
-                stored = self.store.get(fp)
-                if stored is not None:
-                    self.result_cache.put(fp, stored)
-                    cached = stored
+            cached = self._stored_result(fp)
             if cached is not None:
                 self._complete(h, ResultCache.rebase(
                     cached, submit_ms=h.submit_ms, now_ms=t))
@@ -419,15 +407,7 @@ class SimulationService:
                 continue
             t = result.end_ms
             executed += 1
-            self.executions += 1
-            self.executed_fingerprints.append(fp)
-            if self.store is not None:
-                # durable-before-visible: the store write precedes the
-                # journal's complete record and the in-memory completion
-                self.store.put(fp, result)
-            self.result_cache.put(fp, result)
-            self._complete(h, result)
-            self._drop_checkpoint(fp)
+            self._complete_executed(h, fp, result)
         if t > lease_start:               # only real work occupies a lease
             chosen = {id(s) for s in slots}
             for i, s in enumerate(self.pool.slots):
@@ -449,19 +429,15 @@ class SimulationService:
     def _execute(self, handle: JobHandle, slots, *, start_ms: float,
                  resume: Checkpoint | None = None
                  ) -> tuple[JobResult | None, str]:
-        """Run one job on its lease, retrying with escalation.
+        """Run one job on its lease through :func:`~repro.serve.job.run_job`
+        and stamp it on the modelled clock.  Returns (result, "") or
+        (None, error).
 
-        Attempt 1 uses the service's configured executor; later attempts
-        force ``resilient=True`` so the fault layer's retry/degrade/
-        fallback ladder engages.  Returns (result, "") or (None, error).
-
-        ``resume`` is a recovered mid-job :class:`Checkpoint`: the
-        simulation restores it and runs only the remaining steps —
-        bit-identical to an uninterrupted run, because the checkpoint
-        holds every mutated array and the stepper is deterministic.
-        With ``checkpoint_every > 0`` the simulation's periodic-
-        checkpoint hook persists progress atomically and models
-        ``worker_crash`` faults at each boundary.
+        ``resume`` is a recovered mid-job :class:`Checkpoint`.  With
+        ``checkpoint_every > 0`` the simulation's periodic-checkpoint
+        hook persists progress atomically and models ``worker_crash``
+        faults at each boundary.  Failed attempts and crashes land in
+        the flight recorder; a divergence or crash also dumps it.
         """
         req = handle.request
         fp = req.fingerprint()
@@ -473,80 +449,46 @@ class SimulationService:
             program = self.compile_cache.program_for(req, slots[0].spec)
             self._cache_metric("compile",
                                hit=self.compile_cache.hits > hits_before)
-        devices = tuple(s.spec for s in slots)
-        error = ""
-        every = self.checkpoint_every
-        hook = self._checkpoint_hook(fp) if every > 0 else None
-        for attempt in range(1, self.job_attempts + 1):
+
+        def on_failure(attempt: int, exc: Exception) -> None:
             handle.attempts = attempt
-            cfg = SimConfig(
-                room=req.room, scheme=req.scheme, backend=req.backend,
-                precision=req.precision, materials=req.materials,
-                num_branches=req.num_branches, faults=self.faults,
-                resilient=self.resilient or attempt > 1, retry=self.retry,
-                devices=devices, host_program=program,
-                # shards=k jobs get the multi-process overlap executor;
-                # it falls back to the serial in-process path on its own
-                # whenever ineligible (faults, resilient retries, daemon
-                # worker processes)
-                parallel=len(devices) > 1,
-                checkpoint_interval=every, on_checkpoint=hook)
-            try:
-                with self._observed():
-                    # the per-attempt execution span: every gpu.*/sim.*
-                    # span opened underneath nests inside it, so the
-                    # whole attempt carries this job's trace context
-                    with _obs.span("serve.execute", "serve",
-                                   trace_id=handle.trace_id,
-                                   job_id=handle.job_id, attempt=attempt,
-                                   scheme=req.scheme,
-                                   fingerprint=fp[:12]):
-                        sim = RoomSimulation(cfg)
-                        if resume is not None:
-                            sim.restore(resume)
-                        else:
-                            if req.impulse is not None:
-                                sim.add_impulse(req.impulse)
-                            for name, pos in req.receiver_items():
-                                sim.add_receiver(name, pos)
-                        sim.run(req.steps - sim.time_step)
-            except (ClError, SimulationDiverged) as failed:
-                error = f"attempt {attempt}: {failed}"
-                self.flight.record(
-                    "attempt_failed", start_ms, job=handle.job_id,
-                    trace=handle.trace_id, attempt=attempt,
-                    error=type(failed).__name__, detail=str(failed)[:200])
-                if isinstance(failed, SimulationDiverged):
-                    self.dump_blackbox(
-                        reason=f"SimulationDiverged: job {fp[:12]} "
-                               f"attempt {attempt}")
-                if self.obs is not None:
-                    self.obs.metrics.counter(
-                        "repro_serve_retries_total",
-                        "Per-job attempts that ended in a typed failure",
-                        ("error",)).inc(error=type(failed).__name__)
-                continue
-            except WorkerCrash as death:
+            if isinstance(exc, WorkerCrash):
                 # the (simulated) process is dying: record the incident
                 # and flush the black box before the exception unwinds
                 self.flight.record(
                     "crash", start_ms, job=handle.job_id,
                     trace=handle.trace_id, attempt=attempt,
-                    detail=str(death)[:200])
-                self.dump_blackbox(reason=str(death)[:200])
-                raise
-            duration = sim.modelled_gpu_time_ms + sim.modelled_halo_time_ms
-            return JobResult(
-                field=sim.curr[:sim._N].copy(), time_step=sim.time_step,
-                scheme=req.scheme, precision=req.precision,
-                devices=tuple(d.name for d in (sim.devices or devices)),
-                kernel_time_ms=sim.modelled_gpu_time_ms,
-                halo_time_ms=sim.modelled_halo_time_ms,
-                receivers={k: sim.receiver_signal(k) for k in sim.receivers},
-                policy_log=tuple(sim.policy_log),
-                submit_ms=handle.submit_ms, start_ms=start_ms,
-                end_ms=start_ms + duration, attempts=attempt), ""
-        return None, error or "exhausted retry budget"
+                    detail=str(exc)[:200])
+                self.dump_blackbox(reason=str(exc)[:200])
+                return
+            self.flight.record(
+                "attempt_failed", start_ms, job=handle.job_id,
+                trace=handle.trace_id, attempt=attempt,
+                error=type(exc).__name__, detail=str(exc)[:200])
+            if isinstance(exc, SimulationDiverged):
+                self.dump_blackbox(reason=f"SimulationDiverged: job "
+                                          f"{fp[:12]} attempt {attempt}")
+            if self.obs is not None:
+                self.obs.metrics.counter(
+                    "repro_serve_retries_total",
+                    "Per-job attempts that ended in a typed failure",
+                    ("error",)).inc(error=type(exc).__name__)
+
+        with self._observed():
+            result, error = run_job(
+                req, tuple(s.spec for s in slots), program=program,
+                faults=self.faults, resilient=self.resilient,
+                retry=self.retry, attempts=self.job_attempts,
+                checkpoint_every=self.checkpoint_every,
+                on_checkpoint=self._checkpoint_hook(fp), resume=resume,
+                on_failure=on_failure, job_id=handle.job_id,
+                trace_id=handle.trace_id)
+        if result is None:
+            return None, error
+        handle.attempts = result.attempts
+        duration = result.kernel_time_ms + result.halo_time_ms
+        return replace(result, submit_ms=handle.submit_ms, start_ms=start_ms,
+                       end_ms=start_ms + duration), ""
 
     # -- durability --------------------------------------------------------------
     def _journal(self, event: str, handle: JobHandle, fingerprint: str,
@@ -726,6 +668,33 @@ class SimulationService:
             self._state_counts[handle.state] -= 1
             self._state_counts[new_state] += 1
             handle.state = new_state
+
+    def _stored_result(self, fingerprint: str) -> JobResult | None:
+        """The result tiers in order: the memory cache, then the durable
+        store, whose hit is promoted into the memory cache.  Only the
+        memory tier is counted in the cache metrics (the store keeps its
+        own counters)."""
+        cached = self.result_cache.get(fingerprint)
+        self._cache_metric("result", hit=cached is not None)
+        if cached is None and self.store is not None:
+            cached = self.store.get(fingerprint)
+            if cached is not None:
+                self.result_cache.put(fingerprint, cached)
+        return cached
+
+    def _complete_executed(self, handle: JobHandle, fingerprint: str,
+                           result: JobResult) -> None:
+        """Complete ``handle`` with a freshly executed result,
+        durable-before-visible: the store write precedes the memory
+        cache, the journal's complete record and the in-memory
+        completion; the job's checkpoint is dropped last."""
+        self.executions += 1
+        self.executed_fingerprints.append(fingerprint)
+        if self.store is not None:
+            self.store.put(fingerprint, result)
+        self.result_cache.put(fingerprint, result)
+        self._complete(handle, result)
+        self._drop_checkpoint(fingerprint)
 
     def _complete(self, handle: JobHandle, result: JobResult) -> None:
         self._journal("complete", handle, handle.request.fingerprint(),
