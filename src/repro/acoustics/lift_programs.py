@@ -19,7 +19,8 @@ Programs
   handling with per-branch state, multiple in-place array updates returned
   as a tuple of ``WriteTo``.
 * :func:`two_kernel_host` — paper Listing 5: the host orchestration
-  (``ToGPU`` → volume kernel → in-place boundary kernel → ``ToHost``).
+  (``ToGPU`` → volume kernel → in-place boundary kernel → ``ToHost``);
+  :func:`compiled_host` picks and compiles a scheme's host program.
 
 Guard-page convention: flat kernels gather ``curr[idx ± Nx·Ny]`` for every
 point and mask the result by ``nbr > 0`` (exactly the paper's Listing 2
@@ -532,3 +533,14 @@ def two_kernel_host(scheme: str = "fi_mm", dtype="double",
                       l_h, Nx_h, NxNy_h] + params_extra, body)
     return LiftHostProgram(name=f"host_{scheme}", program=program, dtype=T,
                            scheme=scheme)
+
+
+def compiled_host(scheme: str, dtype, num_branches: int):
+    """The compiled host program a scheme runs on the virtual GPU:
+    :func:`fused_host` for ``fi``, else :func:`two_kernel_host` with
+    ``num_branches or 3`` (a material table without branches still
+    builds the 3-branch variant)."""
+    from ..lift.codegen.host import compile_host
+    hp = (fused_host(dtype) if scheme == "fi"
+          else two_kernel_host(scheme, dtype, num_branches or 3))
+    return compile_host(hp.program, hp.name)

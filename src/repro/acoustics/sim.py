@@ -25,23 +25,26 @@ validated against (and benchmarked against) the hand-written baseline:
     ``modelled_gpu_time_ms``.
 
 The driver allocates state arrays with a one-z-plane guard of zeros at the
-end (see :mod:`.lift_programs` for why), rotates the three time levels
-without copying — two on ``numba``, whose step writes the next level over
-the oldest — and swaps the FD-MM branch velocity arrays each step just
-like the paper's multi-GPU driver.
+end (see :mod:`.lift_programs` for why) and picks its stepping path once,
+from one table (``virtual_gpu``: in ``_make_gpu``), as a bound step plus a
+number of time levels.  Each step runs it and one rotation rule, like the
+paper's host loop: the levels rotate without copying (two on ``numba``,
+whose step writes the next level over the oldest) and the FD-MM branch
+velocity arrays swap.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .. import obs as _obs
-from ..lift.codegen.loops import EMITTERS, compile_step
+from ..lift.codegen.loops import compile_step
 from . import kernels_numpy as kn
 from . import kernels_scalar as ks
 from .geometry import Room
@@ -96,7 +99,8 @@ class Checkpoint:
 
     Holds copies of everything a resumed run reads: the two pressure
     levels ``prev`` and ``curr``, the FD-MM branch state (g1/v1/v2), the
-    step counter, accumulated receiver signals, and the modelled GPU time.
+    step counter, accumulated receiver signals, and the modelled GPU and
+    halo-exchange times.
     A third level, where one exists, is scratch: every step overwrites
     ``nxt[:N]`` before reading it and never writes its guard plane.
     ``scheme``/``precision``/``grid_shape`` stamp the config it belongs
@@ -114,6 +118,7 @@ class Checkpoint:
     v2: np.ndarray
     receivers: dict[str, tuple[int, list[float]]]
     modelled_gpu_time_ms: float = 0.0
+    modelled_halo_time_ms: float = 0.0
 
     def save(self, path) -> None:
         """Write the checkpoint as a ``.npz`` archive (format v2).
@@ -127,6 +132,7 @@ class Checkpoint:
                     scheme=self.scheme, precision=self.precision,
                     grid_shape=list(self.grid_shape),
                     modelled_gpu_time_ms=self.modelled_gpu_time_ms,
+                    modelled_halo_time_ms=self.modelled_halo_time_ms,
                     receivers={k: [int(i), list(map(float, s))]
                                for k, (i, s) in self.receivers.items()})
         path = os.fspath(path)
@@ -162,7 +168,9 @@ class Checkpoint:
                 g1=z["g1"].copy(), v1=z["v1"].copy(), v2=z["v2"].copy(),
                 receivers={k: (int(i), list(s))
                            for k, (i, s) in meta["receivers"].items()},
-                modelled_gpu_time_ms=float(meta["modelled_gpu_time_ms"]))
+                modelled_gpu_time_ms=float(meta["modelled_gpu_time_ms"]),
+                modelled_halo_time_ms=float(
+                    meta.get("modelled_halo_time_ms", 0.0)))
 
 
 @dataclass
@@ -216,10 +224,10 @@ class SimConfig:
         exchanged through shared memory and interior compute overlapping
         the exchange.  ``run()`` then advances in bulk segments between
         checkpoint/health boundaries instead of one ``execute()`` round
-        trip per step — bit-identical either way.  Falls back to the
-        serial in-process executor whenever the parallel path cannot run
-        (single device, fault injection, resilient wrappers, daemon
-        parent process).
+        trip per step — bit-identical either way.  A pool the parallel
+        path cannot run (fault injection, resilient wrappers, a daemon
+        parent process, one device left after a shard loss) steps one
+        step at a time through ``MultiGPU.execute`` instead.
     """
 
     room: Room
@@ -301,10 +309,6 @@ class RoomSimulation:
         total = self._N + self._guard
         self.prev = np.zeros(total, dtype=dtype)
         self.curr = np.zeros(total, dtype=dtype)
-        if config.backend != "numba":
-            # the third time level; ``numba``'s compiled step writes the
-            # next level over ``prev`` instead
-            self.nxt = np.zeros(total, dtype=dtype)
         # one guarded array; the dtype is the topology's (int8), which
         # every emitter widens on load
         self._nbrs_guarded = np.zeros(total, dtype=self.topology.nbrs.dtype)
@@ -332,12 +336,18 @@ class RoomSimulation:
         self._plan = None
         #: the compiled two-level step of ``numba`` (None elsewhere)
         self._step = None
-        if config.backend in EMITTERS:
-            self._compile_lift()
-        elif config.backend == "lift_interp":
-            self._setup_interp()
-        elif config.backend == "virtual_gpu":
-            self._setup_virtual_gpu()
+        #: the stepping path, chosen once (here, or in :meth:`_make_gpu`):
+        #: its name, the bound step, and how many time levels it rotates
+        self._path, self._levels = config.backend, 3
+        self._advance = {"numpy": lambda: self._step_numpy,
+                         "scalar": lambda: self._step_scalar,
+                         "numpy-steady": self._compile_lift,
+                         "numba": self._compile_lift,
+                         "lift_interp": self._setup_interp,
+                         "virtual_gpu": self._setup_virtual_gpu,
+                         }[config.backend]()
+        if self._levels == 3:   # a two-level step writes over ``prev``
+            self.nxt = np.zeros(total, dtype=dtype)
 
     # -- LIFT backends ----------------------------------------------------------------
     def _size_env(self) -> dict[str, int]:
@@ -359,73 +369,70 @@ class RoomSimulation:
 
     def _compile_lift(self):
         """``numba``: compile :meth:`_programs` into one step
-        (``_step``).  ``numpy-steady``: bind ``_k_<role>`` /
-        ``_ws_<role>`` for each of them (``fused``, or ``volume`` and
-        ``boundary``)."""
+        (``_step``) over two time levels.  ``numpy-steady``: bind
+        ``_k_<role>`` / ``_ws_<role>`` for each of them (``fused``, or
+        ``volume`` and ``boundary``).  Returns the bound step."""
         from ..lift.codegen.arena import Workspace
         from ..lift.codegen.numpy_backend import compile_numpy
         kernels = {role: compile_numpy(p.kernel, p.name)
                    for role, p in self._programs().items()}
         if self.config.backend == "numba":
             self._step = compile_step([k.program for k in kernels.values()])
-            return
+            self._path, self._levels = "fused-step", 2
+            return self._step_fused
         for role, k in kernels.items():
             setattr(self, "_k_" + role, k)
             # one workspace per kernel: shapes/dtypes are fixed for the
             # life of the simulation, so slots warm up on the first step
             # and every later step is allocation-free
             setattr(self, "_ws_" + role, Workspace(f"lift:{k.name}"))
+        return self._step_lift
 
     def _setup_virtual_gpu(self):
-        from ..lift.codegen.host import compile_host
         from ..gpu.device import resolve_device
-        self._host_program = self.config.host_program
-        if self._host_program is None:
-            scheme = self.config.scheme
-            if scheme == "fi":
-                from .lift_programs import fused_host
-                hp = fused_host(self.config.precision)
-            else:
-                from .lift_programs import two_kernel_host
-                hp = two_kernel_host(scheme, self.config.precision,
-                                     self.table.num_branches or 3)
-            self._host_program = compile_host(hp.program, hp.name)
-        self._rotations = (_VGPU_ROTATIONS if self.config.scheme == "fd_mm"
+        from .lift_programs import compiled_host
+        cfg = self.config
+        self._host_program = cfg.host_program or compiled_host(
+            cfg.scheme, cfg.precision, self.table.num_branches)
+        self._rotations = (_VGPU_ROTATIONS if cfg.scheme == "fd_mm"
                            else _VGPU_ROTATIONS[:1])
-        self._make_gpu(resolve_device(self.config.devices))
+        self._make_gpu(resolve_device(cfg.devices))
+        return self._advance
 
-    def _make_gpu(self, devices) -> None:
-        """Build the executor for a resolved device tuple and select the
-        stepping path, here and nowhere else: one device with neither a
-        fault plan nor ``resilient`` steps device-resident
-        (:meth:`_step_resident`); ``faults`` / ``resilient`` keep the
-        one-shot ``execute()`` per step, which is their subject (per-step
-        allocation/transfer fault sites; a retry needs fresh buffers and
-        untouched host inputs); more than one device gives the Z-slab
-        decomposition across the pool."""
+    def _make_gpu(self, devices, pool=None) -> None:
+        """Build the executor for a resolved device tuple, or adopt
+        ``pool`` (a re-shard's survivors), and select the stepping path,
+        here and nowhere else.  One device steps ``resident`` unless
+        ``faults`` / ``resilient`` keep it ``one-shot``: one ``execute()``
+        per step is their subject (per-step fault sites; a retry needs
+        fresh buffers and untouched host inputs).  A pool steps
+        ``pool-step``, one ``MultiGPU.execute`` per step, or ``parallel``
+        when ``_parallel_eligible()`` passes: :meth:`run` then advances
+        in bulk segments (a direct :meth:`step` is still one execute)."""
         cfg = self.config
         self._plan = None       # a resident plan is bound to its executor
-        self._resident = False
-        if len(devices) > 1:
-            if cfg.parallel:
-                from ..gpu.parallel import ParallelMultiGPU
-                self._gpu = ParallelMultiGPU(
-                    devices, faults=cfg.faults, resilient=cfg.resilient,
-                    retry=cfg.retry,
-                    program_spec=(cfg.scheme, cfg.precision,
-                                  self.table.num_branches or 3))
-            else:
-                from ..gpu.multi import MultiGPU
-                self._gpu = MultiGPU(devices, faults=cfg.faults,
-                                     resilient=cfg.resilient,
-                                     retry=cfg.retry)
+        self._advance = self._step_one_shot
+        if pool is None and len(devices) > 1:
+            from ..gpu.multi import MultiGPU, ParallelMultiGPU
+            kw = dict(faults=cfg.faults, resilient=cfg.resilient,
+                      retry=cfg.retry)
+            spec = (cfg.scheme, cfg.precision, self.table.num_branches)
+            pool = (ParallelMultiGPU(devices, program_spec=spec, **kw)
+                    if cfg.parallel else MultiGPU(devices, **kw))
+        if pool is not None:    # re-sharding keeps a ParallelMultiGPU's type
+            self._gpu = pool
+            self._path = ("parallel" if cfg.parallel
+                          and pool._parallel_eligible() is None
+                          else "pool-step")
             return
         from ..gpu.runtime import VirtualGPU
         self._gpu = VirtualGPU(devices[0], faults=cfg.faults)
+        self._path = "one-shot"
         if cfg.resilient:
             from ..gpu.resilient import ResilientGPU
             self._gpu = ResilientGPU(self._gpu, retry=cfg.retry)
-        self._resident = cfg.faults is None and not cfg.resilient
+        elif cfg.faults is None:
+            self._path, self._advance = "resident", self._step_resident
 
     @property
     def devices(self):
@@ -455,12 +462,16 @@ class RoomSimulation:
         :func:`repro.gpu.resolve_device` does (a spec, a paper name,
         ``"name:k"`` shard syntax, or a list of those)."""
         from ..gpu.device import resolve_device
+        if self.config.backend != "virtual_gpu":
+            raise ValueError("set_devices re-targets the virtual_gpu "
+                             f"backend; this is {self.config.backend!r}")
         self._make_gpu(resolve_device(devices))
 
     def _setup_interp(self):
         from ..lift.interp import Interp
         self._interp = Interp(sizes=self._size_env())
         self._p = {role: p.kernel for role, p in self._programs().items()}
+        return self._step_lift_interp
 
     # -- sources / receivers --------------------------------------------------------------
     def point_index(self, position: tuple[int, int, int] | str) -> int:
@@ -489,59 +500,31 @@ class RoomSimulation:
 
     # -- stepping ---------------------------------------------------------------------------
     def step(self) -> None:
-        o = _obs.get()
-        if o is None:
+        o, cfg = _obs.get(), self.config
+        with (nullcontext() if o is None else o.tracer.span(
+                "sim.step", "sim", step=self.time_step, scheme=cfg.scheme,
+                backend=cfg.backend, path=self._path)):
             self._step_impl()
-            return
-        cfg = self.config
-        with o.tracer.span("sim.step", "sim", step=self.time_step,
-                           scheme=cfg.scheme, backend=cfg.backend):
-            self._step_impl()
-        o.metrics.counter(
-            "repro_sim_steps_total", "Completed simulation time steps",
-            ("scheme", "backend")).inc(scheme=cfg.scheme, backend=cfg.backend)
-        if self.receivers:
-            o.metrics.counter(
-                "repro_sim_receiver_samples_total",
-                "Pressure samples captured at receiver points").inc(
-                    len(self.receivers))
 
     def _step_impl(self) -> None:
-        backend = self.config.backend
-        if backend == "numpy":
-            self._step_numpy()
-        elif backend == "scalar":
-            self._step_scalar()
-        elif backend == "numba":
-            self._step.fn(**self._step_args())
-        elif backend == "numpy-steady":
-            self._step_lift()
-        elif backend == "virtual_gpu":
-            self._step_virtual_gpu()
+        """The bound step, one rotation rule (the oldest level becomes the
+        next target), the receiver samples, then the trailer."""
+        self._advance()
+        if self._levels == 2:
+            self.prev, self.curr = self.curr, self.prev
         else:
-            self._step_lift_interp()
-        # rotate time levels (the old prev buffer becomes the next target)
-        plan = self._plan
-        if plan is None:
-            if self._step is not None:      # the step overwrote prev
-                self.prev, self.curr = self.curr, self.prev
-            else:
-                self.prev, self.curr, self.nxt = (self.curr, self.nxt,
-                                                  self.prev)
-            if self.config.scheme == "fd_mm":
-                self.v1, self.v2 = self.v2, self.v1
-        else:
-            # the state arrays *are* the resident buffers: rotate once,
-            # in the plan, and read the new roles back
-            plan.rotate()
-            self.prev, self.curr, self.nxt = map(
-                plan.buffer_for, _VGPU_ROTATIONS[0])
-            if self.config.scheme == "fd_mm":
-                self.v2, self.v1 = map(plan.buffer_for, _VGPU_ROTATIONS[1])
-        self.time_step += 1
+            self.prev, self.curr, self.nxt = self.curr, self.nxt, self.prev
+        if self.config.scheme == "fd_mm":
+            self.v1, self.v2 = self.v2, self.v1
         for name, (idx, sig) in self.receivers.items():
             sig.append(float(self.curr[idx]))
+        self._stepped(1)
+
+    def _stepped(self, n: int) -> None:
+        """The trailer of ``n`` steps (one, or a bulk segment): counter,
+        periodic health check and checkpoint hook, then the metrics."""
         cfg = self.config
+        self.time_step += n
         if cfg.health_interval and self.time_step % cfg.health_interval == 0:
             self._check_health()
         if (cfg.checkpoint_interval
@@ -549,15 +532,24 @@ class RoomSimulation:
             self.last_checkpoint = self.checkpoint()
             if cfg.on_checkpoint is not None:
                 cfg.on_checkpoint(self.last_checkpoint)
-
-    def run(self, steps: int) -> None:
         o = _obs.get()
         if o is None:
-            self._run_impl(steps)
             return
-        cfg = self.config
-        with o.tracer.span("sim.run", "sim", steps=steps, scheme=cfg.scheme,
-                           backend=cfg.backend, grid=str(self.grid.shape)):
+        o.metrics.counter(
+            "repro_sim_steps_total", "Completed simulation time steps",
+            ("scheme", "backend")).inc(n, scheme=cfg.scheme,
+                                       backend=cfg.backend)
+        if self.receivers:
+            o.metrics.counter(
+                "repro_sim_receiver_samples_total",
+                "Pressure samples captured at receiver points").inc(
+                    n * len(self.receivers))
+
+    def run(self, steps: int) -> None:
+        o, cfg = _obs.get(), self.config
+        with (nullcontext() if o is None else o.tracer.span(
+                "sim.run", "sim", steps=steps, scheme=cfg.scheme,
+                backend=cfg.backend, grid=str(self.grid.shape))):
             self._run_impl(steps)
 
     def _run_impl(self, steps: int) -> None:
@@ -570,27 +562,19 @@ class RoomSimulation:
         uninterrupted run because the decomposition is exact and the
         stepper is deterministic.  An initial checkpoint is taken up
         front so there is always a restore point."""
+        from ..gpu.multi import ShardLost
         target = self.time_step + steps
-        multi = hasattr(getattr(self, "_gpu", None), "without_device")
-        if multi and self.last_checkpoint is None:
+        if (self._path in ("pool-step", "parallel")
+                and self.last_checkpoint is None):
             self.last_checkpoint = self.checkpoint()
         while self.time_step < target:
-            if not multi:
-                self.step()
-                continue
-            from ..gpu.multi import ShardLost
             try:
-                if self._parallel_bulk_ok():
+                if self._path == "parallel":
                     self._step_parallel_segment(target)
                 else:
                     self.step()
             except ShardLost as lost:
                 self._recover_shard_loss(lost)
-
-    def _parallel_bulk_ok(self) -> bool:
-        gpu = getattr(self, "_gpu", None)
-        return (hasattr(gpu, "_parallel_eligible")
-                and gpu._parallel_eligible() is None)
 
     def _step_parallel_segment(self, target: int) -> None:
         """Advance in one ``execute_many`` round trip across the shard
@@ -604,27 +588,19 @@ class RoomSimulation:
         for interval in (cfg.checkpoint_interval, cfg.health_interval):
             if interval:
                 n = min(n, interval - self.time_step % interval)
-        sizes = self._size_env()
-        inputs = self._vgpu_inputs()
-        rotations = self._rotations
         o = _obs.get()
-        recv = {name: idx for name, (idx, _s) in self.receivers.items()}
-        if o is None:
+        with (nullcontext() if o is None else o.tracer.span(
+                "sim.segment", "sim", step=self.time_step, steps=n,
+                scheme=cfg.scheme, shards=len(self.devices),
+                path=self._path)):
             res = self._gpu.execute_many(
-                self._host_program, inputs, sizes, n, rotations=rotations,
-                receivers=recv)
-        else:
-            with o.tracer.span("sim.segment", "sim", step=self.time_step,
-                               steps=n, scheme=cfg.scheme,
-                               shards=len(self.devices)):
-                res = self._gpu.execute_many(
-                    self._host_program, inputs, sizes, n,
-                    rotations=rotations, receivers=recv)
+                self._host_program, self._vgpu_inputs(), self._size_env(),
+                n, rotations=self._rotations,
+                receivers={name: idx
+                           for name, (idx, _s) in self.receivers.items()})
         N = self._N
-        self.curr[:N] = np.asarray(
-            res.buffers["final:prev1_h"]).reshape(-1)[:N]
-        self.prev[:N] = np.asarray(
-            res.buffers["final:prev2_h"]).reshape(-1)[:N]
+        self.curr[:N] = res.buffers["final:prev1_h"]
+        self.prev[:N] = res.buffers["final:prev2_h"]
         if cfg.scheme == "fd_mm":
             self.g1[:] = res.buffers["final:g1_h"]
             self.v1[:] = res.buffers["final:v1_h"]
@@ -635,24 +611,7 @@ class RoomSimulation:
         for name, samples in (res.overlap or {}).get(
                 "receivers", {}).items():
             self.receivers[name][1].extend(float(x) for x in samples)
-        self.time_step += n
-        if o is not None:
-            o.metrics.counter(
-                "repro_sim_steps_total", "Completed simulation time steps",
-                ("scheme", "backend")).inc(n, scheme=cfg.scheme,
-                                           backend=cfg.backend)
-            if self.receivers:
-                o.metrics.counter(
-                    "repro_sim_receiver_samples_total",
-                    "Pressure samples captured at receiver points").inc(
-                        n * len(self.receivers))
-        if cfg.health_interval and self.time_step % cfg.health_interval == 0:
-            self._check_health()
-        if (cfg.checkpoint_interval
-                and self.time_step % cfg.checkpoint_interval == 0):
-            self.last_checkpoint = self.checkpoint()
-            if cfg.on_checkpoint is not None:
-                cfg.on_checkpoint(self.last_checkpoint)
+        self._stepped(n)
 
     def _recover_shard_loss(self, lost) -> None:
         """Drop the dead device, re-shard, and rewind to the checkpoint.
@@ -673,7 +632,7 @@ class RoomSimulation:
             o.metrics.counter(
                 "repro_sim_reshards_total",
                 "Shard-loss recoveries (re-shard and replay)").inc()
-        self._gpu = survivors
+        self._make_gpu(survivors.devices, pool=survivors)
         self.restore(self.last_checkpoint)
 
     # -- checkpoint / restart ---------------------------------------------------------
@@ -686,7 +645,8 @@ class RoomSimulation:
             g1=self.g1.copy(), v1=self.v1.copy(), v2=self.v2.copy(),
             receivers={k: (i, list(s)) for k, (i, s) in
                        self.receivers.items()},
-            modelled_gpu_time_ms=self.modelled_gpu_time_ms)
+            modelled_gpu_time_ms=self.modelled_gpu_time_ms,
+            modelled_halo_time_ms=self.modelled_halo_time_ms)
 
     def restore(self, cp: Checkpoint) -> None:
         """Resume from a checkpoint: continuing reproduces an
@@ -710,6 +670,7 @@ class RoomSimulation:
         self.receivers = {k: (i, list(s)) for k, (i, s) in
                           cp.receivers.items()}
         self.modelled_gpu_time_ms = cp.modelled_gpu_time_ms
+        self.modelled_halo_time_ms = cp.modelled_halo_time_ms
         self.last_checkpoint = cp
 
     def save_checkpoint(self, path) -> None:
@@ -728,46 +689,40 @@ class RoomSimulation:
             o.metrics.counter(
                 "repro_sim_health_checks_total",
                 "Numerical-health monitor invocations").inc()
-        try:
-            state = self.curr[:self._N]
-            bad = ~np.isfinite(state)
-            if bad.any():
-                idx = int(np.flatnonzero(bad)[0])
-                raise SimulationDiverged(
-                    self.time_step,
-                    f"non-finite pressure at flat index {idx} "
-                    f"({int(bad.sum())} bad points)", self.last_checkpoint)
-            if self.config.scheme == "fd_mm" and not (
-                    np.isfinite(self.v1).all() and np.isfinite(self.g1).all()):
-                raise SimulationDiverged(
-                    self.time_step, "non-finite FD-MM branch state",
-                    self.last_checkpoint)
+        cfg = self.config
+        bad = ~np.isfinite(self.curr[:self._N])
+        reason = None
+        if bad.any():
+            reason = (f"non-finite pressure at flat index "
+                      f"{int(np.flatnonzero(bad)[0])} "
+                      f"({int(bad.sum())} bad points)")
+        elif cfg.scheme == "fd_mm" and not (
+                np.isfinite(self.v1).all() and np.isfinite(self.g1).all()):
+            reason = "non-finite FD-MM branch state"
+        else:
             e = self.energy()
             if o is not None:
                 o.metrics.gauge(
                     "repro_sim_field_energy",
                     "Field-energy proxy (sum of squared pressure)",
-                    ("scheme",)).set(e, scheme=self.config.scheme)
+                    ("scheme",)).set(e, scheme=cfg.scheme)
             if self._energy_ref is None:
                 if e > 0.0:
                     self._energy_ref = e
-                return
-            if (self.config.energy_growth_factor > 0
-                    and e > self.config.energy_growth_factor
-                    * self._energy_ref):
-                raise SimulationDiverged(
-                    self.time_step,
-                    f"field energy {e:.3e} exceeds "
-                    f"{self.config.energy_growth_factor:g}x the reference "
-                    f"{self._energy_ref:.3e}", self.last_checkpoint)
-        except SimulationDiverged as diverged:
-            if o is not None:
-                o.metrics.counter(
-                    "repro_sim_divergence_total",
-                    "Simulations stopped by the health monitor").inc()
-                o.tracer.event("sim.diverged", "sim", 0.0,
-                               step=diverged.step, reason=diverged.reason)
-            raise
+            elif (cfg.energy_growth_factor > 0
+                    and e > cfg.energy_growth_factor * self._energy_ref):
+                reason = (f"field energy {e:.3e} exceeds "
+                          f"{cfg.energy_growth_factor:g}x the reference "
+                          f"{self._energy_ref:.3e}")
+        if reason is None:
+            return
+        if o is not None:
+            o.metrics.counter(
+                "repro_sim_divergence_total",
+                "Simulations stopped by the health monitor").inc()
+            o.tracer.event("sim.diverged", "sim", 0.0,
+                           step=self.time_step, reason=reason)
+        raise SimulationDiverged(self.time_step, reason, self.last_checkpoint)
 
     # -- backend steps ------------------------------------------------------------------------
     def _lam(self):
@@ -853,6 +808,9 @@ class RoomSimulation:
                 args.setdefault(name, value)
         return args
 
+    def _step_fused(self):
+        self._step.fn(**self._step_args())
+
     def _step_lift(self):
         sizes = self._size_env()
         for role, args in self._kernel_args(self.nxt).items():
@@ -884,10 +842,8 @@ class RoomSimulation:
                           K=t.num_boundary_points)
         return inputs
 
-    def _step_virtual_gpu(self):
-        if self._resident:
-            self._step_resident()
-            return
+    def _step_one_shot(self):
+        """One ``execute()``: of one device, or of the pool's slabs."""
         res = self._gpu.execute(self._host_program, self._vgpu_inputs(),
                                 self._size_env(), fault_step=self.time_step)
         self.nxt[:self._N] = np.asarray(res.result)[:self._N]
@@ -905,8 +861,8 @@ class RoomSimulation:
         array bound in place (``CL_MEM_USE_HOST_PTR``), so the kernels
         read and write ``prev``/``curr``/``nxt`` and the branch state
         directly, and ``add_impulse``, receivers, checkpoints and the
-        health monitor need no sync.  :meth:`_step_impl` rotates through
-        the plan."""
+        health monitor need no sync.  The plan rotates its roles as
+        :meth:`_step_impl` rotates the arrays, so the two stay one."""
         plan = self._plan
         if plan is None:
             from ..gpu.runtime import ResidentPlan
@@ -920,6 +876,7 @@ class RoomSimulation:
                 self._gpu, self._host_program.plan, inputs, sizes,
                 self._rotations, "boundaryIndices", [], in_place)
         plan.run_step(self.time_step)
+        plan.rotate()
         # only kernel time is charged, like RunResult.kernel_time_ms();
         # drained every step so the event list cannot grow with the run
         self.modelled_gpu_time_ms += sum(

@@ -193,6 +193,33 @@ def shard_program(program: HostProgram, shard_index: int,
                        kernels=program.kernels, params=program.params)
 
 
+def shard_rotations(plan: HostPlan, rotations) -> list[tuple[str, ...]]:
+    """``rotations`` filtered to the names a shard's ``plan`` actually
+    transfers, plus ``__out__`` when a launch writes one (a shard without
+    boundary points has no branch-state buffers to swap).  Module-level,
+    like :func:`shard_program`, for the worker processes."""
+    avail = {op.host_name for op in plan.ops if isinstance(op, CopyIn)}
+    if any(isinstance(op, Launch) and op.out_buffer is not None
+           for op in plan.ops):
+        avail.add("__out__")
+    return [cyc for cyc in (tuple(n for n in c if n in avail)
+                            for c in (rotations or [])) if len(cyc) > 1]
+
+
+def grow_out(st: ResidentPlan, np_local: int) -> None:
+    """Ensure the output buffer spans the halo regions so exchange
+    writes land in-bounds (ResidentPlan only grows it when the out
+    buffer rotates with padded peers)."""
+    name = st.binding.get("__out__")
+    if name is None:
+        return
+    buf = st.buffers[name]
+    if buf.size < np_local:
+        grown = np.zeros(np_local, dtype=buf.dtype)
+        grown[:buf.size] = buf
+        st.buffers[name] = grown
+
+
 def decompose(nz: int, plane: int, devices: tuple[DeviceSpec, ...],
               radius: int = STENCIL_RADIUS) -> list[Shard]:
     """Balanced Z-slab split of ``nz`` planes across ``devices``."""
@@ -608,23 +635,16 @@ class MultiGPU:
             for shard, gpu, ev in zip(shards, self._gpus, shard_events):
                 li, ls, mask = self._local_inputs(shard, inputs, sizes)
                 prog = self._shard_program(program, shard, ls)
-                avail = {op.host_name for op in prog.plan.ops
-                         if isinstance(op, CopyIn)}
-                if any(isinstance(op, Launch) and op.out_buffer is not None
-                       for op in prog.plan.ops):
-                    avail.add("__out__")
-                rots = [cyc for cyc in
-                        (tuple(n for n in c if n in avail)
-                         for c in (rotations or [])) if len(cyc) > 1]
                 gpu._validate(prog.plan, li, ls)
                 try:
-                    st = ResidentPlan(gpu, prog.plan, li, ls, rots,
+                    st = ResidentPlan(gpu, prog.plan, li, ls,
+                                      shard_rotations(prog.plan, rotations),
                                       gather_index_param, ev)
                 except ShardLost:
                     raise
                 except ClDeviceLost as err:
                     raise self._shard_lost(shard, err) from err
-                self._grow_out(st, shard)
+                grow_out(st, shard.np_local)
                 states.append(st)
                 masks.append(mask)
             schedule = (self._halo_schedule(shards)
@@ -648,20 +668,6 @@ class MultiGPU:
             names |= set(st.binding)
         return self._merge_many(shards, masks, names, results, inputs,
                                 halo_events, halo_bytes)
-
-    @staticmethod
-    def _grow_out(st: ResidentPlan, shard: Shard) -> None:
-        """Ensure the output buffer spans the halo regions so exchange
-        writes land in-bounds (ResidentPlan only grows it when the out
-        buffer rotates with padded peers)."""
-        name = st.binding.get("__out__")
-        if name is None:
-            return
-        buf = st.buffers[name]
-        if buf.size < shard.np_local:
-            grown = np.zeros(shard.np_local, dtype=buf.dtype)
-            grown[:buf.size] = buf
-            st.buffers[name] = grown
 
     def _merge_many(self, shards, masks, names, results, inputs,
                     halo_events, halo_bytes) -> MultiRunResult:

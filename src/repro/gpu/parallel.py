@@ -62,7 +62,8 @@ import numpy as np
 from .. import obs as _obs
 from .costmodel import halo_exchange_time_ms, overlapped_step_time_ms
 from .errors import ClInvalidValue
-from .multi import MultiGPU, MultiRunResult, Shard, ShardLost, shard_program
+from .multi import (MultiGPU, MultiRunResult, Shard, ShardLost, grow_out,
+                    shard_program, shard_rotations)
 from .runtime import ProfilingEvent, ResidentPlan, RunResult, VirtualGPU
 
 #: profiling-event kinds a worker aggregates back to the parent
@@ -147,16 +148,10 @@ def _shard_worker_main(task: dict, result_q) -> None:
     rings: dict[str, _Ring] = {}
     shms = []
     try:
-        from ..acoustics.lift_programs import fused_host, two_kernel_host
-        from ..lift.codegen.host import CopyIn, Launch, compile_host
+        from ..acoustics.lift_programs import compiled_host
+        from ..lift.codegen.host import Launch
 
-        scheme, precision, num_branches = task["program_spec"]
-        if scheme == "fi":
-            hp = fused_host(precision)
-        else:
-            hp = two_kernel_host(scheme, precision, num_branches or 3)
-        program = compile_host(hp.program, hp.name)
-
+        program = compiled_host(*task["program_spec"])
         li, ls = task["inputs"], task["sizes"]
         n_local, np_local, rp = task["n_local"], task["np_local"], task["rp"]
         steps = task["steps"]
@@ -168,26 +163,14 @@ def _shard_worker_main(task: dict, result_q) -> None:
             rings[lane] = _Ring(shm, rp, dtype, task["ring_depth"],
                                 free, filled)
 
-        prog = shard_program(program, index, ls)
-        plan = prog.plan
-        avail = {op.host_name for op in plan.ops if isinstance(op, CopyIn)}
-        if any(isinstance(op, Launch) and op.out_buffer is not None
-               for op in plan.ops):
-            avail.add("__out__")
-        rots = [cyc for cyc in
-                (tuple(n for n in c if n in avail)
-                 for c in task["rotations"]) if len(cyc) > 1]
-
+        plan = shard_program(program, index, ls).plan
         gpu = VirtualGPU(task["device"])
         events: list[ProfilingEvent] = []
         gpu._validate(plan, li, ls)
-        st = ResidentPlan(gpu, plan, li, ls, rots,
+        st = ResidentPlan(gpu, plan, li, ls,
+                          shard_rotations(plan, task["rotations"]),
                           task["gather_index_param"], events)
-        out_name = st.binding.get("__out__")
-        if out_name is not None and st.buffers[out_name].size < np_local:
-            grown = np.zeros(np_local, dtype=st.buffers[out_name].dtype)
-            grown[:st.buffers[out_name].size] = st.buffers[out_name]
-            st.buffers[out_name] = grown
+        grow_out(st, np_local)
 
         # overlap eligibility: the footprint kernel must be the plan's
         # first launch, ranged-capable, spanning exactly the owned slab,

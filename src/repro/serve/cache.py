@@ -2,13 +2,12 @@
 
 **Compile tier** — :class:`CompileCache` memoises the
 :func:`repro.lift.codegen.host.compile_host` output per
-(scheme, precision, branch count, device hardware model).  It reproduces
-exactly the compile decision of
-:meth:`repro.acoustics.sim.RoomSimulation._setup_virtual_gpu` (``fi`` →
-the fused single-kernel host program; ``fi_mm``/``fd_mm`` → the
-two-kernel program) and hands the compiled ``HostProgram`` to jobs
-through ``SimConfig.host_program``, so a thousand jobs of the same shape
-compile once.  The device component of the key strips the spec's
+(scheme, precision, branch count, device hardware model).  It compiles
+through :func:`repro.acoustics.lift_programs.compiled_host`, the builder
+``RoomSimulation`` itself uses (``fi`` → the fused single-kernel host
+program; ``fi_mm``/``fd_mm`` → the two-kernel program), and hands the
+compiled ``HostProgram`` to jobs through ``SimConfig.host_program``, so
+a thousand jobs of the same shape compile once.  The device component of the key strips the spec's
 name/board — the shards of a ``"TitanBlack:2"`` pool are the same
 hardware and share entries.  The cache also carries the process-wide
 :func:`repro.gpu.autotune.autotune_memo`, so workgroup sweeps executed
@@ -74,15 +73,8 @@ class CompileCache:
             self.hits += 1
             return prog
         self.misses += 1
-        from ..lift.codegen.host import compile_host
-        if request.scheme == "fi":
-            from ..acoustics.lift_programs import fused_host
-            hp = fused_host(request.precision)
-        else:
-            from ..acoustics.lift_programs import two_kernel_host
-            hp = two_kernel_host(request.scheme, request.precision,
-                                 key[2])
-        prog = compile_host(hp.program, hp.name)
+        from ..acoustics.lift_programs import compiled_host
+        prog = compiled_host(request.scheme, request.precision, key[2])
         self._programs[key] = prog
         return prog
 

@@ -283,9 +283,9 @@ def run_job(request: SubmitRequest, lease, *, program=None, faults=None,
 
     ``program`` is a compiled host program for the ``virtual_gpu``
     backend (``None`` compiles per simulation).  More than one leased
-    device runs Z-slab-decomposed with ``parallel=True``; the parallel
-    executor falls back to the serial in-process ``MultiGPU`` on its own
-    whenever it cannot run (``ParallelMultiGPU._parallel_eligible``).
+    device runs Z-slab-decomposed with ``parallel=True``; a pool the
+    parallel executor cannot run (``ParallelMultiGPU._parallel_eligible``)
+    steps one ``MultiGPU.execute`` at a time instead.
     ``resume`` is a mid-job :class:`~repro.acoustics.sim.Checkpoint`:
     the simulation restores it and runs only the remaining steps, which
     is bit-identical to an unbroken run.  ``on_checkpoint`` is called

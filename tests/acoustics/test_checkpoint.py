@@ -86,6 +86,40 @@ class TestCheckpointRestart:
         assert resumed.modelled_gpu_time_ms == pytest.approx(
             ref.modelled_gpu_time_ms)
 
+    def test_restore_rewinds_modelled_halo_time(self, tmp_path):
+        """A resumed multi-shard run reports the halo time of an unbroken
+        one, from a checkpoint in memory and from its archive."""
+        def pool():
+            return make_sim(backend="virtual_gpu", devices="TitanBlack:2")
+        ref = pool()
+        ref.run(12)
+        first = pool()
+        first.run(6)
+        first.save_checkpoint(tmp_path / "cp.npz")
+        for cp in (first.checkpoint(), Checkpoint.load(tmp_path / "cp.npz")):
+            assert cp.modelled_halo_time_ms == first.modelled_halo_time_ms
+            resumed = pool()
+            resumed.restore(cp)
+            resumed.run(6)
+            np.testing.assert_array_equal(resumed.curr, ref.curr)
+            assert ref.modelled_halo_time_ms > 0
+            assert resumed.modelled_halo_time_ms == pytest.approx(
+                ref.modelled_halo_time_ms)
+
+    def test_archive_without_halo_time_loads(self, tmp_path):
+        """Archives written before ``modelled_halo_time_ms`` was stored
+        (v1 and early v2) load with it zero."""
+        import json
+        path = tmp_path / "cp.npz"
+        make_sim().save_checkpoint(path)
+        with np.load(path) as z:
+            data = {k: z[k] for k in z.files}
+        meta = json.loads(bytes(data["meta"]).decode())
+        del meta["modelled_halo_time_ms"]
+        data["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        np.savez(path, **data)
+        assert Checkpoint.load(path).modelled_halo_time_ms == 0.0
+
     def test_periodic_checkpoints_during_run(self):
         sim = make_sim(checkpoint_interval=4)
         sim.run(10)
