@@ -220,7 +220,8 @@ class SimConfig:
         bit-identical to single-device execution.
     ``parallel``
         with more than one device, run each shard in its own OS process
-        (:class:`repro.gpu.parallel.ParallelMultiGPU`) with halo planes
+        (``MultiGPU(..., parallel=True)``, :mod:`repro.gpu.parallel`),
+        handed the simulation's own host program, with halo planes
         exchanged through shared memory and interior compute overlapping
         the exchange.  ``run()`` then advances in bulk segments between
         checkpoint/health boundaries instead of one ``execute()`` round
@@ -413,16 +414,13 @@ class RoomSimulation:
         self._plan = None       # a resident plan is bound to its executor
         self._advance = self._step_one_shot
         if pool is None and len(devices) > 1:
-            from ..gpu.multi import MultiGPU, ParallelMultiGPU
-            kw = dict(faults=cfg.faults, resilient=cfg.resilient,
-                      retry=cfg.retry)
-            spec = (cfg.scheme, cfg.precision, self.table.num_branches)
-            pool = (ParallelMultiGPU(devices, program_spec=spec, **kw)
-                    if cfg.parallel else MultiGPU(devices, **kw))
-        if pool is not None:    # re-sharding keeps a ParallelMultiGPU's type
+            from ..gpu.multi import MultiGPU
+            pool = MultiGPU(devices, faults=cfg.faults,
+                            resilient=cfg.resilient, retry=cfg.retry,
+                            parallel=cfg.parallel)
+        if pool is not None:
             self._gpu = pool
-            self._path = ("parallel" if cfg.parallel
-                          and pool._parallel_eligible() is None
+            self._path = ("parallel" if pool._parallel_eligible() is None
                           else "pool-step")
             return
         from ..gpu.runtime import VirtualGPU
@@ -874,7 +872,7 @@ class RoomSimulation:
             in_place["__out__"] = self.nxt
             plan = self._plan = ResidentPlan(
                 self._gpu, self._host_program.plan, inputs, sizes,
-                self._rotations, "boundaryIndices", [], in_place)
+                self._rotations, [], in_place)
         plan.run_step(self.time_step)
         plan.rotate()
         # only kernel time is charged, like RunResult.kernel_time_ms();

@@ -80,8 +80,7 @@ def _box_case(dims, scheme: str, precision: str):
     sizes = dict(N=N, NP=N + guard, K=topo.num_boundary_points,
                  M=table.num_materials)
     host = compile_host(two_kernel_host(scheme, precision).program, "ac")
-    return dict(host=host, inputs=inputs, sizes=sizes, N=N,
-                spec=(scheme, precision, None))
+    return dict(host=host, inputs=inputs, sizes=sizes, N=N)
 
 
 def _run_baseline(case, steps: int):
@@ -103,7 +102,7 @@ def scaling_wallclock_benchmark(scale: int = 1, size: str = "302",
                                 steps: int = 8,
                                 shard_counts=DEFAULT_SHARDS) -> dict:
     """Sweep shard counts over one room; see the module docstring."""
-    from ..gpu import ParallelMultiGPU
+    from ..gpu import MultiGPU
 
     dims = scaled_dims(size, scale)
     case = _box_case(dims, scheme, precision)
@@ -129,8 +128,7 @@ def scaling_wallclock_benchmark(scale: int = 1, size: str = "302",
                              "hidden_fraction": 0.0},
             })
             continue
-        pool = ParallelMultiGPU(f"TitanBlack:{k}",
-                                program_spec=case["spec"])
+        pool = MultiGPU(f"TitanBlack:{k}", parallel=True)
         res = pool.execute_many(case["host"], dict(case["inputs"]),
                                 case["sizes"], steps,
                                 rotations=[("prev2_h", "prev1_h",

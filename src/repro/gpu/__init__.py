@@ -19,7 +19,9 @@ substitutes them with an analytic model so the reproduction runs anywhere:
 * :mod:`.resilient` — retry/degrade/fallback recovery policies;
 * :mod:`.multi` — 1-D domain decomposition across a device pool with
   cost-modelled halo exchange (p2p over an on-board bridge, e.g. the
-  R9 295X2, or staged through host PCIe otherwise).
+  R9 295X2, or staged through host PCIe otherwise);
+* :mod:`.parallel` — the process-per-shard overlap executor a
+  ``MultiGPU(..., parallel=True)`` pool runs its resident steps on.
 
 Device selection everywhere in the package goes through
 :func:`resolve_device`, which accepts a :class:`DeviceSpec`, a paper
@@ -47,7 +49,6 @@ from .runtime import (VirtualGPU, ProfilingEvent, RunResult,
 from .resilient import (PolicyOutcome, ResilientGPU, RetryPolicy,
                         shard_retry_policy)
 from .multi import MultiGPU, MultiRunResult, Shard, ShardLost, decompose
-from .parallel import ParallelMultiGPU
 from .autotune import AutotuneMemo, autotune_memo, autotune_workgroup
 
 __all__ = [
@@ -65,7 +66,7 @@ __all__ = [
     "ClOutOfResources", "ClTransferCorrupted",
     "FAULT_KINDS", "FaultPlan", "FaultRecord", "FaultSpec",
     "PolicyOutcome", "ResilientGPU", "RetryPolicy", "shard_retry_policy",
-    "MultiGPU", "MultiRunResult", "ParallelMultiGPU", "Shard", "ShardLost",
+    "MultiGPU", "MultiRunResult", "Shard", "ShardLost",
     "decompose",
     "VirtualGPU", "ProfilingEvent", "RunResult",
     "AutotuneMemo", "autotune_memo", "autotune_workgroup",

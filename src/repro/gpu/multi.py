@@ -52,6 +52,13 @@ so the merged ``kernel_time_ms`` is the *maximum* over shards (the
 parallel critical path), while halo and PCIe transfer times *sum* (the
 BSP exchange phase and the single host link serialise).
 
+**Two executors, one pool.** :meth:`MultiGPU.execute_many` steps every
+shard in this process (the BSP loop below) unless the pool was built
+with ``parallel=True`` and :meth:`MultiGPU._parallel_eligible` passes;
+then :func:`repro.gpu.parallel.execute_parallel` hands each shard's
+host program to a worker process of its own and overlaps the halo
+exchange with interior compute.  Both are bit-identical.
+
 **Failure semantics**: a lost device cannot be retried in place — its
 resident halo state is gone — so ``CL_DEVICE_LOST`` escalates as
 :class:`ShardLost` (per-shard :class:`~.resilient.ResilientGPU` wrappers
@@ -72,8 +79,7 @@ from .. import obs as _obs
 from ..obs.tracer import ModelClock
 from ..lift.codegen.host import (CopyIn, CopyOut, HaloExchange, HostPlan,
                                  HostProgram, Launch)
-from .costmodel import (ImplTraits, LIFT_TRAITS, halo_exchange_time_ms,
-                        peer_connected)
+from .costmodel import halo_exchange_time_ms, peer_connected
 from .device import DeviceSpec, resolve_device
 from .errors import ClDeviceLost, ClInvalidValue
 from .faults import FaultPlan
@@ -84,6 +90,23 @@ from .runtime import ProfilingEvent, ResidentPlan, RunResult, VirtualGPU
 #: halo width in z planes: the 7-point SLF stencil reads one neighbouring
 #: plane in each direction
 STENCIL_RADIUS = 1
+
+# How inputs partition, by host-parameter name of the acoustics host
+# programs (repro.acoustics.lift_programs); every other input
+# (coefficient tables, scalars) is broadcast whole.
+#: the plane stride ``Nx*Ny``
+PLANE_PARAM = "NxNy_h"
+#: the flat boundary-index array: split by owning slab and re-based
+BOUNDARY_PARAM = "boundaries"
+#: grid-shaped arrays: sliced into the dual-halo local layout; the first
+#: is the field whose halo planes the parallel executor exchanges
+FIELD_PARAMS = ("prev1_h", "prev2_h", "neighbors")
+#: per-boundary-point arrays: follow the boundary mask 1:1
+OWNER_PARAMS = ("materialIdx",)
+#: ODE branch states of shape ``[branches, K]``: masked per column
+BRANCH_PARAMS = ("g1_h", "v2_h", "v1_h")
+#: the boundary-point count, as a size and as a scalar input
+K_SIZE = "K"
 
 
 class ShardLost(ClDeviceLost):
@@ -163,9 +186,7 @@ def shard_program(program: HostProgram, shard_index: int,
     """The per-shard plan: same ops, placed on ``shard_index``, minus
     work that is empty under the shard's sizes (a shard owning no
     boundary points drops the boundary launch and its zero-element
-    buffers — allocating a zero-size buffer is an OpenCL error).
-    Module-level so worker processes can shard a plan they rebuilt
-    locally without constructing a pool."""
+    buffers — allocating a zero-size buffer is an OpenCL error)."""
     plan = program.plan
     empty = {d.name for d in plan.buffers
              if int(d.count.evaluate(local_sizes)) <= 0}
@@ -196,8 +217,7 @@ def shard_program(program: HostProgram, shard_index: int,
 def shard_rotations(plan: HostPlan, rotations) -> list[tuple[str, ...]]:
     """``rotations`` filtered to the names a shard's ``plan`` actually
     transfers, plus ``__out__`` when a launch writes one (a shard without
-    boundary points has no branch-state buffers to swap).  Module-level,
-    like :func:`shard_program`, for the worker processes."""
+    boundary points has no branch-state buffers to swap)."""
     avail = {op.host_name for op in plan.ops if isinstance(op, CopyIn)}
     if any(isinstance(op, Launch) and op.out_buffer is not None
            for op in plan.ops):
@@ -220,8 +240,8 @@ def grow_out(st: ResidentPlan, np_local: int) -> None:
         st.buffers[name] = grown
 
 
-def decompose(nz: int, plane: int, devices: tuple[DeviceSpec, ...],
-              radius: int = STENCIL_RADIUS) -> list[Shard]:
+def decompose(nz: int, plane: int,
+              devices: tuple[DeviceSpec, ...]) -> list[Shard]:
     """Balanced Z-slab split of ``nz`` planes across ``devices``."""
     n = len(devices)
     if n > nz:
@@ -233,7 +253,7 @@ def decompose(nz: int, plane: int, devices: tuple[DeviceSpec, ...],
     z0 = 0
     for i, dev in enumerate(devices):
         planes = base + (1 if i < rem else 0)
-        shards.append(Shard(i, dev, z0, z0 + planes, plane, radius))
+        shards.append(Shard(i, dev, z0, z0 + planes, plane, STENCIL_RADIUS))
         z0 += planes
     return shards
 
@@ -257,7 +277,7 @@ class MultiRunResult:
     halo_bytes: int
     devices: tuple[str, ...]
     #: overlap-schedule report when the run used the multi-process
-    #: executor (:class:`~.parallel.ParallelMultiGPU`): per-shard modes,
+    #: executor (:func:`~.parallel.execute_parallel`): per-shard modes,
     #: modelled ``max(interior, halo) + boundary`` timing, measured
     #: stall/exchange wallclock and receiver traces; ``None`` for the
     #: serial in-process BSP path
@@ -303,53 +323,30 @@ class MultiGPU:
     domain decomposition, with the interface of :class:`VirtualGPU`.
 
     ``devices`` accepts anything :func:`~.device.resolve_device` does
-    (``"RadeonR9:2"``, a list of specs, ...).  Input partitioning is by
-    host-parameter name: ``field_params`` are grid-shaped arrays sliced
-    into the dual-halo local layout, ``boundary_param`` is the flat
-    boundary-index array (split by owning slab and re-based),
-    ``owner_params`` follow the boundary mask 1:1, ``branch_params`` are
-    ODE branch states of shape ``[branches, K]`` masked per column, and
-    everything else (coefficient tables, scalars) is broadcast whole.
+    (``"RadeonR9:2"``, a list of specs, ...).  Inputs partition by
+    host-parameter name (:data:`FIELD_PARAMS`, :data:`BOUNDARY_PARAM`,
+    :data:`OWNER_PARAMS`, :data:`BRANCH_PARAMS`); everything else is
+    broadcast whole.
 
     With ``resilient=True`` the per-step :meth:`execute` path runs each
     shard under a :class:`~.resilient.ResilientGPU` whose retry policy
     excludes device loss (:func:`~.resilient.shard_retry_policy`); a lost
     device always escalates as :class:`ShardLost`.  A ``faults`` plan is
-    attached to the ``fault_shard``-th device only, so injected failures
-    have a well-defined victim.
+    attached to the first device only, so injected failures have a
+    well-defined victim.  ``parallel=True`` lets :meth:`execute_many`
+    run each shard in a worker process of its own.
     """
 
-    def __init__(self, devices, traits: ImplTraits = LIFT_TRAITS,
-                 autotune: bool = True, workgroup: int = 256,
-                 faults: FaultPlan | None = None, fault_shard: int = 0,
+    def __init__(self, devices, *, faults: FaultPlan | None = None,
                  resilient: bool = False, retry: RetryPolicy | None = None,
-                 radius: int = STENCIL_RADIUS,
-                 plane_param: str = "NxNy_h",
-                 boundary_param: str = "boundaries",
-                 field_params: tuple[str, ...] = ("prev1_h", "prev2_h",
-                                                  "neighbors"),
-                 owner_params: tuple[str, ...] = ("materialIdx",),
-                 branch_params: tuple[str, ...] = ("g1_h", "v2_h", "v1_h"),
-                 k_size: str = "K"):
+                 parallel: bool = False):
         self.devices = resolve_device(devices)
-        self.traits = traits
-        self.autotune = autotune
-        self.workgroup = workgroup
         self.faults = faults
-        self.fault_shard = fault_shard
         self.resilient = resilient
         self.retry = retry
-        self.radius = radius
-        self.plane_param = plane_param
-        self.boundary_param = boundary_param
-        self.field_params = tuple(field_params)
-        self.owner_params = tuple(owner_params)
-        self.branch_params = tuple(branch_params)
-        self.k_size = k_size
-        self._gpus = [
-            VirtualGPU(dev, traits, autotune, workgroup,
-                       faults=faults if i == fault_shard else None)
-            for i, dev in enumerate(self.devices)]
+        self.parallel = parallel
+        self._gpus = [VirtualGPU(dev, faults=faults if i == 0 else None)
+                      for i, dev in enumerate(self.devices)]
         if resilient:
             self._execs: list = [
                 ResilientGPU(g, retry=shard_retry_policy(retry),
@@ -362,6 +359,10 @@ class MultiGPU:
         #: pool's executors are discarded by :meth:`without_device`, but
         #: their recovery history must survive for the policy log)
         self.inherited_log: list[PolicyOutcome] = []
+        #: test knob: {shard_index: step} — that shard's worker process
+        #: SIGKILLs itself at that step, exercising dead-process
+        #: ShardLost recovery.  Not carried across :meth:`without_device`.
+        self._test_kill: dict[int, int] | None = None
 
     @property
     def device(self) -> DeviceSpec:
@@ -376,23 +377,14 @@ class MultiGPU:
         """A new pool with shard ``index``'s device removed — the
         re-shard step of device-loss recovery.  The same fault plan
         instance carries over, so already-fired one-shot faults do not
-        re-fire during the replay.  Subclasses keep their type (a
-        :class:`~.parallel.ParallelMultiGPU` re-shards into another
-        parallel pool) and copy their extra state via
-        :meth:`_copy_config`."""
+        re-fire during the replay."""
         remaining = tuple(d for i, d in enumerate(self.devices) if i != index)
         if not remaining:
             raise ClInvalidValue(
                 "cannot re-shard: no devices left", lost_shard=index)
-        pool = type(self)(
-            remaining, self.traits, self.autotune, self.workgroup,
-            faults=self.faults,
-            fault_shard=min(self.fault_shard, len(remaining) - 1),
-            resilient=self.resilient, retry=self.retry, radius=self.radius,
-            plane_param=self.plane_param, boundary_param=self.boundary_param,
-            field_params=self.field_params, owner_params=self.owner_params,
-            branch_params=self.branch_params, k_size=self.k_size)
-        self._copy_config(pool)
+        pool = MultiGPU(remaining, faults=self.faults,
+                        resilient=self.resilient, retry=self.retry,
+                        parallel=self.parallel)
         pool.inherited_log = self.policy_logs() + [PolicyOutcome(
             method="execute", device=self.devices[index].name, attempt=1,
             error="CL_DEVICE_LOST", action="reshard",
@@ -400,10 +392,19 @@ class MultiGPU:
                    f"{len(remaining)} device(s)")]
         return pool
 
-    def _copy_config(self, pool: "MultiGPU") -> None:
-        """Carry subclass configuration onto a re-sharded pool (hook for
-        :meth:`without_device`; deliberately excludes one-shot test
-        knobs such as an injected worker kill)."""
+    def _parallel_eligible(self) -> str | None:
+        """Why :meth:`execute_many` cannot run the process-per-shard
+        executor (None when it can)."""
+        import multiprocessing as mp
+        if not self.parallel:
+            return "parallel=False"
+        if len(self.devices) < 2:
+            return "single shard"
+        if self.faults is not None or self.resilient:
+            return "fault injection / resilient wrappers are per-process"
+        if mp.current_process().daemon:
+            return "daemon process cannot spawn shard workers"
+        return None
 
     def policy_logs(self) -> list:
         """Concatenated recovery-policy logs: entries inherited across
@@ -415,13 +416,13 @@ class MultiGPU:
 
     # -- decomposition ------------------------------------------------------------------
     def _shards(self, inputs: dict, sizes: dict) -> list[Shard]:
-        plane = int(inputs.get(self.plane_param, 0))
+        plane = int(inputs.get(PLANE_PARAM, 0))
         n_total = int(sizes["N"])
         if plane <= 0 or n_total % plane:
             raise ClInvalidValue(
-                f"cannot decompose: plane size {self.plane_param!r}={plane} "
+                f"cannot decompose: plane size {PLANE_PARAM!r}={plane} "
                 f"does not divide N={n_total}", plane=plane, N=n_total)
-        return decompose(n_total // plane, plane, self.devices, self.radius)
+        return decompose(n_total // plane, plane, self.devices)
 
     def _local_inputs(self, shard: Shard, inputs: dict, sizes: dict
                       ) -> tuple[dict, dict, np.ndarray | None]:
@@ -430,33 +431,29 @@ class MultiGPU:
         ls = dict(sizes)
         ls["N"] = shard.n_local
         ls["NP"] = shard.np_local
-        for p in self.field_params:
+        for p in FIELD_PARAMS:
             if p in inputs:
                 li[p] = shard.shard_field(inputs[p])
         mask: np.ndarray | None = None
-        if self.boundary_param in inputs:
-            bidx = np.asarray(inputs[self.boundary_param]).reshape(-1)
+        if BOUNDARY_PARAM in inputs:
+            bidx = np.asarray(inputs[BOUNDARY_PARAM]).reshape(-1)
             mask = (bidx >= shard.lo) & (bidx < shard.hi)
-            li[self.boundary_param] = (bidx[mask] - shard.lo).astype(bidx.dtype)
+            li[BOUNDARY_PARAM] = (bidx[mask] - shard.lo).astype(bidx.dtype)
             k_local = int(mask.sum())
-            if self.k_size in ls:
-                ls[self.k_size] = k_local
-            if self.k_size in inputs:
-                li[self.k_size] = k_local
-            for p in self.owner_params:
+            if K_SIZE in ls:
+                ls[K_SIZE] = k_local
+            if K_SIZE in inputs:
+                li[K_SIZE] = k_local
+            for p in OWNER_PARAMS:
                 if p in inputs:
                     li[p] = np.asarray(inputs[p]).reshape(-1)[mask]
             k_total = bidx.size
             if k_total:
-                for p in self.branch_params:
+                for p in BRANCH_PARAMS:
                     if p in inputs:
                         a = np.asarray(inputs[p]).reshape(-1, k_total)
                         li[p] = np.ascontiguousarray(a[:, mask]).reshape(-1)
         return li, ls, mask
-
-    def _shard_program(self, program: HostProgram, shard: Shard,
-                       local_sizes: dict) -> HostProgram:
-        return shard_program(program, shard.index, local_sizes)
 
     # -- halo exchange ------------------------------------------------------------------
     def _halo_schedule(self, shards: list[Shard]) -> list[HaloExchange]:
@@ -465,7 +462,7 @@ class MultiGPU:
         into the neighbour's matching halo region."""
         ops: list[HaloExchange] = []
         for a, b in zip(shards, shards[1:]):
-            rp = self.radius * a.plane
+            rp = a.radius * a.plane
             # a's top planes -> b's halo_lo (the tail of b's local array)
             ops.append(HaloExchange(a.index, b.index, "__out__",
                                     a.n_local - rp, b.n_local + rp, rp))
@@ -523,7 +520,6 @@ class MultiGPU:
 
     # -- per-step execution (the simulation path) ---------------------------------------
     def execute(self, program: HostProgram, inputs: dict, sizes: dict,
-                gather_index_param: str = "boundaryIndices",
                 fault_step: int | None = None) -> MultiRunResult:
         """One pass of the host program, decomposed across the pool.
 
@@ -545,16 +541,13 @@ class MultiGPU:
         with cm:
             for shard, ex in zip(shards, self._execs):
                 li, ls, mask = self._local_inputs(shard, inputs, sizes)
-                prog = self._shard_program(program, shard, ls)
+                prog = shard_program(program, shard.index, ls)
                 scm = (o.tracer.span("gpu.shard", "gpu", shard=shard.index,
                                      device=shard.device.name)
                        if o is not None else nullcontext())
                 with scm:
                     try:
-                        res = ex.execute(
-                            prog, li, ls,
-                            gather_index_param=gather_index_param,
-                            fault_step=fault_step)
+                        res = ex.execute(prog, li, ls, fault_step=fault_step)
                     except ShardLost:
                         raise
                     except ClDeviceLost as err:
@@ -572,55 +565,57 @@ class MultiGPU:
                         shards[op.dst_device].device, nbytes,
                         f"halo:{op.src_device}->{op.dst_device}",
                         halo_events, fault_step)
-        return self._merge_execute(program.plan.host_buffers(), shards,
-                                   masks, shard_results, inputs,
-                                   halo_events, halo_bytes)
-
-    def _merge_execute(self, host_buffers, shards, masks, results, inputs,
-                       halo_events, halo_bytes) -> MultiRunResult:
-        field = np.concatenate(
-            [np.asarray(r.result).reshape(-1)[:sh.n_local]
-             for sh, r in zip(shards, results)])
+        # shard plans keep the program's buffer names
+        host_buffers = program.plan.host_buffers()
         buffers: dict[str, np.ndarray] = {}
-        k_total = (np.asarray(inputs[self.boundary_param]).size
-                   if self.boundary_param in inputs else 0)
-        for name in self.branch_params:
-            if name not in inputs or not k_total:
-                continue
-            merged = np.array(np.asarray(inputs[name]).reshape(-1),
-                              copy=True)
-            mb = merged.size // k_total
-            cols = merged.reshape(mb, k_total)
-            for sh, mask, r in zip(shards, masks, results):
-                if mask is None or not mask.any():
-                    continue
-                # shard plans keep the program's buffer names
-                cols[:, mask] = np.asarray(
-                    r.buffers[host_buffers[name]]).reshape(mb, -1)
-            buffers[host_buffers[name]] = cols.reshape(-1)
-        return MultiRunResult(
-            result=field, buffers=buffers,
-            shard_events=[r.events for r in results],
-            halo_events=halo_events, halo_bytes=halo_bytes,
-            devices=tuple(d.name for d in self.devices))
+        for name in BRANCH_PARAMS:
+            if name in inputs:
+                key = host_buffers[name]
+                merged = _branch_state(inputs, name, masks,
+                                       [r.buffers.get(key)
+                                        for r in shard_results])
+                if merged is not None:
+                    buffers[key] = merged
+        return self._merged(shards, shard_results, buffers, halo_events,
+                            halo_bytes)
 
     # -- resident iterative execution (the benchmark / scaling path) --------------------
     def execute_many(self, program: HostProgram, inputs: dict, sizes: dict,
                      steps: int,
                      rotations: list[tuple[str, ...]] | None = None,
-                     gather_index_param: str = "boundaryIndices"
+                     receivers: dict[str, int] | None = None
                      ) -> MultiRunResult:
         """Iterative resident execution across the pool.
 
-        Uploads each shard's state once, then per step: every shard's
-        launches, the halo-exchange phase on the freshly written
-        ``__out__`` field (a BSP synchronisation point — real data moves
-        between the resident plans), then the rotation.  Rotation cycles
-        are filtered per shard to the names its plan actually transfers
-        (a shard without boundary points has no branch-state buffers to
-        swap).  Errors surface directly — the resident path has live
-        device state, so recovery is the caller's re-shard-and-replay.
+        With ``parallel=True`` and :meth:`_parallel_eligible` passing,
+        each shard runs in a worker process of its own with halo
+        exchange overlapping interior compute
+        (:func:`~.parallel.execute_parallel`).  ``receivers`` optionally
+        maps names to *global* flat indices; the owning worker samples
+        the freshly rotated field there each step and the traces come
+        back in ``result.overlap["receivers"]`` (the bulk simulation
+        path uses this so receiver capture does not force per-step
+        round trips).  Only that executor takes ``receivers``.
+
+        Otherwise the shards step here, in BSP order: upload each
+        shard's state once, then per step every shard's launches, the
+        halo-exchange phase on the freshly written ``__out__`` field (a
+        synchronisation point — real data moves between the resident
+        plans), then the rotation.  Rotation cycles are filtered per
+        shard to the names its plan actually transfers (a shard without
+        boundary points has no branch-state buffers to swap).  Errors
+        surface directly — the resident path has live device state, so
+        recovery is the caller's re-shard-and-replay.
         """
+        why = self._parallel_eligible()
+        if why is None and steps > 0:
+            from .parallel import execute_parallel
+            return execute_parallel(self, program, inputs, sizes, steps,
+                                    rotations or [], receivers or {})
+        if receivers:
+            raise ClInvalidValue(
+                f"receivers require the parallel executor, which is "
+                f"unavailable here: {why or 'steps <= 0'}", reason=why)
         shards = self._shards(inputs, sizes)
         o = _obs.get()
         cm = (o.tracer.span("gpu.multi.execute_many", "gpu",
@@ -634,12 +629,11 @@ class MultiGPU:
         with cm:
             for shard, gpu, ev in zip(shards, self._gpus, shard_events):
                 li, ls, mask = self._local_inputs(shard, inputs, sizes)
-                prog = self._shard_program(program, shard, ls)
-                gpu._validate(prog.plan, li, ls)
+                plan = shard_program(program, shard.index, ls).plan
+                gpu._validate(plan, li, ls)
                 try:
-                    st = ResidentPlan(gpu, prog.plan, li, ls,
-                                      shard_rotations(prog.plan, rotations),
-                                      gather_index_param, ev)
+                    st = ResidentPlan(gpu, plan, li, ls,
+                                      shard_rotations(plan, rotations), ev)
                 except ShardLost:
                     raise
                 except ClDeviceLost as err:
@@ -673,30 +667,17 @@ class MultiGPU:
                     halo_events, halo_bytes) -> MultiRunResult:
         """Merge per-shard resident results; ``names`` is the union of
         the shards' rotation-binding names (host params + ``__out__``)."""
-        field = np.concatenate(
-            [np.asarray(r.result).reshape(-1)[:sh.n_local]
-             for sh, r in zip(shards, results)])
-        k_total = (np.asarray(inputs[self.boundary_param]).size
-                   if self.boundary_param in inputs else 0)
-        skip = {self.boundary_param, self.k_size, *self.owner_params}
+        skip = {BOUNDARY_PARAM, K_SIZE, *OWNER_PARAMS}
         buffers: dict[str, np.ndarray] = {}
         for name in sorted(names):
             if name in skip:
                 continue   # shard-local index/ownership data
             per = [r.buffers.get(f"final:{name}") for r in results]
-            if name in self.branch_params:
-                if not k_total:
-                    continue
-                merged = np.array(np.asarray(inputs[name]).reshape(-1),
-                                  copy=True)
-                mb = merged.size // k_total
-                cols = merged.reshape(mb, k_total)
-                for mask, p in zip(masks, per):
-                    if mask is None or p is None or not mask.any():
-                        continue
-                    cols[:, mask] = np.asarray(p).reshape(mb, -1)
-                buffers[f"final:{name}"] = cols.reshape(-1)
-            elif name in self.field_params or name == "__out__":
+            if name in BRANCH_PARAMS:
+                merged = _branch_state(inputs, name, masks, per)
+                if merged is not None:
+                    buffers[f"final:{name}"] = merged
+            elif name in FIELD_PARAMS or name == "__out__":
                 buffers[f"final:{name}"] = np.concatenate(
                     [np.asarray(p).reshape(-1)[:sh.n_local]
                      for sh, p in zip(shards, per) if p is not None])
@@ -705,6 +686,15 @@ class MultiGPU:
                 shared = next((p for p in per if p is not None), None)
                 if shared is not None:
                     buffers[f"final:{name}"] = shared
+        return self._merged(shards, results, buffers, halo_events,
+                            halo_bytes)
+
+    def _merged(self, shards, results, buffers, halo_events,
+                halo_bytes) -> MultiRunResult:
+        """The pool's result: the shards' owned slabs, concatenated."""
+        field = np.concatenate(
+            [np.asarray(r.result).reshape(-1)[:sh.n_local]
+             for sh, r in zip(shards, results)])
         return MultiRunResult(
             result=field, buffers=buffers,
             shard_events=[r.events for r in results],
@@ -712,8 +702,18 @@ class MultiGPU:
             devices=tuple(d.name for d in self.devices))
 
 
-# re-export: the multi-process overlap executor subclasses MultiGPU, so
-# it lives in its own module; importing it here (after MultiGPU is fully
-# defined) keeps `from repro.gpu.multi import ParallelMultiGPU` working
-# as the natural spelling alongside the serial pool
-from .parallel import ParallelMultiGPU  # noqa: E402,F401
+def _branch_state(inputs: dict, name: str, masks, per) -> np.ndarray | None:
+    """Merged ``[branches, K]`` branch state ``name`` (flat): the input's
+    columns, with each shard's owned columns taken from its result in
+    ``per`` (``None`` where a shard has no such buffer).  ``None`` when
+    the problem has no boundary points."""
+    k_total = (np.asarray(inputs[BOUNDARY_PARAM]).size
+               if BOUNDARY_PARAM in inputs else 0)
+    if not k_total:
+        return None
+    merged = np.array(np.asarray(inputs[name]).reshape(-1), copy=True)
+    cols = merged.reshape(-1, k_total)
+    for mask, p in zip(masks, per):
+        if mask is not None and p is not None and mask.any():
+            cols[:, mask] = np.asarray(p).reshape(cols.shape[0], -1)
+    return merged

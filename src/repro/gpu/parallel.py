@@ -1,11 +1,19 @@
 """Multi-process shard executor with compute/communication overlap.
 
-:class:`ParallelMultiGPU` turns the Z-slab decomposition of
-:class:`~.multi.MultiGPU` into *real* wallclock parallelism: each shard
-owns an OS process, halo planes move through shared-memory ring buffers,
-and the per-step schedule overlaps the interior sweep with the neighbour
-exchange — the MPI-X playbook for generated finite-difference solvers
-(Bisbas et al., arXiv:2312.13094) realised on the virtual-GPU runtime.
+:func:`execute_parallel` is the executor behind
+``MultiGPU(..., parallel=True).execute_many``: it turns the Z-slab
+decomposition of :class:`~.multi.MultiGPU` into *real* wallclock
+parallelism.  Each shard owns an OS process, halo planes move through
+shared-memory ring buffers, and the per-step schedule overlaps the
+interior sweep with the neighbour exchange — the MPI-X playbook for
+generated finite-difference solvers (Bisbas et al., arXiv:2312.13094)
+realised on the virtual-GPU runtime.
+
+**Workers run the program they are handed.**  The parent shards the host
+program it was given (:func:`~.multi.shard_program`) and pickles each
+shard's :class:`~repro.lift.codegen.host.HostProgram` into the worker's
+task, together with its shard-local inputs and rotation cycles; a worker
+rebuilds nothing.
 
 **Overlap schedule.** The serial BSP loop runs *launches → exchange
 ``__out__`` halos → rotate*.  Restructured per worker (bit-identical,
@@ -31,23 +39,21 @@ compiled loop tier) the worker falls back to a BSP schedule — still
 process-parallel, still bit-identical, just without overlap.
 
 **Shared-memory rings.** One ``multiprocessing.shared_memory`` block
-per directed neighbour edge, ``ring_depth`` slots of one halo plane
+per directed neighbour edge, :data:`RING_DEPTH` slots of one halo plane
 each, flow-controlled by a (free, filled) semaphore pair — a bounded
-SPSC queue, so a shard can run at most ``ring_depth`` steps ahead of a
-neighbour and no step ever reads a torn plane.
+SPSC queue, so a shard can run at most :data:`RING_DEPTH` steps ahead of
+a neighbour and no step ever reads a torn plane.
 
-**Fallbacks.** Fault injection, resilient wrappers, a single shard, a
-missing ``program_spec`` (host programs do not pickle — workers rebuild
-them from the builder spec), or a daemon parent process (which cannot
-spawn children) all route to the serial in-process
-:meth:`MultiGPU.execute_many` path.
+**Fallbacks.** Fault injection, resilient wrappers, a single shard, or a
+daemon parent process (which cannot spawn children) make
+:meth:`~.multi.MultiGPU._parallel_eligible` refuse, and
+:meth:`~.multi.MultiGPU.execute_many` runs its in-process BSP loop.
 
 **Failure semantics.** A worker that dies (crash, OOM kill, injected
 ``_test_kill``) surfaces as :class:`~.multi.ShardLost`, exactly like a
 lost device on the serial path: the simulation layer re-shards across
-the survivors via :meth:`~.multi.MultiGPU.without_device` — which
-preserves the pool type and ``program_spec`` — and replays from the
-last checkpoint.
+the survivors via :meth:`~.multi.MultiGPU.without_device` — which keeps
+``parallel`` — and replays from the last checkpoint.
 """
 
 from __future__ import annotations
@@ -60,14 +66,18 @@ import traceback
 import numpy as np
 
 from .. import obs as _obs
+from ..lift.codegen.host import HostProgram, Launch
 from .costmodel import halo_exchange_time_ms, overlapped_step_time_ms
-from .errors import ClInvalidValue
-from .multi import (MultiGPU, MultiRunResult, Shard, ShardLost, grow_out,
-                    shard_program, shard_rotations)
+from .multi import (FIELD_PARAMS, MultiGPU, MultiRunResult, Shard,
+                    ShardLost, grow_out, shard_program, shard_rotations)
 from .runtime import ProfilingEvent, ResidentPlan, RunResult, VirtualGPU
 
 #: profiling-event kinds a worker aggregates back to the parent
 _EVENT_KINDS = ("kernel", "h2d", "d2h")
+
+#: slots of one halo plane per shared-memory ring: how many steps a
+#: shard may run ahead of its neighbour
+RING_DEPTH = 2
 
 
 def _attach_shm(name: str):
@@ -135,23 +145,20 @@ def _launch_env(op, inputs: dict, sizes: dict) -> dict:
 
 
 def _shard_worker_main(task: dict, result_q) -> None:
-    """One shard's process: rebuild the host program, run the resident
-    step loop under the overlap schedule, ship the finals back.
+    """One shard's process: run the resident step loop of the host
+    program it was handed under the overlap schedule, ship the finals
+    back.
 
-    Module-level (spawn pickles it by reference) with all repro imports
-    inside, mirroring ``repro.net.pool``.  ``task`` carries only
-    picklable state: the builder spec, shard-local inputs/sizes, ring
-    attachments by name, and the step/rotation schedule.
+    Module-level (spawn pickles it by reference).  ``task`` carries only
+    picklable state: the shard's host program, shard-local inputs/sizes
+    and rotation cycles, ring attachments by name, and the step count.
     """
     os.environ["OMP_NUM_THREADS"] = str(task["omp_threads"])
     index = task["index"]
     rings: dict[str, _Ring] = {}
     shms = []
     try:
-        from ..acoustics.lift_programs import compiled_host
-        from ..lift.codegen.host import Launch
-
-        program = compiled_host(*task["program_spec"])
+        plan = task["program"].plan
         li, ls = task["inputs"], task["sizes"]
         n_local, np_local, rp = task["n_local"], task["np_local"], task["rp"]
         steps = task["steps"]
@@ -160,16 +167,12 @@ def _shard_worker_main(task: dict, result_q) -> None:
         for lane, (shm_name, free, filled) in task["rings"].items():
             shm = _attach_shm(shm_name)
             shms.append(shm)
-            rings[lane] = _Ring(shm, rp, dtype, task["ring_depth"],
-                                free, filled)
+            rings[lane] = _Ring(shm, rp, dtype, RING_DEPTH, free, filled)
 
-        plan = shard_program(program, index, ls).plan
         gpu = VirtualGPU(task["device"])
         events: list[ProfilingEvent] = []
         gpu._validate(plan, li, ls)
-        st = ResidentPlan(gpu, plan, li, ls,
-                          shard_rotations(plan, task["rotations"]),
-                          task["gather_index_param"], events)
+        st = ResidentPlan(gpu, plan, li, ls, task["rotations"], events)
         grow_out(st, np_local)
 
         # overlap eligibility: the footprint kernel must be the plan's
@@ -290,300 +293,240 @@ def _shard_worker_main(task: dict, result_q) -> None:
                 pass
 
 
-class ParallelMultiGPU(MultiGPU):
-    """A :class:`MultiGPU` whose resident path runs each shard in its
-    own process, overlapping halo exchange with interior compute.
+def execute_parallel(pool: MultiGPU, program: HostProgram, inputs: dict,
+                     sizes: dict, steps: int, rotations: list,
+                     receivers: dict[str, int]) -> MultiRunResult:
+    """``pool.execute_many`` with one worker process per shard (see the
+    module docstring); ``receivers`` maps names to *global* flat
+    indices the owning worker samples after every step."""
+    import multiprocessing as mp
+    from multiprocessing.shared_memory import SharedMemory
 
-    ``program_spec`` is the builder triple ``(scheme, precision,
-    num_branches)`` the workers rebuild the host program from (compiled
-    host programs do not pickle); ``None`` disables the parallel path.
-    ``ring_depth`` sizes the per-edge shared-memory rings (slots of one
-    halo plane each).  Everything else — decomposition, input
-    partitioning, merging, the per-step :meth:`execute` path, recovery
-    — is inherited.
-    """
+    shards = pool._shards(inputs, sizes)
+    k = len(shards)
+    ctx = mp.get_context("spawn")
+    field_name = FIELD_PARAMS[0]
+    field_dtype = np.asarray(inputs[field_name]).dtype
+    rp = shards[0].radius * shards[0].plane
+    omp = max(1, (os.cpu_count() or 1) // k)
 
-    def __init__(self, devices, *args,
-                 program_spec: tuple[str, str, int] | None = None,
-                 ring_depth: int = 2, **kwargs):
-        super().__init__(devices, *args, **kwargs)
-        self.program_spec = program_spec
-        self.ring_depth = max(1, int(ring_depth))
-        #: test knob: {shard_index: step} — the worker SIGKILLs itself
-        #: at that step, exercising dead-process ShardLost recovery.
-        #: Deliberately NOT carried across :meth:`without_device`.
-        self._test_kill: dict[int, int] | None = None
-
-    def _copy_config(self, pool: MultiGPU) -> None:
-        pool.program_spec = self.program_spec
-        pool.ring_depth = self.ring_depth
-
-    def _parallel_eligible(self) -> str | None:
-        """Why the parallel path cannot run (None when it can)."""
-        import multiprocessing as mp
-        if len(self.devices) < 2:
-            return "single shard"
-        if self.program_spec is None:
-            return "no program_spec (host programs do not pickle)"
-        if self.faults is not None or self.resilient:
-            return "fault injection / resilient wrappers are per-process"
-        if mp.current_process().daemon:
-            return "daemon process cannot spawn shard workers"
-        return None
-
-    def execute_many(self, program, inputs, sizes, steps,
-                     rotations=None, gather_index_param="boundaryIndices",
-                     receivers: dict[str, int] | None = None
-                     ) -> MultiRunResult:
-        """Resident iterative execution, one process per shard.
-
-        ``receivers`` optionally maps names to *global* flat indices;
-        the owning worker samples the freshly rotated field there each
-        step and the traces come back in ``result.overlap["receivers"]``
-        (the bulk simulation path uses this so receiver capture does not
-        force per-step round trips)."""
-        why = self._parallel_eligible()
-        if why is not None or steps <= 0:
-            if receivers:
-                raise ClInvalidValue(
-                    f"receivers require the parallel executor, which is "
-                    f"unavailable here: {why or 'steps <= 0'}",
-                    reason=why)
-            return super().execute_many(program, inputs, sizes, steps,
-                                        rotations, gather_index_param)
-        return self._execute_parallel(inputs, sizes, steps,
-                                      rotations or [], gather_index_param,
-                                      receivers or {})
-
-    def _execute_parallel(self, inputs, sizes, steps, rotations,
-                          gather_index_param, receivers) -> MultiRunResult:
-        import multiprocessing as mp
-        from multiprocessing.shared_memory import SharedMemory
-
-        shards = self._shards(inputs, sizes)
-        k = len(shards)
-        ctx = mp.get_context("spawn")
-        field_name = self.field_params[0]
-        field_dtype = np.asarray(inputs[field_name]).dtype
-        rp = self.radius * shards[0].plane
-        omp = max(1, (os.cpu_count() or 1) // k)
-
-        # receiver ownership: global flat index -> (shard, local index)
-        per_shard_recv: list[dict[str, int]] = [{} for _ in shards]
-        for name, gidx in receivers.items():
-            for sh in shards:
-                if sh.lo <= int(gidx) < sh.hi:
-                    per_shard_recv[sh.index][name] = int(gidx) - sh.lo
-                    break
-
-        # one ring per directed neighbour edge; the parent owns (and
-        # finally unlinks) every segment, children only attach
-        shms: list[SharedMemory] = []
-        ring_cfg: list[dict] = [{} for _ in shards]
-        nbytes = self.ring_depth * rp * field_dtype.itemsize
-        for a, b in zip(shards, shards[1:]):
-            for lane_src, lane_dst, src in (("send_up", "recv_dn", a.index),
-                                            ("send_dn", "recv_up", b.index)):
-                shm = SharedMemory(create=True, size=nbytes)
-                shms.append(shm)
-                free = ctx.Semaphore(self.ring_depth)
-                filled = ctx.Semaphore(0)
-                entry = (shm.name, free, filled)
-                if lane_src == "send_up":
-                    ring_cfg[a.index]["send_up"] = entry
-                    ring_cfg[b.index]["recv_dn"] = entry
-                else:
-                    ring_cfg[b.index]["send_dn"] = entry
-                    ring_cfg[a.index]["recv_up"] = entry
-
-        o = _obs.get()
-        masks: list[np.ndarray | None] = []
-        procs: list = []
-        result_q = ctx.Queue()
-        t_total = _time.perf_counter()
-        try:
-            for shard in shards:
-                li, ls, mask = self._local_inputs(shard, inputs, sizes)
-                masks.append(mask)
-                task = {
-                    "index": shard.index, "device": shard.device,
-                    "program_spec": self.program_spec,
-                    "inputs": li, "sizes": ls,
-                    "n_local": shard.n_local, "np_local": shard.np_local,
-                    "rp": rp, "steps": steps,
-                    "rotations": [tuple(c) for c in rotations],
-                    "gather_index_param": gather_index_param,
-                    "halo_binding": field_name,
-                    "field_dtype": field_dtype.str,
-                    "rings": ring_cfg[shard.index],
-                    "ring_depth": self.ring_depth,
-                    "omp_threads": omp,
-                    "receivers": per_shard_recv[shard.index],
-                    "kill_at_step": (self._test_kill or {}).get(shard.index),
-                }
-                p = ctx.Process(target=_shard_worker_main,
-                                args=(task, result_q),
-                                name=f"repro-shard-{shard.index}")
-                p.start()
-                procs.append(p)
-
-            payloads: dict[int, dict] = {}
-            while len(payloads) < k:
-                try:
-                    msg = result_q.get(timeout=0.25)
-                except _queue.Empty:
-                    for sh, p in zip(shards, procs):
-                        if sh.index not in payloads and not p.is_alive():
-                            raise self._worker_lost(sh, p.exitcode)
-                    continue
-                if "error" in msg:
-                    raise ShardLost(
-                        f"shard {msg['shard']} "
-                        f"({shards[msg['shard']].device.name}) worker "
-                        f"failed:\n{msg['error']}",
-                        shard=msg["shard"],
-                        device=shards[msg["shard"]].device.name)
-                payloads[msg["shard"]] = msg
-            for p in procs:
-                p.join(timeout=10)
-            wall_total_s = _time.perf_counter() - t_total
-        finally:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=5)
-            result_q.close()
-            result_q.cancel_join_thread()
-            for shm in shms:
-                try:
-                    shm.close()
-                    shm.unlink()
-                except Exception:
-                    pass
-
-        return self._merge_parallel(shards, masks, payloads, inputs,
-                                    steps, rp, field_dtype, wall_total_s, o)
-
-    def _worker_lost(self, shard: Shard, exitcode) -> ShardLost:
-        return ShardLost(
-            f"shard {shard.index} ({shard.device.name}) worker process "
-            f"died (exit code {exitcode}); resident halo state is gone — "
-            f"re-shard across the survivors and replay",
-            shard=shard.index, device=shard.device.name)
-
-    def _merge_parallel(self, shards, masks, payloads, inputs, steps,
-                        rp, field_dtype, wall_total_s, o) -> MultiRunResult:
-        # synthesise aggregate profiling events from the worker totals:
-        # per-shard kernel sums (and so kernel_time_ms = max over
-        # shards) are preserved exactly, only the per-step breakdown is
-        # collapsed
-        results: list[RunResult] = []
-        names: set[str] = set()
+    # receiver ownership: global flat index -> (shard, local index)
+    per_shard_recv: list[dict[str, int]] = [{} for _ in shards]
+    for name, gidx in receivers.items():
         for sh in shards:
-            pl = payloads[sh.index]
-            ev = [ProfilingEvent(kind, name, ms)
-                  for kind, name, ms, _c in pl["event_totals"]]
-            buffers = {f"final:{n}": a for n, a in pl["final"].items()}
-            results.append(RunResult(result=pl["result"], buffers=buffers,
-                                     events=ev))
-            names |= set(pl["binding_names"])
+            if sh.lo <= int(gidx) < sh.hi:
+                per_shard_recv[sh.index][name] = int(gidx) - sh.lo
+                break
 
-        # price the halo schedule the workers actually executed: one
-        # exchange phase per step after the first (step 0 consumed the
-        # pre-filled halos; the final field is merged trimmed, so no
-        # post-last-step exchange exists to price)
-        halo_events: list[ProfilingEvent] = []
-        halo_bytes = 0
-        halo_ms_to: dict[int, float] = {sh.index: 0.0 for sh in shards}
-        nbytes = rp * field_dtype.itemsize
-        if steps > 1:
-            for op in self._halo_schedule(shards):
-                ms = halo_exchange_time_ms(nbytes,
-                                           shards[op.src_device].device,
-                                           shards[op.dst_device].device)
-                halo_ms_to[op.dst_device] += ms
-                for step in range(1, steps):
-                    halo_bytes += nbytes
-                    self._record_halo(shards[op.src_device].device,
-                                      shards[op.dst_device].device, nbytes,
-                                      f"halo:{op.src_device}->"
-                                      f"{op.dst_device}", halo_events, step)
+    # one ring per directed neighbour edge; the parent owns (and
+    # finally unlinks) every segment, children only attach
+    shms: list[SharedMemory] = []
+    ring_cfg: list[dict] = [{} for _ in shards]
+    nbytes = RING_DEPTH * rp * field_dtype.itemsize
+    for a, b in zip(shards, shards[1:]):
+        for lane_src, lane_dst, src in (("send_up", "recv_dn", a.index),
+                                        ("send_dn", "recv_up", b.index)):
+            shm = SharedMemory(create=True, size=nbytes)
+            shms.append(shm)
+            free = ctx.Semaphore(RING_DEPTH)
+            filled = ctx.Semaphore(0)
+            entry = (shm.name, free, filled)
+            if lane_src == "send_up":
+                ring_cfg[a.index]["send_up"] = entry
+                ring_cfg[b.index]["recv_dn"] = entry
+            else:
+                ring_cfg[b.index]["send_dn"] = entry
+                ring_cfg[a.index]["recv_up"] = entry
 
-        per_shard = []
-        hidden_total = exposed_total = halo_total = 0.0
-        step_ms_max = bsp_step_ms_max = 0.0
-        for sh in shards:
-            pl = payloads[sh.index]
-            nsteps = max(1, steps - 1)
-            ot = overlapped_step_time_ms(
-                pl["interior_model_ms"] / nsteps,
-                pl["boundary_model_ms"] / nsteps,
-                halo_ms_to[sh.index])
-            hidden = ot.hidden_ms * nsteps if pl["mode"] == "overlap" else 0.0
-            halo_phase = halo_ms_to[sh.index] * nsteps
-            hidden_total += hidden
-            exposed_total += halo_phase - hidden
-            halo_total += halo_phase
-            if pl["mode"] == "overlap":
-                step_ms_max = max(step_ms_max, ot.step_ms)
-                bsp_step_ms_max = max(bsp_step_ms_max, ot.bsp_step_ms)
-            per_shard.append({
-                "shard": sh.index, "device": sh.device.name,
-                "mode": pl["mode"], "footprint": pl["footprint"],
-                "interior_model_ms": pl["interior_model_ms"],
-                "boundary_model_ms": pl["boundary_model_ms"],
-                "halo_model_ms": halo_phase,
-                "hidden_model_ms": hidden,
-                "exposed_model_ms": halo_phase - hidden,
-                "stall_s": pl["stall_s"],
-                "exchange_wall_s": pl["exchange_wall_s"],
-                "post_s": pl["post_s"],
-                "loop_wall_s": pl["loop_wall_s"],
-            })
-            if o is not None:
-                o.tracer.event(f"shard{sh.index}.overlap", "overlap",
-                               hidden, shard=sh.index, mode=pl["mode"],
-                               device=sh.device.name)
+    o = _obs.get()
+    masks: list[np.ndarray | None] = []
+    procs: list = []
+    result_q = ctx.Queue()
+    t_total = _time.perf_counter()
+    try:
+        for shard in shards:
+            li, ls, mask = pool._local_inputs(shard, inputs, sizes)
+            masks.append(mask)
+            prog = shard_program(program, shard.index, ls)
+            task = {
+                "index": shard.index, "device": shard.device,
+                "program": prog, "inputs": li, "sizes": ls,
+                "n_local": shard.n_local, "np_local": shard.np_local,
+                "rp": rp, "steps": steps,
+                "rotations": shard_rotations(prog.plan, rotations),
+                "halo_binding": field_name,
+                "field_dtype": field_dtype.str,
+                "rings": ring_cfg[shard.index],
+                "omp_threads": omp,
+                "receivers": per_shard_recv[shard.index],
+                "kill_at_step": (pool._test_kill or {}).get(shard.index),
+            }
+            p = ctx.Process(target=_shard_worker_main,
+                            args=(task, result_q),
+                            name=f"repro-shard-{shard.index}")
+            p.start()
+            procs.append(p)
+
+        payloads: dict[int, dict] = {}
+        while len(payloads) < k:
+            try:
+                msg = result_q.get(timeout=0.25)
+            except _queue.Empty:
+                for sh, p in zip(shards, procs):
+                    if sh.index not in payloads and not p.is_alive():
+                        raise _worker_lost(sh, p.exitcode)
+                continue
+            if "error" in msg:
+                raise ShardLost(
+                    f"shard {msg['shard']} "
+                    f"({shards[msg['shard']].device.name}) worker "
+                    f"failed:\n{msg['error']}",
+                    shard=msg["shard"],
+                    device=shards[msg["shard"]].device.name)
+            payloads[msg["shard"]] = msg
+        for p in procs:
+            p.join(timeout=10)
+        wall_total_s = _time.perf_counter() - t_total
+    finally:
+        for p in procs:
+            if p.is_alive():
+                p.terminate()
+                p.join(timeout=5)
+        result_q.close()
+        result_q.cancel_join_thread()
+        for shm in shms:
+            try:
+                shm.close()
+                shm.unlink()
+            except Exception:
+                pass
+
+    return _merge_parallel(pool, shards, masks, payloads, inputs, steps,
+                           rp, field_dtype, wall_total_s, o)
+
+
+def _worker_lost(shard: Shard, exitcode) -> ShardLost:
+    return ShardLost(
+        f"shard {shard.index} ({shard.device.name}) worker process "
+        f"died (exit code {exitcode}); resident halo state is gone — "
+        f"re-shard across the survivors and replay",
+        shard=shard.index, device=shard.device.name)
+
+
+def _merge_parallel(pool: MultiGPU, shards, masks, payloads, inputs,
+                    steps, rp, field_dtype, wall_total_s,
+                    o) -> MultiRunResult:
+    # synthesise aggregate profiling events from the worker totals:
+    # per-shard kernel sums (and so kernel_time_ms = max over
+    # shards) are preserved exactly, only the per-step breakdown is
+    # collapsed
+    results: list[RunResult] = []
+    names: set[str] = set()
+    for sh in shards:
+        pl = payloads[sh.index]
+        ev = [ProfilingEvent(kind, name, ms)
+              for kind, name, ms, _c in pl["event_totals"]]
+        buffers = {f"final:{n}": a for n, a in pl["final"].items()}
+        results.append(RunResult(result=pl["result"], buffers=buffers,
+                                 events=ev))
+        names |= set(pl["binding_names"])
+
+    # price the halo schedule the workers actually executed: one
+    # exchange phase per step after the first (step 0 consumed the
+    # pre-filled halos; the final field is merged trimmed, so no
+    # post-last-step exchange exists to price)
+    halo_events: list[ProfilingEvent] = []
+    halo_bytes = 0
+    halo_ms_to: dict[int, float] = {sh.index: 0.0 for sh in shards}
+    nbytes = rp * field_dtype.itemsize
+    if steps > 1:
+        for op in pool._halo_schedule(shards):
+            ms = halo_exchange_time_ms(nbytes,
+                                       shards[op.src_device].device,
+                                       shards[op.dst_device].device)
+            halo_ms_to[op.dst_device] += ms
+            for step in range(1, steps):
+                halo_bytes += nbytes
+                pool._record_halo(shards[op.src_device].device,
+                                  shards[op.dst_device].device, nbytes,
+                                  f"halo:{op.src_device}->"
+                                  f"{op.dst_device}", halo_events, step)
+
+    per_shard = []
+    hidden_total = exposed_total = halo_total = 0.0
+    step_ms_max = bsp_step_ms_max = 0.0
+    for sh in shards:
+        pl = payloads[sh.index]
+        nsteps = max(1, steps - 1)
+        ot = overlapped_step_time_ms(
+            pl["interior_model_ms"] / nsteps,
+            pl["boundary_model_ms"] / nsteps,
+            halo_ms_to[sh.index])
+        hidden = ot.hidden_ms * nsteps if pl["mode"] == "overlap" else 0.0
+        halo_phase = halo_ms_to[sh.index] * nsteps
+        hidden_total += hidden
+        exposed_total += halo_phase - hidden
+        halo_total += halo_phase
+        if pl["mode"] == "overlap":
+            step_ms_max = max(step_ms_max, ot.step_ms)
+            bsp_step_ms_max = max(bsp_step_ms_max, ot.bsp_step_ms)
+        per_shard.append({
+            "shard": sh.index, "device": sh.device.name,
+            "mode": pl["mode"], "footprint": pl["footprint"],
+            "interior_model_ms": pl["interior_model_ms"],
+            "boundary_model_ms": pl["boundary_model_ms"],
+            "halo_model_ms": halo_phase,
+            "hidden_model_ms": hidden,
+            "exposed_model_ms": halo_phase - hidden,
+            "stall_s": pl["stall_s"],
+            "exchange_wall_s": pl["exchange_wall_s"],
+            "post_s": pl["post_s"],
+            "loop_wall_s": pl["loop_wall_s"],
+        })
         if o is not None:
-            o.metrics.counter(
-                "repro_gpu_overlap_hidden_ms",
-                "Modelled halo-exchange time hidden behind interior "
-                "compute by the overlap schedule", ("mode",)).inc(
-                    hidden_total, mode="overlap")
-            o.metrics.counter(
-                "repro_gpu_overlap_exposed_ms",
-                "Modelled halo-exchange time left on the critical path",
-                ("mode",)).inc(exposed_total, mode="overlap")
+            o.tracer.event(f"shard{sh.index}.overlap", "overlap",
+                           hidden, shard=sh.index, mode=pl["mode"],
+                           device=sh.device.name)
+    if o is not None:
+        o.metrics.counter(
+            "repro_gpu_overlap_hidden_ms",
+            "Modelled halo-exchange time hidden behind interior "
+            "compute by the overlap schedule", ("mode",)).inc(
+                hidden_total, mode="overlap")
+        o.metrics.counter(
+            "repro_gpu_overlap_exposed_ms",
+            "Modelled halo-exchange time left on the critical path",
+            ("mode",)).inc(exposed_total, mode="overlap")
 
-        # measured exposure: wallclock a worker actually spent blocked on
-        # neighbour planes, as a share of its total exchange wallclock
-        stall = sum(p["stall_s"] for p in payloads.values())
-        exch = sum(p["exchange_wall_s"] for p in payloads.values())
-        overlap = {
-            "executor": "parallel", "shards": len(shards), "steps": steps,
-            "per_shard": per_shard,
-            "receivers": {name: np.asarray(samples)
-                          for pl in payloads.values()
-                          for name, samples in pl["receivers"].items()},
-            "modelled": {
-                "step_ms": step_ms_max,
-                "bsp_step_ms": bsp_step_ms_max,
-                "hidden_ms": hidden_total,
-                "exposed_ms": exposed_total,
-                "hidden_fraction": (hidden_total / halo_total
-                                    if halo_total > 0 else 0.0),
-            },
-            "measured": {
-                "wall_total_s": wall_total_s,
-                "loop_wall_s": max(p["loop_wall_s"]
-                                   for p in payloads.values()),
-                "stall_s": stall,
-                "exchange_wall_s": exch,
-                "hidden_fraction": (max(0.0, 1.0 - stall / exch)
-                                    if exch > 0 else 0.0),
-            },
-        }
-        merged = self._merge_many(shards, masks, names, results, inputs,
-                                  halo_events, halo_bytes)
-        merged.overlap = overlap
-        return merged
+    # measured exposure: wallclock a worker actually spent blocked on
+    # neighbour planes, as a share of its total exchange wallclock
+    stall = sum(p["stall_s"] for p in payloads.values())
+    exch = sum(p["exchange_wall_s"] for p in payloads.values())
+    overlap = {
+        "executor": "parallel", "shards": len(shards), "steps": steps,
+        "per_shard": per_shard,
+        "receivers": {name: np.asarray(samples)
+                      for pl in payloads.values()
+                      for name, samples in pl["receivers"].items()},
+        "modelled": {
+            "step_ms": step_ms_max,
+            "bsp_step_ms": bsp_step_ms_max,
+            "hidden_ms": hidden_total,
+            "exposed_ms": exposed_total,
+            "hidden_fraction": (hidden_total / halo_total
+                                if halo_total > 0 else 0.0),
+        },
+        "measured": {
+            "wall_total_s": wall_total_s,
+            "loop_wall_s": max(p["loop_wall_s"]
+                               for p in payloads.values()),
+            "stall_s": stall,
+            "exchange_wall_s": exch,
+            "hidden_fraction": (max(0.0, 1.0 - stall / exch)
+                                if exch > 0 else 0.0),
+        },
+    }
+    merged = pool._merge_many(shards, masks, names, results, inputs,
+                              halo_events, halo_bytes)
+    merged.overlap = overlap
+    return merged

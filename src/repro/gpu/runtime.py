@@ -50,16 +50,10 @@ from .errors import (ClError, ClInvalidBufferSize, ClInvalidKernelArgs,
                      ClOutOfResources, ClTransferCorrupted)
 from .faults import FaultPlan
 
-#: Backwards-compatible alias: the interconnect bandwidth now lives on
-#: :attr:`DeviceSpec.pcie_bandwidth_gbs` (so the runtime's transfer events
-#: and :func:`repro.gpu.costmodel.transfer_time_ms` share one constant);
-#: this module-level number is only kept for old readers.
-_PCIE_BANDWIDTH = DeviceSpec.pcie_bandwidth_gbs * 1e9
-
-#: Backwards-compatible alias: the untyped ``RuntimeError_`` of earlier
-#: revisions is now the root of the typed OpenCL error hierarchy, so
-#: ``except RuntimeError_`` keeps catching every runtime failure.
-RuntimeError_ = ClError
+#: the kernel parameter whose bound index array drives the cost model's
+#: gathered-access (DRAM-sector) pricing: the boundary kernels' flat
+#: boundary-point index (``repro.acoustics.lift_programs``)
+GATHER_INDEX_PARAM = "boundaryIndices"
 
 #: Process-wide NumPy-kernel compile cache, keyed by kernel-*source* hash
 #: (not kernel name: two programs may reuse a name for different code,
@@ -138,11 +132,6 @@ class ProfilingEvent:
     def end_ms(self) -> float:
         """Modelled ``CL_PROFILING_COMMAND_END`` timestamp."""
         return self.start_ms + self.duration_ms
-
-    @property
-    def ms(self) -> float:
-        """Backwards-compatible alias for :attr:`duration_ms`."""
-        return self.duration_ms
 
 
 @dataclass
@@ -586,7 +575,6 @@ class VirtualGPU:
     def execute(self, program: HostProgram,
                 inputs: dict[str, np.ndarray | float | int],
                 sizes: dict[str, int],
-                gather_index_param: str = "boundaryIndices",
                 fault_step: int | None = None) -> RunResult:
         """Run a compiled host program on this virtual device.
 
@@ -614,8 +602,7 @@ class VirtualGPU:
                                       events, fault_step)
                     elif isinstance(op, Launch):
                         result = self._launch(op, buffers, inputs, sizes,
-                                              events, gather_index_param,
-                                              fault_step)
+                                              events, fault_step)
                     elif isinstance(op, CopyOut):
                         buf = buffers[op.buffer]
                         result = buf
@@ -640,8 +627,8 @@ class VirtualGPU:
     def execute_many(self, program: HostProgram,
                      inputs: dict[str, np.ndarray | float | int],
                      sizes: dict[str, int], steps: int,
-                     rotations: list[tuple[str, ...]] | None = None,
-                     gather_index_param: str = "boundaryIndices") -> RunResult:
+                     rotations: list[tuple[str, ...]] | None = None
+                     ) -> RunResult:
         """Run the host program iteratively with resident device buffers.
 
         This is how the paper's application actually runs ("the two
@@ -669,16 +656,14 @@ class VirtualGPU:
         with cm:
             try:
                 return self._execute_many(plan, inputs, sizes, steps,
-                                          rotations, gather_index_param,
-                                          events)
+                                          rotations, events)
             except ClError as err:
                 err.events = events
                 raise
 
     def _execute_many(self, plan, inputs, sizes, steps, rotations,
-                      gather_index_param, events) -> RunResult:
-        state = ResidentPlan(self, plan, inputs, sizes, rotations,
-                             gather_index_param, events)
+                      events) -> RunResult:
+        state = ResidentPlan(self, plan, inputs, sizes, rotations, events)
         for step in range(steps):
             state.run_step(step)
             state.rotate()
@@ -687,12 +672,10 @@ class VirtualGPU:
     def _launch(self, op: Launch, buffers: dict[str, np.ndarray],
                 inputs: dict, sizes: dict[str, int],
                 events: list[ProfilingEvent],
-                gather_index_param: str,
                 step: int | None = None) -> np.ndarray | None:
         """A one-shot launch is a prepared launch with nothing rotating,
         on the arena cached per (kernel, shapes, sizes)."""
-        prep = self._prepare_launch(op, buffers, inputs, sizes,
-                                    gather_index_param, set(),
+        prep = self._prepare_launch(op, buffers, inputs, sizes, set(),
                                     shared_arena=True)
         return self._run_prepared(prep, {}, events, step)
 
@@ -713,7 +696,6 @@ class VirtualGPU:
 
     def _prepare_launch(self, op: Launch, buffers: dict[str, np.ndarray],
                         inputs: dict, sizes: dict[str, int],
-                        gather_index_param: str,
                         rotating_sources: set[str],
                         shared_arena: bool = False) -> "_PreparedLaunch":
         """Hoist every per-step-invariant part of a launch out of the
@@ -744,7 +726,7 @@ class VirtualGPU:
                     if binding.source in rotating_sources:
                         rotating.append((len(args), binding.source))
                     args.append(buf)
-                if binding.param_name == gather_index_param:
+                if binding.param_name == GATHER_INDEX_PARAM:
                     gather_src = binding.source
                     gather_static = buf
             elif binding.kind == "scalar":
@@ -941,7 +923,6 @@ class ResidentPlan:
     def __init__(self, gpu: VirtualGPU, plan: HostPlan, inputs: dict,
                  sizes: dict[str, int],
                  rotations: list[tuple[str, ...]] | None,
-                 gather_index_param: str,
                  events: list[ProfilingEvent],
                  in_place: dict[str, np.ndarray] | None = None):
         self.gpu = gpu
@@ -949,7 +930,6 @@ class ResidentPlan:
         self.inputs = inputs
         self.sizes = sizes
         self.rotations = list(rotations or [])
-        self.gather_index_param = gather_index_param
         self.events = events
 
         host_to_buffer = plan.host_buffers()
@@ -1020,8 +1000,7 @@ class ResidentPlan:
                 else:
                     rotating_sources.add(host_to_buffer[n])
         self._prepared = [
-            gpu._prepare_launch(op, buffers, inputs, sizes,
-                                gather_index_param, rotating_sources)
+            gpu._prepare_launch(op, buffers, inputs, sizes, rotating_sources)
             for op in launches]
 
     def buffer_for(self, name: str) -> np.ndarray:

@@ -109,6 +109,11 @@ class ArithExpr:
     def __repr__(self) -> str:
         return self.to_c()
 
+    def __reduce__(self):
+        # pickle cannot restore slots past the immutable __setattr__, so
+        # rebuild through the constructor (not ``make``: no re-folding)
+        return type(self), tuple(getattr(self, s) for s in self.__slots__)
+
     # Convenience: constant value if this expression is a literal constant.
     def as_constant(self) -> int | None:
         """Return the integer value if this expression is constant, else None."""

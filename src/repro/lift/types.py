@@ -61,6 +61,10 @@ class ScalarType(LiftType):
     def _key(self):
         return ("scalar", self.name)
 
+    def __reduce__(self):
+        # unpickle to the module's instance: emitters test ``is Float``
+        return scalar_by_name, (self.name,)
+
 
 Float = ScalarType("float", 4, "float32")
 Double = ScalarType("double", 8, "float64")

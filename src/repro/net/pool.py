@@ -13,8 +13,9 @@ the on-disk loops artifact cache (set ``loops_cache_dir``) keeps
 cc/numba compilations shared *across* processes.
 
 Workers are daemonic, and a daemonic process may not spawn children, so
-a ``shards>1`` job steps the serial in-process ``MultiGPU`` here, one
-``execute`` per step, rather than the multi-process overlap executor.
+a ``shards>1`` job's ``MultiGPU(..., parallel=True)`` pool refuses the
+multi-process overlap executor here (``_parallel_eligible``) and steps
+in-process, one ``execute`` per step.
 
 Transport protocol (all values picklable):
 

@@ -283,9 +283,12 @@ def run_job(request: SubmitRequest, lease, *, program=None, faults=None,
 
     ``program`` is a compiled host program for the ``virtual_gpu``
     backend (``None`` compiles per simulation).  More than one leased
-    device runs Z-slab-decomposed with ``parallel=True``; a pool the
-    parallel executor cannot run (``ParallelMultiGPU._parallel_eligible``)
-    steps one ``MultiGPU.execute`` at a time instead.
+    device runs Z-slab-decomposed on a ``MultiGPU(..., parallel=True)``
+    pool, whose shard workers are handed the simulation's host program
+    (``program`` when given) instead of rebuilding it; a pool the
+    parallel executor cannot run (``MultiGPU._parallel_eligible``: faults,
+    resilient wrappers, a daemon process) steps one ``MultiGPU.execute``
+    at a time instead.
     ``resume`` is a mid-job :class:`~repro.acoustics.sim.Checkpoint`:
     the simulation restores it and runs only the remaining steps, which
     is bit-identical to an unbroken run.  ``on_checkpoint`` is called

@@ -166,7 +166,7 @@ class TestBinding:
         in_place["__out__"] = sim.nxt
         return ResidentPlan(VirtualGPU(NVIDIA_TITAN_BLACK),
                             sim._host_program.plan, inputs, sizes,
-                            sim._rotations, "boundaryIndices",
+                            sim._rotations,
                             [] if events is None else events, in_place)
 
     def test_wrong_dtype_is_typed_error(self, parts):
@@ -224,7 +224,7 @@ class TestBinding:
         with pytest.raises(ClInvalidBufferSize, match="interchangeable"):
             ResidentPlan(VirtualGPU(NVIDIA_TITAN_BLACK),
                          sim._host_program.plan, inputs, sizes,
-                         [("neighbors", "materialIdx")], "boundaryIndices",
+                         [("neighbors", "materialIdx")],
                          [], {"neighbors": sim._nbrs_guarded})
 
     def test_non_contiguous_is_typed_error(self, parts):
@@ -260,8 +260,7 @@ class TestBinding:
         sim, inputs, sizes = parts
         with pytest.raises(ClInvalidValue, match="not_a_param"):
             ResidentPlan(VirtualGPU(NVIDIA_TITAN_BLACK),
-                         sim._host_program.plan, inputs, sizes, [],
-                         "boundaryIndices", [],
+                         sim._host_program.plan, inputs, sizes, [], [],
                          {"not_a_param": np.zeros(3)})
 
     def test_bound_buffers_count_against_device_capacity(self):

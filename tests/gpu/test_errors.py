@@ -15,7 +15,6 @@ from repro.gpu import (CL_STATUS_TABLE, ClError, ClInvalidBufferSize,
                        ClInvalidKernelArgs, ClInvalidValue,
                        ClMemAllocationFailure, NVIDIA_TITAN_BLACK,
                        VirtualGPU)
-from repro.gpu.runtime import RuntimeError_
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +60,6 @@ class TestHierarchy:
         assert "CL_MEM_OBJECT_ALLOCATION_FAILURE" in str(err)
         assert err.context["buffer"] == "d_x"
         assert not err.injected
-
-    def test_runtime_error_alias_still_catches_everything(self):
-        # backwards compatibility: RuntimeError_ is the hierarchy root
-        assert RuntimeError_ is ClError
-        with pytest.raises(RuntimeError_):
-            raise ClInvalidValue("x")
 
 
 class TestValidation:

@@ -274,13 +274,15 @@ class TestSimIntegration:
             for _ in range(6):
                 sim.step()
 
-    def test_without_device_preserves_layout_params(self):
-        m = MultiGPU("RadeonR9:3")
+    def test_without_device_keeps_pool_config(self):
+        faults = FaultPlan([], seed=1)
+        m = MultiGPU("RadeonR9:3", faults=faults, resilient=True,
+                     parallel=True)
         survivors = m.without_device(1)
         assert [d.name for d in survivors.devices] == ["RadeonR9#0",
                                                        "RadeonR9#2"]
-        assert survivors.radius == m.radius
-        assert survivors.field_params == m.field_params
+        assert survivors.faults is faults
+        assert survivors.resilient and survivors.parallel
         assert [o.action for o in survivors.policy_logs()] == ["reshard"]
         with pytest.raises(ClInvalidValue):
             MultiGPU(("TitanBlack",)).without_device(0)

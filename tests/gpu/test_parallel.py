@@ -1,23 +1,26 @@
 """Multi-process shard executor: bit-identity, overlap, dead-worker recovery.
 
-Every test here runs real OS processes (spawn start method) — the
+Almost every test here runs real OS processes (spawn start method) — the
 fixtures reuse the small grid of ``test_multi`` so each case stays in
-the seconds range.
+the seconds range.  ``TestHostProgramPickles`` checks, in-process, the
+round trip that hands each worker its host program.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.acoustics.geometry import DomeRoom, Room
 from repro.acoustics.grid import Grid3D
-from repro.acoustics.lift_programs import two_kernel_host
+from repro.acoustics.lift_programs import compiled_host, two_kernel_host
 from repro.acoustics.materials import (MaterialTable, default_fd_materials,
                                        default_fi_materials)
 from repro.acoustics.sim import RoomSimulation, SimConfig
 from repro.acoustics.topology import build_topology
-from repro.lift.codegen.host import compile_host
+from repro.lift.codegen.host import Launch, compile_host
 from repro.gpu import (ClInvalidValue, MultiGPU, NVIDIA_TITAN_BLACK,
-                       ParallelMultiGPU, ShardLost, VirtualGPU)
+                       ShardLost, VirtualGPU, clear_kernel_caches)
 
 STEPS = 7
 ROT_FI = [("prev2_h", "prev1_h", "__out__")]
@@ -63,8 +66,7 @@ def fi_mm(grid, topo):
     sizes = dict(N=N, NP=N + guard, K=topo.num_boundary_points,
                  M=table.num_materials)
     host = compile_host(two_kernel_host("fi_mm", "double").program, "ac")
-    return dict(host=host, inputs=inputs, sizes=sizes, N=N,
-                spec=("fi_mm", "double", None))
+    return dict(host=host, inputs=inputs, sizes=sizes, N=N)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +83,7 @@ def fd_mm(grid, topo, fi_mm):
                   v1_h=np.zeros(3 * K), K=K)
     host = compile_host(two_kernel_host("fd_mm", "double", 3).program, "ac")
     return dict(host=host, inputs=inputs, sizes=dict(fi_mm["sizes"]),
-                N=fi_mm["N"], spec=("fd_mm", "double", 3))
+                N=fi_mm["N"])
 
 
 def _ref(case, rotations):
@@ -97,8 +99,7 @@ class TestParallelBitIdentity:
         serial = MultiGPU(f"TitanBlack:{shards}").execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
             rotations=ROT_FI)
-        par = ParallelMultiGPU(f"TitanBlack:{shards}",
-                               program_spec=fi_mm["spec"]).execute_many(
+        par = MultiGPU(f"TitanBlack:{shards}", parallel=True).execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
             rotations=ROT_FI)
         N = fi_mm["N"]
@@ -110,8 +111,7 @@ class TestParallelBitIdentity:
 
     def test_fd_mm_branch_state_matches(self, fd_mm):
         ref = _ref(fd_mm, ROT_FD)
-        par = ParallelMultiGPU("TitanBlack:2",
-                               program_spec=fd_mm["spec"]).execute_many(
+        par = MultiGPU("TitanBlack:2", parallel=True).execute_many(
             fd_mm["host"], fd_mm["inputs"], fd_mm["sizes"], STEPS,
             rotations=ROT_FD)
         N = fd_mm["N"]
@@ -120,10 +120,56 @@ class TestParallelBitIdentity:
             assert np.array_equal(par.buffers[f"final:{name}"],
                                   ref.buffers[f"final:{name}"])
 
+    def test_workers_run_the_handed_program(self, fi_mm):
+        # built by compile_host directly, not by any program builder the
+        # workers could rebuild it from
+        host = compile_host(two_kernel_host("fi_mm", "double").program,
+                            "handed")
+        par = MultiGPU("TitanBlack:2", parallel=True).execute_many(
+            host, fi_mm["inputs"], fi_mm["sizes"], STEPS, rotations=ROT_FI)
+        ref = _ref(fi_mm, ROT_FI)
+        N = fi_mm["N"]
+        assert par.overlap["executor"] == "parallel"
+        assert np.array_equal(par.result[:N], np.asarray(ref.result)[:N])
+        launched = {e.name for ev in par.shard_events for e in ev
+                    if e.kind == "kernel"}
+        assert launched == {op.kernel.name for op in host.plan.ops
+                            if isinstance(op, Launch)}
+
+
+class TestHostProgramPickles:
+    """What a worker is handed: a host program after a pickle round trip
+    runs the same bits and prices the same modelled clock.  The kernel
+    caches are cleared before each run, so the copy compiles its own
+    kernels (as a fresh worker process does) instead of reusing the
+    original's."""
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
+    def test_round_trip_executes_identically(self, scheme, precision):
+        sim = RoomSimulation(SimConfig(
+            room=Room(Grid3D(14, 12, 10), DomeRoom()), scheme=scheme,
+            backend="virtual_gpu", precision=precision))
+        sim.add_impulse("center")
+        host = compiled_host(scheme, precision, 3)
+        copy = pickle.loads(pickle.dumps(host))
+        runs = []
+        for prog in (host, copy):
+            clear_kernel_caches()
+            runs.append(VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
+                prog, sim._vgpu_inputs(), sim._size_env(), 5,
+                rotations=sim._rotations))
+        ref, got = runs
+        assert np.array_equal(np.asarray(got.result), np.asarray(ref.result))
+        assert got.buffers.keys() == ref.buffers.keys()
+        for name, arr in ref.buffers.items():
+            assert np.array_equal(got.buffers[name], arr), name
+        assert got.kernel_time_ms() == ref.kernel_time_ms()
+
 
 class TestOverlapReport:
     def test_interior_boundary_split_and_model(self, fi_mm, grid):
-        par = ParallelMultiGPU("TitanBlack:2", program_spec=fi_mm["spec"])
+        par = MultiGPU("TitanBlack:2", parallel=True)
         res = par.execute_many(fi_mm["host"], fi_mm["inputs"],
                                fi_mm["sizes"], STEPS, rotations=ROT_FI)
         ov = res.overlap
@@ -149,8 +195,7 @@ class TestOverlapReport:
 
     def test_halo_pricing_matches_worker_schedule(self, fi_mm):
         # steps-1 exchange phases: step 0 consumes the pre-filled halos
-        par = ParallelMultiGPU("TitanBlack:2",
-                               program_spec=fi_mm["spec"]).execute_many(
+        par = MultiGPU("TitanBlack:2", parallel=True).execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
             rotations=ROT_FI)
         serial = MultiGPU("TitanBlack:2").execute_many(
@@ -162,24 +207,16 @@ class TestOverlapReport:
 
 
 class TestFallbacks:
-    def test_no_program_spec_falls_back_serial(self, fi_mm):
-        par = ParallelMultiGPU("TitanBlack:2")
-        assert par._parallel_eligible() is not None
-        res = par.execute_many(fi_mm["host"], fi_mm["inputs"],
-                               fi_mm["sizes"], STEPS, rotations=ROT_FI)
-        ref = _ref(fi_mm, ROT_FI)
-        N = fi_mm["N"]
-        assert np.array_equal(res.result[:N], np.asarray(ref.result)[:N])
-        assert res.overlap is None
-
     def test_receivers_require_parallel_path(self, fi_mm):
-        par = ParallelMultiGPU("TitanBlack:2")
+        par = MultiGPU("TitanBlack:2")
+        assert par._parallel_eligible() == "parallel=False"
         with pytest.raises(ClInvalidValue):
             par.execute_many(fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"],
                              STEPS, rotations=ROT_FI, receivers={"mic": 0})
 
     def test_single_shard_degenerates(self, fi_mm):
-        par = ParallelMultiGPU(("TitanBlack",), program_spec=fi_mm["spec"])
+        par = MultiGPU(("TitanBlack",), parallel=True)
+        assert par._parallel_eligible() == "single shard"
         res = par.execute_many(fi_mm["host"], fi_mm["inputs"],
                                fi_mm["sizes"], STEPS, rotations=ROT_FI)
         ref = _ref(fi_mm, ROT_FI)
@@ -192,8 +229,7 @@ class TestReceivers:
         # one receiver per shard's slab
         lo_idx = 3 * grid.nx * grid.ny + 5
         hi_idx = 8 * grid.nx * grid.ny + 5
-        par = ParallelMultiGPU("TitanBlack:2",
-                               program_spec=fi_mm["spec"]).execute_many(
+        par = MultiGPU("TitanBlack:2", parallel=True).execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
             rotations=ROT_FI, receivers={"lo": lo_idx, "hi": hi_idx})
         # per-step reference: run serially, sampling after each step
@@ -216,21 +252,18 @@ class TestReceivers:
 
 class TestDeadWorkerRecovery:
     def test_killed_worker_raises_shardlost(self, fi_mm):
-        par = ParallelMultiGPU("TitanBlack:2", program_spec=fi_mm["spec"])
+        par = MultiGPU("TitanBlack:2", parallel=True)
         par._test_kill = {1: 3}
         with pytest.raises(ShardLost) as err:
             par.execute_many(fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"],
                              STEPS, rotations=ROT_FI)
         assert err.value.shard == 1
 
-    def test_without_device_preserves_type_and_spec(self, fi_mm):
-        par = ParallelMultiGPU("TitanBlack:3", program_spec=fi_mm["spec"],
-                               ring_depth=4)
+    def test_without_device_stays_parallel(self, fi_mm):
+        par = MultiGPU("TitanBlack:3", parallel=True)
         par._test_kill = {0: 1}
         survivors = par.without_device(0)
-        assert isinstance(survivors, ParallelMultiGPU)
-        assert survivors.program_spec == fi_mm["spec"]
-        assert survivors.ring_depth == 4
+        assert survivors.parallel
         assert survivors._test_kill is None  # the kill knob does not carry
         assert len(survivors.devices) == 2
         res = survivors.execute_many(fi_mm["host"], fi_mm["inputs"],
@@ -239,6 +272,7 @@ class TestDeadWorkerRecovery:
         ref = _ref(fi_mm, ROT_FI)
         N = fi_mm["N"]
         assert np.array_equal(res.result[:N], np.asarray(ref.result)[:N])
+        assert res.overlap["executor"] == "parallel"
 
 
 def _sim(scheme, devices=None, steps=6, **kw):
@@ -299,8 +333,9 @@ class TestSimParallel:
         sim.run(8)
         assert np.array_equal(sim.curr, ref.curr)
         assert sim.time_step == 8
-        # the dead worker's device left the pool; the survivor pool is
-        # still the parallel executor type (it just degenerates to the
-        # per-step path at one shard)
-        assert isinstance(sim._gpu, ParallelMultiGPU)
+        # the dead worker's device left the pool; the survivor pool keeps
+        # ``parallel`` (it just degenerates to the per-step path at one
+        # shard)
+        assert sim._gpu.parallel
+        assert sim._path == "pool-step"
         assert len(sim.devices) == 1

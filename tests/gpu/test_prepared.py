@@ -55,7 +55,7 @@ class TestHoisting:
     def _plan(self, p):
         gpu = VirtualGPU(NVIDIA_TITAN_BLACK)
         return ResidentPlan(gpu, p["host"].plan, p["inputs"], p["sizes"],
-                            ROT, "boundaryIndices", [], None)
+                            ROT, [], None)
 
     def test_one_prepared_launch_per_kernel(self, problem):
         state = self._plan(problem)

@@ -1,10 +1,25 @@
 """Tests for the symbolic arithmetic layer (repro.lift.arith)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.lift.arith import (ArithError, Cst, IntDiv, Mod, Prod, Sum, Var,
                               fresh_var, to_arith)
+
+
+class TestPickle:
+    @pytest.mark.parametrize("expr", [
+        Cst(7), Var("N"), Var("N") + Var("M") + 1, Var("N") * Var("M"),
+        IntDiv(Var("N"), Cst(4)), Mod(Var("i"), Var("N") + 2)],
+        ids=["Cst", "Var", "Sum", "Prod", "IntDiv", "Mod"])
+    def test_round_trip_is_equal_with_equal_hash(self, expr):
+        copy = pickle.loads(pickle.dumps(expr))
+        assert type(copy) is type(expr)
+        assert copy == expr
+        assert hash(copy) == hash(expr)
+        assert copy.to_c() == expr.to_c()
 
 
 class TestConstruction:

@@ -1,5 +1,7 @@
 """Tests for the LIFT type system (repro.lift.types)."""
 
+import pickle
+
 import pytest
 
 from repro.lift.arith import Cst, Var
@@ -48,6 +50,12 @@ class TestScalars:
     def test_equality(self):
         assert Float == ScalarType("float", 4, "float32")
         assert Float != Double
+
+    @pytest.mark.parametrize("t", [Float, Double, Int, Long, Bool],
+                             ids=lambda t: t.name)
+    def test_pickle_returns_the_module_instance(self, t):
+        # the NumPy emitter tests ``expr.type is Float``
+        assert pickle.loads(pickle.dumps(t)) is t
 
 
 class TestArrayType:

@@ -18,10 +18,9 @@ from repro.acoustics.materials import MaterialTable, default_fi_materials
 from repro.acoustics.sim import RoomSimulation, SimConfig
 from repro.acoustics.topology import build_topology
 from repro.lift.codegen.host import compile_host
-from repro.gpu import (DeviceSpec, FaultPlan, FaultSpec, NVIDIA_TITAN_BLACK,
+from repro.gpu import (FaultPlan, FaultSpec, NVIDIA_TITAN_BLACK,
                        ResilientGPU, RetryPolicy, VirtualGPU,
                        transfer_time_ms)
-from repro.gpu import runtime as gpu_runtime
 from repro.obs import (chrome_trace, prometheus_text, validate_chrome_trace,
                        validate_prometheus_text, kernel_report)
 
@@ -145,8 +144,7 @@ class TestExecuteSpans:
         with obs.observe() as o:
             VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
                 problem["host"], problem["inputs"], problem["sizes"],
-                steps=3, rotations=[("prev1_h", "prev2_h", "__out__")],
-                gather_index_param="boundaries")
+                steps=3, rotations=[("prev1_h", "prev2_h", "__out__")])
         many = o.tracer.find("gpu.execute_many")
         assert len(many) == 1
         steps = o.tracer.find("gpu.step", cat="step")
@@ -229,8 +227,7 @@ class TestFaultTrace:
                                RetryPolicy(backoff_ms=0.1))
             res = gpu.execute_many(
                 host, problem["inputs"], problem["sizes"], steps=3,
-                rotations=[("prev1_h", "prev2_h", "__out__")],
-                gather_index_param="boundaries")
+                rotations=[("prev1_h", "prev2_h", "__out__")])
         # every layer appears: compile → execute_many → step → launch → retry
         names = {s.name for s in o.tracer.spans}
         assert {"lift.compile_host", "lift.compile_kernel",
@@ -367,11 +364,8 @@ class TestProfilingEventTimestamps:
         assert starts == sorted(starts)
         for e in res.events:
             assert e.end_ms == pytest.approx(e.start_ms + e.duration_ms)
-            assert e.ms == e.duration_ms      # back-compat alias
 
     def test_pcie_bandwidth_single_source_of_truth(self):
-        assert gpu_runtime._PCIE_BANDWIDTH == pytest.approx(
-            DeviceSpec.pcie_bandwidth_gbs * 1e9)
         assert NVIDIA_TITAN_BLACK.pcie_bandwidth == pytest.approx(
             NVIDIA_TITAN_BLACK.pcie_bandwidth_gbs * 1e9)
         assert transfer_time_ms(12e9, NVIDIA_TITAN_BLACK) == pytest.approx(
