@@ -55,13 +55,13 @@ from .topology import RoomTopology, build_topology
 
 SCHEMES = ("fi", "fi_mm", "fd_mm")
 #: the unified backend registry.  ``lift`` is an alias that normalises
-#: to ``numpy-steady``; that and ``numba`` are the two names of
-#: ``repro.lift.codegen.loops.EMITTERS`` — the NumPy workspace-arena
-#: emitter and the compiled fused-loop emitter (numba / C tiers) of one
-#: ArenaProgram, bit-identical.  Naming one is an explicit request: with
-#: no compiled tier on the host, or programs the step cannot run,
-#: ``numba`` raises ``LoopsUnsupported`` from the constructor — only the
-#: ``virtual_gpu`` default (no emitter named) falls back per kernel.
+#: to ``numpy-steady``; that and ``numba`` name the two emitters of one
+#: ArenaProgram — the NumPy workspace-arena emitter and the compiled
+#: fused-loop emitter (numba / C tiers), bit-identical.  Naming one is an
+#: explicit request: with no compiled tier on the host, or programs the
+#: step cannot run, ``numba`` raises ``LoopsUnsupported`` from the
+#: constructor — only the ``virtual_gpu`` default (no emitter named)
+#: falls back per kernel (``repro.lift.codegen.loops.realise``).
 BACKENDS = ("numpy", "scalar", "lift", "numpy-steady", "numba",
             "lift_interp", "virtual_gpu")
 

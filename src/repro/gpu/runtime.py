@@ -40,7 +40,7 @@ from ..lift.analysis import Resources, analyse_kernel
 from ..lift.codegen.arena import Workspace, arena_stats
 from ..lift.codegen.host import (ArgBinding, BufferDecl, CopyIn, CopyOut,
                                  HostPlan, HostProgram, Launch)
-from ..lift.codegen.loops import EMITTERS, realise
+from ..lift.codegen.loops import realise
 from ..lift.codegen.numpy_backend import NumpyKernel, compile_numpy
 from .autotune import autotune_workgroup
 from .costmodel import ImplTraits, KernelTiming, LIFT_TRAITS, transfer_time_ms
@@ -85,12 +85,13 @@ def kernel_cache_stats() -> dict:
 
     ``np_kernels``/``resources`` count compile-cache entries (per kernel
     source hash: the NumPy kernel under a ``#steady`` suffix and the
-    executable that runs it when no emitter is pinned under ``#loops``);
+    executable that runs it — the fused loop, or the NumPy kernel when
+    the loop emitter declines — under ``#loops``);
     ``arena`` reports the workspace arena's process-wide hit/miss
     counters and resident bytes
     (see :func:`repro.lift.codegen.arena.arena_stats`) — the temporaries
     of kernels running on the steady emitter; a compiled-loop kernel
-    keeps only its ``const`` / ``pad`` slots there; ``loops_disk``
+    keeps nothing there; ``loops_disk``
     reports the on-disk compiled-artifact cache the cc tier shares
     across processes and, as ``cc_rung``, which rung of the compiler
     flag ladder built them (see
@@ -187,22 +188,12 @@ class VirtualGPU:
 
     def __init__(self, device: DeviceSpec, traits: ImplTraits = LIFT_TRAITS,
                  autotune: bool = True, workgroup: int = 256,
-                 faults: FaultPlan | None = None,
-                 kernel_backend: str | None = None):
-        if kernel_backend is not None and kernel_backend not in EMITTERS:
-            raise ClInvalidValue(
-                f"unknown kernel_backend {kernel_backend!r}; expected one "
-                f"of {EMITTERS} or None (auto)",
-                backend=kernel_backend)
+                 faults: FaultPlan | None = None):
         self.device = device
         self.traits = traits
         self.autotune = autotune
         self.workgroup = workgroup
         self.faults = faults
-        #: which emitter realises kernel launches on the host, passed to
-        #: :func:`repro.lift.codegen.loops.realise` (None = best
-        #: available, falling back per kernel)
-        self.kernel_backend = kernel_backend
         self._np_kernels: dict[str, NumpyKernel] = {}
         self._resources: dict[str, Resources] = {}
         #: workspace arenas for the one-shot execute() path, keyed by
@@ -279,18 +270,14 @@ class VirtualGPU:
     def _exec_kernel(self, launch: Launch):
         """The executable realising a launch on the hot path: what
         :func:`~repro.lift.codegen.loops.realise` makes of the NumPy
-        kernel under :attr:`kernel_backend`, remembered process-wide
-        under a ``#loops`` suffix of the same source hash.  A remembered
-        fallback (the NumPy kernel itself) never answers an explicit
-        request, which asks again and gets the typed error."""
+        kernel — the fused loop, or the kernel itself when the loop
+        emitter declines — remembered process-wide under a ``#loops``
+        suffix of the same source hash."""
         nk = self._np_kernel(launch)
-        mode = self.kernel_backend
-        if mode == "numpy-steady":      # the kernel itself: nothing to keep
-            return nk
         key = _kernel_source_key(launch.kernel) + "#loops"
         ex = _NP_KERNEL_CACHE.get(key)
-        if ex is None or (mode is not None and isinstance(ex, NumpyKernel)):
-            ex = _NP_KERNEL_CACHE[key] = realise(nk, mode)
+        if ex is None:
+            ex = _NP_KERNEL_CACHE[key] = realise(nk)
         return ex
 
     def _workspace_for(self, nk: NumpyKernel, args: list,

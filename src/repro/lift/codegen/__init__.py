@@ -11,10 +11,10 @@
   its :class:`ArenaProgram` and compiles the zero-allocation NumPy source
   that program renders to.
 * :mod:`.loops` — compiled parallel fused loops over the same
-  :class:`ArenaProgram` (numba jit or C-via-system-compiler tiers), and
-  :func:`~repro.lift.codegen.loops.realise`, the one place that picks
-  between the two emitters (``EMITTERS``) and decides when a request may
-  fall back.
+  :class:`ArenaProgram` (numba jit or C-via-system-compiler tiers) for
+  flat ``_gid`` programs, and :func:`~repro.lift.codegen.loops.realise`,
+  the one place that picks between the two emitters: the fused loop, or
+  the NumPy-steady kernel for a program the loop emitter declines.
 """
 
 from .opencl import KernelSource, compile_kernel

@@ -122,8 +122,7 @@ class Slice3Op(ArenaOp):
     """A rank-3 basic-slicing view ``base[z0:z0+ez, y0:y0+ey, x0:x0+ex]``
     (a shifted stencil window into a 3-D grid).  Renders to exactly the
     NumPy view expression — non-allocating — and carries the starts and
-    extents structurally so the fused-loop emitter can lower the whole
-    rank-3 program to one flat loop."""
+    extents structurally."""
 
     name: str
     base: str
@@ -374,12 +373,11 @@ class RawOp(ArenaOp):
         return f"raw    {self.line}"
 
 
-#: op kinds a fused-loop emitter can never consume
-_LOOP_OPAQUE = (VecExprOp, Pad3Op, ElemStoreOp, RawOp)
-
-#: op kinds permitted in a rank-3 full-store (grid) program
-_GRID3_OPS = (ScalarOp, AliasOp, Slice3Op, UfuncOp, WhereOp, CastOp,
-              FullStoreOp)
+#: op kinds the fused-loop emitter declines: it lowers flat ``_gid``
+#: programs that keep nothing between calls, so no const / pad slot, no
+#: rank-3 window or whole-buffer store, and no op without structure
+_LOOP_OPAQUE = (VecExprOp, ConstOp, PadOp, Pad3Op, Slice3Op, ElemStoreOp,
+                FullStoreOp, RawOp)
 
 
 @dataclass
@@ -422,45 +420,16 @@ class ArenaProgram:
 
     # -- queries -------------------------------------------------------
 
-    def pad_ops(self) -> dict:
-        return {op.name: op for op in self.ops if isinstance(op, PadOp)}
-
     def gid_ops(self) -> list:
         return [op for op in self.ops if isinstance(op, GidOp)]
 
-    def full_store_ops(self) -> list:
-        return [op for op in self.ops if isinstance(op, FullStoreOp)]
-
-    def loop_domain(self) -> str:
-        """The iteration shape a fused-loop emitter runs over:
-        ``"gid"`` — one flat MapGlb range (``_gid`` programs);
-        ``"grid3"`` — a rank-3 full-store program (``fi_fused_3d``):
-        slice windows into 3-D grids feeding one whole-output store,
-        flattened to one loop by the emitter."""
-        fulls = self.full_store_ops()
-        if (not self.gid_ops() and len(fulls) == 1 and fulls[0].rank == 3):
-            return "grid3"
-        return "gid"
-
     def loop_opaque_reasons(self) -> list[str]:
         """Why the fused-loop emitter must decline this program
-        (empty = structurally loop-lowerable)."""
-        reasons = []
-        for op in self.ops:
-            if isinstance(op, _LOOP_OPAQUE):
-                reasons.append(f"{type(op).__name__}: {op.render()}")
-        if self.loop_domain() == "grid3":
-            for op in self.ops:
-                if not isinstance(op, _GRID3_OPS):
-                    reasons.append(
-                        f"{type(op).__name__} in rank-3 program: "
-                        f"{op.render()}")
-        else:
-            for op in self.full_store_ops():
-                reasons.append(f"FullStoreOp rank={op.rank}: {op.render()}")
-            if len(self.gid_ops()) != 1:
-                reasons.append(
-                    f"{len(self.gid_ops())} MapGlb regions (need 1)")
+        (empty = one flat ``_gid`` sweep it lowers)."""
+        reasons = [f"{type(op).__name__}: {op.render()}" for op in self.ops
+                   if isinstance(op, _LOOP_OPAQUE)]
+        if len(self.gid_ops()) != 1:
+            reasons.append(f"{len(self.gid_ops())} MapGlb regions (need 1)")
         return reasons
 
     def shift_offsets(self) -> list[str]:

@@ -8,7 +8,13 @@ program to one fused per-element loop — every slot becomes a scalar
 local, every shift/take becomes an indexed load, every store an indexed
 write — and compiles that loop through the best available tier
 (:func:`compile_step` compiles a scheme's programs into one step the
-same way):
+same way).  It lowers flat ``_gid`` programs only — the four the
+simulation runs (``fi_fused_flat``, ``volume_kernel`` and the two
+boundary kernels) — and declines every other program
+(:meth:`ArenaProgram.loop_opaque_reasons`: const / pad slots, rank-3
+windows, whole-buffer stores), which :func:`realise` then leaves to the
+NumPy-steady emitter.  So a loop kernel keeps nothing between calls.
+The tiers:
 
 * ``numba`` — ``njit(parallel=True, fastmath=False)`` over a Z-tiled
   ``prange`` (one Z-plane per block when the kernel carries an ``NxNy``
@@ -89,18 +95,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arena import (AliasOp, ArenaProgram, CastOp, ConstOp, FullStoreOp,
-                    GidOp, IndexStoreOp, PadOp, ScalarOp, ShiftOp, Slice3Op,
-                    SliceStoreOp, TakeOp, UfuncOp, WhereOp, Workspace)
+from .arena import (AliasOp, ArenaProgram, CastOp, GidOp, IndexStoreOp,
+                    ScalarOp, ShiftOp, SliceStoreOp, TakeOp, UfuncOp, WhereOp)
 
-__all__ = ["EMITTERS", "LoopKernel", "LoopsUnsupported", "StepKernel",
+__all__ = ["LoopKernel", "LoopsUnsupported", "StepKernel",
            "available_tiers", "compile_loops", "compile_step",
            "loops_cache_dir", "loops_disk_cache_stats", "realise",
            "select_tier", "set_loops_cache_dir"]
-
-#: the executable emitters of an :class:`ArenaProgram`, under the names the
-#: backend registry and ``VirtualGPU(kernel_backend=)`` select them by
-EMITTERS = ("numpy-steady", "numba")
 
 
 class LoopsUnsupported(RuntimeError):
@@ -410,12 +411,8 @@ class _Gen:
         self.prefix = prefix
         self.saved = saved or {}      # (array, index slot) -> token
         self.local: dict[str, str] = {}      # slot -> loop token (py == C)
-        self.const_arrays: list[str] = []    # host-materialised array args
-        self.pad_arrays: list[str] = []
         self.used_arrays: list[str] = []     # kernel array-argument order
         self.sizes: list[str] = []           # arrays needing a _sz_ arg
-        self.strides: list[tuple[str, int]] = []  # rank-3 (array, dim) args
-        self.grid3 = program.loop_domain() == "grid3"
         self.scal_args: dict[str, str] = {}  # expr -> arg token
         self.head: list[tuple] = []          # (py line, C line | None)
         self.main: list[tuple] = []
@@ -435,13 +432,6 @@ class _Gen:
         if name not in self.sizes:
             self.sizes.append(name)
         return f"_sz_{self.arr(name)}"
-
-    def _need_stride(self, name: str, dim: int) -> str:
-        """A flattening stride of a 3-D array argument (dim 0: plane,
-        dim 1: row), passed from the host like a size argument."""
-        if (name, dim) not in self.strides:
-            self.strides.append((name, dim))
-        return f"_st{dim}_{name}"
 
     def scal(self, expr: str) -> tuple[str, np.dtype]:
         tok = self.scal_args.get(expr)
@@ -526,56 +516,12 @@ def _result_type(gen: _Gen, args: tuple, values: dict):
 
 
 def _lower_ops(gen: _Gen, scalar_values: dict) -> None:
-    prog = gen.prog
-    if gen.grid3:
-        # flat loop over the rank-3 output: decompose _i into the
-        # (z, y, x) window coordinates once per element (_ex, _eyx are
-        # the host-evaluated window extents ex and ey*ex)
-        gen.line("_iz = _i // _eyx", "long long _iz = _i / _eyx;")
-        gen.line("_ir = _i - _iz * _eyx",
-                 "long long _ir = _i - _iz * _eyx;")
-        gen.line("_iy = _ir // _ex", "long long _iy = _ir / _ex;")
-        gen.line("_ix = _ir - _iy * _ex",
-                 "long long _ix = _ir - _iy * _ex;")
-    for op in prog.ops:
-        if isinstance(op, Slice3Op):
-            if op.base in prog.written:
-                raise LoopsUnsupported(
-                    f"rank-3 slice of written array {op.base!r}")
-            gen._use_array(op.base)
-            st0 = gen._need_stride(op.base, 0)
-            st1 = gen._need_stride(op.base, 1)
-            z0, y0, x0 = op.starts
-            idx = (f"({z0} + _iz) * {st0} + ({y0} + _iy) * {st1} "
-                   f"+ ({x0} + _ix)")
-            gen.assign(op.name, f"{op.base}[{idx}]", f"{op.base}[{idx}]")
-            continue
-        if isinstance(op, FullStoreOp):
-            if op.rank != 3 or not gen.grid3:
-                raise LoopsUnsupported(
-                    f"full store has no loop lowering: {op.render()}")
-            gen._use_array(op.target)
-            vp, vc = gen.cast(op.value, gen.dt[op.target])
-            gen.line(f"{op.target}[_i] = {vp}",
-                     f"{op.target}[_i] = {vc};")
-            continue
+    for op in gen.prog.ops:
         if isinstance(op, GidOp):
             gen.local[op.name] = "_i"      # the loop variable
             continue
         if isinstance(op, ScalarOp):
             continue                       # host prologue
-        if isinstance(op, ConstOp):
-            gen.local[op.name] = f"{op.name}[_i]"
-            gen.const_arrays.append(op.name)
-            gen._use_array(op.name)
-            continue
-        if isinstance(op, PadOp):
-            if op.base in prog.written:
-                raise LoopsUnsupported(
-                    f"pad of written array {op.base!r}")
-            gen.pad_arrays.append(op.name)
-            gen._use_array(op.name)
-            continue
         if isinstance(op, AliasOp):
             src = _strip(op.src)
             if src not in gen.local:
@@ -689,8 +635,7 @@ def _lower_ufunc(gen: _Gen, op: UfuncOp, values: dict) -> None:
 
 
 def _scalar_names(prog: ArenaProgram) -> list[str]:
-    arrays = set(prog.array_params) | set(prog.array3_params)
-    return ([p for p in prog.param_names if p not in arrays]
+    return ([p for p in prog.param_names if p not in prog.array_params]
             + list(prog.size_params))
 
 
@@ -702,24 +647,20 @@ def _slot_dtypes(prog: ArenaProgram, bound: dict) -> tuple[dict, dict]:
     """Type the program before it runs: one forward pass over the ops.
 
     Returns ``(slot name -> dtype, scalar operand expr -> value)``.
-    Views and gathers (shift / pad / slice3 / take / alias) take their
-    base's dtype, a cast its declared one; every ``ufunc`` / ``where``
-    applies *its own NumPy operation* to ``np.ones(1, dtype)`` stand-ins
-    of its vector operands and the call-time values of its scalar
-    operands, and a ``const`` expression is evaluated on the first
-    element of the step-invariant vectors it names (``_gid`` is
-    ``np.arange(1)``) — so NumPy decides every result dtype, weak
-    Python scalars included, and no array argument's data is read.
-    The values are kept because codegen needs each scalar operand's
-    dtype and ``np.result_type`` its weak-scalar semantics.
+    ``_gid`` is ``np.arange``'s dtype; gathers (shift / take / alias)
+    take their base's dtype, a cast its declared one; every ``ufunc`` /
+    ``where`` applies *its own NumPy operation* to ``np.ones(1, dtype)``
+    stand-ins of its vector operands and the call-time values of its
+    scalar operands — so NumPy decides every result dtype, weak Python
+    scalars included, and no array argument's data is read.  The values
+    are kept because codegen needs each scalar operand's dtype and
+    ``np.result_type`` its weak-scalar semantics.
     """
     glb = {"np": np}
     env = _host_env(prog, bound)
-    dt = {p: np.asarray(bound[p]).dtype
-          for p in (*prog.array_params, *prog.array3_params)}
+    dt = {p: np.asarray(bound[p]).dtype for p in prog.array_params}
     if prog.returns_out:
         dt["out"] = np.asarray(bound["out"]).dtype
-    inv: dict[str, np.ndarray] = {}     # step-invariant vector -> element 0
     values: dict[str, object] = {}
 
     def arg(expr: str):
@@ -734,19 +675,12 @@ def _slot_dtypes(prog: ArenaProgram, bound: dict) -> tuple[dict, dict]:
         if isinstance(op, ScalarOp):
             env[op.name] = eval(op.expr, glb, env)  # noqa: S307
         elif isinstance(op, GidOp):
-            inv[op.name] = np.arange(1)
-            dt[op.name] = inv[op.name].dtype
+            dt[op.name] = np.arange(1).dtype
         elif isinstance(op, AliasOp):
             src = _strip(op.src)
             if src in dt:
                 dt[op.name] = dt[src]
-            if src in inv:
-                inv[op.name] = inv[src]
-        elif isinstance(op, ConstOp):
-            inv[op.name] = np.asarray(
-                eval(op.expr, glb, {**env, **inv}))  # noqa: S307
-            dt[op.name] = inv[op.name].dtype
-        elif isinstance(op, (ShiftOp, PadOp, Slice3Op, TakeOp)):
+        elif isinstance(op, (ShiftOp, TakeOp)):
             dt[op.name] = dt[op.base]
             if isinstance(op, ShiftOp):
                 arg(op.offset)
@@ -762,7 +696,7 @@ def _slot_dtypes(prog: ArenaProgram, bound: dict) -> tuple[dict, dict]:
         elif isinstance(op, SliceStoreOp):
             arg(op.start)
             arg(op.value)
-        elif isinstance(op, (IndexStoreOp, FullStoreOp)):
+        elif isinstance(op, IndexStoreOp):
             arg(op.value)
     return dt, values
 
@@ -775,18 +709,11 @@ class _Spec:
     fn: object                    # python/numba callable or ctypes symbol
     tier: str
     arg_arrays: list[str]         # kernel array-argument order
-    const_items: list             # (name, expr code, is const slot)
-    pad_items: list               # (name, base, before, after, fill codes)
     size_arrays: list[str]
     scal_items: list              # (expr code, 'f'|'i') in arg order
     scalarop_items: list          # (name, code) in program order
     shift_checks: list            # (offset code, n code, base name)
     n_code: object
-    gid_const: tuple | None       # ('_gid@N', n code) when there are consts
-    domain: str = "gid"           # "gid" | "grid3"
-    stride_items: list = field(default_factory=list)   # (array, dim)
-    ex_code: object = None        # grid3: window extent ex
-    eyx_code: object = None       # grid3: ey * ex
 
 
 def _lower(prog: ArenaProgram, bound: dict, tier: str,
@@ -799,43 +726,11 @@ def _lower(prog: ArenaProgram, bound: dict, tier: str,
     gen = _Gen(prog, dt, scalar_dt, **gen_kw)
     _lower_ops(gen, values)
 
-    # step-invariant values the host materialises before the loop, in
-    # program order: the const slots, and the aliases (``i_0 = _gid``)
-    # their expressions may name
-    has_const = bool(gen.const_arrays)
-    host_ops = [op for op in prog.ops if isinstance(op, ConstOp)
-                or (has_const and isinstance(op, AliasOp)
-                    and op.name in prog.inv)]
-    pad_ops = [op for op in prog.ops if isinstance(op, PadOp)]
-
-    if gen.grid3:
-        slices = [op for op in prog.ops if isinstance(op, Slice3Op)]
-        if not slices:
-            raise LoopsUnsupported(
-                "rank-3 program without slice windows")
-        ez, ey, ex = slices[0].extents
-        for s in slices[1:]:
-            if s.extents != (ez, ey, ex):
-                raise LoopsUnsupported(
-                    f"mismatched rank-3 window extents: {s.extents} vs "
-                    f"{(ez, ey, ex)}")
-        n_expr = f"({ez}) * ({ey}) * ({ex})"
-        ex_expr, eyx_expr = f"({ex})", f"({ey}) * ({ex})"
-    else:
-        gid = prog.gid_ops()[0]
-        n_expr = gid.n
-        ex_expr = eyx_expr = None
-
     def cc(expr):
         return compile(expr, "<loop host>", "eval")
 
     return gen, _Spec(
         source="", fn=None, tier=tier, arg_arrays=list(gen.used_arrays),
-        const_items=[(op.name, cc(op.expr), True)
-                     if isinstance(op, ConstOp)
-                     else (op.name, cc(op.src), False) for op in host_ops],
-        pad_items=[(op.name, op.base, cc(op.before), cc(op.after),
-                    cc(op.fill)) for op in pad_ops],
         size_arrays=list(gen.sizes),
         scal_items=[(cc(e), "i" if scalar_dt[e].kind in "iub" else "f")
                     for e in gen.scal_args],
@@ -843,12 +738,7 @@ def _lower(prog: ArenaProgram, bound: dict, tier: str,
                         if isinstance(op, ScalarOp)],
         shift_checks=[(cc(op.offset), cc(op.n), op.base) for op in prog.ops
                       if isinstance(op, ShiftOp)],
-        n_code=cc(n_expr),
-        gid_const=(f"_gid@{gid.n}", cc(gid.n)) if has_const else None,
-        domain="grid3" if gen.grid3 else "gid",
-        stride_items=list(gen.strides),
-        ex_code=cc(ex_expr) if ex_expr is not None else None,
-        eyx_code=cc(eyx_expr) if eyx_expr is not None else None)
+        n_code=cc(prog.gid_ops()[0].n))
 
 
 def _scalar_ctype(kind: str):
@@ -889,21 +779,19 @@ def _load_python(source: str, tier: str, label: str, symbol: str):
 def _build_spec(prog: ArenaProgram, bound: dict, tier: str) -> _Spec:
     gen, spec = _lower(prog, bound, tier)
     arrays = gen.used_arrays
-    extent_args = ["_ex", "_eyx"] if gen.grid3 else []
     if tier == "cc":
         spec.source = _render_c(prog.name, arrays, gen, list(gen.scal_args),
                                 gen.dt)
         spec.fn = _load_c(
             spec.source, prog.name, f"repro_loop_{prog.name}",
             [ctypes.c_void_p] * len(arrays)
-            + [ctypes.c_longlong] * (len(gen.sizes) + len(gen.strides))
+            + [ctypes.c_longlong] * len(gen.sizes)
             + [_scalar_ctype(kind) for _c, kind in spec.scal_items]
-            + [ctypes.c_longlong] * (len(extent_args) + 3))
+            + [ctypes.c_longlong] * 3)
     else:
         args = (arrays + [f"_sz_{a}" for a in gen.sizes]
-                + [f"_st{d}_{a}" for a, d in gen.strides]
                 + list(gen.scal_args.values())
-                + extent_args + ["_lo", "_hd", "_n", "_tile"])
+                + ["_lo", "_hd", "_n", "_tile"])
         spec.source = _render_python(prog.name, args, gen)
         spec.fn = _load_python(spec.source, tier, prog.name,
                                f"_loop_{prog.name}")
@@ -941,14 +829,10 @@ def _render_c(name: str, arrays: list[str], gen: _Gen,
         params.append(f"{_CTYPE[_code(dt[a])]}* {a}")
     for a in gen.sizes:
         params.append(f"long long _sz_{a}")
-    for a, d in gen.strides:
-        params.append(f"long long _st{d}_{a}")
     for e in scal_order:
         kind = gen.scalar_dt[e].kind
         ctp = "long long" if kind in "iub" else "double"
         params.append(f"{ctp} {gen.scal_args[e]}")
-    if gen.grid3:
-        params += ["long long _ex", "long long _eyx"]
     params += ["long long _lo", "long long _hd", "long long _n"]
     return "\n".join([
         "#include <math.h>",
@@ -978,8 +862,9 @@ class LoopKernel:
     ``_range=(lo, hi)`` restricting the sweep to those work-items).  The
     first call per argument-dtype set types the program
     (:func:`_slot_dtypes`), generates and compiles the loop, and runs
-    it; every later call only runs it.  ``_ws`` holds what a loop kernel
-    keeps between calls — ``const`` and ``pad`` slots — and nothing else.
+    it; every later call only runs it.  A loop kernel keeps nothing
+    between calls: it accepts ``_ws`` so its call matches the NumPy
+    kernel's, and ignores it.
     """
 
     name: str
@@ -1006,7 +891,7 @@ def _dtype_key(prog: ArenaProgram, bound: dict) -> tuple:
     key = []
     for n in _call_names(prog):
         v = bound[n]
-        if n in prog.array_params or n in prog.array3_params or n == "out":
+        if n in prog.array_params or n == "out":
             key.append(np.asarray(v).dtype.str)
         else:
             key.append((np.asarray(v).dtype.str,
@@ -1018,11 +903,9 @@ def _dtype_key(prog: ArenaProgram, bound: dict) -> tuple:
 class _Args:
     """One launch's arguments, evaluated and checked by :func:`_prologue`."""
 
-    arrays: dict                  # array argument -> ndarray (rank 3 flat)
+    arrays: dict                  # array argument -> ndarray
     sizes: dict                   # array -> length, for the wrap tests
-    strides: list
     scalars: list                 # values, in ``_Spec.scal_items`` order
-    extents: list
     env: dict                     # scalar arguments and ScalarOp values
     n: int
     lo: int
@@ -1031,54 +914,17 @@ class _Args:
 
 
 def _prologue(prog: ArenaProgram, spec: _Spec, bound: dict,
-              ws: Workspace | None, rng=None) -> _Args:
+              rng=None) -> _Args:
     """Everything a launch does on the host before the loop stores
-    anything: scalars, the ``const`` / ``pad`` slots, and the range
-    check of every shift (``IndexError``), which also yields the head
-    bound ``_hd``."""
+    anything: scalars, and the range check of every shift
+    (``IndexError``), which also yields the head bound ``_hd``."""
     env = _host_env(prog, bound)
     glb = {"np": np}
     for name, code in spec.scalarop_items:
         env[name] = eval(code, glb, env)  # noqa: S307
     n = int(eval(spec.n_code, glb, env))  # noqa: S307
-    _key = tuple(env[s] for s in prog.scalar_params)
-    host = dict(env)
-    if spec.gid_const is not None:
-        cname, ncode = spec.gid_const
-        nv = int(eval(ncode, glb, env))  # noqa: S307
-        host["_gid"] = ws.const(cname, _key,
-                                lambda: np.arange(nv))
     arrays = {a: bound[a] for a in _call_names(prog)
-              if a in prog.array_params or a in prog.array3_params
-              or a == "out"}
-    for name, code, is_slot in spec.const_items:
-        if is_slot:
-            snap = dict(host)
-            host[name] = ws.const(
-                name, _key, lambda: eval(code, glb, snap))  # noqa: S307
-            arrays[name] = np.asarray(host[name])
-        else:
-            host[name] = eval(code, glb, host)  # noqa: S307
-    for name, base, before, after, fill in spec.pad_items:
-        arrays[name] = ws.pad(name, arrays[base],
-                              eval(before, glb, host),   # noqa: S307
-                              eval(after, glb, host),    # noqa: S307
-                              eval(fill, glb, host))     # noqa: S307
-    strides = []
-    extents = []
-    if spec.domain == "grid3":
-        for a, d in spec.stride_items:
-            shp = np.asarray(arrays[a]).shape
-            strides.append(int(np.prod(shp[d + 1:])))
-        for a in list(arrays):
-            arr = np.asarray(arrays[a])
-            if arr.ndim > 1:
-                if not arr.flags["C_CONTIGUOUS"]:
-                    raise LoopsUnsupported(
-                        f"rank-3 argument {a!r} is not contiguous")
-                arrays[a] = arr.reshape(-1)
-        extents = [int(eval(spec.ex_code, glb, env)),    # noqa: S307
-                   int(eval(spec.eyx_code, glb, env))]   # noqa: S307
+              if a in prog.array_params or a == "out"}
     sizes = {a: int(arrays[a].shape[0]) for a in spec.size_arrays}
     head = 0       # a shifted index can be negative only below this
     for off_code, n_code, base in spec.shift_checks:
@@ -1097,8 +943,7 @@ def _prologue(prog: ArenaProgram, spec: _Spec, bound: dict,
     hd = min(hi, max(lo, head))
     scalars = [eval(code, glb, env)  # noqa: S307
                for code, _k in spec.scal_items]
-    return _Args(arrays, sizes, strides, scalars, extents, env, n, lo, hd,
-                 hi)
+    return _Args(arrays, sizes, scalars, env, n, lo, hd, hi)
 
 
 def _pointers(names: list[str], arrays: dict) -> list[int]:
@@ -1121,54 +966,45 @@ class _Dispatch:
     def __init__(self, kernel: LoopKernel):
         self.kernel = kernel
         self.specs: dict = {}
-        self.own_ws: Workspace | None = None
         self.names = _call_names(kernel.program)
 
-    def _bind(self, args, kwargs) -> tuple[dict, Workspace]:
+    def _bind(self, args, kwargs) -> dict:
         bound = dict(zip(self.names, args))
-        ws = kwargs.pop("_ws", None)
+        kwargs.pop("_ws", None)        # the NumPy kernel's arena: unused
         bound.update(kwargs)
-        if ws is None:
-            if self.own_ws is None:
-                self.own_ws = Workspace(f"loops:{self.kernel.name}")
-            ws = self.own_ws
         missing = [n for n in self.names if n not in bound]
         if missing:
             raise TypeError(f"{self.kernel.name}() missing arguments: "
                             f"{missing}")
-        return bound, ws
+        return bound
 
     def __call__(self, *args, **kwargs):
         rng = kwargs.pop("_range", None)
-        bound, ws = self._bind(args, kwargs)
+        bound = self._bind(args, kwargs)
         key = _dtype_key(self.kernel.program, bound)
         spec = self.specs.get(key)
         if spec is None:
             spec = self.specs[key] = _build_spec(self.kernel.program, bound,
                                                  self.kernel.tier)
             self.kernel.source = spec.source
-        return self._run(spec, bound, ws, rng)
+        return self._run(spec, bound, rng)
 
-    def _run(self, spec: _Spec, bound: dict, ws: Workspace, rng=None):
+    def _run(self, spec: _Spec, bound: dict, rng=None):
         prog = self.kernel.program
-        a = _prologue(prog, spec, bound, ws, rng)
+        a = _prologue(prog, spec, bound, rng)
         if a.hi <= a.lo:
             pass
         elif spec.tier == "cc":
             spec.fn(*_pointers(spec.arg_arrays, a.arrays),
-                    *(a.sizes[x] for x in spec.size_arrays), *a.strides,
-                    *_c_scalars(spec, a.scalars), *a.extents,
-                    a.lo, a.hd, a.hi)
+                    *(a.sizes[x] for x in spec.size_arrays),
+                    *_c_scalars(spec, a.scalars), a.lo, a.hd, a.hi)
         else:
-            if spec.domain == "grid3":
-                tile = a.extents[1]        # one output z-plane per task
-            else:
-                tile = int(a.env.get("NxNy") or 0)
-                if tile <= 0 or tile > a.n:
-                    tile = max(1, -(-a.n // (8 * (os.cpu_count() or 1))))
+            tile = int(a.env.get("NxNy") or 0)
+            if tile <= 0 or tile > a.n:
+                tile = max(1, -(-a.n // (8 * (os.cpu_count() or 1))))
             spec.fn(*(a.arrays[x] for x in spec.arg_arrays),
-                    *(a.sizes[x] for x in spec.size_arrays), *a.strides,
-                    *a.scalars, *a.extents, a.lo, a.hd, a.hi, tile)
+                    *(a.sizes[x] for x in spec.size_arrays),
+                    *a.scalars, a.lo, a.hd, a.hi, tile)
         if prog.returns_out:
             return bound["out"]
         tail = prog.return_line[len("return "):].strip()
@@ -1180,8 +1016,8 @@ def compile_loops(program: ArenaProgram, *,
     """Lower an :class:`ArenaProgram` to a compiled fused loop.
 
     Raises :class:`LoopsUnsupported` when the program is structurally
-    loop-opaque or no compiled tier is available (:func:`realise` turns
-    that into a fallback or lets it propagate).  Code generation itself
+    loop-opaque or no compiled tier is available (:func:`realise` falls
+    back to the NumPy kernel on it).  Code generation itself
     happens on the kernel's first call, when the argument dtypes are
     known; a dtype the emitter has no C type for raises from there.
     """
@@ -1199,29 +1035,19 @@ def compile_loops(program: ArenaProgram, *,
     return kernel
 
 
-def realise(kernel, emitter: str | None = None):
-    """The executable that runs a compiled ``NumpyKernel`` under
-    ``emitter`` — the one statement of which emitter realises an
-    :class:`ArenaProgram` and when a request may fall back.
-
-    ``"numpy-steady"`` is the kernel itself (its source is
-    ``kernel.program.render()``).  ``"numba"`` is an explicit request for
-    the fused loop: :class:`LoopsUnsupported` (no compiled tier on this
-    host, or a loop-opaque program) propagates.  ``None`` names no
-    emitter: the best compiled tier, or — per kernel — the kernel itself
-    when the loop emitter declines.  Both run the same program, so the
-    choice never changes a result.
+def realise(kernel):
+    """The executable that runs a compiled ``NumpyKernel``: the fused
+    loop on the best compiled tier, or — per kernel — the kernel itself
+    (its source is ``kernel.program.render()``) when the loop emitter
+    declines, because the program is loop-opaque or no compiled tier
+    exists on this host.  Both run the same program, so the choice never
+    changes a result.  The one explicit request for the loop emitter is
+    ``SimConfig(backend="numba")``, whose :func:`compile_step` raises
+    :class:`LoopsUnsupported` instead.
     """
-    if emitter == "numpy-steady":
-        return kernel
-    if emitter is not None and emitter not in EMITTERS:
-        raise ValueError(f"unknown emitter {emitter!r}; expected one of "
-                         f"{EMITTERS} or None (best available)")
     try:
         return compile_loops(kernel.program)
     except LoopsUnsupported:
-        if emitter is not None:
-            raise
         return kernel
 
 
@@ -1252,10 +1078,6 @@ def _step_links(programs: list) -> tuple[str, str, str] | None:
     arrays = {a for p in programs for a in p.array_params}
     for p in programs:
         reasons = p.loop_opaque_reasons()
-        if p.loop_domain() != "gid":
-            reasons.append("a rank-3 program")
-        reasons += [f"a step keeps no workspace slots: {op.render()}"
-                    for op in p.ops if isinstance(op, (ConstOp, PadOp))]
         reasons += [f"{a!r} is an array in another program of the step"
                     for a in p.param_names
                     if a in arrays and a not in p.array_params]
@@ -1492,7 +1314,7 @@ class _StepDispatch:
             kernel.source = spec.source
         # every program's prologue — shift range checks included — runs
         # before the step stores anything
-        launches = [_prologue(p, s, b, None) for p, s, b in
+        launches = [_prologue(p, s, b) for p, s, b in
                     zip(kernel.programs, spec.parts, bounds)]
         sweep = launches[0]
         blk = int(sweep.env["NxNy"])

@@ -362,8 +362,8 @@ def _temp(ctx: _Ctx, value: str, prefix: str = "t") -> str:
         return name
     m3 = _SLICE3.match(value)
     if m3 is not None and m3.group(1) in st.arrays3:
-        # a shifted rank-3 stencil window: a pure view (non-allocating),
-        # and structured enough for the fused-loop emitter to lower
+        # a shifted rank-3 stencil window: a pure view (non-allocating);
+        # the fused-loop emitter declines it (it lowers flat _gid sweeps)
         name = ctx.names.fresh(prefix)
         ctx.add(Slice3Op(name, m3.group(1),
                          (int(m3.group(2)), int(m3.group(4)),

@@ -15,7 +15,10 @@ cc/numba compilations shared *across* processes.
 Workers are daemonic, and a daemonic process may not spawn children, so
 a ``shards>1`` job's ``MultiGPU(..., parallel=True)`` pool refuses the
 multi-process overlap executor here (``_parallel_eligible``) and steps
-in-process, one ``execute`` per step.
+in-process, one ``execute`` per step.  Daemonic children are only
+reaped by a parent that exits normally, so an idle worker also polls
+its parent (``_PARENT_POLL_S``) and exits when it is gone — a SIGKILLed
+gateway leaves no orphans.
 
 Transport protocol (all values picklable):
 
@@ -40,6 +43,9 @@ import queue as queue_mod
 
 __all__ = ["WorkerPool"]
 
+#: how often an idle worker checks that its parent is still alive (s)
+_PARENT_POLL_S = 1.0
+
 
 def _worker_main(worker_id: int, cfg: dict, task_q, result_q) -> None:
     """Worker process entrypoint (module-level for ``spawn`` pickling)."""
@@ -55,9 +61,18 @@ def _worker_main(worker_id: int, cfg: dict, task_q, result_q) -> None:
 
     devices = resolve_device(cfg.get("devices"))
     compile_cache = CompileCache()
+    parent = mp.parent_process()      # None when run on the caller's thread
 
     while True:
-        task = task_q.get()
+        try:
+            task = task_q.get(timeout=_PARENT_POLL_S)
+        except queue_mod.Empty:
+            if parent is not None and not parent.is_alive():
+                # the gateway died without sending the sentinel (SIGKILL):
+                # exit rather than live on as an orphan
+                result_q.cancel_join_thread()
+                break
+            continue
         if task is None:
             break
         fp = task["fingerprint"]

@@ -28,7 +28,7 @@ import pytest
 
 from repro.acoustics.lift_programs import fi_fused_flat, fi_mm_boundary
 from repro.lift.codegen.loops import (LoopsUnsupported, available_tiers,
-                                      compile_loops)
+                                      compile_loops, realise)
 from repro.lift.codegen.numpy_backend import compile_numpy
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -69,13 +69,15 @@ def test_available_tiers_always_lists_python():
     assert "python" in tiers
 
 
-def test_rank3_full_store_program_is_loop_lowerable():
+def test_rank3_full_store_program_is_declined():
+    """Listing 6's stencil-pattern form lowers to rank-3 windows and one
+    whole-buffer store: the loop emitter names both and declines, and
+    ``realise`` runs the NumPy-steady kernel instead."""
     from repro.acoustics.lift_programs import fi_fused_3d
     nk = compile_numpy(fi_fused_3d("double").kernel, "fi_fused_3d")
-    assert nk.program.loop_domain() == "grid3"
-    assert nk.program.loop_opaque_reasons() == []
-    lk = compile_loops(nk.program, tier="python")
-    assert lk.program is nk.program
+    with pytest.raises(LoopsUnsupported, match="Slice3Op.*FullStoreOp"):
+        compile_loops(nk.program, tier="python")
+    assert realise(nk) is nk
 
 
 def test_loop_opaque_program_raises_typed_error():

@@ -10,12 +10,15 @@ table as the generated C).  To refresh after an *intentional* change:
 """
 
 import functools
+import os
 import pathlib
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
 from repro.acoustics.lift_programs import (fd_mm_boundary, fi_mm_boundary,
                                            volume_kernel)
 from repro.lift.codegen.loops import compile_loops
@@ -34,6 +37,19 @@ def _loop_source(program, *args, **sizes):
     return lk.source
 
 
+def _step_source(scheme, precision):
+    """The python-tier source of a scheme's compiled step
+    (``backend="numba"``), generated by its first step.  The source
+    depends on the programs and argument dtypes only, so a tiny room
+    gives the step the paper's room runs."""
+    with mock.patch.dict(os.environ, {"REPRO_LOOP_TIER": "python"}):
+        sim = RoomSimulation(SimConfig(room=Room(Grid3D(6, 5, 5), BoxRoom()),
+                                       scheme=scheme, precision=precision,
+                                       backend="numba"))
+        sim.step()
+    return sim._step.source
+
+
 def _loop_artefacts():
     f4, f8, i4 = (functools.partial(np.zeros, dtype=d)
                   for d in ("f4", "f8", "i4"))
@@ -46,6 +62,8 @@ def _loop_artefacts():
             fd_mm_boundary("single", 3), i4(1), i4(1), i4(2), f4(1),
             f4(3), f4(3), f4(3), f4(3), f4(2), f4(2), f4(3), f4(3), f4(3),
             np.float32(0.5), 1, M=1, N=2),
+        # volume_kernel + fd_mm_boundary, 3 branches: one step, two levels
+        "fd_mm_step_double_mb3.loop.py.txt": _step_source("fd_mm", "double"),
     }
 
 

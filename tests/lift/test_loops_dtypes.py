@@ -19,9 +19,9 @@ import pytest
 from repro.acoustics import RoomSimulation, SimConfig
 from repro.acoustics.geometry import BoxRoom, DomeRoom, Room
 from repro.acoustics.grid import Grid3D
-from repro.acoustics.lift_programs import (fd_mm_boundary, fi_fused_3d,
-                                           fi_fused_flat, fi_mm_boundary,
-                                           two_kernel_host, volume_kernel)
+from repro.acoustics.lift_programs import (fd_mm_boundary, fi_fused_flat,
+                                           fi_mm_boundary, two_kernel_host,
+                                           volume_kernel)
 from repro.acoustics.materials import (MaterialTable, default_fd_materials,
                                        default_fi_materials)
 from repro.acoustics.topology import build_topology
@@ -31,11 +31,11 @@ from repro.lift.codegen import loops
 from repro.lift.codegen.arena import ArenaProgram, Workspace
 from repro.lift.codegen.host import compile_host
 from repro.lift.codegen.loops import (LoopsUnsupported, StepKernel,
-                                      compile_loops)
+                                      compile_loops, realise)
 from repro.lift.codegen.numpy_backend import NumpyKernel, compile_numpy
 
 KERNELS = ("fi_fused_flat", "volume_kernel", "fi_mm_boundary",
-           "fd_mm_boundary", "fi_fused_3d", "gpr_h_update")
+           "fd_mm_boundary", "gpr_h_update")
 
 
 def _case(name, precision, numpy_scalar=True):
@@ -80,12 +80,6 @@ def _case(name, precision, numpy_scalar=True):
                  state(), prev, state(MB * K), state(MB * K), state(MB * K),
                  lam, K],
                 dict(M=table.num_materials, N=N))
-    if name == "fi_fused_3d":
-        return (fi_fused_3d(precision).kernel,
-                [prev[:N].reshape(g.shape), curr[:N].reshape(g.shape),
-                 topo.nbrs.reshape(g.shape), lam, scalar(0.35)],
-                dict(NX=g.nx, NY=g.ny, NZ=g.nz,
-                     out=np.zeros((g.nz - 2, g.ny - 2, g.nx - 2), dt)))
     if name == "gpr_h_update":
         # the loop-lowerable half of repro.geowaves (gpr_e_update keeps a
         # VecExprOp and stays on the steady emitter)
@@ -136,13 +130,14 @@ def test_slot_dtypes_are_what_numpy_produces(name, precision, numpy_scalar):
             assert slot in dt, op.render()
 
 
-def test_slot_dtypes_cover_const_and_pad_slots():
-    """The two slot kinds a loop kernel keeps in its workspace, on a
-    program small enough to read: a padded 3-point stencil gathered
-    through a step-invariant, non-affine index (``2 * i``)."""
+def test_const_and_pad_program_is_declined_and_falls_back():
+    """A program with a ``const`` and a ``pad`` slot — a padded array
+    gathered through a step-invariant, non-affine index (``2 * i``) —
+    is not a flat sweep that keeps nothing between calls: the loop
+    emitter names both ops and declines, and ``realise`` runs the
+    NumPy-steady kernel, whose result is the hand-computed one."""
     from repro.lift.arith import Var
     from repro.lift.ast import BinOp, FunCall, Lambda, Param, lit
-    from repro.lift.codegen.loops import _slot_dtypes
     from repro.lift.patterns import ArrayAccess, Iota, Map, Pad
     from repro.lift.types import ArrayType, Float, Int
     A = Param("A", ArrayType(Float, Var("N")))
@@ -155,20 +150,16 @@ def test_slot_dtypes_cover_const_and_pad_slots():
     nk = compile_numpy(prog, "padded_stride")
     kinds = {type(op).__name__ for op in nk.program.ops}
     assert {"ConstOp", "PadOp"} <= kinds, nk.source
+    with pytest.raises(LoopsUnsupported) as err:
+        compile_loops(nk.program, tier="python")
+    assert "ConstOp" in str(err.value) and "PadOp" in str(err.value)
+    ex = realise(nk)
+    assert ex is nk
     a = np.arange(1, 9, dtype=np.float32)
-    ws, ref = Workspace("probe"), np.zeros(4, np.float32)
-    nk.fn(a, K=4, N=8, out=ref, _ws=ws)
-    dt, _ = _slot_dtypes(nk.program, dict(A=a, K=4, N=8, out=ref))
-    for slot, buf in ws._slots.items():
-        assert dt[slot] == buf.dtype, slot
-    for slot, (_key, val) in ws._consts.items():
-        assert dt[slot.split("@")[0]] == np.asarray(val).dtype, slot
-    # the loop kernel materialises both slots itself, first call included
-    for tier in ("python", *(t for t in loops.available_tiers()
-                             if t != "python")):
-        out = np.full(4, -1, np.float32)
-        compile_loops(nk.program, tier=tier).fn(a, K=4, N=8, out=out)
-        assert np.array_equal(out, ref), tier
+    out = np.full(4, -1, np.float32)
+    ex.fn(a, K=4, N=8, out=out, _ws=Workspace("fallback"))
+    # padded A is [0, 1, ..., 8, 0]; elements 0, 2, 4, 6, halved
+    assert np.array_equal(out, np.float32([0, 1, 2, 3]))
 
 
 # -- (b) a ranged launch may be the first call --------------------------
@@ -253,10 +244,15 @@ def _vgpu_problem():
     return host, inputs, sizes
 
 
-def _execute(kernel_backend, problem):
-    gpu = VirtualGPU(NVIDIA_TITAN_BLACK, kernel_backend=kernel_backend)
+def _execute(problem):
+    gpu = VirtualGPU(NVIDIA_TITAN_BLACK)
     result = np.array(gpu.execute(*problem).result)
     return result, gpu
+
+
+def _all_numpy_steady(gpu, problem):
+    return all(type(gpu._exec_kernel(op)) is NumpyKernel
+               for op in problem[0].plan.ops if hasattr(op, "kernel"))
 
 
 @pytest.fixture
@@ -268,46 +264,34 @@ def fresh_kernel_caches(monkeypatch):
 
 
 def test_no_compiled_tier(monkeypatch, fresh_kernel_caches):
-    """Explicit requests raise the typed error naming the missing tiers;
-    auto runs the steady emitter and gets the right answer."""
+    """The explicit request raises the typed error naming the missing
+    tiers; auto runs the steady emitter and gets the right answer."""
     problem = _vgpu_problem()
-    expected, _ = _execute("numpy-steady", problem)
+    expected, _ = _execute(problem)
+    runtime.clear_kernel_caches()
     monkeypatch.setattr(loops, "_cc_state", {"path": None})
     monkeypatch.setattr(loops, "_numba_available", lambda: False)
 
     with pytest.raises(LoopsUnsupported, match="numba.*C compiler"):
         RoomSimulation(SimConfig(room=Room(Grid3D(10, 9, 8), BoxRoom()),
                                  backend="numba"))
-    with pytest.raises(LoopsUnsupported, match="numba.*C compiler"):
-        _execute("numba", problem)
 
-    result, gpu = _execute(None, problem)
+    result, gpu = _execute(problem)
     assert np.array_equal(result, expected)
-    assert all(type(gpu._exec_kernel(op)) is NumpyKernel
-               for op in problem[0].plan.ops if hasattr(op, "kernel"))
+    assert _all_numpy_steady(gpu, problem)
 
 
 def test_loop_opaque_program(monkeypatch, fresh_kernel_caches):
     """Same rule when it is the program the loop emitter declines: auto
-    falls back per kernel, explicit propagates the reason — also when
-    the auto fallback is already cached for that kernel."""
+    falls back per kernel, the explicit request propagates the reason."""
     problem = _vgpu_problem()
-    expected, _ = _execute("numpy-steady", problem)
+    expected, _ = _execute(problem)
+    runtime.clear_kernel_caches()
     monkeypatch.setattr(ArenaProgram, "loop_opaque_reasons",
                         lambda self: ["RawOp: demo"])
-    result, gpu = _execute(None, problem)
+    result, gpu = _execute(problem)
     assert np.array_equal(result, expected)
-    for _ in range(2):                        # second pass: cached
-        with pytest.raises(LoopsUnsupported, match="RawOp: demo"):
-            _execute("numba", problem)
-
-
-def test_emitters_are_the_registrys_lift_names():
-    """``EMITTERS`` is the one list of emitter names: each is a backend,
-    ``realise`` takes those (or ``None``) and nothing else."""
-    from repro.acoustics.sim import BACKENDS
-    assert set(loops.EMITTERS) < set(BACKENDS)
-    nk = compile_numpy(volume_kernel("double").kernel, "volume_kernel")
-    assert loops.realise(nk, "numpy-steady") is nk
-    with pytest.raises(ValueError, match="unknown emitter"):
-        loops.realise(nk, "cuda")
+    assert _all_numpy_steady(gpu, problem)
+    with pytest.raises(LoopsUnsupported, match="RawOp: demo"):
+        RoomSimulation(SimConfig(room=Room(Grid3D(10, 9, 8), BoxRoom()),
+                                 backend="numba"))

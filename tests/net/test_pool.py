@@ -2,15 +2,23 @@
 
 ``_worker_main`` is the entrypoint of every gateway worker process; here
 it runs on the test's own thread (no spawn) over ``queue.Queue``s, so
-its messages can be compared directly with the in-process service.
+its messages can be compared directly with the in-process service.  The
+last test spawns a real pool in a child process and SIGKILLs that child.
 """
 
 import dataclasses
+import os
 import queue
+import select
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.acoustics import BoxRoom, Grid3D, Room
 from repro.gpu.device import resolve_device
 from repro.net.pool import _worker_main
@@ -121,3 +129,56 @@ def test_undecodable_request_fails_and_the_worker_keeps_serving():
     assert (fp, worker) == ("bad", 0)
     assert "Error" in error
     assert messages[2][1] == good.fingerprint()
+
+
+#: a gateway stand-in: start a two-worker pool, report the worker PIDs,
+#: then wait to be killed
+_POOL_OWNER = """
+import sys
+from repro.net.pool import WorkerPool
+pool = WorkerPool(2, devices="TitanBlack")
+pool.start()
+print(" ".join(str(p.pid) for p in pool._procs), flush=True)
+sys.stdin.read()
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    """A SIGKILLed gateway never sends the shutdown sentinel; its workers
+    notice the dead parent and exit instead of living on as orphans."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    owner = subprocess.Popen([sys.executable, "-c", _POOL_OWNER], env=env,
+                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                             text=True)
+    pids = []
+    try:
+        ready, _, _ = select.select([owner.stdout], [], [], 60.0)
+        assert ready, "the pool owner never reported its workers"
+        pids = [int(p) for p in owner.stdout.readline().split()]
+        assert len(pids) == 2
+    finally:
+        owner.kill()
+        owner.wait()
+        owner.stdin.close()
+        owner.stdout.close()
+    deadline = time.monotonic() + 10.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    orphans = [p for p in pids if _running(p)]
+    for p in orphans:                       # leave nothing behind
+        os.kill(p, signal.SIGKILL)
+    assert orphans == []

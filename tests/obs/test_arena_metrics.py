@@ -5,10 +5,11 @@ modelled-clock ones: ``repro_host_wallclock_seconds`` (real host seconds
 per kernel call, histogram), ``repro_arena_bytes`` (resident arena
 bytes, gauge) and ``repro_arena_slot_requests_total`` (hit/miss
 counter).  ``kernel_cache_stats()`` mirrors the same accounting for
-callers without a session.  The device is pinned to the
-``numpy-steady`` kernel backend: arena-resident temporaries are a
-property of that emitter (the compiled-loop backend holds no
-full-grid temporaries, which is its whole point).
+callers without a session.  Every kernel is forced onto the
+``numpy-steady`` fallback (the loop emitter is made to decline it):
+arena-resident temporaries are a property of that emitter (the
+compiled-loop backend holds no full-grid temporaries, which is its whole
+point).
 """
 
 import numpy as np
@@ -20,9 +21,10 @@ from repro.acoustics.grid import Grid3D
 from repro.acoustics.lift_programs import two_kernel_host
 from repro.acoustics.materials import MaterialTable, default_fi_materials
 from repro.acoustics.topology import build_topology
+from repro.lift.codegen.arena import ArenaProgram
 from repro.lift.codegen.host import compile_host
 from repro.gpu import NVIDIA_TITAN_BLACK, VirtualGPU
-from repro.gpu.runtime import kernel_cache_stats
+from repro.gpu.runtime import clear_kernel_caches, kernel_cache_stats
 from repro.obs import prometheus_text, validate_prometheus_text
 
 
@@ -30,6 +32,16 @@ from repro.obs import prometheus_text, validate_prometheus_text
 def _no_leaked_session():
     yield
     obs.disable()
+
+
+@pytest.fixture(autouse=True)
+def _numpy_steady_kernels(monkeypatch):
+    """Kernels realised here run on the NumPy-steady emitter."""
+    monkeypatch.setattr(ArenaProgram, "loop_opaque_reasons",
+                        lambda self: ["forced NumPy-steady fallback"])
+    clear_kernel_caches()
+    yield
+    clear_kernel_caches()
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +74,7 @@ class TestArenaMetrics:
     def test_families_present_and_schema_valid(self, run_args):
         host, inputs, sizes = run_args
         with obs.observe() as o:
-            VirtualGPU(NVIDIA_TITAN_BLACK,
-                       kernel_backend="numpy-steady").execute_many(
+            VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
                 host, inputs, sizes, steps=4,
                 rotations=[("prev2_h", "prev1_h", "__out__")])
         text = prometheus_text(o.metrics)
@@ -76,8 +87,7 @@ class TestArenaMetrics:
         host, inputs, sizes = run_args
         steps = 3
         with obs.observe() as o:
-            VirtualGPU(NVIDIA_TITAN_BLACK,
-                       kernel_backend="numpy-steady").execute_many(
+            VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
                 host, inputs, sizes, steps=steps,
                 rotations=[("prev2_h", "prev1_h", "__out__")])
         h = o.metrics.get("repro_host_wallclock_seconds")
@@ -89,8 +99,7 @@ class TestArenaMetrics:
     def test_slot_requests_split_hit_and_miss(self, run_args):
         host, inputs, sizes = run_args
         with obs.observe() as o:
-            VirtualGPU(NVIDIA_TITAN_BLACK,
-                       kernel_backend="numpy-steady").execute_many(
+            VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
                 host, inputs, sizes, steps=4,
                 rotations=[("prev2_h", "prev1_h", "__out__")])
         c = o.metrics.get("repro_arena_slot_requests_total")
@@ -101,8 +110,7 @@ class TestArenaMetrics:
         """With no session active the instrumented paths still run and
         the process-wide cache stats expose the arena accounting."""
         host, inputs, sizes = run_args
-        VirtualGPU(NVIDIA_TITAN_BLACK,
-                       kernel_backend="numpy-steady").execute_many(
+        VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
             host, inputs, sizes, steps=2,
             rotations=[("prev2_h", "prev1_h", "__out__")])
         stats = kernel_cache_stats()
