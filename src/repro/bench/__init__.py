@@ -8,11 +8,11 @@ the full paper-vs-model report (EXPERIMENTS.md is generated from it).
 from . import experiments, figures, harness, paper_data, report, rooms
 from .harness import kernel_resources, modelled_time, throughput_gelems
 from .rooms import PAPER_SHAPES, PAPER_SIZES, RoomBundle, room_bundle
-from .serve import serve_benchmark, serve_workload
+from .serve import serve_benchmark
 
 __all__ = [
     "experiments", "figures", "harness", "paper_data", "report", "rooms",
     "kernel_resources", "modelled_time", "throughput_gelems",
     "PAPER_SHAPES", "PAPER_SIZES", "RoomBundle", "room_bundle",
-    "serve_benchmark", "serve_workload",
+    "serve_benchmark",
 ]

@@ -3,13 +3,15 @@
 Two tiers:
 
 * :func:`serve_benchmark` drives an in-process
-  :class:`repro.serve.SimulationService` with a fixed, deterministic
-  mixed workload — schemes and precisions cycled, priorities shuffled by
-  a fixed pattern, two deliberate duplicate requests so the result cache
-  is exercised — and reports the service's modelled-clock statistics.
-  Because every duration in the service is modelled, the whole artifact
-  is bit-reproducible run to run; CI uploads the JSON and a regression
-  shows up as a diff, not noise.
+  :class:`repro.serve.SimulationService` with the deterministic mixed
+  workload of :func:`repro.serve.chaos.build_workload` — schemes and
+  precisions cycled, priorities mixed, duplicate requests so the result
+  cache is exercised — and reports the service's modelled-clock
+  statistics.  Because every duration in the service is modelled, the
+  whole artifact is bit-reproducible run to run; CI uploads the JSON and
+  a regression shows up as a diff, not noise.  ``python -m repro.serve``
+  (the serving smoke) is this function with its ``--faults``,
+  ``--verify`` and ``--trace`` flags.
 
 * :func:`loadgen_benchmark` is the **open-loop load generator** against
   the real :class:`repro.net.Gateway`: Poisson arrivals (seeded
@@ -28,62 +30,41 @@ import io
 import random
 import time
 
-from ..serve import SimulationService, SubmitRequest
-from ..serve.job import verify_against_serial
-
-#: (scheme, precision, priority, grid dims) cycled over the job count;
-#: entries 5 and 9 duplicate entries 2 and 0 (→ result-cache hits), and
-#: repeated (scheme, precision) pairs share compiled programs (→
-#: compile-cache hits + batching)
-SERVE_MIX = (
-    ("fi_mm", "double", 4, (12, 10, 8)),
-    ("fi", "double", 8, (12, 10, 8)),
-    ("fd_mm", "double", 1, (10, 10, 8)),
-    ("fi_mm", "single", 6, (14, 10, 8)),
-    ("fi", "single", 3, (12, 12, 8)),
-    ("fd_mm", "double", 9, (10, 10, 8)),      # duplicate of entry 2
-    ("fi_mm", "double", 2, (16, 10, 8)),
-    ("fd_mm", "single", 7, (10, 10, 8)),
-    ("fi", "double", 5, (14, 12, 8)),
-    ("fi_mm", "double", 0, (12, 10, 8)),      # duplicate of entry 0
-    ("fi_mm", "single", 8, (14, 10, 8)),      # duplicate of entry 3
-    ("fd_mm", "double", 3, (12, 10, 8)),
-)
-
-
-def serve_workload(jobs: int = 12, steps: int = 4) -> list[SubmitRequest]:
-    """The first ``jobs`` requests of :data:`SERVE_MIX` (cycled)."""
-    from ..acoustics import BoxRoom, Grid3D, Room
-    out = []
-    for i in range(jobs):
-        scheme, precision, priority, dims = SERVE_MIX[i % len(SERVE_MIX)]
-        out.append(SubmitRequest(
-            room=Room(Grid3D(*dims), BoxRoom()), steps=steps,
-            scheme=scheme, precision=precision, priority=priority,
-            receivers={"mic": "center"}))
-    return out
+from ..serve import SimulationService
 
 
 def serve_benchmark(*, jobs: int = 12, steps: int = 4,
-                    pool: str = "TitanBlack:2", max_batch: int = 4) -> dict:
+                    pool: str = "TitanBlack:2", faults: bool = False,
+                    verify: bool = False, trace_path=None) -> dict:
     """Run the workload through a fresh service; returns the artifact.
 
     The artifact is a plain JSON-able dict: the service's
     :meth:`~repro.serve.SimulationService.stats` (pool, per-state
     counts, ``jobs_per_sec``, wait/latency percentiles, batch and cache
     counters) plus a ``per_job`` table of every job's terminal state and
-    modelled accounting.
+    modelled accounting, and the ``errors`` of the drive (non-terminal
+    or failed jobs and, with ``verify``, every serial mismatch).
+    ``verified`` is true iff ``verify`` ran and ``errors`` is empty.
+
+    ``faults`` injects seeded transient faults into a resilient service,
+    so jobs still terminate; ``trace_path`` writes the service's Chrome
+    trace (per-job lanes keyed by trace id).
 
     The process-wide autotune memo is cleared first so the artifact's
     cache counters describe a cold start — identical whether the
     benchmark runs in a fresh process (CI) or after other work.
     """
     from ..gpu import autotune_memo
+    from ..serve.chaos import _drive, build_workload
     autotune_memo().clear()
-    svc = SimulationService(devices=pool, max_batch=max_batch,
+    plan = None
+    if faults:
+        from ..gpu.faults import FaultPlan, FaultSpec
+        plan = FaultPlan([FaultSpec("launch_abort", steps=(2,)),
+                          FaultSpec("transfer_fail", rate=0.02)], seed=7)
+    svc = SimulationService(devices=pool, resilient=faults, faults=plan,
                             observability=True)
-    handles = [svc.submit(r) for r in serve_workload(jobs, steps)]
-    svc.drain()
+    _, errors = _drive(svc, build_workload(jobs, steps), verify=verify)
     stats = svc.stats()
     # the memo started cold (cleared above), so these are deterministic
     stats["cache"]["compile"].update(
@@ -99,7 +80,7 @@ def serve_benchmark(*, jobs: int = 12, steps: int = 4,
                         if h._result else None),
          "from_cache": (h._result.from_cache if h._result else None),
          "attempts": h.attempts}
-        for h in handles]
+        for h in svc._handles]
     # the service ran observability=True, so the sliding-window series
     # and SLO verdicts are part of the artifact (deterministic: every
     # number is modelled-clock arithmetic)
@@ -108,6 +89,11 @@ def serve_benchmark(*, jobs: int = 12, steps: int = 4,
         "statuses": [s.as_dict() for s in svc.slo.evaluate(svc.now_ms)],
         "alerting": list(svc.slo.alerting()),
     }
+    stats["verified"] = verify and not errors
+    stats["errors"] = errors
+    if trace_path is not None:
+        from ..obs import write_chrome_trace
+        write_chrome_trace(svc.obs.tracer, trace_path)
     return stats
 
 
@@ -121,22 +107,6 @@ def loadgen_tenants(n: int, rate: float):
         Tenant(f"lg-{i}", f"key-lg-{i}", rate=max(0.5, per * 0.6),
                burst=4.0, max_concurrent=64, queue_share=0.5)
         for i in range(n))
-
-
-def loadgen_workload(jobs: int, steps: int) -> list[SubmitRequest]:
-    """``jobs`` requests cycling :data:`SERVE_MIX`, with the leading
-    grid dimension nudged every full cycle — a realistic blend of
-    unique work and exact duplicates (idempotent resubmissions)."""
-    from ..acoustics import BoxRoom, Grid3D, Room
-    out = []
-    for i in range(jobs):
-        scheme, precision, priority, dims = SERVE_MIX[i % len(SERVE_MIX)]
-        nx = dims[0] + (i // len(SERVE_MIX)) % 4
-        out.append(SubmitRequest(
-            room=Room(Grid3D(nx, dims[1], dims[2]), BoxRoom()),
-            steps=steps, scheme=scheme, precision=precision,
-            priority=priority, receivers={"mic": "center"}))
-    return out
 
 
 def _wall_percentile(xs, q: float) -> float:
@@ -167,6 +137,7 @@ def loadgen_benchmark(*, rate: float = 40.0, jobs: int = 120,
     :meth:`repro.api.Session.simulate`.
     """
     from ..net import Gateway, GatewayClient
+    from ..serve.chaos import build_workload
     tens = loadgen_tenants(tenants, rate)
     gw = None
     if url is None:
@@ -175,7 +146,7 @@ def loadgen_benchmark(*, rate: float = 40.0, jobs: int = 120,
         url = gw.start()
     try:
         clients = [GatewayClient(url, api_key=t.api_key) for t in tens]
-        workload = loadgen_workload(jobs, steps)
+        workload = build_workload(jobs, steps)
         rng = random.Random(seed)
         codes: dict[str, int] = {}
         refused: dict[str, int] = {}
@@ -202,16 +173,14 @@ def loadgen_benchmark(*, rate: float = 40.0, jobs: int = 120,
 
         c0 = clients[0]
         finals: dict[int, dict] = {}
-        pending = set(accepted)
         deadline = time.monotonic() + wait_timeout
-        while pending and time.monotonic() < deadline:
-            for jid in list(pending):
-                st = c0.status(jid)
-                if st["state"] in ("DONE", "FAILED", "EVICTED"):
-                    finals[jid] = st
-                    pending.discard(jid)
-            if pending:
-                time.sleep(0.05)
+        for jid in accepted:
+            try:
+                finals[jid] = c0.wait(
+                    jid, timeout=max(0.0, deadline - time.monotonic()),
+                    poll=0.05)
+            except TimeoutError:
+                pass
         wall_s = time.monotonic() - t0
         done = [st for st in finals.values() if st["state"] == "DONE"]
         lat = [st["latency_ms"] for st in done]
@@ -229,7 +198,7 @@ def loadgen_benchmark(*, rate: float = 40.0, jobs: int = 120,
             "refused_429": refused,
             "duplicates": duplicates,
             "accepted": len(accepted),
-            "unfinished": len(pending),
+            "unfinished": len(accepted) - len(finals),
             "done": len(done),
             "failed": len(finals) - len(done),
             "submit_wall_s": round(submit_wall_s, 3),
@@ -259,18 +228,13 @@ def loadgen_benchmark(*, rate: float = 40.0, jobs: int = 120,
 def _verify_loadgen(client, workload, accepted: dict,
                     finals: dict) -> dict:
     """Bit-compare each unique DONE fingerprint to a serial session run."""
+    from ..net.chaos import _fetch_results
+    from ..serve.chaos import _verify
     by_fp = {accepted[jid]: jid for jid, st in finals.items()
              if st["state"] == "DONE"}
-    unique = {r.fingerprint(): r for r in workload
-              if r.fingerprint() in by_fp}
-    mismatches = []
-    for fp, req in unique.items():
-        arrays = client.result_arrays(by_fp[fp])
-        if verify_against_serial(req, arrays["field"],
-                                 {k[5:]: v for k, v in arrays.items()
-                                  if k.startswith("recv:")}):
-            mismatches.append(fp[:12])
-    return {"checked": len(unique), "bit_identical": not mismatches,
+    results = _fetch_results(client, by_fp)
+    mismatches = _verify(workload, results)
+    return {"checked": len(results), "bit_identical": not mismatches,
             "mismatches": mismatches}
 
 

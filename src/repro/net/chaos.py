@@ -1,25 +1,23 @@
 """The ``gateway_kill`` chaos scenario: SIGKILL the serving process.
 
-PR 6's harness killed a *modelled* process inside one interpreter; this
-one kills the real thing.  A gateway subprocess (``python -m repro.net``
-on a durable directory) serves the deterministic chaos workload; once
-part of it is DONE, the process is SIGKILLed mid-run — no drain, no
-atexit, exactly the crash the write-ahead journal exists for.  A second
-incarnation is launched on the same directory and the whole workload is
-resubmitted verbatim.
+The in-process soak (:mod:`repro.serve.chaos`) kills a *modelled*
+process inside one interpreter; this one kills the real thing.  A
+gateway subprocess (``python -m repro.net`` on a durable directory)
+serves the same deterministic job mix
+(:func:`repro.serve.chaos.build_workload`); once part of it is DONE,
+the process is SIGKILLed mid-run — no drain, no atexit, exactly the
+crash the write-ahead journal exists for.  A second incarnation is
+launched on the same directory and the whole workload is resubmitted
+verbatim.
 
-Assertions:
-
-1. **Idempotency** — every resubmitted fingerprint answers with a job
-   id and reaches DONE; duplicates inside one incarnation return the
-   original job id (``duplicate: true``).
-2. **Zero re-execution** — no fingerprint that was DONE before the kill
-   is executed by the second incarnation: its status shows
-   ``executed_in_process: false`` and the healthz recovery counters
-   account for it ``from_store``.
-3. **Bit-identity** (``--verify``) — every unique job's result arrays
-   (npz route) equal an uninterrupted serial
-   :meth:`repro.api.Session.simulate`, array for array.
+Within the first incarnation, a duplicate POST must answer with the
+original job id (``duplicate: true``).  After recovery, the soak's one
+check (:func:`repro.serve.chaos._check_recovery`) runs on what the
+HTTP surface shows: every unique fingerprint DONE; every job DONE
+before the kill counted ``from_store`` by the healthz recovery counters
+and never ``executed_in_process`` again; and with ``--verify`` every
+unique result (npz route) bit-identical to an uninterrupted serial
+:meth:`repro.api.Session.simulate`.
 
 Usage::
 
@@ -37,13 +35,10 @@ import sys
 import tempfile
 import time
 
-from ..serve.chaos import build_workload
-from ..serve.job import verify_against_serial
+from ..serve.chaos import _check_recovery, build_workload
 from .client import GatewayClient
 
 __all__ = ["run_gateway_chaos"]
-
-_TERMINAL = ("DONE", "FAILED", "EVICTED")
 
 
 def _repro_env() -> dict:
@@ -94,25 +89,16 @@ def launch_gateway(durable_dir: str, *, workers: int = 2,
     raise TimeoutError(f"gateway not ready within {timeout}s")
 
 
-def _wait_terminal(client: GatewayClient, job_ids, timeout: float = 180.0):
-    """Block until every job id is terminal; returns {job_id: status}."""
-    deadline = time.monotonic() + timeout
-    statuses = {}
-    pending = list(job_ids)
-    while pending and time.monotonic() < deadline:
-        still = []
-        for jid in pending:
-            st = client.status(jid)
-            if st["state"] in _TERMINAL:
-                statuses[jid] = st
-            else:
-                still.append(jid)
-        pending = still
-        if pending:
-            time.sleep(0.05)
-    if pending:
-        raise TimeoutError(f"jobs {pending} not terminal after {timeout}s")
-    return statuses
+def _fetch_results(client: GatewayClient, job_of: dict) -> dict:
+    """Each fingerprint's ``(field, receivers)`` over the bit-faithful
+    npz route; ``job_of`` maps fingerprint -> job id."""
+    results = {}
+    for fp, job_id in job_of.items():
+        arrays = client.result_arrays(job_id)
+        field = arrays.pop("field")          # the rest are "recv:<name>"
+        results[fp] = (field, {k[len("recv:"):]: v
+                               for k, v in arrays.items()})
+    return results
 
 
 def run_gateway_chaos(*, jobs: int = 8, workers: int = 2, steps: int = 12,
@@ -124,8 +110,7 @@ def run_gateway_chaos(*, jobs: int = 8, workers: int = 2, steps: int = 12,
     Returns a report dict whose ``errors`` list is empty iff every
     assertion held.
     """
-    own_dir = durable_dir is None
-    if own_dir:
+    if durable_dir is None:
         durable_dir = tempfile.mkdtemp(prefix="repro-gw-chaos-")
     workload = build_workload(jobs, steps)
     want_done = (kill_after_done if kill_after_done is not None
@@ -172,49 +157,24 @@ def run_gateway_chaos(*, jobs: int = 8, workers: int = 2, steps: int = 12,
                                  checkpoint_every=checkpoint_every)
     try:
         client2 = GatewayClient(url2, api_key=api_key)
-        health = client2.healthz()
-        report["recovered"] = health["recovered"]
-        if health["recovered"]["from_store"] < len(done_before):
-            errors.append(
-                f"recovery found {health['recovered']['from_store']} "
-                f"stored results, expected >= {len(done_before)}")
-        resubmitted = [client2.submit_ok(req) for req in workload]
-        job_of2 = {s["fingerprint"]: s["job_id"] for s in resubmitted}
-        finals = _wait_terminal(client2, set(job_of2.values()))
-        by_fp = {st["fingerprint"]: st for st in finals.values()}
-        for fp, st in by_fp.items():
-            if st["state"] != "DONE":
-                errors.append(f"job {st['job_id']} ({fp[:12]}) ended "
-                              f"{st['state']}: {st.get('error')}")
-        for fp in done_before:
-            st = by_fp.get(fp)
-            if st is None:
-                errors.append(f"pre-kill job {fp[:12]} missing after "
-                              "recovery")
-                continue
-            # the zero-re-execution assertion: answered from the store,
-            # never run by this incarnation's workers
-            if st.get("executed_in_process"):
-                errors.append(f"pre-kill DONE job {fp[:12]} was "
-                              "re-executed after recovery")
-            if not (st.get("from_cache") or st.get("from_store")):
-                errors.append(f"pre-kill DONE job {fp[:12]} not served "
-                              "from cache/store after recovery")
-        health2 = client2.healthz()
-        report["executions_after_recovery"] = health2["executions"]
+        report["recovered"] = client2.healthz()["recovered"]
+        job_of2 = {s["fingerprint"]: s["job_id"]
+                   for s in map(client2.submit_ok, workload)}
+        finals = {fp: client2.wait(jid, timeout=180.0)
+                  for fp, jid in job_of2.items()}
+        done = {fp: job_of2[fp] for fp, st in finals.items()
+                if st["state"] == "DONE"}
+        results = (_fetch_results(client2, done) if verify
+                   else dict.fromkeys(done))
+        report["verified"] = _check_recovery(
+            errors, workload, results, stored=done_before,
+            recovered=report["recovered"]["from_store"],
+            executed={fp for fp, st in finals.items()
+                      if st["executed_in_process"]},
+            verify=verify)
+        report["executions_after_recovery"] = client2.healthz()["executions"]
         report["final_states"] = sorted(
-            (fp[:12], st["state"]) for fp, st in by_fp.items())
-
-        if verify:
-            mismatches = []
-            for fp, req in {r.fingerprint(): r for r in workload}.items():
-                arrays = client2.result_arrays(job_of2[fp])
-                mismatches += verify_against_serial(
-                    req, arrays["field"],
-                    {k[5:]: v for k, v in arrays.items()
-                     if k.startswith("recv:")})
-            report["verified"] = len(workload) - len(mismatches)
-            errors.extend(mismatches)
+            (fp[:12], st["state"]) for fp, st in finals.items())
     finally:
         proc2.send_signal(signal.SIGTERM)
         try:

@@ -746,10 +746,10 @@ class Gateway:
             # flight-recorder history of this job, then live events
             snapshot = self._event_payload(handle)
             snapshot["event"] = "snapshot"
+            fp = snapshot["fingerprint"][:12]
             snapshot["history"] = [
                 e for e in self.svc.flight.events()
-                if e.get("job") == job_id
-                or e.get("fp") == handle.request.fingerprint()[:12]]
+                if e.get("job") == job_id or e.get("fp") == fp]
             await ws.send_json(snapshot)
             if handle.done:
                 return

@@ -130,15 +130,6 @@ class AdmissionController:
             return None
         return self._by_key.get(api_key)
 
-    def ensure(self, tenant: Tenant) -> None:
-        """Register a tenant created outside the constructor (recovery)."""
-        if tenant.name in self._buckets:
-            return
-        self._by_key.setdefault(tenant.api_key, tenant)
-        self._buckets[tenant.name] = TokenBucket(tenant.rate, tenant.burst)
-        self._queued[tenant.name] = 0
-        self._outstanding[tenant.name] = 0
-
     def admit(self, tenant: Tenant,
               queue_capacity: int) -> tuple[bool, str, float]:
         """Return ``(admitted, reason, retry_after_s)`` for one submission."""

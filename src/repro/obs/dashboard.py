@@ -261,13 +261,11 @@ def main(argv=None) -> int:
         with open(args.from_path) as f:
             snap = json.load(f)
     else:
-        from ..serve.__main__ import build_jobs
+        from ..serve.chaos import _drive, build_workload
         from ..serve.scheduler import SimulationService
         svc = SimulationService(devices=args.pool, observability=True,
                                 window_ms=args.window_ms)
-        for req in build_jobs(args.jobs, args.steps):
-            svc.submit(req)
-        svc.drain()
+        _drive(svc, build_workload(args.jobs, args.steps))
         snap = service_snapshot(svc, top=args.top)
 
     print(render_dashboard(snap), end="")

@@ -1,6 +1,15 @@
-"""Kill-and-recover chaos harness for the durable simulation service.
+"""The service harnesses' one job mix, drive loop and recovery check,
+and the kill-and-recover chaos soak.
 
-The harness runs a deterministic mixed workload against a durable
+Every service harness runs the requests of :func:`build_workload`: the
+``python -m repro.serve`` smoke and the serving benchmark (one function,
+:func:`repro.bench.serve.serve_benchmark`), the open-loop load
+generator, the ``python -m repro.obs dashboard`` CLI, this soak and the
+gateway SIGKILL drill (:mod:`repro.net.chaos`).  The in-process ones
+submit, drain and collect results through :func:`_drive`; both chaos
+scenarios end in :func:`_check_recovery`.
+
+The soak runs the mix against a durable
 :class:`~repro.serve.scheduler.SimulationService` while a seeded fault
 plan repeatedly murders the "process": ``worker_crash`` at mid-job
 checkpoint boundaries, ``journal_torn_write`` mid-append,
@@ -10,12 +19,13 @@ directory, the surviving workload is resubmitted (idempotent — the
 fingerprint is the content address of the answer), and the loop
 continues until a drain finishes without dying.
 
-Two properties are asserted on every incarnation and at the end:
+:func:`_check_recovery` asserts, for the soak and the drill alike:
 
-1. **No wasted work** — a job recovered ``from_store`` is never in that
-   incarnation's ``executed_fingerprints``: recovery serves the durable
-   result instead of re-executing.
-2. **Bit-identity** (``--verify``) — every unique request's final
+1. **Completion** — every unique fingerprint of the workload is DONE.
+2. **No wasted work** — every result that sat intact in the store when
+   the process died is served from it by recovery and never executed
+   again by a later incarnation.
+3. **Bit-identity** (``--verify``) — every unique request's final
    payload equals an uninterrupted serial
    :meth:`repro.api.Session.simulate`, array for array.  Crashing,
    resuming from checkpoints, and store round-trips must not change a
@@ -43,8 +53,11 @@ from .job import SubmitRequest, verify_against_serial
 from .journal import DurabilityError, WorkerCrash
 from .scheduler import SimulationService
 
-#: the deterministic chaos workload (scheme, precision, priority, grid);
-#: the repeated row is a deliberate duplicate -> fingerprint dedup
+#: the deterministic job mix (scheme, precision, priority, grid); row 5
+#: repeats row 1 verbatim and row 6 differs from row 2 only in priority,
+#: which the fingerprint excludes: two duplicates -> fingerprint dedup
+#: and result-cache hits, and repeated (scheme, precision) pairs share
+#: compiled programs -> compile-cache hits and batching
 _MIX = (
     ("fi", "double", 0, (12, 10, 8)),
     ("fi_mm", "double", 5, (12, 10, 8)),
@@ -52,22 +65,26 @@ _MIX = (
     ("fi_mm", "single", 9, (14, 10, 8)),
     ("fi", "single", 1, (12, 12, 8)),
     ("fi_mm", "double", 5, (12, 10, 8)),   # duplicate of row 1
-    ("fd_mm", "double", 7, (10, 10, 8)),
+    ("fd_mm", "double", 7, (10, 10, 8)),   # twin of row 2
     ("fi", "double", 4, (16, 10, 8)),
 )
 
 
-def build_workload(n: int, steps: int) -> list[SubmitRequest]:
-    """The first ``n`` requests of the deterministic chaos mix (cycled)."""
+def build_workload(jobs: int, steps: int) -> list[SubmitRequest]:
+    """The first ``jobs`` requests of the deterministic mix, cycled.
+
+    Each further cycle widens the rooms by one cell along x (modulo 4),
+    so a long workload blends fresh work with exact duplicates."""
     from ..acoustics import BoxRoom, Grid3D, Room
-    jobs = []
-    for i in range(n):
-        scheme, precision, priority, dims = _MIX[i % len(_MIX)]
-        jobs.append(SubmitRequest(
-            room=Room(Grid3D(*dims), BoxRoom()), steps=steps, scheme=scheme,
-            precision=precision, priority=priority,
+    out = []
+    for i in range(jobs):
+        scheme, precision, priority, (nx, ny, nz) = _MIX[i % len(_MIX)]
+        nx += (i // len(_MIX)) % 4
+        out.append(SubmitRequest(
+            room=Room(Grid3D(nx, ny, nz), BoxRoom()), steps=steps,
+            scheme=scheme, precision=precision, priority=priority,
             receivers={"mic": "center"}))
-    return jobs
+    return out
 
 
 def chaos_plan(*, kills: int, steps: int, checkpoint_every: int,
@@ -84,19 +101,81 @@ def chaos_plan(*, kills: int, steps: int, checkpoint_every: int,
     ], seed=seed)
 
 
-def _submit_all(svc: SimulationService, workload) -> None:
-    """Submit the whole workload, tolerating one-shot typed ENOSPC
-    refusals (nothing was admitted — the retry succeeds).  Resubmission
-    is idempotent: an already-answered fingerprint is a cache/store hit,
-    a queued twin dedups at placement.  ``WorkerCrash`` (torn journal
-    append) propagates — the process died; the caller recovers."""
+def _verify(workload, results: dict) -> list[str]:
+    """Mismatches against serial :meth:`repro.api.Session.simulate` of
+    every unique request that has an entry in ``results`` (fingerprint
+    → ``(field, receivers)``)."""
+    errors: list[str] = []
+    for fp, req in {r.fingerprint(): r for r in workload}.items():
+        if fp in results:
+            errors += verify_against_serial(req, *results[fp])
+    return errors
+
+
+def _drive(svc: SimulationService, workload, *,
+           verify: bool = False) -> tuple[dict, list[str]]:
+    """Submit ``workload`` to ``svc``, drain it, and collect the results.
+
+    Returns ``(results, errors)``: ``results`` maps each DONE
+    fingerprint to its ``(field, receivers)``; ``errors`` names the jobs
+    left non-terminal or FAILED and, with ``verify``, every mismatch
+    against a serial run.  A typed ENOSPC refusal (``DurabilityError``:
+    nothing was admitted) is retried once.  Resubmission is idempotent:
+    an answered fingerprint is a cache/store hit, a queued twin dedups
+    at placement.  ``WorkerCrash`` propagates: the process died, and
+    the caller recovers.
+    """
+    handles = []
     for req in workload:
         for _ in range(2):
             try:
-                svc.submit(req)
+                handles.append(svc.submit(req))
                 break
             except DurabilityError:
-                continue              # disk_full refusal; retry
+                continue
+    svc.drain()
+    nonterminal = [h.job_id for h in handles if not h.done]
+    failed = [h.job_id for h in handles if h.state == "FAILED"]
+    errors = [f"non-terminal jobs: {nonterminal}"] if nonterminal else []
+    errors += [f"failed jobs: {failed}"] if failed else []
+    results = {h.request.fingerprint(): (h._result.field,
+                                         h._result.receivers)
+               for h in handles if h.state == "DONE"}
+    if verify:
+        errors += _verify(workload, results)
+    return results, errors
+
+
+def _check_recovery(errors: list[str], workload, results: dict, *,
+                    stored, recovered: int, executed,
+                    verify: bool) -> int:
+    """The chaos scenarios' one final check; appends to ``errors``.
+
+    ``results`` has a key for each DONE fingerprint (the value, its
+    ``(field, receivers)``, is read only with ``verify``).  ``stored``
+    holds the fingerprints whose result sat intact in the store when
+    the process died, ``recovered`` counts the results recovery served
+    from the store, and ``executed`` holds the fingerprints an
+    incarnation executed after they were stored.  Every unique
+    fingerprint must be DONE, recovery must serve every stored result,
+    none may be executed again, and with ``verify`` every result must
+    be bit-identical to a serial run.
+
+    Returns the ``verified`` count: every unique fingerprint when
+    ``verify`` is set and ``errors`` is empty, else 0.
+    """
+    unique = dict.fromkeys(r.fingerprint() for r in workload)
+    errors += [f"job {fp[:12]} never reached DONE"
+               for fp in unique if fp not in results]
+    if recovered < len(stored):
+        errors.append(f"recovery served {recovered} result(s) from the "
+                      f"store; {len(stored)} sat intact in it at a kill")
+    again = sorted(fp[:12] for fp in set(stored) & set(executed))
+    if again:
+        errors.append(f"re-executed store-resident jobs: {again}")
+    if verify:
+        errors += _verify(workload, results)
+    return len(unique) if verify and not errors else 0
 
 
 def run_chaos(*, jobs: int = 8, kills: int = 5, steps: int = 12,
@@ -106,10 +185,9 @@ def run_chaos(*, jobs: int = 8, kills: int = 5, steps: int = 12,
               dashboard_path=None) -> dict:
     """Run the kill-and-recover soak; returns the recovery report.
 
-    The report's ``errors`` list is empty iff every assertion held:
-    all unique jobs DONE, no incarnation re-executed a store-resident
-    result, and (with ``verify``) every payload bit-identical to an
-    uninterrupted serial run.
+    The report's ``errors`` list is empty iff every assertion of
+    :func:`_check_recovery` held, and ``verified`` is true iff it also
+    ran with ``verify``.
 
     Observability artifacts (all optional): ``trace_path`` writes one
     Chrome trace with every incarnation's spans stitched end-to-end —
@@ -131,16 +209,20 @@ def run_chaos(*, jobs: int = 8, kills: int = 5, steps: int = 12,
 
     svc = SimulationService(durable_dir=durable_dir, **make)
     errors: list[str] = []
+    results: dict = {}
     incarnations: list[dict] = []
     tracers = []                 # one tracer per incarnation, in order
     black_boxes: list[dict] = []   # one flight snapshot per incarnation
+    stored: set[str] = set()       # intact in the store at some death
+    recovered: set[str] = set()    # served from the store by a recovery
+    again: set[str] = set()        # executed after being stored
     crashes = 0
     # kill/recover loop: bounded by the plan's max_count, with slack so
     # a logic bug surfaces as an assertion, not an infinite loop
     for _ in range(kills + 5):
         try:
-            _submit_all(svc, workload)
-            svc.drain()
+            results, drive_errors = _drive(svc, workload)
+            errors += drive_errors
             break
         except WorkerCrash as death:
             crashes += 1
@@ -155,37 +237,25 @@ def run_chaos(*, jobs: int = 8, kills: int = 5, steps: int = 12,
             tracers.append(svc.obs.tracer)
             incarnations.append({"death": str(death),
                                  "stats": svc.stats()["durability"]})
+            again |= stored & set(svc.executed_fingerprints)
+            # a fingerprint whose every handle is DONE has a complete
+            # record last in the journal, so recovery must serve it
+            open_fps = {h.request.fingerprint() for h in svc._handles
+                        if h.state != "DONE"}
+            done = {h.request.fingerprint() for h in svc._handles} - open_fps
             svc = SimulationService.recover(durable_dir, **make)
-            # acceptance: recovery must serve store-resident results,
-            # never re-execute them
-            overlap = (set(svc.recovery["from_store"])
-                       & set(svc.executed_fingerprints))
-            if overlap:
-                errors.append(f"re-executed store-resident jobs: "
-                              f"{sorted(overlap)}")
+            # recovery's read drops a corrupt entry: what is left is intact
+            stored |= {fp for fp in done if fp in svc.store}
+            recovered.update(svc.recovery["from_store"])
     else:
         errors.append(f"service still dying after {kills + 5} recoveries")
+    again |= stored & set(svc.executed_fingerprints)
     tracers.append(svc.obs.tracer)
     black_boxes.append(svc.flight.snapshot(reason="final incarnation"))
+    verified = _check_recovery(errors, workload, results, stored=stored,
+                               recovered=len(recovered), executed=again,
+                               verify=verify)
 
-    by_fp: dict[str, object] = {}
-    for h in svc._handles:
-        if h.state == "DONE":
-            by_fp[h.request.fingerprint()] = h._result
-    for req in workload:
-        fp = req.fingerprint()
-        if fp not in by_fp:
-            errors.append(f"job {fp[:12]} never reached DONE")
-    overlap = set(svc.recovery["from_store"]) & set(svc.executed_fingerprints)
-    if overlap:
-        errors.append(f"re-executed store-resident jobs: {sorted(overlap)}")
-
-    if verify:
-        for fp, req in {r.fingerprint(): r for r in workload}.items():
-            got = by_fp.get(fp)
-            if got is not None:           # never-DONE is reported above
-                errors += verify_against_serial(req, got.field,
-                                                got.receivers)
     artifacts: dict[str, str] = {}
     if trace_path is not None:
         from ..obs import write_stitched_trace
@@ -212,7 +282,7 @@ def run_chaos(*, jobs: int = 8, kills: int = 5, steps: int = 12,
         "deaths": [i["death"] for i in incarnations],
         "injected": sorted(plan.injected_kinds()),
         "final": svc.stats()["durability"],
-        "verified": verify and not errors,
+        "verified": bool(verified),
         "errors": errors,
     }
     svc.close()

@@ -88,6 +88,12 @@ class TestFusedVsTwoKernel:
         kn.fi_boundary(two, prev, topo.boundary_indices, topo.nbrs, lam,
                        beta)
         np.testing.assert_allclose(two, fused, atol=1e-13)
+        scalar = np.zeros(g.num_points)
+        ks.volume_step_scalar(prev, curr, scalar, topo.nbrs, g.nx, g.ny,
+                              g.nz, lam)
+        ks.fi_boundary_scalar(scalar, prev, topo.boundary_indices,
+                              topo.nbrs, lam, beta)
+        np.testing.assert_allclose(scalar, fused, atol=1e-13)
 
     def test_box_onthefly_nbr_matches_lookup(self):
         """Listing 1's Boolean formulas == the §II-B nbrs lookup (box)."""

@@ -193,6 +193,31 @@ def test_websocket_snapshot_for_finished_job(client):
     assert events[0]["final"] is True
 
 
+def test_websocket_subscribe_hashes_the_request_once(gateway, client,
+                                                    monkeypatch):
+    """Filtering a full flight-recorder ring for one job's history
+    fingerprints the request once per subscribe, not once per event."""
+    req = _req(steps=5, dims=(9, 10, 9), scheme="fi")
+    sub = client.submit_ok(req)
+    client.wait(sub["job_id"])
+    flight = gateway.svc.flight
+    for i in range(flight.capacity):
+        flight.record("filler", 0.0, job=-1, fp=f"other-{i}")
+    target = gateway._handle_of[sub["job_id"]].request
+    calls = []
+    original = SubmitRequest.fingerprint
+
+    def counting(self):
+        if self is target:
+            calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(SubmitRequest, "fingerprint", counting)
+    events = client.events(sub["job_id"], timeout=30)
+    assert events[0]["event"] == "snapshot"
+    assert len(calls) == 1
+
+
 def test_session_serve_http_nonblocking():
     gw = Session().serve_http(block=False, port=0, workers=1, max_queue=4)
     try:

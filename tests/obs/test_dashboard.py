@@ -6,7 +6,7 @@ from repro.obs import (render_dashboard, service_snapshot,
                        validate_dashboard)
 from repro.obs.dashboard import main as dashboard_main
 from repro.serve import SimulationService
-from repro.serve.__main__ import build_jobs
+from repro.serve.chaos import build_workload as build_jobs
 
 
 def run_service(jobs=5, steps=3, **kw):

@@ -2,7 +2,8 @@
 
 import json
 
-from repro.bench.serve import render_serve, serve_benchmark, serve_workload
+from repro.bench.serve import render_serve, serve_benchmark
+from repro.serve.chaos import build_workload as serve_workload
 
 
 def test_serve_benchmark_is_deterministic():
