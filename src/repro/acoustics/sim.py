@@ -866,7 +866,6 @@ class RoomSimulation:
             from ..gpu.runtime import ResidentPlan
             inputs = self._vgpu_inputs()
             sizes = self._size_env()
-            self._gpu._validate(self._host_program.plan, inputs, sizes)
             in_place = {name: a for name, a in inputs.items()
                         if isinstance(a, np.ndarray)}
             in_place["__out__"] = self.nxt

@@ -70,7 +70,7 @@ checkpoint — exact because the decomposition is exact.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,20 +224,6 @@ def shard_rotations(plan: HostPlan, rotations) -> list[tuple[str, ...]]:
         avail.add("__out__")
     return [cyc for cyc in (tuple(n for n in c if n in avail)
                             for c in (rotations or [])) if len(cyc) > 1]
-
-
-def grow_out(st: ResidentPlan, np_local: int) -> None:
-    """Ensure the output buffer spans the halo regions so exchange
-    writes land in-bounds (ResidentPlan only grows it when the out
-    buffer rotates with padded peers)."""
-    name = st.binding.get("__out__")
-    if name is None:
-        return
-    buf = st.buffers[name]
-    if buf.size < np_local:
-        grown = np.zeros(np_local, dtype=buf.dtype)
-        grown[:buf.size] = buf
-        st.buffers[name] = grown
 
 
 def decompose(nz: int, plane: int,
@@ -507,13 +493,23 @@ class MultiGPU:
                           events, step)
         return nbytes
 
-    def _shard_lost(self, shard: Shard, err: ClDeviceLost) -> ShardLost:
-        ctx = {k: v for k, v in err.context.items()
-               if k not in ("shard", "device", "injected")}
-        return ShardLost(
-            f"shard {shard.index} ({shard.device.name}) lost: {err}",
-            shard=shard.index, device=shard.device.name,
-            injected=err.injected, **ctx)
+    @staticmethod
+    @contextmanager
+    def _shard_loss(shard: Shard):
+        """Escalate a device lost inside ``shard``'s work as
+        :class:`ShardLost` naming the shard (one already escalated
+        passes through)."""
+        try:
+            yield
+        except ShardLost:
+            raise
+        except ClDeviceLost as err:
+            ctx = {k: v for k, v in err.context.items()
+                   if k not in ("shard", "device", "injected")}
+            raise ShardLost(
+                f"shard {shard.index} ({shard.device.name}) lost: {err}",
+                shard=shard.index, device=shard.device.name,
+                injected=err.injected, **ctx) from err
 
     # -- per-step execution (the simulation path) ---------------------------------------
     def execute(self, program: HostProgram, inputs: dict, sizes: dict,
@@ -542,13 +538,8 @@ class MultiGPU:
                 scm = (o.tracer.span("gpu.shard", "gpu", shard=shard.index,
                                      device=shard.device.name)
                        if o is not None else nullcontext())
-                with scm:
-                    try:
-                        res = ex.execute(prog, li, ls, fault_step=fault_step)
-                    except ShardLost:
-                        raise
-                    except ClDeviceLost as err:
-                        raise self._shard_lost(shard, err) from err
+                with scm, self._shard_loss(shard):
+                    res = ex.execute(prog, li, ls, fault_step=fault_step)
                 shard_results.append(res)
                 masks.append(mask)
             halo_bytes = 0
@@ -627,27 +618,17 @@ class MultiGPU:
             for shard, gpu, ev in zip(shards, self._gpus, shard_events):
                 li, ls, mask = self._local_inputs(shard, inputs, sizes)
                 plan = shard_program(program, shard.index, ls).plan
-                gpu._validate(plan, li, ls)
-                try:
-                    st = ResidentPlan(gpu, plan, li, ls,
-                                      shard_rotations(plan, rotations), ev)
-                except ShardLost:
-                    raise
-                except ClDeviceLost as err:
-                    raise self._shard_lost(shard, err) from err
-                grow_out(st, shard.np_local)
-                states.append(st)
+                with self._shard_loss(shard):
+                    states.append(ResidentPlan(
+                        gpu, plan, li, ls, shard_rotations(plan, rotations),
+                        ev, min_out=shard.np_local))
                 masks.append(mask)
             schedule = (self._halo_schedule(shards)
                         if len(shards) > 1 else [])
             for step in range(steps):
                 for shard, st in zip(shards, states):
-                    try:
+                    with self._shard_loss(shard):
                         st.run_step(step, shard=shard.index)
-                    except ShardLost:
-                        raise
-                    except ClDeviceLost as err:
-                        raise self._shard_lost(shard, err) from err
                 for op in schedule:
                     halo_bytes += self._apply_halo(op, shards, states,
                                                    halo_events, step)

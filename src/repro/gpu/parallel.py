@@ -71,7 +71,7 @@ from .. import obs as _obs
 from ..lift.codegen.host import HostProgram, Launch
 from .costmodel import halo_exchange_time_ms, overlapped_step_time_ms
 from .multi import (FIELD_PARAMS, MultiGPU, MultiRunResult, Shard,
-                    ShardLost, grow_out, shard_program, shard_rotations)
+                    ShardLost, shard_program, shard_rotations)
 from .runtime import ProfilingEvent, ResidentPlan, RunResult, VirtualGPU
 
 #: profiling-event kinds a worker aggregates back to the parent
@@ -196,9 +196,8 @@ def _shard_worker_main(task: dict, result_q) -> None:
 
         gpu = VirtualGPU(task["device"])
         events: list[ProfilingEvent] = []
-        gpu._validate(plan, li, ls)
-        st = ResidentPlan(gpu, plan, li, ls, task["rotations"], events)
-        grow_out(st, np_local)
+        st = ResidentPlan(gpu, plan, li, ls, task["rotations"], events,
+                          min_out=np_local)
 
         # overlap eligibility: the footprint kernel must be the plan's
         # first launch, ranged-capable, spanning exactly the owned slab,

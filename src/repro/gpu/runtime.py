@@ -13,23 +13,31 @@ host-code generator:
 * dependent kernels are implicitly synchronised (the plan is sequential,
   like the generated ``clFinish`` calls).
 
+One interpreter does this: :class:`ResidentPlan` validates the plan,
+allocates, uploads every input before the first launch (Listing 5's
+order), runs the launches once per step and reads the result back.
+:meth:`VirtualGPU.execute_many` drives it for many steps with buffer
+roles rotating; :meth:`VirtualGPU.execute` is one step with nothing
+rotating; the multi-device executors drive one per shard.
+
 The runtime's kernel-time path is shared with the benchmark harness, so
 table/figure regeneration and actual execution agree by construction.
 
-Failure semantics mirror OpenCL 1.2 (see ``docs/resilience.md``): inputs
-and symbolic sizes are validated up front, transfers whose element counts
-disagree with the device buffer raise :class:`~.errors.ClInvalidBufferSize`
-instead of silently truncating, device-memory capacity is enforced when
-the :class:`~.device.DeviceSpec` declares ``global_mem_bytes``, and an
-opt-in :class:`~.faults.FaultPlan` injects allocation/transfer/launch/
-device failures for resilience testing.
+Failure semantics mirror OpenCL 1.2 (see ``docs/resilience.md``): plan
+ops, inputs and symbolic sizes are validated up front, transfers whose
+element counts disagree with the device buffer raise
+:class:`~.errors.ClInvalidBufferSize` instead of silently truncating,
+device-memory capacity is enforced when the :class:`~.device.DeviceSpec`
+declares ``global_mem_bytes``, and an opt-in :class:`~.faults.FaultPlan`
+injects allocation/transfer/launch/device failures for resilience
+testing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time as _time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,9 +204,9 @@ class VirtualGPU:
         self.faults = faults
         self._np_kernels: dict[str, NumpyKernel] = {}
         self._resources: dict[str, Resources] = {}
-        #: workspace arenas for the one-shot execute() path, keyed by
-        #: (kernel, array shapes/dtypes, sizes) so repeated per-step
-        #: execute() calls of the same program reuse their temporaries
+        #: workspace arenas of prepared launches, keyed by (kernel,
+        #: array shapes/dtypes, sizes) so repeated per-step execute()
+        #: calls of the same program reuse their temporaries
         self._workspaces: dict[tuple, Workspace] = {}
         self._arena_reported = (0, 0)   # last (hits, misses) fed to obs
         #: modelled device clock stamping ProfilingEvent start/end times;
@@ -283,10 +291,12 @@ class VirtualGPU:
     def _workspace_for(self, nk: NumpyKernel, args: list,
                        out_array: np.ndarray | None,
                        size_kwargs: dict[str, int]) -> Workspace:
-        """Arena for one-shot execute() launches: keyed by kernel object,
-        array shapes/dtypes and sizes, so a simulation stepping through
+        """Arena of a prepared launch: keyed by kernel object, array
+        shapes/dtypes and sizes, so a simulation stepping through
         repeated execute() calls reuses one set of temporaries while a
-        different grid/precision never shares buffers with it."""
+        different grid/precision never shares buffers with it.  Sharing
+        one across plans is safe: launches run one at a time, and
+        ``const`` slots are keyed by every scalar argument."""
         shapes = tuple((a.shape, a.dtype.str) for a in args
                        if isinstance(a, np.ndarray))
         if out_array is not None:
@@ -338,33 +348,7 @@ class VirtualGPU:
             self._resources[ks.name] = res
         return res
 
-    # -- validation --------------------------------------------------------------------
-    @staticmethod
-    def _validate(plan: HostPlan, inputs: dict, sizes: dict[str, int]) -> None:
-        """Check host inputs and symbolic sizes before touching the device.
-
-        A missing size used to surface as a bare ``KeyError`` deep inside
-        ``arith.evaluate``; now every missing binding is reported with the
-        buffer/launch that needs it.
-        """
-        missing_sizes = plan.missing_sizes(sizes)
-        if missing_sizes:
-            detail = "; ".join(
-                f"size {var!r} needed by {', '.join(consumers)}"
-                for var, consumers in sorted(missing_sizes.items()))
-            raise ClInvalidValue(
-                f"missing symbolic size(s) {sorted(missing_sizes)} in "
-                f"`sizes` (got {sorted(sizes)}): {detail}",
-                missing=sorted(missing_sizes))
-        missing_inputs = plan.missing_inputs(inputs)
-        if missing_inputs:
-            detail = "; ".join(
-                f"host param {name!r} needed by {', '.join(consumers)}"
-                for name, consumers in sorted(missing_inputs.items()))
-            raise ClInvalidKernelArgs(
-                f"missing host input(s) {sorted(missing_inputs)}: {detail}",
-                missing=sorted(missing_inputs))
-
+    # -- buffers / transfers ------------------------------------------------------------
     @staticmethod
     def _guard_elems(sizes: dict[str, int]) -> int:
         """The documented guard plane: state buffers are padded to
@@ -375,7 +359,6 @@ class VirtualGPU:
             return max(0, int(sizes["NP"]) - int(sizes["N"]))
         return 0
 
-    # -- buffers / transfers ------------------------------------------------------------
     def _use_host_ptr(self, decl: BufferDecl, host, count: int,
                       guard: int, written: bool) -> bool:
         """Whether host array ``host`` can back buffer ``decl`` of
@@ -570,46 +553,20 @@ class VirtualGPU:
         ``fault_step`` threads an external step index (e.g. the simulation
         time step) into the fault plan so step-targeted faults can hit
         per-step ``execute`` calls.
+
+        A one-shot run is the resident loop of :meth:`execute_many` with
+        one iteration: a :class:`ResidentPlan` on fresh buffers with
+        nothing rotating uploads every input, runs each launch once and
+        reads the result back.  ``buffers`` of the returned
+        :class:`RunResult` holds the device buffers by name.
         """
-        plan: HostPlan = program.plan
-        self._validate(plan, inputs, sizes)
-        events: list[ProfilingEvent] = []
-        o = _obs.get()
-        cm = (o.tracer.span("gpu.execute", "gpu", device=self.device.name)
-              if o is not None else nullcontext())
-        with cm:
-            try:
-                buffers = self._allocate_buffers(plan, sizes)
-                decls = {d.name: d for d in plan.buffers}
-
-                result: np.ndarray | None = None
-                for op in plan.ops:
-                    if isinstance(op, CopyIn):
-                        self._copy_in(op, inputs, buffers, decls, sizes,
-                                      events, fault_step)
-                    elif isinstance(op, Launch):
-                        result = self._launch(op, buffers, inputs, sizes,
-                                              events, fault_step)
-                    elif isinstance(op, CopyOut):
-                        buf = buffers[op.buffer]
-                        result = buf
-                        self._record(events, "d2h", op.buffer,
-                                     transfer_time_ms(buf.nbytes, self.device),
-                                     bytes=buf.nbytes)
-                    else:
-                        raise ClInvalidValue(
-                            f"unknown plan op {op!r}; the virtual runtime "
-                            f"executes CopyIn/Launch/CopyOut plans from "
-                            f"compile_host()", op=repr(op))
-            except ClError as err:
-                # expose the partial timeline of the failed run so recovery
-                # policies can preserve it (as failed_* events / spans)
-                err.events = events
-                raise
-
-        if plan.result_buffer is not None:
-            result = buffers.get(plan.result_buffer, result)
-        return RunResult(result=result, buffers=buffers, events=events)
+        with self._plan_run("gpu.execute") as events:
+            state = ResidentPlan(self, program.plan, inputs, sizes, None,
+                                 events, setup_step=fault_step)
+            state.launch_all(fault_step)
+            res = state.finish()
+        return RunResult(result=res.result, buffers=state.buffers,
+                         events=events)
 
     def execute_many(self, program: HostProgram,
                      inputs: dict[str, np.ndarray | float | int],
@@ -633,38 +590,32 @@ class VirtualGPU:
         Step-targeted faults from the plan hit the launches of that step
         index; transfer/allocation faults hit the one-off setup phase.
         """
-        plan: HostPlan = program.plan
-        self._validate(plan, inputs, sizes)
+        with self._plan_run("gpu.execute_many", steps=steps) as events:
+            state = ResidentPlan(self, program.plan, inputs, sizes,
+                                 rotations, events)
+            for step in range(steps):
+                state.run_step(step)
+                state.rotate()
+            return state.finish()
+
+    @contextmanager
+    def _plan_run(self, span_name: str, **span_attrs):
+        """The frame of one :meth:`execute` / :meth:`execute_many` call:
+        a ``gpu.*`` span (under an observability session) around a
+        fresh event list, which a :class:`ClError` leaving the run
+        carries as ``err.events`` — the partial timeline recovery
+        policies preserve as ``failed_*`` events."""
         events: list[ProfilingEvent] = []
         o = _obs.get()
-        cm = (o.tracer.span("gpu.execute_many", "gpu",
-                            device=self.device.name, steps=steps)
+        cm = (o.tracer.span(span_name, "gpu", device=self.device.name,
+                            **span_attrs)
               if o is not None else nullcontext())
         with cm:
             try:
-                return self._execute_many(plan, inputs, sizes, steps,
-                                          rotations, events)
+                yield events
             except ClError as err:
                 err.events = events
                 raise
-
-    def _execute_many(self, plan, inputs, sizes, steps, rotations,
-                      events) -> RunResult:
-        state = ResidentPlan(self, plan, inputs, sizes, rotations, events)
-        for step in range(steps):
-            state.run_step(step)
-            state.rotate()
-        return state.finish()
-
-    def _launch(self, op: Launch, buffers: dict[str, np.ndarray],
-                inputs: dict, sizes: dict[str, int],
-                events: list[ProfilingEvent],
-                step: int | None = None) -> np.ndarray | None:
-        """A one-shot launch is a prepared launch with nothing rotating,
-        on the arena cached per (kernel, shapes, sizes)."""
-        prep = self._prepare_launch(op, buffers, inputs, sizes, set(),
-                                    shared_arena=True)
-        return self._run_prepared(prep, {}, events, step)
 
     def _launch_attrs(self, timing: KernelTiming, n_items: int,
                       precision: str) -> dict:
@@ -683,17 +634,15 @@ class VirtualGPU:
 
     def _prepare_launch(self, op: Launch, buffers: dict[str, np.ndarray],
                         inputs: dict, sizes: dict[str, int],
-                        rotating_sources: set[str],
-                        shared_arena: bool = False) -> "_PreparedLaunch":
+                        rotating_sources: set[str]) -> "_PreparedLaunch":
         """Hoist every per-step-invariant part of a launch out of the
         resident-plan step loop: the executable kernel, scalar
         argument values, resolved ``size_kwargs``, resource analysis,
         precision, ``global_size`` evaluation and — when the gather
         buffer does not rotate — the autotuned :class:`KernelTiming`.
         What remains per step is patching the rotating buffer positions
-        and the kernel call itself.  The launch gets an arena of its
-        own unless ``shared_arena`` asks for the one
-        :meth:`_workspace_for` keeps across one-shot ``execute()`` calls.
+        and the kernel call itself.  The launch takes the arena
+        :meth:`_workspace_for` keeps for its kernel, shapes and sizes.
         """
         nk = self._exec_kernel(op)
         args: list = []
@@ -749,11 +698,10 @@ class VirtualGPU:
             timing = self._launch_timing(res, n_items, precision,
                                          gather_static)
         from ..lift.codegen.loops import LoopKernel
-        ws = (self._workspace_for(nk, args, out_static, size_kwargs)
-              if shared_arena
-              else Workspace(f"{self.device.name}:{op.kernel.name}"))
         return _PreparedLaunch(
-            op=op, nk=nk, ws=ws, site=f"launch:{op.kernel.name}",
+            op=op, nk=nk,
+            ws=self._workspace_for(nk, args, out_static, size_kwargs),
+            site=f"launch:{op.kernel.name}",
             args=args, rotating=rotating,
             out_src=out_src, out_static=out_static,
             out_rotates=(out_src is not None
@@ -777,8 +725,7 @@ class VirtualGPU:
                       view: dict[str, np.ndarray],
                       events: list[ProfilingEvent],
                       step: int | None = None,
-                      rng: tuple[int, int] | None = None
-                      ) -> np.ndarray | None:
+                      rng: tuple[int, int] | None = None) -> None:
         """Execute one prepared launch under the current buffer rotation
         (``view`` maps rotating buffer names to their current arrays).
 
@@ -815,10 +762,10 @@ class VirtualGPU:
         extra = {} if rng is None else {"_range": (int(rng[0]), int(rng[1]))}
         t0 = _time.perf_counter()
         if nk.returns_out:
-            ret = nk.fn(*args, **prep.size_kwargs, out=out_array,
-                        _ws=prep.ws, **extra)
+            nk.fn(*args, **prep.size_kwargs, out=out_array, _ws=prep.ws,
+                  **extra)
         else:
-            ret = nk.fn(*args, **prep.size_kwargs, _ws=prep.ws, **extra)
+            nk.fn(*args, **prep.size_kwargs, _ws=prep.ws, **extra)
         host_secs = _time.perf_counter() - t0
         if rng is not None:
             key = (int(rng[0]), int(rng[1]))
@@ -846,7 +793,6 @@ class VirtualGPU:
             self._observe_host_time(o, op.kernel.name, host_secs)
         self._record(events, "kernel", op.kernel.name, timing.time_ms,
                      timing, **attrs)
-        return ret if isinstance(ret, np.ndarray) else None
 
     @staticmethod
     def _launch_precision(op: Launch) -> str:
@@ -862,7 +808,7 @@ class _PreparedLaunch:
 
     op: Launch
     nk: NumpyKernel                    # steady (arena) variant
-    ws: Workspace                      # dedicated arena for this launch
+    ws: Workspace                      # arena (VirtualGPU._workspace_for)
     site: str                          # fault-injection site string
     args: list                         # positional args; rotating slots patched
     rotating: list[tuple[int, str]]    # (position in args, buffer name)
@@ -881,14 +827,20 @@ class _PreparedLaunch:
 
 
 class ResidentPlan:
-    """Iterative-execution state of one plan on one device.
+    """Execution state of one plan on one device: the one interpreter
+    that turns a :class:`~repro.lift.codegen.host.HostPlan` into
+    allocations, transfers and launches.
 
-    The body of :meth:`VirtualGPU.execute_many`, factored so a caller can
-    drive the per-step lifecycle itself — upload once, then for each step
-    :meth:`run_step` (all launches), optionally patch resident buffers
-    (halo exchange between devices), then :meth:`rotate`, and finally
-    :meth:`finish`.  :class:`repro.gpu.multi.MultiGPU` interleaves several
-    of these, one per shard, inserting
+    Opening a plan validates it with its inputs and sizes, allocates every
+    buffer and uploads every ``CopyIn`` — all before the first launch,
+    Listing 5's order.  A caller then drives the per-step lifecycle
+    itself: for each step :meth:`run_step` (all launches), optionally
+    patch resident buffers (halo exchange between devices), then
+    :meth:`rotate`, and finally :meth:`finish`, which reads the result
+    back (one ``d2h`` event named ``result``).  :meth:`VirtualGPU.execute`
+    is one step with nothing rotating, :meth:`VirtualGPU.execute_many`
+    the loop; :class:`repro.gpu.multi.MultiGPU` interleaves several of
+    these, one per shard, inserting
     :class:`~repro.lift.codegen.host.HaloExchange` transfers between the
     launch and rotation phases of every step.
 
@@ -905,13 +857,20 @@ class ResidentPlan:
     steps without any per-step transfer.  The plan mutates those arrays,
     so a caller that must be able to re-run from unchanged inputs (the
     retry ladder of :class:`~.resilient.ResilientGPU`) must not bind.
+
+    ``setup_step`` is the step index the setup transfers are stamped
+    with for step-targeted faults (``None``: a loop's one-off setup).
+    ``min_out`` is a minimum element count for the output buffer (a
+    shard's output spans its halo regions, which exchanges write).
     """
 
     def __init__(self, gpu: VirtualGPU, plan: HostPlan, inputs: dict,
                  sizes: dict[str, int],
                  rotations: list[tuple[str, ...]] | None,
                  events: list[ProfilingEvent],
-                 in_place: dict[str, np.ndarray] | None = None):
+                 in_place: dict[str, np.ndarray] | None = None, *,
+                 setup_step: int | None = None, min_out: int = 0):
+        self._validate(plan, inputs, sizes)
         self.gpu = gpu
         self.plan = plan
         self.inputs = inputs
@@ -952,8 +911,10 @@ class ResidentPlan:
         # (state buffers carry the guard plane; see lift_programs)
         peers = [binding[n] for cycle in self.rotations if "__out__" in cycle
                  for n in cycle if n != "__out__"]
-        at_least = {out_buffer: max(int(decls[b].count.evaluate(sizes))
-                                    for b in peers)} if peers else None
+        out_len = max([min_out] + [int(decls[b].count.evaluate(sizes))
+                                   for b in peers])
+        at_least = ({out_buffer: out_len}
+                    if out_buffer is not None and out_len else None)
         buffers = gpu._allocate_buffers(
             plan, sizes, {binding[n]: a for n, a in in_place.items()},
             at_least)
@@ -968,7 +929,8 @@ class ResidentPlan:
                     rotation=tuple(cycle), dtypes=dtypes)
         for op in plan.ops:
             if isinstance(op, CopyIn):
-                gpu._copy_in(op, inputs, buffers, decls, sizes, events)
+                gpu._copy_in(op, inputs, buffers, decls, sizes, events,
+                             setup_step)
 
         self.buffers = buffers
         self.binding = binding
@@ -989,6 +951,35 @@ class ResidentPlan:
         self._prepared = [
             gpu._prepare_launch(op, buffers, inputs, sizes, rotating_sources)
             for op in launches]
+
+    @staticmethod
+    def _validate(plan: HostPlan, inputs: dict, sizes: dict[str, int]) -> None:
+        """Check the plan's ops, host inputs and symbolic sizes before
+        touching the device; every missing binding is reported with the
+        buffer/launch that needs it."""
+        for op in plan.ops:
+            if not isinstance(op, (CopyIn, Launch, CopyOut)):
+                raise ClInvalidValue(
+                    f"unknown plan op {op!r}; the virtual runtime "
+                    f"executes CopyIn/Launch/CopyOut plans from "
+                    f"compile_host()", op=repr(op))
+        missing_sizes = plan.missing_sizes(sizes)
+        if missing_sizes:
+            detail = "; ".join(
+                f"size {var!r} needed by {', '.join(consumers)}"
+                for var, consumers in sorted(missing_sizes.items()))
+            raise ClInvalidValue(
+                f"missing symbolic size(s) {sorted(missing_sizes)} in "
+                f"`sizes` (got {sorted(sizes)}): {detail}",
+                missing=sorted(missing_sizes))
+        missing_inputs = plan.missing_inputs(inputs)
+        if missing_inputs:
+            detail = "; ".join(
+                f"host param {name!r} needed by {', '.join(consumers)}"
+                for name, consumers in sorted(missing_inputs.items()))
+            raise ClInvalidKernelArgs(
+                f"missing host input(s) {sorted(missing_inputs)}: {detail}",
+                missing=sorted(missing_inputs))
 
     def buffer_for(self, name: str) -> np.ndarray:
         """The array currently bound to rotation name ``name``."""
@@ -1024,7 +1015,8 @@ class ResidentPlan:
                                step, rng=rng)
 
     def run_step(self, step: int, **span_attrs) -> None:
-        """Run every launch of the plan once (one simulation step)."""
+        """Run every launch of the plan once (one simulation step),
+        under a ``gpu.step`` span."""
         # looked up per step: a plan may outlive the obs session it was
         # opened under (or be opened before one starts)
         o = _obs.get()
@@ -1032,14 +1024,19 @@ class ResidentPlan:
                                     device=self.gpu.device.name,
                                     **span_attrs)
                      if o is not None else None)
-        # rebind the launch arguments through the current rotation
-        view = self.step_view()
         try:
-            for prep in self._prepared:
-                self.gpu._run_prepared(prep, view, self.events, step)
+            self.launch_all(step)
         finally:
             if step_span is not None:
                 o.tracer.end(step_span)
+
+    def launch_all(self, step: int | None) -> None:
+        """Run every launch of the plan once, with no span of its own
+        (a one-shot :meth:`VirtualGPU.execute` is not a loop step)."""
+        # rebind the launch arguments through the current rotation
+        view = self.step_view()
+        for prep in self._prepared:
+            self.gpu._run_prepared(prep, view, self.events, step)
 
     def rotate(self) -> None:
         """Advance the buffer roles by one step.

@@ -135,14 +135,18 @@ class TestBitIdentity:
         assert np.array_equal(np.asarray(res.result),
                               np.asarray(ref.result)[:fi_mm["N"]])
 
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_execute_many_fi_mm(self, fi_mm, shards):
+    # no rotations: the kernels must write the out buffer the halo
+    # exchange and the readback see (it spans the shard's halo regions)
+    @pytest.mark.parametrize("shards,rotations",
+                             [(2, ROT_FI), (4, ROT_FI), (2, None)],
+                             ids=["2", "4", "2-no-rotations"])
+    def test_execute_many_fi_mm(self, fi_mm, shards, rotations):
         ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
-            rotations=ROT_FI)
+            rotations=rotations)
         res = MultiGPU(f"RadeonR9:{shards}").execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
-            rotations=ROT_FI)
+            rotations=rotations)
         N = fi_mm["N"]
         assert np.array_equal(res.result[:N], np.asarray(ref.result)[:N])
         assert np.array_equal(res.buffers["final:prev1_h"][:N],

@@ -93,15 +93,17 @@ def _ref(case, rotations):
 
 
 class TestParallelBitIdentity:
-    @pytest.mark.parametrize("shards", [2, 3])
-    def test_fi_mm_matches_single_and_serial(self, fi_mm, shards):
-        ref = _ref(fi_mm, ROT_FI)
+    @pytest.mark.parametrize("shards,rotations",
+                             [(2, ROT_FI), (3, ROT_FI), (2, None)],
+                             ids=["2", "3", "2-no-rotations"])
+    def test_fi_mm_matches_single_and_serial(self, fi_mm, shards, rotations):
+        ref = _ref(fi_mm, rotations)
         serial = MultiGPU(f"TitanBlack:{shards}").execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
-            rotations=ROT_FI)
+            rotations=rotations)
         par = MultiGPU(f"TitanBlack:{shards}", parallel=True).execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
-            rotations=ROT_FI)
+            rotations=rotations)
         N = fi_mm["N"]
         assert np.array_equal(par.result[:N], np.asarray(ref.result)[:N])
         assert np.array_equal(par.buffers["final:prev1_h"][:N],

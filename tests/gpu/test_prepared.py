@@ -6,6 +6,8 @@ the gather buffer never rotates) the autotuned timing — leaving only
 rotating-buffer patching and the kernel call per step.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ from repro.acoustics.lift_programs import two_kernel_host
 from repro.acoustics.materials import MaterialTable, default_fi_materials
 from repro.acoustics.topology import build_topology
 from repro.lift.codegen.host import compile_host
-from repro.gpu import (FaultPlan, FaultSpec, NVIDIA_TITAN_BLACK,
-                       ResilientGPU, VirtualGPU)
+from repro.gpu import (ClInvalidValue, FaultPlan, FaultSpec,
+                       NVIDIA_TITAN_BLACK, ResilientGPU, VirtualGPU)
 from repro.gpu.runtime import ResidentPlan
 
 
@@ -93,6 +95,45 @@ class TestHoisting:
         res = state.finish()
         np.testing.assert_array_equal(res.buffers["final:prev1_h"],
                                       ref.buffers["final:prev1_h"])
+        # execute() is that loop with one iteration and nothing rotating:
+        # same result, same device buffers, same modelled kernel and
+        # transfer times
+        one = VirtualGPU(NVIDIA_TITAN_BLACK).execute(
+            p["host"], p["inputs"], p["sizes"])
+        many = VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
+            p["host"], p["inputs"], p["sizes"], 1)
+        np.testing.assert_array_equal(one.result, many.result)
+        assert set(one.buffers) == {n for n in many.buffers
+                                    if not n.startswith("final:")}
+        for name, arr in one.buffers.items():
+            np.testing.assert_array_equal(arr, many.buffers[name])
+        for kind in ("kernel", "h2d", "d2h"):
+            assert (sum(e.duration_ms for e in one.events if e.kind == kind)
+                    == sum(e.duration_ms for e in many.events
+                           if e.kind == kind)), kind
+        # Listing 5's order: every upload precedes the first launch
+        kinds = [e.kind for e in one.events]
+        assert kinds.index("kernel") > max(
+            i for i, k in enumerate(kinds) if k == "h2d")
+        assert [e.name for e in one.events if e.kind == "d2h"] == ["result"]
+
+
+class TestPlanValidation:
+    def test_unknown_plan_op_is_typed_error(self, problem):
+        """A hand-edited plan with an op the runtime does not know gets
+        ``ClInvalidValue`` naming the op, from every entry point."""
+        p = problem
+        plan = p["host"].plan
+        bad = dataclasses.replace(p["host"], plan=dataclasses.replace(
+            plan, ops=[*plan.ops, "clFlush(queue)"]))
+        gpu = VirtualGPU(NVIDIA_TITAN_BLACK)
+        for run in (lambda: gpu.execute(bad, p["inputs"], p["sizes"]),
+                    lambda: gpu.execute_many(bad, p["inputs"], p["sizes"],
+                                             2, ROT),
+                    lambda: ResidentPlan(gpu, bad.plan, p["inputs"],
+                                         p["sizes"], ROT, [])):
+            with pytest.raises(ClInvalidValue, match="unknown plan op"):
+                run()
 
 
 class TestFaultInjectedIteration:
