@@ -21,16 +21,17 @@ validated against (and benchmarked against) the hand-written baseline:
     The full Listing-5 host orchestration executed on a virtual OpenCL
     device (:mod:`repro.gpu.runtime`): the room is uploaded once (the
     state arrays become the device buffers), then only kernels are
-    launched per step, with modelled profiling times accumulated in
-    ``modelled_gpu_time_ms``.
+    launched per step — on one device, the host program's launches
+    compiled into one step — with modelled profiling times accumulated
+    in ``modelled_gpu_time_ms``.
 
 The driver allocates state arrays with a one-z-plane guard of zeros at the
 end (see :mod:`.lift_programs` for why) and picks its stepping path once,
 from one table (``virtual_gpu``: in ``_make_gpu``), as a bound step plus a
 number of time levels.  Each step runs it and one rotation rule, like the
-paper's host loop: the levels rotate without copying (two on ``numba``,
-whose step writes the next level over the oldest) and the FD-MM branch
-velocity arrays swap.
+paper's host loop: the levels rotate without copying (two on ``numba``
+and on the ``resident`` path of ``virtual_gpu``, whose step writes the
+next level over the oldest) and the FD-MM branch velocity arrays swap.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs as _obs
-from ..lift.codegen.loops import compile_step
+from ..lift.codegen.loops import LoopsUnsupported, compile_step
 from . import kernels_numpy as kn
 from . import kernels_scalar as ks
 from .geometry import Room
@@ -335,7 +336,8 @@ class RoomSimulation:
         #: the open resident plan of the single-device ``virtual_gpu``
         #: path (None on every other path, and before the first step)
         self._plan = None
-        #: the compiled two-level step of ``numba`` (None elsewhere)
+        #: the compiled two-level step of ``numba`` and of the
+        #: ``resident`` path (None elsewhere)
         self._step = None
         #: the stepping path, chosen once (here, or in :meth:`_make_gpu`):
         #: its name, the bound step, and how many time levels it rotates
@@ -347,8 +349,18 @@ class RoomSimulation:
                          "lift_interp": self._setup_interp,
                          "virtual_gpu": self._setup_virtual_gpu,
                          }[config.backend]()
-        if self._levels == 3:   # a two-level step writes over ``prev``
-            self.nxt = np.zeros(total, dtype=dtype)
+        self._bind_levels(self._levels)
+
+    def _bind_levels(self, levels: int) -> None:
+        """Rotate ``levels`` time levels: a third one, ``nxt``, exists
+        only on a three-level path (a two-level step writes over
+        ``prev``).  ``nxt`` is scratch, so a path change that adds it
+        starts it at zero."""
+        self._levels = levels
+        if levels == 2:
+            self.__dict__.pop("nxt", None)
+        elif not hasattr(self, "nxt"):
+            self.nxt = np.zeros_like(self.curr)
 
     # -- LIFT backends ----------------------------------------------------------------
     def _size_env(self) -> dict[str, int]:
@@ -403,15 +415,22 @@ class RoomSimulation:
     def _make_gpu(self, devices, pool=None) -> None:
         """Build the executor for a resolved device tuple, or adopt
         ``pool`` (a re-shard's survivors), and select the stepping path,
-        here and nowhere else.  One device steps ``resident`` unless
-        ``faults`` / ``resilient`` keep it ``one-shot``: one ``execute()``
-        per step is their subject (per-step fault sites; a retry needs
-        fresh buffers and untouched host inputs).  A pool steps
-        ``pool-step``, one ``MultiGPU.execute`` per step, or ``parallel``
-        when ``_parallel_eligible()`` passes: :meth:`run` then advances
-        in bulk segments (a direct :meth:`step` is still one execute)."""
+        here and nowhere else.  One device steps ``resident``: one call
+        of the host program's launches compiled into one two-level step
+        (``VirtualGPU.compile_step``) per step, which the resident plan
+        still models as its launches.  When that step cannot be built
+        (``LoopsUnsupported``) it steps ``resident-launches``, each
+        launch on its own over three levels.  ``faults`` / ``resilient``
+        keep it ``one-shot``: one ``execute()`` per step is their
+        subject (per-step fault sites; a retry needs fresh buffers and
+        untouched host inputs).  A pool steps ``pool-step``, one
+        ``MultiGPU.execute`` per step, or ``parallel`` when
+        ``_parallel_eligible()`` passes: :meth:`run` then advances in
+        bulk segments (a direct :meth:`step` is still one execute).
+        Every path but ``resident`` rotates three levels."""
         cfg = self.config
         self._plan = None       # a resident plan is bound to its executor
+        self._step = None
         self._advance = self._step_one_shot
         if pool is None and len(devices) > 1:
             from ..gpu.multi import MultiGPU
@@ -422,15 +441,22 @@ class RoomSimulation:
             self._gpu = pool
             self._path = ("parallel" if pool._parallel_eligible() is None
                           else "pool-step")
-            return
-        from ..gpu.runtime import VirtualGPU
-        self._gpu = VirtualGPU(devices[0], faults=cfg.faults)
-        self._path = "one-shot"
-        if cfg.resilient:
-            from ..gpu.resilient import ResilientGPU
-            self._gpu = ResilientGPU(self._gpu, retry=cfg.retry)
-        elif cfg.faults is None:
-            self._path, self._advance = "resident", self._step_resident
+        else:
+            from ..gpu.runtime import VirtualGPU
+            self._gpu = VirtualGPU(devices[0], faults=cfg.faults)
+            self._path = "one-shot"
+            if cfg.resilient:
+                from ..gpu.resilient import ResilientGPU
+                self._gpu = ResilientGPU(self._gpu, retry=cfg.retry)
+            elif cfg.faults is None:
+                self._advance = self._step_resident
+                try:
+                    self._step = self._gpu.compile_step(
+                        self._host_program.plan, self._rotations[0])
+                    self._path = "resident"
+                except LoopsUnsupported:
+                    self._path = "resident-launches"
+        self._bind_levels(2 if self._step is not None else 3)
 
     @property
     def devices(self):
@@ -854,25 +880,39 @@ class RoomSimulation:
         self.modelled_halo_time_ms += res.halo_time_ms()
 
     def _step_resident(self):
-        """One device-resident step: launches only.  The plan is opened
+        """One device-resident step: no transfers.  The plan is opened
         on the first step with every state, topology and coefficient
         array bound in place (``CL_MEM_USE_HOST_PTR``), so the kernels
-        read and write ``prev``/``curr``/``nxt`` and the branch state
-        directly, and ``add_impulse``, receivers, checkpoints and the
-        health monitor need no sync.  The plan rotates its roles as
+        read and write ``prev``/``curr`` and the branch state directly,
+        and ``add_impulse``, receivers, checkpoints and the health
+        monitor need no sync.  On ``resident`` one call of ``_step``
+        overwrites ``prev``: the plan's third level, ``__out__``, is
+        declared but has no host array, and the plan only records the
+        launches it models.  On ``resident-launches`` the launches run
+        and write ``nxt``.  The plan rotates its roles as
         :meth:`_step_impl` rotates the arrays, so the two stay one."""
         plan = self._plan
         if plan is None:
             from ..gpu.runtime import ResidentPlan
             inputs = self._vgpu_inputs()
-            sizes = self._size_env()
             in_place = {name: a for name, a in inputs.items()
                         if isinstance(a, np.ndarray)}
-            in_place["__out__"] = self.nxt
+            rotations = self._rotations
+            if self._step is not None:
+                in_place["__out__"] = None
+                rotations = [tuple(n for n in cycle if n != "__out__")
+                             for cycle in rotations]
+            else:
+                in_place["__out__"] = self.nxt
+            # the modelled out level is as large as the levels it joins
             plan = self._plan = ResidentPlan(
-                self._gpu, self._host_program.plan, inputs, sizes,
-                self._rotations, [], in_place)
-        plan.run_step(self.time_step)
+                self._gpu, self._host_program.plan, inputs,
+                self._size_env(), rotations, [], in_place,
+                min_out=self.curr.size)
+        if self._step is not None:
+            plan.run_fused(self.time_step, self._step)
+        else:
+            plan.run_step(self.time_step)
         plan.rotate()
         # only kernel time is charged, like RunResult.kernel_time_ms();
         # drained every step so the event list cannot grow with the run

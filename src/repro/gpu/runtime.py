@@ -48,7 +48,8 @@ from ..lift.analysis import Resources, analyse_kernel
 from ..lift.codegen.arena import Workspace, arena_stats
 from ..lift.codegen.host import (ArgBinding, BufferDecl, CopyIn, CopyOut,
                                  HostPlan, HostProgram, Launch)
-from ..lift.codegen.loops import realise
+from ..lift.codegen.loops import (_IN_PLACE, LoopKernel, LoopsUnsupported,
+                                  StepKernel, compile_step, realise)
 from ..lift.codegen.numpy_backend import NumpyKernel, compile_numpy
 from .autotune import autotune_workgroup
 from .costmodel import ImplTraits, KernelTiming, LIFT_TRAITS, transfer_time_ms
@@ -94,7 +95,8 @@ def kernel_cache_stats() -> dict:
     ``np_kernels``/``resources`` count compile-cache entries (per kernel
     source hash: the NumPy kernel under a ``#steady`` suffix and the
     executable that runs it — the fused loop, or the NumPy kernel when
-    the loop emitter declines — under ``#loops``);
+    the loop emitter declines — under ``#loops``; and the steps
+    :meth:`VirtualGPU.compile_step` builds under ``#step``);
     ``arena`` reports the workspace arena's process-wide hit/miss
     counters and resident bytes
     (see :func:`repro.lift.codegen.arena.arena_stats`) — the temporaries
@@ -288,6 +290,53 @@ class VirtualGPU:
             ex = _NP_KERNEL_CACHE[key] = realise(nk)
         return ex
 
+    def compile_step(self, plan: HostPlan,
+                     leapfrog: tuple[str, ...]) -> StepKernel:
+        """The plan's launches as one step over two time levels
+        (:func:`~repro.lift.codegen.loops.compile_step`), built from the
+        programs of the executables that run them (:meth:`_exec_kernel`),
+        so the plan a caller compiled is the one that runs.
+
+        ``leapfrog`` is the plan's rotation cycle of time levels, oldest
+        first and ``"__out__"`` last.  The step overwrites the oldest
+        level in place, so the sweep must read it as ``prev``, the
+        boundary program must scatter into the sweep's output, and a
+        parameter name two launches share must name one source.  Raises
+        :class:`~repro.lift.codegen.loops.LoopsUnsupported` when the plan
+        is wired otherwise, or when ``compile_step`` refuses the
+        programs or finds no compiled tier.
+
+        The step is remembered process-wide under a ``#step`` suffix of
+        its launches' source hashes, like :meth:`_exec_kernel`'s loops,
+        so every simulation of a scheme shares one step and its compiled
+        specialisations; only the wiring check runs per plan."""
+        launches = [op for op in plan.ops if isinstance(op, Launch)]
+        key = "+".join(_kernel_source_key(op.kernel)
+                       for op in launches) + "#step"
+        step = _NP_KERNEL_CACHE.get(key)
+        if step is None:
+            step = _NP_KERNEL_CACHE[key] = compile_step(
+                [self._exec_kernel(op).program for op in launches])
+        sources: dict[str, object] = {}
+        for op in launches:
+            for b in op.args:
+                if b.param_name == "out" or b.kind == "size":
+                    continue
+                if sources.setdefault(b.param_name, b.source) != b.source:
+                    raise LoopsUnsupported(
+                        f"parameter {b.param_name!r} is bound to both "
+                        f"{sources[b.param_name]!r} and {b.source!r}")
+        out = launches[0].out_buffer
+        wired = {_IN_PLACE: plan.host_buffers().get(leapfrog[0])}
+        if step.links is not None:
+            wired[step.links[0]] = out
+        if (leapfrog[-1] != "__out__" or out is None
+                or any(sources.get(n) != b for n, b in wired.items())):
+            raise LoopsUnsupported(
+                f"the launches of {step.name} do not overwrite "
+                f"{leapfrog[0]!r} with their output")
+        return step
+
     def _workspace_for(self, nk: NumpyKernel, args: list,
                        out_array: np.ndarray | None,
                        size_kwargs: dict[str, int]) -> Workspace:
@@ -311,12 +360,12 @@ class VirtualGPU:
     def _observe_host_time(self, o, kernel_name: str,
                            host_secs: float) -> None:
         """Feed the host-wallclock histogram and arena gauges (the real
-        seconds the NumPy realisation took, distinct from the modelled
-        kernel clock)."""
+        seconds a launch, or a fused step, took on the host, distinct
+        from the modelled kernel clock)."""
         o.metrics.histogram(
             "repro_host_wallclock_seconds",
-            "Real host seconds spent executing the NumPy realisation "
-            "of a kernel launch",
+            "Real host seconds spent executing a kernel launch, or one "
+            "compiled step that runs all of a step's launches",
             ("kernel", "device"), buckets=_WALLCLOCK_BUCKETS).observe(
                 host_secs, kernel=kernel_name, device=self.device.name)
         st = arena_stats()
@@ -416,9 +465,13 @@ class VirtualGPU:
         :meth:`_use_host_ptr`).  The device holds the *declared* type:
         a bound array counts ``count × declared itemsize`` against the
         device capacity like any other buffer, also when the host keeps
-        it in a narrower integer.  ``at_least`` maps buffer names to a
-        minimum element count above the declared one (a rotating output
-        buffer is as large as its cycle peers)."""
+        it in a narrower integer.  A name ``bound`` maps to ``None`` is
+        declared without host memory: it counts against capacity and
+        gets its ``alloc:`` event like the rest, but what stands in for
+        it is a read-only zero-stride view of its size, which no launch
+        can write.  ``at_least`` maps buffer names to a minimum element
+        count above the declared one (a rotating output buffer is as
+        large as its cycle peers)."""
         buffers: dict[str, np.ndarray] = {}
         cap = self.device.global_mem_bytes
         max_alloc = self.device.max_alloc_bytes
@@ -460,7 +513,10 @@ class VirtualGPU:
                     capacity_bytes=cap)
             used += nbytes
             host = bound.get(decl.name) if bound else None
-            if host is not None and self._use_host_ptr(
+            if host is None and bound and decl.name in bound:
+                buffers[decl.name] = np.broadcast_to(np.zeros((), dtype),
+                                                     (count,))
+            elif host is not None and self._use_host_ptr(
                     decl, host, count, guard, decl.name in written):
                 buffers[decl.name] = host
             else:
@@ -646,6 +702,7 @@ class VirtualGPU:
         """
         nk = self._exec_kernel(op)
         args: list = []
+        names: list[str] = []
         rotating: list[tuple[int, str]] = []
         size_kwargs: dict[str, int] = {}
         out_src: str | None = None
@@ -662,11 +719,13 @@ class VirtualGPU:
                     if binding.source in rotating_sources:
                         rotating.append((len(args), binding.source))
                     args.append(buf)
+                    names.append(binding.param_name)
                 if binding.param_name == GATHER_INDEX_PARAM:
                     gather_src = binding.source
                     gather_static = buf
             elif binding.kind == "scalar":
                 args.append(inputs[binding.source])
+                names.append(binding.param_name)
             elif binding.kind == "size":
                 name = binding.param_name
                 size_kwargs[name] = int(sizes[name])
@@ -697,12 +756,11 @@ class VirtualGPU:
         if gather_src is None or gather_src not in rotating_sources:
             timing = self._launch_timing(res, n_items, precision,
                                          gather_static)
-        from ..lift.codegen.loops import LoopKernel
         return _PreparedLaunch(
             op=op, nk=nk,
             ws=self._workspace_for(nk, args, out_static, size_kwargs),
             site=f"launch:{op.kernel.name}",
-            args=args, rotating=rotating,
+            args=args, names=names, rotating=rotating,
             out_src=out_src, out_static=out_static,
             out_rotates=(out_src is not None
                          and out_src in rotating_sources),
@@ -767,6 +825,19 @@ class VirtualGPU:
         else:
             nk.fn(*args, **prep.size_kwargs, _ws=prep.ws, **extra)
         host_secs = _time.perf_counter() - t0
+        o = _obs.get()
+        if o is not None:
+            self._observe_host_time(o, op.kernel.name, host_secs)
+        self._record_launch(prep, view, events, step, rng)
+
+    def _record_launch(self, prep: "_PreparedLaunch",
+                       view: dict[str, np.ndarray],
+                       events: list[ProfilingEvent],
+                       step: int | None = None,
+                       rng: tuple[int, int] | None = None) -> None:
+        """Record one launch's modelled ``kernel`` event: its plan-time
+        timing, or the timing of its range or of the gather index it
+        reads under the current rotation."""
         if rng is not None:
             key = (int(rng[0]), int(rng[1]))
             timing = prep.range_timing.get(key)
@@ -785,13 +856,11 @@ class VirtualGPU:
                 timing = self._launch_timing(prep.res, prep.n_items,
                                              prep.precision, gather)
         attrs: dict = {}
-        o = _obs.get()
-        if o is not None:
+        if _obs.get() is not None:
             attrs = self._launch_attrs(timing, prep.n_items, prep.precision)
             if step is not None:
                 attrs["step"] = step
-            self._observe_host_time(o, op.kernel.name, host_secs)
-        self._record(events, "kernel", op.kernel.name, timing.time_ms,
+        self._record(events, "kernel", prep.op.kernel.name, timing.time_ms,
                      timing, **attrs)
 
     @staticmethod
@@ -811,6 +880,7 @@ class _PreparedLaunch:
     ws: Workspace                      # arena (VirtualGPU._workspace_for)
     site: str                          # fault-injection site string
     args: list                         # positional args; rotating slots patched
+    names: list[str]                   # the parameter each of args binds
     rotating: list[tuple[int, str]]    # (position in args, buffer name)
     out_src: str | None                # 'out' binding's buffer name
     out_static: np.ndarray | None      # its array when it does not rotate
@@ -834,8 +904,9 @@ class ResidentPlan:
     Opening a plan validates it with its inputs and sizes, allocates every
     buffer and uploads every ``CopyIn`` — all before the first launch,
     Listing 5's order.  A caller then drives the per-step lifecycle
-    itself: for each step :meth:`run_step` (all launches), optionally
-    patch resident buffers (halo exchange between devices), then
+    itself: for each step :meth:`run_step` (all launches) or
+    :meth:`run_fused` (one compiled step, launches modelled only),
+    optionally patch resident buffers (halo exchange between devices), then
     :meth:`rotate`, and finally :meth:`finish`, which reads the result
     back (one ``d2h`` event named ``result``).  :meth:`VirtualGPU.execute`
     is one step with nothing rotating, :meth:`VirtualGPU.execute_many`
@@ -857,6 +928,10 @@ class ResidentPlan:
     steps without any per-step transfer.  The plan mutates those arrays,
     so a caller that must be able to re-run from unchanged inputs (the
     retry ladder of :class:`~.resilient.ResilientGPU`) must not bind.
+    A name mapped to ``None`` is declared without host memory (see
+    :meth:`VirtualGPU._allocate_buffers`): a caller that steps through
+    :meth:`run_fused` over two host levels binds ``"__out__"`` so, and
+    the modelled device still holds three.
 
     ``setup_step`` is the step index the setup transfers are stamped
     with for step-targeted faults (``None``: a loop's one-off setup).
@@ -951,6 +1026,15 @@ class ResidentPlan:
         self._prepared = [
             gpu._prepare_launch(op, buffers, inputs, sizes, rotating_sources)
             for op in launches]
+        # the keyword arguments of a fused step (run_fused): the prepared
+        # launches' bindings by parameter name, rotating ones per step
+        self._fused_args: dict = {}
+        self._fused_rotating: list[tuple[str, str]] = []
+        for prep in self._prepared:
+            self._fused_args.update(prep.size_kwargs)
+            self._fused_args.update(zip(prep.names, prep.args))
+            self._fused_rotating += [(prep.names[pos], src)
+                                     for pos, src in prep.rotating]
 
     @staticmethod
     def _validate(plan: HostPlan, inputs: dict, sizes: dict[str, int]) -> None:
@@ -1014,21 +1098,45 @@ class ResidentPlan:
         self.gpu._run_prepared(self._prepared[idx], view, self.events,
                                step, rng=rng)
 
-    def run_step(self, step: int, **span_attrs) -> None:
-        """Run every launch of the plan once (one simulation step),
-        under a ``gpu.step`` span."""
+    @contextmanager
+    def _step_span(self, step: int, **span_attrs):
+        """The ``gpu.step`` span of one step; yields the obs session."""
         # looked up per step: a plan may outlive the obs session it was
         # opened under (or be opened before one starts)
         o = _obs.get()
-        step_span = (o.tracer.start("gpu.step", "step", step=step,
-                                    device=self.gpu.device.name,
-                                    **span_attrs)
-                     if o is not None else None)
-        try:
+        if o is None:
+            yield None
+            return
+        with o.tracer.span("gpu.step", "step", step=step,
+                           device=self.gpu.device.name, **span_attrs):
+            yield o
+
+    def run_step(self, step: int, **span_attrs) -> None:
+        """Run every launch of the plan once (one simulation step),
+        under a ``gpu.step`` span."""
+        with self._step_span(step, **span_attrs):
             self.launch_all(step)
-        finally:
-            if step_span is not None:
-                o.tracer.end(step_span)
+
+    def run_fused(self, step: int, kernel: StepKernel) -> None:
+        """One step through ``kernel``, the plan's launches compiled into
+        one (:meth:`VirtualGPU.compile_step`), called once over the
+        current bindings instead of the launches.  The launches still
+        record their plan-time ``kernel`` events under the ``gpu.step``
+        span, as :meth:`run_step` records them, so the modelled device
+        cannot tell the two apart; the host wall time is observed once,
+        under the kernel's name."""
+        view = self.step_view()
+        args = self._fused_args
+        for name, src in self._fused_rotating:
+            args[name] = view[src]
+        with self._step_span(step) as o:
+            t0 = _time.perf_counter()
+            kernel.fn(**args)
+            host_secs = _time.perf_counter() - t0
+            if o is not None:
+                self.gpu._observe_host_time(o, kernel.name, host_secs)
+            for prep in self._prepared:
+                self.gpu._record_launch(prep, view, self.events, step)
 
     def launch_all(self, step: int | None) -> None:
         """Run every launch of the plan once, with no span of its own

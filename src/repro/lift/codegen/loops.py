@@ -1328,11 +1328,12 @@ class _StepDispatch:
             bnd = launches[1]
             index = bnd.arrays[kernel.links[1]]
             ident = (bnd.n, sweep.n, blk, arrays[_IN_PLACE].dtype)
-            if self.blocks[0] is not index or self.blocks[1] != ident:
-                self.blocks = (index, ident,
-                               *_step_blocks(np.asarray(index[:bnd.n]),
-                                             sweep.n, blk, ident[3]))
-            arrays["_kb"], arrays["_pb"] = self.blocks[2:]
+            blocks = self.blocks
+            if blocks[0] is not index or blocks[1] != ident:
+                blocks = self.blocks = (
+                    index, ident, *_step_blocks(np.asarray(index[:bnd.n]),
+                                                sweep.n, blk, ident[3]))
+            arrays["_kb"], arrays["_pb"] = blocks[2:]
             order += ["_pb", "_kb"]
         sizes = [launches[k].sizes[a] for k, a in spec.sizes.values()]
         tail = [launch.hd for launch in launches] + [sweep.n, blk]

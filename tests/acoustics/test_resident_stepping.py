@@ -91,6 +91,72 @@ def test_uploads_once_then_launches_only():
     assert [s.attrs["step"] for s in kernels] == [i // 2 for i in range(12)]
 
 
+def test_wall_time_goes_on_the_fused_call():
+    sim = _sim()
+    sim.add_impulse("center")
+    with obs.observe() as o:
+        sim.run(3)
+    h = o.metrics.get("repro_host_wallclock_seconds")
+    # once per step, under the step's name, not once per launch
+    assert h.total_count() == 3
+    assert h.count(kernel=sim._step.name,
+                   device=NVIDIA_TITAN_BLACK.name) == 3
+
+
+def test_simulations_of_a_scheme_share_one_step(monkeypatch):
+    """The compiled step is cached like the launch kernels: a second
+    simulation, or a return to one device, compiles nothing."""
+    from repro.gpu import runtime
+    from repro.lift.codegen import loops
+
+    monkeypatch.setattr(runtime, "_NP_KERNEL_CACHE", {})
+    builds = []
+
+    def counting_build(kernel, bounds):
+        builds.append(kernel.name)
+        return real_build(kernel, bounds)
+
+    real_build = loops._build_step
+    monkeypatch.setattr(loops, "_build_step", counting_build)
+    first = _sim()
+    first.add_impulse("center")
+    first.run(2)
+    second = _sim()
+    second.add_impulse("center")
+    second.run(2)
+    first.set_devices("TitanBlack:2")
+    first.set_devices("TitanBlack")
+    first.run(1)
+    assert first._path == second._path == "resident"
+    assert first._step is second._step
+    assert builds == [first._step.name]      # one specialisation, built once
+
+
+@pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
+def test_fused_steps_model_the_launches_of_execute_many(scheme):
+    """The fused step records what ``execute_many`` records for the
+    same launches: one modelled kernel event per launch, equal in name,
+    duration, modelled start and step."""
+    sim = _sim(scheme, shape=DomeRoom())
+    sim.add_impulse("center")
+    inputs = {n: a.copy() if isinstance(a, np.ndarray) else a
+              for n, a in sim._vgpu_inputs().items()}
+
+    def kernels(o):
+        return [(s.name, s.duration_ms, s.start_ms, s.attrs["step"])
+                for s in o.tracer.find(cat="kernel")]
+
+    with obs.observe() as o:
+        sim.run(6)
+    fused = kernels(o)
+    with obs.observe() as o:
+        VirtualGPU(sim.devices[0]).execute_many(
+            sim._host_program, inputs, sim._size_env(), 6, sim._rotations)
+    assert sim._path == "resident"
+    assert len(fused) == 6 * len(sim._step.programs)
+    assert fused == kernels(o)
+
+
 def test_plan_opened_before_the_session_still_traces():
     sim = _sim("fi_mm")
     sim.add_impulse("center")
@@ -118,16 +184,21 @@ def test_one_shot_path_survives_where_selected(kw):
 def test_state_arrays_are_the_resident_buffers():
     sim = _sim(dims=(8, 8, 8))
     sim.add_impulse("center")
-    roles = dict(curr="prev1_h", prev="prev2_h", nxt="__out__", g1="g1_h",
-                 v1="v1_h", v2="v2_h")
+    roles = dict(curr="prev1_h", prev="prev2_h", g1="g1_h", v1="v1_h",
+                 v2="v2_h")
     for step in range(500):
         sim.step()
         plan = sim._plan
-        if step < 6:                         # two full rotation cycles
+        if step < 4:                         # two full rotation cycles
             for attr, name in roles.items():
                 assert getattr(sim, attr) is plan.buffer_for(name), attr
         assert np.shares_memory(sim.curr, plan.buffer_for("prev1_h"))
     assert len(plan.events) == 0
+    # two host levels: the model's third is declared, with no host memory
+    assert sim._path == "resident" and not hasattr(sim, "nxt")
+    out = plan.buffer_for("__out__")
+    assert out.size == sim.curr.size and out.strides == (0,)
+    assert not out.flags.writeable
     # topology and coefficients are bound too: no second copy of the room
     assert plan.buffer_for("neighbors") is sim._nbrs_guarded
     assert plan.buffer_for("boundaries") is sim.topology.boundary_indices
@@ -163,7 +234,7 @@ class TestBinding:
         inputs = dict(inputs, **override)
         in_place = {n: a for n, a in inputs.items()
                     if isinstance(a, np.ndarray)}
-        in_place["__out__"] = sim.nxt
+        in_place["__out__"] = np.zeros_like(sim.curr)
         return ResidentPlan(VirtualGPU(NVIDIA_TITAN_BLACK),
                             sim._host_program.plan, inputs, sizes,
                             sim._rotations,

@@ -12,7 +12,7 @@ import pytest
 from repro import obs
 from repro.acoustics import DomeRoom, Grid3D, Room, RoomSimulation, SimConfig
 from repro.gpu import FaultPlan
-from repro.lift.codegen.loops import available_tiers
+from repro.lift.codegen.loops import LoopsUnsupported, available_tiers
 
 
 @pytest.fixture(autouse=True)
@@ -21,9 +21,9 @@ def _no_leaked_session():
     obs.disable()
 
 
-def _sim(backend="virtual_gpu", dims=(14, 12, 10), **kw):
+def _sim(backend="virtual_gpu", dims=(14, 12, 10), scheme="fi_mm", **kw):
     sim = RoomSimulation(SimConfig(room=Room(Grid3D(*dims), DomeRoom()),
-                                   scheme="fi_mm", backend=backend, **kw))
+                                   scheme=scheme, backend=backend, **kw))
     sim.add_impulse("center")
     sim.add_receiver("mic", (3, 3, 3))
     return sim
@@ -66,19 +66,109 @@ def test_host_backend_paths(backend, path):
     assert hasattr(sim, "nxt") == (path != "fused-step")
 
 
-def test_set_devices_reselects_the_path():
-    sim = _sim()
-    seen = [_paths(sim)]
-    sim.set_devices("TitanBlack:2")
-    seen.append(_paths(sim))
-    sim.set_devices("TitanBlack")
-    seen.append(_paths(sim))
+def _state(sim):
+    return [sim.prev, sim.curr, sim.g1, sim.v1, sim.v2,
+            sim.receiver_signal("mic")]
+
+
+def _same(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(_state(a), _state(b)))
+
+
+def _reselect_and_restore(scheme):
+    """resident -> ``TitanBlack:2`` -> resident, then a checkpoint
+    taken on each path restored on the other."""
+    sim = _sim(scheme=scheme)
+    seen, has_nxt = [], []
+    for devices in (None, "TitanBlack:2", "TitanBlack"):
+        if devices is not None:
+            sim.set_devices(devices)
+        seen.append(_paths(sim))
+        has_nxt.append(hasattr(sim, "nxt"))
     assert seen == [["resident"] * 2, ["pool-step"] * 2, ["resident"] * 2]
-    ref = _sim()
+    assert has_nxt == [False, True, False]
+    ref = _sim(scheme=scheme)
     ref.run(6)
-    assert np.array_equal(sim.curr, ref.curr)
-    assert np.array_equal(sim.receiver_signal("mic"),
-                          ref.receiver_signal("mic"))
+    assert _same(sim, ref)
+
+    for there in ("TitanBlack:2", "TitanBlack"):
+        cp = sim.checkpoint()
+        sim.run(3)
+        ahead = _sim(scheme=scheme)
+        ahead.restore(sim.checkpoint())
+        sim.set_devices(there)
+        sim.restore(cp)
+        sim.run(3)
+        assert _same(sim, ahead), (scheme, there)
+
+
+def test_set_devices_reselects_the_path():
+    """Resident steps two levels, a pool three: ``nxt`` comes and goes
+    with the path, and a checkpoint taken on one restores on the other,
+    for a scheme without branch state and for one with it."""
+    for scheme in ("fi_mm", "fd_mm"):
+        _reselect_and_restore(scheme)
+
+
+def test_fallback_when_no_compiled_tier(monkeypatch):
+    """With no compiled tier the resident path steps launch by launch,
+    says so, and computes what the fused step computes."""
+    from repro.gpu import runtime
+    from repro.lift.codegen import loops
+
+    fused = _sim(scheme="fd_mm")
+    assert fused._path == "resident"
+
+    def no_tier(requested=None):
+        raise loops.LoopsUnsupported("no compiled tier (test)")
+
+    monkeypatch.setattr(loops, "select_tier", no_tier)
+    # what this test realises must not outlive it in the shared cache
+    monkeypatch.setattr(runtime, "_NP_KERNEL_CACHE", {})
+    sim = _sim(scheme="fd_mm")
+    assert _paths(sim, 4) == ["resident-launches"] * 4
+    assert sim._path == "resident-launches" and hasattr(sim, "nxt")
+    fused.run(4)
+    assert _same(sim, fused)
+
+
+def test_fallback_when_the_step_refuses_the_launch_pair(monkeypatch):
+    """A host program whose sweep names its oldest level other than
+    ``prev`` runs per launch: ``_step_links`` refuses the pair, and the
+    caller's program is still the one that runs."""
+    from repro.acoustics import lift_programs
+    from repro.lift.codegen.host import Launch, compile_host
+    from repro.lift.codegen.loops import _step_links
+
+    def volume_kernel(dtype="double"):
+        p = original(dtype)
+        p.kernel.params[0].name = "older"
+        return p
+
+    original = lift_programs.volume_kernel
+    monkeypatch.setattr(lift_programs, "volume_kernel", volume_kernel)
+    hp = lift_programs.two_kernel_host("fi_mm")
+    host = compile_host(hp.program, hp.name)
+    monkeypatch.undo()
+
+    sim = _sim(host_program=host)
+    launches = [op for op in host.plan.ops if isinstance(op, Launch)]
+    with pytest.raises(LoopsUnsupported, match="older|'prev'"):
+        _step_links([sim._gpu._exec_kernel(op).program for op in launches])
+    assert _paths(sim, 4) == ["resident-launches"] * 4
+    fused = _sim()
+    fused.run(4)
+    assert fused._path == "resident" and _same(sim, fused)
+
+
+def test_compile_step_checks_the_plan_wiring():
+    sim = _sim()
+    plan = sim._host_program.plan
+    with pytest.raises(LoopsUnsupported, match="do not overwrite"):
+        sim._gpu.compile_step(plan, ("prev1_h", "prev2_h", "__out__"))
+    with pytest.raises(LoopsUnsupported, match="do not overwrite"):
+        sim._gpu.compile_step(plan, ("prev2_h", "prev1_h"))
+    assert sim._gpu.compile_step(plan, sim._rotations[0]).links
 
 
 def test_set_devices_refuses_a_host_backend():

@@ -33,8 +33,9 @@ def test_kernel_compile_shared_across_instances():
     first = _compile_caches()
     assert first["np_kernels"] > 0 and first["resources"] > 0
     # one entry per kernel and executable: the NumPy arena kernel and
-    # its compiled-loop upgrade
-    assert all(key.endswith(("#steady", "#loops")) for key in _NP_KERNEL_CACHE)
+    # its compiled-loop upgrade; and one for the launches' compiled step
+    assert all(key.endswith(("#steady", "#loops", "#step"))
+               for key in _NP_KERNEL_CACHE)
     # a second simulation of the same program adds no new cache entries
     _run()
     assert _compile_caches() == first
