@@ -38,8 +38,19 @@ Subpackages
 
 __version__ = "1.0.0"
 
-from . import lift, serve
-from .api import BenchResult, Session, SimulationResult
+import importlib
 
 __all__ = ["BenchResult", "Session", "SimulationResult", "api", "lift",
            "serve", "__version__"]
+
+#: what ``import repro`` names without importing it (PEP 562): a
+#: simulation that never touches the service layer never loads it
+_LAZY = {"api": "api", "lift": "lift", "serve": "serve",
+         "BenchResult": "api", "Session": "api", "SimulationResult": "api"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)

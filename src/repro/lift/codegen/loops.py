@@ -32,8 +32,10 @@ The tiers:
   unchanged width, so results are the same to the last bit; no ``-m``
   flag, so cached objects stay portable.  A compiler that rejects a
   rung takes the next (vector flags, then OpenMP, dropped); the rung is
-  found once per process and recorded on the kernel
-  (``LoopKernel.cc_rung``) and in ``loops_disk_cache_stats()``;
+  found once per compiler — a probe build whose result is recorded in
+  the artifact cache, so a process that compiles nothing runs no
+  compiler — and recorded on the kernel (``LoopKernel.cc_rung``) and in
+  ``loops_disk_cache_stats()``;
 * ``python`` — the numba source interpreted with ``prange = range``;
   exact but slow, a debugging/test tier that is never auto-selected.
 
@@ -125,37 +127,74 @@ def _numba_available() -> bool:
 
 
 def _cc_path() -> str | None:
-    """A working C compiler, probed once per process with a real
-    compile-and-load round trip (never satisfied from the disk cache —
-    a cached probe artifact would hide a missing compiler).  The probe
-    walks :data:`_CC_LADDER` and keeps the first rung that builds."""
-    if "path" in _cc_state:
-        return _cc_state["path"]
-    path = None
-    for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cand and shutil.which(cand):
-            path = shutil.which(cand)
-            break
-    rung = None
-    if path is not None:
-        for rung in _CC_LADDER:
-            try:
-                lib = _cc_build(path, "void repro_loop_probe(void) {}\n",
-                                "probe", cache=False, rung=rung)
-                getattr(lib, "repro_loop_probe")
-                break
-            except Exception:
-                continue
+    """The C compiler this process builds with (``None`` without one),
+    resolved once per process.
+
+    The first of ``$CC``, ``cc``, ``gcc`` and ``clang`` on ``PATH`` is
+    the candidate.  Its rung of :data:`_CC_LADDER` comes from the probe
+    record that an earlier process left in the artifact cache for this
+    very compiler (:func:`_cc_probe_record`), which costs no process.
+    Without a matching record, or with the cache disabled, the rung
+    comes from :func:`_cc_probe`, a real compile-and-load round trip.
+
+    A record only names which artifacts to load; it never stands in for
+    a compiler.  Before anything is compiled, :func:`_cc_build` runs this
+    process's own probe, so a missing or broken compiler still fails
+    loudly wherever one is needed."""
+    if "path" not in _cc_state:
+        path = next((shutil.which(c) for c in
+                     (os.environ.get("CC"), "cc", "gcc", "clang")
+                     if c and shutil.which(c)), None)
+        rung = None
+        try:
+            record = path and _cc_probe_record(path)
+            if record:
+                with open(record, encoding="ascii") as f:
+                    rung = f.read().strip()
+        except (OSError, UnicodeDecodeError):
+            pass                  # no record: probe below
+        if rung in _CC_LADDER:
+            _cc_state.update(path=path, rung=rung)
+        elif path is not None:
+            _cc_probe(path)
         else:
-            path = rung = None
-    _cc_state.update(path=path, rung=rung)
-    return path
+            _cc_state.update(path=None, rung=None)
+    return _cc_state["path"]
+
+
+def _cc_probe(path: str) -> str | None:
+    """This process's compile-and-load round trip with compiler ``path``:
+    walk :data:`_CC_LADDER`, keep the first rung that builds, and record
+    it beside the artifacts (tmp file and atomic rename, like them) for
+    the next process.  ``None`` when no rung builds."""
+    rung = None
+    for cand in _CC_LADDER:
+        try:
+            lib = _cc_build(path, "void repro_loop_probe(void) {}\n",
+                            "probe", cache=False, rung=cand)
+            getattr(lib, "repro_loop_probe")
+            rung = cand
+            break
+        except Exception:
+            continue
+    _cc_state.update(path=path if rung else None, rung=rung, probed=True)
+    try:
+        record = rung and _cc_probe_record(path)
+        if record:
+            tmp = f"{record}.{os.getpid()}.tmp"
+            os.makedirs(os.path.dirname(record), exist_ok=True)
+            with open(tmp, "w", encoding="ascii") as f:
+                f.write(rung)
+            os.replace(tmp, record)
+    except OSError:
+        pass                      # cache dir unusable: probe next time too
+    return rung
 
 
 def _cc_rung() -> str | None:
     """The rung of :data:`_CC_LADDER` this process's C compiler builds
-    with (``None`` without a working compiler) — the first one the probe
-    of :func:`_cc_path` could compile, link and load."""
+    with (``None`` without a working compiler): the first one the probe
+    could compile, link and load, read from its record or probed here."""
     return _cc_state["rung"] if _cc_path() else None
 
 
@@ -165,9 +204,11 @@ def _cc_rung() -> str | None:
 # persistent cache every *process* pays that compile — painful for the
 # gateway's worker-process pool, where N workers would each recompile the
 # same four hot kernels at first touch.  Artifacts are content-addressed
-# by a hash of (generated C source, compiler path, flag set), so a stale
-# hit is impossible: change anything that could change the code and the
-# key changes with it.
+# by a hash of (generated C source, compiler identity, flag set), so a
+# stale hit is impossible: change anything that could change the code and
+# the key changes with it.  The probe record (``cc-probe-<key>.txt``,
+# the rung a compiler's probe found) lives beside them under a key of
+# the compiler identity, the base flags and the ladder.
 
 _CC_FLAGS = ("-O2", "-fPIC", "-shared", "-fwrapv", "-ffp-contract=off")
 #: What makes GCC vectorise the main sweep.  ``-O2`` alone never does:
@@ -181,9 +222,9 @@ _CC_VECTOR_FLAGS = ("-ftree-vectorize", "-fvect-cost-model=dynamic",
                     "-fno-tree-sink")
 #: Flag sets on top of :data:`_CC_FLAGS`, best first.  A compiler that
 #: rejects a rung (clang refuses ``-fvect-cost-model=``; a gcc without
-#: libgomp fails to link ``-fopenmp``) takes the next one; the probe of
-#: :func:`_cc_path` walks the ladder once per process and every kernel
-#: is built with the rung it found (:func:`_cc_rung`).
+#: libgomp fails to link ``-fopenmp``) takes the next one; the probe
+#: (:func:`_cc_probe`) walks the ladder at most once per process and
+#: every kernel is built with the rung it found (:func:`_cc_rung`).
 _CC_LADDER = {"vector+openmp": (*_CC_VECTOR_FLAGS, "-fopenmp"),
               "vector": _CC_VECTOR_FLAGS,
               "openmp": ("-fopenmp",),
@@ -225,16 +266,48 @@ def set_loops_cache_dir(path) -> None:
 
 def loops_disk_cache_stats() -> dict:
     """Hit/miss counters and entry count of the on-disk ``.so`` cache,
-    and the flag-ladder rung its artifacts are built with (``None``
-    until a cc-tier kernel made the process probe its compiler);
-    surfaced through :func:`repro.gpu.runtime.kernel_cache_stats`."""
+    the flag-ladder rung its artifacts are built with (``None`` until a
+    cc-tier kernel resolved the process's compiler), and ``probed``:
+    whether this process ran the compiler's probe round trip, which a
+    process that only loads cached artifacts never does; surfaced
+    through :func:`repro.gpu.runtime.kernel_cache_stats`."""
     d = loops_cache_dir()
     entries = 0
     if d is not None and os.path.isdir(d):
         entries = sum(1 for f in os.listdir(d) if f.endswith(".so"))
     return {"dir": d, "enabled": d is not None,
             "hits": _disk_cache["hits"], "misses": _disk_cache["misses"],
-            "entries": entries, "cc_rung": _cc_state.get("rung")}
+            "entries": entries, "cc_rung": _cc_state.get("rung"),
+            "probed": _cc_state.get("probed", False)}
+
+
+def _cc_identity(cc: str) -> tuple[str, ...]:
+    """Which compiler ``cc`` is: the name it runs under, the file that
+    name resolves to, and that file's size and modification time.  An
+    in-place upgrade, or another host's compiler sharing the cache
+    directory, changes every key derived from it.  Raises ``OSError``
+    when the file is gone."""
+    real = os.path.realpath(cc)
+    st = os.stat(real)
+    return (cc, real, str(st.st_size), str(st.st_mtime_ns))
+
+
+def _cc_key(cc: str, *parts: str) -> str:
+    """The cache key of something compiler ``cc`` made from ``parts``:
+    an artifact (flags, source) or the probe record (base flags,
+    ladder)."""
+    return hashlib.sha1("|".join(
+        ("v2", *_cc_identity(cc), *parts)).encode()).hexdigest()[:16]
+
+
+def _cc_probe_record(cc: str) -> str | None:
+    """Where the probe record of compiler ``cc`` lives (``None`` with the
+    disk cache disabled)."""
+    cdir = loops_cache_dir()
+    if cdir is None:
+        return None
+    key = _cc_key(cc, "probe", repr(_CC_FLAGS), repr(_CC_LADDER))
+    return os.path.join(cdir, f"cc-probe-{key}.txt")
 
 
 _build_dir: list = []
@@ -260,22 +333,25 @@ def _cc_compile(cc: str, flags: tuple, src: str, so: str):
 def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
               rung: str | None = None):
     """Compile ``source`` to a shared object and load it, with the flags
-    of ladder rung ``rung`` (default: the one the probe found).
+    of ladder rung ``rung`` (default: the process's rung, :func:`_cc_rung`).
 
     With the disk cache enabled the artifact is content-addressed by
-    (source, compiler, flags): a prior build — by any process — is
-    dlopen'd directly, skipping the compiler entirely.  Builds land in
-    the cache via an atomic rename, so concurrent worker processes
-    racing on the same kernel at worst compile twice, never load a
-    torn file.  Any cache-directory failure silently falls back to the
-    per-process temp-dir build.
+    (source, compiler identity, flags): a prior build — by any process —
+    is dlopen'd directly, skipping the compiler entirely.  A build at
+    the process's rung first makes sure this process ran its own probe
+    (:func:`_cc_probe`): the rung may have come from a record, and a
+    probe that now finds another rung changes the flags and the key.
+    Builds land in the cache via an atomic rename, so concurrent worker
+    processes racing on the same kernel at worst compile twice, never
+    load a torn file.  Any cache-directory failure silently falls back
+    to the per-process temp-dir build.
     """
     flags = _CC_FLAGS + _CC_LADDER[rung or _cc_rung()]
     cdir = loops_cache_dir() if cache else None
+    so = None
     if cdir is not None:
-        key = hashlib.sha1("|".join(
-            ("v1", cc, " ".join(flags), source)).encode()).hexdigest()
-        so = os.path.join(cdir, f"{stem}-{key[:16]}.so")
+        key = _cc_key(cc, " ".join(flags), source)
+        so = os.path.join(cdir, f"{stem}-{key}.so")
         if os.path.exists(so):
             try:
                 lib = ctypes.CDLL(so)
@@ -283,6 +359,11 @@ def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
                 return lib
             except OSError:
                 pass                      # unreadable artifact: rebuild
+    if rung is None and not _cc_state.get("probed"):
+        if _cc_probe(cc) is None:
+            raise LoopsUnsupported(f"C compiler {cc} no longer builds")
+        return _cc_build(cc, source, stem, cache=cache)
+    if so is not None:
         try:
             os.makedirs(cdir, exist_ok=True)
             tmp = os.path.join(cdir, f".build-{os.getpid()}-{stem}.so")
@@ -987,6 +1068,8 @@ class _Dispatch:
             spec = self.specs[key] = _build_spec(self.kernel.program, bound,
                                                  self.kernel.tier)
             self.kernel.source = spec.source
+            if spec.tier == "cc":         # a build may have re-probed
+                self.kernel.cc_rung = _cc_rung()
         return self._run(spec, bound, rng)
 
     def _run(self, spec: _Spec, bound: dict, rng=None):
@@ -1312,6 +1395,8 @@ class _StepDispatch:
         if spec is None:
             spec = self.specs[key] = _build_step(kernel, bounds)
             kernel.source = spec.source
+            if kernel.tier == "cc":       # a build may have re-probed
+                kernel.cc_rung = _cc_rung()
         # every program's prologue — shift range checks included — runs
         # before the step stores anything
         launches = [_prologue(p, s, b) for p, s, b in

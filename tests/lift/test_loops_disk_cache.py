@@ -1,16 +1,27 @@
 """The on-disk compiled-artifact cache for the loops backend's cc tier.
 
-Artifacts are content-addressed by (source, compiler, flags): a second
-build of identical source — in this process or any other — is a dlopen,
-not a compile.  These tests drive ``_cc_build`` directly with tiny C
-sources so they are independent of which kernels the suite compiled.
+Artifacts are content-addressed by (source, compiler identity, flags): a
+second build of identical source — in this process or any other — is a
+dlopen, not a compile.  Beside them, a probe record keeps the flag-ladder
+rung a compiler's probe found, so a process that only loads artifacts
+runs no compiler at all.  These tests drive ``_cc_build`` directly with
+tiny C sources so they are independent of which kernels the suite
+compiled.
 """
 
 import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
+from repro.acoustics.lift_programs import volume_kernel
 from repro.lift.codegen import loops
+from repro.lift.codegen.numpy_backend import compile_numpy
 
 CC = loops._cc_path()
 
@@ -69,12 +80,10 @@ def test_artifact_names_are_content_addressed(cache_dir):
 def test_corrupt_artifact_falls_back_to_rebuild(cache_dir):
     # plant an unloadable artifact at the content-addressed path this
     # source will hash to (never dlopen'd, so safe to replace in place)
-    import hashlib
     source = _source("corrupt")
     flags = loops._CC_FLAGS + loops._CC_LADDER[loops._cc_rung()]
-    key = hashlib.sha1("|".join(
-        ("v1", CC, " ".join(flags), source)).encode()).hexdigest()
-    planted = cache_dir / f"corrupt-{key[:16]}.so"
+    key = loops._cc_key(CC, " ".join(flags), source)
+    planted = cache_dir / f"corrupt-{key}.so"
     planted.write_bytes(b"not a shared object")
     base = loops.loops_disk_cache_stats()
     lib = loops._cc_build(CC, source, "corrupt")
@@ -127,4 +136,113 @@ def test_surfaced_in_kernel_cache_stats(cache_dir):
     assert "loops_disk" in stats
     disk = stats["loops_disk"]
     assert disk["dir"] == str(cache_dir)
-    assert set(disk) >= {"enabled", "hits", "misses", "entries"}
+    assert set(disk) >= {"enabled", "hits", "misses", "entries", "probed"}
+
+
+# -- the probe record -------------------------------------------------------
+
+_STEP = """
+import subprocess, sys
+import numpy as np
+if sys.argv[2] == "warm":
+    def _refuse(*args, **kwargs):
+        raise AssertionError(f"a warm process ran {args}")
+    subprocess.run = _refuse
+from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
+from repro.lift.codegen.loops import loops_disk_cache_stats
+sim = RoomSimulation(SimConfig(room=Room(Grid3D(16, 12, 10), BoxRoom()),
+                               scheme="fd_mm", backend="numba"))
+sim.add_impulse("center")
+for _ in range(3):
+    sim.step()
+np.save(sys.argv[1], sim.curr)
+stats = loops_disk_cache_stats()
+print(stats["misses"], stats["probed"], stats["cc_rung"])
+"""
+
+
+def test_a_warm_process_starts_no_compiler(cache_dir, tmp_path):
+    """The second process finds every artifact and the probe record: it
+    steps with ``subprocess.run`` refusing, to the last bit."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "REPRO_LOOPS_CACHE_DIR": str(cache_dir),
+           "REPRO_LOOP_TIER": "cc",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    outs = []
+    for role in ("cold", "warm"):
+        out = tmp_path / f"{role}.npy"
+        proc = subprocess.run([sys.executable, "-c", _STEP, str(out), role],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append((proc.stdout.split(), np.load(out)))
+    (cold, field), (warm, again) = outs
+    assert cold[:2] == ["1", "True"]
+    assert warm == ["0", "False", cold[2]]
+    assert np.array_equal(field, again)
+    assert len(list(cache_dir.glob("cc-probe-*.txt"))) == 1
+
+
+def _volume_loop():
+    """A cc-tier loop kernel and a call that builds it and runs nothing."""
+    nk = compile_numpy(volume_kernel("double").kernel, "volume_kernel")
+    lk = loops.compile_loops(nk.program, tier="cc")
+    z = np.zeros(260)
+    return lk, lambda: lk.fn(z, z, np.zeros(260, np.int8), 0.57, 5, 20,
+                             N=240, NP=260, out=z.copy(), _range=(0, 0))
+
+
+def test_a_stale_record_is_probed_again_before_a_build(
+        cache_dir, fakecc, monkeypatch):
+    """A record that names a rung the compiler now refuses costs nothing
+    until something must be compiled; then the process probes, builds on
+    the rung it found, and rewrites the record."""
+    monkeypatch.setenv("CC", str(fakecc))
+    monkeypatch.setattr(loops, "_cc_state", {})
+    record = Path(loops._cc_probe_record(str(fakecc)))
+    record.write_text("vector+openmp")
+    lk, build = _volume_loop()
+    assert lk.cc_rung == "vector+openmp"
+    assert loops.loops_disk_cache_stats()["probed"] is False
+    base = loops.loops_disk_cache_stats()["misses"]
+    build()
+    stats = loops.loops_disk_cache_stats()
+    assert stats["probed"] is True and stats["misses"] == base + 1
+    assert lk.cc_rung == stats["cc_rung"] in ("openmp", "plain")
+    assert record.read_text() == lk.cc_rung
+
+
+def test_a_disabled_cache_probes_every_process_and_records_nothing(
+        cache_dir, monkeypatch):
+    loops.set_loops_cache_dir(None)
+    for _process in range(2):
+        monkeypatch.setattr(loops, "_cc_state", {})
+        assert loops._cc_path() == CC
+        assert loops.loops_disk_cache_stats()["probed"] is True
+    assert list(cache_dir.iterdir()) == []
+
+
+def test_touching_the_compiler_ignores_its_record(
+        cache_dir, fakecc, monkeypatch):
+    """The record and every artifact key name the compiler by its file's
+    size and modification time, so an in-place upgrade probes again."""
+    monkeypatch.setenv("CC", str(fakecc))
+    cc = str(fakecc)
+    monkeypatch.setattr(loops, "_cc_state", {})
+    assert loops._cc_path() == cc
+    assert loops.loops_disk_cache_stats()["probed"] is True
+    record, key = loops._cc_probe_record(cc), loops._cc_key(cc, "src")
+    assert Path(record).read_text() == loops._cc_rung()
+
+    monkeypatch.setattr(loops, "_cc_state", {})        # the next process
+    assert loops._cc_path() == cc
+    assert loops.loops_disk_cache_stats()["probed"] is False
+
+    st = fakecc.stat()
+    os.utime(fakecc, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    assert loops._cc_probe_record(cc) != record
+    assert loops._cc_key(cc, "src") != key
+    monkeypatch.setattr(loops, "_cc_state", {})
+    assert loops._cc_path() == cc
+    assert loops.loops_disk_cache_stats()["probed"] is True

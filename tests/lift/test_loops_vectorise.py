@@ -10,7 +10,6 @@ compiler's own vectorisation report, not the flag list.
 """
 
 import re
-import stat
 import subprocess
 
 import numpy as np
@@ -78,7 +77,7 @@ def test_main_sweep_is_reported_vectorised(name, precision, nbrs_dtype,
 
 
 def test_a_compiler_that_refuses_the_vector_rung_still_builds(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, fakecc):
     nk, args, kw, dt = _case("volume_kernel", "double", np.int8)
     ref = np.zeros(N + NXNY, dt)
     nk.fn(*args, **kw, out=ref, _ws=Workspace("ref"))
@@ -87,14 +86,7 @@ def test_a_compiler_that_refuses_the_vector_rung_still_builds(
     native.fn(*args, **kw, out=out)
     assert np.array_equal(out, ref)
 
-    fake = tmp_path / "fakecc"
-    fake.write_text(
-        "#!/bin/sh\n"
-        'for a in "$@"; do case "$a" in -fvect-cost-model=*)\n'
-        '  echo "fakecc: unknown argument: $a" >&2; exit 1;; esac; done\n'
-        f'exec {CC} "$@"\n')
-    fake.chmod(fake.stat().st_mode | stat.S_IXUSR)
-    monkeypatch.setenv("CC", str(fake))
+    monkeypatch.setenv("CC", str(fakecc))
     monkeypatch.setattr(loops, "_cc_state", {})          # probe again
     prev = loops.loops_cache_dir()
     loops.set_loops_cache_dir(tmp_path / "cache")
@@ -105,7 +97,7 @@ def test_a_compiler_that_refuses_the_vector_rung_still_builds(
         stats = loops.loops_disk_cache_stats()
     finally:
         loops.set_loops_cache_dir(prev)
-    assert lk.tier == "cc" and loops._cc_path() == str(fake)
+    assert lk.tier == "cc" and loops._cc_path() == str(fakecc)
     assert lk.cc_rung in ("openmp", "plain")
     assert stats["cc_rung"] == lk.cc_rung
     assert np.array_equal(out, ref)

@@ -4,8 +4,13 @@ docs/api.md's "Public surface" section is machine-checked here so the
 migration guide cannot drift from what the packages actually export.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro import api
@@ -80,3 +85,37 @@ def test_gpu_all_covers_multi_device_surface():
                  "peer_connected", "shard_retry_policy"):
         assert name in gpu.__all__
         assert hasattr(gpu, name)
+
+
+_NUMBA_STEP = """
+import sys
+from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
+from repro.lift.codegen.loops import LoopsUnsupported
+try:
+    sim = RoomSimulation(SimConfig(room=Room(Grid3D(12, 10, 8), BoxRoom()),
+                                   scheme="fd_mm", backend="numba"))
+except LoopsUnsupported:
+    sys.exit(3)
+sim.add_impulse("center")
+sim.step()
+loaded = [m for m in ("repro.serve", "repro.api", "repro.net", "repro.gpu")
+          if m in sys.modules]
+assert not loaded, loaded
+import repro
+from repro import serve
+assert repro.Session.__module__ == "repro.api"
+assert serve.SimulationService and repro.serve is serve
+"""
+
+
+def test_a_simulation_loads_no_service_layer():
+    """``import repro`` names the service layer lazily (PEP 562): a fresh
+    interpreter that steps a numba-backend room never imports it."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _NUMBA_STEP], env=env,
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode == 3:
+        pytest.skip("no compiled loop tier on this host")
+    assert proc.returncode == 0, proc.stderr[-2000:]
