@@ -40,10 +40,12 @@ class BoxRoom:
     name: str = "box"
 
     def contains(self, x, y, z, grid: Grid3D) -> np.ndarray:
-        # Everything except the halo is inside.
-        return ((x >= 1) & (x <= grid.nx - 2)
-                & (y >= 1) & (y <= grid.ny - 2)
-                & (z >= 1) & (z <= grid.nz - 2))
+        # Everything except the halo is inside.  Over open grids the z and
+        # y terms meet in one (nz, ny, 1) plane first, so only the last
+        # ``&`` touches the volume.
+        return (((z >= 1) & (z <= grid.nz - 2)
+                 & (y >= 1) & (y <= grid.ny - 2))
+                & ((x >= 1) & (x <= grid.nx - 2)))
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,7 @@ class DomeRoom:
         z0 = 1.0  # floor plane
         r2 = (((x - x0) / a) ** 2 + ((y - y0) / b) ** 2
               + ((z - z0) / c) ** 2)
-        return (r2 <= 1.0) & (z >= 1) & (z <= grid.nz - 2) \
-            & (x >= 1) & (x <= grid.nx - 2) & (y >= 1) & (y <= grid.ny - 2)
+        return (r2 <= 1.0) & BoxRoom().contains(x, y, z, grid)
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class CylinderRoom:
         x0 = (grid.nx - 1) / 2.0
         y0 = (grid.ny - 1) / 2.0
         r2 = ((x - x0) / a) ** 2 + ((y - y0) / b) ** 2
-        return (r2 <= 1.0) & (z >= 1) & (z <= grid.nz - 2)
+        return (r2 <= 1.0) & ((z >= 1) & (z <= grid.nz - 2))
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,16 @@ def voxelize(shape: Shape, grid: Grid3D) -> np.ndarray:
 
     Uses open (broadcast) coordinate grids so the inside test never
     materialises full int coordinate volumes — voxelising the paper's
-    602×402×302 rooms takes seconds, not minutes.
+    602×402×302 rooms takes seconds, not minutes.  When the test already
+    returns a full-volume bool array of its own, that array is the mask;
+    only a broadcast (or borrowed) result is copied into a new one.
     """
     z, y, x = np.ogrid[0:grid.nz, 0:grid.ny, 0:grid.nx]
-    result = shape.contains(x, y, z, grid)
-    inside = np.empty(grid.shape, dtype=bool)
-    inside[...] = result  # broadcast-materialise
+    inside = shape.contains(x, y, z, grid)
+    if not (isinstance(inside, np.ndarray) and inside.dtype == bool
+            and inside.shape == grid.shape and inside.flags.owndata
+            and inside.flags.writeable):
+        inside = np.broadcast_to(inside, grid.shape).astype(bool)
     # enforce the zero halo
     inside[0, :, :] = inside[-1, :, :] = False
     inside[:, 0, :] = inside[:, -1, :] = False

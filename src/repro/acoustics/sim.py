@@ -46,8 +46,6 @@ import numpy as np
 
 from .. import obs as _obs
 from ..lift.codegen.loops import LoopsUnsupported, compile_step
-from . import kernels_numpy as kn
-from . import kernels_scalar as ks
 from .geometry import Room
 from .grid import Grid3D
 from .materials import (FDMaterial, FIMaterial, MaterialTable,
@@ -342,8 +340,8 @@ class RoomSimulation:
         #: the stepping path, chosen once (here, or in :meth:`_make_gpu`):
         #: its name, the bound step, and how many time levels it rotates
         self._path, self._levels = config.backend, 3
-        self._advance = {"numpy": lambda: self._step_numpy,
-                         "scalar": lambda: self._step_scalar,
+        self._advance = {"numpy": self._setup_reference,
+                         "scalar": self._setup_reference,
                          "numpy-steady": self._compile_lift,
                          "numba": self._compile_lift,
                          "lift_interp": self._setup_interp,
@@ -361,6 +359,19 @@ class RoomSimulation:
             self.__dict__.pop("nxt", None)
         elif not hasattr(self, "nxt"):
             self.nxt = np.zeros_like(self.curr)
+
+    def _setup_reference(self):
+        """``numpy`` / ``scalar``: bind the reference kernels (paper
+        Listings 1-4) as ``_ref``; no other path imports them.  Returns
+        the bound step."""
+        if self.config.backend == "numpy":
+            from . import kernels_numpy as ref
+            step = self._step_numpy
+        else:
+            from . import kernels_scalar as ref
+            step = self._step_scalar
+        self._ref = ref
+        return step
 
     # -- LIFT backends ----------------------------------------------------------------
     def _size_env(self) -> dict[str, int]:
@@ -386,13 +397,14 @@ class RoomSimulation:
         ``_k_<role>`` / ``_ws_<role>`` for each of them (``fused``, or
         ``volume`` and ``boundary``).  Returns the bound step."""
         from ..lift.codegen.arena import Workspace
-        from ..lift.codegen.numpy_backend import compile_numpy
-        kernels = {role: compile_numpy(p.kernel, p.name)
-                   for role, p in self._programs().items()}
+        from ..lift.codegen.numpy_backend import compile_numpy, lower_arena
         if self.config.backend == "numba":
-            self._step = compile_step([k.program for k in kernels.values()])
+            self._step = compile_step([lower_arena(p.kernel, p.name)
+                                       for p in self._programs().values()])
             self._path, self._levels = "fused-step", 2
             return self._step_fused
+        kernels = {role: compile_numpy(p.kernel, p.name)
+                   for role, p in self._programs().items()}
         for role, k in kernels.items():
             setattr(self, "_k_" + role, k)
             # one workspace per kernel: shapes/dtypes are fixed for the
@@ -753,6 +765,7 @@ class RoomSimulation:
         return self.config.dtype(self.grid.courant)
 
     def _step_numpy(self):
+        kn = self._ref
         g = self.grid
         N = self._N
         lam = self._lam()
@@ -775,6 +788,7 @@ class RoomSimulation:
                               self.g1, self.v1, self.v2, lam)
 
     def _step_scalar(self):
+        ks = self._ref
         g = self.grid
         N = self._N
         lam = float(self.grid.courant)

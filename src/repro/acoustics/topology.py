@@ -137,13 +137,20 @@ def box_nbrs_closed_form(grid: Grid3D) -> np.ndarray:
     """The box ``nbrs`` computed exactly as paper Listing 1 lines 3–6.
 
     Used in tests to pin :func:`compute_nbrs` against the paper's
-    on-the-fly Boolean formulas.
+    on-the-fly Boolean formulas.  Each formula reads one coordinate, so
+    the per-axis terms are summed over open grids and only the sum (one
+    int32 volume) is ever full size.
     """
-    z, y, x = np.meshgrid(np.arange(grid.nz), np.arange(grid.ny),
-                          np.arange(grid.nx), indexing="ij")
-    nbr = ((x != 1).astype(np.int32) + (y != 1) + (z != 1)
-           + (x != grid.nx - 2) + (y != grid.ny - 2) + (z != grid.nz - 2))
-    outside = ((x == 0) | (y == 0) | (z == 0)
-               | (x == grid.nx - 1) | (y == grid.ny - 1) | (z == grid.nz - 1))
-    nbr[outside] = 0
-    return nbr.reshape(-1).astype(np.int32)
+    z, y, x = np.ogrid[0:grid.nz, 0:grid.ny, 0:grid.nx]
+
+    def axis(c, n):
+        # (count of the two faces along this axis, in-grid-interior flag)
+        return ((c != 1).astype(np.int32) + (c != n - 2),
+                (c != 0) & (c != n - 1))
+
+    (cz, iz), (cy, iy), (cx, ix) = (axis(z, grid.nz), axis(y, grid.ny),
+                                    axis(x, grid.nx))
+    nbr = (cz + cy) + cx
+    nbr *= iz & iy
+    nbr *= ix
+    return nbr.reshape(-1)

@@ -17,13 +17,24 @@
   the NumPy-steady kernel for a program the loop emitter declines.
 """
 
-from .opencl import KernelSource, compile_kernel
-from .host import HostPlan, HostProgram, compile_host
-from .numpy_backend import compile_numpy
-from .arena import ArenaProgram, Workspace
-from .loops import LoopKernel, LoopsUnsupported, available_tiers, compile_loops
+import importlib
 
 __all__ = ["ArenaProgram", "HostPlan", "HostProgram", "KernelSource",
            "LoopKernel", "LoopsUnsupported", "Workspace", "available_tiers",
            "compile_host", "compile_kernel", "compile_loops",
            "compile_numpy"]
+
+#: the submodule each export lives in, imported on first access (PEP 562):
+#: a compiled step loads neither the OpenCL emitter nor the host planner
+_LAZY = {"KernelSource": "opencl", "compile_kernel": "opencl",
+         "HostPlan": "host", "HostProgram": "host", "compile_host": "host",
+         "compile_numpy": "numpy_backend",
+         "ArenaProgram": "arena", "Workspace": "arena",
+         "LoopKernel": "loops", "LoopsUnsupported": "loops",
+         "available_tiers": "loops", "compile_loops": "loops"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

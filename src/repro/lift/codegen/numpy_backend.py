@@ -385,30 +385,13 @@ def _render_arith(e: ArithExpr, ctx: _Ctx) -> str:
     return e.substitute(ctx.arith).to_c()
 
 
-def compile_numpy(kernel: Lambda, name: str = "lift_kernel",
-                  lower: bool = True, *, steady: bool = True) -> NumpyKernel:
-    """Generate and compile the NumPy realisation of a kernel Lambda.
-
-    The kernel is lowered to its :class:`ArenaProgram` (kept on the
-    result as ``.program``, the artifact
-    :func:`repro.lift.codegen.loops.compile_loops` also consumes) and the
-    source that program renders to is compiled.  The generated function
-    takes a trailing ``_ws`` workspace argument and performs zero
-    full-grid allocations once the workspace is warm — persistent ghost
-    cells instead of per-call ``np.pad``, view/slice gathers for affine
-    indices, keyed ``const`` slots for step-invariant index arrays, and
-    in-place ufunc calls for the arithmetic.  The first call of each slot
-    *is* the plain NumPy operation; later calls re-run it into the kept
-    buffer.
-
-    ``steady`` is accepted only because the perf ledger's probe still
-    passes ``steady=True``; there is no other emission, so ``False``
-    raises ``ValueError``.
-    """
-    if not steady:
-        raise ValueError("compile_numpy has one emission (the workspace "
-                         "arena); the allocating emitter that steady=... "
-                         "used to select was removed")
+def lower_arena(kernel: Lambda, name: str = "lift_kernel",
+                lower: bool = True) -> ArenaProgram:
+    """Lower a kernel Lambda to its :class:`ArenaProgram`, the artifact
+    :func:`compile_numpy` renders and compiles and
+    :func:`repro.lift.codegen.loops.compile_loops` /
+    :func:`~repro.lift.codegen.loops.compile_step` consume.  A compiled
+    step needs only this: no NumPy source is rendered or compiled."""
     from ..rewrite import lower_simple
     if lower:
         kernel = lower_simple(kernel)
@@ -481,6 +464,33 @@ def compile_numpy(kernel: Lambda, name: str = "lift_kernel",
     program.vec = frozenset(info.vec)
     program.inv = frozenset(info.inv)
     program.alloc = alloc
+    return program
+
+
+def compile_numpy(kernel: Lambda, name: str = "lift_kernel",
+                  lower: bool = True, *, steady: bool = True) -> NumpyKernel:
+    """Generate and compile the NumPy realisation of a kernel Lambda.
+
+    The kernel is lowered to its :class:`ArenaProgram`
+    (:func:`lower_arena`, kept on the result as ``.program``) and the
+    source that program renders to is compiled.  The generated function
+    takes a trailing ``_ws`` workspace argument and performs zero
+    full-grid allocations once the workspace is warm — persistent ghost
+    cells instead of per-call ``np.pad``, view/slice gathers for affine
+    indices, keyed ``const`` slots for step-invariant index arrays, and
+    in-place ufunc calls for the arithmetic.  The first call of each slot
+    *is* the plain NumPy operation; later calls re-run it into the kept
+    buffer.
+
+    ``steady`` is accepted only because the perf ledger's probe still
+    passes ``steady=True``; there is no other emission, so ``False``
+    raises ``ValueError``.
+    """
+    if not steady:
+        raise ValueError("compile_numpy has one emission (the workspace "
+                         "arena); the allocating emitter that steady=... "
+                         "used to select was removed")
+    program = lower_arena(kernel, name, lower)
     # the compiled source IS the program's rendering (pinned by
     # tests/lift/test_arena_program.py)
     source = program.render()
@@ -489,9 +499,10 @@ def compile_numpy(kernel: Lambda, name: str = "lift_kernel",
     exec(compile(source, f"<numpy backend:{name}>", "exec"), namespace)
     fn = namespace[name]
     return NumpyKernel(name=name, source=source, fn=fn,
-                       param_names=param_names, size_params=size_params,
-                       out_alloc=alloc, returns_out=returns_out,
-                       program=program)
+                       param_names=program.param_names,
+                       size_params=program.size_params,
+                       out_alloc=program.alloc,
+                       returns_out=program.returns_out, program=program)
 
 
 def _dim_name(d: ArithExpr, i: int, pname: str, ctx: _Ctx) -> str:

@@ -41,22 +41,13 @@ or globally with :func:`enable` / :func:`disable`.
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager, nullcontext
 from typing import Iterator
 
 from .tracer import ModelClock, Span, Tracer
 from .metrics import (Counter, DEFAULT_MS_BUCKETS, Gauge, Histogram,
                       MetricsRegistry)
-from .export import (chrome_trace, prometheus_text, stitch_chrome_trace,
-                     stitch_spans, validate_chrome_trace,
-                     validate_prometheus_text, write_chrome_trace,
-                     write_prometheus, write_stitched_trace)
-from .report import KernelReportRow, kernel_report, render_kernel_report
-from .timeseries import TimeSeries, TimeSeriesStore, window_percentile
-from .slo import SLO, SLOStatus, SLOTracker, default_slos
-from .flight import FlightRecorder
-from .dashboard import (render_dashboard, service_snapshot,
-                        validate_dashboard)
 
 __all__ = [
     "ModelClock", "Span", "Tracer",
@@ -71,6 +62,30 @@ __all__ = [
     "render_dashboard", "service_snapshot", "validate_dashboard",
     "Observability", "enable", "disable", "get", "observe", "span",
 ]
+
+#: exports resolved on first access (PEP 562): an instrumented hot path
+#: needs only :func:`get`, so it loads neither the exporters nor the
+#: serving-side windows, objectives and dashboard
+_LAZY = {
+    **dict.fromkeys(("chrome_trace", "prometheus_text", "stitch_chrome_trace",
+                     "stitch_spans", "validate_chrome_trace",
+                     "validate_prometheus_text", "write_chrome_trace",
+                     "write_prometheus", "write_stitched_trace"), "export"),
+    **dict.fromkeys(("KernelReportRow", "kernel_report",
+                     "render_kernel_report"), "report"),
+    **dict.fromkeys(("TimeSeries", "TimeSeriesStore", "window_percentile"),
+                    "timeseries"),
+    **dict.fromkeys(("SLO", "SLOStatus", "SLOTracker", "default_slos"), "slo"),
+    "FlightRecorder": "flight",
+    **dict.fromkeys(("render_dashboard", "service_snapshot",
+                     "validate_dashboard"), "dashboard"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
 
 
 class Observability:
@@ -102,10 +117,12 @@ class Observability:
         return self.metrics.histogram(name, help, labelnames, buckets)
 
     def report(self) -> str:
+        from .report import kernel_report, render_kernel_report
         return render_kernel_report(kernel_report(self.tracer))
 
     def write(self, trace_path=None, metrics_path=None) -> None:
         """Dump the session's trace and/or metrics to files."""
+        from .export import write_chrome_trace, write_prometheus
         if trace_path is not None:
             write_chrome_trace(self.tracer, trace_path)
         if metrics_path is not None:

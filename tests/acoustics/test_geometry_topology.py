@@ -1,9 +1,12 @@
 """Tests for room geometry, voxelisation and boundary topology."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.acoustics import geometry
 from repro.acoustics.geometry import (BoxRoom, CylinderRoom, DomeRoom,
                                       LShapedRoom, Room, SphereRoom,
                                       shape_by_name, voxelize)
@@ -65,6 +68,82 @@ class TestVoxelize:
     def test_room_name(self):
         r = Room(small_grid(), DomeRoom())
         assert "dome" in r.name and "14" in r.name
+
+
+#: sha256 prefixes of ``build_topology(room, 4)``'s ``nbrs``,
+#: ``boundary_indices`` and ``material`` bytes, taken from the voxeliser
+#: that always broadcast-materialised the inside test into a new mask
+_TOPOLOGY_DIGESTS = {
+    ((14, 12, 10), "box"): "664a7cb510c1232b",
+    ((14, 12, 10), "dome"): "dbdac7b10165b9c8",
+    ((14, 12, 10), "sphere"): "ee1c0ecb5eb872a9",
+    ((14, 12, 10), "cylinder"): "a4686c43c977349a",
+    ((14, 12, 10), "lshape"): "649f5fd292494a2c",
+    ((17, 13, 11), "box"): "18b31ef63bb32c9f",
+    ((17, 13, 11), "dome"): "bacb763c9157be95",
+    ((17, 13, 11), "sphere"): "fb2cfc8272ff26a5",
+    ((17, 13, 11), "cylinder"): "193337b9d1e7a3bf",
+    ((17, 13, 11), "lshape"): "c5fbabf4cbe0d4cd",
+}
+
+
+class TestOnePassVoxelize:
+    """``voxelize`` keeps the inside test's own full-volume result as the
+    mask; it must be the mask the broadcast-materialising path builds."""
+
+    @staticmethod
+    def materialised(shape, g):
+        z, y, x = np.ogrid[0:g.nz, 0:g.ny, 0:g.nx]
+        mask = np.empty(g.shape, dtype=bool)
+        mask[...] = shape.contains(x, y, z, g)
+        mask[0] = mask[-1] = False
+        mask[:, 0] = mask[:, -1] = False
+        mask[:, :, 0] = mask[:, :, -1] = False
+        return mask
+
+    @pytest.mark.parametrize("dims", [(14, 12, 10), (17, 13, 11)],
+                             ids=["even", "odd"])
+    @pytest.mark.parametrize("name", sorted(geometry.SHAPES))
+    def test_matches_materialised_mask(self, name, dims):
+        shape, g = geometry.SHAPES[name], Grid3D(*dims)
+        inside = voxelize(shape, g)
+        assert inside.dtype == bool and inside.shape == g.shape
+        np.testing.assert_array_equal(inside, self.materialised(shape, g))
+        assert not (inside[[0, -1]].any() or inside[:, [0, -1]].any()
+                    or inside[:, :, [0, -1]].any())
+        assert inside.flags.owndata and inside.flags.writeable
+
+    @pytest.mark.parametrize("dims", [(14, 12, 10), (17, 13, 11)],
+                             ids=["even", "odd"])
+    @pytest.mark.parametrize("name", sorted(geometry.SHAPES))
+    def test_topology_unchanged(self, name, dims):
+        shape, g = geometry.SHAPES[name], Grid3D(*dims)
+        topo = build_topology(Room(g, shape), 4)
+        ref = self.materialised(shape, g)
+        nbrs = compute_nbrs(ref).reshape(-1)
+        bidx = np.flatnonzero((nbrs >= 1) & (nbrs <= 5)).astype(np.int32)
+        np.testing.assert_array_equal(topo.nbrs, nbrs)
+        np.testing.assert_array_equal(topo.boundary_indices, bidx)
+        np.testing.assert_array_equal(
+            topo.material, assign_materials(g, ref, bidx, 4))
+        h = hashlib.sha256()
+        for a in (topo.nbrs, topo.boundary_indices, topo.material):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest()[:16] == _TOPOLOGY_DIGESTS[dims, name]
+
+    def test_broadcast_result_is_copied(self):
+        """A test that returns a broadcast (non-owning) array still gets a
+        mask of its own."""
+        class Slab:
+            name = "slab"
+
+            def contains(self, x, y, z, grid):
+                return np.broadcast_to(z >= 2, grid.shape)
+
+        g = small_grid()
+        inside = voxelize(Slab(), g)
+        assert inside.flags.owndata and inside.flags.writeable
+        np.testing.assert_array_equal(inside, self.materialised(Slab(), g))
 
 
 class TestComputeNbrs:

@@ -98,19 +98,33 @@ except LoopsUnsupported:
     sys.exit(3)
 sim.add_impulse("center")
 sim.step()
-loaded = [m for m in ("repro.serve", "repro.api", "repro.net", "repro.gpu")
-          if m in sys.modules]
+unused = ("repro.serve", "repro.api", "repro.net", "repro.gpu",
+          "repro.lift.codegen.opencl", "repro.lift.codegen.host",
+          "repro.lift.interp", "repro.obs.export", "repro.obs.dashboard",
+          "repro.obs.slo", "repro.obs.timeseries",
+          "repro.acoustics.kernels_scalar")
+loaded = [m for m in unused if m in sys.modules]
 assert not loaded, loaded
 import repro
 from repro import serve
 assert repro.Session.__module__ == "repro.api"
 assert serve.SimulationService and repro.serve is serve
+from repro import obs
+from repro.lift import codegen
+for pkg in (obs, codegen):
+    star = {}
+    exec(f"from {pkg.__name__} import *", star)
+    for name in pkg.__all__:
+        assert getattr(pkg, name) is star[name], (pkg.__name__, name)
 """
 
 
 def test_a_simulation_loads_no_service_layer():
-    """``import repro`` names the service layer lazily (PEP 562): a fresh
-    interpreter that steps a numba-backend room never imports it."""
+    """``import repro``, ``repro.obs`` and ``repro.lift.codegen`` name
+    their exports lazily (PEP 562): a fresh interpreter that steps a
+    numba-backend room imports neither the service layer nor the OpenCL
+    and host emitters, the exporters or the reference kernels, and every
+    name in their ``__all__`` still resolves."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
