@@ -52,7 +52,7 @@ class BenchProblem:
         N = g.num_points
         self.N = N
         self.guard = g.nx * g.ny
-        ins = self.topo.inside.reshape(-1)
+        ins = self.topo.room.inside_mask().reshape(-1)
         self.prev = np.zeros(N + self.guard)
         self.curr = np.zeros(N + self.guard)
         self.prev[:N][ins] = rng.standard_normal(int(ins.sum()))

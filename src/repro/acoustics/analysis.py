@@ -78,5 +78,5 @@ def total_field_energy(sim) -> float:
 def dc_mode_amplitude(sim) -> float:
     """Mean field value over inside points (the DC mode, for drift checks)."""
     n = sim._N
-    inside = sim.topology.inside.reshape(-1)
+    inside = sim.topology.room.inside_mask().reshape(-1)
     return float(sim.curr[:n][inside].mean())

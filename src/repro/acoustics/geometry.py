@@ -170,3 +170,12 @@ class Room:
 
     def inside_mask(self) -> np.ndarray:
         return voxelize(self.shape, self.grid)
+
+    def contains(self, x: int, y: int, z: int) -> bool:
+        """:func:`voxelize`'s verdict at one voxel, without the volume
+        (False in the halo and off the grid)."""
+        g = self.grid
+        if not (0 < x < g.nx - 1 and 0 < y < g.ny - 1 and 0 < z < g.nz - 1):
+            return False
+        zz, yy, xx = np.ogrid[z:z + 1, y:y + 1, x:x + 1]
+        return bool(np.all(self.shape.contains(xx, yy, zz, g)))

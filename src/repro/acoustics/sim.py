@@ -309,10 +309,8 @@ class RoomSimulation:
         total = self._N + self._guard
         self.prev = np.zeros(total, dtype=dtype)
         self.curr = np.zeros(total, dtype=dtype)
-        # one guarded array; the dtype is the topology's (int8), which
-        # every emitter widens on load
-        self._nbrs_guarded = np.zeros(total, dtype=self.topology.nbrs.dtype)
-        self._nbrs_guarded[:self._N] = self.topology.nbrs
+        # the topology's own guarded int8 counts; emitters widen on load
+        self._nbrs_guarded = self.topology.nbrs_guarded
         self.nbrs = self._nbrs_guarded[:self._N]
 
         K = self.topology.num_boundary_points
@@ -514,11 +512,12 @@ class RoomSimulation:
         g = self.grid
         if position == "center":
             position = (g.nx // 2, g.ny // 2, g.nz // 2)
-        x, y, z = position
-        idx = int(g.flat_index(x, y, z))
-        if not self.topology.inside.reshape(-1)[idx]:
+        x, y, z = point = tuple(int(c) for c in position)
+        if point != tuple(position):
+            raise ValueError(f"point {position} is not a grid point")
+        if not self.topology.room.contains(x, y, z):
             raise ValueError(f"point {position} lies outside the room")
-        return idx
+        return int(g.flat_index(x, y, z))
 
     def add_impulse(self, position: tuple[int, int, int] | str = "center",
                     amplitude: float = 1.0) -> int:

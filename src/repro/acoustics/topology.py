@@ -51,22 +51,28 @@ def compute_nbrs(inside: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoomTopology:
-    """All precomputed boundary data for one room."""
+    """All precomputed boundary data for one room; its one volume is
+    ``nbrs_guarded``, with the zero guard plane every state array has.
+    The inside mask is not kept: ``room.inside_mask()`` voxelises anew."""
 
-    grid: Grid3D
-    inside: np.ndarray            # (z,y,x) bool
-    nbrs: np.ndarray              # flat int8 (values 0-6), 0 outside
+    room: Room
+    nbrs_guarded: np.ndarray      # flat int8 (values 0-6), 0 outside
     boundary_indices: np.ndarray  # flat indices, ascending, int32
     material: np.ndarray          # per-boundary-point material id, int32
     num_materials: int
 
     @property
-    def num_boundary_points(self) -> int:
-        return int(self.boundary_indices.size)
+    def grid(self) -> Grid3D:
+        return self.room.grid
 
     @property
-    def num_inside_points(self) -> int:
-        return int(self.inside.sum())
+    def nbrs(self) -> np.ndarray:
+        """The counts of the grid's ``N`` points (a view, no guard)."""
+        return self.nbrs_guarded[:self.grid.num_points]
+
+    @property
+    def num_boundary_points(self) -> int:
+        return int(self.boundary_indices.size)
 
     # -- contiguity (drives the coalescing model) --------------------------------
     def contiguity(self) -> float:
@@ -120,15 +126,18 @@ def assign_materials(grid: Grid3D, inside: np.ndarray,
 
 def build_topology(room: Room, num_materials: int = 1) -> RoomTopology:
     """Voxelise a room and derive all boundary data structures."""
+    g = room.grid
     inside = room.inside_mask()
-    nbrs = compute_nbrs(inside).reshape(-1)
+    guarded = np.zeros(g.num_points + g.nx * g.ny, dtype=np.int8)
+    nbrs = guarded[:g.num_points]
+    nbrs[:] = compute_nbrs(inside).reshape(-1)
     # outside points count 0, so the range test alone selects the
     # inside points that miss at least one neighbour
     is_boundary = (nbrs >= 1) & (nbrs <= 5)
     boundary_indices = np.flatnonzero(is_boundary).astype(np.int32)
-    material = assign_materials(room.grid, inside, boundary_indices,
+    material = assign_materials(g, inside, boundary_indices,
                                 num_materials)
-    return RoomTopology(grid=room.grid, inside=inside, nbrs=nbrs,
+    return RoomTopology(room=room, nbrs_guarded=guarded,
                         boundary_indices=boundary_indices, material=material,
                         num_materials=num_materials)
 

@@ -235,7 +235,7 @@ def _decomposition_problem(scheme: str, topo, precision: str = "double",
     guard = g.nx * g.ny
     dtype = np.float32 if precision == "single" else np.float64
     rng = np.random.default_rng(42)
-    inside = topo.inside.reshape(-1)
+    inside = topo.room.inside_mask().reshape(-1)
 
     def state():
         a = np.zeros(N + guard, dtype)
@@ -250,7 +250,7 @@ def _decomposition_problem(scheme: str, topo, precision: str = "double",
         table = MaterialTable.from_fi(default_fi_materials(4), dtype=dtype)
     inputs = dict(
         boundaries=topo.boundary_indices, materialIdx=topo.material,
-        neighbors=np.concatenate([topo.nbrs, np.zeros(guard, np.int32)]),
+        neighbors=topo.nbrs_guarded,
         betaTable=table.beta, prev1_h=state(), prev2_h=state(),
         lambda_h=dtype(g.courant), Nx_h=g.nx, NxNy_h=g.nx * g.ny)
     rotations = [("prev2_h", "prev1_h", "__out__")]

@@ -3,7 +3,9 @@
 ``room_bundle(size, shape, scale)`` voxelises a paper room (optionally
 scaled down for fast test runs) and caches the result in-process — the
 602×402×302 rooms take ~10–30 s to voxelise, so the harness builds each at
-most once.
+most once.  A cached topology keeps ``nbrs`` and the boundary arrays, not
+the inside mask: a caller that needs the mask (``topo.room.inside_mask()``)
+voxelises the room again.
 """
 
 from __future__ import annotations

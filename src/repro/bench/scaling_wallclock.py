@@ -71,8 +71,7 @@ def _box_case(dims, scheme: str, precision: str):
     curr[grid.flat_index(grid.nx // 2, grid.ny // 2, grid.nz // 2)] = 1.0
     inputs = dict(boundaries=topo.boundary_indices,
                   materialIdx=topo.material,
-                  neighbors=np.concatenate(
-                      [topo.nbrs, np.zeros(guard, np.int32)]),
+                  neighbors=topo.nbrs_guarded,
                   betaTable=table.beta, prev1_h=curr,
                   prev2_h=np.zeros(N + guard, dtype=dtype),
                   lambda_h=dtype(grid.courant),

@@ -69,6 +69,21 @@ class TestVoxelize:
         r = Room(small_grid(), DomeRoom())
         assert "dome" in r.name and "14" in r.name
 
+    @pytest.mark.parametrize("dims", [(9, 8, 7), (16, 12, 10), (23, 17, 13)])
+    @pytest.mark.parametrize("name", sorted(geometry.SHAPES))
+    def test_room_contains_matches_voxelize(self, name, dims):
+        """The one-point test agrees with the voxeliser at every voxel,
+        the halo included, and is False off the grid."""
+        room = Room(Grid3D(*dims), geometry.SHAPES[name])
+        inside = voxelize(room.shape, room.grid)
+        nz, ny, nx = inside.shape
+        point = np.array([[[room.contains(x, y, z) for x in range(nx)]
+                           for y in range(ny)] for z in range(nz)])
+        np.testing.assert_array_equal(point, inside)
+        for off in [(-1, 1, 1), (nx, 1, 1), (1, -1, 1), (1, ny, 1),
+                    (1, 1, -1), (1, 1, nz), (nx + 3, ny // 2, nz // 2)]:
+            assert not room.contains(*off)
+
 
 #: sha256 prefixes of ``build_topology(room, 4)``'s ``nbrs``,
 #: ``boundary_indices`` and ``material`` bytes, taken from the voxeliser
@@ -198,7 +213,7 @@ class TestTopology:
 
     def test_boundary_points_inside(self):
         topo = build_topology(Room(small_grid(), DomeRoom()))
-        flat_inside = topo.inside.reshape(-1)
+        flat_inside = topo.room.inside_mask().reshape(-1)
         assert flat_inside[topo.boundary_indices].all()
 
     def test_box_boundary_count_closed_form(self):

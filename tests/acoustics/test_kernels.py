@@ -30,7 +30,7 @@ def random_states(g, topo, rng):
     N = g.num_points
     prev = np.zeros(N)
     curr = np.zeros(N)
-    ins = topo.inside.reshape(-1)
+    ins = topo.room.inside_mask().reshape(-1)
     prev[ins] = rng.standard_normal(int(ins.sum()))
     curr[ins] = rng.standard_normal(int(ins.sum()))
     return prev, curr
@@ -67,7 +67,7 @@ class TestVolumeKernel:
         prev, curr = random_states(g, topo, rng)
         nxt = np.zeros(g.num_points)
         kn.volume_step(prev, curr, nxt, topo.nbrs, g.shape, g.courant)
-        outside = ~topo.inside.reshape(-1)
+        outside = ~topo.room.inside_mask().reshape(-1)
         assert (nxt[outside] == 0).all()
 
 

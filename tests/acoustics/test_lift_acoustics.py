@@ -32,7 +32,7 @@ def setup():
     rng = np.random.default_rng(42)
     N = g.num_points
     guard = g.nx * g.ny
-    ins = topo.inside.reshape(-1)
+    ins = topo.room.inside_mask().reshape(-1)
 
     def state():
         a = np.zeros(N + guard)

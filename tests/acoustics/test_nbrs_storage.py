@@ -79,10 +79,10 @@ def test_topology_counts_are_one_byte():
     assert np.array_equal(topo.nbrs, box_nbrs_closed_form(grid))
     dome = build_topology(Room(grid, DomeRoom()))
     assert dome.nbrs.dtype == np.int8 and dome.nbrs.max() == 6
-    assert np.all(dome.nbrs[~dome.inside.reshape(-1)] == 0)
+    inside = dome.room.inside_mask().reshape(-1)
+    assert np.all(dome.nbrs[~inside] == 0)
     b = dome.boundary_indices
-    assert np.array_equal(b, np.flatnonzero(
-        dome.inside.reshape(-1) & (dome.nbrs < 6)))
+    assert np.array_equal(b, np.flatnonzero(inside & (dome.nbrs < 6)))
 
 
 def test_compute_nbrs_builds_no_widened_volume():

@@ -166,7 +166,7 @@ class TestPhysics:
                                        materials=default_fi_materials(2)))
         sim.add_impulse("center")
         sim.run(30)
-        outside = ~sim.topology.inside.reshape(-1)
+        outside = ~sim.topology.room.inside_mask().reshape(-1)
         assert (sim.curr[:sim._N][outside] == 0).all()
 
     def test_guard_region_stays_zero(self):
@@ -198,6 +198,25 @@ class TestSourcesReceivers:
         sim = RoomSimulation(SimConfig(room=small_room(), scheme="fi_mm"))
         with pytest.raises(ValueError):
             sim.add_impulse((0, 0, 0))
+
+    @pytest.mark.parametrize("position", [
+        (15, 4, 4), (-3, 4, 4), (4, 10, 4), (4, -1, 4), (4, 4, 8),
+        (4, 4, -2), (0, 4, 4), (11, 4, 4), (4, 9, 4), (4, 4, 7),
+        (10, 4.5, 4), (4.5, 4, 4)])
+    def test_off_grid_and_halo_positions_rejected(self, position):
+        # on a 12x10x8 grid (15, 4, 4) used to wrap to the flat index
+        # of (3, 5, 4), and (-3, 4, 4) to the row below, both inside;
+        # (10, 4.5, 4) was truncated to the flat index of (4, 5, 4)
+        g = Grid3D(12, 10, 8)
+        sim = RoomSimulation(SimConfig(room=Room(g, BoxRoom()), scheme="fi"))
+        why = "outside the room|not a grid point"
+        with pytest.raises(ValueError, match=why):
+            sim.add_impulse(position)
+        with pytest.raises(ValueError, match=why):
+            sim.add_receiver("r", position)
+        assert not sim.curr.any() and not sim.receivers
+        assert sim.point_index((10, 8, 6)) == g.flat_index(10, 8, 6)
+        assert sim.point_index((10.0, 8, 6)) == g.flat_index(10, 8, 6)
 
     def test_receiver_records_each_step(self):
         sim = RoomSimulation(SimConfig(room=small_room(), scheme="fi_mm"))

@@ -35,7 +35,7 @@ def _states(grid, topo, seed=5):
     rng = np.random.default_rng(seed)
     N = grid.num_points
     guard = grid.nx * grid.ny
-    ins = topo.inside.reshape(-1)
+    ins = topo.room.inside_mask().reshape(-1)
 
     def state():
         a = np.zeros(N + guard)

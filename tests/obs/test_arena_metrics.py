@@ -53,7 +53,7 @@ def run_args():
 
     def state():
         a = np.zeros(N + guard)
-        ins = topo.inside.reshape(-1)
+        ins = topo.room.inside_mask().reshape(-1)
         a[:N][ins] = rng.standard_normal(int(ins.sum()))
         return a
 
