@@ -103,8 +103,8 @@ def kernel_cache_stats() -> dict:
     of kernels running on the steady emitter; a compiled-loop kernel
     keeps nothing there; ``loops_disk``
     reports the on-disk compiled-artifact cache the cc tier shares
-    across processes and, as ``cc_rung``, which rung of the compiler
-    flag ladder built them (see
+    across processes and, as ``cc_rung`` and ``cc_isa``, which rung of
+    the compiler flag ladder and which x86-64 psABI level built them (see
     :func:`repro.lift.codegen.loops.loops_disk_cache_stats`).
     """
     from ..lift.codegen.loops import loops_disk_cache_stats

@@ -225,6 +225,10 @@ class Sum(ArithExpr):
             if coeff == 0:
                 continue
             flat.append(core if coeff == 1 else Prod.make([Cst(coeff), core]))
+        if any(isinstance(t, Sum) for t in flat):
+            # a sum-valued core whose coefficients cancelled to 1 (as in
+            # ``1 + 2*(1+c) - (1+c)``) must be flattened like any other
+            return Sum.make(flat + [Cst(const)])
         if const != 0 or not flat:
             flat.append(Cst(const))
         if len(flat) == 1:

@@ -28,13 +28,15 @@ The tiers:
   -fno-tree-sink``, with OpenMP-static when the compiler has it): at
   ``-O2`` or ``-O3`` alone its sink pass moves the loads feeding a
   select's arm behind the select's test and the vectoriser reports
-  ``not vectorized: control flow in loop``.  Element-wise operations at
-  unchanged width, so results are the same to the last bit; no ``-m``
-  flag, so cached objects stay portable.  A compiler that rejects a
-  rung takes the next (vector flags, then OpenMP, dropped); the rung is
-  found once per compiler — a probe build whose result is recorded in
-  the artifact cache, so a process that compiles nothing runs no
-  compiler — and recorded on the kernel (``LoopKernel.cc_rung``) and in
+  ``not vectorized: control flow in loop``.  Every build names the CPU's
+  x86-64 psABI level (:func:`_cc_isa`): 4–8 doubles per instruction
+  instead of SSE2's 2, and with no contraction the same bits at any
+  width.  A compiler that rejects a rung takes the next (vector flags,
+  then OpenMP, dropped), and one that rejects the level walks the ladder
+  again without it; both are found once per compiler and CPU — a probe
+  build whose result is recorded in the artifact cache, so a process
+  that compiles nothing runs no compiler — and recorded on the kernel
+  (``LoopKernel.cc_rung`` / ``cc_isa``) and in
   ``loops_disk_cache_stats()``;
 * ``python`` — the numba source interpreted with ``prange = range``;
   exact but slow, a debugging/test tier that is never auto-selected.
@@ -88,6 +90,7 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -131,11 +134,11 @@ def _cc_path() -> str | None:
     resolved once per process.
 
     The first of ``$CC``, ``cc``, ``gcc`` and ``clang`` on ``PATH`` is
-    the candidate.  Its rung of :data:`_CC_LADDER` comes from the probe
-    record that an earlier process left in the artifact cache for this
-    very compiler (:func:`_cc_probe_record`), which costs no process.
-    Without a matching record, or with the cache disabled, the rung
-    comes from :func:`_cc_probe`, a real compile-and-load round trip.
+    the candidate.  Its rung and psABI level come from the probe record
+    that an earlier process left in the artifact cache for this very
+    compiler and CPU (:func:`_cc_probe_record`), which costs no process.
+    Without a matching record, or with the cache disabled, they come
+    from :func:`_cc_probe`, a real compile-and-load round trip.
 
     A record only names which artifacts to load; it never stands in for
     a compiler.  Before anything is compiled, :func:`_cc_build` runs this
@@ -145,57 +148,99 @@ def _cc_path() -> str | None:
         path = next((shutil.which(c) for c in
                      (os.environ.get("CC"), "cc", "gcc", "clang")
                      if c and shutil.which(c)), None)
-        rung = None
+        rung = isa = None
         try:
             record = path and _cc_probe_record(path)
             if record:
                 with open(record, encoding="ascii") as f:
-                    rung = f.read().strip()
-        except (OSError, UnicodeDecodeError):
+                    rung, isa = f.read().split()
+        except (OSError, UnicodeDecodeError, ValueError):
             pass                  # no record: probe below
-        if rung in _CC_LADDER:
-            _cc_state.update(path=path, rung=rung)
+        if rung in _CC_LADDER and isa in (_cc_isa(), "None"):
+            _cc_state.update(path=path, rung=rung,
+                             isa=None if isa == "None" else isa)
         elif path is not None:
             _cc_probe(path)
         else:
-            _cc_state.update(path=None, rung=None)
+            _cc_state.update(path=None, rung=None, isa=None)
     return _cc_state["path"]
 
 
 def _cc_probe(path: str) -> str | None:
     """This process's compile-and-load round trip with compiler ``path``:
-    walk :data:`_CC_LADDER`, keep the first rung that builds, and record
-    it beside the artifacts (tmp file and atomic rename, like them) for
-    the next process.  ``None`` when no rung builds."""
-    rung = None
-    for cand in _CC_LADDER:
+    walk :data:`_CC_LADDER` at the CPU's psABI level, then without it,
+    keep the first ``(rung, level)`` that builds, and record it beside
+    the artifacts (tmp file and atomic rename, like them) for the next
+    process.  ``None`` when no rung builds."""
+    rung = isa = None
+    for build in [(r, level) for level in dict.fromkeys((_cc_isa(), None))
+                  for r in _CC_LADDER]:
         try:
             lib = _cc_build(path, "void repro_loop_probe(void) {}\n",
-                            "probe", cache=False, rung=cand)
+                            "probe", cache=False, build=build)
             getattr(lib, "repro_loop_probe")
-            rung = cand
+            rung, isa = build
             break
         except Exception:
             continue
-    _cc_state.update(path=path if rung else None, rung=rung, probed=True)
+    _cc_state.update(path=path if rung else None, rung=rung, isa=isa,
+                     probed=True)
     try:
         record = rung and _cc_probe_record(path)
         if record:
             tmp = f"{record}.{os.getpid()}.tmp"
             os.makedirs(os.path.dirname(record), exist_ok=True)
             with open(tmp, "w", encoding="ascii") as f:
-                f.write(rung)
+                f.write(f"{rung} {isa}")
             os.replace(tmp, record)
     except OSError:
         pass                      # cache dir unusable: probe next time too
     return rung
 
 
-def _cc_rung() -> str | None:
-    """The rung of :data:`_CC_LADDER` this process's C compiler builds
-    with (``None`` without a working compiler): the first one the probe
-    could compile, link and load, read from its record or probed here."""
-    return _cc_state["rung"] if _cc_path() else None
+def _cc_built() -> tuple[str | None, str | None]:
+    """The rung of :data:`_CC_LADDER` and the psABI level this process's
+    C compiler builds with (``None`` without a working compiler; a
+    ``None`` level is its baseline): the first pair the probe could
+    compile, link and load, read from its record or probed here."""
+    if not _cc_path():
+        return None, None
+    return _cc_state["rung"], _cc_state["isa"]
+
+
+#: The CPU feature flags (as Linux names them) of each x86-64 psABI level
+#: the cc tier builds at, widest first; ``pni`` is SSE3 and ``abm`` LZCNT.
+_PSABI_V3 = {"cx16", "lahf_lm", "popcnt", "pni", "sse4_1", "sse4_2",
+             "ssse3", "avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm",
+             "movbe", "xsave"}
+_PSABI = (("x86-64-v4", _PSABI_V3 | {"avx512f", "avx512bw", "avx512cd",
+                                     "avx512dq", "avx512vl"}),
+          ("x86-64-v3", _PSABI_V3))
+
+
+@functools.cache
+def _cc_isa(cpuinfo: str = "/proc/cpuinfo") -> str | None:
+    """The widest x86-64 psABI level this CPU implements, read off the
+    first ``flags`` line of ``cpuinfo`` without starting a process;
+    ``None`` (the compiler's baseline) below v3 and wherever no x86
+    flags are reported there.  Never ``native``: gcc 12's
+    ``sapphirerapids`` tuning stops vectorising the double sweep."""
+    try:
+        with open(cpuinfo, encoding="ascii", errors="replace") as f:
+            flags = next((ln.partition(":")[2].split() for ln in f
+                          if ln.startswith("flags")), [])
+    except OSError:
+        return None
+    return next((level for level, need in _PSABI if need <= set(flags)),
+                None)
+
+
+def _cc_flags(build: tuple | None = None) -> tuple[str, ...]:
+    """The flags of a ``(rung, level)`` build, by default this
+    process's: :data:`_CC_FLAGS`, ``-march=<level>``, the rung's own."""
+    rung, isa = build or _cc_built()
+    return (*_CC_FLAGS, *([f"-march={isa}"] if isa else []),
+            *_CC_LADDER[rung])
 
 
 # -- on-disk compiled-artifact cache -----------------------------------------
@@ -207,24 +252,25 @@ def _cc_rung() -> str | None:
 # by a hash of (generated C source, compiler identity, flag set), so a
 # stale hit is impossible: change anything that could change the code and
 # the key changes with it.  The probe record (``cc-probe-<key>.txt``,
-# the rung a compiler's probe found) lives beside them under a key of
-# the compiler identity, the base flags and the ladder.
+# the rung and psABI level a compiler's probe found) lives beside them
+# under a key of the compiler identity, the base flags, the ladder and
+# the CPU's level, so two CPUs sharing the directory never share one.
 
 _CC_FLAGS = ("-O2", "-fPIC", "-shared", "-fwrapv", "-ffp-contract=off")
 #: What makes GCC vectorise the main sweep.  ``-O2`` alone never does:
 #: its ``tree-sink`` pass moves the loads that feed a select's taken arm
 #: behind the select's test, and the vectoriser then reports ``not
 #: vectorized: control flow in loop``; the dynamic cost model admits the
-#: runtime alias check the pointer arguments need.  Element-wise IEEE
-#: operations at unchanged width, so results do not move; no ``-m`` flag,
-#: so a cached ``.so`` runs on any host of the same architecture.
+#: runtime alias check the pointer arguments need.  The width of its
+#: vectors is the psABI level's (:func:`_cc_flags`); element-wise IEEE
+#: operations with no contraction, so results do not move with it.
 _CC_VECTOR_FLAGS = ("-ftree-vectorize", "-fvect-cost-model=dynamic",
                     "-fno-tree-sink")
 #: Flag sets on top of :data:`_CC_FLAGS`, best first.  A compiler that
 #: rejects a rung (clang refuses ``-fvect-cost-model=``; a gcc without
 #: libgomp fails to link ``-fopenmp``) takes the next one; the probe
-#: (:func:`_cc_probe`) walks the ladder at most once per process and
-#: every kernel is built with the rung it found (:func:`_cc_rung`).
+#: (:func:`_cc_probe`) runs at most once per process and every kernel
+#: is built with the rung and level it found (:func:`_cc_built`).
 _CC_LADDER = {"vector+openmp": (*_CC_VECTOR_FLAGS, "-fopenmp"),
               "vector": _CC_VECTOR_FLAGS,
               "openmp": ("-fopenmp",),
@@ -266,8 +312,9 @@ def set_loops_cache_dir(path) -> None:
 
 def loops_disk_cache_stats() -> dict:
     """Hit/miss counters and entry count of the on-disk ``.so`` cache,
-    the flag-ladder rung its artifacts are built with (``None`` until a
-    cc-tier kernel resolved the process's compiler), and ``probed``:
+    the flag-ladder rung and psABI level (``cc_isa``) its artifacts are
+    built with (``None`` until a cc-tier kernel resolved the process's
+    compiler), and ``probed``:
     whether this process ran the compiler's probe round trip, which a
     process that only loads cached artifacts never does; surfaced
     through :func:`repro.gpu.runtime.kernel_cache_stats`."""
@@ -278,6 +325,7 @@ def loops_disk_cache_stats() -> dict:
     return {"dir": d, "enabled": d is not None,
             "hits": _disk_cache["hits"], "misses": _disk_cache["misses"],
             "entries": entries, "cc_rung": _cc_state.get("rung"),
+            "cc_isa": _cc_state.get("isa"),
             "probed": _cc_state.get("probed", False)}
 
 
@@ -295,7 +343,7 @@ def _cc_identity(cc: str) -> tuple[str, ...]:
 def _cc_key(cc: str, *parts: str) -> str:
     """The cache key of something compiler ``cc`` made from ``parts``:
     an artifact (flags, source) or the probe record (base flags,
-    ladder)."""
+    ladder, CPU level)."""
     return hashlib.sha1("|".join(
         ("v2", *_cc_identity(cc), *parts)).encode()).hexdigest()[:16]
 
@@ -306,7 +354,8 @@ def _cc_probe_record(cc: str) -> str | None:
     cdir = loops_cache_dir()
     if cdir is None:
         return None
-    key = _cc_key(cc, "probe", repr(_CC_FLAGS), repr(_CC_LADDER))
+    key = _cc_key(cc, "probe", repr(_CC_FLAGS), repr(_CC_LADDER),
+                  repr(_cc_isa()))
     return os.path.join(cdir, f"cc-probe-{key}.txt")
 
 
@@ -331,22 +380,22 @@ def _cc_compile(cc: str, flags: tuple, src: str, so: str):
 
 
 def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
-              rung: str | None = None):
+              build: tuple | None = None):
     """Compile ``source`` to a shared object and load it, with the flags
-    of ladder rung ``rung`` (default: the process's rung, :func:`_cc_rung`).
+    of ``build``, a ``(rung, level)`` pair (default: the process's).
 
     With the disk cache enabled the artifact is content-addressed by
     (source, compiler identity, flags): a prior build — by any process —
-    is dlopen'd directly, skipping the compiler entirely.  A build at
-    the process's rung first makes sure this process ran its own probe
-    (:func:`_cc_probe`): the rung may have come from a record, and a
-    probe that now finds another rung changes the flags and the key.
+    is dlopen'd directly, skipping the compiler entirely.  A build with
+    the process's flags first makes sure this process ran its own probe
+    (:func:`_cc_probe`): they may have come from a record, and a probe
+    that now finds another rung or level changes the flags and the key.
     Builds land in the cache via an atomic rename, so concurrent worker
     processes racing on the same kernel at worst compile twice, never
     load a torn file.  Any cache-directory failure silently falls back
     to the per-process temp-dir build.
     """
-    flags = _CC_FLAGS + _CC_LADDER[rung or _cc_rung()]
+    flags = _cc_flags(build)
     cdir = loops_cache_dir() if cache else None
     so = None
     if cdir is not None:
@@ -359,7 +408,7 @@ def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
                 return lib
             except OSError:
                 pass                      # unreadable artifact: rebuild
-    if rung is None and not _cc_state.get("probed"):
+    if build is None and not _cc_state.get("probed"):
         if _cc_probe(cc) is None:
             raise LoopsUnsupported(f"C compiler {cc} no longer builds")
         return _cc_build(cc, source, stem, cache=cache)
@@ -952,6 +1001,7 @@ class LoopKernel:
     program: ArenaProgram
     tier: str
     cc_rung: str | None = None    # cc tier: the _CC_LADDER rung built with
+    cc_isa: str | None = None     # ... and the psABI level (None: baseline)
     fn: object = None
     source: str = ""              # loop source of the latest specialisation
     param_names: list = field(default_factory=list)
@@ -1069,7 +1119,7 @@ class _Dispatch:
                                                  self.kernel.tier)
             self.kernel.source = spec.source
             if spec.tier == "cc":         # a build may have re-probed
-                self.kernel.cc_rung = _cc_rung()
+                self.kernel.cc_rung, self.kernel.cc_isa = _cc_built()
         return self._run(spec, bound, rng)
 
     def _run(self, spec: _Spec, bound: dict, rng=None):
@@ -1108,8 +1158,9 @@ def compile_loops(program: ArenaProgram, *,
     if reasons:
         raise LoopsUnsupported("; ".join(reasons))
     resolved = select_tier(tier)
+    rung, isa = _cc_built() if resolved == "cc" else (None, None)
     kernel = LoopKernel(name=program.name, program=program, tier=resolved,
-                        cc_rung=_cc_rung() if resolved == "cc" else None,
+                        cc_rung=rung, cc_isa=isa,
                         param_names=list(program.param_names),
                         size_params=list(program.size_params),
                         out_alloc=program.alloc,
@@ -1229,6 +1280,7 @@ class StepKernel:
     #: :func:`_step_links`; None for a sweep alone
     links: tuple | None = None
     cc_rung: str | None = None    # cc tier: the _CC_LADDER rung built with
+    cc_isa: str | None = None     # ... and the psABI level (None: baseline)
     fn: object = None
     source: str = ""              # the step source of the latest build
 
@@ -1396,7 +1448,7 @@ class _StepDispatch:
             spec = self.specs[key] = _build_step(kernel, bounds)
             kernel.source = spec.source
             if kernel.tier == "cc":       # a build may have re-probed
-                kernel.cc_rung = _cc_rung()
+                kernel.cc_rung, kernel.cc_isa = _cc_built()
         # every program's prologue — shift range checks included — runs
         # before the step stores anything
         launches = [_prologue(p, s, b) for p, s, b in
@@ -1450,6 +1502,7 @@ def compile_step(programs: list) -> StepKernel:
     """
     links = _step_links(programs)
     tier = select_tier()
+    rung, isa = _cc_built() if tier == "cc" else (None, None)
     names = []
     for prog in programs:
         for n in _call_names(prog):
@@ -1458,7 +1511,6 @@ def compile_step(programs: list) -> StepKernel:
                 names.append(n)
     kernel = StepKernel(
         name="_".join(p.name for p in programs), programs=list(programs),
-        tier=tier, param_names=names, links=links,
-        cc_rung=_cc_rung() if tier == "cc" else None)
+        tier=tier, param_names=names, links=links, cc_rung=rung, cc_isa=isa)
     kernel.fn = _StepDispatch(kernel)
     return kernel

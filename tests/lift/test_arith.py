@@ -92,6 +92,12 @@ class TestSimplification:
         assert isinstance(e, Sum)
         assert e.evaluate({"x": 1, "y": 2}) == 6
 
+    def test_cancelled_coefficient_sum_flattens(self):
+        c = Var("c")
+        e = (1 + 2 * (1 + c)) - (1 + c)
+        assert e == c + 2
+        assert e.substitute({}) == e
+
     def test_div_by_one(self):
         x = Var("x")
         assert x // 1 == x

@@ -3,10 +3,10 @@
 Artifacts are content-addressed by (source, compiler identity, flags): a
 second build of identical source — in this process or any other — is a
 dlopen, not a compile.  Beside them, a probe record keeps the flag-ladder
-rung a compiler's probe found, so a process that only loads artifacts
-runs no compiler at all.  These tests drive ``_cc_build`` directly with
-tiny C sources so they are independent of which kernels the suite
-compiled.
+rung and psABI level a compiler's probe found on this CPU, so a process
+that only loads artifacts runs no compiler at all.  These tests drive
+``_cc_build`` directly with tiny C sources so they are independent of
+which kernels the suite compiled.
 """
 
 import ctypes
@@ -81,8 +81,7 @@ def test_corrupt_artifact_falls_back_to_rebuild(cache_dir):
     # plant an unloadable artifact at the content-addressed path this
     # source will hash to (never dlopen'd, so safe to replace in place)
     source = _source("corrupt")
-    flags = loops._CC_FLAGS + loops._CC_LADDER[loops._cc_rung()]
-    key = loops._cc_key(CC, " ".join(flags), source)
+    key = loops._cc_key(CC, " ".join(loops._cc_flags()), source)
     planted = cache_dir / f"corrupt-{key}.so"
     planted.write_bytes(b"not a shared object")
     base = loops.loops_disk_cache_stats()
@@ -136,7 +135,8 @@ def test_surfaced_in_kernel_cache_stats(cache_dir):
     assert "loops_disk" in stats
     disk = stats["loops_disk"]
     assert disk["dir"] == str(cache_dir)
-    assert set(disk) >= {"enabled", "hits", "misses", "entries", "probed"}
+    assert set(disk) >= {"enabled", "hits", "misses", "entries", "probed",
+                         "cc_rung", "cc_isa"}
 
 
 # -- the probe record -------------------------------------------------------
@@ -157,7 +157,7 @@ for _ in range(3):
     sim.step()
 np.save(sys.argv[1], sim.curr)
 stats = loops_disk_cache_stats()
-print(stats["misses"], stats["probed"], stats["cc_rung"])
+print(stats["misses"], stats["probed"], stats["cc_rung"], stats["cc_isa"])
 """
 
 
@@ -179,7 +179,8 @@ def test_a_warm_process_starts_no_compiler(cache_dir, tmp_path):
         outs.append((proc.stdout.split(), np.load(out)))
     (cold, field), (warm, again) = outs
     assert cold[:2] == ["1", "True"]
-    assert warm == ["0", "False", cold[2]]
+    assert cold[3] == str(loops._cc_built()[1])
+    assert warm == ["0", "False", *cold[2:]]
     assert np.array_equal(field, again)
     assert len(list(cache_dir.glob("cc-probe-*.txt"))) == 1
 
@@ -201,7 +202,7 @@ def test_a_stale_record_is_probed_again_before_a_build(
     monkeypatch.setenv("CC", str(fakecc))
     monkeypatch.setattr(loops, "_cc_state", {})
     record = Path(loops._cc_probe_record(str(fakecc)))
-    record.write_text("vector+openmp")
+    record.write_text(f"vector+openmp {loops._cc_isa()}")
     lk, build = _volume_loop()
     assert lk.cc_rung == "vector+openmp"
     assert loops.loops_disk_cache_stats()["probed"] is False
@@ -210,7 +211,7 @@ def test_a_stale_record_is_probed_again_before_a_build(
     stats = loops.loops_disk_cache_stats()
     assert stats["probed"] is True and stats["misses"] == base + 1
     assert lk.cc_rung == stats["cc_rung"] in ("openmp", "plain")
-    assert record.read_text() == lk.cc_rung
+    assert record.read_text() == f"{lk.cc_rung} {lk.cc_isa}"
 
 
 def test_a_disabled_cache_probes_every_process_and_records_nothing(
@@ -233,7 +234,8 @@ def test_touching_the_compiler_ignores_its_record(
     assert loops._cc_path() == cc
     assert loops.loops_disk_cache_stats()["probed"] is True
     record, key = loops._cc_probe_record(cc), loops._cc_key(cc, "src")
-    assert Path(record).read_text() == loops._cc_rung()
+    assert Path(record).read_text().split() == [
+        str(x) for x in loops._cc_built()]
 
     monkeypatch.setattr(loops, "_cc_state", {})        # the next process
     assert loops._cc_path() == cc
@@ -246,3 +248,56 @@ def test_touching_the_compiler_ignores_its_record(
     monkeypatch.setattr(loops, "_cc_state", {})
     assert loops._cc_path() == cc
     assert loops.loops_disk_cache_stats()["probed"] is True
+
+
+# -- the CPU's psABI level --------------------------------------------------
+
+def test_two_cpus_share_one_cache_directory(cache_dir, fakecc, monkeypatch):
+    """A v4 and a v3 host over one directory: two probe records, two
+    artifacts of one source, and neither ever loads the other's."""
+    monkeypatch.setenv("CC", str(fakecc))
+    loaded, real = [], ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda path, *a, **k: loaded.append(path)
+                        or real(path, *a, **k))
+    artifacts = {}
+    for process, level in enumerate(["x86-64-v4", "x86-64-v3"] * 2):
+        monkeypatch.setattr(loops, "_cc_isa", lambda level=level: level)
+        monkeypatch.setattr(loops, "_cc_state", {})
+        loaded.clear()
+        base = loops.loops_disk_cache_stats()
+        loops._cc_build(str(fakecc), _source("cpu"), "cpu")
+        stats = loops.loops_disk_cache_stats()
+        if stats["cc_isa"] is None:
+            pytest.skip("the compiler predates psABI levels")
+        assert stats["cc_isa"] == level
+        assert stats["probed"] is (process < 2)
+        assert stats["misses"] - base["misses"] == (process < 2)
+        assert f"{stats['cc_rung']} {level}" in {
+            p.read_text() for p in cache_dir.glob("cc-probe-*.txt")}
+        (so,) = [p for p in loaded if p.startswith(str(cache_dir))]
+        assert artifacts.setdefault(level, so) == so
+    assert len(list(cache_dir.glob("cc-probe-*.txt"))) == 2
+    assert sorted(p.name for p in cache_dir.glob("cpu-*.so")) == sorted(
+        os.path.basename(so) for so in artifacts.values())
+    assert len(set(artifacts.values())) == 2
+
+
+def test_a_compiler_without_psabi_levels_keeps_its_rung(
+        cache_dir, oldcc, monkeypatch):
+    """A compiler that rejects ``-march=x86-64-v4`` (gcc < 11) walks the
+    ladder again without it: the same rung, recorded with no level."""
+    rung = loops._cc_built()[0]
+    monkeypatch.setenv("CC", str(oldcc))
+    monkeypatch.setattr(loops, "_cc_isa", lambda: "x86-64-v4")
+    for process in range(2):
+        monkeypatch.setattr(loops, "_cc_state", {})
+        assert loops._cc_path() == str(oldcc)
+        stats = loops.loops_disk_cache_stats()
+        assert stats["probed"] is (process == 0)
+        assert (stats["cc_rung"], stats["cc_isa"]) == (rung, None)
+    assert Path(loops._cc_probe_record(str(oldcc))).read_text() == (
+        f"{rung} None")
+    assert not [f for f in loops._cc_flags() if f.startswith("-m")]
+    lib = loops._cc_build(str(oldcc), _source("old"), "old")
+    getattr(lib, "repro_loop_old")

@@ -10,7 +10,6 @@ every other access of the overwritten array is refused.
 """
 
 import dataclasses
-import re
 import subprocess
 import tracemalloc
 
@@ -33,6 +32,8 @@ from repro.lift.codegen.loops import (LoopsUnsupported, available_tiers,
 from repro.lift.codegen.numpy_backend import compile_numpy
 from repro.lift.patterns import ArrayAccess, Iota, Map
 from repro.lift.types import ArrayType, Double, Int
+
+from .conftest import vectorised_lines
 
 TIERS = [pytest.param(t, marks=pytest.mark.skipif(
     t not in available_tiers(), reason=f"no {t} tier on this host"))
@@ -235,13 +236,11 @@ def test_one_pragma_and_a_vectorised_sweep(scheme, precision, tmp_path,
                  if ln.startswith("        for (long long _i = (_hd0 > "))
     last = next(i for i, ln in enumerate(lines[first:], first + 1)
                 if ln == "        }")
-    src = tmp_path / "step.c"
-    src.write_text(step.source)
-    report = subprocess.run(
-        [cc, *loops._CC_FLAGS, *loops._CC_LADDER[step.cc_rung],
-         "-fopt-info-vec-optimized", str(src), "-o", str(tmp_path / "s.so"),
-         "-lm"], capture_output=True, text=True)
-    assert report.returncode == 0, report.stderr
-    vectorised = [int(m.group(1)) for m in re.finditer(
-        r"\.c:(\d+):\d+: optimized: loop vectorized", report.stderr)]
-    assert any(first <= ln <= last for ln in vectorised), report.stderr
+    assert step.cc_isa == loops._cc_built()[1]
+    # at the flags the step is built with: one vector loop, the sweep's
+    # main loop (a vector epilogue reports the same line)
+    vectorised = set(vectorised_lines(
+        cc, loops._cc_flags((step.cc_rung, step.cc_isa)), step.source,
+        tmp_path))
+    assert len(vectorised) == 1, vectorised
+    assert first <= vectorised.pop() <= last

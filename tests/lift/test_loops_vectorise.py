@@ -5,11 +5,13 @@ pass moves the loads feeding the taken arm of the ``where`` select behind
 the select's test and the vectoriser gives up with ``not vectorized:
 control flow in loop``.  The first rung of ``loops._CC_LADDER`` turns
 that off; a compiler that refuses the rung still builds, on a later one,
-and the kernel records which.  The contract pinned here is the
-compiler's own vectorisation report, not the flag list.
+and the kernel records which.  Every build names the CPU's x86-64 psABI
+level, never ``native``.  The contract pinned here is the compiler's
+own vectorisation report at the flags the kernels are built with, not
+the flag list (for the compiled step the simulation runs, in
+``test_loops_step.py``).
 """
 
-import re
 import subprocess
 
 import numpy as np
@@ -19,6 +21,8 @@ from repro.acoustics.lift_programs import fi_fused_flat, volume_kernel
 from repro.lift.codegen import loops
 from repro.lift.codegen.arena import Workspace
 from repro.lift.codegen.numpy_backend import compile_numpy
+
+from .conftest import vectorised_lines
 
 CC = loops._cc_path()
 pytestmark = pytest.mark.skipif(CC is None, reason="no working C compiler")
@@ -58,20 +62,14 @@ def test_main_sweep_is_reported_vectorised(name, precision, nbrs_dtype,
     lk = loops.compile_loops(nk.program, tier="cc")
     lk.fn(*args, **kw, out=np.zeros(N + NXNY, dt), _range=(0, 0))
     assert lk.cc_rung.startswith("vector")
+    assert lk.cc_isa == loops._cc_built()[1]
     lines = lk.source.splitlines()
     first = next(i for i, ln in enumerate(lines, 1)
                  if "for (long long _i = _hd;" in ln)
     last = max(i for i, ln in enumerate(lines, 1) if ln == "    }")
-    src = tmp_path / f"{name}.c"
-    src.write_text(lk.source)
-    report = subprocess.run(
-        [CC, *loops._CC_FLAGS, *loops._CC_LADDER[lk.cc_rung],
-         "-fopt-info-vec-optimized", str(src), "-o", str(tmp_path / "k.so"),
-         "-lm"], capture_output=True, text=True)
-    assert report.returncode == 0, report.stderr
-    vectorised = [int(m.group(1)) for m in re.finditer(
-        r"\.c:(\d+):\d+: optimized: loop vectorized", report.stderr)]
-    assert any(first <= ln <= last for ln in vectorised), report.stderr
+    vectorised = vectorised_lines(
+        CC, loops._cc_flags((lk.cc_rung, lk.cc_isa)), lk.source, tmp_path)
+    assert any(first <= ln <= last for ln in vectorised), vectorised
     # the wraparound head keeps its wrap test: never a vector loop
     assert not any(ln < first for ln in vectorised)
 
@@ -103,10 +101,51 @@ def test_a_compiler_that_refuses_the_vector_rung_still_builds(
     assert np.array_equal(out, ref)
 
 
+_LEVELS = [None, "x86-64-v3", "x86-64-v4"]
+
+
 def test_flag_ladder_is_portable():
-    """No rung names the build host's instruction set, so a cached
-    ``.so`` loads on any machine of the same architecture."""
-    for flags in loops._CC_LADDER.values():
-        assert not [f for f in (*loops._CC_FLAGS, *flags)
-                    if f.startswith("-m")]
+    """No flag names ``native``: the one ``-m`` flag is a psABI level,
+    never above the one the CPU reports, so a cached ``.so`` runs on any
+    machine of that level — and ``plain`` still ends the ladder."""
+    isa = loops._cc_isa()
+    assert isa in _LEVELS
+    for rung in loops._CC_LADDER:
+        for level in {isa, None}:
+            flags = loops._cc_flags((rung, level))
+            assert not [f for f in flags if "native" in f]
+            assert [f for f in flags if f.startswith("-m")] == (
+                [f"-march={level}"] if level else [])
+            assert "-ffp-contract=off" in flags
     assert list(loops._CC_LADDER)[-1] == "plain"
+    built = loops._cc_built()[1]
+    assert _LEVELS.index(built) <= _LEVELS.index(isa)
+    assert [f for f in loops._cc_flags() if f.startswith("-m")] == (
+        [f"-march={built}"] if built else [])
+
+
+@pytest.mark.parametrize("flags, level", [
+    ("fpu sse sse2 pni ssse3 cx16 sse4_1 sse4_2 popcnt lahf_lm", None),
+    ("pni ssse3 cx16 sse4_1 sse4_2 popcnt lahf_lm avx avx2 bmi1 bmi2 "
+     "f16c fma abm movbe xsave", "x86-64-v3"),
+    ("pni ssse3 cx16 sse4_1 sse4_2 popcnt lahf_lm avx avx2 bmi1 bmi2 "
+     "f16c fma abm movbe xsave avx512f avx512dq avx512cd avx512bw "
+     "avx512vl", "x86-64-v4"),
+    # AVX-512 without v3's BMI2 is no level at all
+    ("pni ssse3 cx16 sse4_1 sse4_2 popcnt lahf_lm avx avx2 bmi1 "
+     "f16c fma abm movbe xsave avx512f avx512dq avx512cd avx512bw "
+     "avx512vl", None),
+], ids=["v2", "v3", "v4", "v4-without-bmi2"])
+def test_psabi_level_from_the_cpu_flags(flags, level, tmp_path):
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text(f"processor\t: 0\nflags\t\t: {flags}\n\n"
+                       f"processor\t: 1\nflags\t\t: fpu\n")
+    assert loops._cc_isa(str(cpuinfo)) == level
+
+
+def test_no_x86_flags_no_level(tmp_path):
+    """Another architecture's cpuinfo, or none at all (another OS)."""
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text("processor\t: 0\nFeatures\t: fp asimd evtstrm\n")
+    assert loops._cc_isa(str(cpuinfo)) is None
+    assert loops._cc_isa(str(tmp_path / "absent")) is None
