@@ -11,10 +11,10 @@ validated against (and benchmarked against) the hand-written baseline:
     The loop transliterations of the paper listings (tiny rooms only).
 ``lift`` (= ``numpy-steady``), ``numba``
     LIFT programs (:mod:`.lift_programs`) lowered once to an
-    ``ArenaProgram`` and run by the emitter named — i.e. *generated*
-    code: the NumPy workspace-arena source, or the scheme's programs
-    compiled into one step (:func:`repro.lift.codegen.loops.compile_step`)
-    that overwrites ``prev`` in place.
+    ``ArenaProgram`` and run as one step
+    (:func:`repro.lift.codegen.loops.compile_step`) that overwrites
+    ``prev`` in place — i.e. *generated* code: on whole arrays through
+    the NumPy workspace-arena source, or compiled.
 ``lift_interp``
     LIFT programs run by the reference interpreter (tiny rooms only).
 ``virtual_gpu``
@@ -22,16 +22,17 @@ validated against (and benchmarked against) the hand-written baseline:
     device (:mod:`repro.gpu.runtime`): the room is uploaded once (the
     state arrays become the device buffers), then only kernels are
     launched per step — on one device, the host program's launches
-    compiled into one step — with modelled profiling times accumulated
-    in ``modelled_gpu_time_ms``.
+    as one step — with modelled profiling times accumulated in
+    ``modelled_gpu_time_ms``.
 
 The driver allocates state arrays with a one-z-plane guard of zeros at the
 end (see :mod:`.lift_programs` for why) and picks its stepping path once,
-from one table (``virtual_gpu``: in ``_make_gpu``), as a bound step plus a
-number of time levels.  Each step runs it and one rotation rule, like the
-paper's host loop: the levels rotate without copying (two on ``numba``
-and on the ``resident`` path of ``virtual_gpu``, whose step writes the
-next level over the oldest) and the FD-MM branch velocity arrays swap.
+from one table (``virtual_gpu``: in ``_make_gpu``), as a bound step.  Every
+path holds two time levels, ``prev`` and ``curr``: the bound step writes
+the next level over ``prev`` (the reference backends through a private
+scratch level they trade with ``prev``), then one rotation rule swaps the
+two without copying, like the paper's host loop, and swaps the FD-MM
+branch velocity arrays.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ BACKENDS = ("numpy", "scalar", "lift", "numpy-steady", "numba",
             "lift_interp", "virtual_gpu")
 
 #: checkpoint container-format version (see docs/resilience.md); v1
-#: archives also held ``nxt``, which loading ignores
+#: archives also held a third level, ``nxt``, which loading ignores
 CHECKPOINT_VERSION = 2
 
 #: buffer-role rotations of the ``virtual_gpu`` host programs, by host
@@ -99,11 +100,13 @@ class Checkpoint:
     Holds copies of everything a resumed run reads: the two pressure
     levels ``prev`` and ``curr``, the FD-MM branch state (g1/v1/v2), the
     step counter, accumulated receiver signals, and the modelled GPU and
-    halo-exchange times.
-    A third level, where one exists, is scratch: every step overwrites
-    ``nxt[:N]`` before reading it and never writes its guard plane.
-    ``scheme``/``precision``/``grid_shape`` stamp the config it belongs
-    to; :meth:`RoomSimulation.restore` refuses a mismatched checkpoint.
+    halo-exchange times.  There is no third level to hold: only the
+    reference backends keep one, as private scratch their step
+    overwrites before reading it.
+    ``scheme``/``precision``/``grid_shape`` and ``num_boundary_points``
+    stamp the config it belongs to (archives written before the last
+    existed load it as ``None``); :meth:`RoomSimulation.restore` refuses
+    a mismatched checkpoint.
     """
 
     time_step: int
@@ -118,6 +121,7 @@ class Checkpoint:
     receivers: dict[str, tuple[int, list[float]]]
     modelled_gpu_time_ms: float = 0.0
     modelled_halo_time_ms: float = 0.0
+    num_boundary_points: int | None = None
 
     def save(self, path) -> None:
         """Write the checkpoint as a ``.npz`` archive (format v2).
@@ -132,6 +136,7 @@ class Checkpoint:
                     grid_shape=list(self.grid_shape),
                     modelled_gpu_time_ms=self.modelled_gpu_time_ms,
                     modelled_halo_time_ms=self.modelled_halo_time_ms,
+                    num_boundary_points=self.num_boundary_points,
                     receivers={k: [int(i), list(map(float, s))]
                                for k, (i, s) in self.receivers.items()})
         path = os.fspath(path)
@@ -169,7 +174,8 @@ class Checkpoint:
                            for k, (i, s) in meta["receivers"].items()},
                 modelled_gpu_time_ms=float(meta["modelled_gpu_time_ms"]),
                 modelled_halo_time_ms=float(
-                    meta.get("modelled_halo_time_ms", 0.0)))
+                    meta.get("modelled_halo_time_ms", 0.0)),
+                num_boundary_points=meta.get("num_boundary_points"))
 
 
 @dataclass
@@ -332,12 +338,12 @@ class RoomSimulation:
         #: the open resident plan of the single-device ``virtual_gpu``
         #: path (None on every other path, and before the first step)
         self._plan = None
-        #: the compiled two-level step of ``numba`` and of the
+        #: the two-level step of ``numpy-steady``, ``numba`` and the
         #: ``resident`` path (None elsewhere)
         self._step = None
         #: the stepping path, chosen once (here, or in :meth:`_make_gpu`):
-        #: its name, the bound step, and how many time levels it rotates
-        self._path, self._levels = config.backend, 3
+        #: its name and the bound step
+        self._path = config.backend
         self._advance = {"numpy": self._setup_reference,
                          "scalar": self._setup_reference,
                          "numpy-steady": self._compile_lift,
@@ -345,31 +351,24 @@ class RoomSimulation:
                          "lift_interp": self._setup_interp,
                          "virtual_gpu": self._setup_virtual_gpu,
                          }[config.backend]()
-        self._bind_levels(self._levels)
-
-    def _bind_levels(self, levels: int) -> None:
-        """Rotate ``levels`` time levels: a third one, ``nxt``, exists
-        only on a three-level path (a two-level step writes over
-        ``prev``).  ``nxt`` is scratch, so a path change that adds it
-        starts it at zero."""
-        self._levels = levels
-        if levels == 2:
-            self.__dict__.pop("nxt", None)
-        elif not hasattr(self, "nxt"):
-            self.nxt = np.zeros_like(self.curr)
 
     def _setup_reference(self):
         """``numpy`` / ``scalar``: bind the reference kernels (paper
-        Listings 1-4) as ``_ref``; no other path imports them.  Returns
+        Listings 1-4), the grid arguments they take and the type of
+        their scalars as ``_ref``; no other path imports them.  Returns
         the bound step."""
+        self._scratch = np.zeros_like(self.curr)
+        g = self.grid
         if self.config.backend == "numpy":
-            from . import kernels_numpy as ref
-            step = self._step_numpy
+            from . import kernels_numpy as k
+            self._ref = (k.fi_fused_step, k.volume_step, k.fi_mm_boundary,
+                         k.fd_mm_boundary, (g.shape,), self.config.dtype)
         else:
-            from . import kernels_scalar as ref
-            step = self._step_scalar
-        self._ref = ref
-        return step
+            from . import kernels_scalar as k
+            self._ref = (k.fi_fused_step_scalar_nbrs, k.volume_step_scalar,
+                         k.fi_mm_boundary_scalar, k.fd_mm_boundary_scalar,
+                         (g.nx, g.ny, g.nz), float)
+        return self._step_reference
 
     # -- LIFT backends ----------------------------------------------------------------
     def _size_env(self) -> dict[str, int]:
@@ -390,26 +389,17 @@ class RoomSimulation:
                              fd_mm_boundary(prec, self.table.num_branches))}
 
     def _compile_lift(self):
-        """``numba``: compile :meth:`_programs` into one step
-        (``_step``) over two time levels.  ``numpy-steady``: bind
-        ``_k_<role>`` / ``_ws_<role>`` for each of them (``fused``, or
-        ``volume`` and ``boundary``).  Returns the bound step."""
-        from ..lift.codegen.arena import Workspace
-        from ..lift.codegen.numpy_backend import compile_numpy, lower_arena
-        if self.config.backend == "numba":
-            self._step = compile_step([lower_arena(p.kernel, p.name)
-                                       for p in self._programs().values()])
-            self._path, self._levels = "fused-step", 2
-            return self._step_fused
-        kernels = {role: compile_numpy(p.kernel, p.name)
-                   for role, p in self._programs().items()}
-        for role, k in kernels.items():
-            setattr(self, "_k_" + role, k)
-            # one workspace per kernel: shapes/dtypes are fixed for the
-            # life of the simulation, so slots warm up on the first step
-            # and every later step is allocation-free
-            setattr(self, "_ws_" + role, Workspace(f"lift:{k.name}"))
-        return self._step_lift
+        """Lower :meth:`_programs` into one step (``_step``) over two
+        time levels: on whole arrays for ``numpy-steady``, compiled for
+        ``numba``.  Returns the bound step."""
+        from ..lift.codegen.numpy_backend import lower_arena
+        steady = self.config.backend == "numpy-steady"
+        self._step = compile_step([lower_arena(p.kernel, p.name)
+                                   for p in self._programs().values()],
+                                  tier="numpy" if steady else None)
+        if not steady:
+            self._path = "fused-step"
+        return self._step_fused
 
     def _setup_virtual_gpu(self):
         from ..gpu.device import resolve_device
@@ -426,18 +416,18 @@ class RoomSimulation:
         """Build the executor for a resolved device tuple, or adopt
         ``pool`` (a re-shard's survivors), and select the stepping path,
         here and nowhere else.  One device steps ``resident``: one call
-        of the host program's launches compiled into one two-level step
-        (``VirtualGPU.compile_step``) per step, which the resident plan
-        still models as its launches.  When that step cannot be built
-        (``LoopsUnsupported``) it steps ``resident-launches``, each
-        launch on its own over three levels.  ``faults`` / ``resilient``
-        keep it ``one-shot``: one ``execute()`` per step is their
-        subject (per-step fault sites; a retry needs fresh buffers and
-        untouched host inputs).  A pool steps ``pool-step``, one
-        ``MultiGPU.execute`` per step, or ``parallel`` when
-        ``_parallel_eligible()`` passes: :meth:`run` then advances in
-        bulk segments (a direct :meth:`step` is still one execute).
-        Every path but ``resident`` rotates three levels."""
+        of the host program's launches as one two-level step
+        (``VirtualGPU.compile_step``, compiled or on whole arrays) per
+        step, which the resident plan still models as its launches.
+        ``faults`` / ``resilient``, and a plan that step refuses
+        (``LoopsUnsupported``), keep it ``one-shot``: one ``execute()``
+        per step is their subject (per-step fault sites; a retry needs
+        fresh buffers and untouched host inputs).  A pool steps
+        ``pool-step``, one ``MultiGPU.execute`` per step, or
+        ``parallel`` when ``_parallel_eligible()`` passes: :meth:`run`
+        then advances in bulk segments (a direct :meth:`step` is still
+        one execute).  Every path writes the next level over ``prev``,
+        so none allocates or frees a level."""
         cfg = self.config
         self._plan = None       # a resident plan is bound to its executor
         self._step = None
@@ -459,14 +449,13 @@ class RoomSimulation:
                 from ..gpu.resilient import ResilientGPU
                 self._gpu = ResilientGPU(self._gpu, retry=cfg.retry)
             elif cfg.faults is None:
-                self._advance = self._step_resident
                 try:
                     self._step = self._gpu.compile_step(
                         self._host_program.plan, self._rotations[0])
-                    self._path = "resident"
                 except LoopsUnsupported:
-                    self._path = "resident-launches"
-        self._bind_levels(2 if self._step is not None else 3)
+                    pass            # a plan the step refuses: one-shot
+                else:
+                    self._path, self._advance = "resident", self._step_resident
 
     @property
     def devices(self):
@@ -503,6 +492,7 @@ class RoomSimulation:
 
     def _setup_interp(self):
         from ..lift.interp import Interp
+        self._scratch = np.zeros_like(self.curr)
         self._interp = Interp(sizes=self._size_env())
         self._p = {role: p.kernel for role, p in self._programs().items()}
         return self._step_lift_interp
@@ -538,17 +528,15 @@ class RoomSimulation:
         o, cfg = _obs.get(), self.config
         with (nullcontext() if o is None else o.tracer.span(
                 "sim.step", "sim", step=self.time_step, scheme=cfg.scheme,
-                backend=cfg.backend, path=self._path)):
+                backend=cfg.backend, path=self._path,
+                **({} if self._step is None else {"tier": self._step.tier}))):
             self._step_impl()
 
     def _step_impl(self) -> None:
-        """The bound step, one rotation rule (the oldest level becomes the
-        next target), the receiver samples, then the trailer."""
+        """The bound step (the next level written over ``prev``), the
+        one rotation rule, the receiver samples, then the trailer."""
         self._advance()
-        if self._levels == 2:
-            self.prev, self.curr = self.curr, self.prev
-        else:
-            self.prev, self.curr, self.nxt = self.curr, self.nxt, self.prev
+        self.prev, self.curr = self.curr, self.prev
         if self.config.scheme == "fd_mm":
             self.v1, self.v2 = self.v2, self.v1
         for name, (idx, sig) in self.receivers.items():
@@ -681,21 +669,32 @@ class RoomSimulation:
             receivers={k: (i, list(s)) for k, (i, s) in
                        self.receivers.items()},
             modelled_gpu_time_ms=self.modelled_gpu_time_ms,
-            modelled_halo_time_ms=self.modelled_halo_time_ms)
+            modelled_halo_time_ms=self.modelled_halo_time_ms,
+            num_boundary_points=self.topology.num_boundary_points)
 
     def restore(self, cp: Checkpoint) -> None:
         """Resume from a checkpoint: continuing reproduces an
         uninterrupted run bit-identically (the stepper is deterministic
-        and the snapshot holds every mutated array)."""
+        and the snapshot holds every mutated array).  Everything is
+        checked before anything is written, so a refused checkpoint
+        leaves the state as it was."""
+        K = self.topology.num_boundary_points
         if (cp.scheme != self.config.scheme
                 or cp.precision != self.config.precision
-                or tuple(cp.grid_shape) != tuple(self.grid.shape)):
+                or tuple(cp.grid_shape) != tuple(self.grid.shape)
+                or cp.num_boundary_points not in (None, K)):
             raise ValueError(
                 f"checkpoint mismatch: snapshot is scheme={cp.scheme!r} "
-                f"precision={cp.precision!r} grid={tuple(cp.grid_shape)}, "
+                f"precision={cp.precision!r} grid={tuple(cp.grid_shape)} "
+                f"K={cp.num_boundary_points}, "
                 f"simulation is scheme={self.config.scheme!r} "
                 f"precision={self.config.precision!r} "
-                f"grid={tuple(self.grid.shape)}")
+                f"grid={tuple(self.grid.shape)} K={K}")
+        for name in ("prev", "curr", "g1", "v1", "v2"):
+            have, want = np.shape(getattr(cp, name)), getattr(self, name).shape
+            if have != want:
+                raise ValueError(f"checkpoint mismatch: {name} has shape "
+                                 f"{have}, the simulation's {want}")
         self.prev[:] = cp.prev
         self.curr[:] = cp.curr
         self.g1[:] = cp.g1
@@ -763,58 +762,34 @@ class RoomSimulation:
     def _lam(self):
         return self.config.dtype(self.grid.courant)
 
-    def _step_numpy(self):
-        kn = self._ref
-        g = self.grid
-        N = self._N
-        lam = self._lam()
-        t = self.topology
-        if self.config.scheme == "fi":
-            kn.fi_fused_step(self.prev[:N], self.curr[:N], self.nxt[:N],
-                             self.nbrs, g.shape, lam, self.table.beta[0])
-            return
-        kn.volume_step(self.prev[:N], self.curr[:N], self.nxt[:N],
-                       self.nbrs, g.shape, lam)
-        if self.config.scheme == "fi_mm":
-            kn.fi_mm_boundary(self.nxt[:N], self.prev[:N],
-                              t.boundary_indices, self.nbrs, t.material,
-                              self.table.beta, lam)
-        else:
-            kn.fd_mm_boundary(self.nxt[:N], self.prev[:N],
-                              t.boundary_indices, self.nbrs, t.material,
-                              self.table.beta, self.table.BI, self.table.DI,
-                              self.table.F, self.table.D,
-                              self.g1, self.v1, self.v2, lam)
+    def _trade(self) -> None:
+        """A reference step wrote the next level into its scratch level:
+        that becomes ``prev``, for the rotation to make it ``curr``."""
+        self.prev, self._scratch = self._scratch, self.prev
 
-    def _step_scalar(self):
-        ks = self._ref
-        g = self.grid
+    def _step_reference(self):
+        fused, volume, fi_mm, fd_mm, grid, scalar = self._ref
         N = self._N
-        lam = float(self.grid.courant)
-        t = self.topology
+        t, tb = self.topology, self.table
+        lam = scalar(self.grid.courant)
+        nxt, prev = self._scratch[:N], self.prev[:N]
         if self.config.scheme == "fi":
-            ks.fi_fused_step_scalar_nbrs(self.prev[:N], self.curr[:N],
-                                         self.nxt[:N], self.nbrs,
-                                         g.nx, g.ny, g.nz, lam,
-                                         float(self.table.beta[0]))
-            return
-        ks.volume_step_scalar(self.prev[:N], self.curr[:N], self.nxt[:N],
-                              self.nbrs, g.nx, g.ny, g.nz, lam)
-        if self.config.scheme == "fi_mm":
-            ks.fi_mm_boundary_scalar(self.nxt[:N], self.prev[:N],
-                                     t.boundary_indices, self.nbrs,
-                                     t.material, self.table.beta, lam)
+            fused(prev, self.curr[:N], nxt, self.nbrs, *grid, lam,
+                  scalar(tb.beta[0]))
         else:
-            ks.fd_mm_boundary_scalar(self.nxt[:N], self.prev[:N],
-                                     t.boundary_indices, self.nbrs,
-                                     t.material, self.table.beta,
-                                     self.table.BI, self.table.DI,
-                                     self.table.F, self.table.D,
-                                     self.g1, self.v1, self.v2, lam)
+            volume(prev, self.curr[:N], nxt, self.nbrs, *grid, lam)
+        boundary = (nxt, prev, t.boundary_indices, self.nbrs, t.material,
+                    tb.beta)
+        if self.config.scheme == "fi_mm":
+            fi_mm(*boundary, lam)
+        elif self.config.scheme == "fd_mm":
+            fd_mm(*boundary, tb.BI, tb.DI, tb.F, tb.D, self.g1, self.v1,
+                  self.v2, lam)
+        self._trade()
 
-    def _kernel_args(self, nxt) -> dict:
+    def _kernel_args(self, out) -> dict:
         """Positional arguments of each of :meth:`_programs`, by role,
-        with ``nxt`` as the level the step writes."""
+        with ``out`` as the level the boundary program writes."""
         g = self.grid
         t = self.topology
         tb = self.table
@@ -824,11 +799,11 @@ class RoomSimulation:
                               tb.beta[0], g.nx, g.nx * g.ny)}
         boundary = (t.boundary_indices, t.material, self.nbrs, tb.beta)
         if self.config.scheme == "fi_mm":
-            boundary += (nxt, self.prev, lam)
+            boundary += (out, self.prev, lam)
         else:
             boundary += (tb.BI.reshape(-1), tb.DI.reshape(-1),
                          tb.F.reshape(-1), tb.D.reshape(-1),
-                         nxt, self.prev, self.g1, self.v2, self.v1,
+                         out, self.prev, self.g1, self.v2, self.v1,
                          lam, t.num_boundary_points)
         return {"volume": (self.prev, self.curr, self._nbrs_guarded, lam,
                            g.nx, g.nx * g.ny),
@@ -847,15 +822,6 @@ class RoomSimulation:
 
     def _step_fused(self):
         self._step.fn(**self._step_args())
-
-    def _step_lift(self):
-        sizes = self._size_env()
-        for role, args in self._kernel_args(self.nxt).items():
-            k = getattr(self, "_k_" + role)
-            kw = {s: sizes[s] for s in k.size_params}
-            if k.returns_out:
-                kw["out"] = self.nxt
-            k.fn(*args, _ws=getattr(self, "_ws_" + role), **kw)
 
     def _vgpu_inputs(self) -> dict:
         """Host-parameter values of the ``virtual_gpu`` host program,
@@ -880,10 +846,11 @@ class RoomSimulation:
         return inputs
 
     def _step_one_shot(self):
-        """One ``execute()``: of one device, or of the pool's slabs."""
+        """One ``execute()``: of one device, or of the pool's slabs.  It
+        never writes its host inputs, so its result lands in ``prev``."""
         res = self._gpu.execute(self._host_program, self._vgpu_inputs(),
                                 self._size_env(), fault_step=self.time_step)
-        self.nxt[:self._N] = np.asarray(res.result)[:self._N]
+        self.prev[:self._N] = np.asarray(res.result)[:self._N]
         if self.config.scheme == "fd_mm":
             # read the branch-state device buffers back
             names = self._host_program.plan.host_buffers()
@@ -898,34 +865,26 @@ class RoomSimulation:
         array bound in place (``CL_MEM_USE_HOST_PTR``), so the kernels
         read and write ``prev``/``curr`` and the branch state directly,
         and ``add_impulse``, receivers, checkpoints and the health
-        monitor need no sync.  On ``resident`` one call of ``_step``
-        overwrites ``prev``: the plan's third level, ``__out__``, is
-        declared but has no host array, and the plan only records the
-        launches it models.  On ``resident-launches`` the launches run
-        and write ``nxt``.  The plan rotates its roles as
-        :meth:`_step_impl` rotates the arrays, so the two stay one."""
+        monitor need no sync.  One call of ``_step`` overwrites ``prev``:
+        the plan's third level, ``__out__``, is declared but has no host
+        array, and the plan only records the launches it models.  The
+        plan rotates its roles as :meth:`_step_impl` rotates the arrays,
+        so the two stay one."""
         plan = self._plan
         if plan is None:
             from ..gpu.runtime import ResidentPlan
             inputs = self._vgpu_inputs()
             in_place = {name: a for name, a in inputs.items()
                         if isinstance(a, np.ndarray)}
-            rotations = self._rotations
-            if self._step is not None:
-                in_place["__out__"] = None
-                rotations = [tuple(n for n in cycle if n != "__out__")
-                             for cycle in rotations]
-            else:
-                in_place["__out__"] = self.nxt
+            in_place["__out__"] = None
+            rotations = [tuple(n for n in cycle if n != "__out__")
+                         for cycle in self._rotations]
             # the modelled out level is as large as the levels it joins
             plan = self._plan = ResidentPlan(
                 self._gpu, self._host_program.plan, inputs,
                 self._size_env(), rotations, [], in_place,
                 min_out=self.curr.size)
-        if self._step is not None:
-            plan.run_fused(self.time_step, self._step)
-        else:
-            plan.run_step(self.time_step)
+        plan.run_fused(self.time_step, self._step)
         plan.rotate()
         # only kernel time is charged, like RunResult.kernel_time_ms();
         # drained every step so the event list cannot grow with the run
@@ -934,12 +893,13 @@ class RoomSimulation:
         plan.events.clear()
 
     def _step_lift_interp(self):
-        for role, args in self._kernel_args(self.nxt).items():
+        for role, args in self._kernel_args(self._scratch).items():
             res = self._interp.run(
                 self._p[role], *(float(a) if isinstance(a, np.floating)
                                  else a for a in args))
             if role != "boundary":      # the boundary kernels write in place
-                self.nxt[:self._N] = np.asarray(res)
+                self._scratch[:self._N] = np.asarray(res)
+        self._trade()
 
     # -- diagnostics -------------------------------------------------------------------------
     def energy(self) -> float:

@@ -304,7 +304,8 @@ class VirtualGPU:
         parameter name two launches share must name one source.  Raises
         :class:`~repro.lift.codegen.loops.LoopsUnsupported` when the plan
         is wired otherwise, or when ``compile_step`` refuses the
-        programs or finds no compiled tier.
+        programs.  With no compiled tier on the host the step is the
+        same schedule on whole arrays (``tier="numpy"``).
 
         The step is remembered process-wide under a ``#step`` suffix of
         its launches' source hashes, like :meth:`_exec_kernel`'s loops,
@@ -315,8 +316,14 @@ class VirtualGPU:
                        for op in launches) + "#step"
         step = _NP_KERNEL_CACHE.get(key)
         if step is None:
-            step = _NP_KERNEL_CACHE[key] = compile_step(
-                [self._exec_kernel(op).program for op in launches])
+            programs = [self._exec_kernel(op).program for op in launches]
+            try:
+                step = compile_step(programs)
+            except LoopsUnsupported:
+                # no compiled tier (programs the step refuses are
+                # refused again, by the same check)
+                step = compile_step(programs, tier="numpy")
+            _NP_KERNEL_CACHE[key] = step
         sources: dict[str, object] = {}
         for op in launches:
             for b in op.args:

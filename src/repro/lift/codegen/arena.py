@@ -554,6 +554,13 @@ class ArenaProgram:
         lines.append("    " + self.return_line)
         return "\n".join(lines)
 
+    def numpy_fn(self):
+        """Execute :meth:`render`: the NumPy realisation as a callable."""
+        namespace: dict[str, object] = {"np": np, "_Workspace": Workspace}
+        exec(compile(self.render(), f"<numpy backend:{self.name}>", "exec"),
+             namespace)
+        return namespace[self.name]
+
     def dump(self) -> str:
         """Stable golden-IR serialisation (one line per op)."""
         head = [

@@ -83,7 +83,10 @@ sweep's output only at that point, already swept; no block writes an
 element another block reads.  :func:`_step_links` checks exactly that
 and refuses every other access of the overwritten array.  The step is
 the only loop here whose sweep carries no ``omp`` pragma: the block loop
-does.
+does.  ``compile_step(..., tier="numpy")`` runs the same schedule on
+whole arrays, with no compiler: save ``prev`` at every boundary point,
+sweep with ``out=prev``, then the boundary program with its gather of
+``prev`` rewritten to read the saved values (:func:`_saved_gather`).
 """
 
 from __future__ import annotations
@@ -96,12 +99,13 @@ import os
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .arena import (AliasOp, ArenaProgram, CastOp, GidOp, IndexStoreOp,
-                    ScalarOp, ShiftOp, SliceStoreOp, TakeOp, UfuncOp, WhereOp)
+                    ScalarOp, ShiftOp, SliceStoreOp, TakeOp, UfuncOp, WhereOp,
+                    Workspace)
 
 __all__ = ["LoopKernel", "LoopsUnsupported", "StepKernel",
            "available_tiers", "compile_loops", "compile_step",
@@ -1202,7 +1206,8 @@ def _step_links(programs: list) -> tuple[str, str, str] | None:
     without a boundary program).
 
     In place is legal when the sweep reads ``prev`` only at its own
-    point and before storing there, and the boundary program reads
+    point and stores its output once, as its last op (so on whole arrays
+    too every read precedes the store), and the boundary program reads
     ``prev`` and the sweep's output only at its boundary point and
     stores nothing the sweep reads; anything else raises
     :class:`LoopsUnsupported`."""
@@ -1224,14 +1229,13 @@ def _step_links(programs: list) -> tuple[str, str, str] | None:
         raise LoopsUnsupported(
             f"{sweep.name} is not a sweep over Z-planes of NxNy points "
             f"that stores only its output and reads {_IN_PLACE!r}")
-    stored = False
     for op in sweep.ops:
         if isinstance(op, (SliceStoreOp, IndexStoreOp)):
-            legal = isinstance(op, SliceStoreOp) and op.start == "0"
-            stored = True
+            legal = (op is sweep.ops[-1] and isinstance(op, SliceStoreOp)
+                     and op.start == "0")
         else:
             legal = getattr(op, "base", None) != _IN_PLACE or (
-                isinstance(op, ShiftOp) and op.offset == "0" and not stored)
+                isinstance(op, ShiftOp) and op.offset == "0")
         if not legal:
             raise LoopsUnsupported(f"{sweep.name} cannot overwrite "
                                    f"{_IN_PLACE!r} in place: {op.render()}")
@@ -1484,7 +1488,67 @@ class _StepDispatch:
                     *tail)
 
 
-def compile_step(programs: list) -> StepKernel:
+def _saved_gather(bnd: ArenaProgram, slot: str) -> ArenaProgram:
+    """``bnd`` with its gather of ``prev`` at the index ``slot`` read
+    from ``_pb`` instead, at its own ordinal: ``_pb`` holds ``prev`` at
+    the boundary points from before the sweep overwrote them."""
+    n = bnd.gid_ops()[0].n
+    ops = [ShiftOp(op.name, "_pb", n, "0", False)
+           if isinstance(op, TakeOp) and op.base == _IN_PLACE
+           and _strip(op.index) == slot else op for op in bnd.ops]
+    return replace(
+        bnd, ops=ops, param_names=[*bnd.param_names, "_pb"],
+        array_params=[*bnd.array_params, "_pb"], vec=bnd.vec | {"_pb"})
+
+
+class _NumpyStep:
+    """The ``numpy`` realisation of a step: the compiled step's schedule
+    on whole arrays.  It gathers ``prev`` at the boundary points into
+    ``_pb``, runs the sweep's NumPy function with ``out=prev``, then the
+    boundary program's, rewritten to read ``_pb`` (:func:`_saved_gather`).
+    One workspace per program and one ``_pb`` per argument-shape set, so
+    a warm step allocates no workspace slot and no ``_pb``."""
+
+    def __init__(self, kernel: StepKernel):
+        self.kernel = kernel
+        programs = list(kernel.programs)
+        if kernel.links:
+            programs[1] = _saved_gather(programs[1], kernel.links[2])
+        self.programs = programs
+        self.fns = [p.numpy_fn() for p in programs]
+        #: argument shapes and scalars -> (one workspace per program, _pb)
+        self.arenas: dict = {}
+        kernel.source = "\n\n".join(p.render() for p in programs)
+
+    def workspaces(self) -> list:
+        return [ws for wss, _pb in self.arenas.values() for ws in wss]
+
+    def __call__(self, **args) -> None:
+        kernel = self.kernel
+        bounds = kernel.bind(args)
+        key = tuple((v.shape, v.dtype.str) if isinstance(v, np.ndarray)
+                    else (type(v), v) for b in bounds for v in b.values())
+        arena = self.arenas.get(key)
+        if arena is None:
+            pb = None
+            if kernel.links:
+                bnd = self.programs[1]
+                env = bnd._with_scalar_ops(_host_env(bnd, bounds[1]))
+                pb = np.empty(int(eval(bnd.gid_ops()[0].n,  # noqa: S307
+                                       {"np": np}, env)),
+                              bounds[0][_IN_PLACE].dtype)
+            arena = self.arenas[key] = (
+                [Workspace(f"step:{p.name}") for p in self.programs], pb)
+        workspaces, pb = arena
+        if pb is not None:
+            index = bounds[1][kernel.links[1]]
+            np.take(bounds[0][_IN_PLACE], index[:pb.size], out=pb)
+            bounds[1]["_pb"] = pb
+        for fn, bound, ws in zip(self.fns, bounds, workspaces):
+            fn(**bound, _ws=ws)
+
+
+def compile_step(programs: list, *, tier: str | None = None) -> StepKernel:
     """Compile a scheme's programs into one step over two time levels.
 
     ``programs`` is a sweep (``volume_kernel``, ``fi_fused_flat``) and
@@ -1498,10 +1562,14 @@ def compile_step(programs: list) -> StepKernel:
     element, so they need no order among them.  Raises
     :class:`LoopsUnsupported` when the programs are not legal in place
     (:func:`_step_links`) or no compiled tier exists; the tier is the
-    one :func:`select_tier` picks.
+    one :func:`select_tier` picks for ``tier``, as in
+    :func:`compile_loops`.  ``tier="numpy"`` runs the same schedule on
+    whole arrays through the programs' NumPy functions
+    (:class:`_NumpyStep`), on any host.
     """
     links = _step_links(programs)
-    tier = select_tier()
+    if tier != "numpy":
+        tier = select_tier(tier)
     rung, isa = _cc_built() if tier == "cc" else (None, None)
     names = []
     for prog in programs:
@@ -1512,5 +1580,5 @@ def compile_step(programs: list) -> StepKernel:
     kernel = StepKernel(
         name="_".join(p.name for p in programs), programs=list(programs),
         tier=tier, param_names=names, links=links, cc_rung=rung, cc_isa=isa)
-    kernel.fn = _StepDispatch(kernel)
+    kernel.fn = (_NumpyStep if tier == "numpy" else _StepDispatch)(kernel)
     return kernel

@@ -47,7 +47,7 @@ from ..types import (ArrayType, Bool, Double, Float, Int, LiftType, Long,
 from .arena import (AliasOp, ArenaProgram, CastOp, ConstOp, ElemStoreOp,
                     FullStoreOp, GidOp, IndexStoreOp, Pad3Op, PadOp, ScalarOp,
                     ShiftOp, Slice3Op, SliceStoreOp, TakeOp, UfuncOp,
-                    VecExprOp, WhereOp, Workspace)
+                    VecExprOp, WhereOp)
 from .c_ast import NameGen
 
 
@@ -493,12 +493,8 @@ def compile_numpy(kernel: Lambda, name: str = "lift_kernel",
     program = lower_arena(kernel, name, lower)
     # the compiled source IS the program's rendering (pinned by
     # tests/lift/test_arena_program.py)
-    source = program.render()
-
-    namespace: dict[str, object] = {"np": np, "_Workspace": Workspace}
-    exec(compile(source, f"<numpy backend:{name}>", "exec"), namespace)
-    fn = namespace[name]
-    return NumpyKernel(name=name, source=source, fn=fn,
+    return NumpyKernel(name=name, source=program.render(),
+                       fn=program.numpy_fn(),
                        param_names=program.param_names,
                        size_params=program.size_params,
                        out_alloc=program.alloc,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.acoustics import RoomSimulation, SimConfig
-from repro.acoustics.geometry import DomeRoom, Room
+from repro.acoustics.geometry import BoxRoom, DomeRoom, Room
 from repro.acoustics.grid import Grid3D
 from repro.acoustics.materials import (default_fd_materials,
                                        default_fi_materials)
@@ -180,6 +180,63 @@ class TestCheckpointRestart:
         other = make_sim("fd_mm")
         with pytest.raises(ValueError, match="checkpoint mismatch"):
             other.restore(cp)
+
+    @staticmethod
+    def _room_sim(scheme, shape):
+        sim = RoomSimulation(SimConfig(
+            room=Room(Grid3D(14, 12, 10), shape()), scheme=scheme,
+            backend="numpy-steady"))
+        sim.add_impulse("center")
+        sim.add_receiver("mic", "center")
+        sim.run(3)
+        return sim
+
+    @staticmethod
+    def _state(sim):
+        return ([a.copy() for a in (sim.prev, sim.curr, sim.g1, sim.v1,
+                                    sim.v2)],
+                sim.time_step, sim.receiver_signal("mic"))
+
+    def _refused_untouched(self, sim, path):
+        before = self._state(sim)
+        with pytest.raises(ValueError, match="checkpoint mismatch"):
+            sim.load_checkpoint(path)
+        arrays, step, signal = self._state(sim)
+        assert step == before[1]
+        assert np.array_equal(signal, before[2])
+        for a, b in zip(arrays, before[0]):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("scheme", ["fi_mm", "fd_mm"])
+    def test_another_rooms_checkpoint_is_refused(self, scheme, tmp_path):
+        """Same grid, scheme and precision, another room: the archive's
+        boundary-point count refuses it, before anything is written (an
+        ``fi_mm`` one has empty branch state, so no shape differs)."""
+        path = tmp_path / "dome.npz"
+        self._room_sim(scheme, DomeRoom).save_checkpoint(path)
+        assert Checkpoint.load(path).num_boundary_points == 272
+        box = self._room_sim(scheme, BoxRoom)
+        assert box.topology.num_boundary_points == 480
+        self._refused_untouched(box, path)
+
+    def test_unstamped_archive_is_checked_by_shape(self, tmp_path):
+        """An archive written before the boundary-point count was stamped
+        still loads; a mismatched one is refused on its first wrong
+        shape, before anything is written."""
+        import json
+        path = tmp_path / "dome.npz"
+        self._room_sim("fd_mm", DomeRoom).save_checkpoint(path)
+        with np.load(path) as z:
+            data = {k: z[k] for k in z.files}
+        meta = json.loads(bytes(data["meta"]).decode())
+        del meta["num_boundary_points"]
+        data["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        np.savez(path, **data)
+        assert Checkpoint.load(path).num_boundary_points is None
+        self._refused_untouched(self._room_sim("fd_mm", BoxRoom), path)
+        dome = self._room_sim("fd_mm", DomeRoom)
+        dome.load_checkpoint(path)
+        assert dome.time_step == 3
 
     def test_unsupported_version_refused(self, tmp_path):
         path = tmp_path / "cp.npz"

@@ -1,5 +1,6 @@
 """Simulation-level zero-allocation and dtype discipline of the
-``numpy-steady`` backend (its trajectories are pinned against every
+``numpy-steady`` backend, whose two-level step keeps one workspace per
+program (its trajectories are pinned against every
 other backend, and the reference interpreter, by
 ``test_backend_matrix.py``).
 """
@@ -30,11 +31,9 @@ def test_steady_stepping_is_allocation_free(scheme):
     allocation may happen after warm-up (frozen arenas raise)."""
     sim = make_sim(scheme, "double")
     sim.run(3)
-    workspaces = [ws for ws in (getattr(sim, "_ws_fused", None),
-                                getattr(sim, "_ws_volume", None),
-                                getattr(sim, "_ws_boundary", None))
-                  if ws is not None]
-    assert workspaces, "steady lift backend created no workspaces"
+    assert sim._step.tier == "numpy"
+    workspaces = sim._step.fn.workspaces()
+    assert len(workspaces) == (1 if scheme == "fi" else 2)
     for ws in workspaces:
         ws.freeze()
     sim.run(10)                              # must not raise
@@ -45,7 +44,9 @@ def test_single_precision_sim_state_stays_float32():
     sim = make_sim("fi_mm", "single")
     sim.run(5)
     assert sim.curr.dtype == np.float32
-    for ws in (sim._ws_volume, sim._ws_boundary):
+    workspaces = sim._step.fn.workspaces()
+    assert len(workspaces) == 2
+    for ws in workspaces:
         for name, buf in ws._slots.items():
             assert buf.dtype != np.float64, (
                 f"{ws.label}: slot {name!r} upcast to float64")

@@ -3,7 +3,8 @@
 ``RoomSimulation`` picks its path once — the constructor for the host
 backends, ``_make_gpu`` for ``virtual_gpu`` (also after ``set_devices``
 and after a shard-loss re-shard) — and names it on every ``sim.step`` /
-``sim.segment`` span as ``path``.
+``sim.segment`` span as ``path``, with the step's realisation as
+``tier`` where the path has one.  Every path holds two time levels.
 """
 
 import numpy as np
@@ -29,12 +30,17 @@ def _sim(backend="virtual_gpu", dims=(14, 12, 10), scheme="fi_mm", **kw):
     return sim
 
 
-def _paths(sim, steps=2):
-    """``path`` of every step/segment span ``sim.run(steps)`` opens."""
+def _spans(sim, steps=2):
+    """Every step/segment span ``sim.run(steps)`` opens."""
     with obs.observe() as o:
         sim.run(steps)
-    return [s.attrs["path"] for s in o.tracer.find("sim.", cat="sim")
+    return [s for s in o.tracer.find("sim.", cat="sim")
             if s.name in ("sim.step", "sim.segment")]
+
+
+def _paths(sim, steps=2):
+    """``path`` of every step/segment span ``sim.run(steps)`` opens."""
+    return [s.attrs["path"] for s in _spans(sim, steps)]
 
 
 @pytest.mark.parametrize("kw, path", [
@@ -50,8 +56,14 @@ def _paths(sim, steps=2):
         "pool-resilient-parallel", "parallel"])
 def test_virtual_gpu_paths(kw, path):
     sim = _sim(**kw)
-    assert _paths(sim, 3) == [path] * (1 if path == "parallel" else 3)
+    spans = _spans(sim, 3)
+    assert [s.attrs["path"] for s in spans] == (
+        [path] * (1 if path == "parallel" else 3))
     assert (sim._plan is not None) == (path == "resident")
+    # only the resident path runs a step kernel, and names its tier
+    tiers = {s.attrs.get("tier") for s in spans}
+    assert tiers == ({sim._step.tier} if path == "resident" else {None})
+    assert not hasattr(sim, "nxt")
 
 
 @pytest.mark.parametrize("backend, path", [
@@ -62,8 +74,12 @@ def test_virtual_gpu_paths(kw, path):
 ])
 def test_host_backend_paths(backend, path):
     sim = _sim(backend, dims=(6, 6, 6))
-    assert _paths(sim) == [path] * 2
-    assert hasattr(sim, "nxt") == (path != "fused-step")
+    spans = _spans(sim)
+    assert [s.attrs["path"] for s in spans] == [path] * 2
+    tier = {"numpy-steady": "numpy",
+            "fused-step": sim._step and sim._step.tier}.get(path)
+    assert [s.attrs.get("tier") for s in spans] == [tier] * 2
+    assert not hasattr(sim, "nxt")
 
 
 def _state(sim):
@@ -86,7 +102,7 @@ def _reselect_and_restore(scheme):
         seen.append(_paths(sim))
         has_nxt.append(hasattr(sim, "nxt"))
     assert seen == [["resident"] * 2, ["pool-step"] * 2, ["resident"] * 2]
-    assert has_nxt == [False, True, False]
+    assert has_nxt == [False, False, False]
     ref = _sim(scheme=scheme)
     ref.run(6)
     assert _same(sim, ref)
@@ -103,21 +119,27 @@ def _reselect_and_restore(scheme):
 
 
 def test_set_devices_reselects_the_path():
-    """Resident steps two levels, a pool three: ``nxt`` comes and goes
-    with the path, and a checkpoint taken on one restores on the other,
-    for a scheme without branch state and for one with it."""
+    """Resident and a pool both step two levels, so a path change adds
+    no ``nxt``, and a checkpoint taken on one restores on the other, for
+    a scheme without branch state and for one with it."""
     for scheme in ("fi_mm", "fd_mm"):
         _reselect_and_restore(scheme)
 
 
 def test_fallback_when_no_compiled_tier(monkeypatch):
-    """With no compiled tier the resident path steps launch by launch,
-    says so, and computes what the fused step computes."""
+    """With no compiled tier the resident path still steps two levels,
+    through the same step on whole arrays, says so, and computes what
+    the compiled step computes, for every scheme and precision."""
     from repro.gpu import runtime
     from repro.lift.codegen import loops
 
-    fused = _sim(scheme="fd_mm")
-    assert fused._path == "resident"
+    cases = [(scheme, precision) for scheme in ("fi", "fi_mm", "fd_mm")
+             for precision in ("single", "double")]
+    fused = {case: _sim(scheme=case[0], precision=case[1])
+             for case in cases}
+    for sim in fused.values():
+        assert sim._path == "resident"
+        sim.run(4)
 
     def no_tier(requested=None):
         raise loops.LoopsUnsupported("no compiled tier (test)")
@@ -125,16 +147,18 @@ def test_fallback_when_no_compiled_tier(monkeypatch):
     monkeypatch.setattr(loops, "select_tier", no_tier)
     # what this test realises must not outlive it in the shared cache
     monkeypatch.setattr(runtime, "_NP_KERNEL_CACHE", {})
-    sim = _sim(scheme="fd_mm")
-    assert _paths(sim, 4) == ["resident-launches"] * 4
-    assert sim._path == "resident-launches" and hasattr(sim, "nxt")
-    fused.run(4)
-    assert _same(sim, fused)
+    for case in cases:
+        sim = _sim(scheme=case[0], precision=case[1])
+        spans = _spans(sim, 4)
+        assert [(s.attrs["path"], s.attrs["tier"]) for s in spans] == (
+            [("resident", "numpy")] * 4), case
+        assert sim._step.tier == "numpy" and not hasattr(sim, "nxt")
+        assert _same(sim, fused[case]), case
 
 
 def test_fallback_when_the_step_refuses_the_launch_pair(monkeypatch):
     """A host program whose sweep names its oldest level other than
-    ``prev`` runs per launch: ``_step_links`` refuses the pair, and the
+    ``prev`` steps one-shot: ``_step_links`` refuses the pair, and the
     caller's program is still the one that runs."""
     from repro.acoustics import lift_programs
     from repro.lift.codegen.host import Launch, compile_host
@@ -155,7 +179,8 @@ def test_fallback_when_the_step_refuses_the_launch_pair(monkeypatch):
     launches = [op for op in host.plan.ops if isinstance(op, Launch)]
     with pytest.raises(LoopsUnsupported, match="older|'prev'"):
         _step_links([sim._gpu._exec_kernel(op).program for op in launches])
-    assert _paths(sim, 4) == ["resident-launches"] * 4
+    assert _paths(sim, 4) == ["one-shot"] * 4
+    assert sim._step is None and not hasattr(sim, "nxt")
     fused = _sim()
     fused.run(4)
     assert fused._path == "resident" and _same(sim, fused)
@@ -184,7 +209,7 @@ def test_killed_shard_leaves_one_device_stepping_per_step():
     assert len(sim.devices) == 1
     # the lost segment, then a replay from step 0 on the survivor
     assert paths == ["parallel"] + ["pool-step"] * 6
-    assert sim.time_step == 6
+    assert sim.time_step == 6 and not hasattr(sim, "nxt")
 
 
 def test_bulk_segments_keep_the_per_step_trailer():

@@ -4,9 +4,11 @@
 sweep and boundary programs in one parallel loop over Z-plane blocks,
 each saving its boundary points' old ``prev`` values, sweeping the plane
 in place (``out`` is ``prev``) and updating its boundary points from
-the saved values.  These tests pin that step against the three-level
-``numpy-steady`` simulation, bit for bit, and pin what makes it legal:
-every other access of the overwritten array is refused.
+the saved values.  ``numpy-steady`` runs the same schedule on whole
+arrays (``tier="numpy"``).  These tests pin the compiled step against
+it, bit for bit (``test_backend_matrix.py`` pins both against the
+three-level reference kernels), and pin what makes it legal: every
+other access of the overwritten array is refused.
 """
 
 import dataclasses
@@ -99,9 +101,10 @@ def _wide_sweep():
     return compile_numpy(kernel, "wide_sweep")
 
 
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("tier", TIERS + ["numpy"])
 def test_a_head_wider_than_one_block(tier, monkeypatch):
-    monkeypatch.setenv("REPRO_LOOP_TIER", tier)
+    if tier != "numpy":
+        monkeypatch.setenv("REPRO_LOOP_TIER", tier)
     nk = _wide_sweep()
     nxny, planes = 12, 5
     n, npad = nxny * planes, nxny * (planes + 1)
@@ -110,19 +113,22 @@ def test_a_head_wider_than_one_block(tier, monkeypatch):
     prev, curr = rng.standard_normal(npad), rng.standard_normal(npad)
     ref = np.zeros(npad)
     nk.fn(prev, curr, nxny, N=n, NP=npad, out=ref, _ws=Workspace("ref"))
-    step = compile_step([nk.program])
+    step = compile_step([nk.program],
+                        tier="numpy" if tier == "numpy" else None)
+    assert step.tier == tier
     step.fn(prev=prev, curr=curr, NxNy=nxny, N=n, NP=npad)
     assert np.array_equal(prev[:n], ref[:n])
 
 
 @pytest.mark.parametrize("scheme", ["fi", "fd_mm"])
 def test_two_time_levels(scheme):
-    """No third level on ``numba``, and a step allocates less than one
-    field (the boundary points' saved values, once)."""
+    """No third level on ``numba`` or ``numpy-steady``, and a compiled
+    step allocates less than one field (the boundary points' saved
+    values, once)."""
     sim = RoomSimulation(SimConfig(room=Room(Grid3D(50, 33, 25), BoxRoom()),
                                    scheme=scheme, backend="numba"))
     assert not hasattr(sim, "nxt")
-    assert hasattr(RoomSimulation(SimConfig(
+    assert not hasattr(RoomSimulation(SimConfig(
         room=Room(Grid3D(8, 8, 8), BoxRoom()), scheme=scheme,
         backend="numpy-steady")), "nxt")
     sim.add_impulse("center")
@@ -164,8 +170,11 @@ def test_a_boundary_gathering_prev_by_another_index_is_refused():
     def prev_take(op):
         return isinstance(op, TakeOp) and op.base == "prev"
     compile_step([volume, boundary])
-    with pytest.raises(LoopsUnsupported, match="reads 'prev' other than"):
-        compile_step([volume, _edit(boundary, prev_take, index="t_1")])
+    for tier in (None, "numpy"):
+        with pytest.raises(LoopsUnsupported,
+                           match="reads 'prev' other than"):
+            compile_step([volume, _edit(boundary, prev_take, index="t_1")],
+                         tier=tier)
     with pytest.raises(LoopsUnsupported, match="reads 'next' other than"):
         compile_step([volume, _edit(
             boundary, lambda op: isinstance(op, TakeOp)
@@ -182,6 +191,15 @@ def test_a_sweep_touching_prev_off_its_point_is_refused():
                    start="1")
     with pytest.raises(LoopsUnsupported, match="cannot overwrite 'prev'"):
         compile_step([offset, boundary])
+    # a store that is not the sweep's last op: on whole arrays a later
+    # op could read a view of ``prev`` already overwritten, so every
+    # tier refuses it
+    ops = list(volume.ops)
+    early = dataclasses.replace(volume, ops=[ops[-1], *ops[:-1]])
+    for tier in (None, "numpy"):
+        with pytest.raises(LoopsUnsupported,
+                           match="cannot overwrite 'prev'"):
+            compile_step([early, boundary], tier=tier)
 
 
 def test_boundary_points_must_ascend():
