@@ -29,46 +29,38 @@ device name (``"TitanBlack"``), a shard-pool string (``"RadeonR9:2"``)
 or a sequence of any of those, and always returns a tuple of specs.
 """
 
-from .device import (AMD_HD7970, AMD_R9_295X2, DeviceSpec, NVIDIA_GTX780,
-                     NVIDIA_TITAN_BLACK, PAPER_DEVICES, device_by_name,
-                     resolve_device)
-from .costmodel import (ImplTraits, KernelTiming, LIFT_TRAITS,
-                        HANDWRITTEN_TRAITS, OverlapTiming,
-                        halo_exchange_time_ms, kernel_time,
-                        overlapped_step_time_ms, peer_connected,
-                        sector_bytes_per_item, transfer_time_ms)
-from .errors import (CL_STATUS_TABLE, TRANSIENT_ERRORS, ClDeviceLost,
-                     ClDeviceNotAvailable, ClError, ClInvalidBufferSize,
-                     ClInvalidGlobalWorkSize, ClInvalidKernelArgs,
-                     ClInvalidValue, ClInvalidWorkGroupSize,
-                     ClMemAllocationFailure, ClOutOfHostMemory,
-                     ClOutOfResources, ClTransferCorrupted)
-from .faults import FAULT_KINDS, FaultPlan, FaultRecord, FaultSpec
-from .runtime import (VirtualGPU, ProfilingEvent, RunResult,
-                      clear_kernel_caches, kernel_cache_stats)
-from .resilient import (PolicyOutcome, ResilientGPU, RetryPolicy,
-                        shard_retry_policy)
-from .multi import MultiGPU, MultiRunResult, Shard, ShardLost, decompose
-from .autotune import AutotuneMemo, autotune_memo, autotune_workgroup
+import importlib
 
-__all__ = [
-    "AMD_HD7970", "AMD_R9_295X2", "DeviceSpec", "NVIDIA_GTX780",
-    "NVIDIA_TITAN_BLACK", "PAPER_DEVICES", "device_by_name",
-    "resolve_device",
-    "ImplTraits", "KernelTiming", "LIFT_TRAITS", "HANDWRITTEN_TRAITS",
-    "OverlapTiming", "halo_exchange_time_ms", "kernel_time",
-    "overlapped_step_time_ms", "peer_connected",
-    "sector_bytes_per_item", "transfer_time_ms",
-    "CL_STATUS_TABLE", "TRANSIENT_ERRORS", "ClDeviceLost",
-    "ClDeviceNotAvailable", "ClError", "ClInvalidBufferSize",
-    "ClInvalidGlobalWorkSize", "ClInvalidKernelArgs", "ClInvalidValue",
-    "ClInvalidWorkGroupSize", "ClMemAllocationFailure", "ClOutOfHostMemory",
-    "ClOutOfResources", "ClTransferCorrupted",
-    "FAULT_KINDS", "FaultPlan", "FaultRecord", "FaultSpec",
-    "PolicyOutcome", "ResilientGPU", "RetryPolicy", "shard_retry_policy",
-    "MultiGPU", "MultiRunResult", "Shard", "ShardLost",
-    "decompose",
-    "VirtualGPU", "ProfilingEvent", "RunResult",
-    "AutotuneMemo", "autotune_memo", "autotune_workgroup",
-    "clear_kernel_caches", "kernel_cache_stats",
-]
+#: the submodule each export lives in, imported on first access (PEP 562):
+#: a single-device simulation loads neither the pool nor the recovery layer
+_LAZY = {name: module for module, names in {
+    "device": ("AMD_HD7970", "AMD_R9_295X2", "DeviceSpec", "NVIDIA_GTX780",
+               "NVIDIA_TITAN_BLACK", "PAPER_DEVICES", "device_by_name",
+               "resolve_device"),
+    "costmodel": ("ImplTraits", "KernelTiming", "LIFT_TRAITS",
+                  "HANDWRITTEN_TRAITS", "OverlapTiming",
+                  "halo_exchange_time_ms", "kernel_time",
+                  "overlapped_step_time_ms", "peer_connected",
+                  "sector_bytes_per_item", "transfer_time_ms"),
+    "errors": ("CL_STATUS_TABLE", "TRANSIENT_ERRORS", "ClDeviceLost",
+               "ClDeviceNotAvailable", "ClError", "ClInvalidBufferSize",
+               "ClInvalidGlobalWorkSize", "ClInvalidKernelArgs",
+               "ClInvalidValue", "ClInvalidWorkGroupSize",
+               "ClMemAllocationFailure", "ClOutOfHostMemory",
+               "ClOutOfResources", "ClTransferCorrupted"),
+    "faults": ("FAULT_KINDS", "FaultPlan", "FaultRecord", "FaultSpec"),
+    "runtime": ("VirtualGPU", "ProfilingEvent", "RunResult",
+                "clear_kernel_caches", "kernel_cache_stats"),
+    "resilient": ("PolicyOutcome", "ResilientGPU", "RetryPolicy",
+                  "shard_retry_policy"),
+    "multi": ("MultiGPU", "MultiRunResult", "Shard", "ShardLost",
+              "decompose"),
+    "autotune": ("AutotuneMemo", "autotune_memo", "autotune_workgroup"),
+}.items() for name in names}
+__all__ = list(_LAZY)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

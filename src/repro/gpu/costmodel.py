@@ -200,12 +200,16 @@ def sector_bytes_per_item(indices: np.ndarray, width: int,
     # cheap O(n) checksum guards against buffer-address reuse
     key = (indices.__array_interface__["data"][0], indices.size, width,
            sector, int(indices[0]), int(indices[-1]),
-           int(indices.astype(np.int64).sum()))
+           int(indices.sum(dtype=np.int64)))
     hit = _SECTOR_CACHE.get(key)
     if hit is not None:
         return hit
-    lines = np.unique((indices.astype(np.int64) * width) // sector)
-    value = float(lines.size * sector) / float(indices.size)
+    # distinct lines = runs in the sorted stream (np.unique's count
+    # without its inverse/mask machinery)
+    lines = indices.astype(np.int64) * width // sector
+    lines.sort()
+    n_lines = 1 + int(np.count_nonzero(lines[1:] != lines[:-1]))
+    value = float(n_lines * sector) / float(indices.size)
     if len(_SECTOR_CACHE) < 4096:
         _SECTOR_CACHE[key] = value
     return value

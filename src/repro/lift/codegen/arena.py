@@ -60,6 +60,20 @@ __all__ = ["ArenaFrozenError", "ArenaOp", "ArenaProgram", "Slice3Op",
 # full-grid value, anything else is a per-call scalar expression.
 
 
+def _strip(s: str) -> str:
+    """An operand expression without the parentheses around all of it
+    (``"((t_1))"`` -> ``"t_1"``)."""
+    s = s.strip()
+    while s.startswith("(") and s.endswith(")"):
+        inner, depth = s[1:-1], 0
+        for ch in inner:
+            depth += (ch == "(") - (ch == ")")
+            if depth < 0:
+                return s
+        s = inner.strip()
+    return s
+
+
 class ArenaOp:
     """Base class for arena-program ops (one rendered source line).
     Value-producing ops carry a ``name`` field (their slot); stores

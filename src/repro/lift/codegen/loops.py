@@ -105,7 +105,8 @@ import numpy as np
 
 from .arena import (AliasOp, ArenaProgram, CastOp, GidOp, IndexStoreOp,
                     ScalarOp, ShiftOp, SliceStoreOp, TakeOp, UfuncOp, WhereOp,
-                    Workspace)
+                    Workspace, _strip)
+from .bounds import IndexCheck
 
 __all__ = ["LoopKernel", "LoopsUnsupported", "StepKernel",
            "available_tiers", "compile_loops", "compile_step",
@@ -506,18 +507,6 @@ def _code(dt: np.dtype) -> str:
     return c
 
 
-def _strip(s: str) -> str:
-    s = s.strip()
-    while s.startswith("(") and s.endswith(")"):
-        inner, depth = s[1:-1], 0
-        for ch in inner:
-            depth += (ch == "(") - (ch == ")")
-            if depth < 0:
-                return s
-        s = inner.strip()
-    return s
-
-
 # --- codegen ---------------------------------------------------------------
 
 
@@ -848,6 +837,7 @@ class _Spec:
     scalarop_items: list          # (name, code) in program order
     shift_checks: list            # (offset code, n code, base name)
     n_code: object
+    index_check: IndexCheck       # data-dependent index ranges
 
 
 def _lower(prog: ArenaProgram, bound: dict, tier: str,
@@ -872,7 +862,7 @@ def _lower(prog: ArenaProgram, bound: dict, tier: str,
                         if isinstance(op, ScalarOp)],
         shift_checks=[(cc(op.offset), cc(op.n), op.base) for op in prog.ops
                       if isinstance(op, ShiftOp)],
-        n_code=cc(prog.gid_ops()[0].n))
+        n_code=cc(prog.gid_ops()[0].n), index_check=IndexCheck(prog))
 
 
 def _scalar_ctype(kind: str):
@@ -1051,8 +1041,9 @@ class _Args:
 def _prologue(prog: ArenaProgram, spec: _Spec, bound: dict,
               rng=None) -> _Args:
     """Everything a launch does on the host before the loop stores
-    anything: scalars, and the range check of every shift
-    (``IndexError``), which also yields the head bound ``_hd``."""
+    anything: scalars, the range check of every shift (``IndexError``),
+    which also yields the head bound ``_hd``, and of every
+    data-dependent index (:class:`~.bounds.IndexCheck`)."""
     env = _host_env(prog, bound)
     glb = {"np": np}
     for name, code in spec.scalarop_items:
@@ -1071,6 +1062,7 @@ def _prologue(prog: ArenaProgram, spec: _Spec, bound: dict,
                 f"shifted gather out of range: offset {off}, "
                 f"length {ln}, array size {size}")
         head = max(head, -off)
+    spec.index_check(arrays, env, n)
     lo, hi = 0, n
     if rng is not None:
         lo = max(0, int(rng[0]))
@@ -1516,12 +1508,14 @@ class _NumpyStep:
             programs[1] = _saved_gather(programs[1], kernel.links[2])
         self.programs = programs
         self.fns = [p.numpy_fn() for p in programs]
-        #: argument shapes and scalars -> (one workspace per program, _pb)
+        self.checks = [IndexCheck(p) for p in kernel.programs]
+        #: argument shapes and scalars -> (one workspace per program, _pb,
+        #: each program's host scalars and extent)
         self.arenas: dict = {}
         kernel.source = "\n\n".join(p.render() for p in programs)
 
     def workspaces(self) -> list:
-        return [ws for wss, _pb in self.arenas.values() for ws in wss]
+        return [ws for wss, _pb, _ext in self.arenas.values() for ws in wss]
 
     def __call__(self, **args) -> None:
         kernel = self.kernel
@@ -1530,16 +1524,21 @@ class _NumpyStep:
                     else (type(v), v) for b in bounds for v in b.values())
         arena = self.arenas.get(key)
         if arena is None:
+            extents = []
+            for prog, bound in zip(kernel.programs, bounds):
+                env = prog._with_scalar_ops(_host_env(prog, bound))
+                extents.append((env, int(eval(  # noqa: S307
+                    prog.gid_ops()[0].n, {"np": np}, env))))
             pb = None
             if kernel.links:
-                bnd = self.programs[1]
-                env = bnd._with_scalar_ops(_host_env(bnd, bounds[1]))
-                pb = np.empty(int(eval(bnd.gid_ops()[0].n,  # noqa: S307
-                                       {"np": np}, env)),
-                              bounds[0][_IN_PLACE].dtype)
+                pb = np.empty(extents[1][1], bounds[0][_IN_PLACE].dtype)
             arena = self.arenas[key] = (
-                [Workspace(f"step:{p.name}") for p in self.programs], pb)
-        workspaces, pb = arena
+                [Workspace(f"step:{p.name}") for p in self.programs], pb,
+                extents)
+        workspaces, pb, extents = arena
+        # every data-dependent index is in range before anything is stored
+        for check, bound, (env, n) in zip(self.checks, bounds, extents):
+            check(bound, env, n)
         if pb is not None:
             index = bounds[1][kernel.links[1]]
             np.take(bounds[0][_IN_PLACE], index[:pb.size], out=pb)

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.paper_data import TABLE3_PLATFORMS
+from repro.acoustics.geometry import BoxRoom, DomeRoom, Room
+from repro.acoustics.grid import Grid3D
+from repro.acoustics.topology import build_topology
+from repro.gpu import costmodel
 from repro.gpu.autotune import CANDIDATE_WORKGROUPS, autotune_workgroup
 from repro.gpu.costmodel import (HANDWRITTEN_TRAITS, LIFT_TRAITS,
                                  kernel_time, sector_bytes_per_item)
@@ -80,6 +84,59 @@ class TestSectorModel:
         arr = np.asarray(idx)
         assert sector_bytes_per_item(arr, 4, 32) \
             <= sector_bytes_per_item(arr, 8, 32) + 1e-9
+
+
+def _distinct_lines(idx: np.ndarray, width: int, sector: int) -> float:
+    """The sector model's definition, spelled with ``np.unique``."""
+    if idx.size == 0:
+        return float(width)
+    lines = np.unique((idx.astype(np.int64) * width) // sector)
+    return float(lines.size * sector) / float(idx.size)
+
+
+def _fresh_count(idx: np.ndarray, width: int, sector: int) -> float:
+    costmodel._SECTOR_CACHE.clear()      # count, do not recall
+    return sector_bytes_per_item(idx, width, sector)
+
+
+class TestSectorCount:
+    """The distinct-line count is a sort and a count of runs; it must be
+    the integer ``np.unique`` gives, whatever the order of the stream."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 20000), max_size=300),
+           st.sampled_from(["ascending", "shuffled", "duplicated"]),
+           st.sampled_from([1, 4, 8]), st.sampled_from([32, 64, 128]),
+           st.randoms(use_true_random=False))
+    def test_equals_the_unique_count(self, values, order, width, sector,
+                                     rnd):
+        if order == "ascending":
+            values = sorted(set(values))
+        elif order == "shuffled":
+            rnd.shuffle(values)
+        else:
+            values = values + values[:len(values) // 2]
+        idx = np.asarray(values, dtype=np.int64)
+        assert _fresh_count(idx, width, sector) \
+            == _distinct_lines(idx, width, sector)
+
+    @pytest.mark.parametrize("sector", [32, 64, 128])
+    @pytest.mark.parametrize("width", [1, 4, 8])
+    @pytest.mark.parametrize("values", [[], [7], [5, 5, 5], [9, 3, 9, 0]])
+    def test_small_streams(self, values, width, sector):
+        idx = np.asarray(values, dtype=np.int64)
+        assert _fresh_count(idx, width, sector) \
+            == _distinct_lines(idx, width, sector)
+
+    @pytest.mark.parametrize("width, sector", [(8, 32), (1, 32), (8, 128)])
+    @pytest.mark.parametrize("shape", [BoxRoom, DomeRoom])
+    def test_boundary_indices_in_either_order(self, shape, width, sector):
+        idx = build_topology(Room(Grid3D(30, 24, 20), shape()),
+                             4).boundary_indices
+        shuffled = np.random.default_rng(3).permutation(idx)
+        want = _distinct_lines(idx, width, sector)
+        assert _fresh_count(idx, width, sector) == want
+        assert _fresh_count(shuffled, width, sector) == want
 
 
 def _gather_resources():

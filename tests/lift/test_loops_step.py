@@ -81,6 +81,30 @@ def test_step_bit_equals_numpy_steady(scheme, precision, shape, tier,
     assert np.any(sim.receiver_signal("mic") != 0)
 
 
+@pytest.mark.parametrize("tier", TIERS + ["numpy"])
+def test_a_material_past_the_table_raises_before_the_step_stores(
+        tier, monkeypatch):
+    """A boundary point naming material 50 of 3 raises NumPy's
+    ``IndexError`` from every step tier, and no level is written."""
+    if tier != "numpy":
+        monkeypatch.setenv("REPRO_LOOP_TIER", tier)
+    sim = RoomSimulation(SimConfig(
+        room=Room(Grid3D(12, 10, 9), DomeRoom()), scheme="fd_mm",
+        backend="numpy-steady" if tier == "numpy" else "numba",
+        materials=default_fd_materials(3)))
+    assert sim._step.tier == tier
+    sim.add_impulse("center")
+    sim.topology.material[5] = 50
+    names = ("prev", "curr", "g1", "v1", "v2")
+    before = {n: getattr(sim, n).copy() for n in names}
+    with pytest.raises(IndexError,
+                       match="index 50 is out of bounds for axis 0 "
+                             "with size 3"):
+        sim.step()
+    for n in names:
+        assert np.array_equal(getattr(sim, n), before[n]), n
+
+
 def _wide_sweep():
     """A sweep reaching two Z-planes back: its wraparound head is two
     ``NxNy`` blocks wide (the acoustics sweeps reach one plane, so their

@@ -145,6 +145,41 @@ def test_data_dependent_indices_keep_their_wrap_test(precision, tier):
         assert np.array_equal(a, w)
 
 
+@pytest.mark.parametrize("tier", TIERS)
+def test_an_index_past_the_end_raises_before_anything_is_stored(tier):
+    """The wrap test bounds a data-dependent index only from below: one
+    past the end of its array (material 50 of a 3-row table) raises
+    NumPy's ``IndexError`` on every tier, from the host's check, before
+    the loop stores anything."""
+    args, kw = _fd_mm_case("double")
+    args[1] = args[1].copy()
+    args[1][5] = 50
+    nk, lk = _fd_mm_kernels("double", tier)
+    message = "index 50 is out of bounds for axis 0 with size 3"
+    with pytest.raises(IndexError, match=message):
+        nk.fn(*[np.copy(a) for a in args], **kw, _ws=Workspace("ref"))
+    before = [np.copy(a) for a in args]
+    with pytest.raises(IndexError, match=message):
+        lk.fn(*args, **kw)
+    for a, b in zip(args, before):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_the_index_check_runs_once_per_bound_index_arrays(tier):
+    args, kw = _fd_mm_case("double")
+    _nk, lk = _fd_mm_kernels("double", tier)
+    lk.fn(*args, **kw)
+    (spec,) = lk.fn.specs.values()
+    seen = spec.index_check.seen
+    assert seen is not None
+    lk.fn(*args, **kw)
+    assert spec.index_check.seen is seen
+    args[1] = args[1].copy()        # new index arrays: checked again
+    lk.fn(*args, **kw)
+    assert spec.index_check.seen is not seen
+
+
 def _bodies(source):
     """(head body, main body) of a python-tier loop source, dedented."""
     lines = source.splitlines()

@@ -102,7 +102,7 @@ unused = ("repro.serve", "repro.api", "repro.net", "repro.gpu",
           "repro.lift.codegen.opencl", "repro.lift.codegen.host",
           "repro.lift.interp", "repro.obs.export", "repro.obs.dashboard",
           "repro.obs.slo", "repro.obs.timeseries",
-          "repro.acoustics.kernels_scalar")
+          "repro.acoustics.kernels_scalar", "numpy.ma")
 loaded = [m for m in unused if m in sys.modules]
 assert not loaded, loaded
 import repro
@@ -119,17 +119,52 @@ for pkg in (obs, codegen):
 """
 
 
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_a_simulation_loads_no_service_layer():
     """``import repro``, ``repro.obs`` and ``repro.lift.codegen`` name
     their exports lazily (PEP 562): a fresh interpreter that steps a
     numba-backend room imports neither the service layer nor the OpenCL
     and host emitters, the exporters or the reference kernels, and every
     name in their ``__all__`` still resolves."""
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _NUMBA_STEP], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = _fresh(_NUMBA_STEP)
     if proc.returncode == 3:
         pytest.skip("no compiled loop tier on this host")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+_VGPU_STEP = """
+import sys
+from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
+sim = RoomSimulation(SimConfig(room=Room(Grid3D(12, 10, 8), BoxRoom()),
+                               scheme="fd_mm", backend="virtual_gpu"))
+sim.add_impulse("center")
+sim.step()
+assert sim._path == "resident", sim._path
+unused = ("repro.gpu.multi", "repro.gpu.resilient", "repro.gpu.parallel",
+          "numpy.ma")
+loaded = [m for m in unused if m in sys.modules]
+assert not loaded, loaded
+from repro import gpu
+star = {}
+exec("from repro.gpu import *", star)
+for name in gpu.__all__:
+    assert getattr(gpu, name) is star[name], name
+"""
+
+
+def test_a_single_device_virtual_gpu_loads_only_the_resident_path():
+    """``repro.gpu`` names its exports lazily too: a fresh interpreter
+    that steps a one-device ``virtual_gpu`` room loads neither the
+    device pool, the recovery layer nor the overlap executor, and the
+    cost model's sector count does not load ``numpy.ma``; every name in
+    ``repro.gpu.__all__`` still resolves."""
+    proc = _fresh(_VGPU_STEP)
     assert proc.returncode == 0, proc.stderr[-2000:]
