@@ -615,12 +615,14 @@ class RoomSimulation:
         with (nullcontext() if o is None else o.tracer.span(
                 "sim.segment", "sim", step=self.time_step, steps=n,
                 scheme=cfg.scheme, shards=len(self.devices),
-                path=self._path)):
+                path=self._path)) as span:
             res = self._gpu.execute_many(
                 self._host_program, self._vgpu_inputs(), self._size_env(),
                 n, rotations=self._rotations,
                 receivers={name: idx
                            for name, (idx, _s) in self.receivers.items()})
+            if span is not None:    # the shards' step, known once it ran
+                span.attrs["tier"] = res.overlap["per_shard"][0]["tier"]
         N = self._N
         self.curr[:N] = res.buffers["final:prev1_h"]
         self.prev[:N] = res.buffers["final:prev2_h"]
@@ -865,8 +867,9 @@ class RoomSimulation:
         array bound in place (``CL_MEM_USE_HOST_PTR``), so the kernels
         read and write ``prev``/``curr`` and the branch state directly,
         and ``add_impulse``, receivers, checkpoints and the health
-        monitor need no sync.  One call of ``_step`` overwrites ``prev``:
-        the plan's third level, ``__out__``, is declared but has no host
+        monitor need no sync.  One call of the plan's step overwrites
+        ``prev`` (``ResidentPlan.stepping``, as every shard steps): the
+        plan's third level, ``__out__``, is declared but has no host
         array, and the plan only records the launches it models.  The
         plan rotates its roles as :meth:`_step_impl` rotates the arrays,
         so the two stay one."""
@@ -874,17 +877,12 @@ class RoomSimulation:
         if plan is None:
             from ..gpu.runtime import ResidentPlan
             inputs = self._vgpu_inputs()
-            in_place = {name: a for name, a in inputs.items()
-                        if isinstance(a, np.ndarray)}
-            in_place["__out__"] = None
-            rotations = [tuple(n for n in cycle if n != "__out__")
-                         for cycle in self._rotations]
-            # the modelled out level is as large as the levels it joins
-            plan = self._plan = ResidentPlan(
+            bound = {n: a for n, a in inputs.items()
+                     if isinstance(a, np.ndarray)}
+            plan = self._plan = ResidentPlan.stepping(
                 self._gpu, self._host_program.plan, inputs,
-                self._size_env(), rotations, [], in_place,
-                min_out=self.curr.size)
-        plan.run_fused(self.time_step, self._step)
+                self._size_env(), self._rotations, [], bound)
+        plan.run_fused(self.time_step)
         plan.rotate()
         # only kernel time is charged, like RunResult.kernel_time_ms();
         # drained every step so the event list cannot grow with the run

@@ -38,11 +38,11 @@ and its empty buffers from its plan instead of allocating zero-size
 buffers.
 
 **Halo exchange** (:class:`~repro.lift.codegen.host.HaloExchange` ops)
-moves the freshly computed field's edge planes between neighbouring
-shards after each step's launches and before the leapfrog rotation —
-only the ``__out__`` buffer needs exchanging, since the next step gathers
-neighbours from it while all other reads are at the work item's own
-index.  Transfers are priced by
+moves the freshly written level's edge planes — ``prev1_h`` after the
+rotation — between neighbouring shards after each step; only that level
+needs exchanging, since the next step gathers neighbours from it while
+all other reads are at the work item's own index.  Transfers are priced
+by
 :func:`~.costmodel.halo_exchange_time_ms`: peer-to-peer over a
 same-board interconnect (the R9 295X2's on-board bridge, see
 ``resolve_device("RadeonR9:2")``), staged through host PCIe otherwise.
@@ -52,12 +52,14 @@ so the merged ``kernel_time_ms`` is the *maximum* over shards (the
 parallel critical path), while halo and PCIe transfer times *sum* (the
 BSP exchange phase and the single host link serialise).
 
-**Two executors, one pool.** :meth:`MultiGPU.execute_many` steps every
-shard in this process (the BSP loop below) unless the pool was built
-with ``parallel=True`` and :meth:`MultiGPU._parallel_eligible` passes;
-then :func:`repro.gpu.parallel.execute_parallel` hands each shard's
-host program to a worker process of its own and overlaps the halo
-exchange with interior compute.  Both are bit-identical.
+**Two executors, one step.** :meth:`MultiGPU.execute_many` steps every
+shard as one ``resident`` device steps — one compiled step over two time
+levels (:meth:`~.runtime.ResidentPlan.stepping`) — in this process (the
+BSP loop below), or, when the pool was built with ``parallel=True`` and
+:meth:`MultiGPU._parallel_eligible` passes, in a worker process per
+shard (:func:`repro.gpu.parallel.execute_parallel`) that runs the step
+over Z-plane blocks to overlap the halo exchange with interior compute.
+Both are bit-identical to one device.
 
 **Failure semantics**: a lost device cannot be retried in place — its
 resident halo state is gone — so ``CL_DEVICE_LOST`` escalates as
@@ -85,7 +87,8 @@ from .errors import ClDeviceLost, ClInvalidValue
 from .faults import FaultPlan
 from .resilient import (PolicyOutcome, ResilientGPU, RetryPolicy,
                         shard_retry_policy)
-from .runtime import ProfilingEvent, ResidentPlan, RunResult, VirtualGPU
+from .runtime import (ProfilingEvent, ResidentPlan, RunResult, VirtualGPU,
+                      leapfrog_cycle)
 
 #: halo width in z planes: the 7-point SLF stencil reads one neighbouring
 #: plane in each direction
@@ -216,12 +219,10 @@ def shard_program(program: HostProgram, shard_index: int,
 
 def shard_rotations(plan: HostPlan, rotations) -> list[tuple[str, ...]]:
     """``rotations`` filtered to the names a shard's ``plan`` actually
-    transfers, plus ``__out__`` when a launch writes one (a shard without
-    boundary points has no branch-state buffers to swap)."""
+    transfers (a shard without boundary points has no branch-state
+    buffers to swap); the leapfrog cycle keeps its ``"__out__"``."""
     avail = {op.host_name for op in plan.ops if isinstance(op, CopyIn)}
-    if any(isinstance(op, Launch) and op.out_buffer is not None
-           for op in plan.ops):
-        avail.add("__out__")
+    avail.add("__out__")
     return [cyc for cyc in (tuple(n for n in c if n in avail)
                             for c in (rotations or [])) if len(cyc) > 1]
 
@@ -441,16 +442,17 @@ class MultiGPU:
     # -- halo exchange ------------------------------------------------------------------
     def _halo_schedule(self, shards: list[Shard]) -> list[HaloExchange]:
         """One exchange per neighbouring pair and direction, on the
-        freshly computed (``__out__``) field: the shard's edge planes
-        into the neighbour's matching halo region."""
+        freshly written level (the field after the rotation): the shard's
+        edge planes into the neighbour's matching halo region."""
+        field = FIELD_PARAMS[0]
         ops: list[HaloExchange] = []
         for a, b in zip(shards, shards[1:]):
             rp = a.radius * a.plane
             # a's top planes -> b's halo_lo (the tail of b's local array)
-            ops.append(HaloExchange(a.index, b.index, "__out__",
+            ops.append(HaloExchange(a.index, b.index, field,
                                     a.n_local - rp, b.n_local + rp, rp))
             # b's bottom planes -> a's halo_hi
-            ops.append(HaloExchange(b.index, a.index, "__out__",
+            ops.append(HaloExchange(b.index, a.index, field,
                                     0, a.n_local, rp))
         return ops
 
@@ -573,7 +575,10 @@ class MultiGPU:
                      rotations: list[tuple[str, ...]] | None = None,
                      receivers: dict[str, int] | None = None
                      ) -> MultiRunResult:
-        """Iterative resident execution across the pool.
+        """Iterative resident execution across the pool: every shard
+        steps through one compiled step over two time levels
+        (:meth:`ResidentPlan.stepping`), so ``rotations`` must hold the
+        leapfrog cycle, and a plan the step refuses raises here.
 
         With ``parallel=True`` and :meth:`_parallel_eligible` passing,
         each shard runs in a worker process of its own with halo
@@ -586,20 +591,22 @@ class MultiGPU:
         round trips).  Only that executor takes ``receivers``.
 
         Otherwise the shards step here, in BSP order: upload each
-        shard's state once, then per step every shard's launches, the
-        halo-exchange phase on the freshly written ``__out__`` field (a
-        synchronisation point — real data moves between the resident
-        plans), then the rotation.  Rotation cycles are filtered per
-        shard to the names its plan actually transfers (a shard without
-        boundary points has no branch-state buffers to swap).  Errors
-        surface directly — the resident path has live device state, so
-        recovery is the caller's re-shard-and-replay.
+        shard's state once, then per step every shard's step and
+        rotation, and the halo-exchange phase into the freshly written
+        level (a synchronisation point — real data moves between the
+        resident plans).  Rotation cycles are filtered per shard
+        (:func:`shard_rotations`).  Errors surface directly — the
+        resident path has live device state, so recovery is the caller's
+        re-shard-and-replay.
         """
         why = self._parallel_eligible()
         if why is None and steps > 0:
             from .parallel import execute_parallel
+            # what a worker would refuse is refused at the call
+            self._gpus[0].compile_step(program.plan,
+                                       leapfrog_cycle(rotations))
             return execute_parallel(self, program, inputs, sizes, steps,
-                                    rotations or [], receivers or {})
+                                    rotations, receivers or {})
         if receivers:
             raise ClInvalidValue(
                 f"receivers require the parallel executor, which is "
@@ -619,21 +626,20 @@ class MultiGPU:
                 li, ls, mask = self._local_inputs(shard, inputs, sizes)
                 plan = shard_program(program, shard.index, ls).plan
                 with self._shard_loss(shard):
-                    states.append(ResidentPlan(
+                    states.append(ResidentPlan.stepping(
                         gpu, plan, li, ls, shard_rotations(plan, rotations),
-                        ev, min_out=shard.np_local))
+                        ev))
                 masks.append(mask)
             schedule = (self._halo_schedule(shards)
                         if len(shards) > 1 else [])
             for step in range(steps):
                 for shard, st in zip(shards, states):
                     with self._shard_loss(shard):
-                        st.run_step(step, shard=shard.index)
+                        st.run_fused(step, shard=shard.index)
+                    st.rotate()
                 for op in schedule:
                     halo_bytes += self._apply_halo(op, shards, states,
                                                    halo_events, step)
-                for st in states:
-                    st.rotate()
             results = [st.finish() for st in states]
         names: set[str] = set()
         for st in states:
@@ -644,8 +650,9 @@ class MultiGPU:
     def _merge_many(self, shards, masks, names, results, inputs,
                     halo_events, halo_bytes) -> MultiRunResult:
         """Merge per-shard resident results; ``names`` is the union of
-        the shards' rotation-binding names (host params + ``__out__``)."""
-        skip = {BOUNDARY_PARAM, K_SIZE, *OWNER_PARAMS}
+        the shards' rotation-binding names (host params; the output
+        level of a two-level step has no memory to merge)."""
+        skip = {BOUNDARY_PARAM, K_SIZE, *OWNER_PARAMS, "__out__"}
         buffers: dict[str, np.ndarray] = {}
         for name in sorted(names):
             if name in skip:
@@ -655,7 +662,7 @@ class MultiGPU:
                 merged = _branch_state(inputs, name, masks, per)
                 if merged is not None:
                     buffers[f"final:{name}"] = merged
-            elif name in FIELD_PARAMS or name == "__out__":
+            elif name in FIELD_PARAMS:
                 buffers[f"final:{name}"] = np.concatenate(
                     [np.asarray(p).reshape(-1)[:sh.n_local]
                      for sh, p in zip(shards, per) if p is not None])

@@ -13,29 +13,27 @@ realised on the virtual-GPU runtime.
 program it was given (:func:`~.multi.shard_program`) and pickles each
 shard's :class:`~repro.lift.codegen.host.HostProgram` into the worker's
 task, together with its shard-local inputs and rotation cycles; a worker
-rebuilds nothing.
+rebuilds nothing.  It steps the program as one device does: one compiled
+step over two time levels (:meth:`~.runtime.ResidentPlan.stepping`).
 
-**Overlap schedule.** The serial BSP loop runs *launches → exchange
-``__out__`` halos → rotate*.  Restructured per worker (bit-identical,
-see ``docs/sharding.md``):
+**Overlap schedule.** The serial BSP loop runs *step → rotate → exchange
+halos into ``prev1_h``*.  Restructured per worker over the step's Z-plane
+blocks (bit-identical, see ``docs/sharding.md``):
 
-* step 0 runs full-range — :meth:`~.multi.Shard.shard_field` pre-filled
-  the ``prev1``/``prev2`` halos, so there is nothing to exchange and
-  nothing to overlap with;
-* every later step: **post** the freshly rotated field's edge planes to
-  both neighbours, launch the **interior** range ``[h_lo, N-h_hi)`` of
-  the footprint kernel (cells whose stencil never touches halo data),
-  **wait** for the neighbour planes and copy them into the field's halo
-  regions, then run the thin **boundary** ranges ``[0, h_lo)`` and
-  ``[N-h_hi, N)`` plus every remaining launch (boundary-point kernels
-  gather through index vectors that may reach the halos, so they stay
-  after the wait), and rotate.
+* step 0 runs in one call — :meth:`~.multi.Shard.shard_field`
+  pre-filled the ``prev1``/``prev2`` halos, so there is nothing to
+  exchange and nothing to overlap with;
+* every later step: **post** ``prev1_h``'s edge planes to both
+  neighbours, run the **interior** blocks ``[h, nb - h)`` (planes whose
+  stencil never touches halo data), **wait** for the neighbour planes
+  and copy them into ``prev1_h``'s halo regions, then run the two
+  **edge** blocks ``[0, h)`` and ``[nb - h, nb)``, and rotate.  Each
+  block's boundary points follow the block.
 
-The footprint ``(h_lo, h_hi)`` is derived from the shift-op offsets in
-the kernel's own arena IR
-(:meth:`~repro.lift.codegen.arena.ArenaProgram.halo_footprint`), not
-hard-coded.  When the plan's first launch is not ranged-capable (no
-compiled loop tier) the worker falls back to a BSP schedule — still
+``h`` is the sweep's shift footprint in planes, derived from the arena
+IR (:meth:`~repro.lift.codegen.arena.ArenaProgram.halo_footprint`), not
+hard-coded.  A step on whole arrays (``tier="numpy"``, no compiler)
+cannot be split, so its worker runs a BSP schedule — still
 process-parallel, still bit-identical, just without overlap.
 
 **Shared-memory rings.** One ``multiprocessing.shared_memory`` block
@@ -68,10 +66,10 @@ import traceback
 import numpy as np
 
 from .. import obs as _obs
-from ..lift.codegen.host import HostProgram, Launch
+from ..lift.codegen.host import HostProgram
 from .costmodel import halo_exchange_time_ms, overlapped_step_time_ms
-from .multi import (FIELD_PARAMS, MultiGPU, MultiRunResult, Shard,
-                    ShardLost, shard_program, shard_rotations)
+from .multi import (FIELD_PARAMS, PLANE_PARAM, MultiGPU, MultiRunResult,
+                    Shard, ShardLost, shard_program, shard_rotations)
 from .runtime import ProfilingEvent, ResidentPlan, RunResult, VirtualGPU
 
 #: profiling-event kinds a worker aggregates back to the parent
@@ -155,19 +153,6 @@ class _Ring:
         self.idx = (self.idx + 1) % self.depth
 
 
-def _launch_env(op, inputs: dict, sizes: dict) -> dict:
-    """Kernel-parameter environment of one launch (for evaluating the
-    arena IR's shift-offset expressions): sizes plus scalar bindings
-    under their *parameter* names."""
-    env = dict(sizes)
-    for b in op.args:
-        if b.kind == "scalar":
-            env[b.param_name] = inputs[b.source]
-        elif b.kind == "size":
-            env[b.param_name] = int(sizes[b.param_name])
-    return env
-
-
 def _shard_worker_main(task: dict, result_q) -> None:
     """One shard's process: run the resident step loop of the host
     program it was handed under the overlap schedule, ship the finals
@@ -187,7 +172,6 @@ def _shard_worker_main(task: dict, result_q) -> None:
         li, ls = task["inputs"], task["sizes"]
         n_local, np_local, rp = task["n_local"], task["np_local"], task["rp"]
         steps = task["steps"]
-        halo_binding = task["halo_binding"]
         dtype = np.dtype(task["field_dtype"])
         for lane, (shm_name, free, filled) in task["rings"].items():
             shm = _attach_shm(shm_name)
@@ -196,26 +180,20 @@ def _shard_worker_main(task: dict, result_q) -> None:
 
         gpu = VirtualGPU(task["device"])
         events: list[ProfilingEvent] = []
-        st = ResidentPlan(gpu, plan, li, ls, task["rotations"], events,
-                          min_out=np_local)
+        st = ResidentPlan.stepping(gpu, plan, li, ls, task["rotations"],
+                                   events)
+        tier, cc_rung = st.kernel.tier, st.kernel.cc_rung
 
-        # overlap eligibility: the footprint kernel must be the plan's
-        # first launch, ranged-capable, spanning exactly the owned slab,
-        # with a nonzero footprint leaving a nonempty interior.  Later
-        # launches need no vetting — they always run after the halo
-        # wait, launch order is preserved, and posted planes were copied
-        # into the ring at send time (so nothing they write can tear an
-        # in-flight exchange).
-        launches = [op for op in plan.ops if isinstance(op, Launch)]
-        h_lo = h_hi = 0
-        overlap = False
-        if launches and st.launch_ranged_capable(0):
-            prep0 = st._prepared[0]
-            prog0 = getattr(prep0.nk, "program", None)
-            if prog0 is not None and prep0.n_items == n_local:
-                h_lo, h_hi = prog0.halo_footprint(
-                    _launch_env(launches[0], li, ls))
-                overlap = 0 < h_lo + h_hi < n_local
+        # overlap needs a compiled step (the numpy tier runs whole
+        # arrays only) whose edge blocks, the h planes at each end its
+        # sweep's footprint reaches past, leave interior blocks between
+        # them.  Each block's boundary points follow the block, and
+        # posted planes were copied into the ring at send time, so
+        # nothing a block writes can tear an in-flight exchange.
+        h_lo, h_hi = st.halo_footprint()
+        plane = int(li[PLANE_PARAM])
+        h, nb = -(-max(h_lo, h_hi) // plane), n_local // plane
+        overlap = tier != "numpy" and 0 < h and 2 * h < nb
 
         kill_at = task.get("kill_at_step")
         receivers: dict[str, tuple[int, list]] = {
@@ -236,48 +214,38 @@ def _shard_worker_main(task: dict, result_q) -> None:
                 os.kill(os.getpid(), 9)
             if step == 0:
                 # halos pre-filled by shard_field: nothing to exchange
-                st.run_step(step, shard=index)
+                st.run_fused(step, shard=index)
             else:
-                field = st.buffer_for(halo_binding)
+                field = st.buffer_for(FIELD_PARAMS[0])
                 t0 = _time.perf_counter()
-                if send_dn is not None:
-                    send_dn.send(field[0:rp])
-                if send_up is not None:
-                    send_up.send(field[n_local - rp:n_local])
+                for ring, src in ((send_dn, 0), (send_up, n_local - rp)):
+                    if ring is not None:
+                        ring.send(field[src:src + rp])
                 post_s += _time.perf_counter() - t0
-                view = st.step_view()
                 if overlap:
                     mark = len(events)
-                    st.run_launch(0, step, view,
-                                  rng=(h_lo, n_local - h_hi))
+                    st.run_fused(step, (h, nb - h), shard=index)
                     interior_ms += _model_ms(mark)
                 t0 = _time.perf_counter()
-                if recv_up is not None:
-                    t1 = _time.perf_counter()
-                    recv_up.filled.acquire()
-                    recv_up.filled.release()
-                    stall_s += _time.perf_counter() - t1
-                    recv_up.recv_into(field[n_local:n_local + rp])
-                if recv_dn is not None:
-                    t1 = _time.perf_counter()
-                    recv_dn.filled.acquire()
-                    recv_dn.filled.release()
-                    stall_s += _time.perf_counter() - t1
-                    recv_dn.recv_into(field[np_local - rp:np_local])
+                for ring, dst in ((recv_up, n_local),
+                                  (recv_dn, np_local - rp)):
+                    if ring is not None:
+                        t1 = _time.perf_counter()
+                        ring.filled.acquire()
+                        ring.filled.release()
+                        stall_s += _time.perf_counter() - t1
+                        ring.recv_into(field[dst:dst + rp])
                 exchange_wall_s += _time.perf_counter() - t0
                 mark = len(events)
                 if overlap:
-                    st.run_launch(0, step, view, rng=(0, h_lo))
-                    st.run_launch(0, step, view,
-                                  rng=(n_local - h_hi, n_local))
-                    for idx in range(1, len(launches)):
-                        st.run_launch(idx, step, view)
+                    st.run_fused(step, (0, h), shard=index)
+                    st.run_fused(step, (nb - h, nb), shard=index)
                     boundary_ms += _model_ms(mark)
                 else:
-                    st.run_step(step, shard=index)
+                    st.run_fused(step, shard=index)
             st.rotate()
             for name, (idx, samples) in receivers.items():
-                samples.append(float(st.buffer_for(halo_binding)[idx]))
+                samples.append(float(st.buffer_for(FIELD_PARAMS[0])[idx]))
         loop_wall_s = _time.perf_counter() - t_loop
 
         res = st.finish()
@@ -291,11 +259,11 @@ def _shard_worker_main(task: dict, result_q) -> None:
             "shard": index,
             "result": np.asarray(res.result),
             "final": {name: np.asarray(res.buffers[f"final:{name}"])
-                      for name in st.binding},
-            "binding_names": list(st.binding),
+                      for name in st.binding if name != "__out__"},
             "event_totals": [(k, n, ms, c)
                              for (k, n), (ms, c) in totals.items()],
             "mode": "overlap" if overlap else "bsp",
+            "tier": tier, "cc_rung": cc_rung,
             "footprint": (int(h_lo), int(h_hi)),
             "interior_model_ms": interior_ms,
             "boundary_model_ms": boundary_ms,
@@ -328,8 +296,7 @@ def execute_parallel(pool: MultiGPU, program: HostProgram, inputs: dict,
     shards = pool._shards(inputs, sizes)
     k = len(shards)
     ctx = mp.get_context("spawn")
-    field_name = FIELD_PARAMS[0]
-    field_dtype = np.asarray(inputs[field_name]).dtype
+    field_dtype = np.asarray(inputs[FIELD_PARAMS[0]]).dtype
     rp = shards[0].radius * shards[0].plane
     omp = max(1, (os.cpu_count() or 1) // k)
 
@@ -377,7 +344,6 @@ def execute_parallel(pool: MultiGPU, program: HostProgram, inputs: dict,
                 "n_local": shard.n_local, "np_local": shard.np_local,
                 "rp": rp, "steps": steps,
                 "rotations": shard_rotations(prog.plan, rotations),
-                "halo_binding": field_name,
                 "field_dtype": field_dtype.str,
                 "rings": ring_cfg[shard.index],
                 "omp_threads": omp,
@@ -452,7 +418,7 @@ def _merge_parallel(pool: MultiGPU, shards, masks, payloads, inputs,
         buffers = {f"final:{n}": a for n, a in pl["final"].items()}
         results.append(RunResult(result=pl["result"], buffers=buffers,
                                  events=ev))
-        names |= set(pl["binding_names"])
+        names |= set(pl["final"])
 
     # price the halo schedule the workers actually executed: one
     # exchange phase per step after the first (step 0 consumed the
@@ -495,7 +461,8 @@ def _merge_parallel(pool: MultiGPU, shards, masks, payloads, inputs,
             bsp_step_ms_max = max(bsp_step_ms_max, ot.bsp_step_ms)
         per_shard.append({
             "shard": sh.index, "device": sh.device.name,
-            "mode": pl["mode"], "footprint": pl["footprint"],
+            "mode": pl["mode"], "tier": pl["tier"],
+            "cc_rung": pl["cc_rung"], "footprint": pl["footprint"],
             "interior_model_ms": pl["interior_model_ms"],
             "boundary_model_ms": pl["boundary_model_ms"],
             "halo_model_ms": halo_phase,

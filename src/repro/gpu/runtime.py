@@ -15,10 +15,12 @@ host-code generator:
 
 One interpreter does this: :class:`ResidentPlan` validates the plan,
 allocates, uploads every input before the first launch (Listing 5's
-order), runs the launches once per step and reads the result back.
-:meth:`VirtualGPU.execute_many` drives it for many steps with buffer
-roles rotating; :meth:`VirtualGPU.execute` is one step with nothing
-rotating; the multi-device executors drive one per shard.
+order), runs the launches once per step and reads the newest level
+back.  :meth:`VirtualGPU.execute_many` drives it for many steps with
+buffer roles rotating; :meth:`VirtualGPU.execute` is one step with
+nothing rotating.  A ``resident`` simulation and every shard of a pool
+step a plan opened by :meth:`ResidentPlan.stepping` instead: one
+compiled step over two time levels, the launches modelled only.
 
 The runtime's kernel-time path is shared with the benchmark harness, so
 table/figure regeneration and actual execution agree by construction.
@@ -48,8 +50,8 @@ from ..lift.analysis import Resources, analyse_kernel
 from ..lift.codegen.arena import Workspace, arena_stats
 from ..lift.codegen.host import (ArgBinding, BufferDecl, CopyIn, CopyOut,
                                  HostPlan, HostProgram, Launch)
-from ..lift.codegen.loops import (_IN_PLACE, LoopKernel, LoopsUnsupported,
-                                  StepKernel, compile_step, realise)
+from ..lift.codegen.loops import (_IN_PLACE, LoopsUnsupported, StepKernel,
+                                  compile_step, realise)
 from ..lift.codegen.numpy_backend import NumpyKernel, compile_numpy
 from .autotune import autotune_workgroup
 from .costmodel import ImplTraits, KernelTiming, LIFT_TRAITS, transfer_time_ms
@@ -773,8 +775,7 @@ class VirtualGPU:
                          and out_src in rotating_sources),
             gather_src=gather_src, gather_static=gather_static,
             size_kwargs=size_kwargs, n_items=n_items, res=res,
-            precision=precision, timing=timing,
-            ranged=isinstance(nk, LoopKernel))
+            precision=precision, timing=timing)
 
     def _launch_timing(self, res: Resources, n_items: int, precision: str,
                        gather_index: np.ndarray | None) -> KernelTiming:
@@ -786,56 +787,46 @@ class VirtualGPU:
                            self.traits, gather_index,
                            workgroup=self.workgroup)
 
+    def _launch_faults(self, prep: "_PreparedLaunch",
+                       step: int | None) -> None:
+        """Raise the device loss or launch abort the fault plan injects
+        at a launch's site, before the launch stores anything."""
+        if self.faults is None:
+            return
+        name = prep.op.kernel.name
+        at = f" at step {step}" if step is not None else ""
+        if self.faults.should_inject("device_lost", prep.site, step):
+            raise ClDeviceLost(
+                f"device {self.device.name} lost while enqueueing kernel "
+                f"{name!r}{at}", kernel=name, step=step, injected=True)
+        if self.faults.should_inject("launch_abort", prep.site, step):
+            raise ClOutOfResources(
+                f"clEnqueueNDRangeKernel aborted for kernel {name!r}{at}",
+                kernel=name, step=step, injected=True)
+
     def _run_prepared(self, prep: "_PreparedLaunch",
                       view: dict[str, np.ndarray],
                       events: list[ProfilingEvent],
-                      step: int | None = None,
-                      rng: tuple[int, int] | None = None) -> None:
+                      step: int | None = None) -> None:
         """Execute one prepared launch under the current buffer rotation
-        (``view`` maps rotating buffer names to their current arrays).
-
-        ``rng=(lo, hi)`` restricts the launch to global work-items
-        ``[lo, hi)`` — only compiled-loop kernels support it (see
-        :attr:`_PreparedLaunch.ranged`); the overlap scheduler uses it
-        to split a step kernel into an interior sweep and thin boundary
-        sweeps around the halo planes."""
-        op = prep.op
-        if rng is not None and not prep.ranged:
-            raise ClInvalidValue(
-                f"kernel {op.kernel.name!r} does not support ranged "
-                f"launches (not realised by the compiled-loop backend)",
-                kernel=op.kernel.name)
-        if self.faults is not None:
-            if self.faults.should_inject("device_lost", prep.site, step):
-                raise ClDeviceLost(
-                    f"device {self.device.name} lost while enqueueing "
-                    f"kernel {op.kernel.name!r}"
-                    + (f" at step {step}" if step is not None else ""),
-                    kernel=op.kernel.name, step=step, injected=True)
-            if self.faults.should_inject("launch_abort", prep.site, step):
-                raise ClOutOfResources(
-                    f"clEnqueueNDRangeKernel aborted for kernel "
-                    f"{op.kernel.name!r}"
-                    + (f" at step {step}" if step is not None else ""),
-                    kernel=op.kernel.name, step=step, injected=True)
+        (``view`` maps rotating buffer names to their current arrays)."""
+        self._launch_faults(prep, step)
         args = prep.args
         for pos, src in prep.rotating:
             args[pos] = view[src]
         out_array = (view[prep.out_src] if prep.out_rotates
                      else prep.out_static)
         nk = prep.nk
-        extra = {} if rng is None else {"_range": (int(rng[0]), int(rng[1]))}
         t0 = _time.perf_counter()
         if nk.returns_out:
-            nk.fn(*args, **prep.size_kwargs, out=out_array, _ws=prep.ws,
-                  **extra)
+            nk.fn(*args, **prep.size_kwargs, out=out_array, _ws=prep.ws)
         else:
-            nk.fn(*args, **prep.size_kwargs, _ws=prep.ws, **extra)
+            nk.fn(*args, **prep.size_kwargs, _ws=prep.ws)
         host_secs = _time.perf_counter() - t0
         o = _obs.get()
         if o is not None:
-            self._observe_host_time(o, op.kernel.name, host_secs)
-        self._record_launch(prep, view, events, step, rng)
+            self._observe_host_time(o, prep.op.kernel.name, host_secs)
+        self._record_launch(prep, view, events, step)
 
     def _record_launch(self, prep: "_PreparedLaunch",
                        view: dict[str, np.ndarray],
@@ -845,23 +836,16 @@ class VirtualGPU:
         """Record one launch's modelled ``kernel`` event: its plan-time
         timing, or the timing of its range or of the gather index it
         reads under the current rotation."""
-        if rng is not None:
-            key = (int(rng[0]), int(rng[1]))
-            timing = prep.range_timing.get(key)
-            if timing is None:
-                gather = (view[prep.gather_src]
-                          if prep.gather_src in view else prep.gather_static)
-                timing = self._launch_timing(prep.res,
-                                             max(0, key[1] - key[0]),
-                                             prep.precision, gather)
+        key = None if rng is None else (int(rng[0]), int(rng[1]))
+        timing = prep.timing if key is None else prep.range_timing.get(key)
+        if timing is None:
+            gather = (view[prep.gather_src]
+                      if prep.gather_src in view else prep.gather_static)
+            timing = self._launch_timing(
+                prep.res, prep.n_items if key is None
+                else max(0, key[1] - key[0]), prep.precision, gather)
+            if key is not None:
                 prep.range_timing[key] = timing
-        else:
-            timing = prep.timing
-            if timing is None:
-                gather = (view[prep.gather_src]
-                          if prep.gather_src in view else prep.gather_static)
-                timing = self._launch_timing(prep.res, prep.n_items,
-                                             prep.precision, gather)
         attrs: dict = {}
         if _obs.get() is not None:
             attrs = self._launch_attrs(timing, prep.n_items, prep.precision)
@@ -899,8 +883,16 @@ class _PreparedLaunch:
     res: Resources
     precision: str
     timing: KernelTiming | None        # cached when gather never rotates
-    ranged: bool = False               # fn accepts a _range=(lo, hi) kwarg
     range_timing: dict = field(default_factory=dict)  # (lo, hi) -> timing
+
+
+def leapfrog_cycle(rotations) -> tuple[str, ...]:
+    """The cycle of time levels among ``rotations``: ``"__out__"`` last."""
+    for cycle in rotations or ():
+        if cycle[-1:] == ("__out__",):
+            return tuple(cycle)
+    raise ClInvalidValue(f"two-level stepping needs the leapfrog cycle "
+                         f"('__out__' last) among rotations {rotations!r}")
 
 
 class ResidentPlan:
@@ -911,16 +903,13 @@ class ResidentPlan:
     Opening a plan validates it with its inputs and sizes, allocates every
     buffer and uploads every ``CopyIn`` — all before the first launch,
     Listing 5's order.  A caller then drives the per-step lifecycle
-    itself: for each step :meth:`run_step` (all launches) or
-    :meth:`run_fused` (one compiled step, launches modelled only),
-    optionally patch resident buffers (halo exchange between devices), then
-    :meth:`rotate`, and finally :meth:`finish`, which reads the result
-    back (one ``d2h`` event named ``result``).  :meth:`VirtualGPU.execute`
-    is one step with nothing rotating, :meth:`VirtualGPU.execute_many`
-    the loop; :class:`repro.gpu.multi.MultiGPU` interleaves several of
-    these, one per shard, inserting
-    :class:`~repro.lift.codegen.host.HaloExchange` transfers between the
-    launch and rotation phases of every step.
+    itself: for each step :meth:`run_step` (all launches) or, on a plan
+    opened by :meth:`stepping`, :meth:`run_fused` (one compiled step over
+    two levels), then :meth:`rotate` and optionally patch resident
+    buffers (a pool's halo exchange), and finally :meth:`finish`, which
+    reads the newest level back (one ``d2h`` event named ``result``).
+    :meth:`VirtualGPU.execute` is one step with nothing rotating,
+    :meth:`VirtualGPU.execute_many` the launch-by-launch loop.
 
     ``binding`` maps rotation names (transferred host parameters plus the
     ``"__out__"`` sentinel) to the buffer currently playing that role;
@@ -936,28 +925,35 @@ class ResidentPlan:
     so a caller that must be able to re-run from unchanged inputs (the
     retry ladder of :class:`~.resilient.ResilientGPU`) must not bind.
     A name mapped to ``None`` is declared without host memory (see
-    :meth:`VirtualGPU._allocate_buffers`): a caller that steps through
-    :meth:`run_fused` over two host levels binds ``"__out__"`` so, and
-    the modelled device still holds three.
+    :meth:`VirtualGPU._allocate_buffers`).  ``"__out__"`` mapped so
+    makes the plan two-level: its step overwrites the oldest level in
+    place, so ``"__out__"`` leaves its rotation cycle, and the modelled
+    device still holds three levels (:meth:`stepping` opens plans so).
 
     ``setup_step`` is the step index the setup transfers are stamped
     with for step-targeted faults (``None``: a loop's one-off setup).
-    ``min_out`` is a minimum element count for the output buffer (a
-    shard's output spans its halo regions, which exchanges write).
     """
+
+    #: the compiled step :meth:`run_fused` calls (:meth:`stepping`)
+    kernel: StepKernel | None = None
 
     def __init__(self, gpu: VirtualGPU, plan: HostPlan, inputs: dict,
                  sizes: dict[str, int],
                  rotations: list[tuple[str, ...]] | None,
                  events: list[ProfilingEvent],
                  in_place: dict[str, np.ndarray] | None = None, *,
-                 setup_step: int | None = None, min_out: int = 0):
+                 setup_step: int | None = None):
         self._validate(plan, inputs, sizes)
         self.gpu = gpu
         self.plan = plan
-        self.inputs = inputs
-        self.sizes = sizes
-        self.rotations = list(rotations or [])
+        cycles = [tuple(c) for c in rotations or []]
+        in_place = in_place or {}
+        two_level = "__out__" in in_place and in_place["__out__"] is None
+        self.rotations = [tuple(n for n in c if n != "__out__")
+                          for c in cycles] if two_level else cycles
+        # the name the newest level rotates into: the one before __out__
+        self._newest = next((c[c.index("__out__") - 1] for c in cycles
+                             if "__out__" in c), "__out__")
         self.events = events
 
         host_to_buffer = plan.host_buffers()
@@ -972,7 +968,7 @@ class ResidentPlan:
         if out_buffer is not None:
             binding["__out__"] = out_buffer
         rotatable = sorted(binding)
-        for cycle in self.rotations:
+        for cycle in cycles:
             for n in cycle:
                 if n not in binding:
                     raise ClInvalidValue(
@@ -980,7 +976,6 @@ class ResidentPlan:
                         f"is not a transferred host parameter or the "
                         f"'__out__' sentinel; rotatable names: {rotatable}",
                         rotation=tuple(cycle), available=rotatable)
-        in_place = in_place or {}
         unknown = sorted(set(in_place) - set(binding))
         if unknown:
             raise ClInvalidValue(
@@ -989,12 +984,12 @@ class ResidentPlan:
                 f"{rotatable}", in_place=unknown, available=rotatable)
 
         decls = {d.name: d for d in plan.buffers}
-        # a rotating output buffer must be as large as its cycle peers
-        # (state buffers carry the guard plane; see lift_programs)
-        peers = [binding[n] for cycle in self.rotations if "__out__" in cycle
+        # the output level must be as large as its cycle peers (state
+        # buffers carry the guard plane; see lift_programs)
+        peers = [binding[n] for cycle in cycles if "__out__" in cycle
                  for n in cycle if n != "__out__"]
-        out_len = max([min_out] + [int(decls[b].count.evaluate(sizes))
-                                   for b in peers])
+        out_len = max([0] + [int(decls[b].count.evaluate(sizes))
+                             for b in peers])
         at_least = ({out_buffer: out_len}
                     if out_buffer is not None and out_len else None)
         buffers = gpu._allocate_buffers(
@@ -1017,7 +1012,6 @@ class ResidentPlan:
         self.buffers = buffers
         self.binding = binding
         self._host_to_buffer = host_to_buffer
-        self._launches = launches
         self._out_buffer = out_buffer
 
         # Buffer names whose bound array changes between steps; every
@@ -1042,6 +1036,24 @@ class ResidentPlan:
             self._fused_args.update(zip(prep.names, prep.args))
             self._fused_rotating += [(prep.names[pos], src)
                                      for pos, src in prep.rotating]
+
+    @classmethod
+    def stepping(cls, gpu: VirtualGPU, plan: HostPlan, inputs: dict,
+                 sizes: dict[str, int], rotations: list[tuple[str, ...]],
+                 events: list[ProfilingEvent],
+                 in_place: dict[str, np.ndarray] | None = None
+                 ) -> "ResidentPlan":
+        """Open ``plan`` to step through :meth:`run_fused`, one compiled
+        step over two levels of the leapfrog cycle in ``rotations``
+        (:meth:`VirtualGPU.compile_step`; ``"__out__"`` has no host
+        memory) — how a ``resident`` simulation and every shard step.
+        Without that cycle, or for a plan the step refuses, it raises
+        before anything is allocated."""
+        kernel = gpu.compile_step(plan, leapfrog_cycle(rotations))
+        st = cls(gpu, plan, inputs, sizes, rotations, events,
+                 {**(in_place or {}), "__out__": None})
+        st.kernel = kernel
+        return st
 
     @staticmethod
     def _validate(plan: HostPlan, inputs: dict, sizes: dict[str, int]) -> None:
@@ -1085,25 +1097,13 @@ class ResidentPlan:
             view[self._out_buffer] = self.buffers[self.binding["__out__"]]
         return view
 
-    @property
-    def num_launches(self) -> int:
-        return len(self._prepared)
-
-    def launch_ranged_capable(self, idx: int) -> bool:
-        """Whether launch ``idx`` supports ``rng=(lo, hi)`` splitting
-        (i.e. is realised by the compiled-loop backend)."""
-        return self._prepared[idx].ranged
-
-    def run_launch(self, idx: int, step: int,
-                   view: dict[str, np.ndarray] | None = None,
-                   rng: tuple[int, int] | None = None) -> None:
-        """Run a single launch of the plan, optionally over a work-item
-        sub-range — the overlap scheduler's building block (interior
-        sweep concurrent with halo exchange, then the boundary sweeps)."""
-        if view is None:
-            view = self.step_view()
-        self.gpu._run_prepared(self._prepared[idx], view, self.events,
-                               step, rng=rng)
+    def halo_footprint(self) -> tuple[int, int]:
+        """How many elements below / above its own the compiled step's
+        sweep reads, under the plan's bindings
+        (:meth:`~repro.lift.codegen.arena.ArenaProgram.halo_footprint`)."""
+        env = {n: v for n, v in self._fused_args.items()
+               if not isinstance(v, np.ndarray)}
+        return self.kernel.programs[0].halo_footprint(env)
 
     @contextmanager
     def _step_span(self, step: int, **span_attrs):
@@ -1124,26 +1124,44 @@ class ResidentPlan:
         with self._step_span(step, **span_attrs):
             self.launch_all(step)
 
-    def run_fused(self, step: int, kernel: StepKernel) -> None:
-        """One step through ``kernel``, the plan's launches compiled into
-        one (:meth:`VirtualGPU.compile_step`), called once over the
-        current bindings instead of the launches.  The launches still
-        record their plan-time ``kernel`` events under the ``gpu.step``
-        span, as :meth:`run_step` records them, so the modelled device
-        cannot tell the two apart; the host wall time is observed once,
-        under the kernel's name."""
+    def run_fused(self, step: int, blocks: tuple[int, int] | None = None,
+                  **span_attrs) -> None:
+        """One step through the plan's compiled step (:meth:`stepping`)
+        instead of its launches, under a ``gpu.step`` span naming its
+        ``tier`` and ``cc_rung``.  The launches still record their
+        plan-time ``kernel`` events, as :meth:`run_step` records them,
+        after the fault plan is consulted at their sites and before the
+        step stores anything; the host wall time is observed once.
+
+        ``blocks=(b0, b1)`` runs only those Z-plane blocks (of ``NxNy``
+        points, each with its boundary points): the sweep launch is
+        recorded over their work-items, the later launches whole with
+        the range that ends the step — the overlap schedule's split."""
+        kernel = self.kernel
         view = self.step_view()
         args = self._fused_args
         for name, src in self._fused_rotating:
             args[name] = view[src]
-        with self._step_span(step) as o:
+        record, rng = self._prepared, None
+        if blocks is not None:
+            b0, b1 = blocks
+            n, blk = record[0].n_items, int(args["NxNy"])
+            if (b0, b1) != (0, -(-n // blk)):
+                rng = (b0 * blk, min(b1 * blk, n))
+                record = record if b1 * blk >= n else record[:1]
+            args = {**args, "_blocks": (b0, b1)}
+        for prep in record:
+            self.gpu._launch_faults(prep, step)
+        with self._step_span(step, tier=kernel.tier, cc_rung=kernel.cc_rung,
+                             **span_attrs) as o:
             t0 = _time.perf_counter()
             kernel.fn(**args)
             host_secs = _time.perf_counter() - t0
             if o is not None:
                 self.gpu._observe_host_time(o, kernel.name, host_secs)
-            for prep in self._prepared:
-                self.gpu._record_launch(prep, view, self.events, step)
+            for k, prep in enumerate(record):
+                self.gpu._record_launch(prep, view, self.events, step,
+                                        None if k else rng)
 
     def launch_all(self, step: int | None) -> None:
         """Run every launch of the plan once, with no span of its own
@@ -1167,10 +1185,9 @@ class ResidentPlan:
                 self.binding[n] = olds[(i + 1) % len(names)]
 
     def finish(self) -> RunResult:
-        """Read the result back and expose the rotated bindings."""
-        final = (self.buffers[self.binding.get("__out__",
-                                               self.plan.result_buffer)]
-                 if (self._out_buffer or self.plan.result_buffer) else None)
+        """Read the newest level back and expose the rotated bindings."""
+        name = self.binding.get(self._newest, self.plan.result_buffer)
+        final = self.buffers[name] if name else None
         if final is not None:
             self.gpu._record(self.events, "d2h", "result",
                              transfer_time_ms(final.nbytes, self.gpu.device),

@@ -84,12 +84,12 @@ class HaloExchange:
 
     The multi-device executor (:class:`repro.gpu.multi.MultiGPU`)
     schedules one of these per neighbouring shard pair and per direction
-    after each iteration's launches: elements
+    after each iteration's step and rotation: elements
     ``[src_start, src_start+count)`` of ``buffer`` on plan ``src_device``
     replace ``[dst_start, dst_start+count)`` on ``dst_device``.
-    ``buffer`` names a resident rotation binding (host parameter name or
-    the ``"__out__"`` sentinel), not a raw buffer: the exchange follows
-    the leapfrog rotation, always touching the freshly computed field.
+    ``buffer`` names a resident rotation binding (a host parameter name),
+    not a raw buffer: the exchange follows the leapfrog rotation, always
+    touching the freshly computed field (``prev1_h`` after it).
     Priced by :func:`repro.gpu.costmodel.halo_exchange_time_ms`
     (peer-to-peer over a same-board interconnect, else staged through
     host PCIe).

@@ -1266,6 +1266,13 @@ class StepKernel:
     output overwrites ``prev``, and the boundary program's updates of
     that output (its ``next``) land there too.  The first call per
     argument-dtype set types, generates and compiles the step.
+
+    ``fn(**args, _blocks=(b0, b1))`` runs only Z-plane blocks
+    ``[b0, b1)`` of the ``ceil(N / NxNy)``, each with its boundary
+    points, so a run of ``[0, a)``, ``[a, b)`` and ``[b, nb)`` is the
+    full step bit for bit; a range outside ``[0, nb]`` raises
+    ``ValueError``.  ``tier="numpy"`` steps whole arrays and refuses a
+    partial range (:class:`LoopsUnsupported`).
     """
 
     name: str
@@ -1354,7 +1361,7 @@ def _render_step(name: str, gens: list, links, params: list,
     if py:
         return "\n".join([
             f"def _step_{name}({', '.join(params)}):",
-            "    for _b in prange((_n + _blk - 1) // _blk):",
+            "    for _b in prange(_blo, _bhi):",
             "        _b0 = _b * _blk",
             "        _b1 = min(_b0 + _blk, _n)",
             *(["        _k0 = _kb[_b]", "        _k1 = _kb[_b + 1]"]
@@ -1367,7 +1374,7 @@ def _render_step(name: str, gens: list, links, params: list,
         "{",
         *(f"    {decl}" for decl in invariants),
         "    #pragma omp parallel for schedule(static)",
-        "    for (long long _b = 0; _b < (_n + _blk - 1) / _blk; ++_b) {",
+        "    for (long long _b = _blo; _b < _bhi; ++_b) {",
         "        const long long _b0 = _b * _blk;",
         "        const long long _b1 = _b0 + _blk < _n ? _b0 + _blk : _n;",
         *(["        const long long _k0 = _kb[_b], _k1 = _kb[_b + 1];"]
@@ -1411,21 +1418,36 @@ def _build_step(kernel: StepKernel, bounds: list) -> _StepSpec:
                   + [f"long long {s}" for s in sizes]
                   + [f"{'long long' if kind == 'i' else 'double'} {tok}"
                      for tok, kind in scalars]
-                  + [f"long long {h}" for h in (*heads, "_n", "_blk")])
+                  + [f"long long {h}"
+                     for h in (*heads, "_n", "_blk", "_blo", "_bhi")])
         source = _render_step(kernel.name, gens, links, params, 1)
         fn = _load_c(source, f"step_{kernel.name}",
                      f"repro_step_{kernel.name}",
                      [ctypes.c_void_p] * len(ptrs)
                      + [ctypes.c_longlong] * len(sizes)
                      + [_scalar_ctype(kind) for _t, kind in scalars]
-                     + [ctypes.c_longlong] * (len(heads) + 2))
+                     + [ctypes.c_longlong] * (len(heads) + 4))
     else:
         params = ([tok for tok, _ct in ptrs] + list(sizes)
-                  + [tok for tok, _k in scalars] + [*heads, "_n", "_blk"])
+                  + [tok for tok, _k in scalars]
+                  + [*heads, "_n", "_blk", "_blo", "_bhi"])
         source = _render_step(kernel.name, gens, links, params, 0)
         fn = _load_python(source, kernel.tier, kernel.name,
                           f"_step_{kernel.name}")
     return _StepSpec(source, fn, parts, arrays, sizes)
+
+
+def _block_range(name: str, blocks, n: int, blk: int) -> tuple[int, int]:
+    """``blocks`` as a range of the ``ceil(n / blk)`` Z-plane blocks of
+    a step; ``None`` is all of them."""
+    nb = -(-n // blk)
+    if blocks is None:
+        return 0, nb
+    b0, b1 = (int(b) for b in blocks)
+    if not 0 <= b0 <= b1 <= nb:
+        raise ValueError(f"{name}: blocks [{b0}, {b1}) are not a range of "
+                         f"its {nb} Z-plane blocks")
+    return b0, b1
 
 
 class _StepDispatch:
@@ -1435,7 +1457,7 @@ class _StepDispatch:
         #: per index array, checked once: (array, (K, n, blk, dtype), _kb, _pb)
         self.blocks: tuple = (None, None)
 
-    def __call__(self, **args) -> None:
+    def __call__(self, _blocks=None, **args) -> None:
         kernel = self.kernel
         bounds = kernel.bind(args)
         key = tuple(map(_dtype_key, kernel.programs, bounds))
@@ -1454,6 +1476,7 @@ class _StepDispatch:
         if blk <= 0:
             raise ValueError(f"{kernel.name}: NxNy must be positive, "
                              f"got {blk}")
+        run = _block_range(kernel.name, _blocks, sweep.n, blk)
         arrays = {tok: launches[k].arrays[a]
                   for tok, (k, a) in spec.arrays.items()}
         order = list(spec.arrays)
@@ -1469,7 +1492,7 @@ class _StepDispatch:
             arrays["_kb"], arrays["_pb"] = blocks[2:]
             order += ["_pb", "_kb"]
         sizes = [launches[k].sizes[a] for k, a in spec.sizes.values()]
-        tail = [launch.hd for launch in launches] + [sweep.n, blk]
+        tail = [launch.hd for launch in launches] + [sweep.n, blk, *run]
         if kernel.tier == "cc":
             spec.fn(*_pointers(order, arrays), *sizes,
                     *(v for part, launch in zip(spec.parts, launches)
@@ -1517,7 +1540,7 @@ class _NumpyStep:
     def workspaces(self) -> list:
         return [ws for wss, _pb, _ext in self.arenas.values() for ws in wss]
 
-    def __call__(self, **args) -> None:
+    def __call__(self, _blocks=None, **args) -> None:
         kernel = self.kernel
         bounds = kernel.bind(args)
         key = tuple((v.shape, v.dtype.str) if isinstance(v, np.ndarray)
@@ -1536,6 +1559,13 @@ class _NumpyStep:
                 [Workspace(f"step:{p.name}") for p in self.programs], pb,
                 extents)
         workspaces, pb, extents = arena
+        if _blocks is not None:
+            env, n = extents[0]
+            blk = int(env["NxNy"])
+            if _block_range(kernel.name, _blocks, n, blk) != (0, -(-n // blk)):
+                raise LoopsUnsupported(
+                    f"{kernel.name}: the numpy tier steps whole arrays, "
+                    f"so it takes only the full range of Z-plane blocks")
         # every data-dependent index is in range before anything is stored
         for check, bound, (env, n) in zip(self.checks, bounds, extents):
             check(bound, env, n)

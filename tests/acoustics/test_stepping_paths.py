@@ -60,9 +60,16 @@ def test_virtual_gpu_paths(kw, path):
     assert [s.attrs["path"] for s in spans] == (
         [path] * (1 if path == "parallel" else 3))
     assert (sim._plan is not None) == (path == "resident")
-    # only the resident path runs a step kernel, and names its tier
+    # the resident path and a parallel pool's shards run a step kernel,
+    # and name its tier
     tiers = {s.attrs.get("tier") for s in spans}
-    assert tiers == ({sim._step.tier} if path == "resident" else {None})
+    expect = {None}
+    if path == "resident":
+        expect = {sim._step.tier}
+    elif path == "parallel":
+        expect = {p["tier"] for p in sim.last_overlap["per_shard"]}
+        assert expect <= set(available_tiers()) | {"numpy"}
+    assert tiers == expect
     assert not hasattr(sim, "nxt")
 
 

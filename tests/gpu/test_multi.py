@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.acoustics import lift_programs
 from repro.acoustics.geometry import DomeRoom, Room
 from repro.acoustics.grid import Grid3D
 from repro.acoustics.lift_programs import two_kernel_host
@@ -11,6 +13,7 @@ from repro.acoustics.materials import (MaterialTable, default_fd_materials,
 from repro.acoustics.sim import RoomSimulation, SimConfig
 from repro.acoustics.topology import build_topology
 from repro.lift.codegen.host import compile_host
+from repro.lift.codegen.loops import LoopsUnsupported, available_tiers
 from repro.gpu import (AMD_HD7970, AMD_R9_295X2, ClInvalidValue, DeviceSpec,
                        FaultPlan, FaultSpec, MultiGPU, NVIDIA_TITAN_BLACK,
                        ShardLost, VirtualGPU, decompose, peer_connected,
@@ -135,12 +138,17 @@ class TestBitIdentity:
         assert np.array_equal(np.asarray(res.result),
                               np.asarray(ref.result)[:fi_mm["N"]])
 
-    # no rotations: the kernels must write the out buffer the halo
-    # exchange and the readback see (it spans the shard's halo regions)
+    # no rotations: shards step over two time levels, which needs the
+    # leapfrog cycle, so the pool refuses at the call
     @pytest.mark.parametrize("shards,rotations",
                              [(2, ROT_FI), (4, ROT_FI), (2, None)],
                              ids=["2", "4", "2-no-rotations"])
     def test_execute_many_fi_mm(self, fi_mm, shards, rotations):
+        if rotations is None:
+            with pytest.raises(ClInvalidValue, match="leapfrog"):
+                MultiGPU(f"RadeonR9:{shards}").execute_many(
+                    fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS)
+            return
         ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
             rotations=rotations)
@@ -290,3 +298,88 @@ class TestSimIntegration:
         assert [o.action for o in survivors.policy_logs()] == ["reshard"]
         with pytest.raises(ClInvalidValue):
             MultiGPU(("TitanBlack",)).without_device(0)
+
+
+class TestResultIsTheNewestLevel:
+    """``execute_many(...).result`` is the level the last step wrote —
+    ``final:prev1_h`` after the rotation — not the scratch level the
+    next step would overwrite (nor, with no step, a buffer never
+    written)."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    @pytest.mark.parametrize("devices", ["TitanBlack", "TitanBlack:2"])
+    def test_result_is_final_prev1(self, fi_mm, devices, steps):
+        gpu = (VirtualGPU(NVIDIA_TITAN_BLACK) if devices == "TitanBlack"
+               else MultiGPU(devices))
+        res = gpu.execute_many(fi_mm["host"], fi_mm["inputs"],
+                               fi_mm["sizes"], steps, rotations=ROT_FI)
+        N = fi_mm["N"]
+        newest = np.asarray(res.buffers["final:prev1_h"])[:N]
+        assert np.array_equal(np.asarray(res.result)[:N], newest)
+        if steps == 0:
+            assert np.array_equal(newest, fi_mm["inputs"]["prev1_h"][:N])
+        else:
+            assert not np.array_equal(
+                newest, np.asarray(res.buffers["final:prev2_h"])[:N])
+
+
+class TestPoolRefusals:
+    def test_a_plan_the_step_refuses_raises_at_the_call(self, fi_mm,
+                                                        monkeypatch):
+        """A sweep naming its oldest level other than ``prev`` cannot
+        step over two levels: both pools refuse before any shard runs
+        (the multi-process one before it starts a worker)."""
+        original = lift_programs.volume_kernel
+
+        def volume_kernel(dtype="double"):
+            p = original(dtype)
+            p.kernel.params[0].name = "older"
+            return p
+
+        monkeypatch.setattr(lift_programs, "volume_kernel", volume_kernel)
+        hp = lift_programs.two_kernel_host("fi_mm")
+        host = compile_host(hp.program, hp.name)
+        monkeypatch.undo()
+        for parallel in (False, True):
+            with pytest.raises(LoopsUnsupported, match="older|.prev."):
+                MultiGPU("TitanBlack:2", parallel=parallel).execute_many(
+                    host, fi_mm["inputs"], fi_mm["sizes"], STEPS,
+                    rotations=ROT_FI)
+
+
+class TestPoolLoopFaults:
+    def test_a_launch_site_fault_loses_the_shard_at_its_step(self, fi_mm):
+        """The in-process pool loop consults the fault plan at every
+        launch site it records, before the step stores anything."""
+        faults = FaultPlan([FaultSpec("device_lost", steps=(2,))])
+        pool = MultiGPU("TitanBlack:2", faults=faults)
+        with obs.observe() as o, pytest.raises(ShardLost) as err:
+            pool.execute_many(fi_mm["host"], fi_mm["inputs"],
+                              fi_mm["sizes"], STEPS, rotations=ROT_FI)
+        obs.disable()
+        assert err.value.shard == 0 and err.value.context["step"] == 2
+        assert [(r.kind, r.step) for r in faults.records] == [
+            ("device_lost", 2)]
+        # shard 0 modelled no launch of step 2
+        lost = [s for s in o.tracer.find("gpu.step", cat="step")
+                if s.attrs.get("shard") == 0 and s.attrs["step"] == 2]
+        assert all(k.cat != "kernel"
+                   for s in lost for k in o.tracer.children_of(s))
+
+
+class TestShardStepSpans:
+    def test_every_shard_step_names_its_tier(self, fd_mm):
+        with obs.observe() as o:
+            MultiGPU("TitanBlack:2").execute_many(
+                fd_mm["host"], fd_mm["inputs"], fd_mm["sizes"], 3,
+                rotations=ROT_FD)
+        obs.disable()
+        steps = o.tracer.find("gpu.step", cat="step")
+        assert sorted((s.attrs["shard"], s.attrs["step"])
+                      for s in steps) == [(i, t) for i in (0, 1)
+                                          for t in range(3)]
+        tiers = {(s.attrs["tier"], s.attrs["cc_rung"]) for s in steps}
+        assert len(tiers) == 1
+        tier, rung = tiers.pop()
+        assert tier in {*available_tiers(), "numpy"}
+        assert (rung is not None) == (tier == "cc")

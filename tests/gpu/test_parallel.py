@@ -11,6 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.acoustics.geometry import DomeRoom, Room
 from repro.acoustics.grid import Grid3D
 from repro.acoustics.lift_programs import compiled_host, two_kernel_host
@@ -19,6 +20,7 @@ from repro.acoustics.materials import (MaterialTable, default_fd_materials,
 from repro.acoustics.sim import RoomSimulation, SimConfig
 from repro.acoustics.topology import build_topology
 from repro.lift.codegen.host import Launch, compile_host
+from repro.lift.codegen.loops import available_tiers
 from repro.gpu import (ClInvalidValue, MultiGPU, NVIDIA_TITAN_BLACK,
                        ShardLost, VirtualGPU, clear_kernel_caches)
 
@@ -97,6 +99,13 @@ class TestParallelBitIdentity:
                              [(2, ROT_FI), (3, ROT_FI), (2, None)],
                              ids=["2", "3", "2-no-rotations"])
     def test_fi_mm_matches_single_and_serial(self, fi_mm, shards, rotations):
+        if rotations is None:
+            # shards step over two time levels, which needs the leapfrog
+            # cycle: refused at the call, before any worker starts
+            with pytest.raises(ClInvalidValue, match="leapfrog"):
+                MultiGPU(f"TitanBlack:{shards}", parallel=True).execute_many(
+                    fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS)
+            return
         ref = _ref(fi_mm, rotations)
         serial = MultiGPU(f"TitanBlack:{shards}").execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
@@ -341,3 +350,34 @@ class TestSimParallel:
         assert sim._gpu.parallel
         assert sim._path == "pool-step"
         assert len(sim.devices) == 1
+
+
+class TestStepReport:
+    def test_every_shard_reports_its_step_tier(self, fi_mm):
+        par = MultiGPU("TitanBlack:2", parallel=True).execute_many(
+            fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], 3,
+            rotations=ROT_FI)
+        per = par.overlap["per_shard"]
+        assert len(per) == 2
+        for p in per:
+            assert p["tier"] in {*available_tiers(), "numpy"}
+            assert (p["cc_rung"] is not None) == (p["tier"] == "cc")
+            # a compiled step overlaps; whole arrays cannot be split
+            assert p["mode"] == ("bsp" if p["tier"] == "numpy"
+                                 else "overlap")
+
+    def test_a_segment_names_the_shards_tier(self, grid):
+        sim = RoomSimulation(SimConfig(
+            room=Room(grid, DomeRoom()), scheme="fd_mm",
+            backend="virtual_gpu", devices="TitanBlack:2", parallel=True))
+        sim.add_impulse("center")
+        try:
+            with obs.observe() as o:
+                sim.run(3)
+        finally:
+            obs.disable()
+        segments = o.tracer.find("sim.segment", cat="sim")
+        assert len(segments) == 1
+        assert segments[0].attrs["path"] == "parallel"
+        assert segments[0].attrs["tier"] == (
+            sim.last_overlap["per_shard"][0]["tier"])

@@ -286,3 +286,93 @@ def test_one_pragma_and_a_vectorised_sweep(scheme, precision, tmp_path,
         tmp_path))
     assert len(vectorised) == 1, vectorised
     assert first <= vectorised.pop() <= last
+
+
+# -- Z-block ranges -----------------------------------------------------------
+
+
+def _step_case(scheme, precision, shape):
+    """A compiled step's arguments part-way through a run: a moving field
+    and, for FD-MM, moving branch state."""
+    sim = RoomSimulation(SimConfig(
+        room=Room(Grid3D(12, 10, 9), shape()), scheme=scheme,
+        backend="numba", precision=precision,
+        materials=(default_fd_materials(3) if scheme == "fd_mm"
+                   else default_fi_materials(3))))
+    sim.add_impulse("center")
+    sim.run(4)
+    return sim._step, sim._step_args(), sim.grid.nz
+
+
+def _copied(args):
+    return {n: (v.copy() if isinstance(v, np.ndarray) else v)
+            for n, v in args.items()}
+
+
+@pytest.mark.parametrize("tier", [t for t in TIERS
+                                  if t.values[0] in ("python", "cc")])
+@pytest.mark.parametrize("shape", [BoxRoom, DomeRoom])
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
+def test_a_step_in_block_ranges_is_the_full_step(scheme, precision, shape,
+                                                  tier, monkeypatch):
+    """``[0, a) + [a, b) + [b, nb)`` of the Z-plane blocks, each with its
+    boundary points, is one full step bit for bit — the overlap
+    schedule's interior-then-edges split."""
+    monkeypatch.setenv("REPRO_LOOP_TIER", tier)
+    step, args, nb = _step_case(scheme, precision, shape)
+    assert step.tier == tier
+    full = _copied(args)
+    step.fn(**full)
+    for cuts in ((1, nb - 1), (0, 4), (3, nb), (2, 2)):
+        split = _copied(args)
+        for blocks in ((0, cuts[0]), cuts, (cuts[1], nb)):
+            step.fn(**split, _blocks=blocks)
+        for name, value in full.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(split[name], value), (cuts, name)
+    arrays = [n for n, v in args.items() if isinstance(v, np.ndarray)
+              and not np.array_equal(v, full[n])]
+    assert "prev" in arrays
+    if scheme == "fd_mm":
+        assert {"g1", "vel_next"} <= set(arrays), arrays
+
+
+@pytest.mark.parametrize("tier", TIERS + ["numpy"])
+def test_a_block_range_outside_the_step_raises(tier, monkeypatch):
+    if tier == "numpy":
+        sim = RoomSimulation(SimConfig(
+            room=Room(Grid3D(12, 10, 9), DomeRoom()), scheme="fi_mm",
+            backend="numpy-steady"))
+        sim.add_impulse("center")
+        step, args, nb = sim._step, sim._step_args(), sim.grid.nz
+    else:
+        monkeypatch.setenv("REPRO_LOOP_TIER", tier)
+        step, args, nb = _step_case("fi_mm", "double", DomeRoom)
+    before = _copied(args)
+    for blocks in ((-1, 2), (0, nb + 1), (5, 4)):
+        with pytest.raises(ValueError, match="Z-plane blocks"):
+            step.fn(**args, _blocks=blocks)
+    for name, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(args[name], value), name
+
+
+def test_the_numpy_tier_takes_only_the_full_block_range():
+    sim = RoomSimulation(SimConfig(
+        room=Room(Grid3D(12, 10, 9), DomeRoom()), scheme="fd_mm",
+        backend="numpy-steady"))
+    sim.add_impulse("center")
+    step, args, nb = sim._step, sim._step_args(), sim.grid.nz
+    assert step.tier == "numpy"
+    before = _copied(args)
+    for blocks in ((0, nb - 1), (1, nb), (0, 0)):
+        with pytest.raises(LoopsUnsupported, match="full range"):
+            step.fn(**args, _blocks=blocks)
+    for name, value in before.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(args[name], value), name
+    step.fn(**args, _blocks=(0, nb))
+    full = _copied(before)
+    step.fn(**full)
+    assert np.array_equal(args["prev"], full["prev"])
