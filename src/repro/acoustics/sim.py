@@ -869,10 +869,10 @@ class RoomSimulation:
         and ``add_impulse``, receivers, checkpoints and the health
         monitor need no sync.  One call of the plan's step overwrites
         ``prev`` (``ResidentPlan.stepping``, as every shard steps): the
-        plan's third level, ``__out__``, is declared but has no host
-        array, and the plan only records the launches it models.  The
-        plan rotates its roles as :meth:`_step_impl` rotates the arrays,
-        so the two stay one."""
+        plan's third level, the launches' output buffer, is declared but
+        has no host array, and the plan only records the launches it
+        models.  The plan rotates its roles as :meth:`_step_impl`
+        rotates the arrays, so the two stay one."""
         plan = self._plan
         if plan is None:
             from ..gpu.runtime import ResidentPlan

@@ -24,8 +24,9 @@ concurrently with the exchange.  On a real multi-core host the measured
 column converges toward the modelled one.
 
 The 1-shard baseline is the *resident* single-device loop
-(:meth:`VirtualGPU.execute_many`), the same stepping machinery the
-workers run, so ratios compare schedules rather than code paths.
+(:meth:`VirtualGPU.execute_many`): one compiled step over two time
+levels per step, the same stepping machinery the workers run, so ratios
+compare schedules rather than code paths.
 """
 
 from __future__ import annotations

@@ -650,9 +650,8 @@ class MultiGPU:
     def _merge_many(self, shards, masks, names, results, inputs,
                     halo_events, halo_bytes) -> MultiRunResult:
         """Merge per-shard resident results; ``names`` is the union of
-        the shards' rotation-binding names (host params; the output
-        level of a two-level step has no memory to merge)."""
-        skip = {BOUNDARY_PARAM, K_SIZE, *OWNER_PARAMS, "__out__"}
+        the shards' rotation-binding names (host params)."""
+        skip = {BOUNDARY_PARAM, K_SIZE, *OWNER_PARAMS}
         buffers: dict[str, np.ndarray] = {}
         for name in sorted(names):
             if name in skip:

@@ -52,6 +52,12 @@ lost device on the serial path: the simulation layer re-shards across
 the survivors via :meth:`~.multi.MultiGPU.without_device` — which keeps
 ``parallel`` — and replays from the last checkpoint.  A worker whose
 parent dies exits at once (:func:`exit_with_parent`).
+
+**Start barrier.** Every worker waits at one barrier after opening its
+plan, so the measured columns (``loop_wall_s``, ``stall_s``) time the
+steps, not a later-spawned neighbour's imports and set-up.  A worker
+that dies before the barrier is caught by the parent's liveness poll
+like any other, and the workers waiting at it are terminated.
 """
 
 from __future__ import annotations
@@ -160,7 +166,8 @@ def _shard_worker_main(task: dict, result_q) -> None:
 
     Module-level (spawn pickles it by reference).  ``task`` carries only
     picklable state: the shard's host program, shard-local inputs/sizes
-    and rotation cycles, ring attachments by name, and the step count.
+    and rotation cycles, ring attachments by name, the step count and
+    the barrier every shard passes once set up.
     """
     exit_with_parent()
     os.environ["OMP_NUM_THREADS"] = str(task["omp_threads"])
@@ -183,6 +190,9 @@ def _shard_worker_main(task: dict, result_q) -> None:
         st = ResidentPlan.stepping(gpu, plan, li, ls, task["rotations"],
                                    events)
         tier, cc_rung = st.kernel.tier, st.kernel.cc_rung
+        # every shard is set up before any steps, so the measured loop
+        # times the steps, not a later-spawned neighbour's start-up
+        task["barrier"].wait()
 
         # overlap needs a compiled step (the numpy tier runs whole
         # arrays only) whose edge blocks, the h planes at each end its
@@ -259,7 +269,7 @@ def _shard_worker_main(task: dict, result_q) -> None:
             "shard": index,
             "result": np.asarray(res.result),
             "final": {name: np.asarray(res.buffers[f"final:{name}"])
-                      for name in st.binding if name != "__out__"},
+                      for name in st.binding},
             "event_totals": [(k, n, ms, c)
                              for (k, n), (ms, c) in totals.items()],
             "mode": "overlap" if overlap else "bsp",
@@ -332,6 +342,7 @@ def execute_parallel(pool: MultiGPU, program: HostProgram, inputs: dict,
     masks: list[np.ndarray | None] = []
     procs: list = []
     result_q = ctx.Queue()
+    barrier = ctx.Barrier(k)
     t_total = _time.perf_counter()
     try:
         for shard in shards:
@@ -345,7 +356,7 @@ def execute_parallel(pool: MultiGPU, program: HostProgram, inputs: dict,
                 "rp": rp, "steps": steps,
                 "rotations": shard_rotations(prog.plan, rotations),
                 "field_dtype": field_dtype.str,
-                "rings": ring_cfg[shard.index],
+                "rings": ring_cfg[shard.index], "barrier": barrier,
                 "omp_threads": omp,
                 "receivers": per_shard_recv[shard.index],
                 "kill_at_step": (pool._test_kill or {}).get(shard.index),

@@ -154,8 +154,6 @@ class ResilientGPU:
             degraded = VirtualGPU(g.device, g.traits, autotune=False,
                                   workgroup=g.device.warp_size,
                                   faults=g.faults)
-            degraded._np_kernels = g._np_kernels   # share compiled kernels
-            degraded._resources = g._resources
             stages.append(("degrade_launch", degraded,
                            f"workgroup={g.device.warp_size}, autotune off"))
         for dev in self.fallback_devices:

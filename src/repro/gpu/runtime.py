@@ -15,12 +15,12 @@ host-code generator:
 
 One interpreter does this: :class:`ResidentPlan` validates the plan,
 allocates, uploads every input before the first launch (Listing 5's
-order), runs the launches once per step and reads the newest level
-back.  :meth:`VirtualGPU.execute_many` drives it for many steps with
-buffer roles rotating; :meth:`VirtualGPU.execute` is one step with
-nothing rotating.  A ``resident`` simulation and every shard of a pool
-step a plan opened by :meth:`ResidentPlan.stepping` instead: one
-compiled step over two time levels, the launches modelled only.
+order) and reads the newest level back.  :meth:`VirtualGPU.execute` runs
+the launches once, one by one, with nothing rotating.  Every loop steps
+a plan opened by :meth:`ResidentPlan.stepping` instead — one compiled
+step over two time levels, the launches modelled only:
+:meth:`VirtualGPU.execute_many`, a ``resident`` simulation and every
+shard of a pool alike.
 
 The runtime's kernel-time path is shared with the benchmark harness, so
 table/figure regeneration and actual execution agree by construction.
@@ -117,8 +117,8 @@ def kernel_cache_stats() -> dict:
 
 
 def clear_kernel_caches() -> None:
-    """Drop the shared NumPy-kernel and resource-analysis caches
-    (test isolation; live VirtualGPU instances keep their local maps)."""
+    """Drop the shared NumPy-kernel and resource-analysis caches (test
+    isolation)."""
     _NP_KERNEL_CACHE.clear()
     _RESOURCES_CACHE.clear()
 
@@ -206,8 +206,6 @@ class VirtualGPU:
         self.autotune = autotune
         self.workgroup = workgroup
         self.faults = faults
-        self._np_kernels: dict[str, NumpyKernel] = {}
-        self._resources: dict[str, Resources] = {}
         #: workspace arenas of prepared launches, keyed by (kernel,
         #: array shapes/dtypes, sizes) so repeated per-step execute()
         #: calls of the same program reuse their temporaries
@@ -250,33 +248,28 @@ class VirtualGPU:
 
     # -- kernel caches -------------------------------------------------------------
     def _np_kernel(self, launch: Launch) -> NumpyKernel:
-        """Instance map (name -> kernel) over the shared source-hash cache.
-
-        The per-instance map keeps the one-program-per-device fast path
-        (and lets :class:`~.resilient.ResilientGPU` alias it into its
-        degraded executor); on a miss the process-wide
-        :data:`_NP_KERNEL_CACHE` is consulted by source hash, so a pool
-        of devices running the same program compiles each kernel once.
-        The entry is cached under a ``#steady`` suffix of the source
-        hash: the runtime executes it directly, or hands its
-        :class:`ArenaProgram` to the compiled-loop emitter.
+        """The launch's NumPy kernel from the process-wide
+        :data:`_NP_KERNEL_CACHE`, looked up by source hash only (a name
+        may stand for different code, e.g. the single- and
+        double-precision ``volume_kernel``), so a pool of devices running
+        the same program compiles each kernel once.  The entry is cached
+        under a ``#steady`` suffix of the source hash: the runtime
+        executes it directly, or hands its :class:`ArenaProgram` to the
+        compiled-loop emitter.
         """
         ks = launch.kernel
-        nk = self._np_kernels.get(ks.name)
+        if ks.kernel_lambda is None:
+            raise ClInvalidValue(
+                f"kernel {ks.name!r} carries no kernel_lambda, so the "
+                f"virtual runtime cannot compile its NumPy realisation; "
+                f"build KernelSource through compile_kernel()/compile_host() "
+                f"(which attach the Lambda) instead of constructing it by "
+                f"hand", kernel=ks.name)
+        key = _kernel_source_key(ks) + "#steady"
+        nk = _NP_KERNEL_CACHE.get(key)
         if nk is None:
-            if ks.kernel_lambda is None:
-                raise ClInvalidValue(
-                    f"kernel {ks.name!r} carries no kernel_lambda, so the "
-                    f"virtual runtime cannot compile its NumPy realisation; "
-                    f"build KernelSource through compile_kernel()/compile_host() "
-                    f"(which attach the Lambda) instead of constructing it by "
-                    f"hand", kernel=ks.name)
-            key = _kernel_source_key(ks) + "#steady"
-            nk = _NP_KERNEL_CACHE.get(key)
-            if nk is None:
-                nk = compile_numpy(ks.kernel_lambda, ks.name, lower=False)
-                _NP_KERNEL_CACHE[key] = nk
-            self._np_kernels[ks.name] = nk
+            nk = _NP_KERNEL_CACHE[key] = compile_numpy(
+                ks.kernel_lambda, ks.name, lower=False)
         return nk
 
     def _exec_kernel(self, launch: Launch):
@@ -395,15 +388,11 @@ class VirtualGPU:
         self._arena_reported = (st["hits"], st["misses"])
 
     def _kernel_resources(self, launch: Launch) -> Resources:
-        ks = launch.kernel
-        res = self._resources.get(ks.name)
+        key = _kernel_source_key(launch.kernel)
+        res = _RESOURCES_CACHE.get(key)
         if res is None:
-            key = _kernel_source_key(ks)
-            res = _RESOURCES_CACHE.get(key)
-            if res is None:
-                res = analyse_kernel(ks.kernel_lambda)
-                _RESOURCES_CACHE[key] = res
-            self._resources[ks.name] = res
+            res = _RESOURCES_CACHE[key] = analyse_kernel(
+                launch.kernel.kernel_lambda)
         return res
 
     # -- buffers / transfers ------------------------------------------------------------
@@ -479,8 +468,8 @@ class VirtualGPU:
         gets its ``alloc:`` event like the rest, but what stands in for
         it is a read-only zero-stride view of its size, which no launch
         can write.  ``at_least`` maps buffer names to a minimum element
-        count above the declared one (a rotating output buffer is as
-        large as its cycle peers)."""
+        count above the declared one (the output level of a two-level
+        plan is as large as its cycle peers)."""
         buffers: dict[str, np.ndarray] = {}
         cap = self.device.global_mem_bytes
         max_alloc = self.device.max_alloc_bytes
@@ -619,10 +608,9 @@ class VirtualGPU:
         time step) into the fault plan so step-targeted faults can hit
         per-step ``execute`` calls.
 
-        A one-shot run is the resident loop of :meth:`execute_many` with
-        one iteration: a :class:`ResidentPlan` on fresh buffers with
-        nothing rotating uploads every input, runs each launch once and
-        reads the result back.  ``buffers`` of the returned
+        A one-shot run is a :class:`ResidentPlan` on fresh buffers with
+        nothing rotating: it uploads every input, runs each launch once
+        and reads the result back.  ``buffers`` of the returned
         :class:`RunResult` holds the device buffers by name.
         """
         with self._plan_run("gpu.execute") as events:
@@ -641,25 +629,30 @@ class VirtualGPU:
         """Run the host program iteratively with resident device buffers.
 
         This is how the paper's application actually runs ("the two
-        kernels are executed iteratively"): inputs are uploaded once, the
-        kernel launches repeat every step, and buffer roles rotate between
-        steps.  ``rotations`` lists cycles of host-parameter names (the
-        sentinel ``"__out__"`` names the freshly-allocated output buffer):
-        after each step the buffer bound to each name is replaced by the
-        buffer of the next name in the cycle — e.g. the leapfrog rotation
-        ``("prev2_h", "prev1_h", "__out__")`` and the FD-MM swap
-        ``("v2_h", "v1_h")``.  Only kernel launches run per step; host
+        kernels are executed iteratively"): inputs are uploaded once, then
+        every step is one call of the plan's compiled step over two time
+        levels (:meth:`ResidentPlan.stepping`, as a ``resident``
+        simulation and every shard step) and a rotation of buffer roles.
+        ``rotations`` lists cycles of host-parameter names; after each
+        step the buffer bound to each name is replaced by the buffer of
+        the next name in the cycle.  It must hold the leapfrog cycle
+        ``("prev2_h", "prev1_h", "__out__")`` (``"__out__"`` marks the
+        level the step writes over the oldest one) and may hold the
+        FD-MM swap ``("v2_h", "v1_h")``.  Without that cycle the call
+        raises :class:`ClInvalidValue`, and for a plan the step refuses
+        :class:`~repro.lift.codegen.loops.LoopsUnsupported`.  Host
         transfers happen once at the start/end, so the profiled kernel
         time reflects steady-state operation.
 
         Step-targeted faults from the plan hit the launches of that step
-        index; transfer/allocation faults hit the one-off setup phase.
+        index, before the step stores anything; transfer/allocation
+        faults hit the one-off setup phase.
         """
         with self._plan_run("gpu.execute_many", steps=steps) as events:
-            state = ResidentPlan(self, program.plan, inputs, sizes,
-                                 rotations, events)
+            state = ResidentPlan.stepping(self, program.plan, inputs, sizes,
+                                          rotations, events)
             for step in range(steps):
-                state.run_step(step)
+                state.run_fused(step)
                 state.rotate()
             return state.finish()
 
@@ -699,39 +692,36 @@ class VirtualGPU:
 
     def _prepare_launch(self, op: Launch, buffers: dict[str, np.ndarray],
                         inputs: dict, sizes: dict[str, int],
-                        rotating_sources: set[str]) -> "_PreparedLaunch":
+                        rotating: dict[str, str]) -> "_PreparedLaunch":
         """Hoist every per-step-invariant part of a launch out of the
         resident-plan step loop: the executable kernel, scalar
         argument values, resolved ``size_kwargs``, resource analysis,
-        precision, ``global_size`` evaluation and — when the gather
-        buffer does not rotate — the autotuned :class:`KernelTiming`.
-        What remains per step is patching the rotating buffer positions
-        and the kernel call itself.  The launch takes the arena
-        :meth:`_workspace_for` keeps for its kernel, shapes and sizes.
+        precision, ``global_size`` evaluation and the autotuned
+        :class:`KernelTiming`.  ``rotating`` maps the buffers whose role
+        rotates to their rotation names, which the compiled step rebinds
+        per step.  The launch takes the arena :meth:`_workspace_for`
+        keeps for its kernel, shapes and sizes.
         """
         nk = self._exec_kernel(op)
         args: list = []
         names: list[str] = []
-        rotating: list[tuple[int, str]] = []
+        rotates: list[tuple[str, str]] = []
         size_kwargs: dict[str, int] = {}
-        out_src: str | None = None
-        out_static: np.ndarray | None = None
-        gather_src: str | None = None
-        gather_static: np.ndarray | None = None
+        out: np.ndarray | None = None
+        gather: np.ndarray | None = None
         for binding in op.args:
             if binding.kind == "buffer":
                 buf = buffers[binding.source]
                 if binding.param_name == "out":
-                    out_src = binding.source
-                    out_static = buf
+                    out = buf
                 else:
-                    if binding.source in rotating_sources:
-                        rotating.append((len(args), binding.source))
+                    if binding.source in rotating:
+                        rotates.append((binding.param_name,
+                                        rotating[binding.source]))
                     args.append(buf)
                     names.append(binding.param_name)
                 if binding.param_name == GATHER_INDEX_PARAM:
-                    gather_src = binding.source
-                    gather_static = buf
+                    gather = buf
             elif binding.kind == "scalar":
                 args.append(inputs[binding.source])
                 names.append(binding.param_name)
@@ -750,7 +740,7 @@ class VirtualGPU:
         for s in nk.size_params:
             if s not in size_kwargs:
                 size_kwargs[s] = int(sizes[s])
-        if nk.returns_out and out_src is None:
+        if nk.returns_out and out is None:
             raise ClInvalidKernelArgs(
                 f"kernel {op.kernel.name!r} allocates a fresh output "
                 f"but its launch has no 'out' buffer binding; "
@@ -761,21 +751,13 @@ class VirtualGPU:
                    if op.global_size is not None else 0)
         res = self._kernel_resources(op)
         precision = self._launch_precision(op)
-        timing: KernelTiming | None = None
-        if gather_src is None or gather_src not in rotating_sources:
-            timing = self._launch_timing(res, n_items, precision,
-                                         gather_static)
         return _PreparedLaunch(
-            op=op, nk=nk,
-            ws=self._workspace_for(nk, args, out_static, size_kwargs),
+            op=op, nk=nk, ws=self._workspace_for(nk, args, out, size_kwargs),
             site=f"launch:{op.kernel.name}",
-            args=args, names=names, rotating=rotating,
-            out_src=out_src, out_static=out_static,
-            out_rotates=(out_src is not None
-                         and out_src in rotating_sources),
-            gather_src=gather_src, gather_static=gather_static,
+            args=args, names=names, rotates=rotates, out=out, gather=gather,
             size_kwargs=size_kwargs, n_items=n_items, res=res,
-            precision=precision, timing=timing)
+            precision=precision,
+            timing=self._launch_timing(res, n_items, precision, gather))
 
     def _launch_timing(self, res: Resources, n_items: int, precision: str,
                        gather_index: np.ndarray | None) -> KernelTiming:
@@ -805,47 +787,34 @@ class VirtualGPU:
                 kernel=name, step=step, injected=True)
 
     def _run_prepared(self, prep: "_PreparedLaunch",
-                      view: dict[str, np.ndarray],
                       events: list[ProfilingEvent],
                       step: int | None = None) -> None:
-        """Execute one prepared launch under the current buffer rotation
-        (``view`` maps rotating buffer names to their current arrays)."""
+        """Execute one prepared launch on the buffers it was prepared
+        with."""
         self._launch_faults(prep, step)
-        args = prep.args
-        for pos, src in prep.rotating:
-            args[pos] = view[src]
-        out_array = (view[prep.out_src] if prep.out_rotates
-                     else prep.out_static)
         nk = prep.nk
         t0 = _time.perf_counter()
         if nk.returns_out:
-            nk.fn(*args, **prep.size_kwargs, out=out_array, _ws=prep.ws)
+            nk.fn(*prep.args, **prep.size_kwargs, out=prep.out, _ws=prep.ws)
         else:
-            nk.fn(*args, **prep.size_kwargs, _ws=prep.ws)
+            nk.fn(*prep.args, **prep.size_kwargs, _ws=prep.ws)
         host_secs = _time.perf_counter() - t0
         o = _obs.get()
         if o is not None:
             self._observe_host_time(o, prep.op.kernel.name, host_secs)
-        self._record_launch(prep, view, events, step)
+        self._record_launch(prep, events, step)
 
     def _record_launch(self, prep: "_PreparedLaunch",
-                       view: dict[str, np.ndarray],
                        events: list[ProfilingEvent],
                        step: int | None = None,
                        rng: tuple[int, int] | None = None) -> None:
         """Record one launch's modelled ``kernel`` event: its plan-time
-        timing, or the timing of its range or of the gather index it
-        reads under the current rotation."""
-        key = None if rng is None else (int(rng[0]), int(rng[1]))
-        timing = prep.timing if key is None else prep.range_timing.get(key)
+        timing, or the timing of its work-item range ``rng``."""
+        timing = prep.timing if rng is None else prep.range_timing.get(rng)
         if timing is None:
-            gather = (view[prep.gather_src]
-                      if prep.gather_src in view else prep.gather_static)
-            timing = self._launch_timing(
-                prep.res, prep.n_items if key is None
-                else max(0, key[1] - key[0]), prep.precision, gather)
-            if key is not None:
-                prep.range_timing[key] = timing
+            timing = prep.range_timing[rng] = self._launch_timing(
+                prep.res, max(0, rng[1] - rng[0]), prep.precision,
+                prep.gather)
         attrs: dict = {}
         if _obs.get() is not None:
             attrs = self._launch_attrs(timing, prep.n_items, prep.precision)
@@ -870,19 +839,16 @@ class _PreparedLaunch:
     nk: NumpyKernel                    # steady (arena) variant
     ws: Workspace                      # arena (VirtualGPU._workspace_for)
     site: str                          # fault-injection site string
-    args: list                         # positional args; rotating slots patched
+    args: list                         # positional args
     names: list[str]                   # the parameter each of args binds
-    rotating: list[tuple[int, str]]    # (position in args, buffer name)
-    out_src: str | None                # 'out' binding's buffer name
-    out_static: np.ndarray | None      # its array when it does not rotate
-    out_rotates: bool
-    gather_src: str | None
-    gather_static: np.ndarray | None
+    rotates: list[tuple[str, str]]     # (parameter, rotation name)
+    out: np.ndarray | None             # the 'out' binding's array
+    gather: np.ndarray | None          # the gather index, priced per range
     size_kwargs: dict[str, int]
     n_items: int
     res: Resources
     precision: str
-    timing: KernelTiming | None        # cached when gather never rotates
+    timing: KernelTiming               # of the whole launch
     range_timing: dict = field(default_factory=dict)  # (lo, hi) -> timing
 
 
@@ -902,19 +868,23 @@ class ResidentPlan:
 
     Opening a plan validates it with its inputs and sizes, allocates every
     buffer and uploads every ``CopyIn`` — all before the first launch,
-    Listing 5's order.  A caller then drives the per-step lifecycle
-    itself: for each step :meth:`run_step` (all launches) or, on a plan
-    opened by :meth:`stepping`, :meth:`run_fused` (one compiled step over
-    two levels), then :meth:`rotate` and optionally patch resident
-    buffers (a pool's halo exchange), and finally :meth:`finish`, which
-    reads the newest level back (one ``d2h`` event named ``result``).
-    :meth:`VirtualGPU.execute` is one step with nothing rotating,
-    :meth:`VirtualGPU.execute_many` the launch-by-launch loop.
+    Listing 5's order.  A plan with nothing rotating runs its launches
+    one by one, once (:meth:`launch_all`: :meth:`VirtualGPU.execute`).
+    A plan that rotates is opened by :meth:`stepping` and steps over two
+    time levels: for each step :meth:`run_fused` (one compiled step),
+    then :meth:`rotate` and optionally patch resident buffers (a pool's
+    halo exchange) — :meth:`VirtualGPU.execute_many`, a ``resident``
+    simulation and every shard alike.  :meth:`finish` reads the newest
+    level back (one ``d2h`` event named ``result``).
 
-    ``binding`` maps rotation names (transferred host parameters plus the
-    ``"__out__"`` sentinel) to the buffer currently playing that role;
-    :meth:`buffer_for` resolves a name to its array under the current
-    rotation.
+    ``binding`` maps rotation names (the transferred host parameters) to
+    the buffer currently playing that role; :meth:`buffer_for` resolves
+    a name to its array under the current rotation.  In ``rotations``,
+    ``"__out__"`` only closes the leapfrog cycle: the step overwrites the
+    cycle's oldest level in place, so the launches' output buffer never
+    takes a role.  It is declared without host memory (see
+    :meth:`VirtualGPU._allocate_buffers`), as large as its cycle peers,
+    so the modelled device still holds three levels.
 
     ``in_place`` maps rotation names to host arrays that become the
     resident buffers themselves instead of being copied into fresh ones
@@ -924,11 +894,6 @@ class ResidentPlan:
     steps without any per-step transfer.  The plan mutates those arrays,
     so a caller that must be able to re-run from unchanged inputs (the
     retry ladder of :class:`~.resilient.ResilientGPU`) must not bind.
-    A name mapped to ``None`` is declared without host memory (see
-    :meth:`VirtualGPU._allocate_buffers`).  ``"__out__"`` mapped so
-    makes the plan two-level: its step overwrites the oldest level in
-    place, so ``"__out__"`` leaves its rotation cycle, and the modelled
-    device still holds three levels (:meth:`stepping` opens plans so).
 
     ``setup_step`` is the step index the setup transfers are stamped
     with for step-targeted faults (``None``: a loop's one-off setup).
@@ -946,55 +911,47 @@ class ResidentPlan:
         self._validate(plan, inputs, sizes)
         self.gpu = gpu
         self.plan = plan
-        cycles = [tuple(c) for c in rotations or []]
-        in_place = in_place or {}
-        two_level = "__out__" in in_place and in_place["__out__"] is None
+        leapfrog = leapfrog_cycle(rotations) if rotations else ()
         self.rotations = [tuple(n for n in c if n != "__out__")
-                          for c in cycles] if two_level else cycles
-        # the name the newest level rotates into: the one before __out__
-        self._newest = next((c[c.index("__out__") - 1] for c in cycles
-                             if "__out__" in c), "__out__")
+                          for c in rotations or []]
         self.events = events
 
         host_to_buffer = plan.host_buffers()
         launches = [op for op in plan.ops if isinstance(op, Launch)]
-        out_buffer: str | None = None
-        for op in launches:
-            if op.out_buffer is not None:
-                out_buffer = op.out_buffer
+        out_buffer = next((op.out_buffer for op in reversed(launches)
+                           if op.out_buffer is not None), None)
 
         # name -> current buffer array (rotation permutes this binding)
         binding: dict[str, str] = dict(host_to_buffer)
-        if out_buffer is not None:
-            binding["__out__"] = out_buffer
         rotatable = sorted(binding)
-        for cycle in cycles:
+        for cycle in self.rotations:
             for n in cycle:
                 if n not in binding:
                     raise ClInvalidValue(
                         f"rotation name {n!r} (in cycle {tuple(cycle)!r}) "
-                        f"is not a transferred host parameter or the "
-                        f"'__out__' sentinel; rotatable names: {rotatable}",
+                        f"is not a transferred host parameter; rotatable "
+                        f"names: {rotatable}",
                         rotation=tuple(cycle), available=rotatable)
+        in_place = in_place or {}
         unknown = sorted(set(in_place) - set(binding))
         if unknown:
             raise ClInvalidValue(
                 f"in_place name(s) {unknown} are not transferred host "
-                f"parameters or the '__out__' sentinel; bindable names: "
-                f"{rotatable}", in_place=unknown, available=rotatable)
+                f"parameters; bindable names: {rotatable}",
+                in_place=unknown, available=rotatable)
 
         decls = {d.name: d for d in plan.buffers}
-        # the output level must be as large as its cycle peers (state
-        # buffers carry the guard plane; see lift_programs)
-        peers = [binding[n] for cycle in cycles if "__out__" in cycle
-                 for n in cycle if n != "__out__"]
-        out_len = max([0] + [int(decls[b].count.evaluate(sizes))
-                             for b in peers])
-        at_least = ({out_buffer: out_len}
-                    if out_buffer is not None and out_len else None)
-        buffers = gpu._allocate_buffers(
-            plan, sizes, {binding[n]: a for n, a in in_place.items()},
-            at_least)
+        bound = {binding[n]: a for n, a in in_place.items()}
+        at_least = None
+        if leapfrog:
+            # the output level has no host memory, and is as large as its
+            # cycle peers (state buffers carry the guard plane; see
+            # lift_programs)
+            bound[out_buffer] = None
+            at_least = {out_buffer: max(
+                (int(decls[binding[n]].count.evaluate(sizes))
+                for n in leapfrog[:-1]), default=0)}
+        buffers = gpu._allocate_buffers(plan, sizes, bound, at_least)
         for cycle in self.rotations:
             # cycle peers trade roles, a written one included: an array
             # bound narrower than its peers cannot take their place
@@ -1011,21 +968,14 @@ class ResidentPlan:
 
         self.buffers = buffers
         self.binding = binding
-        self._host_to_buffer = host_to_buffer
-        self._out_buffer = out_buffer
+        # the name the newest level rotates into: the one before __out__
+        self._newest = leapfrog[-2] if leapfrog else None
 
-        # Buffer names whose bound array changes between steps; every
-        # other binding is resolved once, here, instead of per step.
-        rotating_sources: set[str] = set()
-        for cycle in self.rotations:
-            for n in cycle:
-                if n == "__out__":
-                    if out_buffer is not None:
-                        rotating_sources.add(out_buffer)
-                else:
-                    rotating_sources.add(host_to_buffer[n])
+        # buffers whose bound array changes between steps, by rotation
+        # name; every other binding is resolved once, here
+        rotating = {host_to_buffer[n]: n for c in self.rotations for n in c}
         self._prepared = [
-            gpu._prepare_launch(op, buffers, inputs, sizes, rotating_sources)
+            gpu._prepare_launch(op, buffers, inputs, sizes, rotating)
             for op in launches]
         # the keyword arguments of a fused step (run_fused): the prepared
         # launches' bindings by parameter name, rotating ones per step
@@ -1034,8 +984,7 @@ class ResidentPlan:
         for prep in self._prepared:
             self._fused_args.update(prep.size_kwargs)
             self._fused_args.update(zip(prep.names, prep.args))
-            self._fused_rotating += [(prep.names[pos], src)
-                                     for pos, src in prep.rotating]
+            self._fused_rotating += prep.rotates
 
     @classmethod
     def stepping(cls, gpu: VirtualGPU, plan: HostPlan, inputs: dict,
@@ -1045,13 +994,12 @@ class ResidentPlan:
                  ) -> "ResidentPlan":
         """Open ``plan`` to step through :meth:`run_fused`, one compiled
         step over two levels of the leapfrog cycle in ``rotations``
-        (:meth:`VirtualGPU.compile_step`; ``"__out__"`` has no host
-        memory) — how a ``resident`` simulation and every shard step.
-        Without that cycle, or for a plan the step refuses, it raises
-        before anything is allocated."""
+        (:meth:`VirtualGPU.compile_step`) — how every loop steps.
+        Without that cycle (:class:`ClInvalidValue`), or for a plan the
+        step refuses (:class:`~repro.lift.codegen.loops.LoopsUnsupported`),
+        it raises before anything is allocated."""
         kernel = gpu.compile_step(plan, leapfrog_cycle(rotations))
-        st = cls(gpu, plan, inputs, sizes, rotations, events,
-                 {**(in_place or {}), "__out__": None})
+        st = cls(gpu, plan, inputs, sizes, rotations, events, in_place)
         st.kernel = kernel
         return st
 
@@ -1088,15 +1036,6 @@ class ResidentPlan:
         """The array currently bound to rotation name ``name``."""
         return self.buffers[self.binding[name]]
 
-    def step_view(self) -> dict[str, np.ndarray]:
-        """Launch-argument view under the current rotation: maps each
-        original buffer name to the array presently bound to it."""
-        view = {orig: self.buffers[self.binding[h]]
-                for h, orig in self._host_to_buffer.items()}
-        if self._out_buffer is not None:
-            view[self._out_buffer] = self.buffers[self.binding["__out__"]]
-        return view
-
     def halo_footprint(self) -> tuple[int, int]:
         """How many elements below / above its own the compiled step's
         sweep reads, under the plan's bindings
@@ -1105,43 +1044,22 @@ class ResidentPlan:
                if not isinstance(v, np.ndarray)}
         return self.kernel.programs[0].halo_footprint(env)
 
-    @contextmanager
-    def _step_span(self, step: int, **span_attrs):
-        """The ``gpu.step`` span of one step; yields the obs session."""
-        # looked up per step: a plan may outlive the obs session it was
-        # opened under (or be opened before one starts)
-        o = _obs.get()
-        if o is None:
-            yield None
-            return
-        with o.tracer.span("gpu.step", "step", step=step,
-                           device=self.gpu.device.name, **span_attrs):
-            yield o
-
-    def run_step(self, step: int, **span_attrs) -> None:
-        """Run every launch of the plan once (one simulation step),
-        under a ``gpu.step`` span."""
-        with self._step_span(step, **span_attrs):
-            self.launch_all(step)
-
     def run_fused(self, step: int, blocks: tuple[int, int] | None = None,
                   **span_attrs) -> None:
-        """One step through the plan's compiled step (:meth:`stepping`)
-        instead of its launches, under a ``gpu.step`` span naming its
-        ``tier`` and ``cc_rung``.  The launches still record their
-        plan-time ``kernel`` events, as :meth:`run_step` records them,
-        after the fault plan is consulted at their sites and before the
-        step stores anything; the host wall time is observed once.
+        """One step through the plan's compiled step (:meth:`stepping`),
+        under a ``gpu.step`` span naming its ``tier`` and ``cc_rung``.
+        The launches record their plan-time ``kernel`` events, after the
+        fault plan is consulted at their sites and before the step
+        stores anything; the host wall time is observed once.
 
         ``blocks=(b0, b1)`` runs only those Z-plane blocks (of ``NxNy``
         points, each with its boundary points): the sweep launch is
         recorded over their work-items, the later launches whole with
         the range that ends the step — the overlap schedule's split."""
         kernel = self.kernel
-        view = self.step_view()
         args = self._fused_args
-        for name, src in self._fused_rotating:
-            args[name] = view[src]
+        for name, role in self._fused_rotating:
+            args[name] = self.buffer_for(role)
         record, rng = self._prepared, None
         if blocks is not None:
             b0, b1 = blocks
@@ -1152,41 +1070,47 @@ class ResidentPlan:
             args = {**args, "_blocks": (b0, b1)}
         for prep in record:
             self.gpu._launch_faults(prep, step)
-        with self._step_span(step, tier=kernel.tier, cc_rung=kernel.cc_rung,
-                             **span_attrs) as o:
+        # looked up per step: a plan may outlive the obs session it was
+        # opened under (or be opened before one starts)
+        o = _obs.get()
+        cm = (o.tracer.span("gpu.step", "step", step=step,
+                            device=self.gpu.device.name, tier=kernel.tier,
+                            cc_rung=kernel.cc_rung, **span_attrs)
+              if o is not None else nullcontext())
+        with cm:
             t0 = _time.perf_counter()
             kernel.fn(**args)
             host_secs = _time.perf_counter() - t0
             if o is not None:
                 self.gpu._observe_host_time(o, kernel.name, host_secs)
             for k, prep in enumerate(record):
-                self.gpu._record_launch(prep, view, self.events, step,
+                self.gpu._record_launch(prep, self.events, step,
                                         None if k else rng)
 
     def launch_all(self, step: int | None) -> None:
-        """Run every launch of the plan once, with no span of its own
-        (a one-shot :meth:`VirtualGPU.execute` is not a loop step)."""
-        # rebind the launch arguments through the current rotation
-        view = self.step_view()
+        """Run every launch of a plan with nothing rotating once, one by
+        one, with no span of its own (a one-shot
+        :meth:`VirtualGPU.execute` is not a loop step)."""
         for prep in self._prepared:
-            self.gpu._run_prepared(prep, view, self.events, step)
+            self.gpu._run_prepared(prep, self.events, step)
 
     def rotate(self) -> None:
         """Advance the buffer roles by one step.
 
         Each name takes over the buffer of the NEXT name in its cycle:
-        ``("prev2_h", "prev1_h", "__out__")`` realises the leapfrog
-        rotation prev2 <- prev1 <- out <- (old prev2).
+        the leapfrog cycle ``("prev2_h", "prev1_h")`` (its ``"__out__"``
+        dropped) realises prev2 <- prev1 <- (old prev2), the level the
+        step just overwrote.
         """
         for cycle in self.rotations:
-            names = list(cycle)
-            olds = [self.binding[n] for n in names]
-            for i, n in enumerate(names):
-                self.binding[n] = olds[(i + 1) % len(names)]
+            olds = [self.binding[n] for n in cycle]
+            for i, n in enumerate(cycle):
+                self.binding[n] = olds[(i + 1) % len(cycle)]
 
     def finish(self) -> RunResult:
         """Read the newest level back and expose the rotated bindings."""
-        name = self.binding.get(self._newest, self.plan.result_buffer)
+        name = (self.binding[self._newest] if self._newest
+                else self.plan.result_buffer)
         final = self.buffers[name] if name else None
         if final is not None:
             self.gpu._record(self.events, "d2h", "result",

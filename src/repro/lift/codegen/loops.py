@@ -982,9 +982,7 @@ class LoopKernel:
     """A fused-loop realisation of one :class:`ArenaProgram`.
 
     Call-compatible with the NumPy-steady kernel (same positional and
-    keyword signature, including the trailing ``_ws``, plus an optional
-    ``_range=(lo, hi)`` restricting the sweep to those work-items).  The
-    first call per argument-dtype set types the program
+    keyword signature, including the trailing ``_ws``).  The first call per argument-dtype set types the program
     (:func:`_slot_dtypes`), generates and compiles the loop, and runs
     it; every later call only runs it.  A loop kernel keeps nothing
     between calls: it accepts ``_ws`` so its call matches the NumPy
@@ -1033,13 +1031,10 @@ class _Args:
     scalars: list                 # values, in ``_Spec.scal_items`` order
     env: dict                     # scalar arguments and ScalarOp values
     n: int
-    lo: int
-    hd: int
-    hi: int
+    hd: int                       # head bound: shifts may wrap below it
 
 
-def _prologue(prog: ArenaProgram, spec: _Spec, bound: dict,
-              rng=None) -> _Args:
+def _prologue(prog: ArenaProgram, spec: _Spec, bound: dict) -> _Args:
     """Everything a launch does on the host before the loop stores
     anything: scalars, the range check of every shift (``IndexError``),
     which also yields the head bound ``_hd``, and of every
@@ -1063,14 +1058,9 @@ def _prologue(prog: ArenaProgram, spec: _Spec, bound: dict,
                 f"length {ln}, array size {size}")
         head = max(head, -off)
     spec.index_check(arrays, env, n)
-    lo, hi = 0, n
-    if rng is not None:
-        lo = max(0, int(rng[0]))
-        hi = min(n, int(rng[1]))
-    hd = min(hi, max(lo, head))
     scalars = [eval(code, glb, env)  # noqa: S307
                for code, _k in spec.scal_items]
-    return _Args(arrays, sizes, scalars, env, n, lo, hd, hi)
+    return _Args(arrays, sizes, scalars, env, n, min(n, head))
 
 
 def _pointers(names: list[str], arrays: dict) -> list[int]:
@@ -1106,7 +1096,6 @@ class _Dispatch:
         return bound
 
     def __call__(self, *args, **kwargs):
-        rng = kwargs.pop("_range", None)
         bound = self._bind(args, kwargs)
         key = _dtype_key(self.kernel.program, bound)
         spec = self.specs.get(key)
@@ -1116,24 +1105,24 @@ class _Dispatch:
             self.kernel.source = spec.source
             if spec.tier == "cc":         # a build may have re-probed
                 self.kernel.cc_rung, self.kernel.cc_isa = _cc_built()
-        return self._run(spec, bound, rng)
+        return self._run(spec, bound)
 
-    def _run(self, spec: _Spec, bound: dict, rng=None):
+    def _run(self, spec: _Spec, bound: dict):
         prog = self.kernel.program
-        a = _prologue(prog, spec, bound, rng)
-        if a.hi <= a.lo:
+        a = _prologue(prog, spec, bound)
+        if a.n <= 0:
             pass
         elif spec.tier == "cc":
             spec.fn(*_pointers(spec.arg_arrays, a.arrays),
                     *(a.sizes[x] for x in spec.size_arrays),
-                    *_c_scalars(spec, a.scalars), a.lo, a.hd, a.hi)
+                    *_c_scalars(spec, a.scalars), 0, a.hd, a.n)
         else:
             tile = int(a.env.get("NxNy") or 0)
             if tile <= 0 or tile > a.n:
                 tile = max(1, -(-a.n // (8 * (os.cpu_count() or 1))))
             spec.fn(*(a.arrays[x] for x in spec.arg_arrays),
                     *(a.sizes[x] for x in spec.size_arrays),
-                    *a.scalars, a.lo, a.hd, a.hi, tile)
+                    *a.scalars, 0, a.hd, a.n, tile)
         if prog.returns_out:
             return bound["out"]
         tail = prog.return_line[len("return "):].strip()

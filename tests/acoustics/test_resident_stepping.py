@@ -196,7 +196,8 @@ def test_state_arrays_are_the_resident_buffers():
     assert len(plan.events) == 0
     # two host levels: the model's third is declared, with no host memory
     assert sim._path == "resident" and not hasattr(sim, "nxt")
-    out = plan.buffer_for("__out__")
+    out = plan.buffers[next(op.out_buffer for op in plan.plan.ops
+                            if getattr(op, "out_buffer", None))]
     assert out.size == sim.curr.size and out.strides == (0,)
     assert not out.flags.writeable
     # topology and coefficients are bound too: no second copy of the room
@@ -234,11 +235,11 @@ class TestBinding:
         inputs = dict(inputs, **override)
         in_place = {n: a for n, a in inputs.items()
                     if isinstance(a, np.ndarray)}
-        in_place["__out__"] = np.zeros_like(sim.curr)
-        return ResidentPlan(VirtualGPU(NVIDIA_TITAN_BLACK),
-                            sim._host_program.plan, inputs, sizes,
-                            sim._rotations,
-                            [] if events is None else events, in_place)
+        return ResidentPlan.stepping(VirtualGPU(NVIDIA_TITAN_BLACK),
+                                     sim._host_program.plan, inputs, sizes,
+                                     sim._rotations,
+                                     [] if events is None else events,
+                                     in_place)
 
     def test_wrong_dtype_is_typed_error(self, parts):
         sim, inputs, sizes = parts
@@ -254,15 +255,17 @@ class TestBinding:
         assert ref.buffers[sim._host_program.plan.host_buffers()[
             "neighbors"]].dtype == np.int32
         uploads = set()
+        prev = sim.prev.copy()
         for width in (np.int8, np.int16, np.int32):
+            sim.prev[:] = prev               # the level the step overwrites
             events = []
             plan = self._open(sim, inputs, sizes, events=events,
                               neighbors=sim._nbrs_guarded.astype(width))
             assert plan.buffer_for("neighbors").dtype == width
             uploads.add(next(e.duration_ms for e in events
                              if e.name == "neighbors"))
-            plan.run_step(0)
-            assert np.array_equal(plan.buffer_for("__out__")[:sizes["N"]],
+            plan.run_fused(0)
+            assert np.array_equal(plan.buffer_for("prev2_h")[:sizes["N"]],
                                   np.asarray(ref.result)[:sizes["N"]])
         # the modelled upload is the declared buffer's, whatever backs it
         assert len(uploads) == 1
@@ -293,10 +296,11 @@ class TestBinding:
     def test_rotation_peers_must_share_a_type(self, parts):
         sim, inputs, sizes = parts
         with pytest.raises(ClInvalidBufferSize, match="interchangeable"):
-            ResidentPlan(VirtualGPU(NVIDIA_TITAN_BLACK),
-                         sim._host_program.plan, inputs, sizes,
-                         [("neighbors", "materialIdx")],
-                         [], {"neighbors": sim._nbrs_guarded})
+            ResidentPlan.stepping(VirtualGPU(NVIDIA_TITAN_BLACK),
+                                  sim._host_program.plan, inputs, sizes,
+                                  [*sim._rotations,
+                                   ("neighbors", "materialIdx")],
+                                  [], {"neighbors": sim._nbrs_guarded})
 
     def test_non_contiguous_is_typed_error(self, parts):
         sim, inputs, sizes = parts
@@ -315,15 +319,15 @@ class TestBinding:
     def test_guard_plane_shortfall_falls_back_to_copy(self, parts):
         sim, inputs, sizes = parts
         short = sim.curr[:sizes["N"]].copy()     # no guard plane
+        ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute(
+            sim._host_program, dict(inputs, prev1_h=short), sizes)
         plan = self._open(sim, inputs, sizes, prev1_h=short)
         dev = plan.buffer_for("prev1_h")
         assert dev.size == sizes["NP"] and not np.shares_memory(dev, short)
         assert np.array_equal(dev[:sizes["N"]], short)
         assert plan.buffer_for("prev2_h") is sim.prev    # the rest binds
-        plan.run_step(0)
-        ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute(
-            sim._host_program, dict(inputs, prev1_h=short), sizes)
-        assert np.array_equal(plan.buffer_for("__out__")[:sizes["N"]],
+        plan.run_fused(0)
+        assert np.array_equal(plan.buffer_for("prev2_h")[:sizes["N"]],
                               np.asarray(ref.result)[:sizes["N"]])
 
     def test_unknown_name_is_typed_error(self, parts):
@@ -338,7 +342,7 @@ class TestBinding:
         sim = _sim()
         sim.step()
         # the device holds the declared type (the host keeps `neighbors`
-        # in one byte), and the rotating out buffer is resident at its
+        # in one byte), and the output level is resident at its
         # cycle peers' size
         decls = {d.name: d for d in sim._host_program.plan.buffers}
         assert sim._plan.buffer_for("neighbors").itemsize == 1

@@ -78,7 +78,8 @@ class TestValidation:
         sizes = {k: v for k, v in problem["sizes"].items() if k != "M"}
         with pytest.raises(ClInvalidValue, match="'M'"):
             gpu.execute_many(problem["host"], problem["inputs"], sizes,
-                             steps=2)
+                             steps=2,
+                             rotations=[("prev2_h", "prev1_h", "__out__")])
 
     def test_missing_input_names_host_param(self, problem):
         gpu = VirtualGPU(NVIDIA_TITAN_BLACK)

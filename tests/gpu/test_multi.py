@@ -19,6 +19,8 @@ from repro.gpu import (AMD_HD7970, AMD_R9_295X2, ClInvalidValue, DeviceSpec,
                        ShardLost, VirtualGPU, decompose, peer_connected,
                        resolve_device)
 
+from .conftest import step_launches
+
 STEPS = 7
 ROT_FI = [("prev2_h", "prev1_h", "__out__")]
 ROT_FD = [("prev2_h", "prev1_h", "__out__"), ("v2_h", "v1_h")]
@@ -149,9 +151,8 @@ class TestBitIdentity:
                 MultiGPU(f"RadeonR9:{shards}").execute_many(
                     fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS)
             return
-        ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
-            fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
-            rotations=rotations)
+        ref = step_launches(VirtualGPU(NVIDIA_TITAN_BLACK), fi_mm["host"],
+                            fi_mm["inputs"], fi_mm["sizes"], STEPS, rotations)
         res = MultiGPU(f"RadeonR9:{shards}").execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
             rotations=rotations)
@@ -162,9 +163,8 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_execute_many_fd_mm_branch_state(self, fd_mm, shards):
-        ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
-            fd_mm["host"], fd_mm["inputs"], fd_mm["sizes"], STEPS,
-            rotations=ROT_FD)
+        ref = step_launches(VirtualGPU(NVIDIA_TITAN_BLACK), fd_mm["host"],
+                            fd_mm["inputs"], fd_mm["sizes"], STEPS, ROT_FD)
         res = MultiGPU(f"TitanBlack:{shards}").execute_many(
             fd_mm["host"], fd_mm["inputs"], fd_mm["sizes"], STEPS,
             rotations=ROT_FD)
@@ -175,9 +175,8 @@ class TestBitIdentity:
                                   ref.buffers[f"final:{name}"])
 
     def test_single_shard_pool_degenerates(self, fi_mm):
-        ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
-            fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
-            rotations=ROT_FI)
+        ref = step_launches(VirtualGPU(NVIDIA_TITAN_BLACK), fi_mm["host"],
+                            fi_mm["inputs"], fi_mm["sizes"], STEPS, ROT_FI)
         res = MultiGPU(("TitanBlack",)).execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
             rotations=ROT_FI)
@@ -327,8 +326,9 @@ class TestPoolRefusals:
     def test_a_plan_the_step_refuses_raises_at_the_call(self, fi_mm,
                                                         monkeypatch):
         """A sweep naming its oldest level other than ``prev`` cannot
-        step over two levels: both pools refuse before any shard runs
-        (the multi-process one before it starts a worker)."""
+        step over two levels: one device and both pools refuse before
+        anything runs (the multi-process pool before it starts a
+        worker)."""
         original = lift_programs.volume_kernel
 
         def volume_kernel(dtype="double"):
@@ -340,11 +340,11 @@ class TestPoolRefusals:
         hp = lift_programs.two_kernel_host("fi_mm")
         host = compile_host(hp.program, hp.name)
         monkeypatch.undo()
-        for parallel in (False, True):
+        for gpu in (VirtualGPU(NVIDIA_TITAN_BLACK), MultiGPU("TitanBlack:2"),
+                    MultiGPU("TitanBlack:2", parallel=True)):
             with pytest.raises(LoopsUnsupported, match="older|.prev."):
-                MultiGPU("TitanBlack:2", parallel=parallel).execute_many(
-                    host, fi_mm["inputs"], fi_mm["sizes"], STEPS,
-                    rotations=ROT_FI)
+                gpu.execute_many(host, fi_mm["inputs"], fi_mm["sizes"],
+                                 STEPS, rotations=ROT_FI)
 
 
 class TestPoolLoopFaults:

@@ -24,6 +24,8 @@ from repro.lift.codegen.loops import available_tiers
 from repro.gpu import (ClInvalidValue, MultiGPU, NVIDIA_TITAN_BLACK,
                        ShardLost, VirtualGPU, clear_kernel_caches)
 
+from .conftest import step_launches
+
 STEPS = 7
 ROT_FI = [("prev2_h", "prev1_h", "__out__")]
 ROT_FD = [("prev2_h", "prev1_h", "__out__"), ("v2_h", "v1_h")]
@@ -89,9 +91,8 @@ def fd_mm(grid, topo, fi_mm):
 
 
 def _ref(case, rotations):
-    return VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
-        case["host"], case["inputs"], case["sizes"], STEPS,
-        rotations=rotations)
+    return step_launches(VirtualGPU(NVIDIA_TITAN_BLACK), case["host"],
+                         case["inputs"], case["sizes"], STEPS, rotations)
 
 
 class TestParallelBitIdentity:

@@ -1,9 +1,9 @@
 """Prepared resident launches: step-invariant work hoisted out of the loop.
 
 ``ResidentPlan`` resolves each launch once at setup — steady kernel,
-argument list, ``size_kwargs``, resource analysis, precision and (when
-the gather buffer never rotates) the autotuned timing — leaving only
-rotating-buffer patching and the kernel call per step.
+argument list, ``size_kwargs``, resource analysis, precision and the
+autotuned timing — leaving only the rebinding of rotating buffers and
+the step call per step.
 """
 
 import dataclasses
@@ -21,6 +21,8 @@ from repro.lift.codegen.host import compile_host
 from repro.gpu import (ClInvalidValue, FaultPlan, FaultSpec,
                        NVIDIA_TITAN_BLACK, ResilientGPU, VirtualGPU)
 from repro.gpu.runtime import ResidentPlan
+
+from .conftest import step_launches
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +58,8 @@ ROT = [("prev2_h", "prev1_h", "__out__")]
 class TestHoisting:
     def _plan(self, p):
         gpu = VirtualGPU(NVIDIA_TITAN_BLACK)
-        return ResidentPlan(gpu, p["host"].plan, p["inputs"], p["sizes"],
-                            ROT, [], None)
+        return ResidentPlan.stepping(gpu, p["host"].plan, p["inputs"],
+                                     p["sizes"], ROT, [])
 
     def test_one_prepared_launch_per_kernel(self, problem):
         state = self._plan(problem)
@@ -70,44 +72,46 @@ class TestHoisting:
             assert prep.precision == "double"
 
     def test_timing_cached_when_gather_static(self, problem):
-        # the boundary-index gather buffer is not in the rotation cycle,
-        # so both launches pre-resolve their autotuned timing
+        # the boundary-index gather buffer never rotates, so both
+        # launches pre-resolve their autotuned timing
         state = self._plan(problem)
         assert all(prep.timing is not None for prep in state._prepared)
 
     def test_rotating_positions_marked(self, problem):
         state = self._plan(problem)
-        rotating = {src for prep in state._prepared
-                    for _pos, src in prep.rotating}
-        rotating |= {prep.out_src for prep in state._prepared
-                     if prep.out_rotates}
-        assert len(rotating) >= 2              # prev1/prev2/out cycle
+        rotating = {role for prep in state._prepared
+                    for _param, role in prep.rotates}
+        # the leapfrog cycle's two levels; the output level never rotates
+        assert rotating == {"prev1_h", "prev2_h"}
 
     def test_run_step_matches_execute_many(self, problem):
+        """The compiled step a stepping plan runs (``run_fused``, what
+        ``execute_many`` loops over) matches the launches run one by one
+        (``execute`` per step, rotated on the host), field and modelled
+        kernel time alike."""
         p = problem
         steps = 4
-        ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
-            p["host"], p["inputs"], p["sizes"], steps, ROT)
+        N = p["N"]
+        ref = step_launches(VirtualGPU(NVIDIA_TITAN_BLACK), p["host"],
+                            p["inputs"], p["sizes"], steps, ROT)
         state = self._plan(p)
         for step in range(steps):
-            state.run_step(step)
+            state.run_fused(step)
             state.rotate()
         res = state.finish()
-        np.testing.assert_array_equal(res.buffers["final:prev1_h"],
-                                      ref.buffers["final:prev1_h"])
-        # execute() is that loop with one iteration and nothing rotating:
-        # same result, same device buffers, same modelled kernel and
-        # transfer times
+        for name in ("prev1_h", "prev2_h"):
+            np.testing.assert_array_equal(res.buffers[f"final:{name}"][:N],
+                                          ref.buffers[f"final:{name}"][:N])
+        np.testing.assert_array_equal(res.result[:N], ref.result[:N])
+        assert res.kernel_time_ms() == ref.kernel_time_ms()
+        # execute() is one step of it, launch by launch: same result,
+        # same modelled kernel and upload times
         one = VirtualGPU(NVIDIA_TITAN_BLACK).execute(
             p["host"], p["inputs"], p["sizes"])
         many = VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
-            p["host"], p["inputs"], p["sizes"], 1)
-        np.testing.assert_array_equal(one.result, many.result)
-        assert set(one.buffers) == {n for n in many.buffers
-                                    if not n.startswith("final:")}
-        for name, arr in one.buffers.items():
-            np.testing.assert_array_equal(arr, many.buffers[name])
-        for kind in ("kernel", "h2d", "d2h"):
+            p["host"], p["inputs"], p["sizes"], 1, ROT)
+        np.testing.assert_array_equal(one.result[:N], many.result[:N])
+        for kind in ("kernel", "h2d"):
             assert (sum(e.duration_ms for e in one.events if e.kind == kind)
                     == sum(e.duration_ms for e in many.events
                            if e.kind == kind)), kind
@@ -143,8 +147,8 @@ class TestFaultInjectedIteration:
         arenas and prepared state survive the retry."""
         p = problem
         steps = 6
-        clean = VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
-            p["host"], p["inputs"], p["sizes"], steps, ROT)
+        clean = step_launches(VirtualGPU(NVIDIA_TITAN_BLACK), p["host"],
+                              p["inputs"], p["sizes"], steps, ROT)
         plan = FaultPlan([FaultSpec("launch_abort", steps=(2,)),
                           FaultSpec("device_lost", steps=(4,))], seed=3)
         gpu = ResilientGPU(VirtualGPU(NVIDIA_TITAN_BLACK, faults=plan))
@@ -152,8 +156,8 @@ class TestFaultInjectedIteration:
                                rotations=ROT)
         assert plan.records, "no faults fired"
         assert gpu.recovered_faults() >= 1
-        np.testing.assert_array_equal(res.buffers["final:prev1_h"],
-                                      clean.buffers["final:prev1_h"])
+        np.testing.assert_array_equal(res.buffers["final:prev1_h"][:p["N"]],
+                                      clean.buffers["final:prev1_h"][:p["N"]])
 
     def test_virtual_gpu_sim_matches_numpy_reference(self, problem):
         """End-to-end: the virtual-GPU backend (steady kernels + prepared

@@ -1,13 +1,19 @@
 """Process-wide caches: NumPy-kernel sharing and the autotune memo."""
 
 import numpy as np
+import pytest
 
 from repro.acoustics import BoxRoom, Grid3D, Room
 from repro.acoustics.sim import RoomSimulation, SimConfig
 from repro.bench.harness import kernel_resources
-from repro.gpu import (AutotuneMemo, autotune_memo, autotune_workgroup,
+from repro.lift.codegen.host import Launch
+from repro.gpu import (AutotuneMemo, NVIDIA_TITAN_BLACK, VirtualGPU,
+                       autotune_memo, autotune_workgroup,
                        clear_kernel_caches, kernel_cache_stats,
                        resolve_device)
+from repro.gpu.runtime import _NP_KERNEL_CACHE, _kernel_source_key
+
+from .conftest import step_launches
 
 
 def _run(devices="TitanBlack", steps=2):
@@ -49,6 +55,40 @@ def test_kernel_cache_results_stay_bit_identical():
     cold = _run(steps=3)
     warm = _run(steps=3)                  # compiled kernels come from cache
     assert np.array_equal(cold.curr, warm.curr)
+
+
+@pytest.mark.parametrize("order", [("double", "single"),
+                                   ("single", "double")])
+def test_one_device_runs_each_precisions_own_kernel(order):
+    """Kernels are looked up by source, not by name: one device running
+    ``fi_mm`` in one precision and then in the other runs the second
+    precision's own kernels — bit-identical to ``numpy-steady`` — and
+    prices them as a fresh device does."""
+    steps = 4
+    clear_kernel_caches()
+    gpu = VirtualGPU(NVIDIA_TITAN_BLACK)
+    for precision in order:
+        sims = [RoomSimulation(SimConfig(
+            room=Room(Grid3D(14, 12, 10), BoxRoom()), scheme="fi_mm",
+            precision=precision, backend=backend))
+            for backend in ("numpy-steady", "virtual_gpu")]
+        for sim in sims:
+            sim.add_impulse("center")
+        steady, sim = sims
+        steady.run(steps)
+        args = (sim._host_program, sim._vgpu_inputs(), sim._size_env(),
+                steps, sim._rotations)
+        res = step_launches(gpu, *args)
+        n = sim._N
+        assert np.array_equal(np.asarray(res.result)[:n], steady.curr[:n])
+        fresh = step_launches(VirtualGPU(NVIDIA_TITAN_BLACK), *args)
+        assert res.kernel_time_ms() == fresh.kernel_time_ms()
+        # and the loop cached under each kernel's source runs that source
+        for op in sim._host_program.plan.ops:
+            if isinstance(op, Launch):
+                key = _kernel_source_key(op.kernel)
+                assert (_NP_KERNEL_CACHE[key + "#loops"].program
+                        is _NP_KERNEL_CACHE[key + "#steady"].program)
 
 
 def test_autotune_memo_hits_on_repeat_and_across_shards():

@@ -21,7 +21,7 @@ import pytest
 from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
 from repro.acoustics.lift_programs import (fd_mm_boundary, fi_mm_boundary,
                                            volume_kernel)
-from repro.lift.codegen.loops import compile_loops
+from repro.lift.codegen.loops import _build_spec, compile_loops
 from repro.lift.codegen.numpy_backend import compile_numpy
 from repro.lift.codegen.opencl import compile_kernel
 
@@ -29,12 +29,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _loop_source(program, *args, **sizes):
-    """The python-tier loop source for these argument dtypes.  A loop
-    kernel generates its code on the first call, from the dtypes alone;
-    the empty ``_range`` makes that call sweep nothing."""
+    """The python-tier loop source for these argument dtypes, from the
+    spec builder (a loop kernel generates its code from the dtypes
+    alone), so nothing runs."""
     lk = compile_loops(compile_numpy(program.kernel, program.name).program, tier="python")
-    lk.fn(*args, **sizes, _range=(0, 0))
-    return lk.source
+    return _build_spec(lk.program, lk.fn._bind(args, sizes), "python").source
 
 
 def _step_source(scheme, precision):

@@ -186,12 +186,12 @@ def test_a_warm_process_starts_no_compiler(cache_dir, tmp_path):
 
 
 def _volume_loop():
-    """A cc-tier loop kernel and a call that builds it and runs nothing."""
+    """A cc-tier loop kernel and a call that builds it and sweeps zeros."""
     nk = compile_numpy(volume_kernel("double").kernel, "volume_kernel")
     lk = loops.compile_loops(nk.program, tier="cc")
     z = np.zeros(260)
     return lk, lambda: lk.fn(z, z, np.zeros(260, np.int8), 0.57, 5, 20,
-                             N=240, NP=260, out=z.copy(), _range=(0, 0))
+                             N=240, NP=260, out=z.copy())
 
 
 def test_a_stale_record_is_probed_again_before_a_build(

@@ -3,9 +3,8 @@
 ``repro.lift.codegen.loops._slot_dtypes`` derives every slot dtype by a
 forward pass over the ``ArenaProgram`` (NumPy's own operations on
 one-element stand-ins), so a compiled kernel is the compiled kernel from
-its first call: no NumPy-steady reference run, no full-room arena, and a
-ranged launch may come first.  What used to be a runtime probe is the
-first test here; the others pin what its removal bought and the one
+its first call: no NumPy-steady reference run and no full-room arena.
+What used to be a runtime probe is the first test here; the others pin what its removal bought and the one
 fallback rule (explicit ``numba`` requests raise ``LoopsUnsupported``,
 the ``virtual_gpu`` auto mode falls back per kernel).
 """
@@ -162,29 +161,7 @@ def test_const_and_pad_program_is_declined_and_falls_back():
     assert np.array_equal(out, np.float32([0, 1, 2, 3]))
 
 
-# -- (b) a ranged launch may be the first call --------------------------
-
-
-@pytest.mark.parametrize("precision", ["single", "double"])
-def test_first_call_may_be_ranged(precision):
-    kernel, args, kw = _case("volume_kernel", precision)
-    nk = compile_numpy(kernel, "volume_kernel")
-    ref = np.zeros_like(kw["out"])
-    nk.fn(*args, **{**kw, "out": ref}, _ws=Workspace("ref"))
-    lk = compile_loops(nk.program, tier="python")
-    lo, hi = 137, 611
-    out = np.full_like(ref, 123.0)
-    ret = lk.fn(*args, **{**kw, "out": out}, _range=(lo, hi))
-    assert ret is out and lk.source
-    assert np.array_equal(out[lo:hi], ref[lo:hi])
-    assert np.all(out[:lo] == 123.0) and np.all(out[hi:] == 123.0)
-    # the rest of the range, from the same specialisation
-    lk.fn(*args, **{**kw, "out": out}, _range=(0, lo))
-    lk.fn(*args, **{**kw, "out": out}, _range=(hi, kw["N"]))
-    assert np.array_equal(out[:kw["N"]], ref[:kw["N"]])
-
-
-# -- (c) no full-room arena, no full-room transient ---------------------
+# -- (b) no full-room arena, no full-room transient ---------------------
 
 
 def test_compiled_simulation_keeps_no_arena():
@@ -221,7 +198,7 @@ def test_compiled_simulation_keeps_no_arena():
     assert np.array_equal(sim.curr, ref.curr)
 
 
-# -- (d) one fallback rule ----------------------------------------------
+# -- (c) one fallback rule ----------------------------------------------
 
 
 def _vgpu_problem():

@@ -60,15 +60,16 @@ def test_main_sweep_is_reported_vectorised(name, precision, nbrs_dtype,
                                            tmp_path):
     nk, args, kw, dt = _case(name, precision, nbrs_dtype)
     lk = loops.compile_loops(nk.program, tier="cc")
-    lk.fn(*args, **kw, out=np.zeros(N + NXNY, dt), _range=(0, 0))
+    source = loops._build_spec(lk.program, lk.fn._bind(
+        args, dict(kw, out=np.zeros(N + NXNY, dt))), "cc").source
     assert lk.cc_rung.startswith("vector")
     assert lk.cc_isa == loops._cc_built()[1]
-    lines = lk.source.splitlines()
+    lines = source.splitlines()
     first = next(i for i, ln in enumerate(lines, 1)
                  if "for (long long _i = _hd;" in ln)
     last = max(i for i, ln in enumerate(lines, 1) if ln == "    }")
     vectorised = vectorised_lines(
-        CC, loops._cc_flags((lk.cc_rung, lk.cc_isa)), lk.source, tmp_path)
+        CC, loops._cc_flags((lk.cc_rung, lk.cc_isa)), source, tmp_path)
     assert any(first <= ln <= last for ln in vectorised), vectorised
     # the wraparound head keeps its wrap test: never a vector loop
     assert not any(ln < first for ln in vectorised)

@@ -5,9 +5,9 @@ for ``_i < -off``, so ``repro.lift.codegen.loops`` emits each kernel as
 a serial head ``[_lo, _hd)`` that keeps the test and a main sweep
 ``[_hd, _n)`` whose shifted loads are plain — the split
 ``Workspace.shift`` makes with two slice copies.  These tests pin the
-split against the NumPy-steady kernel at every ``_range`` that cuts it,
-on every tier this host has (the ``numba-backend`` CI job adds the jit
-tier).
+split against the NumPy-steady kernel wherever the head bound cuts the
+sweep, on every tier this host has (the ``numba-backend`` CI job adds
+the jit tier).
 """
 
 import re
@@ -21,7 +21,8 @@ from repro.acoustics.lift_programs import fd_mm_boundary, volume_kernel
 from repro.acoustics.materials import MaterialTable, default_fd_materials
 from repro.acoustics.topology import build_topology
 from repro.lift.codegen.arena import IndexStoreOp, TakeOp, Workspace
-from repro.lift.codegen.loops import available_tiers, compile_loops
+from repro.lift.codegen.loops import (_build_spec, available_tiers,
+                                      compile_loops)
 from repro.lift.codegen.numpy_backend import compile_numpy
 
 TIERS = [pytest.param(t, marks=pytest.mark.skipif(
@@ -56,19 +57,21 @@ def _volume_kernels(precision, tier):
 @pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("precision", ["single", "double"])
 def test_every_cut_of_the_sweep_matches_numpy_steady(precision, tier):
-    n, hd = 120, 20
-    args, kw = _volume_case(precision, n, nx=5, nxny=hd)
+    """The head bound is the sweep's deepest shift below the work-item
+    (``NxNy`` here): wherever it cuts the sweep, head and main sweep
+    together are the NumPy-steady kernel, and nothing past the sweep is
+    stored."""
+    n = 120
     nk, lk = _volume_kernels(precision, tier)
-    ref = np.zeros(n + hd, _dtype(precision))
-    nk.fn(*args, **kw, out=ref, _ws=Workspace("ref"))
-    assert np.any(ref[:hd] != 0) and np.any(ref[hd:n] != 0)
-    for lo, hi in [(0, 0), (0, 1), (0, hd), (hd - 1, hd + 1), (hd, n),
-                   (1, n - 1), (n, n), (0, n)]:
+    for nx, hd in [(1, 1), (1, 2), (5, 20), (7, n - 1), (8, n)]:
+        args, kw = _volume_case(precision, n, nx=nx, nxny=hd)
+        ref = np.zeros(n + hd, _dtype(precision))
+        nk.fn(*args, **kw, out=ref, _ws=Workspace("ref"))
+        assert np.any(ref[:hd] != 0)
         out = np.full_like(ref, SENTINEL)
-        lk.fn(*args, **kw, out=out, _range=(lo, hi))
-        assert np.array_equal(out[lo:hi], ref[lo:hi]), (lo, hi)
-        assert np.all(out[:lo] == SENTINEL), (lo, hi)
-        assert np.all(out[hi:] == SENTINEL), (lo, hi)
+        lk.fn(*args, **kw, out=out)
+        assert np.array_equal(out[:n], ref[:n]), hd
+        assert np.all(out[n:] == SENTINEL), hd
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -79,12 +82,10 @@ def test_a_sweep_shorter_than_the_plane_is_all_head(precision, tier):
     nk, lk = _volume_kernels(precision, tier)
     ref = np.zeros(n + nxny, _dtype(precision))
     nk.fn(*args, **kw, out=ref, _ws=Workspace("ref"))
-    for rng in (None, (3, n - 3)):
-        lo, hi = rng or (0, n)
-        out = np.full_like(ref, SENTINEL)
-        lk.fn(*args, **kw, out=out, _range=rng)
-        assert np.array_equal(out[lo:hi], ref[lo:hi])
-        assert np.all(out[:lo] == SENTINEL) and np.all(out[hi:] == SENTINEL)
+    out = np.full_like(ref, SENTINEL)
+    lk.fn(*args, **kw, out=out)
+    assert np.array_equal(out[:n], ref[:n])
+    assert np.all(out[n:] == SENTINEL)
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -93,9 +94,8 @@ def test_out_of_range_shift_raises_before_any_store(tier):
     args[1] = args[1][:-1]          # curr one short of offset + n
     _nk, lk = _volume_kernels("double", tier)
     out = np.full(140, SENTINEL)
-    for rng in (None, (30, 60)):
-        with pytest.raises(IndexError, match="shifted gather out of range"):
-            lk.fn(*args, **kw, out=out, _range=rng)
+    with pytest.raises(IndexError, match="shifted gather out of range"):
+        lk.fn(*args, **kw, out=out)
     assert np.all(out == SENTINEL)
 
 
@@ -193,8 +193,10 @@ def _bodies(source):
 
 
 def _source(lk, args, kw):
-    lk.fn(*args, **kw, _range=(0, 0))       # generates; sweeps nothing
-    return lk.source
+    """The loop source for these arguments' dtypes, from the spec
+    builder: generated (and built), never run."""
+    return _build_spec(lk.program, lk.fn._bind(args, dict(kw)),
+                       lk.tier).source
 
 
 def _with_wrap_tests(main):

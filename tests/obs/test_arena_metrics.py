@@ -70,13 +70,19 @@ def run_args():
     return host, inputs, sizes
 
 
+def _launch_steps(host, inputs, sizes, steps):
+    """``steps`` one-shot runs on one device, launch by launch: the
+    launches whose per-launch arenas these tests observe."""
+    gpu = VirtualGPU(NVIDIA_TITAN_BLACK)
+    for _ in range(steps):
+        gpu.execute(host, inputs, sizes)
+
+
 class TestArenaMetrics:
     def test_families_present_and_schema_valid(self, run_args):
         host, inputs, sizes = run_args
         with obs.observe() as o:
-            VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
-                host, inputs, sizes, steps=4,
-                rotations=[("prev2_h", "prev1_h", "__out__")])
+            _launch_steps(host, inputs, sizes, 4)
         text = prometheus_text(o.metrics)
         assert validate_prometheus_text(text) == []
         assert "repro_host_wallclock_seconds_bucket" in text
@@ -87,9 +93,7 @@ class TestArenaMetrics:
         host, inputs, sizes = run_args
         steps = 3
         with obs.observe() as o:
-            VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
-                host, inputs, sizes, steps=steps,
-                rotations=[("prev2_h", "prev1_h", "__out__")])
+            _launch_steps(host, inputs, sizes, steps)
         h = o.metrics.get("repro_host_wallclock_seconds")
         total = sum(s.count for s in h.series.values())
         assert total == 2 * steps               # two kernels per step
@@ -99,9 +103,7 @@ class TestArenaMetrics:
     def test_slot_requests_split_hit_and_miss(self, run_args):
         host, inputs, sizes = run_args
         with obs.observe() as o:
-            VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
-                host, inputs, sizes, steps=4,
-                rotations=[("prev2_h", "prev1_h", "__out__")])
+            _launch_steps(host, inputs, sizes, 4)
         c = o.metrics.get("repro_arena_slot_requests_total")
         assert c.value(outcome="miss") > 0       # warm-up allocated slots
         assert c.value(outcome="hit") > 0        # later steps reused them
@@ -110,9 +112,7 @@ class TestArenaMetrics:
         """With no session active the instrumented paths still run and
         the process-wide cache stats expose the arena accounting."""
         host, inputs, sizes = run_args
-        VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
-            host, inputs, sizes, steps=2,
-            rotations=[("prev2_h", "prev1_h", "__out__")])
+        _launch_steps(host, inputs, sizes, 2)
         stats = kernel_cache_stats()
         assert {"hits", "misses", "workspaces", "nbytes"} \
             <= set(stats["arena"])

@@ -144,7 +144,7 @@ class TestExecuteSpans:
         with obs.observe() as o:
             VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
                 problem["host"], problem["inputs"], problem["sizes"],
-                steps=3, rotations=[("prev1_h", "prev2_h", "__out__")])
+                steps=3, rotations=[("prev2_h", "prev1_h", "__out__")])
         many = o.tracer.find("gpu.execute_many")
         assert len(many) == 1
         steps = o.tracer.find("gpu.step", cat="step")
@@ -152,6 +152,7 @@ class TestExecuteSpans:
         for s in steps:
             assert s.parent_id == many[0].span_id
             assert {k.cat for k in o.tracer.children_of(s)} == {"kernel"}
+            assert "tier" in s.attrs and "cc_rung" in s.attrs
 
 
 class TestFaultTrace:
@@ -227,7 +228,7 @@ class TestFaultTrace:
                                RetryPolicy(backoff_ms=0.1))
             res = gpu.execute_many(
                 host, problem["inputs"], problem["sizes"], steps=3,
-                rotations=[("prev1_h", "prev2_h", "__out__")])
+                rotations=[("prev2_h", "prev1_h", "__out__")])
         # every layer appears: compile → execute_many → step → launch → retry
         names = {s.name for s in o.tracer.spans}
         assert {"lift.compile_host", "lift.compile_kernel",
