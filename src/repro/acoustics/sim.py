@@ -61,7 +61,7 @@ SCHEMES = ("fi", "fi_mm", "fd_mm")
 #: explicit request: with no compiled tier on the host, or programs the
 #: step cannot run, ``numba`` raises ``LoopsUnsupported`` from the
 #: constructor — only the ``virtual_gpu`` default (no emitter named)
-#: falls back per kernel (``repro.lift.codegen.loops.realise``).
+#: falls back per launch (``repro.gpu.runtime.VirtualGPU._exec_kernel``).
 BACKENDS = ("numpy", "scalar", "lift", "numpy-steady", "numba",
             "lift_interp", "virtual_gpu")
 
@@ -341,6 +341,10 @@ class RoomSimulation:
         #: the two-level step of ``numpy-steady``, ``numba`` and the
         #: ``resident`` path (None elsewhere)
         self._step = None
+        #: the tier a step runs on, named on its ``sim.step`` span (None
+        #: on the reference backends and on ``parallel``, whose
+        #: ``sim.segment`` spans name their shards')
+        self._tier = None
         #: the stepping path, chosen once (here, or in :meth:`_make_gpu`):
         #: its name and the bound step
         self._path = config.backend
@@ -397,6 +401,7 @@ class RoomSimulation:
         self._step = compile_step([lower_arena(p.kernel, p.name)
                                    for p in self._programs().values()],
                                   tier="numpy" if steady else None)
+        self._tier = self._step.tier
         if not steady:
             self._path = "fused-step"
         return self._step_fused
@@ -422,15 +427,17 @@ class RoomSimulation:
         ``faults`` / ``resilient``, and a plan that step refuses
         (``LoopsUnsupported``), keep it ``one-shot``: one ``execute()``
         per step is their subject (per-step fault sites; a retry needs
-        fresh buffers and untouched host inputs).  A pool steps
+        fresh buffers and untouched host inputs), each launch on its own
+        executable (``VirtualGPU.launch_tier``).  A pool steps
         ``pool-step``, one ``MultiGPU.execute`` per step, or
         ``parallel`` when ``_parallel_eligible()`` passes: :meth:`run`
         then advances in bulk segments (a direct :meth:`step` is still
         one execute).  Every path writes the next level over ``prev``,
         so none allocates or frees a level."""
+        from ..gpu.runtime import VirtualGPU
         cfg = self.config
         self._plan = None       # a resident plan is bound to its executor
-        self._step = None
+        self._step = self._tier = None
         self._advance = self._step_one_shot
         if pool is None and len(devices) > 1:
             from ..gpu.multi import MultiGPU
@@ -442,7 +449,6 @@ class RoomSimulation:
             self._path = ("parallel" if pool._parallel_eligible() is None
                           else "pool-step")
         else:
-            from ..gpu.runtime import VirtualGPU
             self._gpu = VirtualGPU(devices[0], faults=cfg.faults)
             self._path = "one-shot"
             if cfg.resilient:
@@ -456,6 +462,10 @@ class RoomSimulation:
                     pass            # a plan the step refuses: one-shot
                 else:
                     self._path, self._advance = "resident", self._step_resident
+        if self._step is not None:
+            self._tier = self._step.tier
+        elif self._path != "parallel":
+            self._tier = VirtualGPU.launch_tier(self._host_program.plan)
 
     @property
     def devices(self):
@@ -529,7 +539,7 @@ class RoomSimulation:
         with (nullcontext() if o is None else o.tracer.span(
                 "sim.step", "sim", step=self.time_step, scheme=cfg.scheme,
                 backend=cfg.backend, path=self._path,
-                **({} if self._step is None else {"tier": self._step.tier}))):
+                **({} if self._tier is None else {"tier": self._tier}))):
             self._step_impl()
 
     def _step_impl(self) -> None:

@@ -5,11 +5,13 @@ host-code generator:
 
 * device buffers are NumPy arrays; ``CopyIn``/``CopyOut`` model PCIe
   transfers;
-* each ``Launch`` runs the *NumPy realisation of the same kernel Lambda*
-  (bit-correct results) and records a :class:`ProfilingEvent` whose
-  duration comes from the cost model + workgroup autotuning — the virtual
-  analogue of the paper's "medians of 2000 executions ... using the OpenCL
-  profiling API.  Only running times of each kernel are reported";
+* each ``Launch`` runs *the same kernel Lambda's program* — compiled as
+  a one-program step, or its NumPy realisation where the loop emitter
+  declines (bit-correct results) — and records a
+  :class:`ProfilingEvent` whose duration comes from the cost model +
+  workgroup autotuning — the virtual analogue of the paper's "medians of
+  2000 executions ... using the OpenCL profiling API.  Only running
+  times of each kernel are reported";
 * dependent kernels are implicitly synchronised (the plan is sequential,
   like the generated ``clFinish`` calls).
 
@@ -51,7 +53,7 @@ from ..lift.codegen.arena import Workspace, arena_stats
 from ..lift.codegen.host import (ArgBinding, BufferDecl, CopyIn, CopyOut,
                                  HostPlan, HostProgram, Launch)
 from ..lift.codegen.loops import (_IN_PLACE, LoopsUnsupported, StepKernel,
-                                  compile_step, realise)
+                                  compile_launch, compile_step)
 from ..lift.codegen.numpy_backend import NumpyKernel, compile_numpy
 from .autotune import autotune_workgroup
 from .costmodel import ImplTraits, KernelTiming, LIFT_TRAITS, transfer_time_ms
@@ -96,8 +98,8 @@ def kernel_cache_stats() -> dict:
 
     ``np_kernels``/``resources`` count compile-cache entries (per kernel
     source hash: the NumPy kernel under a ``#steady`` suffix and the
-    executable that runs it — the fused loop, or the NumPy kernel when
-    the loop emitter declines — under ``#loops``; and the steps
+    executable that runs it — its one-program launch step, or the NumPy
+    kernel when the loop emitter declines — under ``#loops``; and the steps
     :meth:`VirtualGPU.compile_step` builds under ``#step``);
     ``arena`` reports the workspace arena's process-wide hit/miss
     counters and resident bytes
@@ -247,7 +249,8 @@ class VirtualGPU:
         return ev
 
     # -- kernel caches -------------------------------------------------------------
-    def _np_kernel(self, launch: Launch) -> NumpyKernel:
+    @staticmethod
+    def _np_kernel(launch: Launch) -> NumpyKernel:
         """The launch's NumPy kernel from the process-wide
         :data:`_NP_KERNEL_CACHE`, looked up by source hash only (a name
         may stand for different code, e.g. the single- and
@@ -272,25 +275,43 @@ class VirtualGPU:
                 ks.kernel_lambda, ks.name, lower=False)
         return nk
 
-    def _exec_kernel(self, launch: Launch):
-        """The executable realising a launch on the hot path: what
-        :func:`~repro.lift.codegen.loops.realise` makes of the NumPy
-        kernel — the fused loop, or the kernel itself when the loop
-        emitter declines — remembered process-wide under a ``#loops``
+    @staticmethod
+    def _exec_kernel(launch: Launch):
+        """The executable that runs one launch of :meth:`execute`: the
+        NumPy kernel's program as its own launch step
+        (:func:`~repro.lift.codegen.loops.compile_launch`), or — the one
+        fallback rule — the NumPy kernel itself when the loop emitter
+        declines, because the program is loop-opaque or no compiled tier
+        exists on this host.  Both run the same program, so the choice
+        never changes a result, and both name it as ``tier`` (``numpy``
+        for the fallback).  Remembered process-wide under a ``#loops``
         suffix of the same source hash."""
-        nk = self._np_kernel(launch)
         key = _kernel_source_key(launch.kernel) + "#loops"
         ex = _NP_KERNEL_CACHE.get(key)
         if ex is None:
-            ex = _NP_KERNEL_CACHE[key] = realise(nk)
+            nk = VirtualGPU._np_kernel(launch)
+            try:
+                ex = compile_launch(nk.program)
+            except LoopsUnsupported:
+                ex = nk
+            _NP_KERNEL_CACHE[key] = ex
         return ex
+
+    @staticmethod
+    def launch_tier(plan: HostPlan) -> str:
+        """The tier :meth:`execute` runs ``plan``'s launches on, on any
+        device: each executable's (:meth:`_exec_kernel`), ``+``-joined
+        where they differ."""
+        return "+".join(dict.fromkeys(
+            VirtualGPU._exec_kernel(op).tier for op in plan.ops
+            if isinstance(op, Launch)))
 
     def compile_step(self, plan: HostPlan,
                      leapfrog: tuple[str, ...]) -> StepKernel:
         """The plan's launches as one step over two time levels
         (:func:`~repro.lift.codegen.loops.compile_step`), built from the
-        programs of the executables that run them (:meth:`_exec_kernel`),
-        so the plan a caller compiled is the one that runs.
+        programs of their NumPy kernels (:meth:`_np_kernel`), so the plan
+        a caller compiled is the one that runs.
 
         ``leapfrog`` is the plan's rotation cycle of time levels, oldest
         first and ``"__out__"`` last.  The step overwrites the oldest
@@ -303,7 +324,7 @@ class VirtualGPU:
         same schedule on whole arrays (``tier="numpy"``).
 
         The step is remembered process-wide under a ``#step`` suffix of
-        its launches' source hashes, like :meth:`_exec_kernel`'s loops,
+        its launches' source hashes, like :meth:`_exec_kernel`'s launches,
         so every simulation of a scheme shares one step and its compiled
         specialisations; only the wiring check runs per plan."""
         launches = [op for op in plan.ops if isinstance(op, Launch)]
@@ -311,7 +332,7 @@ class VirtualGPU:
                        for op in launches) + "#step"
         step = _NP_KERNEL_CACHE.get(key)
         if step is None:
-            programs = [self._exec_kernel(op).program for op in launches]
+            programs = [self._np_kernel(op).program for op in launches]
             try:
                 step = compile_step(programs)
             except LoopsUnsupported:
@@ -702,7 +723,7 @@ class VirtualGPU:
         per step.  The launch takes the arena :meth:`_workspace_for`
         keeps for its kernel, shapes and sizes.
         """
-        nk = self._exec_kernel(op)
+        nk = self._np_kernel(op)
         args: list = []
         names: list[str] = []
         rotates: list[tuple[str, str]] = []
@@ -752,9 +773,11 @@ class VirtualGPU:
         res = self._kernel_resources(op)
         precision = self._launch_precision(op)
         return _PreparedLaunch(
-            op=op, nk=nk, ws=self._workspace_for(nk, args, out, size_kwargs),
+            op=op, ex=self._exec_kernel(op),
+            ws=self._workspace_for(nk, args, out, size_kwargs),
             site=f"launch:{op.kernel.name}",
-            args=args, names=names, rotates=rotates, out=out, gather=gather,
+            args=args, names=names, rotates=rotates,
+            out=out if nk.returns_out else None, gather=gather,
             size_kwargs=size_kwargs, n_items=n_items, res=res,
             precision=precision,
             timing=self._launch_timing(res, n_items, precision, gather))
@@ -790,26 +813,33 @@ class VirtualGPU:
                       events: list[ProfilingEvent],
                       step: int | None = None) -> None:
         """Execute one prepared launch on the buffers it was prepared
-        with."""
+        with, its executable called by parameter name; its ``kernel``
+        event names the executable's ``tier`` and ``cc_rung``."""
         self._launch_faults(prep, step)
-        nk = prep.nk
+        ex = prep.ex
+        args = dict(zip(prep.names, prep.args), **prep.size_kwargs)
+        if prep.out is not None:
+            args["out"] = prep.out
         t0 = _time.perf_counter()
-        if nk.returns_out:
-            nk.fn(*prep.args, **prep.size_kwargs, out=prep.out, _ws=prep.ws)
+        if isinstance(ex, StepKernel):
+            ex.fn(**args)
         else:
-            nk.fn(*prep.args, **prep.size_kwargs, _ws=prep.ws)
+            ex.fn(**args, _ws=prep.ws)
         host_secs = _time.perf_counter() - t0
         o = _obs.get()
         if o is not None:
             self._observe_host_time(o, prep.op.kernel.name, host_secs)
-        self._record_launch(prep, events, step)
+        self._record_launch(prep, events, step, tier=ex.tier,
+                            cc_rung=ex.cc_rung)
 
     def _record_launch(self, prep: "_PreparedLaunch",
                        events: list[ProfilingEvent],
                        step: int | None = None,
-                       rng: tuple[int, int] | None = None) -> None:
+                       rng: tuple[int, int] | None = None, **span_attrs
+                       ) -> None:
         """Record one launch's modelled ``kernel`` event: its plan-time
-        timing, or the timing of its work-item range ``rng``."""
+        timing, or the timing of its work-item range ``rng``; under an
+        observability session its span also carries ``span_attrs``."""
         timing = prep.timing if rng is None else prep.range_timing.get(rng)
         if timing is None:
             timing = prep.range_timing[rng] = self._launch_timing(
@@ -817,7 +847,8 @@ class VirtualGPU:
                 prep.gather)
         attrs: dict = {}
         if _obs.get() is not None:
-            attrs = self._launch_attrs(timing, prep.n_items, prep.precision)
+            attrs = {**self._launch_attrs(timing, prep.n_items,
+                                          prep.precision), **span_attrs}
             if step is not None:
                 attrs["step"] = step
         self._record(events, "kernel", prep.op.kernel.name, timing.time_ms,
@@ -836,7 +867,7 @@ class _PreparedLaunch:
     pre-resolved (see :meth:`VirtualGPU._prepare_launch`)."""
 
     op: Launch
-    nk: NumpyKernel                    # steady (arena) variant
+    ex: object                         # VirtualGPU._exec_kernel's executable
     ws: Workspace                      # arena (VirtualGPU._workspace_for)
     site: str                          # fault-injection site string
     args: list                         # positional args

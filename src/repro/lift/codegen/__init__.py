@@ -12,17 +12,18 @@
   that program renders to.
 * :mod:`.loops` — compiled parallel fused loops over the same
   :class:`ArenaProgram` (numba jit or C-via-system-compiler tiers) for
-  flat ``_gid`` programs, and :func:`~repro.lift.codegen.loops.realise`,
-  the one place that picks between the two emitters: the fused loop, or
-  the NumPy-steady kernel for a program the loop emitter declines.
+  flat ``_gid`` programs, in one form: a loop over Z-plane blocks, either
+  a scheme's two-level step (:func:`~repro.lift.codegen.loops.
+  compile_step`) or one program's own launch (:func:`~repro.lift.
+  codegen.loops.compile_launch`).  For a program the loop emitter
+  declines the virtual runtime runs the NumPy-steady kernel instead.
 """
 
 import importlib
 
 __all__ = ["ArenaProgram", "HostPlan", "HostProgram", "KernelSource",
-           "LoopKernel", "LoopsUnsupported", "Workspace", "available_tiers",
-           "compile_host", "compile_kernel", "compile_loops",
-           "compile_numpy"]
+           "LoopsUnsupported", "Workspace", "available_tiers",
+           "compile_host", "compile_kernel", "compile_numpy"]
 
 #: the submodule each export lives in, imported on first access (PEP 562):
 #: a compiled step loads neither the OpenCL emitter nor the host planner
@@ -30,8 +31,7 @@ _LAZY = {"KernelSource": "opencl", "compile_kernel": "opencl",
          "HostPlan": "host", "HostProgram": "host", "compile_host": "host",
          "compile_numpy": "numpy_backend",
          "ArenaProgram": "arena", "Workspace": "arena",
-         "LoopKernel": "loops", "LoopsUnsupported": "loops",
-         "available_tiers": "loops", "compile_loops": "loops"}
+         "LoopsUnsupported": "loops", "available_tiers": "loops"}
 
 
 def __getattr__(name):

@@ -9,7 +9,7 @@ Two layers live here:
   slot table, CSE, and affine-gather decisions already applied.  It is
   **backend-neutral**: ``render()`` prints the NumPy realisation
   (the exact source ``compile_numpy`` compiles), and
-  :func:`repro.lift.codegen.loops.compile_loops` lowers
+  :func:`repro.lift.codegen.loops.compile_step` lowers
   the *same object* to a compiled fused loop.  ``dump()`` is the stable
   golden-IR serialisation pinned by ``tests/lift/test_arena_program.py``.
 * :class:`Workspace` — the runtime arena the rendered NumPy program

@@ -1,27 +1,27 @@
 """Compiled fused-loop emitter for the arena program IR.
 
-:func:`compile_loops` is the second executable consumer of the
+:func:`compile_step` is the second executable consumer of the
 backend-neutral :class:`~repro.lift.codegen.arena.ArenaProgram` (the
 first is the NumPy-steady emitter, which simply ``exec``-compiles
-``program.render()``).  It lowers the same straight-line three-address
-program to one fused per-element loop — every slot becomes a scalar
-local, every shift/take becomes an indexed load, every store an indexed
-write — and compiles that loop through the best available tier
-(:func:`compile_step` compiles a scheme's programs into one step the
-same way).  It lowers flat ``_gid`` programs only — the four the
-simulation runs (``fi_fused_flat``, ``volume_kernel`` and the two
-boundary kernels) — and declines every other program
+``program.render()``).  It lowers each program's straight-line
+three-address ops to one fused per-element loop body — every slot
+becomes a scalar local, every shift/take an indexed load, every store an
+indexed write — and runs the bodies in one parallel loop over blocks of
+the grid, compiled through the best available tier.  It lowers flat
+``_gid`` programs only — the four the simulation runs
+(``fi_fused_flat``, ``volume_kernel`` and the two boundary kernels) —
+and declines every other program
 (:meth:`ArenaProgram.loop_opaque_reasons`: const / pad slots, rank-3
-windows, whole-buffer stores), which :func:`realise` then leaves to the
-NumPy-steady emitter.  So a loop kernel keeps nothing between calls.
-The tiers:
+windows, whole-buffer stores) with :class:`LoopsUnsupported`, which the
+virtual runtime answers by running that launch on the NumPy-steady
+emitter.  So a compiled loop keeps nothing between calls.  The tiers:
 
-* ``numba`` — ``njit(parallel=True, fastmath=False)`` over a Z-tiled
-  ``prange`` (one Z-plane per block when the kernel carries an ``NxNy``
-  size, matching the Devito-style tiled-stencil playbook);
-* ``cc``    — generated C, the sweep one flat untiled loop, built with
-  ``cc -O2 -ffp-contract=off -fwrapv`` (``_CC_FLAGS``: no fastmath, no
-  FMA contraction — IEEE semantics identical to NumPy's per-op loops)
+* ``numba`` — ``njit(parallel=True, fastmath=False)`` over a ``prange``
+  of blocks (one Z-plane of ``NxNy`` points per block, matching the
+  Devito-style tiled-stencil playbook);
+* ``cc``    — generated C, the block loop under one OpenMP pragma, built
+  with ``cc -O2 -ffp-contract=off -fwrapv`` (``_CC_FLAGS``: no fastmath,
+  no FMA contraction — IEEE semantics identical to NumPy's per-op loops)
   plus the best rung of ``_CC_LADDER`` the compiler accepts, and loaded
   through :mod:`ctypes`.  The first rung is what makes GCC *vectorise*
   the main sweep (``-ftree-vectorize -fvect-cost-model=dynamic
@@ -36,7 +36,7 @@ The tiers:
   again without it; both are found once per compiler and CPU — a probe
   build whose result is recorded in the artifact cache, so a process
   that compiles nothing runs no compiler — and recorded on the kernel
-  (``LoopKernel.cc_rung`` / ``cc_isa``) and in
+  (``StepKernel.cc_rung`` / ``cc_isa``) and in
   ``loops_disk_cache_stats()``;
 * ``python`` — the numba source interpreted with ``prange = range``;
   exact but slow, a debugging/test tier that is never auto-selected.
@@ -50,18 +50,19 @@ whichever NumPy is installed).  Codegen then emits every operation with
 its operands explicitly cast to that dtype, so the compiled loop
 performs the same IEEE operation at the same width as NumPy's ufunc
 inner loops — from the first call on; no other emitter ever runs on a
-loop kernel's behalf.  Negative affine offsets reproduce fancy
+compiled loop's behalf.  Negative affine offsets reproduce fancy
 indexing's wraparound (``index += size`` when negative) the way
 :meth:`Workspace.shift` does — by splitting the sweep, not by testing
 every element: ``_i + offset`` can only be negative for ``_i`` below the
-largest ``-offset``, so every loop is emitted as a serial *head*
-``[_lo, _hd)`` whose shifted loads carry the wrap test and a *main
-sweep* ``[_hd, _n)`` (the parallel one) whose shifted loads are plain
-``base[_i + offset]``.  The host computes ``_hd`` per launch from the
-offsets it range-checks anyway; data-dependent ``take`` / indexed-store
-indices keep their wrap test in both.
+largest ``-offset``, so every program's loop is emitted as a serial
+*head* below ``_hd`` whose shifted loads carry the wrap test and a
+*main sweep* from ``_hd`` on whose shifted loads are plain
+``base[_i + offset]``, each clamped to the block.  The host computes
+``_hd`` per call from the offsets it range-checks anyway;
+data-dependent ``take`` / indexed-store indices keep their wrap test in
+both.
 
-Fusing the whole program into one pass over the grid reorders stores of
+Fusing a whole program into one pass over the grid reorders stores of
 element *i* before loads of element *j > i*.  That is value-preserving
 here because the lowering only gathers from written arrays at the
 element's own locations (boundary index sets are owner-partitioned and
@@ -70,25 +71,26 @@ bit-identity matrix in ``tests/acoustics/test_backend_matrix.py``.
 
 :func:`compile_step` fuses two programs — a sweep and the boundary
 program that follows it — into one step, and writes the sweep's output
-over the sweep's ``prev`` (two time levels instead of three).  Each
-program's body is lowered exactly as above; the step is one parallel
-loop over Z-plane blocks of ``NxNy`` points that, per block, saves the
-old ``prev`` at its boundary points (``_pb``; ``boundaryIndices``
-ascends, so a block owns a contiguous run of ordinals, ``_kb``), sweeps
-the block in place and updates its boundary points.  That is
-value-preserving because the sweep reads ``prev`` only at its own
-element and before storing it there, and the boundary program reads
-``prev`` only at its boundary point — served from ``_pb`` — and the
-sweep's output only at that point, already swept; no block writes an
-element another block reads.  :func:`_step_links` checks exactly that
-and refuses every other access of the overwritten array.  The step is
-the only loop here whose sweep carries no ``omp`` pragma: the block loop
-does.  ``compile_step(..., tier="numpy")`` runs the same schedule on
-whole arrays, with no compiler: save ``prev`` at every boundary point,
-sweep with ``out=prev``, then the boundary program with its gather of
-``prev`` rewritten to read the saved values (:func:`_saved_gather`).
-"""
+over the sweep's ``prev`` (two time levels instead of three).  The step
+is one parallel loop over Z-plane blocks of ``NxNy`` points that, per
+block, saves the old ``prev`` at its boundary points (``_pb``;
+``boundaryIndices`` ascends, so a block owns a contiguous run of
+ordinals, ``_kb``), sweeps the block in place and updates its boundary
+points.  That is value-preserving because the sweep reads ``prev`` only
+at its own element and before storing it there, and the boundary
+program reads ``prev`` only at its boundary point — served from ``_pb``
+— and the sweep's output only at that point, already swept; no block
+writes an element another block reads.  :func:`_step_links` checks
+exactly that and refuses every other access of the overwritten array.
+``compile_step(..., tier="numpy")`` runs the same schedule on whole
+arrays, with no compiler: save ``prev`` at every boundary point, sweep
+with ``out=prev``, then the boundary program with its gather of ``prev``
+rewritten to read the saved values (:func:`_saved_gather`).
 
+:func:`compile_launch` is the same loop over one program with nothing
+renamed and nothing saved: the executable of one launch of the virtual
+runtime's one-shot ``execute()``.
+"""
 from __future__ import annotations
 
 import atexit
@@ -108,16 +110,16 @@ from .arena import (AliasOp, ArenaProgram, CastOp, GidOp, IndexStoreOp,
                     Workspace, _strip)
 from .bounds import IndexCheck
 
-__all__ = ["LoopKernel", "LoopsUnsupported", "StepKernel",
-           "available_tiers", "compile_loops", "compile_step",
-           "loops_cache_dir", "loops_disk_cache_stats", "realise",
-           "select_tier", "set_loops_cache_dir"]
+__all__ = ["LoopsUnsupported", "StepKernel", "available_tiers",
+           "compile_launch", "compile_step", "loops_cache_dir",
+           "loops_disk_cache_stats", "select_tier", "set_loops_cache_dir"]
 
 
 class LoopsUnsupported(RuntimeError):
     """The fused-loop emitter cannot realise this program here: the
     program is loop-opaque, or no compiled tier exists on this host.
-    What a caller's request makes of it is :func:`realise`'s rule."""
+    The virtual runtime then runs a launch on its NumPy kernel;
+    ``backend="numba"``, the one explicit request, raises it."""
 
 
 # --- tier discovery ---------------------------------------------------------
@@ -512,8 +514,8 @@ def _code(dt: np.dtype) -> str:
 
 class _Gen:
     """Shared lowering state: one pass over the ops produces the loop
-    body for the wraparound head ``[_lo, _hd)`` and for the main sweep
-    ``[_hd, _n)`` — each line as a (python/numba, C) pair — plus the
+    body for the wraparound head (below ``_hd``) and for the main sweep
+    (from ``_hd`` on) — each line as a (python/numba, C) pair — plus the
     host-prologue plan.  The two bodies differ only in the affine loads
     (:meth:`indexed_load`).
 
@@ -826,12 +828,8 @@ def _slot_dtypes(prog: ArenaProgram, bound: dict) -> tuple[dict, dict]:
 
 @dataclass
 class _Spec:
-    """One compiled specialisation (per argument-dtype set)."""
+    """The host plan of one program's launch (per argument-dtype set)."""
 
-    source: str
-    fn: object                    # python/numba callable or ctypes symbol
-    tier: str
-    arg_arrays: list[str]         # kernel array-argument order
     size_arrays: list[str]
     scal_items: list              # (expr code, 'f'|'i') in arg order
     scalarop_items: list          # (name, code) in program order
@@ -840,11 +838,11 @@ class _Spec:
     index_check: IndexCheck       # data-dependent index ranges
 
 
-def _lower(prog: ArenaProgram, bound: dict, tier: str,
+def _lower(prog: ArenaProgram, bound: dict,
            **gen_kw) -> tuple[_Gen, _Spec]:
     """Type ``prog`` for the arguments ``bound`` and lower it: the loop
     bodies are on the returned generator, the host plan of a launch in
-    the spec, whose ``source`` and ``fn`` the caller renders and builds."""
+    the spec."""
     dt, values = _slot_dtypes(prog, bound)
     scalar_dt = {e: np.asarray(v).dtype for e, v in values.items()}
     gen = _Gen(prog, dt, scalar_dt, **gen_kw)
@@ -854,7 +852,6 @@ def _lower(prog: ArenaProgram, bound: dict, tier: str,
         return compile(expr, "<loop host>", "eval")
 
     return gen, _Spec(
-        source="", fn=None, tier=tier, arg_arrays=list(gen.used_arrays),
         size_arrays=list(gen.sizes),
         scal_items=[(cc(e), "i" if scalar_dt[e].kind in "iub" else "f")
                     for e in gen.scal_args],
@@ -900,28 +897,6 @@ def _load_python(source: str, tier: str, label: str, symbol: str):
     return fn
 
 
-def _build_spec(prog: ArenaProgram, bound: dict, tier: str) -> _Spec:
-    gen, spec = _lower(prog, bound, tier)
-    arrays = gen.used_arrays
-    if tier == "cc":
-        spec.source = _render_c(prog.name, arrays, gen, list(gen.scal_args),
-                                gen.dt)
-        spec.fn = _load_c(
-            spec.source, prog.name, f"repro_loop_{prog.name}",
-            [ctypes.c_void_p] * len(arrays)
-            + [ctypes.c_longlong] * len(gen.sizes)
-            + [_scalar_ctype(kind) for _c, kind in spec.scal_items]
-            + [ctypes.c_longlong] * 3)
-    else:
-        args = (arrays + [f"_sz_{a}" for a in gen.sizes]
-                + list(gen.scal_args.values())
-                + ["_lo", "_hd", "_n", "_tile"])
-        spec.source = _render_python(prog.name, args, gen)
-        spec.fn = _load_python(spec.source, tier, prog.name,
-                               f"_loop_{prog.name}")
-    return spec
-
-
 def _loop_body(lines: list, col: int, indent: str) -> list:
     """One loop's body in the python (``col`` 0) or C (1) rendering;
     ``_j`` is declared only where a wrap test uses it."""
@@ -931,75 +906,7 @@ def _loop_body(lines: list, col: int, indent: str) -> list:
     return [indent + ln for ln in body]
 
 
-def _render_python(name: str, args: list[str], gen: _Gen) -> str:
-    return "\n".join([
-        f"def _loop_{name}({', '.join(args)}):",
-        "    for _i in range(_lo, _hd):",
-        *_loop_body(gen.head, 0, " " * 8),
-        "    for _tb in prange((_n - _hd + _tile - 1) // _tile):",
-        "        _b0 = _hd + _tb * _tile",
-        "        _b1 = _b0 + _tile",
-        "        if _b1 > _n:",
-        "            _b1 = _n",
-        "        for _i in range(_b0, _b1):",
-        *_loop_body(gen.main, 0, " " * 12),
-    ]) + "\n"
-
-
-def _render_c(name: str, arrays: list[str], gen: _Gen,
-              scal_order: list[str], dt: dict) -> str:
-    params = []
-    for a in arrays:
-        params.append(f"{_CTYPE[_code(dt[a])]}* {a}")
-    for a in gen.sizes:
-        params.append(f"long long _sz_{a}")
-    for e in scal_order:
-        kind = gen.scalar_dt[e].kind
-        ctp = "long long" if kind in "iub" else "double"
-        params.append(f"{ctp} {gen.scal_args[e]}")
-    params += ["long long _lo", "long long _hd", "long long _n"]
-    return "\n".join([
-        "#include <math.h>",
-        f"void repro_loop_{name}({', '.join(params)})",
-        "{",
-        *(f"    {decl}" for decl in gen.c_invariants),
-        "    for (long long _i = _lo; _i < _hd; ++_i) {",
-        *_loop_body(gen.head, 1, " " * 8),
-        "    }",
-        "    #pragma omp parallel for schedule(static)",
-        "    for (long long _i = _hd; _i < _n; ++_i) {",
-        *_loop_body(gen.main, 1, " " * 8),
-        "    }",
-        "}",
-    ]) + "\n"
-
-
-# --- the dispatching kernel -------------------------------------------------
-
-
-@dataclass
-class LoopKernel:
-    """A fused-loop realisation of one :class:`ArenaProgram`.
-
-    Call-compatible with the NumPy-steady kernel (same positional and
-    keyword signature, including the trailing ``_ws``).  The first call per argument-dtype set types the program
-    (:func:`_slot_dtypes`), generates and compiles the loop, and runs
-    it; every later call only runs it.  A loop kernel keeps nothing
-    between calls: it accepts ``_ws`` so its call matches the NumPy
-    kernel's, and ignores it.
-    """
-
-    name: str
-    program: ArenaProgram
-    tier: str
-    cc_rung: str | None = None    # cc tier: the _CC_LADDER rung built with
-    cc_isa: str | None = None     # ... and the psABI level (None: baseline)
-    fn: object = None
-    source: str = ""              # loop source of the latest specialisation
-    param_names: list = field(default_factory=list)
-    size_params: list = field(default_factory=list)
-    out_alloc: object = None
-    returns_out: bool = False
+# --- the host side of a launch ----------------------------------------------
 
 
 def _call_names(prog: ArenaProgram) -> list[str]:
@@ -1079,97 +986,6 @@ def _c_scalars(spec: _Spec, values: list) -> list:
             for v, (_c, kind) in zip(values, spec.scal_items)]
 
 
-class _Dispatch:
-    def __init__(self, kernel: LoopKernel):
-        self.kernel = kernel
-        self.specs: dict = {}
-        self.names = _call_names(kernel.program)
-
-    def _bind(self, args, kwargs) -> dict:
-        bound = dict(zip(self.names, args))
-        kwargs.pop("_ws", None)        # the NumPy kernel's arena: unused
-        bound.update(kwargs)
-        missing = [n for n in self.names if n not in bound]
-        if missing:
-            raise TypeError(f"{self.kernel.name}() missing arguments: "
-                            f"{missing}")
-        return bound
-
-    def __call__(self, *args, **kwargs):
-        bound = self._bind(args, kwargs)
-        key = _dtype_key(self.kernel.program, bound)
-        spec = self.specs.get(key)
-        if spec is None:
-            spec = self.specs[key] = _build_spec(self.kernel.program, bound,
-                                                 self.kernel.tier)
-            self.kernel.source = spec.source
-            if spec.tier == "cc":         # a build may have re-probed
-                self.kernel.cc_rung, self.kernel.cc_isa = _cc_built()
-        return self._run(spec, bound)
-
-    def _run(self, spec: _Spec, bound: dict):
-        prog = self.kernel.program
-        a = _prologue(prog, spec, bound)
-        if a.n <= 0:
-            pass
-        elif spec.tier == "cc":
-            spec.fn(*_pointers(spec.arg_arrays, a.arrays),
-                    *(a.sizes[x] for x in spec.size_arrays),
-                    *_c_scalars(spec, a.scalars), 0, a.hd, a.n)
-        else:
-            tile = int(a.env.get("NxNy") or 0)
-            if tile <= 0 or tile > a.n:
-                tile = max(1, -(-a.n // (8 * (os.cpu_count() or 1))))
-            spec.fn(*(a.arrays[x] for x in spec.arg_arrays),
-                    *(a.sizes[x] for x in spec.size_arrays),
-                    *a.scalars, 0, a.hd, a.n, tile)
-        if prog.returns_out:
-            return bound["out"]
-        tail = prog.return_line[len("return "):].strip()
-        return None if tail == "None" else bound.get(tail)
-
-
-def compile_loops(program: ArenaProgram, *,
-                  tier: str | None = None) -> LoopKernel:
-    """Lower an :class:`ArenaProgram` to a compiled fused loop.
-
-    Raises :class:`LoopsUnsupported` when the program is structurally
-    loop-opaque or no compiled tier is available (:func:`realise` falls
-    back to the NumPy kernel on it).  Code generation itself
-    happens on the kernel's first call, when the argument dtypes are
-    known; a dtype the emitter has no C type for raises from there.
-    """
-    reasons = program.loop_opaque_reasons()
-    if reasons:
-        raise LoopsUnsupported("; ".join(reasons))
-    resolved = select_tier(tier)
-    rung, isa = _cc_built() if resolved == "cc" else (None, None)
-    kernel = LoopKernel(name=program.name, program=program, tier=resolved,
-                        cc_rung=rung, cc_isa=isa,
-                        param_names=list(program.param_names),
-                        size_params=list(program.size_params),
-                        out_alloc=program.alloc,
-                        returns_out=program.returns_out)
-    kernel.fn = _Dispatch(kernel)
-    return kernel
-
-
-def realise(kernel):
-    """The executable that runs a compiled ``NumpyKernel``: the fused
-    loop on the best compiled tier, or — per kernel — the kernel itself
-    (its source is ``kernel.program.render()``) when the loop emitter
-    declines, because the program is loop-opaque or no compiled tier
-    exists on this host.  Both run the same program, so the choice never
-    changes a result.  The one explicit request for the loop emitter is
-    ``SimConfig(backend="numba")``, whose :func:`compile_step` raises
-    :class:`LoopsUnsupported` instead.
-    """
-    try:
-        return compile_loops(kernel.program)
-    except LoopsUnsupported:
-        return kernel
-
-
 # --- one compiled step over two time levels ----------------------------------
 
 #: the time level a step overwrites: the parameter every LIFT sweep
@@ -1247,14 +1063,17 @@ def _step_links(programs: list) -> tuple[str, str, str] | None:
 
 @dataclass
 class StepKernel:
-    """A scheme's programs compiled into one step (:func:`compile_step`).
+    """A scheme's programs compiled into one step (:func:`compile_step`),
+    or one program into its own launch (:func:`compile_launch`).
 
     ``fn(**args)`` takes one value per name of :attr:`param_names` — the
     programs' parameters and sizes, as one host buffer feeds both
     kernels of Listing 5 — and advances the state in place: the sweep's
     output overwrites ``prev``, and the boundary program's updates of
-    that output (its ``next``) land there too.  The first call per
-    argument-dtype set types, generates and compiles the step.
+    that output (its ``next``) land there too.  A launch renames nothing
+    (:attr:`aliases` is empty): it writes its ``out`` argument, or the
+    arrays its program stores, as the NumPy kernel would.  The first
+    call per argument-dtype set types, generates and compiles the step.
 
     ``fn(**args, _blocks=(b0, b1))`` runs only Z-plane blocks
     ``[b0, b1)`` of the ``ceil(N / NxNy)``, each with its boundary
@@ -1271,20 +1090,21 @@ class StepKernel:
     #: the boundary program's (output, index array, index slot) —
     #: :func:`_step_links`; None for a sweep alone
     links: tuple | None = None
+    #: array parameter -> the parameter whose array it is bound to: a
+    #: step's ``out`` and boundary output are ``prev``; a launch's none
+    aliases: dict = field(default_factory=dict)
     cc_rung: str | None = None    # cc tier: the _CC_LADDER rung built with
     cc_isa: str | None = None     # ... and the psABI level (None: baseline)
     fn: object = None
     source: str = ""              # the step source of the latest build
 
     def bind(self, args: dict) -> list[dict]:
-        """Each program's arguments, bound as its own launch would be:
-        the sweep's ``out`` and the boundary's output are ``prev``."""
+        """Each program's arguments, bound as its own launch would be,
+        an aliased parameter to its alias's array (:attr:`aliases`)."""
         missing = [n for n in self.param_names if n not in args]
         if missing:
             raise TypeError(f"{self.name}() missing arguments: {missing}")
-        shared = {**args, "out": args[_IN_PLACE]}
-        if self.links is not None:
-            shared[self.links[0]] = args[_IN_PLACE]
+        shared = {**args, **{a: args[to] for a, to in self.aliases.items()}}
         return [{n: shared[n] for n in _call_names(p)}
                 for p in self.programs]
 
@@ -1377,16 +1197,13 @@ def _build_step(kernel: StepKernel, bounds: list) -> _StepSpec:
     links = kernel.links
     gens, parts = [], []
     for k, (prog, bound) in enumerate(zip(kernel.programs, bounds)):
-        names, saved = {"out": _IN_PLACE}, {}
-        if k:
-            names = {links[0]: _IN_PLACE}
-            saved = {(_IN_PLACE, links[2]): "_pb[_i]"}
-        gen, spec = _lower(prog, bound, kernel.tier, names=names,
+        saved = {(_IN_PLACE, links[2]): "_pb[_i]"} if k else {}
+        gen, spec = _lower(prog, bound, names=kernel.aliases,
                            prefix=f"p{k}_", saved=saved)
         gens.append(gen)
         parts.append(spec)
-    # one source parameter per array token: ``out``, the boundary's
-    # output and ``prev`` are one array
+    # one source parameter per array token: in a step ``out``, the
+    # boundary's output and ``prev`` are one array
     arrays, sizes = {}, {}
     for k, gen in enumerate(gens):
         for a in gen.used_arrays:
@@ -1461,7 +1278,10 @@ class _StepDispatch:
         launches = [_prologue(p, s, b) for p, s, b in
                     zip(kernel.programs, spec.parts, bounds)]
         sweep = launches[0]
-        blk = int(sweep.env["NxNy"])
+        blk = sweep.env.get("NxNy")
+        if blk is None:         # a launch without planes: 8 blocks a CPU
+            blk = max(1, -(-sweep.n // (8 * (os.cpu_count() or 1))))
+        blk = int(blk)
         if blk <= 0:
             raise ValueError(f"{kernel.name}: NxNy must be positive, "
                              f"got {blk}")
@@ -1571,32 +1391,50 @@ def compile_step(programs: list, *, tier: str | None = None) -> StepKernel:
 
     ``programs`` is a sweep (``volume_kernel``, ``fi_fused_flat``) and
     optionally the boundary program that follows it.  Each program is
-    lowered exactly as :func:`compile_loops` lowers it; the step runs
-    them in one parallel loop over Z-plane blocks of ``NxNy`` points
-    (the sweep's own size argument), and per block saves the old values
-    of its boundary points, sweeps it in place — writing ``out`` into
+    lowered to one fused loop body (:func:`_lower`); the step runs them
+    in one parallel loop over Z-plane blocks of ``NxNy`` points (the
+    sweep's own size argument), and per block saves the old values of
+    its boundary points, sweeps it in place — writing ``out`` into
     ``prev`` under one name — and updates its boundary points, whose
     gather of ``prev`` reads the saved values.  Blocks share no written
     element, so they need no order among them.  Raises
     :class:`LoopsUnsupported` when the programs are not legal in place
     (:func:`_step_links`) or no compiled tier exists; the tier is the
-    one :func:`select_tier` picks for ``tier``, as in
-    :func:`compile_loops`.  ``tier="numpy"`` runs the same schedule on
-    whole arrays through the programs' NumPy functions
-    (:class:`_NumpyStep`), on any host.
+    one :func:`select_tier` picks for ``tier``.  ``tier="numpy"`` runs
+    the same schedule on whole arrays through the programs' NumPy
+    functions (:class:`_NumpyStep`), on any host.
     """
     links = _step_links(programs)
+    aliases = {"out": _IN_PLACE, **({links[0]: _IN_PLACE} if links else {})}
+    return _compile(programs, tier, links, aliases)
+
+
+def compile_launch(program: ArenaProgram, *,
+                   tier: str | None = None) -> StepKernel:
+    """Compile one program into its own launch: the loop of
+    :func:`compile_step` over that program alone, with nothing renamed
+    and nothing saved, over blocks of ``NxNy`` points — or of
+    ``ceil(n / (8 · CPUs))`` for a program without ``NxNy``.  Raises
+    :class:`LoopsUnsupported` when the program is loop-opaque or no
+    compiled tier exists; the virtual runtime then runs the launch on
+    the NumPy kernel (:meth:`repro.gpu.runtime.VirtualGPU._exec_kernel`).
+    """
+    reasons = program.loop_opaque_reasons()
+    if reasons:
+        raise LoopsUnsupported("; ".join(reasons))
+    return _compile([program], tier, None, {})
+
+
+def _compile(programs: list, tier: str | None, links,
+             aliases: dict) -> StepKernel:
     if tier != "numpy":
         tier = select_tier(tier)
     rung, isa = _cc_built() if tier == "cc" else (None, None)
-    names = []
-    for prog in programs:
-        for n in _call_names(prog):
-            if n not in names and n != "out" and (
-                    links is None or n != links[0]):
-                names.append(n)
+    names = list(dict.fromkeys(n for p in programs for n in _call_names(p)
+                               if n not in aliases))
     kernel = StepKernel(
         name="_".join(p.name for p in programs), programs=list(programs),
-        tier=tier, param_names=names, links=links, cc_rung=rung, cc_isa=isa)
+        tier=tier, param_names=names, links=links, aliases=aliases,
+        cc_rung=rung, cc_isa=isa)
     kernel.fn = (_NumpyStep if tier == "numpy" else _StepDispatch)(kernel)
     return kernel

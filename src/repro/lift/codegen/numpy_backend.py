@@ -28,6 +28,7 @@ full-grid array once the workspace is warm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import re
 
@@ -80,6 +81,9 @@ class NumpyKernel:
     #: the backend-neutral lowering artifact every executable emitter
     #: consumes; ``source`` is exactly ``program.render()``
     program: ArenaProgram
+    #: what runs it, named as a compiled step names its tier
+    tier: ClassVar[str] = "numpy"
+    cc_rung: ClassVar[str | None] = None
 
     def __call__(self, *args, **sizes):
         return self.fn(*args, **sizes)
@@ -389,8 +393,8 @@ def lower_arena(kernel: Lambda, name: str = "lift_kernel",
                 lower: bool = True) -> ArenaProgram:
     """Lower a kernel Lambda to its :class:`ArenaProgram`, the artifact
     :func:`compile_numpy` renders and compiles and
-    :func:`repro.lift.codegen.loops.compile_loops` /
-    :func:`~repro.lift.codegen.loops.compile_step` consume.  A compiled
+    :func:`repro.lift.codegen.loops.compile_step` /
+    :func:`~repro.lift.codegen.loops.compile_launch` consume.  A compiled
     step needs only this: no NumPy source is rendered or compiled."""
     from ..rewrite import lower_simple
     if lower:

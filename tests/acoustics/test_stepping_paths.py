@@ -13,7 +13,9 @@ import pytest
 from repro import obs
 from repro.acoustics import DomeRoom, Grid3D, Room, RoomSimulation, SimConfig
 from repro.gpu import FaultPlan
-from repro.lift.codegen.loops import LoopsUnsupported, available_tiers
+from repro.lift.codegen import loops
+from repro.lift.codegen.loops import (LoopsUnsupported, available_tiers,
+                                      select_tier)
 
 
 @pytest.fixture(autouse=True)
@@ -30,12 +32,32 @@ def _sim(backend="virtual_gpu", dims=(14, 12, 10), scheme="fi_mm", **kw):
     return sim
 
 
+def _step_spans(tracer):
+    return [s for s in tracer.find("sim.", cat="sim")
+            if s.name in ("sim.step", "sim.segment")]
+
+
 def _spans(sim, steps=2):
     """Every step/segment span ``sim.run(steps)`` opens."""
     with obs.observe() as o:
         sim.run(steps)
-    return [s for s in o.tracer.find("sim.", cat="sim")
-            if s.name in ("sim.step", "sim.segment")]
+    return _step_spans(o.tracer)
+
+
+def _launched(tracer):
+    """(tier, cc_rung) of every ``kernel`` event ``execute()`` ran."""
+    return {(k.attrs["tier"], k.attrs["cc_rung"])
+            for k in tracer.find(cat="kernel")}
+
+
+def _compiled_tier():
+    """The tier a launch runs on here: the best compiled one, or the
+    NumPy kernel without one."""
+    try:
+        tier = select_tier()
+    except LoopsUnsupported:
+        return "numpy", None
+    return tier, loops._cc_built()[0] if tier == "cc" else None
 
 
 def _paths(sim, steps=2):
@@ -56,19 +78,24 @@ def _paths(sim, steps=2):
         "pool-resilient-parallel", "parallel"])
 def test_virtual_gpu_paths(kw, path):
     sim = _sim(**kw)
-    spans = _spans(sim, 3)
+    with obs.observe() as o:
+        sim.run(3)
+    spans = _step_spans(o.tracer)
     assert [s.attrs["path"] for s in spans] == (
         [path] * (1 if path == "parallel" else 3))
     assert (sim._plan is not None) == (path == "resident")
-    # the resident path and a parallel pool's shards run a step kernel,
-    # and name its tier
+    # every path names the tier it ran: the resident path and a parallel
+    # pool's shards that of their step kernel, the one-shot and pool-step
+    # paths that of the launches, which each kernel event names too
     tiers = {s.attrs.get("tier") for s in spans}
-    expect = {None}
     if path == "resident":
         expect = {sim._step.tier}
     elif path == "parallel":
         expect = {p["tier"] for p in sim.last_overlap["per_shard"]}
         assert expect <= set(available_tiers()) | {"numpy"}
+    else:
+        assert _launched(o.tracer) == {_compiled_tier()}
+        expect = {_compiled_tier()[0]}
     assert tiers == expect
     assert not hasattr(sim, "nxt")
 
@@ -138,7 +165,6 @@ def test_fallback_when_no_compiled_tier(monkeypatch):
     through the same step on whole arrays, says so, and computes what
     the compiled step computes, for every scheme and precision."""
     from repro.gpu import runtime
-    from repro.lift.codegen import loops
 
     cases = [(scheme, precision) for scheme in ("fi", "fi_mm", "fd_mm")
              for precision in ("single", "double")]
@@ -163,6 +189,32 @@ def test_fallback_when_no_compiled_tier(monkeypatch):
         assert _same(sim, fused[case]), case
 
 
+@pytest.mark.parametrize("kw, path", [
+    (dict(resilient=True), "one-shot"),
+    (dict(devices="TitanBlack:2"), "pool-step"),
+], ids=["one-shot", "pool-step"])
+def test_launches_with_no_compiled_tier_name_numpy(kw, path, monkeypatch):
+    """With no compiled tier every launch of ``execute()`` runs its NumPy
+    kernel, and the step and kernel spans say so."""
+    from repro.gpu import runtime
+
+    ref = _sim(**kw)
+    ref.run(3)
+
+    def no_tier(requested=None):
+        raise loops.LoopsUnsupported("no compiled tier (test)")
+
+    monkeypatch.setattr(loops, "select_tier", no_tier)
+    monkeypatch.setattr(runtime, "_NP_KERNEL_CACHE", {})
+    sim = _sim(**kw)
+    with obs.observe() as o:
+        sim.run(3)
+    assert [(s.attrs["path"], s.attrs["tier"])
+            for s in _step_spans(o.tracer)] == [(path, "numpy")] * 3
+    assert _launched(o.tracer) == {("numpy", None)}
+    assert _same(sim, ref)
+
+
 def test_fallback_when_the_step_refuses_the_launch_pair(monkeypatch):
     """A host program whose sweep names its oldest level other than
     ``prev`` steps one-shot: ``_step_links`` refuses the pair, and the
@@ -185,7 +237,7 @@ def test_fallback_when_the_step_refuses_the_launch_pair(monkeypatch):
     sim = _sim(host_program=host)
     launches = [op for op in host.plan.ops if isinstance(op, Launch)]
     with pytest.raises(LoopsUnsupported, match="older|'prev'"):
-        _step_links([sim._gpu._exec_kernel(op).program for op in launches])
+        _step_links([sim._gpu._np_kernel(op).program for op in launches])
     assert _paths(sim, 4) == ["one-shot"] * 4
     assert sim._step is None and not hasattr(sim, "nxt")
     fused = _sim()

@@ -51,3 +51,9 @@ def vectorised_lines(cc, flags, source, tmp_path) -> list[int]:
     assert report.returncode == 0, report.stderr
     return [int(m.group(1)) for m in re.finditer(
         r"\.c:(\d+):\d+: optimized: loop vectorized", report.stderr)]
+
+
+def launch_args(lk, args, kw) -> dict:
+    """A one-program launch step's arguments by parameter name, as the
+    virtual runtime binds them: ``args`` positionally, then ``kw``."""
+    return {**dict(zip(lk.param_names, args)), **kw}

@@ -28,8 +28,8 @@ import pytest
 
 from repro.acoustics.lift_programs import fi_fused_flat, fi_mm_boundary
 from repro.lift.codegen.loops import (LoopsUnsupported, available_tiers,
-                                      compile_loops, realise)
-from repro.lift.codegen.numpy_backend import compile_numpy
+                                      compile_launch)
+from repro.lift.codegen.numpy_backend import NumpyKernel, compile_numpy
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -58,10 +58,12 @@ def test_lower_once_feeds_both_emitters():
     nk = compile_numpy(fi_fused_flat("double").kernel, "fi_fused_flat")
     # the NumPy emitter's source is exactly the IR's own rendering
     assert nk.source == nk.program.render()
-    lk = compile_loops(nk.program, tier="python")
-    assert lk.program is nk.program
-    assert lk.param_names == nk.program.param_names
-    assert lk.size_params == nk.program.size_params
+    lk = compile_launch(nk.program, tier="python")
+    (program,) = lk.programs
+    assert program is nk.program
+    # called as the NumPy kernel is: parameters, sizes, then ``out``
+    assert lk.param_names == (nk.program.param_names
+                              + nk.program.size_params + ["out"])
 
 
 def test_available_tiers_always_lists_python():
@@ -69,15 +71,21 @@ def test_available_tiers_always_lists_python():
     assert "python" in tiers
 
 
-def test_rank3_full_store_program_is_declined():
+def test_rank3_full_store_program_is_declined(monkeypatch):
     """Listing 6's stencil-pattern form lowers to rank-3 windows and one
     whole-buffer store: the loop emitter names both and declines, and
-    ``realise`` runs the NumPy-steady kernel instead."""
+    the runtime runs the NumPy-steady kernel instead."""
     from repro.acoustics.lift_programs import fi_fused_3d
     nk = compile_numpy(fi_fused_3d("double").kernel, "fi_fused_3d")
     with pytest.raises(LoopsUnsupported, match="Slice3Op.*FullStoreOp"):
-        compile_loops(nk.program, tier="python")
-    assert realise(nk) is nk
+        compile_launch(nk.program, tier="python")
+    from types import SimpleNamespace
+    from repro.gpu import VirtualGPU, runtime
+    from repro.lift.codegen.opencl import compile_kernel
+    monkeypatch.setattr(runtime, "_NP_KERNEL_CACHE", {})
+    ex = VirtualGPU._exec_kernel(SimpleNamespace(
+        kernel=compile_kernel(fi_fused_3d("double").kernel, "fi_fused_3d")))
+    assert type(ex) is NumpyKernel and ex.tier == "numpy"
 
 
 def test_loop_opaque_program_raises_typed_error():
@@ -88,7 +96,7 @@ def test_loop_opaque_program_raises_typed_error():
     reasons = prog.loop_opaque_reasons()
     assert reasons
     with pytest.raises(LoopsUnsupported):
-        compile_loops(prog, tier="python")
+        compile_launch(prog, tier="python")
 
 
 @pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])

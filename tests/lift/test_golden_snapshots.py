@@ -2,9 +2,10 @@
 
 These pin the exact text of the flagship kernels (paper Listings 3/4
 counterparts) so unintended code-generation changes are caught — the
-OpenCL and NumPy emissions, and the fused-loop emission in its python
-tier (it needs no compiler, and its casts carry the same slot-dtype
-table as the generated C).  To refresh after an *intentional* change:
+OpenCL and NumPy emissions, and the fused-loop emission — one launch
+and one two-level step — in its python tier (it needs no compiler, and
+its casts carry the same slot-dtype table as the generated C).  To
+refresh after an *intentional* change:
 
     python tests/lift/test_golden_snapshots.py --regen
 """
@@ -21,7 +22,7 @@ import pytest
 from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
 from repro.acoustics.lift_programs import (fd_mm_boundary, fi_mm_boundary,
                                            volume_kernel)
-from repro.lift.codegen.loops import _build_spec, compile_loops
+from repro.lift.codegen.loops import _build_step, compile_launch
 from repro.lift.codegen.numpy_backend import compile_numpy
 from repro.lift.codegen.opencl import compile_kernel
 
@@ -29,11 +30,13 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _loop_source(program, *args, **sizes):
-    """The python-tier loop source for these argument dtypes, from the
-    spec builder (a loop kernel generates its code from the dtypes
+    """The python-tier source of one launch for these argument dtypes,
+    from the step builder (a launch generates its code from the dtypes
     alone), so nothing runs."""
-    lk = compile_loops(compile_numpy(program.kernel, program.name).program, tier="python")
-    return _build_spec(lk.program, lk.fn._bind(args, sizes), "python").source
+    lk = compile_launch(compile_numpy(program.kernel, program.name).program,
+                        tier="python")
+    return _build_step(lk, lk.bind(
+        {**dict(zip(lk.param_names, args)), **sizes})).source
 
 
 def _step_source(scheme, precision):

@@ -186,12 +186,13 @@ def test_a_warm_process_starts_no_compiler(cache_dir, tmp_path):
 
 
 def _volume_loop():
-    """A cc-tier loop kernel and a call that builds it and sweeps zeros."""
+    """A cc-tier launch and a call that builds it and sweeps zeros."""
     nk = compile_numpy(volume_kernel("double").kernel, "volume_kernel")
-    lk = loops.compile_loops(nk.program, tier="cc")
+    lk = loops.compile_launch(nk.program, tier="cc")
     z = np.zeros(260)
-    return lk, lambda: lk.fn(z, z, np.zeros(260, np.int8), 0.57, 5, 20,
-                             N=240, NP=260, out=z.copy())
+    return lk, lambda: lk.fn(prev=z, curr=z, nbrs=np.zeros(260, np.int8),
+                             l=0.57, Nx=5, NxNy=20, N=240, NP=260,
+                             out=z.copy())
 
 
 def test_a_stale_record_is_probed_again_before_a_build(

@@ -6,7 +6,7 @@ one-element stand-ins), so a compiled kernel is the compiled kernel from
 its first call: no NumPy-steady reference run and no full-room arena.
 What used to be a runtime probe is the first test here; the others pin what its removal bought and the one
 fallback rule (explicit ``numba`` requests raise ``LoopsUnsupported``,
-the ``virtual_gpu`` auto mode falls back per kernel).
+the ``virtual_gpu`` auto mode falls back per launch).
 """
 
 import gc
@@ -30,7 +30,7 @@ from repro.lift.codegen import loops
 from repro.lift.codegen.arena import ArenaProgram, Workspace
 from repro.lift.codegen.host import compile_host
 from repro.lift.codegen.loops import (LoopsUnsupported, StepKernel,
-                                      compile_loops, realise)
+                                      compile_launch)
 from repro.lift.codegen.numpy_backend import NumpyKernel, compile_numpy
 
 KERNELS = ("fi_fused_flat", "volume_kernel", "fi_mm_boundary",
@@ -129,12 +129,22 @@ def test_slot_dtypes_are_what_numpy_produces(name, precision, numpy_scalar):
             assert slot in dt, op.render()
 
 
-def test_const_and_pad_program_is_declined_and_falls_back():
+def _runtime_executable(kernel, name, monkeypatch):
+    """What ``VirtualGPU.execute()`` runs for a launch of ``kernel``."""
+    from types import SimpleNamespace
+    from repro.lift.codegen.opencl import compile_kernel
+    monkeypatch.setattr(runtime, "_NP_KERNEL_CACHE", {})
+    return VirtualGPU._exec_kernel(
+        SimpleNamespace(kernel=compile_kernel(kernel, name)))
+
+
+def test_const_and_pad_program_is_declined_and_falls_back(monkeypatch):
     """A program with a ``const`` and a ``pad`` slot — a padded array
     gathered through a step-invariant, non-affine index (``2 * i``) —
     is not a flat sweep that keeps nothing between calls: the loop
-    emitter names both ops and declines, and ``realise`` runs the
-    NumPy-steady kernel, whose result is the hand-computed one."""
+    emitter names both ops and declines, and the runtime runs the
+    NumPy-steady kernel in its place, whose result is the hand-computed
+    one."""
     from repro.lift.arith import Var
     from repro.lift.ast import BinOp, FunCall, Lambda, Param, lit
     from repro.lift.patterns import ArrayAccess, Iota, Map, Pad
@@ -150,10 +160,10 @@ def test_const_and_pad_program_is_declined_and_falls_back():
     kinds = {type(op).__name__ for op in nk.program.ops}
     assert {"ConstOp", "PadOp"} <= kinds, nk.source
     with pytest.raises(LoopsUnsupported) as err:
-        compile_loops(nk.program, tier="python")
+        compile_launch(nk.program, tier="python")
     assert "ConstOp" in str(err.value) and "PadOp" in str(err.value)
-    ex = realise(nk)
-    assert ex is nk
+    ex = _runtime_executable(prog, "padded_stride", monkeypatch)
+    assert type(ex) is NumpyKernel and ex.tier == "numpy"
     a = np.arange(1, 9, dtype=np.float32)
     out = np.full(4, -1, np.float32)
     ex.fn(a, K=4, N=8, out=out, _ws=Workspace("fallback"))

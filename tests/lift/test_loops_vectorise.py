@@ -22,7 +22,7 @@ from repro.lift.codegen import loops
 from repro.lift.codegen.arena import Workspace
 from repro.lift.codegen.numpy_backend import compile_numpy
 
-from .conftest import vectorised_lines
+from .conftest import launch_args, vectorised_lines
 
 CC = loops._cc_path()
 pytestmark = pytest.mark.skipif(CC is None, reason="no working C compiler")
@@ -59,15 +59,15 @@ def _case(name, precision, nbrs_dtype):
 def test_main_sweep_is_reported_vectorised(name, precision, nbrs_dtype,
                                            tmp_path):
     nk, args, kw, dt = _case(name, precision, nbrs_dtype)
-    lk = loops.compile_loops(nk.program, tier="cc")
-    source = loops._build_spec(lk.program, lk.fn._bind(
-        args, dict(kw, out=np.zeros(N + NXNY, dt))), "cc").source
+    lk = loops.compile_launch(nk.program, tier="cc")
+    source = loops._build_step(lk, lk.bind(launch_args(
+        lk, args, dict(kw, out=np.zeros(N + NXNY, dt))))).source
     assert lk.cc_rung.startswith("vector")
     assert lk.cc_isa == loops._cc_built()[1]
     lines = source.splitlines()
     first = next(i for i, ln in enumerate(lines, 1)
-                 if "for (long long _i = _hd;" in ln)
-    last = max(i for i, ln in enumerate(lines, 1) if ln == "    }")
+                 if ln.startswith("        for (long long _i = (_hd0 > "))
+    last = max(i for i, ln in enumerate(lines, 1) if ln == "        }")
     vectorised = vectorised_lines(
         CC, loops._cc_flags((lk.cc_rung, lk.cc_isa)), source, tmp_path)
     assert any(first <= ln <= last for ln in vectorised), vectorised
@@ -80,9 +80,9 @@ def test_a_compiler_that_refuses_the_vector_rung_still_builds(
     nk, args, kw, dt = _case("volume_kernel", "double", np.int8)
     ref = np.zeros(N + NXNY, dt)
     nk.fn(*args, **kw, out=ref, _ws=Workspace("ref"))
-    native = loops.compile_loops(nk.program, tier="cc")
+    native = loops.compile_launch(nk.program, tier="cc")
     out = np.zeros_like(ref)
-    native.fn(*args, **kw, out=out)
+    native.fn(**launch_args(native, args, dict(kw, out=out)))
     assert np.array_equal(out, ref)
 
     monkeypatch.setenv("CC", str(fakecc))
@@ -90,9 +90,9 @@ def test_a_compiler_that_refuses_the_vector_rung_still_builds(
     prev = loops.loops_cache_dir()
     loops.set_loops_cache_dir(tmp_path / "cache")
     try:
-        lk = loops.compile_loops(nk.program, tier="cc")
+        lk = loops.compile_launch(nk.program, tier="cc")
         out = np.zeros_like(ref)
-        lk.fn(*args, **kw, out=out)
+        lk.fn(**launch_args(lk, args, dict(kw, out=out)))
         stats = loops.loops_disk_cache_stats()
     finally:
         loops.set_loops_cache_dir(prev)

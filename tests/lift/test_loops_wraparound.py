@@ -1,13 +1,14 @@
 """The loop emitter peels the wraparound head off every sweep.
 
 A shifted load ``base[_i + off]`` needs fancy indexing's wrap test only
-for ``_i < -off``, so ``repro.lift.codegen.loops`` emits each kernel as
-a serial head ``[_lo, _hd)`` that keeps the test and a main sweep
-``[_hd, _n)`` whose shifted loads are plain — the split
+for ``_i < -off``, so ``repro.lift.codegen.loops`` emits each program's
+loop, per block, as a head below ``_hd`` that keeps the test and a main
+sweep from ``_hd`` on whose shifted loads are plain — the split
 ``Workspace.shift`` makes with two slice copies.  These tests pin the
 split against the NumPy-steady kernel wherever the head bound cuts the
-sweep, on every tier this host has (the ``numba-backend`` CI job adds
-the jit tier).
+sweep, on one launch (``compile_launch``, what ``execute()`` runs) and
+on every tier this host has (the ``numba-backend`` CI job adds the jit
+tier).
 """
 
 import re
@@ -21,9 +22,11 @@ from repro.acoustics.lift_programs import fd_mm_boundary, volume_kernel
 from repro.acoustics.materials import MaterialTable, default_fd_materials
 from repro.acoustics.topology import build_topology
 from repro.lift.codegen.arena import IndexStoreOp, TakeOp, Workspace
-from repro.lift.codegen.loops import (_build_spec, available_tiers,
-                                      compile_loops)
+from repro.lift.codegen.loops import (_build_step, available_tiers,
+                                      compile_launch)
 from repro.lift.codegen.numpy_backend import compile_numpy
+
+from .conftest import launch_args
 
 TIERS = [pytest.param(t, marks=pytest.mark.skipif(
     t not in available_tiers(), reason=f"no {t} tier on this host"))
@@ -51,7 +54,7 @@ def _volume_case(precision, n, nx, nxny):
 
 def _volume_kernels(precision, tier):
     nk = compile_numpy(volume_kernel(precision).kernel, "volume_kernel")
-    return nk, compile_loops(nk.program, tier=tier)
+    return nk, compile_launch(nk.program, tier=tier)
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -69,7 +72,7 @@ def test_every_cut_of_the_sweep_matches_numpy_steady(precision, tier):
         nk.fn(*args, **kw, out=ref, _ws=Workspace("ref"))
         assert np.any(ref[:hd] != 0)
         out = np.full_like(ref, SENTINEL)
-        lk.fn(*args, **kw, out=out)
+        lk.fn(**launch_args(lk, args, dict(kw, out=out)))
         assert np.array_equal(out[:n], ref[:n]), hd
         assert np.all(out[n:] == SENTINEL), hd
 
@@ -83,7 +86,7 @@ def test_a_sweep_shorter_than_the_plane_is_all_head(precision, tier):
     ref = np.zeros(n + nxny, _dtype(precision))
     nk.fn(*args, **kw, out=ref, _ws=Workspace("ref"))
     out = np.full_like(ref, SENTINEL)
-    lk.fn(*args, **kw, out=out)
+    lk.fn(**launch_args(lk, args, dict(kw, out=out)))
     assert np.array_equal(out[:n], ref[:n])
     assert np.all(out[n:] == SENTINEL)
 
@@ -95,7 +98,7 @@ def test_out_of_range_shift_raises_before_any_store(tier):
     _nk, lk = _volume_kernels("double", tier)
     out = np.full(140, SENTINEL)
     with pytest.raises(IndexError, match="shifted gather out of range"):
-        lk.fn(*args, **kw, out=out)
+        lk.fn(**launch_args(lk, args, dict(kw, out=out)))
     assert np.all(out == SENTINEL)
 
 
@@ -123,7 +126,7 @@ def _fd_mm_case(precision):
 def _fd_mm_kernels(precision, tier):
     nk = compile_numpy(fd_mm_boundary(precision, MB).kernel,
                        "fd_mm_boundary")
-    return nk, compile_loops(nk.program, tier=tier)
+    return nk, compile_launch(nk.program, tier=tier)
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -137,7 +140,7 @@ def test_data_dependent_indices_keep_their_wrap_test(precision, tier):
     got = [np.copy(a) for a in args]
     want = [np.copy(a) for a in args]
     nk.fn(*want, **kw, _ws=Workspace("ref"))
-    lk.fn(*got, **kw)
+    lk.fn(**launch_args(lk, got, kw))
     written = [i for i, (a, w) in enumerate(zip(args, want))
                if not np.array_equal(a, w)]
     assert len(written) == 3        # next, g1, vel_next
@@ -160,7 +163,7 @@ def test_an_index_past_the_end_raises_before_anything_is_stored(tier):
         nk.fn(*[np.copy(a) for a in args], **kw, _ws=Workspace("ref"))
     before = [np.copy(a) for a in args]
     with pytest.raises(IndexError, match=message):
-        lk.fn(*args, **kw)
+        lk.fn(**launch_args(lk, args, kw))
     for a, b in zip(args, before):
         assert np.array_equal(a, b)
 
@@ -169,34 +172,33 @@ def test_an_index_past_the_end_raises_before_anything_is_stored(tier):
 def test_the_index_check_runs_once_per_bound_index_arrays(tier):
     args, kw = _fd_mm_case("double")
     _nk, lk = _fd_mm_kernels("double", tier)
-    lk.fn(*args, **kw)
+    lk.fn(**launch_args(lk, args, kw))
     (spec,) = lk.fn.specs.values()
-    seen = spec.index_check.seen
+    (part,) = spec.parts
+    seen = part.index_check.seen
     assert seen is not None
-    lk.fn(*args, **kw)
-    assert spec.index_check.seen is seen
+    lk.fn(**launch_args(lk, args, kw))
+    assert part.index_check.seen is seen
     args[1] = args[1].copy()        # new index arrays: checked again
-    lk.fn(*args, **kw)
-    assert spec.index_check.seen is not seen
+    lk.fn(**launch_args(lk, args, kw))
+    assert part.index_check.seen is not seen
 
 
 def _bodies(source):
-    """(head body, main body) of a python-tier loop source, dedented."""
+    """(head body, main body) of a python-tier launch source, dedented."""
     lines = source.splitlines()
-    head_at = lines.index("    for _i in range(_lo, _hd):")
-    tiles_at = next(i for i, ln in enumerate(lines)
-                    if ln.startswith("    for _tb in prange("))
-    main_at = lines.index("        for _i in range(_b0, _b1):")
-    assert 0 < head_at < tiles_at < main_at
-    return ([ln[8:] for ln in lines[head_at + 1:tiles_at]],
+    blocks_at = lines.index("    for _b in prange(_blo, _bhi):")
+    head_at = lines.index("        for _i in range(_b0, min(_hd0, _b1)):")
+    main_at = lines.index("        for _i in range(max(_hd0, _b0), _b1):")
+    assert 0 < blocks_at < head_at < main_at
+    return ([ln[12:] for ln in lines[head_at + 1:main_at]],
             [ln[12:] for ln in lines[main_at + 1:]])
 
 
 def _source(lk, args, kw):
-    """The loop source for these arguments' dtypes, from the spec
+    """The launch source for these arguments' dtypes, from the step
     builder: generated (and built), never run."""
-    return _build_spec(lk.program, lk.fn._bind(args, dict(kw)),
-                       lk.tier).source
+    return _build_step(lk, lk.bind(launch_args(lk, args, kw))).source
 
 
 def _with_wrap_tests(main):
@@ -237,9 +239,12 @@ def test_c_rendering_is_one_head_and_one_parallel_main_loop():
     _nk, lk = _volume_kernels("double", "cc")
     src = _source(lk, args, dict(kw, out=np.zeros(140)))
     assert "_tile" not in src
-    head, main = src.split("#pragma omp parallel for schedule(static)\n")
-    assert head.count("for (long long _i = _lo; _i < _hd; ++_i)") == 1
-    assert main.count("for (long long _i = _hd; _i < _n; ++_i)") == 1
-    assert src.count("for (") == 2
+    prologue, blocks = src.split("#pragma omp parallel for schedule(static)\n")
+    assert "for (" not in prologue and "#pragma" not in blocks
+    head, main = blocks.split(
+        "for (long long _i = (_hd0 > _b0 ? _hd0 : _b0); _i < _b1; ++_i)")
+    assert head.count(
+        "for (long long _i = _b0; _i < (_hd0 < _b1 ? _hd0 : _b1); ++_i)") == 1
+    assert src.count("for (") == 3        # the blocks, a head and a sweep
     assert "_j" not in main and "_sz_" not in main
     assert head.count("if (_j < 0) _j += _sz_") == 9
