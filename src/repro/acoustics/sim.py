@@ -74,6 +74,9 @@ CHECKPOINT_VERSION = 2
 #: branch-velocity swap (see ``ResidentPlan.rotate``)
 _VGPU_ROTATIONS = (("prev2_h", "prev1_h", "__out__"), ("v2_h", "v1_h"))
 
+#: the ``virtual_gpu`` paths of a device pool, which advance in segments
+_SEGMENTED = ("parallel", "pool-loop")
+
 
 class SimulationDiverged(Exception):
     """The numerical-health monitor detected NaN/Inf or runaway energy.
@@ -203,19 +206,15 @@ class SimConfig:
         reference energy (first non-zero reading) trips the monitor;
     ``faults``
         a :class:`repro.gpu.faults.FaultPlan` injected into the
-        ``virtual_gpu`` backend;
+        ``virtual_gpu`` backend (launch sites fire every step, allocation
+        and upload sites where a plan opens);
     ``resilient``
-        wrap the virtual GPU in a
-        :class:`repro.gpu.resilient.ResilientGPU` (retry/degrade/fallback;
-        policy log at ``RoomSimulation.policy_log``); with multiple
-        devices each shard gets its own wrapper and a lost device is
-        recovered by re-shard-and-replay (see :meth:`RoomSimulation.run`).
-        Either of ``faults`` / ``resilient`` makes a single-device
-        simulation step through one ``VirtualGPU.execute()`` per step
-        (fresh buffers, host inputs untouched: what the per-step fault
-        sites target and what makes a retry idempotent) instead of the
-        default device-resident plan — same results, more host time per
-        step (``docs/performance.md``);
+        step under the ladder of a
+        :class:`repro.gpu.resilient.ResilientGPU` (retry/degrade/fallback
+        over each step; policy log at ``RoomSimulation.policy_log``);
+        with multiple devices each shard steps under its own ladder and a
+        lost device is recovered by re-shard-and-replay (see
+        :meth:`RoomSimulation.run`).  Neither changes the stepping path;
     ``devices``
         device selection for the ``virtual_gpu`` backend — anything
         :func:`repro.gpu.resolve_device` accepts (``None`` = the default
@@ -228,12 +227,12 @@ class SimConfig:
         (``MultiGPU(..., parallel=True)``, :mod:`repro.gpu.parallel`),
         handed the simulation's own host program, with halo planes
         exchanged through shared memory and interior compute overlapping
-        the exchange.  ``run()`` then advances in bulk segments between
-        checkpoint/health boundaries instead of one ``execute()`` round
-        trip per step — bit-identical either way.  A pool the parallel
-        path cannot run (fault injection, resilient wrappers, one device
-        left after a shard loss) steps one step at a time through
-        ``MultiGPU.execute`` instead.
+        the exchange.  A pool the parallel path cannot run (fault
+        injection, resilient wrappers, one device left after a shard
+        loss) steps the in-process loop of ``MultiGPU.execute_many``
+        instead (``pool-loop``, counted as a fallback).  Either way
+        ``run()`` advances in segments between checkpoint/health
+        boundaries — bit-identical to one device.
     """
 
     room: Room
@@ -345,6 +344,8 @@ class RoomSimulation:
         #: on the reference backends and on ``parallel``, whose
         #: ``sim.segment`` spans name their shards')
         self._tier = None
+        #: why a ``virtual_gpu`` path is a fallback, named on its spans
+        self._fallback = None
         #: the stepping path, chosen once (here, or in :meth:`_make_gpu`):
         #: its name and the bound step
         self._path = config.backend
@@ -420,52 +421,57 @@ class RoomSimulation:
     def _make_gpu(self, devices, pool=None) -> None:
         """Build the executor for a resolved device tuple, or adopt
         ``pool`` (a re-shard's survivors), and select the stepping path,
-        here and nowhere else.  One device steps ``resident``: one call
-        of the host program's launches as one two-level step
-        (``VirtualGPU.compile_step``, compiled or on whole arrays) per
-        step, which the resident plan still models as its launches.
-        ``faults`` / ``resilient``, and a plan that step refuses
-        (``LoopsUnsupported``), keep it ``one-shot``: one ``execute()``
-        per step is their subject (per-step fault sites; a retry needs
-        fresh buffers and untouched host inputs), each launch on its own
-        executable (``VirtualGPU.launch_tier``).  A pool steps
-        ``pool-step``, one ``MultiGPU.execute`` per step, or
-        ``parallel`` when ``_parallel_eligible()`` passes: :meth:`run`
-        then advances in bulk segments (a direct :meth:`step` is still
-        one execute).  Every path writes the next level over ``prev``,
-        so none allocates or frees a level."""
+        here and nowhere else.  One device steps ``resident``: the host
+        program's launches as one two-level step per step
+        (``VirtualGPU.compile_step``), which the resident plan models as
+        its launches — under a ``ResilientGPU`` ladder when
+        ``resilient``.  Only a plan that step refuses steps ``one-shot``:
+        one ``execute()`` per step (``VirtualGPU.launch_tier``); a pool
+        refuses it.  A pool steps ``parallel`` when
+        ``_parallel_eligible()`` passes, else ``pool-loop``
+        (``MultiGPU.execute_many``'s in-process loop), in segments.
+        Every path writes the next level over ``prev``, so none
+        allocates or frees a level."""
         from ..gpu.runtime import VirtualGPU
         cfg = self.config
-        self._plan = None       # a resident plan is bound to its executor
-        self._step = self._tier = None
-        self._advance = self._step_one_shot
+        plan = self._host_program.plan
         if pool is None and len(devices) > 1:
             from ..gpu.multi import MultiGPU
             pool = MultiGPU(devices, faults=cfg.faults,
                             resilient=cfg.resilient, retry=cfg.retry,
                             parallel=cfg.parallel)
-        if pool is not None:
-            self._gpu = pool
-            self._path = ("parallel" if pool._parallel_eligible() is None
-                          else "pool-step")
+        gpu = pool or VirtualGPU(devices[0], faults=cfg.faults)
+        try:
+            step = gpu.compile_step(plan, self._rotations[0])
+        except LoopsUnsupported:
+            if pool is not None:
+                raise           # before anything changed
+            step = None
+        # a resident plan is bound to its executor
+        self._plan, self._step, self._fallback = None, step, None
+        if step is None:
+            self._fallback = "loops_unsupported"
+            self._path, self._advance = "one-shot", self._step_one_shot
+            self._tier = VirtualGPU.launch_tier(plan)
         else:
-            self._gpu = VirtualGPU(devices[0], faults=cfg.faults)
-            self._path = "one-shot"
-            if cfg.resilient:
-                from ..gpu.resilient import ResilientGPU
-                self._gpu = ResilientGPU(self._gpu, retry=cfg.retry)
-            elif cfg.faults is None:
-                try:
-                    self._step = self._gpu.compile_step(
-                        self._host_program.plan, self._rotations[0])
-                except LoopsUnsupported:
-                    pass            # a plan the step refuses: one-shot
-                else:
-                    self._path, self._advance = "resident", self._step_resident
-        if self._step is not None:
-            self._tier = self._step.tier
-        elif self._path != "parallel":
-            self._tier = VirtualGPU.launch_tier(self._host_program.plan)
+            self._path, self._advance = "resident", self._step_resident
+            self._tier = step.tier
+        if pool is not None:
+            why = pool._parallel_eligible()
+            self._path = "pool-loop" if why else "parallel"
+            self._tier = self._tier if why else None
+            self._fallback = why if cfg.parallel else None
+        if pool is None and cfg.resilient:
+            from ..gpu.resilient import ResilientGPU
+            gpu = ResilientGPU(gpu, retry=cfg.retry)
+        self._gpu = gpu
+        o = _obs.get()
+        if self._fallback is not None and o is not None:
+            o.metrics.counter(
+                "repro_sim_path_fallbacks_total",
+                "Simulations built onto a fallback stepping path",
+                ("path", "reason")).inc(path=self._path,
+                                        reason=self._fallback)
 
     @property
     def devices(self):
@@ -535,12 +541,20 @@ class RoomSimulation:
 
     # -- stepping ---------------------------------------------------------------------------
     def step(self) -> None:
+        if self._path in _SEGMENTED:
+            return self._step_segment(self.time_step + 1)
         o, cfg = _obs.get(), self.config
         with (nullcontext() if o is None else o.tracer.span(
                 "sim.step", "sim", step=self.time_step, scheme=cfg.scheme,
-                backend=cfg.backend, path=self._path,
-                **({} if self._tier is None else {"tier": self._tier}))):
+                backend=cfg.backend, **self._path_attrs())):
             self._step_impl()
+
+    def _path_attrs(self) -> dict:
+        """``path``, with ``tier`` and ``fallback`` where set: the
+        attributes of a step/segment span."""
+        attrs = dict(path=self._path, tier=self._tier,
+                     fallback=self._fallback)
+        return {k: v for k, v in attrs.items() if v is not None}
 
     def _step_impl(self) -> None:
         """The bound step (the next level written over ``prev``), the
@@ -597,25 +611,25 @@ class RoomSimulation:
         front so there is always a restore point."""
         from ..gpu.multi import ShardLost
         target = self.time_step + steps
-        if (self._path in ("pool-step", "parallel")
-                and self.last_checkpoint is None):
+        if self._path in _SEGMENTED and self.last_checkpoint is None:
             self.last_checkpoint = self.checkpoint()
         while self.time_step < target:
             try:
-                if self._path == "parallel":
-                    self._step_parallel_segment(target)
+                if self._path in _SEGMENTED:
+                    self._step_segment(target)
                 else:
                     self.step()
             except ShardLost as lost:
                 self._recover_shard_loss(lost)
 
-    def _step_parallel_segment(self, target: int) -> None:
-        """Advance in one ``execute_many`` round trip across the shard
-        worker processes, stopping at the next checkpoint/health
-        boundary so periodic hooks fire at exactly the same time steps
-        as the per-step path.  Receivers are sampled in-worker (each
-        step, post-rotation — the same point the per-step path samples
-        ``curr``) and splice back in bulk."""
+    def _step_segment(self, target: int) -> None:
+        """Advance a pool in one ``execute_many`` call — across the shard
+        worker processes (``parallel``) or in the in-process loop
+        (``pool-loop``) — stopping at the next checkpoint/health
+        boundary so periodic hooks fire at exactly the time steps a
+        step-by-step run fires them.  Receivers are sampled by the
+        shards (each step, post-rotation — where :meth:`_step_impl`
+        samples ``curr``) and splice back in bulk."""
         cfg = self.config
         n = target - self.time_step
         for interval in (cfg.checkpoint_interval, cfg.health_interval):
@@ -625,13 +639,15 @@ class RoomSimulation:
         with (nullcontext() if o is None else o.tracer.span(
                 "sim.segment", "sim", step=self.time_step, steps=n,
                 scheme=cfg.scheme, shards=len(self.devices),
-                path=self._path)) as span:
+                **self._path_attrs())) as span:
             res = self._gpu.execute_many(
                 self._host_program, self._vgpu_inputs(), self._size_env(),
                 n, rotations=self._rotations,
                 receivers={name: idx
-                           for name, (idx, _s) in self.receivers.items()})
-            if span is not None:    # the shards' step, known once it ran
+                           for name, (idx, _s) in self.receivers.items()},
+                first_step=self.time_step)
+            if span is not None and res.overlap:
+                # the workers' step, known once it ran
                 span.attrs["tier"] = res.overlap["per_shard"][0]["tier"]
         N = self._N
         self.curr[:N] = res.buffers["final:prev1_h"]
@@ -643,8 +659,7 @@ class RoomSimulation:
         self.modelled_gpu_time_ms += res.kernel_time_ms()
         self.modelled_halo_time_ms += res.halo_time_ms()
         self.last_overlap = res.overlap
-        for name, samples in (res.overlap or {}).get(
-                "receivers", {}).items():
+        for name, samples in res.receivers.items():
             self.receivers[name][1].extend(float(x) for x in samples)
         self._stepped(n)
 
@@ -858,8 +873,8 @@ class RoomSimulation:
         return inputs
 
     def _step_one_shot(self):
-        """One ``execute()``: of one device, or of the pool's slabs.  It
-        never writes its host inputs, so its result lands in ``prev``."""
+        """One ``execute()``, for a plan the step refuses.  It never
+        writes its host inputs, so its result lands in ``prev``."""
         res = self._gpu.execute(self._host_program, self._vgpu_inputs(),
                                 self._size_env(), fault_step=self.time_step)
         self.prev[:self._N] = np.asarray(res.result)[:self._N]
@@ -869,7 +884,6 @@ class RoomSimulation:
             self.g1[:] = res.buffers[names["g1_h"]]
             self.v1[:] = res.buffers[names["v1_h"]]
         self.modelled_gpu_time_ms += res.kernel_time_ms()
-        self.modelled_halo_time_ms += res.halo_time_ms()
 
     def _step_resident(self):
         """One device-resident step: no transfers.  The plan is opened
@@ -882,16 +896,16 @@ class RoomSimulation:
         plan's third level, the launches' output buffer, is declared but
         has no host array, and the plan only records the launches it
         models.  The plan rotates its roles as :meth:`_step_impl`
-        rotates the arrays, so the two stay one."""
+        rotates the arrays, so the two stay one (under a
+        ``ResilientGPU``, every plan its ladder opens does)."""
         plan = self._plan
         if plan is None:
-            from ..gpu.runtime import ResidentPlan
             inputs = self._vgpu_inputs()
             bound = {n: a for n, a in inputs.items()
                      if isinstance(a, np.ndarray)}
-            plan = self._plan = ResidentPlan.stepping(
-                self._gpu, self._host_program.plan, inputs,
-                self._size_env(), self._rotations, [], bound)
+            plan = self._plan = self._gpu.stepping(
+                self._host_program.plan, inputs, self._size_env(),
+                self._rotations, [], bound, setup_step=self.time_step)
         plan.run_fused(self.time_step)
         plan.rotate()
         # only kernel time is charged, like RunResult.kernel_time_ms();

@@ -2,10 +2,10 @@
 
 :class:`MultiGPU` shards the acoustics volume along the Z axis of the
 flattened FDTD grid (``idx = z*Nx*Ny + y*Nx + x``) across a pool of
-virtual devices and presents the same ``execute``/``execute_many``
-interface as a single :class:`~.runtime.VirtualGPU`, so
+virtual devices and presents the ``execute_many`` interface of a single
+:class:`~.runtime.VirtualGPU`, so
 :class:`repro.acoustics.sim.RoomSimulation` and the benchmark harness
-drive it unchanged.
+drive it alike.
 
 **Shard layout.** Each shard owns a contiguous slab of ``z`` planes
 (``plane = Nx*Ny`` elements each) and stores its state arrays as::
@@ -54,26 +54,24 @@ BSP exchange phase and the single host link serialise).
 
 **Two executors, one step.** :meth:`MultiGPU.execute_many` steps every
 shard as one ``resident`` device steps — one compiled step over two time
-levels (:meth:`~.runtime.ResidentPlan.stepping`) — in this process (the
-BSP loop below), or, when the pool was built with ``parallel=True`` and
-:meth:`MultiGPU._parallel_eligible` passes, in a worker process per
-shard (:func:`repro.gpu.parallel.execute_parallel`) that runs the step
-over Z-plane blocks to overlap the halo exchange with interior compute.
-Both are bit-identical to one device.
+levels (:meth:`~.runtime.ResidentPlan.stepping`) — in this process, or
+in a worker process per shard (:func:`repro.gpu.parallel.execute_parallel`,
+``parallel=True``) that overlaps the halo exchange with interior
+compute.  Both are bit-identical to one device.
 
-**Failure semantics**: a lost device cannot be retried in place — its
-resident halo state is gone — so ``CL_DEVICE_LOST`` escalates as
-:class:`ShardLost` (per-shard :class:`~.resilient.ResilientGPU` wrappers
-use :func:`~.resilient.shard_retry_policy`, which retries everything
-transient *except* device loss).  The simulation layer recovers globally:
-drop the device, re-shard over the survivors, and replay from the last
+**Failure semantics**: faults and recovery act per shard step, in the
+in-process loop; with ``resilient=True`` under a ladder per shard
+(:func:`~.resilient.shard_retry_policy`) that retries everything
+transient *except* device loss.  A lost device's resident halo state is
+gone, so ``CL_DEVICE_LOST`` escalates as :class:`ShardLost`, and the
+simulation layer re-shards over the survivors and replays from the last
 checkpoint — exact because the decomposition is exact.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,8 +85,7 @@ from .errors import ClDeviceLost, ClInvalidValue
 from .faults import FaultPlan
 from .resilient import (PolicyOutcome, ResilientGPU, RetryPolicy,
                         shard_retry_policy)
-from .runtime import (ProfilingEvent, ResidentPlan, RunResult, VirtualGPU,
-                      leapfrog_cycle)
+from .runtime import ProfilingEvent, ResidentPlan, VirtualGPU, leapfrog_cycle
 
 #: halo width in z planes: the 7-point SLF stencil reads one neighbouring
 #: plane in each direction
@@ -266,9 +263,11 @@ class MultiRunResult:
     #: overlap-schedule report when the run used the multi-process
     #: executor (:func:`~.parallel.execute_parallel`): per-shard modes,
     #: modelled ``max(interior, halo) + boundary`` timing, measured
-    #: stall/exchange wallclock and receiver traces; ``None`` for the
-    #: serial in-process BSP path
+    #: stall/exchange wallclock; ``None`` for the in-process loop
     overlap: dict | None = None
+    #: receiver traces by name: the newest level at the receiver's
+    #: global flat index after every step (``execute_many(receivers=)``)
+    receivers: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def events(self) -> list[ProfilingEvent]:
@@ -297,13 +296,6 @@ class MultiRunResult:
         return sum(e.duration_ms for ev in self.shard_events for e in ev
                    if e.kind in ("h2d", "d2h"))
 
-    def overhead_time_ms(self) -> float:
-        return sum(e.duration_ms for e in self.events if e.kind == "backoff")
-
-    def failed_time_ms(self) -> float:
-        return sum(e.duration_ms for e in self.events
-                   if e.kind.startswith("failed_"))
-
 
 class MultiGPU:
     """A pool of virtual devices executing one host program by Z-slab
@@ -315,13 +307,11 @@ class MultiGPU:
     :data:`OWNER_PARAMS`, :data:`BRANCH_PARAMS`); everything else is
     broadcast whole.
 
-    With ``resilient=True`` the per-step :meth:`execute` path runs each
-    shard under a :class:`~.resilient.ResilientGPU` whose retry policy
-    excludes device loss (:func:`~.resilient.shard_retry_policy`); a lost
-    device always escalates as :class:`ShardLost`.  A ``faults`` plan is
-    attached to the first device only, so injected failures have a
-    well-defined victim.  ``parallel=True`` lets :meth:`execute_many`
-    run each shard in a worker process of its own.
+    ``resilient=True`` steps each shard under a
+    :class:`~.resilient.ResilientGPU` ladder (see the module docstring).
+    A ``faults`` plan is attached to the first device only, so injected
+    failures have a well-defined victim.  ``parallel=True`` lets
+    :meth:`execute_many` run each shard in a worker process of its own.
     """
 
     def __init__(self, devices, *, faults: FaultPlan | None = None,
@@ -332,14 +322,13 @@ class MultiGPU:
         self.resilient = resilient
         self.retry = retry
         self.parallel = parallel
-        self._gpus = [VirtualGPU(dev, faults=faults if i == 0 else None)
-                      for i, dev in enumerate(self.devices)]
+        #: each shard's executor (under a ladder when resilient)
+        self._gpus: list = [VirtualGPU(dev, faults=faults if i == 0 else None)
+                            for i, dev in enumerate(self.devices)]
         if resilient:
-            self._execs: list = [
-                ResilientGPU(g, retry=shard_retry_policy(retry),
-                             host_fallback=False) for g in self._gpus]
-        else:
-            self._execs = list(self._gpus)
+            self._gpus = [ResilientGPU(g, retry=shard_retry_policy(retry),
+                                       host_fallback=False)
+                          for g in self._gpus]
         #: fallback clock for halo events when no obs session is active
         self.clock = ModelClock()
         #: policy entries carried over from a pre-reshard pool (the old
@@ -356,10 +345,6 @@ class MultiGPU:
         """First shard's device (interface parity with VirtualGPU)."""
         return self.devices[0]
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.devices)
-
     def without_device(self, index: int) -> "MultiGPU":
         """A new pool with shard ``index``'s device removed — the
         re-shard step of device-loss recovery.  The same fault plan
@@ -373,7 +358,7 @@ class MultiGPU:
                         resilient=self.resilient, retry=self.retry,
                         parallel=self.parallel)
         pool.inherited_log = self.policy_logs() + [PolicyOutcome(
-            method="execute", device=self.devices[index].name, attempt=1,
+            method="step", device=self.devices[index].name, attempt=1,
             error="CL_DEVICE_LOST", action="reshard",
             detail=f"shard {index} lost; re-sharded across "
                    f"{len(remaining)} device(s)")]
@@ -385,17 +370,22 @@ class MultiGPU:
         if not self.parallel:
             return "parallel=False"
         if len(self.devices) < 2:
-            return "single shard"
+            return "single_shard"
         if self.faults is not None or self.resilient:
-            return "fault injection / resilient wrappers are per-process"
+            return "faults_or_resilient"    # their ladders are in-process
         return None
+
+    def compile_step(self, plan: HostPlan, leapfrog: tuple[str, ...]):
+        """The step every shard runs (:meth:`VirtualGPU.compile_step`):
+        a plan it refuses, the pool refuses."""
+        return self._gpus[0].compile_step(plan, leapfrog)
 
     def policy_logs(self) -> list:
         """Concatenated recovery-policy logs: entries inherited across
         re-shards, then the live per-shard logs (resilient mode)."""
         out = list(self.inherited_log)
-        for ex in self._execs:
-            out.extend(getattr(ex, "log", []))
+        for gpu in self._gpus:
+            out.extend(getattr(gpu, "log", []))
         return out
 
     # -- decomposition ------------------------------------------------------------------
@@ -444,15 +434,15 @@ class MultiGPU:
         """One exchange per neighbouring pair and direction, on the
         freshly written level (the field after the rotation): the shard's
         edge planes into the neighbour's matching halo region."""
-        field = FIELD_PARAMS[0]
+        name = FIELD_PARAMS[0]
         ops: list[HaloExchange] = []
         for a, b in zip(shards, shards[1:]):
             rp = a.radius * a.plane
             # a's top planes -> b's halo_lo (the tail of b's local array)
-            ops.append(HaloExchange(a.index, b.index, field,
+            ops.append(HaloExchange(a.index, b.index, name,
                                     a.n_local - rp, b.n_local + rp, rp))
             # b's bottom planes -> a's halo_hi
-            ops.append(HaloExchange(b.index, a.index, field,
+            ops.append(HaloExchange(b.index, a.index, name,
                                     0, a.n_local, rp))
         return ops
 
@@ -513,126 +503,67 @@ class MultiGPU:
                 shard=shard.index, device=shard.device.name,
                 injected=err.injected, **ctx) from err
 
-    # -- per-step execution (the simulation path) ---------------------------------------
-    def execute(self, program: HostProgram, inputs: dict, sizes: dict,
-                fault_step: int | None = None) -> MultiRunResult:
-        """One pass of the host program, decomposed across the pool.
-
-        The per-step path :class:`RoomSimulation` drives: every call
-        uploads the shard-local state fresh (the halo planes ride along
-        in the H2D transfers), runs each shard — through its resilient
-        wrapper when enabled — and merges the owned slabs back.  The
-        inter-device halo traffic the resident equivalent would perform
-        is still priced (kind ``"halo"`` events), so per-step and
-        resident runs report comparable halo overhead.
-        """
-        shards = self._shards(inputs, sizes)
-        o = _obs.get()
-        cm = (o.tracer.span("gpu.multi.execute", "gpu", shards=len(shards))
-              if o is not None else nullcontext())
-        shard_results: list[RunResult] = []
-        masks: list[np.ndarray | None] = []
-        halo_events: list[ProfilingEvent] = []
-        with cm:
-            for shard, ex in zip(shards, self._execs):
-                li, ls, mask = self._local_inputs(shard, inputs, sizes)
-                prog = shard_program(program, shard.index, ls)
-                scm = (o.tracer.span("gpu.shard", "gpu", shard=shard.index,
-                                     device=shard.device.name)
-                       if o is not None else nullcontext())
-                with scm, self._shard_loss(shard):
-                    res = ex.execute(prog, li, ls, fault_step=fault_step)
-                shard_results.append(res)
-                masks.append(mask)
-            halo_bytes = 0
-            if len(shards) > 1:
-                itemsize = np.asarray(shard_results[0].result).itemsize
-                for op in self._halo_schedule(shards):
-                    nbytes = op.count * itemsize
-                    halo_bytes += nbytes
-                    self._record_halo(
-                        shards[op.src_device].device,
-                        shards[op.dst_device].device, nbytes,
-                        f"halo:{op.src_device}->{op.dst_device}",
-                        halo_events, fault_step)
-        # shard plans keep the program's buffer names
-        host_buffers = program.plan.host_buffers()
-        buffers: dict[str, np.ndarray] = {}
-        for name in BRANCH_PARAMS:
-            if name in inputs:
-                key = host_buffers[name]
-                merged = _branch_state(inputs, name, masks,
-                                       [r.buffers.get(key)
-                                        for r in shard_results])
-                if merged is not None:
-                    buffers[key] = merged
-        return self._merged(shards, shard_results, buffers, halo_events,
-                            halo_bytes)
-
-    # -- resident iterative execution (the benchmark / scaling path) --------------------
+    # -- resident iterative execution ---------------------------------------------------
     def execute_many(self, program: HostProgram, inputs: dict, sizes: dict,
                      steps: int,
                      rotations: list[tuple[str, ...]] | None = None,
-                     receivers: dict[str, int] | None = None
-                     ) -> MultiRunResult:
+                     receivers: dict[str, int] | None = None,
+                     first_step: int = 0) -> MultiRunResult:
         """Iterative resident execution across the pool: every shard
         steps through one compiled step over two time levels
         (:meth:`ResidentPlan.stepping`), so ``rotations`` must hold the
         leapfrog cycle, and a plan the step refuses raises here.
+        ``receivers`` optionally maps names to *global* flat indices:
+        the owning shard samples the freshly rotated field there each
+        step, and the traces come back in ``result.receivers``.
 
         With ``parallel=True`` and :meth:`_parallel_eligible` passing,
         each shard runs in a worker process of its own with halo
         exchange overlapping interior compute
-        (:func:`~.parallel.execute_parallel`).  ``receivers`` optionally
-        maps names to *global* flat indices; the owning worker samples
-        the freshly rotated field there each step and the traces come
-        back in ``result.overlap["receivers"]`` (the bulk simulation
-        path uses this so receiver capture does not force per-step
-        round trips).  Only that executor takes ``receivers``.
+        (:func:`~.parallel.execute_parallel`).
 
         Otherwise the shards step here, in BSP order: upload each
-        shard's state once, then per step every shard's step and
-        rotation, and the halo-exchange phase into the freshly written
-        level (a synchronisation point — real data moves between the
-        resident plans).  Rotation cycles are filtered per shard
-        (:func:`shard_rotations`).  Errors surface directly — the
-        resident path has live device state, so recovery is the caller's
-        re-shard-and-replay.
+        shard's state once, then per step every shard's step (under its
+        ladder when resilient) and rotation, and the halo-exchange phase
+        into the freshly written level.  Rotation cycles are filtered
+        per shard (:func:`shard_rotations`).  Steps are numbered from
+        ``first_step``, for the fault plan (the plans open at it).  A
+        lost device surfaces as :class:`ShardLost`: recovery is the
+        caller's re-shard-and-replay.
         """
-        why = self._parallel_eligible()
-        if why is None and steps > 0:
+        if self._parallel_eligible() is None and steps > 0:
             from .parallel import execute_parallel
             # what a worker would refuse is refused at the call
-            self._gpus[0].compile_step(program.plan,
-                                       leapfrog_cycle(rotations))
+            self.compile_step(program.plan, leapfrog_cycle(rotations))
             return execute_parallel(self, program, inputs, sizes, steps,
                                     rotations, receivers or {})
-        if receivers:
-            raise ClInvalidValue(
-                f"receivers require the parallel executor, which is "
-                f"unavailable here: {why or 'steps <= 0'}", reason=why)
         shards = self._shards(inputs, sizes)
         o = _obs.get()
         cm = (o.tracer.span("gpu.multi.execute_many", "gpu",
                             shards=len(shards), steps=steps)
               if o is not None else nullcontext())
-        states: list[ResidentPlan] = []
+        states: list = []
         masks: list[np.ndarray | None] = []
-        shard_events: list[list[ProfilingEvent]] = [[] for _ in shards]
         halo_events: list[ProfilingEvent] = []
         halo_bytes = 0
+        # receiver name -> (owning shard, local index, trace)
+        traces = {name: next((sh.index, idx - sh.lo, []) for sh in shards
+                             if sh.lo <= idx < sh.hi)
+                  for name, idx in (receivers or {}).items()}
+        names: set[str] = set()     # the shards' transferred host params
         with cm:
-            for shard, gpu, ev in zip(shards, self._gpus, shard_events):
+            for shard, gpu in zip(shards, self._gpus):
                 li, ls, mask = self._local_inputs(shard, inputs, sizes)
                 plan = shard_program(program, shard.index, ls).plan
+                names |= set(plan.host_buffers())
                 with self._shard_loss(shard):
-                    states.append(ResidentPlan.stepping(
-                        gpu, plan, li, ls, shard_rotations(plan, rotations),
-                        ev))
+                    states.append(gpu.stepping(
+                        plan, li, ls, shard_rotations(plan, rotations), [],
+                        setup_step=first_step))
                 masks.append(mask)
             schedule = (self._halo_schedule(shards)
                         if len(shards) > 1 else [])
-            for step in range(steps):
+            for step in range(first_step, first_step + steps):
                 for shard, st in zip(shards, states):
                     with self._shard_loss(shard):
                         st.run_fused(step, shard=shard.index)
@@ -640,27 +571,40 @@ class MultiGPU:
                 for op in schedule:
                     halo_bytes += self._apply_halo(op, shards, states,
                                                    halo_events, step)
+                for i, local, trace in traces.values():
+                    trace.append(
+                        float(states[i].buffer_for(FIELD_PARAMS[0])[local]))
             results = [st.finish() for st in states]
-        names: set[str] = set()
-        for st in states:
-            names |= set(st.binding)
-        return self._merge_many(shards, masks, names, results, inputs,
-                                halo_events, halo_bytes)
+        merged = self._merge_many(shards, masks, names, results, inputs,
+                                  halo_events, halo_bytes)
+        merged.receivers = {n: np.asarray(t) for n, (*_, t) in traces.items()}
+        return merged
 
     def _merge_many(self, shards, masks, names, results, inputs,
                     halo_events, halo_bytes) -> MultiRunResult:
-        """Merge per-shard resident results; ``names`` is the union of
-        the shards' rotation-binding names (host params)."""
+        """Merge per-shard resident results into the pool's: the
+        shards' owned slabs, concatenated; ``names`` is the union of the
+        shards' rotation-binding names (host params)."""
         skip = {BOUNDARY_PARAM, K_SIZE, *OWNER_PARAMS}
+        k_total = (np.asarray(inputs[BOUNDARY_PARAM]).size
+                   if BOUNDARY_PARAM in inputs else 0)
         buffers: dict[str, np.ndarray] = {}
         for name in sorted(names):
             if name in skip:
                 continue   # shard-local index/ownership data
             per = [r.buffers.get(f"final:{name}") for r in results]
             if name in BRANCH_PARAMS:
-                merged = _branch_state(inputs, name, masks, per)
-                if merged is not None:
-                    buffers[f"final:{name}"] = merged
+                if not k_total:
+                    continue       # no boundary points, no branch state
+                # [branches, K]: each shard's owned columns from its
+                # result, the rest from the input
+                merged = np.array(np.asarray(inputs[name]).reshape(-1))
+                cols = merged.reshape(-1, k_total)
+                for mask, p in zip(masks, per):
+                    if mask is not None and p is not None and mask.any():
+                        cols[:, mask] = np.asarray(p).reshape(
+                            cols.shape[0], -1)
+                buffers[f"final:{name}"] = merged
             elif name in FIELD_PARAMS:
                 buffers[f"final:{name}"] = np.concatenate(
                     [np.asarray(p).reshape(-1)[:sh.n_local]
@@ -670,34 +614,10 @@ class MultiGPU:
                 shared = next((p for p in per if p is not None), None)
                 if shared is not None:
                     buffers[f"final:{name}"] = shared
-        return self._merged(shards, results, buffers, halo_events,
-                            halo_bytes)
-
-    def _merged(self, shards, results, buffers, halo_events,
-                halo_bytes) -> MultiRunResult:
-        """The pool's result: the shards' owned slabs, concatenated."""
-        field = np.concatenate(
-            [np.asarray(r.result).reshape(-1)[:sh.n_local]
-             for sh, r in zip(shards, results)])
         return MultiRunResult(
-            result=field, buffers=buffers,
-            shard_events=[r.events for r in results],
+            result=np.concatenate(
+                [np.asarray(r.result).reshape(-1)[:sh.n_local]
+                 for sh, r in zip(shards, results)]),
+            buffers=buffers, shard_events=[r.events for r in results],
             halo_events=halo_events, halo_bytes=halo_bytes,
             devices=tuple(d.name for d in self.devices))
-
-
-def _branch_state(inputs: dict, name: str, masks, per) -> np.ndarray | None:
-    """Merged ``[branches, K]`` branch state ``name`` (flat): the input's
-    columns, with each shard's owned columns taken from its result in
-    ``per`` (``None`` where a shard has no such buffer).  ``None`` when
-    the problem has no boundary points."""
-    k_total = (np.asarray(inputs[BOUNDARY_PARAM]).size
-               if BOUNDARY_PARAM in inputs else 0)
-    if not k_total:
-        return None
-    merged = np.array(np.asarray(inputs[name]).reshape(-1), copy=True)
-    cols = merged.reshape(-1, k_total)
-    for mask, p in zip(masks, per):
-        if mask is not None and p is not None and mask.any():
-            cols[:, mask] = np.asarray(p).reshape(cols.shape[0], -1)
-    return merged

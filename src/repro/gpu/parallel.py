@@ -42,7 +42,8 @@ each, flow-controlled by a (free, filled) semaphore pair — a bounded
 SPSC queue, so a shard can run at most :data:`RING_DEPTH` steps ahead of
 a neighbour and no step ever reads a torn plane.
 
-**Fallbacks.** Fault injection, resilient wrappers or a single shard make
+**Fallbacks.** Fault injection, resilient wrappers (their recovery
+ladders step in-process) or a single shard make
 :meth:`~.multi.MultiGPU._parallel_eligible` refuse, and
 :meth:`~.multi.MultiGPU.execute_many` runs its in-process BSP loop.
 
@@ -506,9 +507,6 @@ def _merge_parallel(pool: MultiGPU, shards, masks, payloads, inputs,
     overlap = {
         "executor": "parallel", "shards": len(shards), "steps": steps,
         "per_shard": per_shard,
-        "receivers": {name: np.asarray(samples)
-                      for pl in payloads.values()
-                      for name, samples in pl["receivers"].items()},
         "modelled": {
             "step_ms": step_ms_max,
             "bsp_step_ms": bsp_step_ms_max,
@@ -530,4 +528,7 @@ def _merge_parallel(pool: MultiGPU, shards, masks, payloads, inputs,
     merged = pool._merge_many(shards, masks, names, results, inputs,
                               halo_events, halo_bytes)
     merged.overlap = overlap
+    merged.receivers = {name: np.asarray(samples)
+                        for pl in payloads.values()
+                        for name, samples in pl["receivers"].items()}
     return merged

@@ -14,25 +14,23 @@ Listing-5 orchestration:
    and the smallest workgroup (the standard driver-level mitigation for
    oversized launches: smaller workgroups split the launch into more,
    lighter hardware waves);
-3. **re-queue on a fallback device** — the whole program is re-run on the
-   next device in ``fallback_devices`` (fresh buffers, same inputs, so
-   results stay bit-identical);
-4. **host fallback** — as a last resort the plan runs through the plain
+3. **re-queue on a fallback device** — the work is re-run on the next
+   device in ``fallback_devices`` (same inputs, so results stay
+   bit-identical);
+4. **host fallback** — as a last resort the work runs through the plain
    NumPy backend on the host: same kernels, same results, but the events
    are relabelled ``host_*`` so no GPU kernel time is charged.
+
+One ladder (:meth:`ResilientGPU._run`) climbs these stages over an
+attempt: a whole ``execute`` / ``execute_many`` call, or one step of a
+resident plan (:meth:`ResilientGPU.stepping`, :class:`LadderPlan`).  A
+step is safe to re-run: :meth:`~.runtime.ResidentPlan.run_fused`
+consults the fault plan at every launch site before the step stores
+anything, so a failed step leaves the state at the step before.
 
 Every decision is appended to :attr:`ResilientGPU.log` as a
 :class:`PolicyOutcome`, the machine-readable policy log the acceptance
 tests (and operators) audit.
-
-Retries are only safe because ``execute``/``execute_many`` allocate fresh
-device buffers per call and never mutate host inputs — re-running a
-failed call is idempotent, which is what makes recovered runs
-bit-identical to fault-free ones.  A
-:class:`~.runtime.ResidentPlan` opened with ``in_place`` arrays gives
-that up (its launches write the caller's memory), so
-:class:`repro.acoustics.RoomSimulation` steps device-resident only when
-neither this wrapper nor a fault plan is configured.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .. import obs as _obs
 from .device import DeviceSpec
 from .errors import (ClDeviceLost, ClError, ClOutOfResources,
                      TRANSIENT_ERRORS)
-from .runtime import ProfilingEvent, RunResult, VirtualGPU
+from .runtime import ProfilingEvent, ResidentPlan, RunResult, VirtualGPU
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def shard_retry_policy(base: RetryPolicy | None = None) -> RetryPolicy:
 class PolicyOutcome:
     """One recovery decision, for the policy log."""
 
-    method: str                  # "execute" | "execute_many"
+    method: str                  # "execute" | "execute_many" | "step"
     device: str                  # device the failing attempt ran on
     attempt: int                 # 1-based attempt index on that device
     error: str                   # OpenCL status name of the failure
@@ -116,11 +114,23 @@ class ResilientGPU:
         return self.gpu.device
 
     # -- public interface (mirrors VirtualGPU) -------------------------------------
+    def compile_step(self, plan, leapfrog):
+        return self.gpu.compile_step(plan, leapfrog)
+
     def execute(self, program, inputs, sizes, **kw) -> RunResult:
-        return self._run("execute", program, inputs, sizes, **kw)
+        return self._run("execute", self._attempt_plan(), lambda _, gpu:
+                         gpu.execute(program, inputs, sizes, **kw))
 
     def execute_many(self, program, inputs, sizes, steps, **kw) -> RunResult:
-        return self._run("execute_many", program, inputs, sizes, steps, **kw)
+        return self._run("execute_many", self._attempt_plan(), lambda _, gpu:
+                         gpu.execute_many(program, inputs, sizes, steps, **kw))
+
+    def stepping(self, plan, inputs, sizes, rotations, events,
+                 in_place=None, *, setup_step=None) -> "LadderPlan":
+        """``plan`` to step under the ladder (:class:`LadderPlan`); its
+        plans open at the step that first runs them (``setup_step``)."""
+        return LadderPlan(self, (plan, inputs, sizes, rotations), events,
+                          in_place or {})
 
     def recovered_faults(self) -> int:
         """Number of failures that a policy action recovered from."""
@@ -176,44 +186,36 @@ class ResilientGPU:
             gpu.clock = g.clock
         return stages
 
-    @staticmethod
-    def _keep_failed_events(recovery_events: list[ProfilingEvent],
-                            err: ClError, attempt: int) -> None:
-        """Preserve the partial timeline of a failed attempt.
+    def _run(self, method: str, stages, attempt) -> RunResult:
+        """Climb ``stages`` (:meth:`_attempt_plan`) until
+        ``attempt(stage_index, gpu)`` returns a :class:`RunResult`, and
+        put the recovery events (backoff, discarded attempts) before its
+        own.
 
-        The runtime attaches its ProfilingEvents to the raised
-        :class:`ClError`; they are re-recorded with a ``failed_`` kind
-        prefix and ``attemptN:``-prefixed names so the discarded work is
+        The runtime attaches a failed attempt's ProfilingEvents to the
+        raised :class:`ClError`; they are kept with a ``failed_`` kind
+        prefix and ``attemptN:``-prefixed names, so the discarded work is
         auditable without double-counting — ``RunResult.kernel_time_ms``
         only sums kind ``"kernel"``, and name-prefix filters keep
-        matching the real kernel names of the winning attempt only.
-        """
-        for e in getattr(err, "events", None) or []:
-            recovery_events.append(ProfilingEvent(
-                f"failed_{e.kind}", f"attempt{attempt}:{e.name}",
-                e.duration_ms, e.timing, start_ms=e.start_ms))
-
-    def _run(self, method: str, program, inputs, sizes, *a, **kw) -> RunResult:
-        recovery_events: list[ProfilingEvent] = []
+        matching the winning attempt's launches only."""
+        recovery: list[ProfilingEvent] = []
         recovering_from: PolicyOutcome | None = None
-        last_error: ClError | None = None
-        stages = self._attempt_plan()
+        err: ClError | None = None
         o = _obs.get()
-        for si, (stage, gpu, detail) in enumerate(stages):
-            # only re-enter the degrade stage for the failure mode it
-            # actually mitigates
+        for si, (stage, gpu, _) in enumerate(stages):
+            # the degrade stage only mitigates CL_OUT_OF_RESOURCES
             if stage == "degrade_launch" and not isinstance(
-                    last_error, ClOutOfResources):
+                    err, ClOutOfResources):
                 continue
-            for attempt in range(1, self.retry.max_attempts + 1):
+            for n in range(1, self.retry.max_attempts + 1):
                 span = (o.tracer.start("resilient.attempt", "resilient",
-                                       stage=stage, attempt=attempt,
+                                       stage=stage, attempt=n,
                                        device=gpu.device.name, method=method)
                         if o is not None else None)
                 try:
-                    res: RunResult = getattr(gpu, method)(
-                        program, inputs, sizes, *a, **kw)
-                except ClError as err:
+                    res: RunResult = attempt(si, gpu)
+                except ClError as failed:
+                    err = failed
                     if span is not None:
                         span.attrs.update(outcome="failed",
                                           error=err.status_name,
@@ -224,76 +226,138 @@ class ResilientGPU:
                         for s in o.tracer.descendants_of(span):
                             if s.cat == "kernel":
                                 s.cat = "failed_kernel"
-                    last_error = err
-                    self._keep_failed_events(recovery_events, err, attempt)
+                    recovery += [ProfilingEvent(
+                        f"failed_{e.kind}", f"attempt{n}:{e.name}",
+                        e.duration_ms, e.timing, start_ms=e.start_ms)
+                        for e in getattr(err, "events", None) or []]
                     retryable = isinstance(err, self.retry.retry_on)
                     # a buffer over the device's per-allocation cap can
-                    # still fit a larger fallback device / the host
-                    escalatable = retryable or "max_alloc_bytes" in err.context
-                    if not escalatable:
-                        # programming errors (invalid args/sizes) are not
-                        # recoverable — surface them immediately
+                    # still fit a larger fallback device / the host;
+                    # programming errors (invalid args/sizes) surface
+                    if not (retryable or "max_alloc_bytes" in err.context):
                         self._note(PolicyOutcome(
-                            method, gpu.device.name, attempt,
-                            err.status_name, "raise", err.injected,
-                            detail=str(err)))
+                            method, gpu.device.name, n, err.status_name,
+                            "raise", err.injected, detail=str(err)))
                         raise
-                    if retryable and attempt < self.retry.max_attempts:
-                        delay = self.retry.delay_ms(attempt - 1)
+                    if retryable and n < self.retry.max_attempts:
+                        delay = self.retry.delay_ms(n - 1)
                         if o is not None:
                             start = o.tracer.event(
                                 f"retry:{err.status_name}", "backoff", delay,
-                                error=err.status_name, attempt=attempt,
+                                error=err.status_name, attempt=n,
                                 injected=err.injected).start_ms
                         else:
                             start = gpu.clock.now_ms
                             gpu.clock.advance(delay)
-                        recovery_events.append(ProfilingEvent(
+                        recovery.append(ProfilingEvent(
                             "backoff", f"retry:{err.status_name}", delay,
                             start_ms=start))
                         recovering_from = PolicyOutcome(
-                            method, gpu.device.name, attempt,
-                            err.status_name, "retry", err.injected,
-                            backoff_ms=delay, detail=str(err))
+                            method, gpu.device.name, n, err.status_name,
+                            "retry", err.injected, backoff_ms=delay,
+                            detail=str(err))
                         self._note(recovering_from)
                         continue
                     # retry budget spent on this stage: escalate
-                    next_stage = next(
-                        (s for s in stages[si + 1:]
-                         if s[0] != "degrade_launch"
-                         or isinstance(err, ClOutOfResources)), None)
-                    if next_stage is None:
-                        self._note(PolicyOutcome(
-                            method, gpu.device.name, attempt,
-                            err.status_name, "raise", err.injected,
-                            detail="degradation ladder exhausted"))
-                        raise
+                    up = next((st for st in stages[si + 1:]
+                               if st[0] != "degrade_launch"
+                               or isinstance(err, ClOutOfResources)), None)
                     recovering_from = PolicyOutcome(
-                        method, gpu.device.name, attempt, err.status_name,
-                        next_stage[0], err.injected,
-                        detail=f"escalating to {next_stage[2]}")
+                        method, gpu.device.name, n, err.status_name,
+                        up[0] if up else "raise", err.injected,
+                        detail=(f"escalating to {up[2]}" if up else
+                                "degradation ladder exhausted"))
                     self._note(recovering_from)
+                    if up is None:
+                        raise
                     break
-                else:
-                    if span is not None:
-                        span.attrs["outcome"] = "ok"
-                        o.tracer.end(span)
-                    if stage == "host_fallback":
-                        self._relabel_host_events(res)
-                    if recovering_from is not None:
-                        self._note(PolicyOutcome(
-                            method, gpu.device.name, attempt, "", "recovered",
-                            detail=f"after {recovering_from.error} via "
-                                   f"{recovering_from.action}"))
-                    res.events[:0] = recovery_events
-                    return res
-        raise last_error if last_error is not None else ClError(
+                if span is not None:
+                    span.attrs["outcome"] = "ok"
+                    o.tracer.end(span)
+                if stage == "host_fallback":
+                    # host-fallback runs charge no GPU kernel or PCIe time
+                    for e in res.events:
+                        if e.kind in ("kernel", "h2d", "d2h"):
+                            e.kind, e.duration_ms = f"host_{e.kind}", 0.0
+                if recovering_from is not None:
+                    self._note(PolicyOutcome(
+                        method, gpu.device.name, n, "", "recovered",
+                        detail=f"after {recovering_from.error} via "
+                               f"{recovering_from.action}"))
+                res.events[:0] = recovery
+                return res
+        raise err if err is not None else ClError(
             f"no execution stage available for {method}")
 
-    @staticmethod
-    def _relabel_host_events(res: RunResult) -> None:
-        """Host-fallback runs charge no GPU kernel or PCIe time."""
-        for e in res.events:
-            if e.kind in ("kernel", "h2d", "d2h"):
-                e.kind = f"host_{e.kind}"
-                e.duration_ms = 0.0
+
+class LadderPlan:
+    """A resident plan stepped under :class:`ResilientGPU`'s ladder: each
+    :meth:`run_fused` is one climb, each attempt one
+    :meth:`~.runtime.ResidentPlan.run_fused` on its stage's plan.
+
+    A stage's :class:`~.runtime.ResidentPlan` opens the first time a
+    step reaches the stage (its allocation and upload sites stamped with
+    that step) and is kept; a lost device's plan re-opens at its next
+    attempt.  The first plan opened holds the state (the caller's
+    ``in_place`` arrays, else fresh buffers); every later one binds that
+    plan's current buffers in place, so all stages step one set of
+    arrays, and :meth:`rotate` turns them all.  ``events`` collects the
+    winning attempts' events, each after its recovery events."""
+
+    def __init__(self, owner: ResilientGPU, spec: tuple, events: list,
+                 in_place: dict):
+        self.owner, self.stages = owner, owner._attempt_plan()
+        self._spec, self._in_place, self.events = spec, in_place, events
+        #: stage index -> its open plan; the stages whose device was lost
+        self._plans: dict[int, ResidentPlan] = {}
+        self._lost: set[int] = set()
+        self._current: ResidentPlan | None = None   # the last winner's
+
+    def _climb(self, step: int | None, run: bool, **span_attrs) -> None:
+        plan, inputs, sizes, rotations = self._spec
+
+        def attempt(si: int, gpu: VirtualGPU) -> RunResult:
+            ev: list[ProfilingEvent] = []
+            st = self._plans.get(si)
+            try:
+                if st is None or si in self._lost:
+                    src = st or next(iter(self._plans.values()), None)
+                    state = (self._in_place if src is None else
+                             {n: src.buffer_for(n) for n in src.binding})
+                    st = self._plans[si] = gpu.stepping(
+                        plan, {**inputs, **state}, sizes, rotations, ev,
+                        state, setup_step=step)
+                    self._lost.discard(si)
+                if run:
+                    st.events = ev
+                    st.run_fused(step, **span_attrs)
+            except ClError as err:
+                if isinstance(err, ClDeviceLost):
+                    self._lost.add(si)
+                err.events = ev
+                raise
+            self._current = st
+            return RunResult(None, {}, ev)
+
+        self.events += self.owner._run("step", self.stages, attempt).events
+
+    def run_fused(self, step: int, **span_attrs) -> None:
+        """One step, retried and escalated until a stage completes it."""
+        self._climb(step, True, **span_attrs)
+
+    def rotate(self) -> None:
+        for st in self._plans.values():
+            st.rotate()
+
+    def _now(self) -> ResidentPlan:
+        if self._current is None:       # no step yet: open one
+            self._climb(None, False)
+        return self._current
+
+    def buffer_for(self, name: str):
+        return self._now().buffer_for(name)
+
+    def finish(self) -> RunResult:
+        st = self._now()
+        st.events = self.events
+        return st.finish()

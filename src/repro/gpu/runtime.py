@@ -474,7 +474,8 @@ class VirtualGPU:
 
     def _allocate_buffers(self, plan: HostPlan, sizes: dict[str, int],
                           bound: dict[str, np.ndarray] | None = None,
-                          at_least: dict[str, int] | None = None
+                          at_least: dict[str, int] | None = None,
+                          setup_step: int | None = None
                           ) -> dict[str, np.ndarray]:
         """``clCreateBuffer`` for every declared buffer, with device-memory
         capacity enforcement when the DeviceSpec declares a capacity.
@@ -490,7 +491,8 @@ class VirtualGPU:
         it is a read-only zero-stride view of its size, which no launch
         can write.  ``at_least`` maps buffer names to a minimum element
         count above the declared one (the output level of a two-level
-        plan is as large as its cycle peers)."""
+        plan is as large as its cycle peers).  ``setup_step`` stamps the
+        ``alloc`` fault sites, as it does :meth:`_copy_in`'s."""
         buffers: dict[str, np.ndarray] = {}
         cap = self.device.global_mem_bytes
         max_alloc = self.device.max_alloc_bytes
@@ -510,7 +512,7 @@ class VirtualGPU:
             dtype = np.dtype(decl.scalar.np_dtype)
             nbytes = count * dtype.itemsize
             if self.faults is not None and self.faults.should_inject(
-                    "alloc", f"alloc:{decl.name}"):
+                    "alloc", f"alloc:{decl.name}", setup_step):
                 raise ClMemAllocationFailure(
                     f"clCreateBuffer failed for {decl.name!r} "
                     f"({nbytes} B) on {self.device.name}",
@@ -564,14 +566,24 @@ class VirtualGPU:
         silently dropped the rest; any mismatch beyond the guard-plane
         shortfall is now a typed error naming the host param and the
         buffer's symbolic count.  A buffer that *is* the host array
-        (bound in place) has nothing to transfer; only the modelled
-        event is recorded.
+        (bound in place) has nothing to copy, but its upload is modelled
+        and fails as any other: the fault plan is consulted at the same
+        sites, and a corrupted payload raises without writing the host
+        array (the modelled DMA payload is what is corrupted).
         """
         buf = buffers[op.buffer]
         if buf is inputs[op.host_name]:
             # bound in place by _allocate_buffers: nothing to copy, but
             # the upload a real device would need is still modelled, at
             # the declared width
+            self._transfer_faults(op, step)
+            if self.faults is not None and self.faults.should_inject(
+                    "transfer_corrupt", f"h2d:{op.host_name}", step):
+                raise ClTransferCorrupted(
+                    f"integrity check failed for transfer of host param "
+                    f"{op.host_name!r} -> {op.buffer!r}; the host array "
+                    f"is untouched", host_param=op.host_name,
+                    buffer=op.buffer, injected=True)
             nbytes = buf.size * decls[op.buffer].scalar.nbytes
             self._record(events, "h2d", op.host_name,
                          transfer_time_ms(nbytes, self.device),
@@ -591,12 +603,7 @@ class VirtualGPU:
                 host_param=op.host_name, buffer=op.buffer,
                 host_elems=int(flat.size), buffer_elems=int(buf.size),
                 guard_elems=guard)
-        if self.faults is not None and self.faults.should_inject(
-                "transfer_fail", f"h2d:{op.host_name}", step):
-            raise ClOutOfResources(
-                f"clEnqueueWriteBuffer aborted for host param "
-                f"{op.host_name!r} -> {op.buffer!r}",
-                host_param=op.host_name, buffer=op.buffer, injected=True)
+        self._transfer_faults(op, step)
         buf[:flat.size] = flat
         if flat.size < buf.size:
             buf[flat.size:] = 0
@@ -615,6 +622,16 @@ class VirtualGPU:
         self._record(events, "h2d", op.host_name,
                      transfer_time_ms(buf.nbytes, self.device),
                      bytes=buf.nbytes, buffer=op.buffer)
+
+    def _transfer_faults(self, op: CopyIn, step: int | None) -> None:
+        """Raise the transfer abort the fault plan injects at an
+        upload's site, before any data moves."""
+        if self.faults is not None and self.faults.should_inject(
+                "transfer_fail", f"h2d:{op.host_name}", step):
+            raise ClOutOfResources(
+                f"clEnqueueWriteBuffer aborted for host param "
+                f"{op.host_name!r} -> {op.buffer!r}",
+                host_param=op.host_name, buffer=op.buffer, injected=True)
 
     # -- execution --------------------------------------------------------------------
     def execute(self, program: HostProgram,
@@ -666,16 +683,28 @@ class VirtualGPU:
         time reflects steady-state operation.
 
         Step-targeted faults from the plan hit the launches of that step
-        index, before the step stores anything; transfer/allocation
-        faults hit the one-off setup phase.
+        index, before the step stores anything; allocation and transfer
+        faults hit the plan's open, before step 0 and stamped with it.
         """
         with self._plan_run("gpu.execute_many", steps=steps) as events:
             state = ResidentPlan.stepping(self, program.plan, inputs, sizes,
-                                          rotations, events)
+                                          rotations, events, setup_step=0)
             for step in range(steps):
                 state.run_fused(step)
                 state.rotate()
             return state.finish()
+
+    def stepping(self, plan: HostPlan, inputs: dict, sizes: dict[str, int],
+                 rotations: list[tuple[str, ...]],
+                 events: list[ProfilingEvent],
+                 in_place: dict[str, np.ndarray] | None = None, *,
+                 setup_step: int | None = None) -> "ResidentPlan":
+        """``plan`` opened on this device to step
+        (:meth:`ResidentPlan.stepping`); a
+        :class:`~.resilient.ResilientGPU` opens the same plan under its
+        recovery ladder, so a caller steps either executor alike."""
+        return ResidentPlan.stepping(self, plan, inputs, sizes, rotations,
+                                     events, in_place, setup_step=setup_step)
 
     @contextmanager
     def _plan_run(self, span_name: str, **span_attrs):
@@ -922,12 +951,16 @@ class ResidentPlan:
     (``CL_MEM_USE_HOST_PTR``; requirements in
     :meth:`VirtualGPU._use_host_ptr`): launches then read and write the
     caller's memory, which is how :class:`repro.acoustics.RoomSimulation`
-    steps without any per-step transfer.  The plan mutates those arrays,
-    so a caller that must be able to re-run from unchanged inputs (the
-    retry ladder of :class:`~.resilient.ResilientGPU`) must not bind.
+    steps without any per-step transfer.  A step stores nothing before
+    the fault plan has been consulted at every launch site, so a failed
+    step leaves those arrays at the step before and re-running it is
+    idempotent: the retry ladder of :class:`~.resilient.ResilientGPU`
+    re-runs it, or re-opens a plan over the same arrays.
 
-    ``setup_step`` is the step index the setup transfers are stamped
-    with for step-targeted faults (``None``: a loop's one-off setup).
+    ``setup_step`` is the step index the setup allocations and transfers
+    are stamped with for step-targeted faults: the step the plan opens
+    at (``None``: no step, as for an ``execute()`` without
+    ``fault_step``).
     """
 
     #: the compiled step :meth:`run_fused` calls (:meth:`stepping`)
@@ -982,7 +1015,8 @@ class ResidentPlan:
             at_least = {out_buffer: max(
                 (int(decls[binding[n]].count.evaluate(sizes))
                 for n in leapfrog[:-1]), default=0)}
-        buffers = gpu._allocate_buffers(plan, sizes, bound, at_least)
+        buffers = gpu._allocate_buffers(plan, sizes, bound, at_least,
+                                        setup_step)
         for cycle in self.rotations:
             # cycle peers trade roles, a written one included: an array
             # bound narrower than its peers cannot take their place
@@ -1021,8 +1055,8 @@ class ResidentPlan:
     def stepping(cls, gpu: VirtualGPU, plan: HostPlan, inputs: dict,
                  sizes: dict[str, int], rotations: list[tuple[str, ...]],
                  events: list[ProfilingEvent],
-                 in_place: dict[str, np.ndarray] | None = None
-                 ) -> "ResidentPlan":
+                 in_place: dict[str, np.ndarray] | None = None, *,
+                 setup_step: int | None = None) -> "ResidentPlan":
         """Open ``plan`` to step through :meth:`run_fused`, one compiled
         step over two levels of the leapfrog cycle in ``rotations``
         (:meth:`VirtualGPU.compile_step`) — how every loop steps.
@@ -1030,7 +1064,8 @@ class ResidentPlan:
         step refuses (:class:`~repro.lift.codegen.loops.LoopsUnsupported`),
         it raises before anything is allocated."""
         kernel = gpu.compile_step(plan, leapfrog_cycle(rotations))
-        st = cls(gpu, plan, inputs, sizes, rotations, events, in_place)
+        st = cls(gpu, plan, inputs, sizes, rotations, events, in_place,
+                 setup_step=setup_step)
         st.kernel = kernel
         return st
 

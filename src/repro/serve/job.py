@@ -190,7 +190,7 @@ class JobResult:
     from_store: bool = False
     attempts: int = 1
     #: the stepping path that computed the answer
-    #: (``RoomSimulation._path``: ``resident``, ``pool-step``,
+    #: (``RoomSimulation._path``: ``resident``, ``pool-loop``,
     #: ``parallel``, ...); empty for a result loaded from the store
     path: str = ""
     #: per shard of the last ``parallel`` segment, the schedule its
@@ -294,9 +294,10 @@ def run_job(request: SubmitRequest, lease, *, program=None, faults=None,
     pool, whose shard workers are handed the simulation's host program
     (``program`` when given) instead of rebuilding it — in a gateway pool
     worker too; a pool the parallel executor cannot run
-    (``MultiGPU._parallel_eligible``: faults, resilient wrappers) steps
-    one ``MultiGPU.execute`` at a time instead.  The result's ``path``
-    and ``shard_modes`` say which of these ran.
+    (``MultiGPU._parallel_eligible``: faults, resilient ladders) steps
+    the same segments in ``MultiGPU.execute_many``'s in-process loop
+    instead (``pool-loop``).  The result's ``path`` and ``shard_modes``
+    say which of these ran.
     ``resume`` is a mid-job :class:`~repro.acoustics.sim.Checkpoint`:
     the simulation restores it and runs only the remaining steps, which
     is bit-identical to an unbroken run.  ``on_checkpoint`` is called

@@ -2,9 +2,10 @@
 
 The default path opens one :class:`~repro.gpu.runtime.ResidentPlan` with
 the simulation's own arrays bound in place and then only launches
-kernels; ``faults`` / ``resilient`` / device pools keep the one-shot
-``execute()`` per step.  The one-shot path (``resilient=True``, no
-faults) is the reference the resident one must match bit for bit.
+kernels; ``faults`` and ``resilient`` step the same plan (the latter
+under its recovery ladder).  A ``numpy-steady`` twin of the same
+configuration is the reference the resident path must match bit for
+bit.
 """
 
 import dataclasses
@@ -46,7 +47,8 @@ def _scenario(sim):
     sim.run(3)
     sim.restore(cp)                          # in place, plan stays open
     sim.run(3)
-    sim.set_devices("AMD7970")               # plan dropped and re-bound
+    if sim.config.backend == "virtual_gpu":
+        sim.set_devices("AMD7970")           # plan dropped and re-bound
     sim.run(3)
     return sim
 
@@ -55,20 +57,27 @@ def _scenario(sim):
 @pytest.mark.parametrize("precision", ["single", "double"])
 @pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
 def test_resident_bit_identical_to_one_shot(scheme, precision, shape):
-    resident, one_shot = (
+    """The resident path, plain and under the recovery ladder, against
+    the ``numpy-steady`` twin (the name predates that reference)."""
+    resident, resilient = (
         _scenario(_sim(scheme, shape=shape(), precision=precision,
-                       health_interval=1, resilient=resilient))
-        for resilient in (False, True))
-    assert resident._plan is not None and one_shot._plan is None
-    assert resident.time_step == one_shot.time_step == 12
-    for name in ("curr", "prev", "g1", "v1", "v2"):
-        assert np.array_equal(getattr(resident, name),
-                              getattr(one_shot, name)), name
-    for mic in ("mic", "off"):
-        assert np.array_equal(resident.receiver_signal(mic),
-                              one_shot.receiver_signal(mic))
-    assert resident.modelled_gpu_time_ms == one_shot.modelled_gpu_time_ms
-    assert resident.devices[0].name == one_shot.devices[0].name
+                       health_interval=1, resilient=r))
+        for r in (False, True))
+    steady = _scenario(RoomSimulation(SimConfig(
+        room=Room(Grid3D(14, 12, 10), shape()), scheme=scheme,
+        backend="numpy-steady", precision=precision, health_interval=1)))
+    assert resident._path == resilient._path == "resident"
+    assert resident._plan is not None and resilient._plan is not None
+    assert resident.time_step == resilient.time_step == steady.time_step == 12
+    for sim in (resident, resilient):
+        for name in ("curr", "prev", "g1", "v1", "v2"):
+            assert np.array_equal(getattr(sim, name),
+                                  getattr(steady, name)), name
+        for mic in ("mic", "off"):
+            assert np.array_equal(sim.receiver_signal(mic),
+                                  steady.receiver_signal(mic))
+    assert resident.modelled_gpu_time_ms == resilient.modelled_gpu_time_ms
+    assert resident.devices[0].name == resilient.devices[0].name
 
 
 def test_uploads_once_then_launches_only():
@@ -171,14 +180,16 @@ def test_plan_opened_before_the_session_still_traces():
                                 dict(resilient=True),
                                 dict(devices="TitanBlack:2")],
                          ids=["faults", "resilient", "pool"])
-def test_one_shot_path_survives_where_selected(kw):
+def test_faults_resilient_and_pools_step_resident_plans(kw):
+    """No configuration but a plan the step refuses leaves the resident
+    plans: one ``gpu.step`` per step (and shard), no ``execute()``."""
     sim = _sim("fi_mm", **kw)
     sim.add_impulse("center")
     with obs.observe() as o:
         sim.run(2)
-    assert sim._plan is None
-    assert len(o.tracer.find("gpu.execute")) >= 2
-    assert not o.tracer.find("gpu.step")
+    assert (sim._plan is None) == ("devices" in kw)
+    assert not o.tracer.find("gpu.execute")
+    assert len(o.tracer.find("gpu.step")) == 2 * len(sim.devices)
 
 
 def test_state_arrays_are_the_resident_buffers():

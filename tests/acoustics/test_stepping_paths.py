@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.acoustics import DomeRoom, Grid3D, Room, RoomSimulation, SimConfig
-from repro.gpu import FaultPlan
+from repro.gpu import FaultPlan, FaultSpec
 from repro.lift.codegen import loops
 from repro.lift.codegen.loops import (LoopsUnsupported, available_tiers,
                                       select_tier)
@@ -65,14 +65,33 @@ def _paths(sim, steps=2):
     return [s.attrs["path"] for s in _spans(sim, steps)]
 
 
+def _refused_host(monkeypatch):
+    """A ``fi_mm`` host program whose sweep names its oldest level other
+    than ``prev``: the two-level step refuses it."""
+    from repro.acoustics import lift_programs
+    from repro.lift.codegen.host import compile_host
+
+    def volume_kernel(dtype="double"):
+        p = original(dtype)
+        p.kernel.params[0].name = "older"
+        return p
+
+    original = lift_programs.volume_kernel
+    monkeypatch.setattr(lift_programs, "volume_kernel", volume_kernel)
+    hp = lift_programs.two_kernel_host("fi_mm")
+    host = compile_host(hp.program, hp.name)
+    monkeypatch.undo()
+    return host
+
+
 @pytest.mark.parametrize("kw, path", [
     (dict(), "resident"),
     (dict(parallel=True), "resident"),
-    (dict(faults=FaultPlan([], seed=1)), "one-shot"),
-    (dict(resilient=True), "one-shot"),
-    (dict(devices="TitanBlack:2"), "pool-step"),
+    (dict(faults=FaultPlan([], seed=1)), "resident"),
+    (dict(resilient=True), "resident"),
+    (dict(devices="TitanBlack:2"), "pool-loop"),
     (dict(devices="TitanBlack:2", resilient=True, parallel=True),
-     "pool-step"),
+     "pool-loop"),
     (dict(devices="TitanBlack:2", parallel=True), "parallel"),
 ], ids=["single", "single-parallel", "faults", "resilient", "pool",
         "pool-resilient-parallel", "parallel"])
@@ -82,22 +101,50 @@ def test_virtual_gpu_paths(kw, path):
         sim.run(3)
     spans = _step_spans(o.tracer)
     assert [s.attrs["path"] for s in spans] == (
-        [path] * (1 if path == "parallel" else 3))
+        [path] * (3 if path == "resident" else 1))
     assert (sim._plan is not None) == (path == "resident")
-    # every path names the tier it ran: the resident path and a parallel
-    # pool's shards that of their step kernel, the one-shot and pool-step
-    # paths that of the launches, which each kernel event names too
+    # every path names the tier it ran: that of its step kernel, on a
+    # parallel pool the one its workers report
     tiers = {s.attrs.get("tier") for s in spans}
-    if path == "resident":
-        expect = {sim._step.tier}
-    elif path == "parallel":
+    if path == "parallel":
         expect = {p["tier"] for p in sim.last_overlap["per_shard"]}
         assert expect <= set(available_tiers()) | {"numpy"}
     else:
-        assert _launched(o.tracer) == {_compiled_tier()}
-        expect = {_compiled_tier()[0]}
+        expect = {sim._step.tier}
     assert tiers == expect
+    # only a parallel pool the parallel executor refuses falls back
+    assert {s.attrs.get("fallback") for s in spans} == {
+        "faults_or_resilient" if kw.get("parallel") and path == "pool-loop"
+        else None}
     assert not hasattr(sim, "nxt")
+
+
+def test_fallbacks_are_counted(monkeypatch):
+    """Each fallback path selection counts once, by path and reason; the
+    clean ``resident`` and ``parallel`` paths count none."""
+    host = _refused_host(monkeypatch)
+    with obs.observe() as o:
+        for kw in (dict(), dict(devices="TitanBlack:2", parallel=True)):
+            _sim(**kw).run(2)
+        assert o.metrics.get("repro_sim_path_fallbacks_total") is None
+        for kw in (dict(host_program=host),
+                   dict(devices="TitanBlack:2", parallel=True,
+                        faults=FaultPlan([], seed=1)),
+                   dict(devices="TitanBlack:2", parallel=True,
+                        resilient=True)):
+            _sim(**kw).run(2)
+        fallbacks = o.metrics.get("repro_sim_path_fallbacks_total")
+        sim = _sim(devices="TitanBlack:2", parallel=True,
+                   checkpoint_interval=2)
+        sim._gpu._test_kill = {1: 1}       # one device survives
+        sim.run(4)
+        spans = _step_spans(o.tracer)
+    assert fallbacks.value(path="one-shot", reason="loops_unsupported") == 1
+    assert fallbacks.value(path="pool-loop",
+                           reason="faults_or_resilient") == 2
+    assert fallbacks.value(path="pool-loop", reason="single_shard") == 1
+    assert fallbacks.total() == 4
+    assert spans[-1].attrs["fallback"] == "single_shard"
 
 
 @pytest.mark.parametrize("backend, path", [
@@ -135,7 +182,7 @@ def _reselect_and_restore(scheme):
             sim.set_devices(devices)
         seen.append(_paths(sim))
         has_nxt.append(hasattr(sim, "nxt"))
-    assert seen == [["resident"] * 2, ["pool-step"] * 2, ["resident"] * 2]
+    assert seen == [["resident"] * 2, ["pool-loop"], ["resident"] * 2]
     assert has_nxt == [False, False, False]
     ref = _sim(scheme=scheme)
     ref.run(6)
@@ -189,15 +236,15 @@ def test_fallback_when_no_compiled_tier(monkeypatch):
         assert _same(sim, fused[case]), case
 
 
-@pytest.mark.parametrize("kw, path", [
-    (dict(resilient=True), "one-shot"),
-    (dict(devices="TitanBlack:2"), "pool-step"),
-], ids=["one-shot", "pool-step"])
-def test_launches_with_no_compiled_tier_name_numpy(kw, path, monkeypatch):
+@pytest.mark.parametrize("path", ["one-shot", "pool-loop"])
+def test_launches_with_no_compiled_tier_name_numpy(path, monkeypatch):
     """With no compiled tier every launch of ``execute()`` runs its NumPy
-    kernel, and the step and kernel spans say so."""
+    kernel, and a pool's shards step on whole arrays, and the step and
+    kernel spans say so."""
     from repro.gpu import runtime
 
+    kw = (dict(host_program=_refused_host(monkeypatch))
+          if path == "one-shot" else dict(devices="TitanBlack:2"))
     ref = _sim(**kw)
     ref.run(3)
 
@@ -209,32 +256,33 @@ def test_launches_with_no_compiled_tier_name_numpy(kw, path, monkeypatch):
     sim = _sim(**kw)
     with obs.observe() as o:
         sim.run(3)
-    assert [(s.attrs["path"], s.attrs["tier"])
-            for s in _step_spans(o.tracer)] == [(path, "numpy")] * 3
-    assert _launched(o.tracer) == {("numpy", None)}
+    spans = _step_spans(o.tracer)
+    assert [(s.attrs["path"], s.attrs["tier"]) for s in spans] == (
+        [(path, "numpy")] * len(spans))
+    if path == "one-shot":
+        assert len(spans) == 3
+        assert _launched(o.tracer) == {("numpy", None)}
+    else:
+        assert {s.attrs["tier"] for s in o.tracer.find("gpu.step")} == {
+            "numpy"}
     assert _same(sim, ref)
 
 
 def test_fallback_when_the_step_refuses_the_launch_pair(monkeypatch):
     """A host program whose sweep names its oldest level other than
     ``prev`` steps one-shot: ``_step_links`` refuses the pair, and the
-    caller's program is still the one that runs."""
-    from repro.acoustics import lift_programs
-    from repro.lift.codegen.host import Launch, compile_host
+    caller's program is still the one that runs.  A pool refuses it
+    when the simulation is built."""
+    from repro.lift.codegen.host import Launch
     from repro.lift.codegen.loops import _step_links
 
-    def volume_kernel(dtype="double"):
-        p = original(dtype)
-        p.kernel.params[0].name = "older"
-        return p
-
-    original = lift_programs.volume_kernel
-    monkeypatch.setattr(lift_programs, "volume_kernel", volume_kernel)
-    hp = lift_programs.two_kernel_host("fi_mm")
-    host = compile_host(hp.program, hp.name)
-    monkeypatch.undo()
-
+    host = _refused_host(monkeypatch)
+    with pytest.raises(LoopsUnsupported):
+        _sim(host_program=host, devices="TitanBlack:2")
     sim = _sim(host_program=host)
+    with pytest.raises(LoopsUnsupported):
+        sim.set_devices("TitanBlack:2")
+    assert sim._path == "one-shot" and len(sim.devices) == 1
     launches = [op for op in host.plan.ops if isinstance(op, Launch)]
     with pytest.raises(LoopsUnsupported, match="older|'prev'"):
         _step_links([sim._gpu._np_kernel(op).program for op in launches])
@@ -266,8 +314,9 @@ def test_killed_shard_leaves_one_device_stepping_per_step():
     sim._gpu._test_kill = {1: 1}       # worker 1 dies in the first segment
     paths = _paths(sim, 6)
     assert len(sim.devices) == 1
-    # the lost segment, then a replay from step 0 on the survivor
-    assert paths == ["parallel"] + ["pool-step"] * 6
+    # the lost segment, then a replay from step 0 on the survivor, in
+    # segments between checkpoints
+    assert paths == ["parallel"] + ["pool-loop"] * 3
     assert sim.time_step == 6 and not hasattr(sim, "nxt")
 
 
@@ -291,3 +340,48 @@ def test_bulk_segments_keep_the_per_step_trailer():
     assert counts == p_counts == [8, 8, 4]
     assert hooked == p_hooked == [3, 6]
     assert np.array_equal(curr, p_curr)
+
+
+FAULT_KINDS = ("alloc", "transfer_fail", "transfer_corrupt", "launch_abort",
+               "device_lost")
+_CLEAN: dict = {}
+
+
+def _clean(backend, scheme, precision, devices=None):
+    key = backend, scheme, precision, devices
+    if key not in _CLEAN:
+        # the same segments as the faulted run: a pool sums its time
+        # per segment
+        sim = _sim(backend, scheme=scheme, precision=precision,
+                   devices=devices, checkpoint_interval=2)
+        sim.run(6)
+        _CLEAN[key] = sim
+    return _CLEAN[key]
+
+
+@pytest.mark.parametrize("devices", [None, "TitanBlack:2"],
+                         ids=["one-device", "pool"])
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+def test_recovered_runs_are_bit_identical(kind, scheme, precision, devices):
+    """A fault of each runtime kind, recovered, leaves the run equal to a
+    clean ``numpy-steady`` run.  Allocation and upload sites fire where a
+    plan opens (step 0), launch sites at step 3.  One device retries;
+    a pool retries each shard's step, and re-shards and replays after a
+    lost device.  Backoff stays out of kernel time."""
+    at = (3,) if kind in ("launch_abort", "device_lost") else (0,)
+    plan = FaultPlan([FaultSpec(kind, steps=at, max_count=1)], seed=1)
+    sim = _sim(scheme=scheme, precision=precision, devices=devices,
+               faults=plan, resilient=True, checkpoint_interval=2)
+    sim.run(6)
+    assert [r.kind for r in plan.records] == [kind]
+    assert _same(sim, _clean("numpy-steady", scheme, precision))
+    assert sim.policy_log[0].method == "step"
+    actions = [o.action for o in sim.policy_log]
+    if devices and kind == "device_lost":
+        assert actions == ["raise", "reshard"] and len(sim.devices) == 1
+    else:
+        assert actions == ["retry", "recovered"]
+        assert sim.modelled_gpu_time_ms == _clean(
+            "virtual_gpu", scheme, precision, devices).modelled_gpu_time_ms

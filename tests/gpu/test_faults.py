@@ -31,11 +31,15 @@ def make_sim(faults=None, resilient=False, steps_cfg=None):
     return sim
 
 
+# the rate-driven sites are consulted where a plan opens: at step 0, and
+# where a lost device's plan re-opens; at step 3 a device loss and a
+# launch abort spend the retry budget on CL_OUT_OF_RESOURCES, so the
+# ladder also degrades the launch
 CAMPAIGN_SPECS = [
     FaultSpec("alloc", rate=0.02),
     FaultSpec("transfer_fail", rate=0.02),
     FaultSpec("transfer_corrupt", rate=0.03),
-    FaultSpec("launch_abort", steps=(2, 5)),
+    FaultSpec("launch_abort", steps=(2, 3, 5)),
     FaultSpec("device_lost", steps=(3,)),
 ]
 STEPS = 10
@@ -63,6 +67,11 @@ class TestCampaign:
                     ("retry", "degrade_launch", "fallback_device",
                      "host_fallback")]
         assert len(failures) == len(plan.records)
+        # every stage the ladder has without fallback devices, each over
+        # one step
+        assert {o.action for o in log} == {
+            "retry", "degrade_launch", "host_fallback", "recovered"}
+        assert {o.method for o in log} == {"step"}
         # never a silent wrong answer: bit-identical to the fault-free run
         np.testing.assert_array_equal(sim.curr, ref.curr)
         np.testing.assert_array_equal(sim.receiver_signal("mic"),

@@ -133,10 +133,12 @@ class TestResolveDevice:
 class TestBitIdentity:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_execute_matches_single_device(self, fi_mm, shards):
+        """One pool step is one device's one-shot ``execute()``."""
         ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"])
-        res = MultiGPU(f"RadeonR9:{shards}").execute(
-            fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"])
+        res = MultiGPU(f"RadeonR9:{shards}").execute_many(
+            fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], 1,
+            rotations=ROT_FI)
         assert np.array_equal(np.asarray(res.result),
                               np.asarray(ref.result)[:fi_mm["N"]])
 
@@ -199,9 +201,15 @@ class TestBitIdentity:
         sizes = dict(fi_mm["sizes"], K=int(keep.sum()))
         ref = VirtualGPU(NVIDIA_TITAN_BLACK).execute(
             fi_mm["host"], inputs, sizes)
-        res = MultiGPU("TitanBlack:2").execute(fi_mm["host"], inputs, sizes)
+        pool = MultiGPU("TitanBlack:2")
+        res = pool.execute_many(fi_mm["host"], inputs, sizes, 1,
+                                rotations=ROT_FI)
         assert np.array_equal(np.asarray(res.result),
                               np.asarray(ref.result)[:fi_mm["N"]])
+        # the upper shard's plan has no boundary launch
+        launched = [{e.name for e in ev if e.kind == "kernel"}
+                    for ev in res.shard_events]
+        assert len(launched[0]) == 2 and len(launched[1]) == 1
 
 
 class TestHaloPricing:

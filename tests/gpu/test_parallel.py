@@ -219,16 +219,23 @@ class TestOverlapReport:
 
 
 class TestFallbacks:
-    def test_receivers_require_parallel_path(self, fi_mm):
-        par = MultiGPU("TitanBlack:2")
-        assert par._parallel_eligible() == "parallel=False"
-        with pytest.raises(ClInvalidValue):
-            par.execute_many(fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"],
-                             STEPS, rotations=ROT_FI, receivers={"mic": 0})
+    def test_the_in_process_loop_samples_receivers(self, fi_mm, grid):
+        """Both executors sample receivers, at the same points."""
+        loop = MultiGPU("TitanBlack:2")
+        assert loop._parallel_eligible() == "parallel=False"
+        mics = {"lo": 3 * grid.nx * grid.ny + 5,
+                "hi": 8 * grid.nx * grid.ny + 5}
+        got, par = (MultiGPU("TitanBlack:2", parallel=p).execute_many(
+            fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
+            rotations=ROT_FI, receivers=mics) for p in (False, True))
+        assert got.overlap is None and par.overlap is not None
+        for name in mics:
+            assert len(got.receivers[name]) == STEPS
+            assert np.array_equal(got.receivers[name], par.receivers[name])
 
     def test_single_shard_degenerates(self, fi_mm):
         par = MultiGPU(("TitanBlack",), parallel=True)
-        assert par._parallel_eligible() == "single shard"
+        assert par._parallel_eligible() == "single_shard"
         res = par.execute_many(fi_mm["host"], fi_mm["inputs"],
                                fi_mm["sizes"], STEPS, rotations=ROT_FI)
         ref = _ref(fi_mm, ROT_FI)
@@ -257,7 +264,7 @@ class TestReceivers:
             inputs["prev1_h"][:len(nxt)] = nxt
             expect["lo"].append(inputs["prev1_h"][lo_idx])
             expect["hi"].append(inputs["prev1_h"][hi_idx])
-        got = par.overlap["receivers"]
+        got = par.receivers
         assert np.array_equal(got["lo"], np.asarray(expect["lo"]))
         assert np.array_equal(got["hi"], np.asarray(expect["hi"]))
 
@@ -346,10 +353,10 @@ class TestSimParallel:
         assert np.array_equal(sim.curr, ref.curr)
         assert sim.time_step == 8
         # the dead worker's device left the pool; the survivor pool keeps
-        # ``parallel`` (it just degenerates to the per-step path at one
+        # ``parallel`` (it just degenerates to the in-process loop at one
         # shard)
         assert sim._gpu.parallel
-        assert sim._path == "pool-step"
+        assert sim._path == "pool-loop"
         assert len(sim.devices) == 1
 
 

@@ -264,13 +264,27 @@ class TestSimulationSpans:
         assert o.metrics.get("repro_sim_steps_total").value(
             scheme="fi_mm", backend="virtual_gpu") == 2
 
-    def test_one_shot_step_spans_nest_down_to_launches(self):
-        # resilient=True keeps the one-shot execute() per step, and the
-        # trace says so
+    def test_one_shot_step_spans_nest_down_to_launches(self, monkeypatch):
+        # a host program the two-level step refuses keeps the one-shot
+        # execute() per step, and the trace says so
+        from repro.acoustics import lift_programs
+        from repro.lift.codegen.host import compile_host
+        original = lift_programs.volume_kernel
+
+        def volume_kernel(dtype="double"):
+            p = original(dtype)
+            p.kernel.params[0].name = "older"
+            return p
+
+        monkeypatch.setattr(lift_programs, "volume_kernel", volume_kernel)
+        hp = lift_programs.two_kernel_host("fi_mm")
+        host = compile_host(hp.program, hp.name)
+        monkeypatch.undo()
         with obs.observe() as o:
-            sim = make_sim(resilient=True)
+            sim = make_sim(host_program=host)
             sim.add_impulse("center")
             sim.run(2)
+        assert sim._path == "one-shot"
         steps = o.tracer.find("sim.step")
         assert len(steps) == 2
         for s in steps:

@@ -173,9 +173,9 @@ def test_sharded_job_runs_decomposed_and_bit_identical():
 def test_result_names_the_stepping_path():
     svc = SimulationService(devices="TitanBlack:2", resilient=True)
     one = svc.submit(_small()).result()
-    assert (one.path, one.shard_modes) == ("one-shot", ())
+    assert (one.path, one.shard_modes) == ("resident", ())
     pool = svc.submit(_small(steps=4, shards=2)).result()
-    assert (pool.path, pool.shard_modes) == ("pool-step", ())
+    assert (pool.path, pool.shard_modes) == ("pool-loop", ())
 
 
 def test_serve_metrics_in_prometheus_export():
