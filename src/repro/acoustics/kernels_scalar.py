@@ -118,7 +118,7 @@ def fd_mm_boundary_scalar(nxt, prev, boundary_indices, nbrs, material,
     ``BI, DI, F, D`` are (M, MB) coefficient tables; ``g1, v1, v2`` are
     branch state arrays laid out ``ci = b*numBoundaryPoints + i`` exactly
     as in the paper.  ``v2`` holds the previous branch velocities, ``v1``
-    receives the new ones (the driver swaps them each step).
+    receives the new ones (they may be one array: ``_v2`` is read first).
     """
     l = lam
     MB = BI.shape[1]

@@ -31,8 +31,8 @@ from one table (``virtual_gpu``: in ``_make_gpu``), as a bound step.  Every
 path holds two time levels, ``prev`` and ``curr``: the bound step writes
 the next level over ``prev`` (the reference backends through a private
 scratch level they trade with ``prev``), then one rotation rule swaps the
-two without copying, like the paper's host loop, and swaps the FD-MM
-branch velocity arrays.
+two without copying, like the paper's host loop.  The FD-MM branch
+velocity is one array, ``v``, which every step updates in place.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs as _obs
-from ..lift.codegen.loops import LoopsUnsupported, compile_step
+from ..lift.codegen.loops import compile_step
 from .geometry import Room
 from .grid import Grid3D
 from .materials import (FDMaterial, FIMaterial, MaterialTable,
@@ -60,19 +60,18 @@ SCHEMES = ("fi", "fi_mm", "fd_mm")
 #: fused-loop emitter (numba / C tiers), bit-identical.  Naming one is an
 #: explicit request: with no compiled tier on the host, or programs the
 #: step cannot run, ``numba`` raises ``LoopsUnsupported`` from the
-#: constructor — only the ``virtual_gpu`` default (no emitter named)
-#: falls back per launch (``repro.gpu.runtime.VirtualGPU._exec_kernel``).
+#: constructor — the ``virtual_gpu`` default (no emitter named) steps on
+#: whole arrays then, and refuses only programs the step cannot run.
 BACKENDS = ("numpy", "scalar", "lift", "numpy-steady", "numba",
             "lift_interp", "virtual_gpu")
 
 #: checkpoint container-format version (see docs/resilience.md); v1
-#: archives also held a third level, ``nxt``, which loading ignores
-CHECKPOINT_VERSION = 2
+#: archives also held a third level, ``nxt``, which loading ignores, and
+#: v1 / v2 ones ``v1`` and ``v2``, of which ``v2`` (read next) loads
+CHECKPOINT_VERSION = 3
 
-#: buffer-role rotations of the ``virtual_gpu`` host programs, by host
-#: parameter name: the leapfrog cycle every scheme has, then the FD-MM
-#: branch-velocity swap (see ``ResidentPlan.rotate``)
-_VGPU_ROTATIONS = (("prev2_h", "prev1_h", "__out__"), ("v2_h", "v1_h"))
+#: the ``virtual_gpu`` host programs' one rotation: the leapfrog cycle
+_VGPU_ROTATIONS = (("prev2_h", "prev1_h", "__out__"),)
 
 #: the ``virtual_gpu`` paths of a device pool, which advance in segments
 _SEGMENTED = ("parallel", "pool-loop")
@@ -101,9 +100,9 @@ class Checkpoint:
     """A restartable snapshot of a :class:`RoomSimulation`.
 
     Holds copies of everything a resumed run reads: the two pressure
-    levels ``prev`` and ``curr``, the FD-MM branch state (g1/v1/v2), the
-    step counter, accumulated receiver signals, and the modelled GPU and
-    halo-exchange times.  There is no third level to hold: only the
+    levels ``prev`` and ``curr``, the FD-MM branch state (``g1``, ``v``),
+    the step counter, accumulated receiver signals, and the modelled GPU
+    and halo-exchange times.  There is no third level to hold: only the
     reference backends keep one, as private scratch their step
     overwrites before reading it.
     ``scheme``/``precision``/``grid_shape`` and ``num_boundary_points``
@@ -119,15 +118,14 @@ class Checkpoint:
     prev: np.ndarray
     curr: np.ndarray
     g1: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
+    v: np.ndarray
     receivers: dict[str, tuple[int, list[float]]]
     modelled_gpu_time_ms: float = 0.0
     modelled_halo_time_ms: float = 0.0
     num_boundary_points: int | None = None
 
     def save(self, path) -> None:
-        """Write the checkpoint as a ``.npz`` archive (format v2).
+        """Write the checkpoint as a ``.npz`` archive (format v3).
 
         The write is **atomic**: the archive is serialised to
         ``<path>.tmp``, flushed and fsynced, then moved into place with
@@ -149,7 +147,7 @@ class Checkpoint:
         try:
             with open(tmp, "wb") as f:
                 np.savez(f, prev=self.prev, curr=self.curr,
-                         g1=self.g1, v1=self.v1, v2=self.v2,
+                         g1=self.g1, v=self.v,
                          meta=np.frombuffer(json.dumps(meta).encode(),
                                             dtype=np.uint8))
                 f.flush()
@@ -163,16 +161,18 @@ class Checkpoint:
     def load(cls, path) -> "Checkpoint":
         with np.load(path) as z:
             meta = json.loads(bytes(z["meta"]).decode())
-            if meta.get("version") not in (1, CHECKPOINT_VERSION):
+            version = meta.get("version")
+            if version not in range(1, CHECKPOINT_VERSION + 1):
                 raise ValueError(
-                    f"unsupported checkpoint version {meta.get('version')!r} "
-                    f"(this build reads v1 and v{CHECKPOINT_VERSION})")
+                    f"unsupported checkpoint version {version!r} (this "
+                    f"build reads v1 to v{CHECKPOINT_VERSION})")
             return cls(
                 time_step=int(meta["time_step"]), scheme=meta["scheme"],
                 precision=meta["precision"],
                 grid_shape=tuple(meta["grid_shape"]),
                 prev=z["prev"].copy(), curr=z["curr"].copy(),
-                g1=z["g1"].copy(), v1=z["v1"].copy(), v2=z["v2"].copy(),
+                g1=z["g1"].copy(),
+                v=z["v" if version == CHECKPOINT_VERSION else "v2"].copy(),
                 receivers={k: (int(i), list(s))
                            for k, (i, s) in meta["receivers"].items()},
                 modelled_gpu_time_ms=float(meta["modelled_gpu_time_ms"]),
@@ -285,7 +285,9 @@ class SimConfig:
 
 
 class RoomSimulation:
-    """Time-stepping FDTD room simulation with pluggable backends."""
+    """Time-stepping FDTD room simulation with pluggable backends: two
+    pressure levels ``prev`` / ``curr`` and, for ``fd_mm``, the branch
+    state ``g1`` and one velocity ``v`` (Listing 5's ``v1`` / ``v2``)."""
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -321,8 +323,7 @@ class RoomSimulation:
         K = self.topology.num_boundary_points
         MB = self.table.num_branches
         self.g1 = np.zeros(MB * K, dtype=dtype)
-        self.v1 = np.zeros(MB * K, dtype=dtype)
-        self.v2 = np.zeros(MB * K, dtype=dtype)
+        self.v = np.zeros(MB * K, dtype=dtype)   # updated in place
 
         self.time_step = 0
         self.receivers: dict[str, tuple[int, list[float]]] = {}
@@ -413,10 +414,8 @@ class RoomSimulation:
         cfg = self.config
         self._host_program = cfg.host_program or compiled_host(
             cfg.scheme, cfg.precision, self.table.num_branches)
-        self._rotations = (_VGPU_ROTATIONS if cfg.scheme == "fd_mm"
-                           else _VGPU_ROTATIONS[:1])
         self._make_gpu(resolve_device(cfg.devices))
-        return self._advance
+        return self._step_resident
 
     def _make_gpu(self, devices, pool=None) -> None:
         """Build the executor for a resolved device tuple, or adopt
@@ -425,42 +424,27 @@ class RoomSimulation:
         program's launches as one two-level step per step
         (``VirtualGPU.compile_step``), which the resident plan models as
         its launches — under a ``ResilientGPU`` ladder when
-        ``resilient``.  Only a plan that step refuses steps ``one-shot``:
-        one ``execute()`` per step (``VirtualGPU.launch_tier``); a pool
-        refuses it.  A pool steps ``parallel`` when
+        ``resilient``.  A pool steps ``parallel`` when
         ``_parallel_eligible()`` passes, else ``pool-loop``
-        (``MultiGPU.execute_many``'s in-process loop), in segments.
-        Every path writes the next level over ``prev``, so none
-        allocates or frees a level."""
+        (``MultiGPU.execute_many``'s in-process loop), in segments.  A
+        plan the step refuses raises ``LoopsUnsupported``.  Every path
+        writes the next level over ``prev``, so none allocates a level."""
         from ..gpu.runtime import VirtualGPU
         cfg = self.config
-        plan = self._host_program.plan
         if pool is None and len(devices) > 1:
             from ..gpu.multi import MultiGPU
             pool = MultiGPU(devices, faults=cfg.faults,
                             resilient=cfg.resilient, retry=cfg.retry,
                             parallel=cfg.parallel)
         gpu = pool or VirtualGPU(devices[0], faults=cfg.faults)
-        try:
-            step = gpu.compile_step(plan, self._rotations[0])
-        except LoopsUnsupported:
-            if pool is not None:
-                raise           # before anything changed
-            step = None
+        step = gpu.compile_step(self._host_program.plan, _VGPU_ROTATIONS)
+        why = None if pool is None else pool._parallel_eligible()
         # a resident plan is bound to its executor
-        self._plan, self._step, self._fallback = None, step, None
-        if step is None:
-            self._fallback = "loops_unsupported"
-            self._path, self._advance = "one-shot", self._step_one_shot
-            self._tier = VirtualGPU.launch_tier(plan)
-        else:
-            self._path, self._advance = "resident", self._step_resident
-            self._tier = step.tier
-        if pool is not None:
-            why = pool._parallel_eligible()
-            self._path = "pool-loop" if why else "parallel"
-            self._tier = self._tier if why else None
-            self._fallback = why if cfg.parallel else None
+        self._plan, self._step = None, step
+        self._path = ("resident" if pool is None
+                      else "pool-loop" if why else "parallel")
+        self._tier = None if self._path == "parallel" else step.tier
+        self._fallback = why if cfg.parallel else None
         if pool is None and cfg.resilient:
             from ..gpu.resilient import ResilientGPU
             gpu = ResilientGPU(gpu, retry=cfg.retry)
@@ -561,8 +545,6 @@ class RoomSimulation:
         one rotation rule, the receiver samples, then the trailer."""
         self._advance()
         self.prev, self.curr = self.curr, self.prev
-        if self.config.scheme == "fd_mm":
-            self.v1, self.v2 = self.v2, self.v1
         for name, (idx, sig) in self.receivers.items():
             sig.append(float(self.curr[idx]))
         self._stepped(1)
@@ -642,7 +624,7 @@ class RoomSimulation:
                 **self._path_attrs())) as span:
             res = self._gpu.execute_many(
                 self._host_program, self._vgpu_inputs(), self._size_env(),
-                n, rotations=self._rotations,
+                n, rotations=_VGPU_ROTATIONS,
                 receivers={name: idx
                            for name, (idx, _s) in self.receivers.items()},
                 first_step=self.time_step)
@@ -654,8 +636,7 @@ class RoomSimulation:
         self.prev[:N] = res.buffers["final:prev2_h"]
         if cfg.scheme == "fd_mm":
             self.g1[:] = res.buffers["final:g1_h"]
-            self.v1[:] = res.buffers["final:v1_h"]
-            self.v2[:] = res.buffers["final:v2_h"]
+            self.v[:] = res.buffers["final:v2_h"]     # the step's vel_prev
         self.modelled_gpu_time_ms += res.kernel_time_ms()
         self.modelled_halo_time_ms += res.halo_time_ms()
         self.last_overlap = res.overlap
@@ -692,7 +673,7 @@ class RoomSimulation:
             time_step=self.time_step, scheme=self.config.scheme,
             precision=self.config.precision, grid_shape=self.grid.shape,
             prev=self.prev.copy(), curr=self.curr.copy(),
-            g1=self.g1.copy(), v1=self.v1.copy(), v2=self.v2.copy(),
+            g1=self.g1.copy(), v=self.v.copy(),
             receivers={k: (i, list(s)) for k, (i, s) in
                        self.receivers.items()},
             modelled_gpu_time_ms=self.modelled_gpu_time_ms,
@@ -717,7 +698,7 @@ class RoomSimulation:
                 f"simulation is scheme={self.config.scheme!r} "
                 f"precision={self.config.precision!r} "
                 f"grid={tuple(self.grid.shape)} K={K}")
-        for name in ("prev", "curr", "g1", "v1", "v2"):
+        for name in ("prev", "curr", "g1", "v"):
             have, want = np.shape(getattr(cp, name)), getattr(self, name).shape
             if have != want:
                 raise ValueError(f"checkpoint mismatch: {name} has shape "
@@ -725,8 +706,7 @@ class RoomSimulation:
         self.prev[:] = cp.prev
         self.curr[:] = cp.curr
         self.g1[:] = cp.g1
-        self.v1[:] = cp.v1
-        self.v2[:] = cp.v2
+        self.v[:] = cp.v
         self.time_step = cp.time_step
         self.receivers = {k: (i, list(s)) for k, (i, s) in
                           cp.receivers.items()}
@@ -758,7 +738,7 @@ class RoomSimulation:
                       f"{int(np.flatnonzero(bad)[0])} "
                       f"({int(bad.sum())} bad points)")
         elif cfg.scheme == "fd_mm" and not (
-                np.isfinite(self.v1).all() and np.isfinite(self.g1).all()):
+                np.isfinite(self.v).all() and np.isfinite(self.g1).all()):
             reason = "non-finite FD-MM branch state"
         else:
             e = self.energy()
@@ -810,8 +790,8 @@ class RoomSimulation:
         if self.config.scheme == "fi_mm":
             fi_mm(*boundary, lam)
         elif self.config.scheme == "fd_mm":
-            fd_mm(*boundary, tb.BI, tb.DI, tb.F, tb.D, self.g1, self.v1,
-                  self.v2, lam)
+            fd_mm(*boundary, tb.BI, tb.DI, tb.F, tb.D, self.g1, self.v,
+                  self.v, lam)
         self._trade()
 
     def _kernel_args(self, out) -> dict:
@@ -830,7 +810,7 @@ class RoomSimulation:
         else:
             boundary += (tb.BI.reshape(-1), tb.DI.reshape(-1),
                          tb.F.reshape(-1), tb.D.reshape(-1),
-                         out, self.prev, self.g1, self.v2, self.v1,
+                         out, self.prev, self.g1, self.v, self.v,
                          lam, t.num_boundary_points)
         return {"volume": (self.prev, self.curr, self._nbrs_guarded, lam,
                            g.nx, g.nx * g.ny),
@@ -852,7 +832,8 @@ class RoomSimulation:
 
     def _vgpu_inputs(self) -> dict:
         """Host-parameter values of the ``virtual_gpu`` host program,
-        backed by the live state arrays (not copies)."""
+        backed by the live state arrays (not copies); ``v`` is both
+        branch velocities."""
         g = self.grid
         t = self.topology
         inputs = dict(neighbors=self._nbrs_guarded, prev1_h=self.curr,
@@ -868,22 +849,9 @@ class RoomSimulation:
                           DI_h=self.table.DI.reshape(-1),
                           F_h=self.table.F.reshape(-1),
                           D_h=self.table.D.reshape(-1),
-                          g1_h=self.g1, v2_h=self.v2, v1_h=self.v1,
+                          g1_h=self.g1, v2_h=self.v, v1_h=self.v,
                           K=t.num_boundary_points)
         return inputs
-
-    def _step_one_shot(self):
-        """One ``execute()``, for a plan the step refuses.  It never
-        writes its host inputs, so its result lands in ``prev``."""
-        res = self._gpu.execute(self._host_program, self._vgpu_inputs(),
-                                self._size_env(), fault_step=self.time_step)
-        self.prev[:self._N] = np.asarray(res.result)[:self._N]
-        if self.config.scheme == "fd_mm":
-            # read the branch-state device buffers back
-            names = self._host_program.plan.host_buffers()
-            self.g1[:] = res.buffers[names["g1_h"]]
-            self.v1[:] = res.buffers[names["v1_h"]]
-        self.modelled_gpu_time_ms += res.kernel_time_ms()
 
     def _step_resident(self):
         """One device-resident step: no transfers.  The plan is opened
@@ -895,7 +863,7 @@ class RoomSimulation:
         ``prev`` (``ResidentPlan.stepping``, as every shard steps): the
         plan's third level, the launches' output buffer, is declared but
         has no host array, and the plan only records the launches it
-        models.  The plan rotates its roles as :meth:`_step_impl`
+        models.  The plan rotates its levels as :meth:`_step_impl`
         rotates the arrays, so the two stay one (under a
         ``ResilientGPU``, every plan its ladder opens does)."""
         plan = self._plan
@@ -905,7 +873,7 @@ class RoomSimulation:
                      if isinstance(a, np.ndarray)}
             plan = self._plan = self._gpu.stepping(
                 self._host_program.plan, inputs, self._size_env(),
-                self._rotations, [], bound, setup_step=self.time_step)
+                _VGPU_ROTATIONS, [], bound, setup_step=self.time_step)
         plan.run_fused(self.time_step)
         plan.rotate()
         # only kernel time is charged, like RunResult.kernel_time_ms();

@@ -225,7 +225,8 @@ def _decomposition_problem(scheme: str, topo, precision: str = "double",
                            num_branches: int = 3):
     """Host program + inputs/sizes/rotations for a resident multi-step
     run of the two-kernel scheme on one topology (seeded random state so
-    boundary kernels do real work)."""
+    boundary kernels do real work); one FD-MM velocity is both
+    ``v2_h`` and ``v1_h``, as the step updates it in place."""
     from ..acoustics.lift_programs import two_kernel_host
     from ..acoustics.materials import (MaterialTable, default_fd_materials,
                                        default_fi_materials)
@@ -255,12 +256,11 @@ def _decomposition_problem(scheme: str, topo, precision: str = "double",
         lambda_h=dtype(g.courant), Nx_h=g.nx, NxNy_h=g.nx * g.ny)
     rotations = [("prev2_h", "prev1_h", "__out__")]
     if scheme == "fd_mm":
+        v = np.zeros(num_branches * K, dtype)
         inputs.update(BI_h=table.BI.reshape(-1), DI_h=table.DI.reshape(-1),
                       F_h=table.F.reshape(-1), D_h=table.D.reshape(-1),
                       g1_h=np.zeros(num_branches * K, dtype),
-                      v2_h=np.zeros(num_branches * K, dtype),
-                      v1_h=np.zeros(num_branches * K, dtype), K=K)
-        rotations.append(("v2_h", "v1_h"))
+                      v2_h=v, v1_h=v, K=K)
     sizes = dict(N=N, NP=N + guard, K=K, M=table.num_materials)
     host = compile_host(two_kernel_host(scheme, precision,
                                         num_branches).program, "scaling")

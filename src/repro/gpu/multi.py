@@ -85,7 +85,7 @@ from .errors import ClDeviceLost, ClInvalidValue
 from .faults import FaultPlan
 from .resilient import (PolicyOutcome, ResilientGPU, RetryPolicy,
                         shard_retry_policy)
-from .runtime import ProfilingEvent, ResidentPlan, VirtualGPU, leapfrog_cycle
+from .runtime import ProfilingEvent, ResidentPlan, VirtualGPU
 
 #: halo width in z planes: the 7-point SLF stencil reads one neighbouring
 #: plane in each direction
@@ -214,16 +214,6 @@ def shard_program(program: HostProgram, shard_index: int,
                        kernels=program.kernels, params=program.params)
 
 
-def shard_rotations(plan: HostPlan, rotations) -> list[tuple[str, ...]]:
-    """``rotations`` filtered to the names a shard's ``plan`` actually
-    transfers (a shard without boundary points has no branch-state
-    buffers to swap); the leapfrog cycle keeps its ``"__out__"``."""
-    avail = {op.host_name for op in plan.ops if isinstance(op, CopyIn)}
-    avail.add("__out__")
-    return [cyc for cyc in (tuple(n for n in c if n in avail)
-                            for c in (rotations or [])) if len(cyc) > 1]
-
-
 def decompose(nz: int, plane: int,
               devices: tuple[DeviceSpec, ...]) -> list[Shard]:
     """Balanced Z-slab split of ``nz`` planes across ``devices``."""
@@ -336,7 +326,7 @@ class MultiGPU:
         #: their recovery history must survive for the policy log)
         self.inherited_log: list[PolicyOutcome] = []
         #: test knob: {shard_index: step} — that shard's worker process
-        #: SIGKILLs itself at that step, exercising dead-process
+        #: SIGKILLs itself at that simulation step, exercising dead-process
         #: ShardLost recovery.  Not carried across :meth:`without_device`.
         self._test_kill: dict[int, int] | None = None
 
@@ -375,10 +365,10 @@ class MultiGPU:
             return "faults_or_resilient"    # their ladders are in-process
         return None
 
-    def compile_step(self, plan: HostPlan, leapfrog: tuple[str, ...]):
+    def compile_step(self, plan: HostPlan, rotations):
         """The step every shard runs (:meth:`VirtualGPU.compile_step`):
         a plan it refuses, the pool refuses."""
-        return self._gpus[0].compile_step(plan, leapfrog)
+        return self._gpus[0].compile_step(plan, rotations)
 
     def policy_logs(self) -> list:
         """Concatenated recovery-policy logs: entries inherited across
@@ -525,8 +515,7 @@ class MultiGPU:
         Otherwise the shards step here, in BSP order: upload each
         shard's state once, then per step every shard's step (under its
         ladder when resilient) and rotation, and the halo-exchange phase
-        into the freshly written level.  Rotation cycles are filtered
-        per shard (:func:`shard_rotations`).  Steps are numbered from
+        into the freshly written level.  Steps are numbered from
         ``first_step``, for the fault plan (the plans open at it).  A
         lost device surfaces as :class:`ShardLost`: recovery is the
         caller's re-shard-and-replay.
@@ -534,9 +523,9 @@ class MultiGPU:
         if self._parallel_eligible() is None and steps > 0:
             from .parallel import execute_parallel
             # what a worker would refuse is refused at the call
-            self.compile_step(program.plan, leapfrog_cycle(rotations))
+            self.compile_step(program.plan, rotations)
             return execute_parallel(self, program, inputs, sizes, steps,
-                                    rotations, receivers or {})
+                                    rotations, receivers or {}, first_step)
         shards = self._shards(inputs, sizes)
         o = _obs.get()
         cm = (o.tracer.span("gpu.multi.execute_many", "gpu",
@@ -558,8 +547,7 @@ class MultiGPU:
                 names |= set(plan.host_buffers())
                 with self._shard_loss(shard):
                     states.append(gpu.stepping(
-                        plan, li, ls, shard_rotations(plan, rotations), [],
-                        setup_step=first_step))
+                        plan, li, ls, rotations, [], setup_step=first_step))
                 masks.append(mask)
             schedule = (self._halo_schedule(shards)
                         if len(shards) > 1 else [])

@@ -20,9 +20,9 @@ step over two time levels (:meth:`~.runtime.ResidentPlan.stepping`).
 halos into ``prev1_h``*.  Restructured per worker over the step's Z-plane
 blocks (bit-identical, see ``docs/sharding.md``):
 
-* step 0 runs in one call — :meth:`~.multi.Shard.shard_field`
-  pre-filled the ``prev1``/``prev2`` halos, so there is nothing to
-  exchange and nothing to overlap with;
+* a segment's first step runs in one call —
+  :meth:`~.multi.Shard.shard_field` pre-filled the ``prev1``/``prev2``
+  halos, so there is nothing to exchange and nothing to overlap with;
 * every later step: **post** ``prev1_h``'s edge planes to both
   neighbours, run the **interior** blocks ``[h, nb - h)`` (planes whose
   stencil never touches halo data), **wait** for the neighbour planes
@@ -76,7 +76,7 @@ from .. import obs as _obs
 from ..lift.codegen.host import HostProgram
 from .costmodel import halo_exchange_time_ms, overlapped_step_time_ms
 from .multi import (FIELD_PARAMS, PLANE_PARAM, MultiGPU, MultiRunResult,
-                    Shard, ShardLost, shard_program, shard_rotations)
+                    Shard, ShardLost, shard_program)
 from .runtime import ProfilingEvent, ResidentPlan, RunResult, VirtualGPU
 
 #: profiling-event kinds a worker aggregates back to the parent
@@ -167,8 +167,8 @@ def _shard_worker_main(task: dict, result_q) -> None:
 
     Module-level (spawn pickles it by reference).  ``task`` carries only
     picklable state: the shard's host program, shard-local inputs/sizes
-    and rotation cycles, ring attachments by name, the step count and
-    the barrier every shard passes once set up.
+    and rotation cycles, ring attachments by name, the first step and
+    the step count, and the barrier every shard passes once set up.
     """
     exit_with_parent()
     os.environ["OMP_NUM_THREADS"] = str(task["omp_threads"])
@@ -179,7 +179,7 @@ def _shard_worker_main(task: dict, result_q) -> None:
         plan = task["program"].plan
         li, ls = task["inputs"], task["sizes"]
         n_local, np_local, rp = task["n_local"], task["np_local"], task["rp"]
-        steps = task["steps"]
+        first, steps = task["first_step"], task["steps"]
         dtype = np.dtype(task["field_dtype"])
         for lane, (shm_name, free, filled) in task["rings"].items():
             shm = _attach_shm(shm_name)
@@ -220,10 +220,10 @@ def _shard_worker_main(task: dict, result_q) -> None:
                        if e.kind == "kernel")
 
         t_loop = _time.perf_counter()
-        for step in range(steps):
+        for step in range(first, first + steps):
             if kill_at is not None and step == kill_at:
                 os.kill(os.getpid(), 9)
-            if step == 0:
+            if step == first:
                 # halos pre-filled by shard_field: nothing to exchange
                 st.run_fused(step, shard=index)
             else:
@@ -298,7 +298,8 @@ def _shard_worker_main(task: dict, result_q) -> None:
 
 def execute_parallel(pool: MultiGPU, program: HostProgram, inputs: dict,
                      sizes: dict, steps: int, rotations: list,
-                     receivers: dict[str, int]) -> MultiRunResult:
+                     receivers: dict[str, int],
+                     first_step: int) -> MultiRunResult:
     """``pool.execute_many`` with one worker process per shard (see the
     module docstring); ``receivers`` maps names to *global* flat
     indices the owning worker samples after every step."""
@@ -354,8 +355,8 @@ def execute_parallel(pool: MultiGPU, program: HostProgram, inputs: dict,
                 "index": shard.index, "device": shard.device,
                 "program": prog, "inputs": li, "sizes": ls,
                 "n_local": shard.n_local, "np_local": shard.np_local,
-                "rp": rp, "steps": steps,
-                "rotations": shard_rotations(prog.plan, rotations),
+                "rp": rp, "first_step": first_step, "steps": steps,
+                "rotations": rotations,
                 "field_dtype": field_dtype.str,
                 "rings": ring_cfg[shard.index], "barrier": barrier,
                 "omp_threads": omp,
@@ -402,8 +403,8 @@ def execute_parallel(pool: MultiGPU, program: HostProgram, inputs: dict,
             except Exception:
                 pass
 
-    return _merge_parallel(pool, shards, masks, payloads, inputs, steps,
-                           rp, field_dtype, wall_total_s, o)
+    return _merge_parallel(pool, shards, masks, payloads, inputs, first_step,
+                           steps, rp, field_dtype, wall_total_s, o)
 
 
 def _worker_lost(shard: Shard, exitcode) -> ShardLost:
@@ -415,7 +416,7 @@ def _worker_lost(shard: Shard, exitcode) -> ShardLost:
 
 
 def _merge_parallel(pool: MultiGPU, shards, masks, payloads, inputs,
-                    steps, rp, field_dtype, wall_total_s,
+                    first_step, steps, rp, field_dtype, wall_total_s,
                     o) -> MultiRunResult:
     # synthesise aggregate profiling events from the worker totals:
     # per-shard kernel sums (and so kernel_time_ms = max over
@@ -433,8 +434,8 @@ def _merge_parallel(pool: MultiGPU, shards, masks, payloads, inputs,
         names |= set(pl["final"])
 
     # price the halo schedule the workers actually executed: one
-    # exchange phase per step after the first (step 0 consumed the
-    # pre-filled halos; the final field is merged trimmed, so no
+    # exchange phase per step after the segment's first (which consumed
+    # the pre-filled halos; the final field is merged trimmed, so no
     # post-last-step exchange exists to price)
     halo_events: list[ProfilingEvent] = []
     halo_bytes = 0
@@ -446,7 +447,7 @@ def _merge_parallel(pool: MultiGPU, shards, masks, payloads, inputs,
                                        shards[op.src_device].device,
                                        shards[op.dst_device].device)
             halo_ms_to[op.dst_device] += ms
-            for step in range(1, steps):
+            for step in range(first_step + 1, first_step + steps):
                 halo_bytes += nbytes
                 pool._record_halo(shards[op.src_device].device,
                                   shards[op.dst_device].device, nbytes,

@@ -114,8 +114,8 @@ class ResilientGPU:
         return self.gpu.device
 
     # -- public interface (mirrors VirtualGPU) -------------------------------------
-    def compile_step(self, plan, leapfrog):
-        return self.gpu.compile_step(plan, leapfrog)
+    def compile_step(self, plan, rotations):
+        return self.gpu.compile_step(plan, rotations)
 
     def execute(self, program, inputs, sizes, **kw) -> RunResult:
         return self._run("execute", self._attempt_plan(), lambda _, gpu:

@@ -297,29 +297,22 @@ class VirtualGPU:
             _NP_KERNEL_CACHE[key] = ex
         return ex
 
-    @staticmethod
-    def launch_tier(plan: HostPlan) -> str:
-        """The tier :meth:`execute` runs ``plan``'s launches on, on any
-        device: each executable's (:meth:`_exec_kernel`), ``+``-joined
-        where they differ."""
-        return "+".join(dict.fromkeys(
-            VirtualGPU._exec_kernel(op).tier for op in plan.ops
-            if isinstance(op, Launch)))
-
-    def compile_step(self, plan: HostPlan,
-                     leapfrog: tuple[str, ...]) -> StepKernel:
+    def compile_step(self, plan: HostPlan, rotations) -> StepKernel:
         """The plan's launches as one step over two time levels
         (:func:`~repro.lift.codegen.loops.compile_step`), built from the
         programs of their NumPy kernels (:meth:`_np_kernel`), so the plan
         a caller compiled is the one that runs.
 
-        ``leapfrog`` is the plan's rotation cycle of time levels, oldest
-        first and ``"__out__"`` last.  The step overwrites the oldest
-        level in place, so the sweep must read it as ``prev``, the
-        boundary program must scatter into the sweep's output, and a
-        parameter name two launches share must name one source.  Raises
-        :class:`~repro.lift.codegen.loops.LoopsUnsupported` when the plan
-        is wired otherwise, or when ``compile_step`` refuses the
+        ``rotations`` must hold the plan's leapfrog cycle, and no other
+        may name a buffer bound to a parameter of the step's
+        ``aliases``, as Listing 5's FD-MM ``("v2_h", "v1_h")`` swap
+        would, undoing the in-place update (:class:`ClInvalidValue`).
+        The step overwrites the oldest level in place, so the sweep must
+        read it as ``prev``, the boundary program must scatter into the
+        sweep's output, and a parameter name two launches share must
+        name one source.  Raises
+        :class:`~repro.lift.codegen.loops.LoopsUnsupported` when the
+        plan is wired otherwise, or when ``compile_step`` refuses the
         programs.  With no compiled tier on the host the step is the
         same schedule on whole arrays (``tier="numpy"``).
 
@@ -327,6 +320,7 @@ class VirtualGPU:
         its launches' source hashes, like :meth:`_exec_kernel`'s launches,
         so every simulation of a scheme shares one step and its compiled
         specialisations; only the wiring check runs per plan."""
+        leapfrog = leapfrog_cycle(rotations)
         launches = [op for op in plan.ops if isinstance(op, Launch)]
         key = "+".join(_kernel_source_key(op.kernel)
                        for op in launches) + "#step"
@@ -349,15 +343,23 @@ class VirtualGPU:
                     raise LoopsUnsupported(
                         f"parameter {b.param_name!r} is bound to both "
                         f"{sources[b.param_name]!r} and {b.source!r}")
-        out = launches[0].out_buffer
-        wired = {_IN_PLACE: plan.host_buffers().get(leapfrog[0])}
+        out, hosts = launches[0].out_buffer, plan.host_buffers()
+        wired = {_IN_PLACE: hosts.get(leapfrog[0])}
         if step.links is not None:
             wired[step.links[0]] = out
-        if (leapfrog[-1] != "__out__" or out is None
-                or any(sources.get(n) != b for n, b in wired.items())):
+        if out is None or any(sources.get(n) != b for n, b in wired.items()):
             raise LoopsUnsupported(
                 f"the launches of {step.name} do not overwrite "
                 f"{leapfrog[0]!r} with their output")
+        written = {sources[n] for n in (*step.aliases, *step.aliases.values())
+                   if n in sources}
+        for cycle in rotations:
+            named = [h for h in cycle if hosts.get(h) in written]
+            if tuple(cycle) != leapfrog and named:
+                raise ClInvalidValue(
+                    f"rotation {tuple(cycle)!r} names {named}, which "
+                    f"{step.name} updates in place", rotation=tuple(cycle),
+                    updated=named)
         return step
 
     def _workspace_for(self, nk: NumpyKernel, args: list,
@@ -675,9 +677,9 @@ class VirtualGPU:
         step the buffer bound to each name is replaced by the buffer of
         the next name in the cycle.  It must hold the leapfrog cycle
         ``("prev2_h", "prev1_h", "__out__")`` (``"__out__"`` marks the
-        level the step writes over the oldest one) and may hold the
-        FD-MM swap ``("v2_h", "v1_h")``.  Without that cycle the call
-        raises :class:`ClInvalidValue`, and for a plan the step refuses
+        level the step writes over the oldest one) and no rotation of a
+        buffer the step updates in place (:meth:`compile_step`), or the
+        call raises :class:`ClInvalidValue`; for a plan the step refuses,
         :class:`~repro.lift.codegen.loops.LoopsUnsupported`.  Host
         transfers happen once at the start/end, so the profiled kernel
         time reflects steady-state operation.
@@ -1059,11 +1061,10 @@ class ResidentPlan:
                  setup_step: int | None = None) -> "ResidentPlan":
         """Open ``plan`` to step through :meth:`run_fused`, one compiled
         step over two levels of the leapfrog cycle in ``rotations``
-        (:meth:`VirtualGPU.compile_step`) — how every loop steps.
-        Without that cycle (:class:`ClInvalidValue`), or for a plan the
-        step refuses (:class:`~repro.lift.codegen.loops.LoopsUnsupported`),
-        it raises before anything is allocated."""
-        kernel = gpu.compile_step(plan, leapfrog_cycle(rotations))
+        (:meth:`VirtualGPU.compile_step`, which checks ``rotations`` and
+        the plan) — how every loop steps.  It raises before anything is
+        allocated."""
+        kernel = gpu.compile_step(plan, rotations)
         st = cls(gpu, plan, inputs, sizes, rotations, events, in_place,
                  setup_step=setup_step)
         st.kernel = kernel

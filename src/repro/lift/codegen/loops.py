@@ -82,6 +82,7 @@ program reads ``prev`` only at its boundary point — served from ``_pb``
 — and the sweep's output only at that point, already swept; no block
 writes an element another block reads.  :func:`_step_links` checks
 exactly that and refuses every other access of the overwritten array.
+The FD-MM branch velocity is overwritten alike (:func:`_velocity_in_place`).
 ``compile_step(..., tier="numpy")`` runs the same schedule on whole
 arrays, with no compiler: save ``prev`` at every boundary point, sweep
 with ``out=prev``, then the boundary program with its gather of ``prev``
@@ -89,7 +90,7 @@ rewritten to read the saved values (:func:`_saved_gather`).
 
 :func:`compile_launch` is the same loop over one program with nothing
 renamed and nothing saved: the executable of one launch of the virtual
-runtime's one-shot ``execute()``.
+runtime's launch-by-launch ``execute()``.
 """
 from __future__ import annotations
 
@@ -993,6 +994,9 @@ def _c_scalars(spec: _Spec, values: list) -> list:
 #: ``out`` — the state at t + 1 — replaces in a two-level leapfrog
 _IN_PLACE = "prev"
 
+#: the FD-MM branch velocity read and written (Listing 5's ``v2`` / ``v1``)
+_VEL_PREV, _VEL_NEXT = "vel_prev", "vel_next"
+
 
 def _step_links(programs: list) -> tuple[str, str, str] | None:
     """Check that ``programs`` — a sweep, then at most one boundary
@@ -1006,8 +1010,8 @@ def _step_links(programs: list) -> tuple[str, str, str] | None:
     point and stores its output once, as its last op (so on whole arrays
     too every read precedes the store), and the boundary program reads
     ``prev`` and the sweep's output only at its boundary point and
-    stores nothing the sweep reads; anything else raises
-    :class:`LoopsUnsupported`."""
+    stores nothing the sweep reads (nor, with :func:`_velocity_in_place`,
+    ``vel_prev``); anything else raises :class:`LoopsUnsupported`."""
     if not 1 <= len(programs) <= 2:
         raise LoopsUnsupported(f"a step is a sweep and at most one boundary "
                                f"program, not {len(programs)} programs")
@@ -1048,7 +1052,8 @@ def _step_links(programs: list) -> tuple[str, str, str] | None:
             f"{bnd.name} is not a boundary program: it must scatter the "
             f"sweep's output through one index read at its own ordinal")
     target, slot = stores[0].target, index.name
-    clash = (bnd.written | {target}) & set(sweep.param_names)
+    velocity = {_VEL_PREV} if _velocity_in_place(bnd) else set()
+    clash = (bnd.written | {target} | velocity) & set(sweep.param_names)
     if clash:
         raise LoopsUnsupported(f"{bnd.name} stores {sorted(clash)}, which "
                                f"the sweep of another Z-plane may read")
@@ -1059,6 +1064,32 @@ def _step_links(programs: list) -> tuple[str, str, str] | None:
             raise LoopsUnsupported(f"{bnd.name} reads {base!r} other than "
                                    f"at its boundary point: {op.render()}")
     return target, index.base, slot
+
+
+def _velocity_in_place(bnd: ArenaProgram) -> bool:
+    """Whether a step may write ``bnd``'s ``vel_next`` over its
+    ``vel_prev`` (False without both; :class:`LoopsUnsupported` if not):
+    each read of ``vel_prev`` must gather the own ordinal plus the
+    ``start`` of a later ``vel_next`` store of ``n`` points, and nothing
+    else touch either, so a point reads what it overwrites, first
+    (Listing 8's ``_v2[MB]``; distinct stores are disjoint, as for g1)."""
+    if not (_VEL_NEXT in bnd.written and _VEL_PREV in bnd.array_params):
+        return False
+    n, ops = bnd.gid_ops()[0].n, list(enumerate(bnd.ops))
+    first = {op.start: k for k, op in reversed(ops)      # store positions
+             if isinstance(op, SliceStoreOp) and op.target == _VEL_NEXT}
+    for k, op in ops:
+        base, target = getattr(op, "base", None), getattr(op, "target", None)
+        own_store = target != _VEL_NEXT or getattr(op, "count", None) == n
+        own_read = base != _VEL_PREV or (
+            isinstance(op, ShiftOp) and op.n == n
+            and k < first.get(op.offset, -1))
+        if (not (own_store and own_read) or target == _VEL_PREV
+                or base == _VEL_NEXT):
+            raise LoopsUnsupported(
+                f"{bnd.name} cannot write {_VEL_NEXT!r} over {_VEL_PREV!r}"
+                f": {op.render()}")
+    return True
 
 
 @dataclass
@@ -1091,7 +1122,8 @@ class StepKernel:
     #: :func:`_step_links`; None for a sweep alone
     links: tuple | None = None
     #: array parameter -> the parameter whose array it is bound to: a
-    #: step's ``out`` and boundary output are ``prev``; a launch's none
+    #: step's ``out`` and boundary output are ``prev`` (FD-MM: and
+    #: ``vel_next`` is ``vel_prev``); a launch's none
     aliases: dict = field(default_factory=dict)
     cc_rung: str | None = None    # cc tier: the _CC_LADDER rung built with
     cc_isa: str | None = None     # ... and the psABI level (None: baseline)
@@ -1329,15 +1361,19 @@ class _NumpyStep:
     """The ``numpy`` realisation of a step: the compiled step's schedule
     on whole arrays.  It gathers ``prev`` at the boundary points into
     ``_pb``, runs the sweep's NumPy function with ``out=prev``, then the
-    boundary program's, rewritten to read ``_pb`` (:func:`_saved_gather`).
-    One workspace per program and one ``_pb`` per argument-shape set, so
-    a warm step allocates no workspace slot and no ``_pb``."""
+    boundary program's, rewritten to read ``_pb`` (:func:`_saved_gather`)
+    and ``vel_prev`` by copy.  One workspace per program and one ``_pb``
+    per argument-shape set: a warm step allocates no slot and no ``_pb``."""
 
     def __init__(self, kernel: StepKernel):
         self.kernel = kernel
         programs = list(kernel.programs)
         if kernel.links:
             programs[1] = _saved_gather(programs[1], kernel.links[2])
+        if _VEL_NEXT in kernel.aliases:     # a view would see its stores
+            programs[1] = replace(programs[1], ops=[
+                replace(op, copy=True) if isinstance(op, ShiftOp)
+                and op.base == _VEL_PREV else op for op in programs[1].ops])
         self.programs = programs
         self.fns = [p.numpy_fn() for p in programs]
         self.checks = [IndexCheck(p) for p in kernel.programs]
@@ -1396,8 +1432,9 @@ def compile_step(programs: list, *, tier: str | None = None) -> StepKernel:
     sweep's own size argument), and per block saves the old values of
     its boundary points, sweeps it in place — writing ``out`` into
     ``prev`` under one name — and updates its boundary points, whose
-    gather of ``prev`` reads the saved values.  Blocks share no written
-    element, so they need no order among them.  Raises
+    gather of ``prev`` reads the saved values (FD-MM: ``vel_next`` is
+    ``vel_prev`` under one name too).  Blocks share no written element,
+    so they need no order among them.  Raises
     :class:`LoopsUnsupported` when the programs are not legal in place
     (:func:`_step_links`) or no compiled tier exists; the tier is the
     one :func:`select_tier` picks for ``tier``.  ``tier="numpy"`` runs
@@ -1406,6 +1443,8 @@ def compile_step(programs: list, *, tier: str | None = None) -> StepKernel:
     """
     links = _step_links(programs)
     aliases = {"out": _IN_PLACE, **({links[0]: _IN_PLACE} if links else {})}
+    if links and _velocity_in_place(programs[1]):
+        aliases[_VEL_NEXT] = _VEL_PREV
     return _compile(programs, tier, links, aliases)
 
 

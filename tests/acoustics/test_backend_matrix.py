@@ -78,7 +78,7 @@ def test_backend_matrix(scheme, precision):
             f"bit-identical to {anchor} after {STEPS} steps")
         assert np.array_equal(sim.prev[:n], ref.prev[:n]), (
             f"{scheme}/{precision}/{backend}: prev state diverged")
-        for name in ("g1", "v1", "v2"):         # the FD-MM branch state
+        for name in ("g1", "v"):                # the FD-MM branch state
             assert np.array_equal(getattr(sim, name), getattr(ref, name)), (
                 f"{scheme}/{precision}/{backend}: {name} diverged")
     atol = 1e-13 if precision == "double" else 1e-4

@@ -45,7 +45,7 @@ class TestCheckpointRestart:
         np.testing.assert_array_equal(resumed.curr, ref.curr)
         np.testing.assert_array_equal(resumed.prev, ref.prev)
         np.testing.assert_array_equal(resumed.g1, ref.g1)
-        np.testing.assert_array_equal(resumed.v1, ref.v1)
+        np.testing.assert_array_equal(resumed.v, ref.v)
         np.testing.assert_array_equal(resumed.receiver_signal("mic"),
                                       ref.receiver_signal("mic"))
 
@@ -61,7 +61,7 @@ class TestCheckpointRestart:
         resumed = make_sim(scheme, backend="numba")
         resumed.restore(first.checkpoint())
         resumed.run(steps - cut)
-        for name in ("curr", "prev", "g1", "v1", "v2"):
+        for name in ("curr", "prev", "g1", "v"):
             np.testing.assert_array_equal(getattr(resumed, name),
                                           getattr(ref, name))
         np.testing.assert_array_equal(resumed.receiver_signal("mic"),
@@ -143,37 +143,67 @@ class TestCheckpointRestart:
         np.testing.assert_array_equal(resumed.receiver_signal("mic"),
                                       ref.receiver_signal("mic"))
 
-    @needs_compiled_tier
-    def test_v1_archive_roundtrip(self, tmp_path):
-        """v2 archives carry no ``nxt``; a v1 archive, which does, still
-        loads — its ``nxt`` ignored — and resumes bit-identically on the
-        two-level ``numba`` path."""
+    @staticmethod
+    def _legacy_archive(path, version, backend):
+        """An ``fd_mm`` run's archive after 6 steps, rewritten as format
+        ``version`` (1 or 2) was written: two branch velocities, ``v2``
+        the one the next step reads and ``v1`` the one before (here
+        NaN, which a resumed run must never read), and in v1 a third
+        level ``nxt``."""
         import json
-        path = tmp_path / "cp.npz"
-        sim = make_sim("fd_mm", backend="numba")
+        sim = make_sim("fd_mm", backend=backend)
         sim.run(6)
         sim.save_checkpoint(path)
         with np.load(path) as z:
             data = {k: z[k] for k in z.files}
-        assert "nxt" not in data
+        assert "nxt" not in data and "v1" not in data and "v2" not in data
         meta = json.loads(bytes(data["meta"]).decode())
-        assert meta["version"] == 2
-        meta["version"] = 1
+        assert meta["version"] == 3
+        meta["version"] = version
         data["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
-        data["nxt"] = np.full_like(data["prev"], np.nan)
-        np.savez(tmp_path / "v1.npz", **data)
+        data["v2"] = data.pop("v")
+        data["v1"] = np.full_like(data["v2"], np.nan)
+        assert np.any(data["v2"] != 0)
+        if version == 1:
+            data["nxt"] = np.full_like(data["prev"], np.nan)
+        np.savez(path, **data)
+        return data["v2"]
 
-        ref = make_sim("fd_mm", backend="numba")
+    def _resumes_bit_identically(self, path, backend):
+        ref = make_sim("fd_mm", backend=backend)
         ref.run(11)
-        resumed = make_sim("fd_mm", backend="numba")
-        resumed.load_checkpoint(tmp_path / "v1.npz")
+        resumed = make_sim("fd_mm", backend=backend)
+        resumed.load_checkpoint(path)
         assert resumed.time_step == 6
         resumed.run(5)
-        for name in ("curr", "prev", "g1", "v1", "v2"):
+        for name in ("curr", "prev", "g1", "v"):
             np.testing.assert_array_equal(getattr(resumed, name),
                                           getattr(ref, name))
         np.testing.assert_array_equal(resumed.receiver_signal("mic"),
                                       ref.receiver_signal("mic"))
+
+    @needs_compiled_tier
+    def test_v1_archive_roundtrip(self, tmp_path):
+        """v3 archives carry neither ``nxt`` nor a second velocity; a v1
+        archive, which carries both, still loads — ``nxt`` ignored, its
+        ``v2`` as ``v`` — and resumes bit-identically on the two-level
+        ``numba`` path."""
+        path = tmp_path / "v1.npz"
+        v2 = self._legacy_archive(path, 1, "numba")
+        assert np.array_equal(Checkpoint.load(path).v, v2)
+        self._resumes_bit_identically(path, "numba")
+
+    @pytest.mark.parametrize("backend", ["numpy", "virtual_gpu"])
+    def test_v2_archive_resumes_from_its_v2(self, tmp_path, backend):
+        """A v2 archive — what a worker resuming a job checkpointed by
+        the previous release reads — holds ``v1 != v2`` and loads as
+        ``v == v2``, the velocity its next step reads; the resumed run
+        is bit-identical to an uninterrupted one."""
+        path = tmp_path / "v2.npz"
+        v2 = self._legacy_archive(path, 2, backend)
+        cp = Checkpoint.load(path)
+        assert np.array_equal(cp.v, v2) and not hasattr(cp, "v1")
+        self._resumes_bit_identically(path, backend)
 
     def test_mismatched_checkpoint_refused(self):
         cp = make_sim("fi_mm").checkpoint()
@@ -193,8 +223,7 @@ class TestCheckpointRestart:
 
     @staticmethod
     def _state(sim):
-        return ([a.copy() for a in (sim.prev, sim.curr, sim.g1, sim.v1,
-                                    sim.v2)],
+        return ([a.copy() for a in (sim.prev, sim.curr, sim.g1, sim.v)],
                 sim.time_step, sim.receiver_signal("mic"))
 
     def _refused_untouched(self, sim, path):

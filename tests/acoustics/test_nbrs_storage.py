@@ -62,7 +62,7 @@ def test_results_do_not_depend_on_the_storage_width(path, scheme, precision,
                                                     shape, monkeypatch):
     narrow, wide = (_run(path, scheme, precision, shape, dt, monkeypatch)
                     for dt in (np.int8, np.int32))
-    for name in ("curr", "prev", "g1", "v1", "v2"):
+    for name in ("curr", "prev", "g1", "v"):
         assert np.array_equal(getattr(narrow, name), getattr(wide, name)), name
     assert np.any(narrow.curr != 0)
     assert np.array_equal(narrow.receiver_signal("mic"),
@@ -142,11 +142,12 @@ def test_min_bytes_against_the_ledgers_formula(scheme, mb_int32, mb_int8):
     # where the hand formula and the program differ: the formula leaves
     # out the coefficient tables (read once each), and for fd_mm it
     # counts five passes over a branch-state array where the program
-    # makes four (g1 read and written, v2 read, v1 only written)
+    # makes four (g1 read and written, vel_prev read, vel_next only
+    # written: the programs' own bytes, before the step aliases them)
     correction = sim.table.beta.nbytes if scheme != "fi" else 0
     if scheme == "fd_mm":
         correction += sum(getattr(sim.table, t).nbytes
-                          for t in ("BI", "DI", "F", "D")) - sim.v1.nbytes
+                          for t in ("BI", "DI", "F", "D")) - sim.v.nbytes
     narrow = _step_min_bytes(sim)
     assert narrow == _ledger_formula(sim) + correction
     sim._nbrs_guarded = sim._nbrs_guarded.astype(np.int32)

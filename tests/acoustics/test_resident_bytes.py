@@ -3,6 +3,9 @@
 A two-level step needs two time levels and one byte of ``nbrs`` per
 voxel, all three over ``N + nx·ny`` points (the zero guard plane), plus
 the arrays of the ``K`` boundary points and the per-material tables.
+The FD-MM branch state is two arrays of ``MB`` values a boundary point,
+``g1`` and the velocity ``v``: the step writes the new velocity over
+the old, so no second velocity buffer is reachable on any path.
 The topology's guarded ``nbrs`` is the array the step binds, and the
 inside mask is voxelised once, by the constructor, and then dropped:
 placing sources and receivers tests one point, not a volume.
@@ -65,13 +68,14 @@ def resident_buffers(sim) -> list[np.ndarray]:
 
 def _budget(sim) -> int:
     """Two levels and the guarded counts, then the boundary points'
-    arrays, the material tables and (with a boundary program) the step's
-    per-Z-plane block table."""
+    arrays (``g1`` and ``v``: two of ``MB`` values each), the material
+    tables and (with a boundary program) the step's per-Z-plane block
+    table."""
     g, t, item = sim.grid, sim.topology, sim.curr.itemsize
     K, MB = t.num_boundary_points, sim.table.num_branches
     total = (sim._N + sim._guard) * (2 * item + 1)
     total += K * (t.boundary_indices.itemsize + t.material.itemsize
-                  + 3 * MB * item)
+                  + 2 * MB * item)
     total += sum(getattr(sim.table, a).nbytes
                  for a in ("beta", "BI", "DI", "F", "D"))
     if sim.config.scheme != "fi":

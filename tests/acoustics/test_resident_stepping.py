@@ -19,6 +19,7 @@ from repro.acoustics import (BoxRoom, DomeRoom, Grid3D, Room, RoomSimulation,
                              SimConfig)
 from repro.gpu import (ClInvalidBufferSize, ClMemAllocationFailure, FaultPlan,
                        NVIDIA_TITAN_BLACK, VirtualGPU)
+from repro.acoustics.sim import _VGPU_ROTATIONS
 from repro.gpu.runtime import ResidentPlan
 
 
@@ -70,7 +71,7 @@ def test_resident_bit_identical_to_one_shot(scheme, precision, shape):
     assert resident._plan is not None and resilient._plan is not None
     assert resident.time_step == resilient.time_step == steady.time_step == 12
     for sim in (resident, resilient):
-        for name in ("curr", "prev", "g1", "v1", "v2"):
+        for name in ("curr", "prev", "g1", "v"):
             assert np.array_equal(getattr(sim, name),
                                   getattr(steady, name)), name
         for mic in ("mic", "off"):
@@ -160,7 +161,7 @@ def test_fused_steps_model_the_launches_of_execute_many(scheme):
     fused = kernels(o)
     with obs.observe() as o:
         VirtualGPU(sim.devices[0]).execute_many(
-            sim._host_program, inputs, sim._size_env(), 6, sim._rotations)
+            sim._host_program, inputs, sim._size_env(), 6, _VGPU_ROTATIONS)
     assert sim._path == "resident"
     assert len(fused) == 6 * len(sim._step.programs)
     assert fused == kernels(o)
@@ -195,14 +196,16 @@ def test_faults_resilient_and_pools_step_resident_plans(kw):
 def test_state_arrays_are_the_resident_buffers():
     sim = _sim(dims=(8, 8, 8))
     sim.add_impulse("center")
-    roles = dict(curr="prev1_h", prev="prev2_h", g1="g1_h", v1="v1_h",
-                 v2="v2_h")
+    # Listing 5's two velocity buffers are both the one ``v``, which the
+    # step updates in place
+    roles = dict(curr="prev1_h", prev="prev2_h", g1="g1_h", v="v2_h")
     for step in range(500):
         sim.step()
         plan = sim._plan
         if step < 4:                         # two full rotation cycles
             for attr, name in roles.items():
                 assert getattr(sim, attr) is plan.buffer_for(name), attr
+            assert plan.buffer_for("v1_h") is sim.v
         assert np.shares_memory(sim.curr, plan.buffer_for("prev1_h"))
     assert len(plan.events) == 0
     # two host levels: the model's third is declared, with no host memory
@@ -248,7 +251,7 @@ class TestBinding:
                     if isinstance(a, np.ndarray)}
         return ResidentPlan.stepping(VirtualGPU(NVIDIA_TITAN_BLACK),
                                      sim._host_program.plan, inputs, sizes,
-                                     sim._rotations,
+                                     _VGPU_ROTATIONS,
                                      [] if events is None else events,
                                      in_place)
 
@@ -309,7 +312,7 @@ class TestBinding:
         with pytest.raises(ClInvalidBufferSize, match="interchangeable"):
             ResidentPlan.stepping(VirtualGPU(NVIDIA_TITAN_BLACK),
                                   sim._host_program.plan, inputs, sizes,
-                                  [*sim._rotations,
+                                  [*_VGPU_ROTATIONS,
                                    ("neighbors", "materialIdx")],
                                   [], {"neighbors": sim._nbrs_guarded})
 

@@ -71,7 +71,7 @@ class TestBackendParity:
             sims[backend] = sim
         np.testing.assert_allclose(sims["lift"].g1, sims["numpy"].g1,
                                    atol=1e-13)
-        np.testing.assert_allclose(sims["lift"].v2, sims["numpy"].v2,
+        np.testing.assert_allclose(sims["lift"].v, sims["numpy"].v,
                                    atol=1e-13)
 
 

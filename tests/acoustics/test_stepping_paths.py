@@ -12,7 +12,7 @@ import pytest
 
 from repro import obs
 from repro.acoustics import DomeRoom, Grid3D, Room, RoomSimulation, SimConfig
-from repro.gpu import FaultPlan, FaultSpec
+from repro.gpu import ClInvalidValue, FaultPlan, FaultSpec
 from repro.lift.codegen import loops
 from repro.lift.codegen.loops import (LoopsUnsupported, available_tiers,
                                       select_tier)
@@ -119,16 +119,14 @@ def test_virtual_gpu_paths(kw, path):
     assert not hasattr(sim, "nxt")
 
 
-def test_fallbacks_are_counted(monkeypatch):
+def test_fallbacks_are_counted():
     """Each fallback path selection counts once, by path and reason; the
     clean ``resident`` and ``parallel`` paths count none."""
-    host = _refused_host(monkeypatch)
     with obs.observe() as o:
         for kw in (dict(), dict(devices="TitanBlack:2", parallel=True)):
             _sim(**kw).run(2)
         assert o.metrics.get("repro_sim_path_fallbacks_total") is None
-        for kw in (dict(host_program=host),
-                   dict(devices="TitanBlack:2", parallel=True,
+        for kw in (dict(devices="TitanBlack:2", parallel=True,
                         faults=FaultPlan([], seed=1)),
                    dict(devices="TitanBlack:2", parallel=True,
                         resilient=True)):
@@ -139,11 +137,10 @@ def test_fallbacks_are_counted(monkeypatch):
         sim._gpu._test_kill = {1: 1}       # one device survives
         sim.run(4)
         spans = _step_spans(o.tracer)
-    assert fallbacks.value(path="one-shot", reason="loops_unsupported") == 1
     assert fallbacks.value(path="pool-loop",
                            reason="faults_or_resilient") == 2
     assert fallbacks.value(path="pool-loop", reason="single_shard") == 1
-    assert fallbacks.total() == 4
+    assert fallbacks.total() == 3
     assert spans[-1].attrs["fallback"] == "single_shard"
 
 
@@ -164,8 +161,7 @@ def test_host_backend_paths(backend, path):
 
 
 def _state(sim):
-    return [sim.prev, sim.curr, sim.g1, sim.v1, sim.v2,
-            sim.receiver_signal("mic")]
+    return [sim.prev, sim.curr, sim.g1, sim.v, sim.receiver_signal("mic")]
 
 
 def _same(a, b):
@@ -238,15 +234,14 @@ def test_fallback_when_no_compiled_tier(monkeypatch):
 
 @pytest.mark.parametrize("path", ["one-shot", "pool-loop"])
 def test_launches_with_no_compiled_tier_name_numpy(path, monkeypatch):
-    """With no compiled tier every launch of ``execute()`` runs its NumPy
-    kernel, and a pool's shards step on whole arrays, and the step and
-    kernel spans say so."""
+    """With no compiled tier every launch of a one-shot ``execute()``
+    runs its NumPy kernel, and a pool's shards step on whole arrays, and
+    the kernel and step spans say so."""
     from repro.gpu import runtime
 
-    kw = (dict(host_program=_refused_host(monkeypatch))
-          if path == "one-shot" else dict(devices="TitanBlack:2"))
+    kw = dict(devices="TitanBlack:2") if path == "pool-loop" else {}
     ref = _sim(**kw)
-    ref.run(3)
+    ref.run(1 if path == "one-shot" else 3)
 
     def no_tier(requested=None):
         raise loops.LoopsUnsupported("no compiled tier (test)")
@@ -255,52 +250,51 @@ def test_launches_with_no_compiled_tier_name_numpy(path, monkeypatch):
     monkeypatch.setattr(runtime, "_NP_KERNEL_CACHE", {})
     sim = _sim(**kw)
     with obs.observe() as o:
-        sim.run(3)
+        if path == "one-shot":
+            res = runtime.VirtualGPU(sim.devices[0]).execute(
+                sim._host_program, sim._vgpu_inputs(), sim._size_env())
+        else:
+            sim.run(3)
+    if path == "one-shot":
+        assert _launched(o.tracer) == {("numpy", None)}
+        n = sim._N
+        assert np.array_equal(np.asarray(res.result)[:n], ref.curr[:n])
+        return
     spans = _step_spans(o.tracer)
     assert [(s.attrs["path"], s.attrs["tier"]) for s in spans] == (
         [(path, "numpy")] * len(spans))
-    if path == "one-shot":
-        assert len(spans) == 3
-        assert _launched(o.tracer) == {("numpy", None)}
-    else:
-        assert {s.attrs["tier"] for s in o.tracer.find("gpu.step")} == {
-            "numpy"}
+    assert {s.attrs["tier"] for s in o.tracer.find("gpu.step")} == {"numpy"}
     assert _same(sim, ref)
 
 
-def test_fallback_when_the_step_refuses_the_launch_pair(monkeypatch):
+def test_a_plan_the_step_refuses_is_refused_when_built(monkeypatch):
     """A host program whose sweep names its oldest level other than
-    ``prev`` steps one-shot: ``_step_links`` refuses the pair, and the
-    caller's program is still the one that runs.  A pool refuses it
-    when the simulation is built."""
+    ``prev``: ``_step_links`` refuses the pair, so one device refuses it
+    when the simulation is built, as a pool does — there is no
+    launch-by-launch path to fall back to."""
+    from repro.gpu.runtime import VirtualGPU
     from repro.lift.codegen.host import Launch
     from repro.lift.codegen.loops import _step_links
 
     host = _refused_host(monkeypatch)
-    with pytest.raises(LoopsUnsupported):
-        _sim(host_program=host, devices="TitanBlack:2")
-    sim = _sim(host_program=host)
-    with pytest.raises(LoopsUnsupported):
-        sim.set_devices("TitanBlack:2")
-    assert sim._path == "one-shot" and len(sim.devices) == 1
+    for devices in (None, "TitanBlack:2"):
+        with pytest.raises(LoopsUnsupported, match="older|'prev'"):
+            _sim(host_program=host, devices=devices)
     launches = [op for op in host.plan.ops if isinstance(op, Launch)]
     with pytest.raises(LoopsUnsupported, match="older|'prev'"):
-        _step_links([sim._gpu._np_kernel(op).program for op in launches])
-    assert _paths(sim, 4) == ["one-shot"] * 4
-    assert sim._step is None and not hasattr(sim, "nxt")
-    fused = _sim()
-    fused.run(4)
-    assert fused._path == "resident" and _same(sim, fused)
+        _step_links([VirtualGPU._np_kernel(op).program for op in launches])
 
 
 def test_compile_step_checks_the_plan_wiring():
     sim = _sim()
     plan = sim._host_program.plan
     with pytest.raises(LoopsUnsupported, match="do not overwrite"):
-        sim._gpu.compile_step(plan, ("prev1_h", "prev2_h", "__out__"))
-    with pytest.raises(LoopsUnsupported, match="do not overwrite"):
-        sim._gpu.compile_step(plan, ("prev2_h", "prev1_h"))
-    assert sim._gpu.compile_step(plan, sim._rotations[0]).links
+        sim._gpu.compile_step(plan, [("prev1_h", "prev2_h", "__out__")])
+    # a cycle that does not end in the step's output is no leapfrog cycle
+    with pytest.raises(ClInvalidValue, match="leapfrog"):
+        sim._gpu.compile_step(plan, [("prev2_h", "prev1_h")])
+    assert sim._gpu.compile_step(plan, [("prev2_h", "prev1_h",
+                                         "__out__")]).links
 
 
 def test_set_devices_refuses_a_host_backend():

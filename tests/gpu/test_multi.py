@@ -23,7 +23,11 @@ from .conftest import step_launches
 
 STEPS = 7
 ROT_FI = [("prev2_h", "prev1_h", "__out__")]
-ROT_FD = [("prev2_h", "prev1_h", "__out__"), ("v2_h", "v1_h")]
+#: Listing 5's FD-MM rotations, for the launch-by-launch reference only:
+#: ``execute()`` writes the new branch velocity into ``v1_h``, which the
+#: host then swaps into ``v2_h``; a pool's step writes it over ``v2_h``
+#: and refuses the swap
+LISTING5_FD = [("prev2_h", "prev1_h", "__out__"), ("v2_h", "v1_h")]
 
 
 @pytest.fixture(scope="module")
@@ -166,13 +170,15 @@ class TestBitIdentity:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_execute_many_fd_mm_branch_state(self, fd_mm, shards):
         ref = step_launches(VirtualGPU(NVIDIA_TITAN_BLACK), fd_mm["host"],
-                            fd_mm["inputs"], fd_mm["sizes"], STEPS, ROT_FD)
+                            fd_mm["inputs"], fd_mm["sizes"], STEPS,
+                            LISTING5_FD)
         res = MultiGPU(f"TitanBlack:{shards}").execute_many(
             fd_mm["host"], fd_mm["inputs"], fd_mm["sizes"], STEPS,
-            rotations=ROT_FD)
+            rotations=ROT_FI)
         N = fd_mm["N"]
         assert np.array_equal(res.result[:N], np.asarray(ref.result)[:N])
-        for name in ("g1_h", "v1_h", "v2_h"):
+        # v2_h: the velocity the next step reads, on both sides
+        for name in ("g1_h", "v2_h"):
             assert np.array_equal(res.buffers[f"final:{name}"],
                                   ref.buffers[f"final:{name}"])
 
@@ -380,7 +386,7 @@ class TestShardStepSpans:
         with obs.observe() as o:
             MultiGPU("TitanBlack:2").execute_many(
                 fd_mm["host"], fd_mm["inputs"], fd_mm["sizes"], 3,
-                rotations=ROT_FD)
+                rotations=ROT_FI)
         obs.disable()
         steps = o.tracer.find("gpu.step", cat="step")
         assert sorted((s.attrs["shard"], s.attrs["step"])

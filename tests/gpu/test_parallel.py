@@ -28,7 +28,11 @@ from .conftest import step_launches
 
 STEPS = 7
 ROT_FI = [("prev2_h", "prev1_h", "__out__")]
-ROT_FD = [("prev2_h", "prev1_h", "__out__"), ("v2_h", "v1_h")]
+#: Listing 5's FD-MM rotations, for the launch-by-launch reference only:
+#: ``execute()`` writes the new branch velocity into ``v1_h``, which the
+#: host then swaps into ``v2_h``; a pool's step writes it over ``v2_h``
+#: and refuses the swap
+LISTING5_FD = [("prev2_h", "prev1_h", "__out__"), ("v2_h", "v1_h")]
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +126,14 @@ class TestParallelBitIdentity:
         assert serial.overlap is None
 
     def test_fd_mm_branch_state_matches(self, fd_mm):
-        ref = _ref(fd_mm, ROT_FD)
+        ref = _ref(fd_mm, LISTING5_FD)
         par = MultiGPU("TitanBlack:2", parallel=True).execute_many(
             fd_mm["host"], fd_mm["inputs"], fd_mm["sizes"], STEPS,
-            rotations=ROT_FD)
+            rotations=ROT_FI)
         N = fd_mm["N"]
         assert np.array_equal(par.result[:N], np.asarray(ref.result)[:N])
-        for name in ("g1_h", "v1_h", "v2_h"):
+        # v2_h: the velocity the next step reads, on both sides
+        for name in ("g1_h", "v2_h"):
             assert np.array_equal(par.buffers[f"final:{name}"],
                                   ref.buffers[f"final:{name}"])
 
@@ -170,7 +175,7 @@ class TestHostProgramPickles:
             clear_kernel_caches()
             runs.append(VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
                 prog, sim._vgpu_inputs(), sim._size_env(), 5,
-                rotations=sim._rotations))
+                rotations=ROT_FI))
         ref, got = runs
         assert np.array_equal(np.asarray(got.result), np.asarray(ref.result))
         assert got.buffers.keys() == ref.buffers.keys()
@@ -206,7 +211,8 @@ class TestOverlapReport:
         assert 0.0 <= meas["hidden_fraction"] <= 1.0
 
     def test_halo_pricing_matches_worker_schedule(self, fi_mm):
-        # steps-1 exchange phases: step 0 consumes the pre-filled halos
+        # steps-1 exchange phases: the first step consumes the pre-filled
+        # halos
         par = MultiGPU("TitanBlack:2", parallel=True).execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
             rotations=ROT_FI)
@@ -313,7 +319,7 @@ class TestSimParallel:
         assert np.array_equal(par.curr, ref.curr)
         assert np.array_equal(par.prev, ref.prev)
         assert np.array_equal(par.g1, ref.g1)
-        assert np.array_equal(par.v1, ref.v1)
+        assert np.array_equal(par.v, ref.v)
         assert np.array_equal(par.receiver_signal("mic"),
                               ref.receiver_signal("mic"))
         assert par.time_step == ref.time_step
@@ -337,6 +343,38 @@ class TestSimParallel:
         assert (par.last_checkpoint.time_step
                 == ref.last_checkpoint.time_step == 6)
 
+    def test_segments_count_simulation_steps(self):
+        """A run in 3-step segments numbers its steps from each
+        segment's first: the halo events of 6 steps are at steps 1, 2,
+        4 and 5 (a segment's first step consumes the pre-filled halos),
+        and ``_test_kill`` names a simulation step, so a kill at step 4
+        fires in the second segment, which replays from step 3."""
+        ref = _sim("fi_mm", steps=6)
+        cfg = SimConfig(room=Room(Grid3D(14, 12, 10), DomeRoom()),
+                        scheme="fi_mm", backend="virtual_gpu",
+                        devices="TitanBlack:2", parallel=True,
+                        checkpoint_interval=3)
+        sim = RoomSimulation(cfg)
+        sim.add_impulse("center")
+        try:
+            with obs.observe() as o:
+                sim.run(6)
+        finally:
+            obs.disable()
+        halos = o.tracer.find("halo:", cat="halo")
+        assert sorted({h.attrs["step"] for h in halos}) == [1, 2, 4, 5]
+        assert len(halos) == 2 * 4           # both directions each step
+        assert np.array_equal(sim.curr, ref.curr)
+
+        killed = RoomSimulation(cfg)
+        killed.add_impulse("center")
+        killed._gpu._test_kill = {1: 4}
+        killed.run(6)
+        assert len(killed.devices) == 1      # the kill fired ...
+        assert [p.detail for p in killed.policy_log
+                if p.action == "reshard"]    # ... in segment two
+        assert np.array_equal(killed.curr, ref.curr)
+
     def test_killed_shard_process_recovers_bit_identically(self):
         ref = _sim("fi_mm", steps=8)
         cfg = SimConfig(room=Room(Grid3D(14, 12, 10), DomeRoom()),
@@ -346,8 +384,7 @@ class TestSimParallel:
         sim = RoomSimulation(cfg)
         sim.add_impulse("center")
         sim.add_receiver("mic", (3, 3, 3))
-        # worker 1 SIGKILLs itself at step 1 of the first bulk segment
-        # (the kill step indexes into the segment's own step loop)
+        # worker 1 SIGKILLs itself at step 1, in the first bulk segment
         sim._gpu._test_kill = {1: 1}
         sim.run(8)
         assert np.array_equal(sim.curr, ref.curr)

@@ -203,11 +203,12 @@ class TestIterativeExecution:
             res.buffers["final:prev1_h"][:sim._N], ref.curr[:ref._N],
             atol=1e-15)
 
-    def test_fd_mm_six_steps_match_reference(self, problem):
+    @staticmethod
+    def _fd_mm(problem):
+        """An ``fd_mm`` simulation's host program, inputs and sizes, its
+        one branch velocity ``v`` bound to both ``v2_h`` and ``v1_h``."""
         from repro.acoustics import RoomSimulation, SimConfig
         from repro.acoustics.geometry import DomeRoom, Room
-        steps = 6
-        ref = self._ref(problem, "fd_mm", steps)
         sim = RoomSimulation(SimConfig(room=Room(problem["g"], DomeRoom()),
                                        scheme="fd_mm", backend="numpy",
                                        materials=default_fd_materials(4)))
@@ -216,23 +217,48 @@ class TestIterativeExecution:
         K = sim.topology.num_boundary_points
         host = compile_host(two_kernel_host("fd_mm", "double", 3).program,
                             "ac")
-        gpu = VirtualGPU(NVIDIA_TITAN_BLACK)
-        res = gpu.execute_many(host, dict(
+        inputs = dict(
             boundaries=sim.topology.boundary_indices,
             materialIdx=sim.topology.material,
             neighbors=sim._nbrs_guarded, betaTable=sim.table.beta,
             BI_h=sim.table.BI.reshape(-1), DI_h=sim.table.DI.reshape(-1),
             F_h=sim.table.F.reshape(-1), D_h=sim.table.D.reshape(-1),
-            g1_h=sim.g1, v2_h=sim.v2, v1_h=sim.v1, K=K,
+            g1_h=sim.g1, v2_h=sim.v, v1_h=sim.v, K=K,
             prev1_h=sim.curr, prev2_h=sim.prev, lambda_h=g.courant,
-            Nx_h=g.nx, NxNy_h=g.nx * g.ny), sim._size_env(), steps=steps,
-            rotations=[("prev2_h", "prev1_h", "__out__"),
-                       ("v2_h", "v1_h")])
+            Nx_h=g.nx, NxNy_h=g.nx * g.ny)
+        return sim, host, inputs, sim._size_env()
+
+    def test_fd_mm_six_steps_match_reference(self, problem):
+        """The step writes the new branch velocity over the one it read,
+        so ``v2_h`` ends holding the velocity the next step reads — with
+        only the leapfrog cycle rotating."""
+        steps = 6
+        ref = self._ref(problem, "fd_mm", steps)
+        sim, host, inputs, sizes = self._fd_mm(problem)
+        res = VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
+            host, inputs, sizes, steps=steps,
+            rotations=[("prev2_h", "prev1_h", "__out__")])
         np.testing.assert_allclose(
             res.buffers["final:prev1_h"][:sim._N], ref.curr[:ref._N],
             atol=1e-15)
         np.testing.assert_allclose(res.buffers["final:g1_h"], ref.g1,
                                    atol=1e-15)
+        np.testing.assert_allclose(res.buffers["final:v2_h"], ref.v,
+                                   atol=1e-15)
+
+    def test_a_velocity_swap_is_refused(self, problem):
+        """A rotation naming a buffer the step updates in place — the
+        FD-MM ``v2_h``/``v1_h`` swap of Listing 5 — would undo the
+        step's velocity update, so ``execute_many`` refuses it at the
+        call, before anything is allocated."""
+        from repro.gpu import ClInvalidValue
+        _sim, host, inputs, sizes = self._fd_mm(problem)
+        with pytest.raises(ClInvalidValue, match="in place") as ei:
+            VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
+                host, inputs, sizes, steps=2,
+                rotations=[("prev2_h", "prev1_h", "__out__"),
+                           ("v2_h", "v1_h")])
+        assert ei.value.context["updated"] == ["v2_h", "v1_h"]
 
     def test_single_name_cycle_is_identity(self, problem):
         """A one-element rotation cycle names no leapfrog cycle, so

@@ -56,7 +56,7 @@ def test_the_psabi_level_moves_no_bit(scheme, precision, shape, tmp_path,
         loops.set_loops_cache_dir(prev)
     assert base._step.cc_isa is None
     assert base._step.source == wide._step.source
-    for name in ("prev", "curr", "g1", "v1", "v2"):
+    for name in ("prev", "curr", "g1", "v"):
         assert np.array_equal(getattr(wide, name), getattr(base, name)), name
     assert np.any(wide.curr != 0)
     for mic in ("near", "far"):

@@ -8,7 +8,9 @@ the saved values.  ``numpy-steady`` runs the same schedule on whole
 arrays (``tier="numpy"``).  These tests pin the compiled step against
 it, bit for bit (``test_backend_matrix.py`` pins both against the
 three-level reference kernels), and pin what makes it legal: every
-other access of the overwritten array is refused.
+other access of the overwritten array is refused, and so is every read
+of the FD-MM branch velocity the step writes over, but the one each
+point makes of its own element before overwriting it.
 """
 
 import dataclasses
@@ -21,7 +23,8 @@ import pytest
 from repro.acoustics import RoomSimulation, SimConfig
 from repro.acoustics.geometry import BoxRoom, DomeRoom, Room
 from repro.acoustics.grid import Grid3D
-from repro.acoustics.lift_programs import fi_mm_boundary, volume_kernel
+from repro.acoustics.lift_programs import (fd_mm_boundary, fi_mm_boundary,
+                                          volume_kernel)
 from repro.acoustics.materials import (default_fd_materials,
                                        default_fi_materials)
 from repro.lift.arith import Var
@@ -29,8 +32,8 @@ from repro.lift.ast import BinOp, FunCall, Lambda, Param, lit
 from repro.lift.codegen import loops
 from repro.lift.codegen.arena import (ShiftOp, SliceStoreOp, TakeOp,
                                       Workspace)
-from repro.lift.codegen.loops import (LoopsUnsupported, available_tiers,
-                                      compile_step)
+from repro.lift.codegen.loops import (LoopsUnsupported, _step_links,
+                                      available_tiers, compile_step)
 from repro.lift.codegen.numpy_backend import compile_numpy
 from repro.lift.patterns import ArrayAccess, Iota, Map
 from repro.lift.types import ArrayType, Double, Int
@@ -73,7 +76,7 @@ def test_step_bit_equals_numpy_steady(scheme, precision, shape, tier,
         assert np.array_equal(getattr(sim, name)[:n],
                               getattr(ref, name)[:n]), name
         assert not getattr(sim, name)[n:].any(), f"{name}: guard plane"
-    for name in ("g1", "v1", "v2"):
+    for name in ("g1", "v"):
         assert np.array_equal(getattr(sim, name), getattr(ref, name)), name
     for name in ("mic", "centre"):
         assert np.array_equal(sim.receiver_signal(name),
@@ -95,7 +98,7 @@ def test_a_material_past_the_table_raises_before_the_step_stores(
     assert sim._step.tier == tier
     sim.add_impulse("center")
     sim.topology.material[5] = 50
-    names = ("prev", "curr", "g1", "v1", "v2")
+    names = ("prev", "curr", "g1", "v")
     before = {n: getattr(sim, n).copy() for n in names}
     with pytest.raises(IndexError,
                        match="index 50 is out of bounds for axis 0 "
@@ -226,6 +229,56 @@ def test_a_sweep_touching_prev_off_its_point_is_refused():
             compile_step([early, boundary], tier=tier)
 
 
+def _fd_programs(precision="double"):
+    return [compile_numpy(p.kernel, p.name).program for p in
+            (volume_kernel(precision), fd_mm_boundary(precision, 3))]
+
+
+def _vel_read(op):
+    return isinstance(op, ShiftOp) and op.base == "vel_prev"
+
+
+def test_the_step_writes_the_branch_velocity_in_place():
+    """``vel_next`` is bound to ``vel_prev``'s array, so the step takes
+    one velocity argument; the step's own whole-array copy of the
+    boundary program reads ``vel_prev`` by copy, and the program it was
+    given — shared with the launches and the goldens — is untouched."""
+    volume, boundary = _fd_programs()
+    before = boundary.render()
+    step = compile_step([volume, boundary], tier="numpy")
+    assert step.aliases["vel_next"] == "vel_prev"
+    assert "vel_next" not in step.param_names
+    assert "vel_prev" in step.param_names
+    assert boundary.render() == before
+    assert not any(op.copy for op in boundary.ops if _vel_read(op))
+    own = step.fn.programs[1]
+    assert all(op.copy for op in own.ops if _vel_read(op))
+
+
+def test_a_boundary_reading_vel_prev_off_its_store_is_refused():
+    """Reading ``vel_prev`` at a neighbouring ordinal, after storing
+    ``vel_next`` there, or reading ``vel_next`` at all, would read a
+    velocity the step has already overwritten: refused, on every tier."""
+    volume, boundary = _fd_programs()
+    first = next(op for op in boundary.ops if _vel_read(op))
+    neighbour = _edit(boundary, _vel_read, offset=f"({first.offset} + 1)")
+    ops = list(boundary.ops)
+    store = next(k for k, op in enumerate(ops)
+                 if isinstance(op, SliceStoreOp) and op.target == "vel_next"
+                 and op.start == first.offset)
+    late = dataclasses.replace(boundary, ops=[
+        *ops[:store + 1], dataclasses.replace(first, name="t_late"),
+        *ops[store + 1:]])
+    reads_next = _edit(boundary, _vel_read, base="vel_next")
+    _step_links([volume, boundary])
+    for mutated in (neighbour, late, reads_next):
+        with pytest.raises(LoopsUnsupported,
+                           match="cannot write 'vel_next' over 'vel_prev'"):
+            _step_links([volume, mutated])
+        with pytest.raises(LoopsUnsupported, match="'vel_next' over"):
+            compile_step([volume, mutated], tier="numpy")
+
+
 def test_boundary_points_must_ascend():
     sim = RoomSimulation(SimConfig(room=Room(Grid3D(10, 9, 8), DomeRoom()),
                                    scheme="fi_mm", backend="numba"))
@@ -334,8 +387,9 @@ def test_a_step_in_block_ranges_is_the_full_step(scheme, precision, shape,
     arrays = [n for n, v in args.items() if isinstance(v, np.ndarray)
               and not np.array_equal(v, full[n])]
     assert "prev" in arrays
-    if scheme == "fd_mm":
-        assert {"g1", "vel_next"} <= set(arrays), arrays
+    if scheme == "fd_mm":       # the new velocity lands in vel_prev's array
+        assert {"g1", "vel_prev"} <= set(arrays), arrays
+        assert "vel_next" not in arrays
 
 
 @pytest.mark.parametrize("tier", TIERS + ["numpy"])

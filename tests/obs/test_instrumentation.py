@@ -264,36 +264,34 @@ class TestSimulationSpans:
         assert o.metrics.get("repro_sim_steps_total").value(
             scheme="fi_mm", backend="virtual_gpu") == 2
 
-    def test_one_shot_step_spans_nest_down_to_launches(self, monkeypatch):
-        # a host program the two-level step refuses keeps the one-shot
-        # execute() per step, and the trace says so
-        from repro.acoustics import lift_programs
-        from repro.lift.codegen.host import compile_host
-        original = lift_programs.volume_kernel
-
-        def volume_kernel(dtype="double"):
-            p = original(dtype)
-            p.kernel.params[0].name = "older"
-            return p
-
-        monkeypatch.setattr(lift_programs, "volume_kernel", volume_kernel)
-        hp = lift_programs.two_kernel_host("fi_mm")
-        host = compile_host(hp.program, hp.name)
-        monkeypatch.undo()
+    def test_one_shot_step_spans_nest_down_to_launches(self):
+        # a one-shot execute() runs the launches one by one: each call's
+        # span holds its own allocations, uploads, kernels and read-back,
+        # and every kernel names the tier and cc rung it ran on
+        from repro.lift.codegen.loops import available_tiers
+        sim = make_sim()
+        sim.add_impulse("center")
+        gpu = VirtualGPU(sim.devices[0])
         with obs.observe() as o:
-            sim = make_sim(host_program=host)
-            sim.add_impulse("center")
-            sim.run(2)
-        assert sim._path == "one-shot"
-        steps = o.tracer.find("sim.step")
-        assert len(steps) == 2
-        for s in steps:
+            for step in range(2):
+                gpu.execute(sim._host_program, sim._vgpu_inputs(),
+                            sim._size_env(), fault_step=step)
+        runs = o.tracer.find("gpu.execute")
+        assert len(runs) == 2
+        for s in runs:
             below = o.tracer.descendants_of(s)
             names = {d.name for d in below}
-            assert "gpu.execute" in names and "gpu.step" not in names
-            assert "volume_handling_kernel" in names
-            # every step allocates, uploads and reads back again
+            assert "gpu.step" not in names
+            assert {"volume_handling_kernel",
+                    "boundary_handling_kernel"} <= names
+            # every call allocates, uploads and reads back again
             assert {"alloc", "h2d", "d2h"} <= {d.cat for d in below}
+            kernels = [d for d in below if d.cat == "kernel"]
+            assert len(kernels) == 2
+            for k in kernels:
+                assert k.attrs["tier"] in {*available_tiers(), "numpy"}
+                assert ((k.attrs["cc_rung"] is not None)
+                        == (k.attrs["tier"] == "cc"))
 
     def test_seeded_fault_reaches_policy_log_and_metrics(self):
         plan = FaultPlan([FaultSpec("launch_abort", steps=(1,))], seed=3)
