@@ -20,7 +20,9 @@ Programs
   as a tuple of ``WriteTo``.
 * :func:`two_kernel_host` — paper Listing 5: the host orchestration
   (``ToGPU`` → volume kernel → in-place boundary kernel → ``ToHost``);
-  :func:`compiled_host` picks and compiles a scheme's host program.
+  :func:`compiled_host` picks and compiles a scheme's host program, and
+  :func:`host_inputs` binds its parameters (:data:`LEAPFROG` rotates
+  its levels).
 
 Guard-page convention: flat kernels gather ``curr[idx ± Nx·Ny]`` for every
 point and mask the result by ``nbr > 0`` (exactly the paper's Listing 2
@@ -34,6 +36,8 @@ production FDTD codes use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..lift.arith import Var
 from ..lift.ast import (BinOp, Expr, FunCall, Lambda, Literal, Param, Select,
@@ -544,3 +548,46 @@ def compiled_host(scheme: str, dtype, num_branches: int):
     hp = (fused_host(dtype) if scheme == "fi"
           else two_kernel_host(scheme, dtype, num_branches or 3))
     return compile_host(hp.program, hp.name)
+
+
+#: Listing 5's leapfrog cycle: each step's result (``"__out__"``)
+#: becomes ``prev1_h`` and the old ``prev1_h`` becomes ``prev2_h``
+LEAPFROG = ("prev2_h", "prev1_h", "__out__")
+
+
+def host_sizes(grid, topology, table) -> dict[str, int]:
+    """The size variables of a :func:`compiled_host` program: ``N``
+    grid points, ``NP`` with the guard plane, ``K`` boundary points and
+    ``M`` materials (a new dict each call)."""
+    N = grid.num_points
+    return {"N": N, "NP": N + grid.nx * grid.ny,
+            "K": topology.num_boundary_points, "M": table.num_materials}
+
+
+def host_inputs(scheme, grid, topology, table, prev, curr, g1=None, v=None):
+    """Listing 5's interface: the host-parameter values of the
+    :func:`compiled_host` program of ``scheme``, and its sizes.
+
+    Binds the caller's arrays by reference: ``curr`` / ``prev`` (the
+    levels at t and t-1, guard plane included) as ``prev1_h`` /
+    ``prev2_h``, the topology's one-byte guarded counts as ``neighbors``
+    and, for ``fd_mm``, ``g1`` and the one branch velocity ``v`` as both
+    ``v2_h`` and ``v1_h`` (zeros when not given).  ``lambda_h`` takes
+    the levels' type.  Returns ``(inputs, sizes)``."""
+    inputs = dict(neighbors=topology.nbrs_guarded, prev1_h=curr,
+                  prev2_h=prev, lambda_h=prev.dtype.type(grid.courant),
+                  Nx_h=grid.nx, NxNy_h=grid.nx * grid.ny)
+    if scheme == "fi":
+        inputs["beta_h"] = table.beta[0]
+    else:
+        inputs.update(boundaries=topology.boundary_indices,
+                      materialIdx=topology.material, betaTable=table.beta)
+    if scheme == "fd_mm":
+        K = topology.num_boundary_points
+        branch = table.num_branches * K
+        g1 = np.zeros(branch, prev.dtype) if g1 is None else g1
+        v = np.zeros(branch, prev.dtype) if v is None else v
+        inputs.update(BI_h=table.BI.reshape(-1), DI_h=table.DI.reshape(-1),
+                      F_h=table.F.reshape(-1), D_h=table.D.reshape(-1),
+                      g1_h=g1, v2_h=v, v1_h=v, K=K)
+    return inputs, host_sizes(grid, topology, table)

@@ -225,46 +225,30 @@ def _decomposition_problem(scheme: str, topo, precision: str = "double",
                            num_branches: int = 3):
     """Host program + inputs/sizes/rotations for a resident multi-step
     run of the two-kernel scheme on one topology (seeded random state so
-    boundary kernels do real work); one FD-MM velocity is both
-    ``v2_h`` and ``v1_h``, as the step updates it in place."""
-    from ..acoustics.lift_programs import two_kernel_host
+    boundary kernels do real work)."""
+    from ..acoustics.lift_programs import (LEAPFROG, compiled_host,
+                                           host_inputs)
     from ..acoustics.materials import (MaterialTable, default_fd_materials,
                                        default_fi_materials)
-    from ..lift.codegen.host import compile_host
     g = topo.grid
-    N = g.num_points
-    guard = g.nx * g.ny
     dtype = np.float32 if precision == "single" else np.float64
     rng = np.random.default_rng(42)
     inside = topo.room.inside_mask().reshape(-1)
 
     def state():
-        a = np.zeros(N + guard, dtype)
-        a[:N][inside] = rng.standard_normal(int(inside.sum()))
+        a = np.zeros(g.num_points + g.nx * g.ny, dtype)
+        a[:g.num_points][inside] = rng.standard_normal(int(inside.sum()))
         return a
 
-    K = topo.num_boundary_points
     if scheme == "fd_mm":
         table = MaterialTable.from_fd(default_fd_materials(4), num_branches,
                                       dtype=dtype)
     else:
         table = MaterialTable.from_fi(default_fi_materials(4), dtype=dtype)
-    inputs = dict(
-        boundaries=topo.boundary_indices, materialIdx=topo.material,
-        neighbors=topo.nbrs_guarded,
-        betaTable=table.beta, prev1_h=state(), prev2_h=state(),
-        lambda_h=dtype(g.courant), Nx_h=g.nx, NxNy_h=g.nx * g.ny)
-    rotations = [("prev2_h", "prev1_h", "__out__")]
-    if scheme == "fd_mm":
-        v = np.zeros(num_branches * K, dtype)
-        inputs.update(BI_h=table.BI.reshape(-1), DI_h=table.DI.reshape(-1),
-                      F_h=table.F.reshape(-1), D_h=table.D.reshape(-1),
-                      g1_h=np.zeros(num_branches * K, dtype),
-                      v2_h=v, v1_h=v, K=K)
-    sizes = dict(N=N, NP=N + guard, K=K, M=table.num_materials)
-    host = compile_host(two_kernel_host(scheme, precision,
-                                        num_branches).program, "scaling")
-    return host, inputs, sizes, rotations
+    curr, prev = state(), state()
+    inputs, sizes = host_inputs(scheme, g, topo, table, prev, curr)
+    host = compiled_host(scheme, precision, num_branches)
+    return host, inputs, sizes, [LEAPFROG]
 
 
 def _scaling_cell(mode: str, k: int, base: DeviceSpec, topo, scheme: str,

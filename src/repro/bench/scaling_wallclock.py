@@ -53,10 +53,9 @@ def _box_case(dims, scheme: str, precision: str):
     virtual-gpu setup (but standalone, so the sweep controls stepping)."""
     from ..acoustics.geometry import Room, shape_by_name
     from ..acoustics.grid import Grid3D
+    from ..acoustics.lift_programs import compiled_host, host_inputs
     from ..acoustics.materials import MaterialTable, default_fi_materials
     from ..acoustics.topology import build_topology
-    from ..acoustics.lift_programs import two_kernel_host
-    from ..lift.codegen.host import compile_host
 
     if scheme not in ("fi_mm",):
         raise ValueError(
@@ -68,20 +67,12 @@ def _box_case(dims, scheme: str, precision: str):
                           num_materials=4)
     dtype = np.float32 if precision == "single" else np.float64
     N = grid.num_points
-    guard = grid.nx * grid.ny
     table = MaterialTable.from_fi(default_fi_materials(4), dtype=dtype)
-    curr = np.zeros(N + guard, dtype=dtype)
+    prev, curr = (np.zeros(N + grid.nx * grid.ny, dtype=dtype)
+                  for _ in range(2))
     curr[grid.flat_index(grid.nx // 2, grid.ny // 2, grid.nz // 2)] = 1.0
-    inputs = dict(boundaries=topo.boundary_indices,
-                  materialIdx=topo.material,
-                  neighbors=topo.nbrs_guarded,
-                  betaTable=table.beta, prev1_h=curr,
-                  prev2_h=np.zeros(N + guard, dtype=dtype),
-                  lambda_h=dtype(grid.courant),
-                  Nx_h=grid.nx, NxNy_h=grid.nx * grid.ny)
-    sizes = dict(N=N, NP=N + guard, K=topo.num_boundary_points,
-                 M=table.num_materials)
-    host = compile_host(two_kernel_host(scheme, precision).program, "ac")
+    inputs, sizes = host_inputs(scheme, grid, topo, table, prev, curr)
+    host = compiled_host(scheme, precision, table.num_branches)
     return dict(host=host, inputs=inputs, sizes=sizes, N=N)
 
 
@@ -90,13 +81,14 @@ def _run_baseline(case, steps: int):
     ``(result, whole-call wall, step-loop wall, modelled kernel ms)``.
     The loop wall times the steps alone, after the plan is open, as
     every shard worker times its own."""
+    from ..acoustics.lift_programs import LEAPFROG
     from ..gpu import NVIDIA_TITAN_BLACK, VirtualGPU
     from ..gpu.runtime import ResidentPlan
     gpu = VirtualGPU(NVIDIA_TITAN_BLACK)
     t0 = time.perf_counter()
     state = ResidentPlan.stepping(
         gpu, case["host"].plan, dict(case["inputs"]), case["sizes"],
-        [("prev2_h", "prev1_h", "__out__")], [])
+        [LEAPFROG], [])
     t_loop = time.perf_counter()
     for step in range(steps):
         state.run_fused(step)
@@ -115,6 +107,7 @@ def scaling_wallclock_benchmark(scale: int = 1, size: str = "302",
                                 steps: int = 8,
                                 shard_counts=DEFAULT_SHARDS) -> dict:
     """Sweep shard counts over one room; see the module docstring."""
+    from ..acoustics.lift_programs import LEAPFROG
     from ..gpu import MultiGPU
 
     dims = scaled_dims(size, scale)
@@ -143,8 +136,7 @@ def scaling_wallclock_benchmark(scale: int = 1, size: str = "302",
         pool = MultiGPU(f"TitanBlack:{k}", parallel=True)
         res = pool.execute_many(case["host"], dict(case["inputs"]),
                                 case["sizes"], steps,
-                                rotations=[("prev2_h", "prev1_h",
-                                            "__out__")])
+                                rotations=[LEAPFROG])
         ov = res.overlap
         final = np.asarray(res.buffers["final:prev1_h"])[:case["N"]]
         loop_wall = ov["measured"]["loop_wall_s"]

@@ -30,6 +30,7 @@ import io
 import random
 import time
 
+from ..obs import window_percentile
 from ..serve import SimulationService
 
 
@@ -107,14 +108,6 @@ def loadgen_tenants(n: int, rate: float):
         Tenant(f"lg-{i}", f"key-lg-{i}", rate=max(0.5, per * 0.6),
                burst=4.0, max_concurrent=64, queue_share=0.5)
         for i in range(n))
-
-
-def _wall_percentile(xs, q: float) -> float:
-    if not xs:
-        return 0.0
-    xs = sorted(xs)
-    rank = max(1, int(-(-q * len(xs) // 100)))
-    return float(xs[min(rank, len(xs)) - 1])
 
 
 def loadgen_benchmark(*, rate: float = 40.0, jobs: int = 120,
@@ -206,13 +199,13 @@ def loadgen_benchmark(*, rate: float = 40.0, jobs: int = 120,
             "goodput_jobs_per_s": round(len(done) / wall_s, 3)
             if wall_s > 0 else 0.0,
             "latency_ms": {
-                "p50": round(_wall_percentile(lat, 50), 3),
-                "p95": round(_wall_percentile(lat, 95), 3),
-                "p99": round(_wall_percentile(lat, 99), 3)},
+                "p50": round(window_percentile(lat, 50), 3),
+                "p95": round(window_percentile(lat, 95), 3),
+                "p99": round(window_percentile(lat, 99), 3)},
             "executed_latency_ms": {
-                "p50": round(_wall_percentile(executed_lat, 50), 3),
-                "p95": round(_wall_percentile(executed_lat, 95), 3),
-                "p99": round(_wall_percentile(executed_lat, 99), 3)},
+                "p50": round(window_percentile(executed_lat, 50), 3),
+                "p95": round(window_percentile(executed_lat, 95), 3),
+                "p99": round(window_percentile(executed_lat, 99), 3)},
             "executions": health["executions"],
             "gateway": health["gateway"],
         }

@@ -29,8 +29,9 @@ DEFAULT_MAX_VALUES = 2048
 
 
 def window_percentile(values, q: float) -> float:
-    """Nearest-rank percentile of ``values`` (deterministic, the same
-    convention as the service's summary stats)."""
+    """Nearest-rank percentile of ``values`` (deterministic, no
+    interpolation): also the service's and the load generator's summary
+    statistic."""
     if not values:
         return 0.0
     xs = sorted(values)

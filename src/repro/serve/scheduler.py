@@ -65,6 +65,7 @@ import threading
 from dataclasses import replace
 
 from .. import obs as _obs
+from ..obs import window_percentile
 from ..acoustics.sim import Checkpoint, SimulationDiverged
 from ..gpu.device import DeviceSpec, resolve_device
 from .cache import CompileCache, ResultCache
@@ -310,10 +311,10 @@ class SimulationService:
             "makespan_ms": makespan_ms,
             "jobs_per_sec": (done / (makespan_ms / 1e3)
                              if makespan_ms > 0 else 0.0),
-            "wait_ms": {"p50": _percentile(self._waits, 50),
-                        "p95": _percentile(self._waits, 95)},
-            "latency_ms": {"p50": _percentile(self._latencies, 50),
-                           "p95": _percentile(self._latencies, 95)},
+            "wait_ms": {"p50": window_percentile(self._waits, 50),
+                        "p95": window_percentile(self._waits, 95)},
+            "latency_ms": {"p50": window_percentile(self._latencies, 50),
+                           "p95": window_percentile(self._latencies, 95)},
             "batches": self.batches,
             # compile-tier counters only: the autotune memo is
             # process-wide (see CompileCache.stats()), so folding its
@@ -852,12 +853,3 @@ class SimulationService:
         names = ",".join(d.name for d in self.pool.devices)
         return (f"SimulationService(pool=({names}), queued={len(self.queue)}, "
                 f"submitted={len(self._handles)})")
-
-
-def _percentile(values, q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return 0.0
-    xs = sorted(values)
-    rank = max(1, int(-(-q * len(xs) // 100)))   # ceil(q/100 * n)
-    return float(xs[min(rank, len(xs)) - 1])

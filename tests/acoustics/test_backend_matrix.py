@@ -111,10 +111,8 @@ class TestBackendConfig:
                       host_program=object())
 
     def test_compiled_host_program_accepted(self):
-        from repro.acoustics.lift_programs import two_kernel_host
-        from repro.lift.codegen.host import compile_host
-        hp = two_kernel_host("fi_mm", "double", 3)
-        prog = compile_host(hp.program, hp.name)
+        from repro.acoustics.lift_programs import compiled_host
+        prog = compiled_host("fi_mm", "double", 3)
         room = Room(Grid3D(8, 8, 8), DomeRoom())
         cfg = SimConfig(room=room, backend="virtual_gpu",
                         host_program=prog)

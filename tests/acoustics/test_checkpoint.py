@@ -321,6 +321,18 @@ class TestAtomicSave:
         resumed.load_checkpoint(tmp_path / "bare.npz")
         assert resumed.time_step == 2
 
+    def test_load_applies_the_suffix_rule_of_save(self, tmp_path):
+        """The path a checkpoint was saved under loads it, with or
+        without the ``.npz`` that save appended."""
+        sim = make_sim()
+        sim.run(2)
+        sim.save_checkpoint(tmp_path / "cp")
+        for path in (tmp_path / "cp", str(tmp_path / "cp")):
+            resumed = make_sim()
+            resumed.load_checkpoint(path)
+            assert resumed.time_step == 2
+            assert Checkpoint.load(path).time_step == 2
+
     def test_on_checkpoint_hook_fires_per_boundary(self):
         seen = []
         sim = make_sim(checkpoint_interval=3,

@@ -12,6 +12,7 @@ import pytest
 
 from repro import obs
 from repro.acoustics import DomeRoom, Grid3D, Room, RoomSimulation, SimConfig
+from repro.acoustics.lift_programs import LEAPFROG
 from repro.gpu import ClInvalidValue, FaultPlan, FaultSpec
 from repro.lift.codegen import loops
 from repro.lift.codegen.loops import (LoopsUnsupported, available_tiers,
@@ -252,7 +253,7 @@ def test_launches_with_no_compiled_tier_name_numpy(path, monkeypatch):
     with obs.observe() as o:
         if path == "one-shot":
             res = runtime.VirtualGPU(sim.devices[0]).execute(
-                sim._host_program, sim._vgpu_inputs(), sim._size_env())
+                sim._host_program, *sim._vgpu_io())
         else:
             sim.run(3)
     if path == "one-shot":
@@ -293,8 +294,7 @@ def test_compile_step_checks_the_plan_wiring():
     # a cycle that does not end in the step's output is no leapfrog cycle
     with pytest.raises(ClInvalidValue, match="leapfrog"):
         sim._gpu.compile_step(plan, [("prev2_h", "prev1_h")])
-    assert sim._gpu.compile_step(plan, [("prev2_h", "prev1_h",
-                                         "__out__")]).links
+    assert sim._gpu.compile_step(plan, [LEAPFROG]).links
 
 
 def test_set_devices_refuses_a_host_backend():

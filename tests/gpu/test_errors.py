@@ -5,42 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.acoustics.geometry import DomeRoom, Room
-from repro.acoustics.grid import Grid3D
-from repro.acoustics.lift_programs import two_kernel_host
-from repro.acoustics.materials import MaterialTable, default_fi_materials
-from repro.acoustics.topology import build_topology
-from repro.lift.codegen.host import compile_host
+from repro.acoustics.lift_programs import LEAPFROG
 from repro.gpu import (CL_STATUS_TABLE, ClError, ClInvalidBufferSize,
                        ClInvalidKernelArgs, ClInvalidValue,
                        ClMemAllocationFailure, NVIDIA_TITAN_BLACK,
                        VirtualGPU)
 
+from ..listing5 import listing5_problem
+
 
 @pytest.fixture(scope="module")
 def problem():
-    g = Grid3D(14, 12, 10)
-    topo = build_topology(Room(g, DomeRoom()), num_materials=4)
-    rng = np.random.default_rng(5)
-    N = g.num_points
-    guard = g.nx * g.ny
-
-    def state():
-        a = np.zeros(N + guard)
-        ins = topo.room.inside_mask().reshape(-1)
-        a[:N][ins] = rng.standard_normal(int(ins.sum()))
-        return a
-
-    table = MaterialTable.from_fi(default_fi_materials(4))
-    host = compile_host(two_kernel_host("fi_mm", "double").program, "ac")
-    inputs = dict(boundaries=topo.boundary_indices, materialIdx=topo.material,
-                  neighbors=np.concatenate([topo.nbrs,
-                                            np.zeros(guard, np.int32)]),
-                  betaTable=table.beta, prev1_h=state(), prev2_h=state(),
-                  lambda_h=g.courant, Nx_h=g.nx, NxNy_h=g.nx * g.ny)
-    sizes = dict(N=N, NP=N + guard, K=topo.num_boundary_points,
-                 M=table.num_materials)
-    return dict(host=host, inputs=inputs, sizes=sizes, N=N, guard=guard)
+    return listing5_problem()
 
 
 class TestHierarchy:
@@ -79,7 +55,7 @@ class TestValidation:
         with pytest.raises(ClInvalidValue, match="'M'"):
             gpu.execute_many(problem["host"], problem["inputs"], sizes,
                              steps=2,
-                             rotations=[("prev2_h", "prev1_h", "__out__")])
+                             rotations=[LEAPFROG])
 
     def test_missing_input_names_host_param(self, problem):
         gpu = VirtualGPU(NVIDIA_TITAN_BLACK)
@@ -130,29 +106,21 @@ class TestTransferValidation:
 
 
 class TestCapacityEnforcement:
-    def test_global_memory_exhaustion(self, problem):
+    def test_global_memory_exhaustion(self):
         # the fd_mm plan spreads state over many buffers, so a capacity
         # just below the true total trips the global check (not the
         # single-allocation cap)
-        from repro.acoustics.materials import default_fd_materials
-        table = MaterialTable.from_fd(default_fd_materials(4), 3)
-        host = compile_host(two_kernel_host("fd_mm", "double", 3).program,
-                            "ac")
-        K = problem["sizes"]["K"]
-        inputs = dict(problem["inputs"], betaTable=table.beta,
-                      BI_h=table.BI.reshape(-1), DI_h=table.DI.reshape(-1),
-                      F_h=table.F.reshape(-1), D_h=table.D.reshape(-1),
-                      g1_h=np.zeros(3 * K), v2_h=np.zeros(3 * K),
-                      v1_h=np.zeros(3 * K), K=K)
+        fd = listing5_problem("fd_mm")
+        host, inputs = fd["host"], fd["inputs"]
         unlimited = VirtualGPU(dataclasses.replace(NVIDIA_TITAN_BLACK,
                                                    global_mem_bytes=0))
-        full = unlimited.execute(host, inputs, problem["sizes"])
+        full = unlimited.execute(host, inputs, fd["sizes"])
         total = sum(b.nbytes for b in full.buffers.values())
         tiny = dataclasses.replace(NVIDIA_TITAN_BLACK,
                                    global_mem_bytes=total - 1)
         gpu = VirtualGPU(tiny)
         with pytest.raises(ClMemAllocationFailure) as ei:
-            gpu.execute(host, inputs, problem["sizes"])
+            gpu.execute(host, inputs, fd["sizes"])
         ctx = ei.value.context
         assert ctx["capacity_bytes"] == total - 1
         assert ctx["requested_bytes"] + ctx["in_use_bytes"] > total - 1

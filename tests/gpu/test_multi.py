@@ -7,11 +7,8 @@ from repro import obs
 from repro.acoustics import lift_programs
 from repro.acoustics.geometry import DomeRoom, Room
 from repro.acoustics.grid import Grid3D
-from repro.acoustics.lift_programs import two_kernel_host
-from repro.acoustics.materials import (MaterialTable, default_fd_materials,
-                                       default_fi_materials)
+from repro.acoustics.lift_programs import LEAPFROG
 from repro.acoustics.sim import RoomSimulation, SimConfig
-from repro.acoustics.topology import build_topology
 from repro.lift.codegen.host import compile_host
 from repro.lift.codegen.loops import LoopsUnsupported, available_tiers
 from repro.gpu import (AMD_HD7970, AMD_R9_295X2, ClInvalidValue, DeviceSpec,
@@ -19,74 +16,33 @@ from repro.gpu import (AMD_HD7970, AMD_R9_295X2, ClInvalidValue, DeviceSpec,
                        ShardLost, VirtualGPU, decompose, peer_connected,
                        resolve_device)
 
+from ..listing5 import listing5_problem
 from .conftest import step_launches
 
 STEPS = 7
-ROT_FI = [("prev2_h", "prev1_h", "__out__")]
+ROT_FI = [LEAPFROG]
 #: Listing 5's FD-MM rotations, for the launch-by-launch reference only:
 #: ``execute()`` writes the new branch velocity into ``v1_h``, which the
 #: host then swaps into ``v2_h``; a pool's step writes it over ``v2_h``
-#: and refuses the swap
-LISTING5_FD = [("prev2_h", "prev1_h", "__out__"), ("v2_h", "v1_h")]
+#: and refuses the swap.  ``execute()`` uploads ``v2_h`` and ``v1_h`` to
+#: two buffers even where, as ``host_inputs`` binds them, they are one
+#: host array
+LISTING5_FD = [LEAPFROG, ("v2_h", "v1_h")]
 
 
 @pytest.fixture(scope="module")
-def grid():
-    return Grid3D(14, 12, 10)
+def fi_mm():
+    return listing5_problem()
 
 
 @pytest.fixture(scope="module")
-def topo(grid):
-    return build_topology(Room(grid, DomeRoom()), num_materials=4)
-
-
-def _states(grid, topo, seed=5):
-    rng = np.random.default_rng(seed)
-    N = grid.num_points
-    guard = grid.nx * grid.ny
-    ins = topo.room.inside_mask().reshape(-1)
-
-    def state():
-        a = np.zeros(N + guard)
-        a[:N][ins] = rng.standard_normal(int(ins.sum()))
-        return a
-
-    return state(), state()
+def grid(fi_mm):
+    return fi_mm["grid"]
 
 
 @pytest.fixture(scope="module")
-def fi_mm(grid, topo):
-    g = grid
-    N = g.num_points
-    guard = g.nx * g.ny
-    prev, curr = _states(g, topo)
-    table = MaterialTable.from_fi(default_fi_materials(4))
-    inputs = dict(boundaries=topo.boundary_indices, materialIdx=topo.material,
-                  neighbors=np.concatenate([topo.nbrs,
-                                            np.zeros(guard, np.int32)]),
-                  betaTable=table.beta, prev1_h=curr, prev2_h=prev,
-                  lambda_h=g.courant, Nx_h=g.nx, NxNy_h=g.nx * g.ny)
-    sizes = dict(N=N, NP=N + guard, K=topo.num_boundary_points,
-                 M=table.num_materials)
-    host = compile_host(two_kernel_host("fi_mm", "double").program, "ac")
-    return dict(host=host, inputs=inputs, sizes=sizes, N=N)
-
-
-@pytest.fixture(scope="module")
-def fd_mm(grid, topo, fi_mm):
-    table = MaterialTable.from_fd(default_fd_materials(4), 3)
-    K = topo.num_boundary_points
-    rng = np.random.default_rng(8)
-    inputs = dict(fi_mm["inputs"])
-    inputs.update(betaTable=table.beta, BI_h=table.BI.reshape(-1),
-                  DI_h=table.DI.reshape(-1), F_h=table.F.reshape(-1),
-                  D_h=table.D.reshape(-1),
-                  g1_h=rng.standard_normal(3 * K),
-                  v2_h=rng.standard_normal(3 * K),
-                  v1_h=np.zeros(3 * K), K=K)
-    host = compile_host(two_kernel_host("fd_mm", "double", 3).program, "ac")
-    return dict(host=host, inputs=inputs, sizes=dict(fi_mm["sizes"]),
-                N=fi_mm["N"])
+def fd_mm():
+    return listing5_problem("fd_mm", branch_seed=8)
 
 
 class TestDecompose:
@@ -192,10 +148,10 @@ class TestBitIdentity:
         assert np.array_equal(res.result[:N], np.asarray(ref.result)[:N])
         assert res.halo_time_ms() == 0.0
 
-    def test_boundaryless_shard_drops_boundary_launch(self, fi_mm, grid,
-                                                      topo):
+    def test_boundaryless_shard_drops_boundary_launch(self, fi_mm, grid):
         # keep only boundary points in the lower half of the grid: the
         # upper shard then has K_local == 0 and must run volume-only
+        topo = fi_mm["topo"]
         plane = grid.nx * grid.ny
         half = (grid.nz // 2) * plane
         bidx = topo.boundary_indices

@@ -14,45 +14,22 @@ import pytest
 from repro.acoustics import RoomSimulation, SimConfig
 from repro.acoustics.geometry import DomeRoom, Room
 from repro.acoustics.grid import Grid3D
-from repro.acoustics.lift_programs import two_kernel_host
-from repro.acoustics.materials import MaterialTable, default_fi_materials
-from repro.acoustics.topology import build_topology
-from repro.lift.codegen.host import compile_host
+from repro.acoustics.lift_programs import LEAPFROG
+from repro.acoustics.materials import default_fi_materials
 from repro.gpu import (ClInvalidValue, FaultPlan, FaultSpec,
                        NVIDIA_TITAN_BLACK, ResilientGPU, VirtualGPU)
 from repro.gpu.runtime import ResidentPlan
 
+from ..listing5 import listing5_problem
 from .conftest import step_launches
 
 
 @pytest.fixture(scope="module")
 def problem():
-    g = Grid3D(14, 12, 10)
-    topo = build_topology(Room(g, DomeRoom()), num_materials=4)
-    rng = np.random.default_rng(5)
-    N = g.num_points
-    guard = g.nx * g.ny
-    ins = topo.room.inside_mask().reshape(-1)
-
-    def state():
-        a = np.zeros(N + guard)
-        a[:N][ins] = rng.standard_normal(int(ins.sum()))
-        return a
-
-    table = MaterialTable.from_fi(default_fi_materials(4))
-    host = compile_host(two_kernel_host("fi_mm", "double").program, "ac")
-    inputs = dict(boundaries=topo.boundary_indices,
-                  materialIdx=topo.material,
-                  neighbors=np.concatenate([topo.nbrs,
-                                            np.zeros(guard, np.int32)]),
-                  betaTable=table.beta, prev1_h=state(), prev2_h=state(),
-                  lambda_h=g.courant, Nx_h=g.nx, NxNy_h=g.nx * g.ny)
-    sizes = dict(N=N, NP=N + guard, K=topo.num_boundary_points,
-                 M=table.num_materials)
-    return dict(host=host, inputs=inputs, sizes=sizes, N=N)
+    return listing5_problem()
 
 
-ROT = [("prev2_h", "prev1_h", "__out__")]
+ROT = [LEAPFROG]
 
 
 class TestHoisting:

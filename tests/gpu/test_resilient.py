@@ -5,43 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.acoustics.geometry import DomeRoom, Room
-from repro.acoustics.grid import Grid3D
-from repro.acoustics.lift_programs import two_kernel_host
-from repro.acoustics.materials import MaterialTable, default_fi_materials
-from repro.acoustics.topology import build_topology
-from repro.lift.codegen.host import compile_host
+from repro.acoustics.lift_programs import LEAPFROG
 from repro.gpu import (AMD_HD7970, ClInvalidKernelArgs, ClInvalidValue,
                        FaultPlan, FaultSpec, NVIDIA_TITAN_BLACK,
                        ResilientGPU, RetryPolicy, VirtualGPU)
 
+from ..listing5 import listing5_problem
 from .conftest import step_launches
 
 
 @pytest.fixture(scope="module")
 def problem():
-    g = Grid3D(14, 12, 10)
-    topo = build_topology(Room(g, DomeRoom()), num_materials=4)
-    rng = np.random.default_rng(5)
-    N = g.num_points
-    guard = g.nx * g.ny
-
-    def state():
-        a = np.zeros(N + guard)
-        ins = topo.room.inside_mask().reshape(-1)
-        a[:N][ins] = rng.standard_normal(int(ins.sum()))
-        return a
-
-    table = MaterialTable.from_fi(default_fi_materials(4))
-    host = compile_host(two_kernel_host("fi_mm", "double").program, "ac")
-    inputs = dict(boundaries=topo.boundary_indices, materialIdx=topo.material,
-                  neighbors=np.concatenate([topo.nbrs,
-                                            np.zeros(guard, np.int32)]),
-                  betaTable=table.beta, prev1_h=state(), prev2_h=state(),
-                  lambda_h=g.courant, Nx_h=g.nx, NxNy_h=g.nx * g.ny)
-    sizes = dict(N=N, NP=N + guard, K=topo.num_boundary_points,
-                 M=table.num_materials)
-    return dict(host=host, inputs=inputs, sizes=sizes, N=N)
+    return listing5_problem()
 
 
 def run(gpu, p, **kw):
@@ -166,7 +141,7 @@ class TestTransparency:
     def test_execute_many_supported(self, problem):
         plan = FaultPlan([FaultSpec("launch_abort", steps=(1,))], seed=1)
         gpu = ResilientGPU(VirtualGPU(NVIDIA_TITAN_BLACK, faults=plan))
-        rot = [("prev2_h", "prev1_h", "__out__")]
+        rot = [LEAPFROG]
         a = gpu.execute_many(problem["host"], problem["inputs"],
                              problem["sizes"], 4, rotations=rot)
         b = step_launches(VirtualGPU(NVIDIA_TITAN_BLACK), problem["host"],

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.acoustics import BoxRoom, Grid3D, Room
-from repro.acoustics.sim import _VGPU_ROTATIONS, RoomSimulation, SimConfig
+from repro.acoustics.lift_programs import LEAPFROG
+from repro.acoustics.sim import RoomSimulation, SimConfig
 from repro.bench.harness import kernel_resources
 from repro.lift.codegen.host import Launch
 from repro.gpu import (AutotuneMemo, NVIDIA_TITAN_BLACK, VirtualGPU,
@@ -76,8 +77,7 @@ def test_one_device_runs_each_precisions_own_kernel(order):
             sim.add_impulse("center")
         steady, sim = sims
         steady.run(steps)
-        args = (sim._host_program, sim._vgpu_inputs(), sim._size_env(),
-                steps, _VGPU_ROTATIONS)
+        args = (sim._host_program, *sim._vgpu_io(), steps, [LEAPFROG])
         res = step_launches(gpu, *args)
         n = sim._N
         assert np.array_equal(np.asarray(res.result)[:n], steady.curr[:n])

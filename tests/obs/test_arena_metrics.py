@@ -12,20 +12,15 @@ compiled-loop backend holds no full-grid temporaries, which is its whole
 point).
 """
 
-import numpy as np
 import pytest
 
 from repro import obs
-from repro.acoustics.geometry import DomeRoom, Room
-from repro.acoustics.grid import Grid3D
-from repro.acoustics.lift_programs import two_kernel_host
-from repro.acoustics.materials import MaterialTable, default_fi_materials
-from repro.acoustics.topology import build_topology
 from repro.lift.codegen.arena import ArenaProgram
-from repro.lift.codegen.host import compile_host
 from repro.gpu import NVIDIA_TITAN_BLACK, VirtualGPU
 from repro.gpu.runtime import clear_kernel_caches, kernel_cache_stats
 from repro.obs import prometheus_text, validate_prometheus_text
+
+from ..listing5 import listing5_problem
 
 
 @pytest.fixture(autouse=True)
@@ -46,28 +41,8 @@ def _numpy_steady_kernels(monkeypatch):
 
 @pytest.fixture(scope="module")
 def run_args():
-    g = Grid3D(14, 12, 10)
-    topo = build_topology(Room(g, DomeRoom()), num_materials=4)
-    rng = np.random.default_rng(5)
-    N, guard = g.num_points, g.nx * g.ny
-
-    def state():
-        a = np.zeros(N + guard)
-        ins = topo.room.inside_mask().reshape(-1)
-        a[:N][ins] = rng.standard_normal(int(ins.sum()))
-        return a
-
-    table = MaterialTable.from_fi(default_fi_materials(4))
-    host = compile_host(two_kernel_host("fi_mm", "double").program, "ac")
-    inputs = dict(boundaries=topo.boundary_indices,
-                  materialIdx=topo.material,
-                  neighbors=np.concatenate([topo.nbrs,
-                                            np.zeros(guard, np.int32)]),
-                  betaTable=table.beta, prev1_h=state(), prev2_h=state(),
-                  lambda_h=g.courant, Nx_h=g.nx, NxNy_h=g.nx * g.ny)
-    sizes = dict(N=N, NP=N + guard, K=topo.num_boundary_points,
-                 M=table.num_materials)
-    return host, inputs, sizes
+    p = listing5_problem()
+    return p["host"], p["inputs"], p["sizes"]
 
 
 def _launch_steps(host, inputs, sizes, steps):

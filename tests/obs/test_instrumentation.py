@@ -13,16 +13,15 @@ import pytest
 from repro import obs
 from repro.acoustics.geometry import DomeRoom, Room
 from repro.acoustics.grid import Grid3D
-from repro.acoustics.lift_programs import two_kernel_host
-from repro.acoustics.materials import MaterialTable, default_fi_materials
+from repro.acoustics.lift_programs import LEAPFROG, compiled_host
 from repro.acoustics.sim import RoomSimulation, SimConfig
-from repro.acoustics.topology import build_topology
-from repro.lift.codegen.host import compile_host
 from repro.gpu import (FaultPlan, FaultSpec, NVIDIA_TITAN_BLACK,
                        ResilientGPU, RetryPolicy, VirtualGPU,
                        transfer_time_ms)
 from repro.obs import (chrome_trace, prometheus_text, validate_chrome_trace,
                        validate_prometheus_text, kernel_report)
+
+from ..listing5 import listing5_problem
 
 
 @pytest.fixture(autouse=True)
@@ -33,28 +32,7 @@ def _no_leaked_session():
 
 @pytest.fixture(scope="module")
 def problem():
-    g = Grid3D(14, 12, 10)
-    topo = build_topology(Room(g, DomeRoom()), num_materials=4)
-    rng = np.random.default_rng(5)
-    N = g.num_points
-    guard = g.nx * g.ny
-
-    def state():
-        a = np.zeros(N + guard)
-        ins = topo.room.inside_mask().reshape(-1)
-        a[:N][ins] = rng.standard_normal(int(ins.sum()))
-        return a
-
-    table = MaterialTable.from_fi(default_fi_materials(4))
-    host = compile_host(two_kernel_host("fi_mm", "double").program, "ac")
-    inputs = dict(boundaries=topo.boundary_indices, materialIdx=topo.material,
-                  neighbors=np.concatenate([topo.nbrs,
-                                            np.zeros(guard, np.int32)]),
-                  betaTable=table.beta, prev1_h=state(), prev2_h=state(),
-                  lambda_h=g.courant, Nx_h=g.nx, NxNy_h=g.nx * g.ny)
-    sizes = dict(N=N, NP=N + guard, K=topo.num_boundary_points,
-                 M=table.num_materials)
-    return dict(host=host, inputs=inputs, sizes=sizes, N=N)
+    return listing5_problem()
 
 
 def make_sim(**kw):
@@ -88,7 +66,7 @@ class TestDisabledByDefault:
 class TestCompileSpans:
     def test_host_compilation_phases_nest(self):
         with obs.observe() as o:
-            compile_host(two_kernel_host("fi_mm", "double").program, "ac")
+            compiled_host("fi_mm", "double", 3)
         host = o.tracer.find("lift.compile_host")
         assert len(host) == 1
         kernels = o.tracer.find("lift.compile_kernel")
@@ -144,7 +122,7 @@ class TestExecuteSpans:
         with obs.observe() as o:
             VirtualGPU(NVIDIA_TITAN_BLACK).execute_many(
                 problem["host"], problem["inputs"], problem["sizes"],
-                steps=3, rotations=[("prev2_h", "prev1_h", "__out__")])
+                steps=3, rotations=[LEAPFROG])
         many = o.tracer.find("gpu.execute_many")
         assert len(many) == 1
         steps = o.tracer.find("gpu.step", cat="step")
@@ -222,13 +200,12 @@ class TestFaultTrace:
         trace and a Prometheus export with all three metric families."""
         plan = FaultPlan([FaultSpec("launch_abort", steps=(1,))], seed=2)
         with obs.observe() as o:
-            host = compile_host(two_kernel_host("fi_mm", "double").program,
-                                "ac")
+            host = compiled_host("fi_mm", "double", 3)
             gpu = ResilientGPU(VirtualGPU(NVIDIA_TITAN_BLACK, faults=plan),
                                RetryPolicy(backoff_ms=0.1))
             res = gpu.execute_many(
                 host, problem["inputs"], problem["sizes"], steps=3,
-                rotations=[("prev2_h", "prev1_h", "__out__")])
+                rotations=[LEAPFROG])
         # every layer appears: compile → execute_many → step → launch → retry
         names = {s.name for s in o.tracer.spans}
         assert {"lift.compile_host", "lift.compile_kernel",
@@ -274,8 +251,8 @@ class TestSimulationSpans:
         gpu = VirtualGPU(sim.devices[0])
         with obs.observe() as o:
             for step in range(2):
-                gpu.execute(sim._host_program, sim._vgpu_inputs(),
-                            sim._size_env(), fault_step=step)
+                gpu.execute(sim._host_program, *sim._vgpu_io(),
+                            fault_step=step)
         runs = o.tracer.find("gpu.execute")
         assert len(runs) == 2
         for s in runs:
