@@ -11,7 +11,8 @@ validated against (and benchmarked against) the hand-written baseline:
     The loop transliterations of the paper listings (tiny rooms only).
 ``lift`` (= ``numpy-steady``), ``numba``
     LIFT programs (:mod:`.lift_programs`) lowered once to an
-    ``ArenaProgram`` and run as one step
+    ``ArenaProgram`` (kept in the loops disk cache, so a warm process
+    loads no LIFT front end) and run as one step
     (:func:`repro.lift.codegen.loops.compile_step`) that overwrites
     ``prev`` in place — i.e. *generated* code: on whole arrays through
     the NumPy workspace-arena source, or compiled.
@@ -40,18 +41,16 @@ from __future__ import annotations
 import json
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .. import obs as _obs
-from ..lift.codegen.loops import compile_step
+from ..lift.codegen.loops import compile_step, lowered_programs
 from .geometry import Room
 from .grid import Grid3D
-from .lift_programs import (LEAPFROG, compiled_host, fd_mm_boundary,
-                            fi_fused_flat, fi_mm_boundary, host_inputs,
-                            host_sizes, volume_kernel)
+from .host_io import LEAPFROG, host_inputs, host_sizes
 from .materials import (FDMaterial, FIMaterial, MaterialTable,
                         default_fd_materials, default_fi_materials)
 from .topology import RoomTopology, build_topology
@@ -75,6 +74,15 @@ CHECKPOINT_VERSION = 3
 
 #: the ``virtual_gpu`` paths of a device pool, which advance in segments
 _SEGMENTED = ("parallel", "pool-loop")
+
+#: each scheme's LIFT kernels by role, in launch order: the builder of
+#: :mod:`.lift_programs` that makes each (``fd_mm_boundary`` also takes
+#: the table's branch count)
+_KERNELS = {"fi": {"fused": "fi_fused_flat"},
+            "fi_mm": {"volume": "volume_kernel",
+                      "boundary": "fi_mm_boundary"},
+            "fd_mm": {"volume": "volume_kernel",
+                      "boundary": "fd_mm_boundary"}}
 
 
 def _npz_path(path) -> str:
@@ -384,24 +392,34 @@ class RoomSimulation:
 
     # -- LIFT backends ----------------------------------------------------------------
     def _programs(self) -> dict:
-        """The scheme's LIFT kernels by role, in launch order."""
+        """The scheme's LIFT kernels by role, in launch order
+        (``_KERNELS``)."""
+        from . import lift_programs
         prec = self.config.precision
-        if self.config.scheme == "fi":
-            return {"fused": fi_fused_flat(prec)}
-        return {"volume": volume_kernel(prec),
-                "boundary": (fi_mm_boundary(prec)
-                             if self.config.scheme == "fi_mm" else
-                             fd_mm_boundary(prec, self.table.num_branches))}
+        extra = {"fd_mm_boundary": (self.table.num_branches,)}
+        return {role: getattr(lift_programs, name)(prec, *extra.get(name, ()))
+                for role, name in _KERNELS[self.config.scheme].items()}
+
+    def _lower(self) -> list:
+        """:meth:`_programs` lowered to their ``ArenaProgram`` s."""
+        from ..lift.codegen.numpy_backend import lower_arena
+        return [lower_arena(p.kernel, p.name)
+                for p in self._programs().values()]
 
     def _compile_lift(self):
-        """Lower :meth:`_programs` into one step (``_step``) over two
-        time levels: on whole arrays for ``numpy-steady``, compiled for
-        ``numba``.  Returns the bound step."""
-        from ..lift.codegen.numpy_backend import lower_arena
-        steady = self.config.backend == "numpy-steady"
-        self._step = compile_step([lower_arena(p.kernel, p.name)
-                                   for p in self._programs().values()],
-                                  tier="numpy" if steady else None)
+        """Compile the lowered :meth:`_programs` into one step
+        (``_step``) over two time levels: on whole arrays for
+        ``numpy-steady``, compiled for ``numba``.  The lowering comes
+        from the loops disk cache when an earlier process stored it
+        (:func:`~repro.lift.codegen.loops.lowered_programs`), and then
+        no LIFT front end is loaded.  Returns the bound step."""
+        cfg = self.config
+        steady = cfg.backend == "numpy-steady"
+        what = (repr(_KERNELS[cfg.scheme]), cfg.precision,
+                str(self.table.num_branches))
+        builders = os.path.join(os.path.dirname(__file__), "lift_programs.py")
+        programs = lowered_programs(what, builders, self._lower)
+        self._step = compile_step(programs, tier="numpy" if steady else None)
         self._tier = self._step.tier
         if not steady:
             self._path = "fused-step"
@@ -409,6 +427,7 @@ class RoomSimulation:
 
     def _setup_virtual_gpu(self):
         from ..gpu.device import resolve_device
+        from .lift_programs import compiled_host
         cfg = self.config
         self._host_program = cfg.host_program or compiled_host(
             cfg.scheme, cfg.precision, self.table.num_branches)

@@ -15,7 +15,6 @@ virtual-GPU kernel time for one cell of the paper's tables:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 

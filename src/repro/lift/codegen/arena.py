@@ -430,7 +430,7 @@ class ArenaProgram:
     inv: frozenset = frozenset()
     #: memory-allocation plan (repro.lift.memory.KernelAllocation);
     #: carried for the compiled callable, not part of the IR identity
-    alloc: object | None = None
+    alloc: object | None = field(default=None, compare=False, repr=False)
 
     # -- queries -------------------------------------------------------
 

@@ -99,8 +99,9 @@ import ctypes
 import functools
 import hashlib
 import os
+import pickle
 import shutil
-import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass, field, replace
 
@@ -113,7 +114,8 @@ from .bounds import IndexCheck
 
 __all__ = ["LoopsUnsupported", "StepKernel", "available_tiers",
            "compile_launch", "compile_step", "loops_cache_dir",
-           "loops_disk_cache_stats", "select_tier", "set_loops_cache_dir"]
+           "loops_disk_cache_stats", "lowered_programs", "select_tier",
+           "set_loops_cache_dir"]
 
 
 class LoopsUnsupported(RuntimeError):
@@ -283,7 +285,9 @@ _CC_LADDER = {"vector+openmp": (*_CC_VECTOR_FLAGS, "-fopenmp"),
               "vector": _CC_VECTOR_FLAGS,
               "openmp": ("-fopenmp",),
               "plain": ()}
-_disk_cache: dict = {}          # {"dir": str|None, "hits": int, "misses": int}
+#: {"dir": str|None, "hits", "misses" (``.so`` files), "lowered_hits",
+#: "lowered_misses" (programs): int}
+_disk_cache: dict = {}
 
 
 def _resolve_cache_dir() -> str | None:
@@ -305,9 +309,17 @@ def loops_cache_dir() -> str | None:
     loops``, else ``~/.cache/repro/loops``.  The numba tier's own disk
     cache is pointed at ``<dir>/numba`` (via ``NUMBA_CACHE_DIR``, unless
     the caller already set one).
+
+    Two kinds of artifact live there: the cc tier's ``.so`` files (with
+    their ``.c`` source and the compiler's probe record) and the pickled
+    lowered programs of :func:`lowered_programs`.  A process ``dlopen`` s
+    the first and unpickles the second, so both run code in it: the
+    directory must be writable only by whoever may run code as its
+    user, like the ``.so`` files it already held.
     """
     if "dir" not in _disk_cache:
-        _disk_cache.update(dir=_resolve_cache_dir(), hits=0, misses=0)
+        _disk_cache.update(dir=_resolve_cache_dir(), hits=0, misses=0,
+                           lowered_hits=0, lowered_misses=0)
     return _disk_cache["dir"]
 
 
@@ -320,18 +332,22 @@ def set_loops_cache_dir(path) -> None:
 
 def loops_disk_cache_stats() -> dict:
     """Hit/miss counters and entry count of the on-disk ``.so`` cache,
-    the flag-ladder rung and psABI level (``cc_isa``) its artifacts are
-    built with (``None`` until a cc-tier kernel resolved the process's
-    compiler), and ``probed``:
-    whether this process ran the compiler's probe round trip, which a
-    process that only loads cached artifacts never does; surfaced
-    through :func:`repro.gpu.runtime.kernel_cache_stats`."""
+    how many lowered programs it served and how many were lowered
+    because it had none (``lowered_hits`` / ``lowered_misses``:
+    :func:`lowered_programs`), the flag-ladder rung and psABI level
+    (``cc_isa``) its artifacts are built with (``None`` until a cc-tier
+    kernel resolved the process's compiler), and ``probed``: whether
+    this process ran the compiler's probe round trip, which a process
+    that only loads cached artifacts never does; surfaced through
+    :func:`repro.gpu.runtime.kernel_cache_stats`."""
     d = loops_cache_dir()
     entries = 0
     if d is not None and os.path.isdir(d):
         entries = sum(1 for f in os.listdir(d) if f.endswith(".so"))
     return {"dir": d, "enabled": d is not None,
             "hits": _disk_cache["hits"], "misses": _disk_cache["misses"],
+            "lowered_hits": _disk_cache["lowered_hits"],
+            "lowered_misses": _disk_cache["lowered_misses"],
             "entries": entries, "cc_rung": _cc_state.get("rung"),
             "cc_isa": _cc_state.get("isa"),
             "probed": _cc_state.get("probed", False)}
@@ -348,12 +364,17 @@ def _cc_identity(cc: str) -> tuple[str, ...]:
     return (cc, real, str(st.st_size), str(st.st_mtime_ns))
 
 
+def _key(*parts: str) -> str:
+    """The name every disk-cache artifact is stored under: a hash of
+    what made it."""
+    return hashlib.sha1("|".join(parts).encode()).hexdigest()[:16]
+
+
 def _cc_key(cc: str, *parts: str) -> str:
     """The cache key of something compiler ``cc`` made from ``parts``:
     an artifact (flags, source) or the probe record (base flags,
     ladder, CPU level)."""
-    return hashlib.sha1("|".join(
-        ("v2", *_cc_identity(cc), *parts)).encode()).hexdigest()[:16]
+    return _key("v2", *_cc_identity(cc), *parts)
 
 
 def _cc_probe_record(cc: str) -> str | None:
@@ -380,7 +401,9 @@ def _cc_workdir() -> str:
 
 
 def _cc_compile(cc: str, flags: tuple, src: str, so: str):
-    """Run the compiler; raises :class:`LoopsUnsupported` when it fails."""
+    """Run the compiler; raises :class:`LoopsUnsupported` when it fails.
+    Only a build imports :mod:`subprocess`: a warm process runs none."""
+    import subprocess
     r = subprocess.run([cc, *flags, src, "-o", so, "-lm"],
                        capture_output=True, text=True)
     if r.returncode != 0:
@@ -445,6 +468,69 @@ def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
         f.write(source)
     _cc_compile(cc, flags, src, so)
     return ctypes.CDLL(so)
+
+
+#: the LIFT package, whose sources every lowered program depends on
+_LIFT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_source_digests: dict = {}      # builders path -> digest
+
+
+def _source_digest(builders: str) -> str:
+    """A digest of every ``.py`` under ``repro/lift/`` and of
+    ``builders``, read once per process."""
+    if builders not in _source_digests:
+        paths = sorted(os.path.join(d, f) for d, _, files in os.walk(_LIFT_DIR)
+                       for f in files if f.endswith(".py"))
+        h = hashlib.sha1()
+        for path in (*paths, builders):
+            with open(path, "rb") as f:
+                h.update(os.path.relpath(path, _LIFT_DIR).encode())
+                h.update(f.read())
+        _source_digests[builders] = h.hexdigest()
+    return _source_digests[builders]
+
+
+def lowered_programs(what: tuple, builders: str, lower) -> list:
+    """The :class:`ArenaProgram` s ``lower()`` returns, kept in the disk
+    cache beside the ``.so`` files, so a process that finds them there
+    runs no ``lower`` and loads none of the LIFT front end it needs.
+
+    The key is ``what`` (strings naming the programs), the Python minor
+    version, NumPy's version and a digest of the LIFT sources and of
+    ``builders``, the module the programs' builders live in.  The
+    artifact is a pickle of the programs without ``alloc`` (no part of
+    the IR identity: an unpickled program equals a fresh lowering),
+    written through a temp file and ``os.replace``.  A missing,
+    unreadable or corrupt artifact is lowered again and replaced; with
+    the cache disabled every call lowers and nothing is written.
+    """
+    cdir = loops_cache_dir()
+    if cdir is None:
+        return lower()
+    key = _key("lowered", *what, "py%d.%d" % sys.version_info[:2],
+               np.__version__, _source_digest(builders))
+    path = os.path.join(cdir, f"lowered-{key}.pkl")
+    try:
+        with open(path, "rb") as f:
+            programs = pickle.load(f)
+    except Exception:       # missing, unreadable or corrupt: lower again
+        programs = None
+    if isinstance(programs, list) and programs and all(
+            isinstance(p, ArenaProgram) for p in programs):
+        _disk_cache["lowered_hits"] += len(programs)
+        return programs
+    programs = lower()
+    _disk_cache["lowered_misses"] += len(programs)
+    try:
+        os.makedirs(cdir, exist_ok=True)
+        tmp = os.path.join(cdir, f".lowered-{os.getpid()}-{key}.pkl")
+        with open(tmp, "wb") as f:
+            pickle.dump([replace(p, alloc=None) for p in programs], f,
+                        protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp, path)
+    except OSError:
+        pass                # cache dir unusable: nothing stored
+    return programs
 
 
 def available_tiers() -> tuple[str, ...]:

@@ -168,3 +168,27 @@ def test_a_single_device_virtual_gpu_loads_only_the_resident_path():
     ``repro.gpu.__all__`` still resolves."""
     proc = _fresh(_VGPU_STEP)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+_LIFT_EXPORTS = """
+import sys
+import repro.lift as lift
+front = [m for m in sys.modules if m.startswith("repro.lift.")]
+assert not front, front
+star = {}
+exec("from repro.lift import *", star)
+names = sorted(n for n in star if not n.startswith("__"))
+assert names == sorted(lift.__all__), names
+for name in lift.__all__:
+    assert getattr(lift, name) is star[name], name
+assert lift.arith is sys.modules["repro.lift.arith"]
+assert lift.types is sys.modules["repro.lift.types"]
+"""
+
+
+def test_lift_exports_resolve_lazily():
+    """``import repro.lift`` loads none of its submodules (PEP 562), and
+    every name in ``repro.lift.__all__`` resolves through ``getattr``
+    and ``import *`` — ``arith`` and ``types`` to their modules."""
+    proc = _fresh(_LIFT_EXPORTS)
+    assert proc.returncode == 0, proc.stderr[-2000:]
