@@ -1,17 +1,27 @@
-"""Listing 5's host interface: the values and sizes of the host
-parameters of a :func:`~repro.acoustics.lift_programs.compiled_host`
-program, and the leapfrog cycle that rotates its levels.
+"""Listing 5's host interface: the compiled host program of a scheme
+(:func:`host_program`), the values and sizes of its host parameters,
+and the leapfrog cycle that rotates its levels.
 
-Only NumPy is needed here, so every path binds its host buffers without
-loading the LIFT front end; :mod:`.lift_programs` re-exports all three
-names next to the builders whose parameter names they bind.
+No LIFT front end is imported here: every path binds its host buffers
+with NumPy alone, and :func:`host_program` compiles only when the loops
+disk cache lacks the program.  :mod:`.lift_programs` re-exports
+``LEAPFROG``, ``host_inputs`` and ``host_sizes`` next to the builders
+whose parameter names they bind.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-__all__ = ["LEAPFROG", "host_inputs", "host_sizes"]
+__all__ = ["BUILDERS", "LEAPFROG", "host_inputs", "host_program",
+           "host_sizes"]
+
+#: the module of the LIFT builders (:mod:`.lift_programs`), whose
+#: digest keys every artifact built from them in the loops disk cache
+BUILDERS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "lift_programs.py")
 
 #: Listing 5's leapfrog cycle: each step's result (``"__out__"``)
 #: becomes ``prev1_h`` and the old ``prev1_h`` becomes ``prev2_h``
@@ -54,3 +64,37 @@ def host_inputs(scheme, grid, topology, table, prev, curr, g1=None, v=None):
                       F_h=table.F.reshape(-1), D_h=table.D.reshape(-1),
                       g1_h=g1, v2_h=v, v1_h=v, K=K)
     return inputs, host_sizes(grid, topology, table)
+
+
+def host_program(scheme: str, precision, num_branches: int):
+    """``compiled_host(scheme, precision, num_branches)`` with every
+    kernel lowered and analysed
+    (:meth:`~repro.lift.codegen.plan.KernelSource.arena_program`,
+    :meth:`~repro.lift.codegen.plan.KernelSource.kernel_resources`),
+    kept in the loops disk cache
+    (:func:`~repro.lift.codegen.loops.cached_build`, kind ``host``)
+    without its AST nodes
+    (:meth:`~repro.lift.codegen.plan.HostProgram.portable`).  A process
+    that finds it there imports neither :mod:`.lift_programs` nor any of
+    the LIFT front end.  Keyed by ``(scheme, precision, num_branches or
+    3)``."""
+    from ..lift.codegen.loops import cached_build
+    from ..lift.codegen.plan import HostProgram
+    branches = num_branches or 3
+
+    def build() -> HostProgram:
+        from .lift_programs import compiled_host
+        hp = compiled_host(scheme, precision, branches)
+        for ks in hp.kernels.values():
+            ks.arena_program()
+            ks.kernel_resources()
+        return hp
+
+    def count(hp) -> int:
+        return int(isinstance(hp, HostProgram) and all(
+            ks.program is not None and ks.resources is not None
+            for ks in hp.kernels.values()))
+
+    return cached_build("host", (scheme, str(precision), str(branches)),
+                        BUILDERS, build, count=count,
+                        portable=HostProgram.portable)

@@ -50,7 +50,7 @@ from .. import obs as _obs
 from ..lift.codegen.loops import compile_step, lowered_programs
 from .geometry import Room
 from .grid import Grid3D
-from .host_io import LEAPFROG, host_inputs, host_sizes
+from .host_io import BUILDERS, LEAPFROG, host_inputs, host_program, host_sizes
 from .materials import (FDMaterial, FIMaterial, MaterialTable,
                         default_fd_materials, default_fi_materials)
 from .topology import RoomTopology, build_topology
@@ -286,7 +286,7 @@ class SimConfig:
         if self.checkpoint_interval < 0 or self.health_interval < 0:
             raise ValueError("intervals must be >= 0 (0 disables)")
         if self.host_program is not None:
-            from ..lift.codegen.host import HostProgram
+            from ..lift.codegen.plan import HostProgram
             if not isinstance(self.host_program, HostProgram):
                 raise TypeError(
                     f"host_program must be a compiled HostProgram "
@@ -417,8 +417,7 @@ class RoomSimulation:
         steady = cfg.backend == "numpy-steady"
         what = (repr(_KERNELS[cfg.scheme]), cfg.precision,
                 str(self.table.num_branches))
-        builders = os.path.join(os.path.dirname(__file__), "lift_programs.py")
-        programs = lowered_programs(what, builders, self._lower)
+        programs = lowered_programs(what, BUILDERS, self._lower)
         self._step = compile_step(programs, tier="numpy" if steady else None)
         self._tier = self._step.tier
         if not steady:
@@ -426,10 +425,13 @@ class RoomSimulation:
         return self._step_fused
 
     def _setup_virtual_gpu(self):
+        """Open the compiled Listing-5 host program on the configured
+        devices: ``host_program``, or the scheme's own from the loops
+        disk cache (:func:`.host_io.host_program`: a warm process loads
+        no LIFT front end)."""
         from ..gpu.device import resolve_device
-        from .lift_programs import compiled_host
         cfg = self.config
-        self._host_program = cfg.host_program or compiled_host(
+        self._host_program = cfg.host_program or host_program(
             cfg.scheme, cfg.precision, self.table.num_branches)
         self._make_gpu(resolve_device(cfg.devices))
         return self._step_resident

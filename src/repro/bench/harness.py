@@ -225,8 +225,7 @@ def _decomposition_problem(scheme: str, topo, precision: str = "double",
     """Host program + inputs/sizes/rotations for a resident multi-step
     run of the two-kernel scheme on one topology (seeded random state so
     boundary kernels do real work)."""
-    from ..acoustics.lift_programs import (LEAPFROG, compiled_host,
-                                           host_inputs)
+    from ..acoustics.host_io import LEAPFROG, host_inputs, host_program
     from ..acoustics.materials import (MaterialTable, default_fd_materials,
                                        default_fi_materials)
     g = topo.grid
@@ -246,7 +245,7 @@ def _decomposition_problem(scheme: str, topo, precision: str = "double",
         table = MaterialTable.from_fi(default_fi_materials(4), dtype=dtype)
     curr, prev = state(), state()
     inputs, sizes = host_inputs(scheme, g, topo, table, prev, curr)
-    host = compiled_host(scheme, precision, num_branches)
+    host = host_program(scheme, precision, num_branches)
     return host, inputs, sizes, [LEAPFROG]
 
 

@@ -53,7 +53,7 @@ def _box_case(dims, scheme: str, precision: str):
     virtual-gpu setup (but standalone, so the sweep controls stepping)."""
     from ..acoustics.geometry import Room, shape_by_name
     from ..acoustics.grid import Grid3D
-    from ..acoustics.lift_programs import compiled_host, host_inputs
+    from ..acoustics.host_io import host_inputs, host_program
     from ..acoustics.materials import MaterialTable, default_fi_materials
     from ..acoustics.topology import build_topology
 
@@ -72,7 +72,7 @@ def _box_case(dims, scheme: str, precision: str):
                   for _ in range(2))
     curr[grid.flat_index(grid.nx // 2, grid.ny // 2, grid.nz // 2)] = 1.0
     inputs, sizes = host_inputs(scheme, grid, topo, table, prev, curr)
-    host = compiled_host(scheme, precision, table.num_branches)
+    host = host_program(scheme, precision, table.num_branches)
     return dict(host=host, inputs=inputs, sizes=sizes, N=N)
 
 

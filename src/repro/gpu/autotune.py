@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..lift.analysis import Resources
+from ..lift.resources import Resources
 from .costmodel import ImplTraits, KernelTiming, LIFT_TRAITS, kernel_time
 from .device import DeviceSpec
 

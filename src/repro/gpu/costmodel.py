@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..lift.analysis import Resources
+from ..lift.resources import Resources
 from .device import DeviceSpec
 
 

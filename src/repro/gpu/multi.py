@@ -71,13 +71,13 @@ checkpoint — exact because the decomposition is exact.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .. import obs as _obs
 from ..obs.tracer import ModelClock
-from ..lift.codegen.host import (CopyIn, CopyOut, HaloExchange, HostPlan,
+from ..lift.codegen.plan import (CopyIn, CopyOut, HaloExchange, HostPlan,
                                  HostProgram, Launch)
 from .costmodel import halo_exchange_time_ms, peer_connected
 from .device import DeviceSpec, resolve_device
@@ -210,8 +210,7 @@ def shard_program(program: HostProgram, shard_index: int,
     new_plan = HostPlan(
         buffers=[d for d in plan.buffers if d.name not in empty],
         ops=ops, result_buffer=plan.result_buffer, device=shard_index)
-    return HostProgram(source=program.source, plan=new_plan,
-                       kernels=program.kernels, params=program.params)
+    return replace(program, plan=new_plan)
 
 
 def decompose(nz: int, plane: int,

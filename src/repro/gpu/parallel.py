@@ -73,7 +73,7 @@ import traceback
 import numpy as np
 
 from .. import obs as _obs
-from ..lift.codegen.host import HostProgram
+from ..lift.codegen.plan import HostProgram
 from .costmodel import halo_exchange_time_ms, overlapped_step_time_ms
 from .multi import (FIELD_PARAMS, PLANE_PARAM, MultiGPU, MultiRunResult,
                     Shard, ShardLost, shard_program)

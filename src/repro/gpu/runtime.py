@@ -48,13 +48,12 @@ import numpy as np
 
 from .. import obs as _obs
 from ..obs.tracer import ModelClock
-from ..lift.analysis import Resources, analyse_kernel
-from ..lift.codegen.arena import Workspace, arena_stats
-from ..lift.codegen.host import (ArgBinding, BufferDecl, CopyIn, CopyOut,
-                                 HostPlan, HostProgram, Launch)
+from ..lift.codegen.arena import NumpyKernel, Workspace, arena_stats
 from ..lift.codegen.loops import (_IN_PLACE, LoopsUnsupported, StepKernel,
                                   compile_launch, compile_step)
-from ..lift.codegen.numpy_backend import NumpyKernel, compile_numpy
+from ..lift.codegen.plan import (BufferDecl, CopyIn, CopyOut, HostPlan,
+                                 HostProgram, KernelSource, Launch)
+from ..lift.resources import Resources
 from .autotune import autotune_workgroup
 from .costmodel import ImplTraits, KernelTiming, LIFT_TRAITS, transfer_time_ms
 from .device import DeviceSpec
@@ -108,7 +107,10 @@ def kernel_cache_stats() -> dict:
     keeps nothing there; ``loops_disk``
     reports the on-disk compiled-artifact cache the cc tier shares
     across processes and, as ``cc_rung`` and ``cc_isa``, which rung of
-    the compiler flag ladder and which x86-64 psABI level built them (see
+    the compiler flag ladder and which x86-64 psABI level built them;
+    with ``lowered_hits`` / ``lowered_misses`` and ``host_hits`` /
+    ``host_misses``, how many lowered step programs and compiled host
+    programs it served or had to build (see
     :func:`repro.lift.codegen.loops.loops_disk_cache_stats`).
     """
     from ..lift.codegen.loops import loops_disk_cache_stats
@@ -250,29 +252,34 @@ class VirtualGPU:
 
     # -- kernel caches -------------------------------------------------------------
     @staticmethod
-    def _np_kernel(launch: Launch) -> NumpyKernel:
-        """The launch's NumPy kernel from the process-wide
-        :data:`_NP_KERNEL_CACHE`, looked up by source hash only (a name
-        may stand for different code, e.g. the single- and
-        double-precision ``volume_kernel``), so a pool of devices running
-        the same program compiles each kernel once.  The entry is cached
-        under a ``#steady`` suffix of the source hash: the runtime
-        executes it directly, or hands its :class:`ArenaProgram` to the
-        compiled-loop emitter.
-        """
-        ks = launch.kernel
-        if ks.kernel_lambda is None:
+    def _program(ks: KernelSource):
+        """The kernel's :class:`ArenaProgram`, as the plan carries it
+        (:meth:`KernelSource.arena_program`: lowered at most once, from
+        its ``kernel_lambda``, unless a cached plan brought it)."""
+        if ks.program is None and ks.kernel_lambda is None:
             raise ClInvalidValue(
-                f"kernel {ks.name!r} carries no kernel_lambda, so the "
-                f"virtual runtime cannot compile its NumPy realisation; "
-                f"build KernelSource through compile_kernel()/compile_host() "
-                f"(which attach the Lambda) instead of constructing it by "
-                f"hand", kernel=ks.name)
-        key = _kernel_source_key(ks) + "#steady"
+                f"kernel {ks.name!r} carries neither a lowered program "
+                f"nor a kernel_lambda, so the virtual runtime cannot "
+                f"compile its NumPy realisation; build KernelSource "
+                f"through compile_kernel()/compile_host() (which attach "
+                f"the Lambda) instead of constructing it by hand",
+                kernel=ks.name)
+        return ks.arena_program()
+
+    @staticmethod
+    def _np_kernel(launch: Launch) -> NumpyKernel:
+        """The launch's NumPy kernel (its :meth:`_program` compiled) from
+        the process-wide :data:`_NP_KERNEL_CACHE`, looked up by source
+        hash only (a name may stand for different code, e.g. the single-
+        and double-precision ``volume_kernel``), so a pool of devices
+        running the same program compiles each kernel once.  The entry
+        is cached under a ``#steady`` suffix of the source hash.
+        """
+        key = _kernel_source_key(launch.kernel) + "#steady"
         nk = _NP_KERNEL_CACHE.get(key)
         if nk is None:
-            nk = _NP_KERNEL_CACHE[key] = compile_numpy(
-                ks.kernel_lambda, ks.name, lower=False)
+            nk = _NP_KERNEL_CACHE[key] = VirtualGPU._program(
+                launch.kernel).numpy_kernel()
         return nk
 
     @staticmethod
@@ -300,8 +307,8 @@ class VirtualGPU:
     def compile_step(self, plan: HostPlan, rotations) -> StepKernel:
         """The plan's launches as one step over two time levels
         (:func:`~repro.lift.codegen.loops.compile_step`), built from the
-        programs of their NumPy kernels (:meth:`_np_kernel`), so the plan
-        a caller compiled is the one that runs.
+        programs the plan carries (:meth:`_program`), so the plan a
+        caller compiled is the one that runs.
 
         ``rotations`` must hold the plan's leapfrog cycle, and no other
         may name a buffer bound to a parameter of the step's
@@ -326,7 +333,7 @@ class VirtualGPU:
                        for op in launches) + "#step"
         step = _NP_KERNEL_CACHE.get(key)
         if step is None:
-            programs = [self._np_kernel(op).program for op in launches]
+            programs = [self._program(op.kernel) for op in launches]
             try:
                 step = compile_step(programs)
             except LoopsUnsupported:
@@ -411,11 +418,13 @@ class VirtualGPU:
         self._arena_reported = (st["hits"], st["misses"])
 
     def _kernel_resources(self, launch: Launch) -> Resources:
+        """The launch's per-work-item resources, as the plan carries them
+        (:meth:`KernelSource.kernel_resources`), shared process-wide by
+        source hash."""
         key = _kernel_source_key(launch.kernel)
         res = _RESOURCES_CACHE.get(key)
         if res is None:
-            res = _RESOURCES_CACHE[key] = analyse_kernel(
-                launch.kernel.kernel_lambda)
+            res = _RESOURCES_CACHE[key] = launch.kernel.kernel_resources()
         return res
 
     # -- buffers / transfers ------------------------------------------------------------

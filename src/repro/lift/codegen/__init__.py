@@ -2,8 +2,11 @@
 
 * :mod:`.opencl` — OpenCL C kernel source text (the paper's target).
 * :mod:`.host` — OpenCL host-side orchestration: C source text plus an
-  executable :class:`~repro.lift.codegen.host.HostPlan` for the virtual GPU
+  executable :class:`~repro.lift.codegen.plan.HostPlan` for the virtual GPU
   runtime.
+* :mod:`.plan` — the data model of a compiled host program (plan ops,
+  kernel sources, allocation decisions), with no LIFT front end
+  imported, so a cached plan unpickles without it.
 * :mod:`.arena` — the backend-neutral :class:`~repro.lift.codegen.arena.
   ArenaProgram` three-address artifact every executable emitter consumes,
   plus the :class:`~repro.lift.codegen.arena.Workspace` slot arena.
@@ -26,9 +29,10 @@ __all__ = ["ArenaProgram", "HostPlan", "HostProgram", "KernelSource",
            "compile_host", "compile_kernel", "compile_numpy"]
 
 #: the submodule each export lives in, imported on first access (PEP 562):
-#: a compiled step loads neither the OpenCL emitter nor the host planner
-_LAZY = {"KernelSource": "opencl", "compile_kernel": "opencl",
-         "HostPlan": "host", "HostProgram": "host", "compile_host": "host",
+#: a compiled step loads neither the OpenCL emitter nor the host planner,
+#: and a cached host plan only its data model
+_LAZY = {"KernelSource": "plan", "compile_kernel": "opencl",
+         "HostPlan": "plan", "HostProgram": "plan", "compile_host": "host",
          "compile_numpy": "numpy_backend",
          "ArenaProgram": "arena", "Workspace": "arena",
          "LoopsUnsupported": "loops", "available_tiers": "loops"}

@@ -43,11 +43,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-__all__ = ["ArenaFrozenError", "ArenaOp", "ArenaProgram", "Slice3Op",
-           "Workspace", "arena_stats", "reset_arena_stats"]
+__all__ = ["ArenaFrozenError", "ArenaOp", "ArenaProgram", "NumpyKernel",
+           "Slice3Op", "Workspace", "arena_stats", "reset_arena_stats"]
 
 
 # --- the arena program IR ----------------------------------------------------------
@@ -575,6 +576,15 @@ class ArenaProgram:
              namespace)
         return namespace[self.name]
 
+    def numpy_kernel(self) -> "NumpyKernel":
+        """:meth:`numpy_fn` with its source and signature: the compiled
+        source IS the program's rendering (pinned by
+        tests/lift/test_arena_program.py)."""
+        return NumpyKernel(name=self.name, source=self.render(),
+                           fn=self.numpy_fn(), param_names=self.param_names,
+                           size_params=self.size_params, out_alloc=self.alloc,
+                           returns_out=self.returns_out, program=self)
+
     def dump(self) -> str:
         """Stable golden-IR serialisation (one line per op)."""
         head = [
@@ -590,6 +600,28 @@ class ArenaProgram:
         ]
         body = [f"  {op.describe()}" for op in self.ops]
         return "\n".join(head + body)
+
+
+@dataclass
+class NumpyKernel:
+    """A compiled NumPy kernel: source text plus the callable."""
+
+    name: str
+    source: str
+    fn: object
+    param_names: list[str]
+    size_params: list[str]
+    out_alloc: object           # KernelAllocation
+    returns_out: bool           # True when a fresh `out` buffer is written
+    #: the backend-neutral lowering artifact every executable emitter
+    #: consumes; ``source`` is exactly ``program.render()``
+    program: ArenaProgram
+    #: what runs it, named as a compiled step names its tier
+    tier: ClassVar[str] = "numpy"
+    cc_rung: ClassVar[str | None] = None
+
+    def __call__(self, *args, **sizes):
+        return self.fn(*args, **sizes)
 
 
 class ArenaFrozenError(RuntimeError):

@@ -17,188 +17,20 @@ buffer (the in-place orchestration of the acoustics two-kernel scheme).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ... import obs as _obs
 from ..arith import ArithExpr, Var
 from ..ast import Expr, FunCall, Lambda, Literal, Param
 from ..patterns import Id, OclKernel, ToGPU, ToHost, TupleCons, WriteTo
-from ..types import ArrayType, ScalarType, LiftType, TypeError_
+from ..types import ArrayType, ScalarType
 from ..type_inference import infer
-from .opencl import KernelSource, compile_kernel
+from .opencl import compile_kernel
+# the plan's data model lives in the LIFT-free .plan; re-exported here
+from .plan import (ArgBinding, BufferDecl, CopyIn, CopyOut,  # noqa: F401
+                   HaloExchange, HostPlan, HostProgram, KernelSource, Launch)
 
 
 class HostCodegenError(Exception):
     """Raised for host programs outside the supported orchestration subset."""
-
-
-# --- plan ops -----------------------------------------------------------------------
-
-@dataclass
-class BufferDecl:
-    """Allocate a device buffer of ``count`` elements of ``scalar``."""
-
-    name: str
-    scalar: ScalarType
-    count: ArithExpr
-
-
-@dataclass
-class CopyIn:
-    """Host array ``host_name`` -> device buffer ``buffer``."""
-
-    host_name: str
-    buffer: str
-
-
-@dataclass
-class ArgBinding:
-    """One kernel argument: where its value comes from at launch time."""
-
-    param_name: str
-    kind: str           # "buffer" | "scalar" | "size"
-    source: object      # buffer name (str) | host param name (str) | ArithExpr
-
-
-@dataclass
-class Launch:
-    """Enqueue one kernel."""
-
-    kernel: KernelSource
-    args: list[ArgBinding]
-    out_buffer: str | None       # None when the kernel writes in place
-    global_size: ArithExpr | None
-
-
-@dataclass
-class CopyOut:
-    """Device buffer ``buffer`` -> host result ``host_name``."""
-
-    buffer: str
-    host_name: str
-
-
-@dataclass
-class HaloExchange:
-    """Move ``count`` elements of a named resident buffer between devices.
-
-    The multi-device executor (:class:`repro.gpu.multi.MultiGPU`)
-    schedules one of these per neighbouring shard pair and per direction
-    after each iteration's step and rotation: elements
-    ``[src_start, src_start+count)`` of ``buffer`` on plan ``src_device``
-    replace ``[dst_start, dst_start+count)`` on ``dst_device``.
-    ``buffer`` names a resident rotation binding (a host parameter name),
-    not a raw buffer: the exchange follows the leapfrog rotation, always
-    touching the freshly computed field (``prev1_h`` after it).
-    Priced by :func:`repro.gpu.costmodel.halo_exchange_time_ms`
-    (peer-to-peer over a same-board interconnect, else staged through
-    host PCIe).
-    """
-
-    src_device: int
-    dst_device: int
-    buffer: str
-    src_start: int
-    dst_start: int
-    count: int
-
-
-@dataclass
-class HostPlan:
-    """The executable orchestration schedule.
-
-    ``device`` places the plan: 0 for single-device programs (the
-    compiler default), the shard index for per-device plans derived by
-    the multi-device decomposition.
-    """
-
-    buffers: list[BufferDecl] = field(default_factory=list)
-    ops: list[object] = field(default_factory=list)
-    result_buffer: str | None = None
-    device: int = 0
-
-    def required_sizes(self) -> dict[str, list[str]]:
-        """Every symbolic size variable the plan needs, mapped to the
-        consumers (buffer decls / launches) that need it — the basis for
-        up-front validation instead of a bare ``KeyError`` deep inside
-        ``arith.evaluate``."""
-        needed: dict[str, list[str]] = {}
-
-        def need(var: str, consumer: str) -> None:
-            needed.setdefault(var, []).append(consumer)
-
-        for decl in self.buffers:
-            for v in decl.count.free_vars():
-                need(str(v), f"buffer {decl.name!r} (count {decl.count!r})")
-        for op in self.ops:
-            if not isinstance(op, Launch):
-                continue
-            where = f"launch {op.kernel.name!r}"
-            if op.global_size is not None:
-                for v in op.global_size.free_vars():
-                    need(str(v), f"{where} (global size {op.global_size!r})")
-            for b in op.args:
-                if b.kind == "size" and isinstance(b.source, ArithExpr):
-                    for v in b.source.free_vars():
-                        need(str(v), f"{where} (size arg {b.param_name!r})")
-            for s in op.kernel.size_params:
-                need(s, f"{where} (kernel size param {s!r})")
-        return needed
-
-    def missing_sizes(self, sizes: dict) -> dict[str, list[str]]:
-        """The subset of :meth:`required_sizes` absent from ``sizes``."""
-        return {v: c for v, c in self.required_sizes().items()
-                if v not in sizes}
-
-    def required_inputs(self) -> dict[str, list[str]]:
-        """Host parameter names the plan reads, mapped to their consumers."""
-        needed: dict[str, list[str]] = {}
-        for op in self.ops:
-            if isinstance(op, CopyIn):
-                needed.setdefault(op.host_name, []).append(
-                    f"transfer to buffer {op.buffer!r}")
-            elif isinstance(op, Launch):
-                for b in op.args:
-                    if b.kind == "scalar":
-                        needed.setdefault(str(b.source), []).append(
-                            f"scalar arg {b.param_name!r} of launch "
-                            f"{op.kernel.name!r}")
-        return needed
-
-    def missing_inputs(self, inputs: dict) -> dict[str, list[str]]:
-        """The subset of :meth:`required_inputs` absent from ``inputs``."""
-        return {n: c for n, c in self.required_inputs().items()
-                if n not in inputs}
-
-    def host_buffers(self) -> dict[str, str]:
-        """Transferred host parameter name -> the device buffer its
-        ``CopyIn`` fills (how results name a parameter's device copy)."""
-        return {op.host_name: op.buffer for op in self.ops
-                if isinstance(op, CopyIn)}
-
-    def written_buffers(self) -> set[str]:
-        """Device buffers some launch writes: every output buffer, and
-        the buffer behind each parameter a kernel updates in place."""
-        written: set[str] = set()
-        for op in self.ops:
-            if not isinstance(op, Launch):
-                continue
-            if op.out_buffer is not None:
-                written.add(op.out_buffer)
-            in_place = op.kernel.allocation.written_param_names
-            written.update(b.source for b in op.args
-                           if b.kind == "buffer" and b.param_name in in_place)
-        return written
-
-
-@dataclass
-class HostProgram:
-    """Everything :func:`compile_host` produces for one host program."""
-
-    source: str
-    plan: HostPlan
-    kernels: dict[str, KernelSource]
-    params: list[Param]
 
 
 # --- compilation ----------------------------------------------------------------------
@@ -342,8 +174,8 @@ def _compile_host(program: Lambda, name: str, o) -> HostProgram:
             lines.append(f"clSetKernelArg({kname}, {slot}, sizeof(cl_mem), &{out_buffer});")
         else:
             # In-place kernel: the result is the aliased argument's buffer.
-            aliased = [o.aliased_param.name for o in ks.allocation.outputs
-                       if o.aliased_param is not None]
+            aliased = [o.aliased_name for o in ks.allocation.outputs
+                       if o.is_in_place]
             pos = [i for i, p in enumerate(fun.kernel.params)
                    if p.name == aliased[0]]
             kind, src = arg_values[pos[0]]
@@ -373,4 +205,4 @@ def _compile_host(program: Lambda, name: str, o) -> HostProgram:
         visit(body)
 
     return HostProgram(source="\n".join(lines), plan=plan, kernels=kernels,
-                       params=list(program.params))
+                       param_names=[p.name for p in program.params])

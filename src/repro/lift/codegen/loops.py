@@ -113,9 +113,9 @@ from .arena import (AliasOp, ArenaProgram, CastOp, GidOp, IndexStoreOp,
 from .bounds import IndexCheck
 
 __all__ = ["LoopsUnsupported", "StepKernel", "available_tiers",
-           "compile_launch", "compile_step", "loops_cache_dir",
-           "loops_disk_cache_stats", "lowered_programs", "select_tier",
-           "set_loops_cache_dir"]
+           "cached_build", "compile_launch", "compile_step",
+           "loops_cache_dir", "loops_disk_cache_stats", "lowered_programs",
+           "select_tier", "set_loops_cache_dir"]
 
 
 class LoopsUnsupported(RuntimeError):
@@ -286,7 +286,8 @@ _CC_LADDER = {"vector+openmp": (*_CC_VECTOR_FLAGS, "-fopenmp"),
               "openmp": ("-fopenmp",),
               "plain": ()}
 #: {"dir": str|None, "hits", "misses" (``.so`` files), "lowered_hits",
-#: "lowered_misses" (programs): int}
+#: "lowered_misses" (programs), "host_hits", "host_misses" (host
+#: programs): int}
 _disk_cache: dict = {}
 
 
@@ -310,16 +311,21 @@ def loops_cache_dir() -> str | None:
     cache is pointed at ``<dir>/numba`` (via ``NUMBA_CACHE_DIR``, unless
     the caller already set one).
 
-    Two kinds of artifact live there: the cc tier's ``.so`` files (with
-    their ``.c`` source and the compiler's probe record) and the pickled
-    lowered programs of :func:`lowered_programs`.  A process ``dlopen`` s
-    the first and unpickles the second, so both run code in it: the
-    directory must be writable only by whoever may run code as its
-    user, like the ``.so`` files it already held.
+    Three kinds of artifact live there: the cc tier's ``.so`` files
+    (with their ``.c`` source and the compiler's probe record), and two
+    pickles of :func:`cached_build`: the lowered step programs of
+    :func:`lowered_programs` (``lowered-*.pkl``) and the compiled
+    Listing-5 host programs of
+    :func:`repro.acoustics.host_io.host_program` (``host-*.pkl``, each
+    launch's kernel with its lowered program and resources).  A process
+    ``dlopen`` s the first and unpickles the other two, so all three run
+    code in it: the directory must be writable only by whoever may run
+    code as its user, like the ``.so`` files it already held.
     """
     if "dir" not in _disk_cache:
         _disk_cache.update(dir=_resolve_cache_dir(), hits=0, misses=0,
-                           lowered_hits=0, lowered_misses=0)
+                           lowered_hits=0, lowered_misses=0, host_hits=0,
+                           host_misses=0)
     return _disk_cache["dir"]
 
 
@@ -334,7 +340,10 @@ def loops_disk_cache_stats() -> dict:
     """Hit/miss counters and entry count of the on-disk ``.so`` cache,
     how many lowered programs it served and how many were lowered
     because it had none (``lowered_hits`` / ``lowered_misses``:
-    :func:`lowered_programs`), the flag-ladder rung and psABI level
+    :func:`lowered_programs`), the same for compiled host programs
+    (``host_hits`` / ``host_misses``:
+    :func:`repro.acoustics.host_io.host_program`), the flag-ladder rung
+    and psABI level
     (``cc_isa``) its artifacts are built with (``None`` until a cc-tier
     kernel resolved the process's compiler), and ``probed``: whether
     this process ran the compiler's probe round trip, which a process
@@ -348,6 +357,8 @@ def loops_disk_cache_stats() -> dict:
             "hits": _disk_cache["hits"], "misses": _disk_cache["misses"],
             "lowered_hits": _disk_cache["lowered_hits"],
             "lowered_misses": _disk_cache["lowered_misses"],
+            "host_hits": _disk_cache["host_hits"],
+            "host_misses": _disk_cache["host_misses"],
             "entries": entries, "cc_rung": _cc_state.get("rung"),
             "cc_isa": _cc_state.get("isa"),
             "probed": _cc_state.get("probed", False)}
@@ -490,47 +501,66 @@ def _source_digest(builders: str) -> str:
     return _source_digests[builders]
 
 
-def lowered_programs(what: tuple, builders: str, lower) -> list:
-    """The :class:`ArenaProgram` s ``lower()`` returns, kept in the disk
-    cache beside the ``.so`` files, so a process that finds them there
-    runs no ``lower`` and loads none of the LIFT front end it needs.
+def cached_build(kind: str, what: tuple, builders: str, build, *,
+                 count, portable=lambda value: value):
+    """What ``build()`` returns, kept in the disk cache beside the
+    ``.so`` files, so a process that finds it there runs no ``build``
+    and loads none of the LIFT front end ``build`` needs.
 
-    The key is ``what`` (strings naming the programs), the Python minor
-    version, NumPy's version and a digest of the LIFT sources and of
-    ``builders``, the module the programs' builders live in.  The
-    artifact is a pickle of the programs without ``alloc`` (no part of
-    the IR identity: an unpickled program equals a fresh lowering),
-    written through a temp file and ``os.replace``.  A missing,
-    unreadable or corrupt artifact is lowered again and replaced; with
-    the cache disabled every call lowers and nothing is written.
+    The artifact is ``<kind>-<key>.pkl``; the key is ``kind``, ``what``
+    (strings naming the value), the Python minor version, NumPy's
+    version and a digest of the LIFT sources and of ``builders``, the
+    module whose builders made it.  It holds ``portable(value)``,
+    written through a temp file and ``os.replace``.  ``count(loaded)``
+    is how many items a loaded artifact holds (0 when it is not what
+    ``build`` returns): they count as ``<kind>_hits`` of
+    :func:`loops_disk_cache_stats`, a built value's as
+    ``<kind>_misses``.  A missing, unreadable or corrupt artifact is
+    built again and replaced; a failed write stores nothing and leaves
+    no temp file; with the cache disabled every call builds and nothing
+    is written.
     """
     cdir = loops_cache_dir()
     if cdir is None:
-        return lower()
-    key = _key("lowered", *what, "py%d.%d" % sys.version_info[:2],
+        return build()
+    key = _key(kind, *what, "py%d.%d" % sys.version_info[:2],
                np.__version__, _source_digest(builders))
-    path = os.path.join(cdir, f"lowered-{key}.pkl")
+    path = os.path.join(cdir, f"{kind}-{key}.pkl")
     try:
         with open(path, "rb") as f:
-            programs = pickle.load(f)
-    except Exception:       # missing, unreadable or corrupt: lower again
-        programs = None
-    if isinstance(programs, list) and programs and all(
-            isinstance(p, ArenaProgram) for p in programs):
-        _disk_cache["lowered_hits"] += len(programs)
-        return programs
-    programs = lower()
-    _disk_cache["lowered_misses"] += len(programs)
+            value = pickle.load(f)
+        n = count(value)
+    except Exception:       # missing, unreadable or corrupt: build again
+        n = 0
+    if n:
+        _disk_cache[f"{kind}_hits"] += n
+        return value
+    value = build()
+    _disk_cache[f"{kind}_misses"] += count(value)
+    tmp = os.path.join(cdir, f".{kind}-{os.getpid()}-{key}.pkl")
     try:
         os.makedirs(cdir, exist_ok=True)
-        tmp = os.path.join(cdir, f".lowered-{os.getpid()}-{key}.pkl")
         with open(tmp, "wb") as f:
-            pickle.dump([replace(p, alloc=None) for p in programs], f,
-                        protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(portable(value), f, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
-    except OSError:
-        pass                # cache dir unusable: nothing stored
-    return programs
+    except Exception:       # nothing stored; the built value still serves
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+    return value
+
+
+def lowered_programs(what: tuple, builders: str, lower) -> list:
+    """The :class:`ArenaProgram` s ``lower()`` returns, through
+    :func:`cached_build` (kind ``lowered``).  The artifact holds the
+    programs without ``alloc`` (no part of the IR identity: an unpickled
+    program equals a fresh lowering)."""
+    return cached_build(
+        "lowered", what, builders, lower,
+        count=lambda ps: len(ps) if isinstance(ps, list) and all(
+            isinstance(p, ArenaProgram) for p in ps) else 0,
+        portable=lambda ps: [replace(p, alloc=None) for p in ps])
 
 
 def available_tiers() -> tuple[str, ...]:

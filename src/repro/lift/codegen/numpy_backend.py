@@ -27,9 +27,6 @@ full-grid array once the workspace is warm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 import re
 
 import numpy as np
@@ -49,6 +46,7 @@ from .arena import (AliasOp, ArenaProgram, CastOp, ConstOp, ElemStoreOp,
                     FullStoreOp, GidOp, IndexStoreOp, Pad3Op, PadOp, ScalarOp,
                     ShiftOp, Slice3Op, SliceStoreOp, TakeOp, UfuncOp,
                     VecExprOp, WhereOp)
+from .arena import NumpyKernel  # noqa: F401  (re-exported from its old home)
 from .c_ast import NameGen
 
 
@@ -65,28 +63,6 @@ _WINDOW_IDX = re.compile(r"^\((\w+)\)\s*\+\s*\((-?\d+)\)$")
 #: a rank-3 stencil-window view (NpSlide3.element's exact output shape)
 _SLICE3 = re.compile(
     r"^(\w+)\[(-?\d+):\2\+(.+?), (-?\d+):\4\+(.+?), (-?\d+):\6\+(.+?)\]$")
-
-
-@dataclass
-class NumpyKernel:
-    """A compiled NumPy kernel: source text plus the callable."""
-
-    name: str
-    source: str
-    fn: object
-    param_names: list[str]
-    size_params: list[str]
-    out_alloc: object           # KernelAllocation
-    returns_out: bool           # True when a fresh `out` buffer is written
-    #: the backend-neutral lowering artifact every executable emitter
-    #: consumes; ``source`` is exactly ``program.render()``
-    program: ArenaProgram
-    #: what runs it, named as a compiled step names its tier
-    tier: ClassVar[str] = "numpy"
-    cc_rung: ClassVar[str | None] = None
-
-    def __call__(self, *args, **sizes):
-        return self.fn(*args, **sizes)
 
 
 class _SteadyInfo:
@@ -449,8 +425,7 @@ def lower_arena(kernel: Lambda, name: str = "lift_kernel",
     elif result_expr is not None:
         return_line = f"return {result_expr}"
     else:
-        aliased = [o.aliased_param.name for o in alloc.outputs
-                   if o.aliased_param is not None]
+        aliased = [o.aliased_name for o in alloc.outputs if o.is_in_place]
         return_line = f"return {aliased[0] if aliased else 'None'}"
 
     program.param_names = param_names
@@ -494,15 +469,7 @@ def compile_numpy(kernel: Lambda, name: str = "lift_kernel",
         raise ValueError("compile_numpy has one emission (the workspace "
                          "arena); the allocating emitter that steady=... "
                          "used to select was removed")
-    program = lower_arena(kernel, name, lower)
-    # the compiled source IS the program's rendering (pinned by
-    # tests/lift/test_arena_program.py)
-    return NumpyKernel(name=name, source=program.render(),
-                       fn=program.numpy_fn(),
-                       param_names=program.param_names,
-                       size_params=program.size_params,
-                       out_alloc=program.alloc,
-                       returns_out=program.returns_out, program=program)
+    return lower_arena(kernel, name, lower).numpy_kernel()
 
 
 def _dim_name(d: ArithExpr, i: int, pname: str, ctx: _Ctx) -> str:

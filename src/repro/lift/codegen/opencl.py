@@ -22,16 +22,14 @@ well-formed programs.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field
-
 import re
+from contextlib import nullcontext
 
 from ... import obs as _obs
 from ..arith import ArithExpr, Var
 from ..ast import (BinOp, Expr, FunCall, Lambda, Literal, Param, Select,
                    UnaryOp, UserFun)
-from ..memory import KernelAllocation, allocate
+from ..memory import allocate
 from ..patterns import (AbstractMap, AbstractReduce, ArrayAccess,
                         ArrayAccess3, ArrayCons, Concat, Get, Id, Iota, Map,
                         Map3D, MapGlb, MapGlb3D, MapLcl, MapSeq, MapWrg, Pad,
@@ -46,6 +44,8 @@ from ..views import (InView, OutElement, OutMem, OutMem3D, OutOffset,
                      ViewSlide3D, ViewSplit, ViewTuple, ViewWindow,
                      ViewWindow3D, ViewZip, ViewZip3D, in_view_to_out, paren)
 from .c_ast import CBlock, NameGen
+# LIFT-free homes (.plan), re-exported here
+from .plan import KernelAllocation, KernelSource, ParamInfo
 
 
 class CodegenError(Exception):
@@ -70,35 +70,6 @@ def c_literal(value, t: ScalarType) -> str:
     if t == Double:
         return f"{float(value)}"
     return str(int(value))
-
-
-@dataclass
-class ParamInfo:
-    """How one kernel argument is emitted."""
-
-    name: str
-    c_decl: str
-    is_array: bool
-    scalar: ScalarType
-
-
-@dataclass
-class KernelSource:
-    """A generated OpenCL kernel: text plus launch metadata."""
-
-    name: str
-    source: str
-    params: list[ParamInfo]
-    allocation: KernelAllocation
-    size_params: list[str]
-    global_size: ArithExpr | None = None
-    #: the (lowered) kernel Lambda this source was generated from — kept so
-    #: the virtual runtime can compile the matching NumPy realisation and
-    #: run resource analysis on the very same IR
-    kernel_lambda: object | None = None
-
-    def __str__(self) -> str:
-        return self.source
 
 
 class _Ctx:

@@ -18,55 +18,18 @@ decisions matter and are computed by :func:`allocate`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .arith import ArithExpr
 from .ast import Expr, FunCall, Lambda, Param, pre_order
 from .patterns import (ArrayAccess, Id, OclKernel, ToGPU, ToHost, TupleCons,
                        WriteTo)
 from .types import ArrayType, LiftType, ScalarType, TupleType, TypeError_
 from .type_inference import infer
+# LIFT-free home (codegen.plan), re-exported here
+from .codegen.plan import KernelAllocation, OutputAllocation
 
 
 class AllocationError(Exception):
     """Raised when the allocator cannot place a kernel's output."""
-
-
-@dataclass
-class OutputAllocation:
-    """Where one kernel output lives."""
-
-    scalar: ScalarType
-    count: ArithExpr | None          # symbolic element count (None if aliased)
-    aliased_param: Param | None      # input parameter reused in place, if any
-
-    @property
-    def is_in_place(self) -> bool:
-        return self.aliased_param is not None
-
-
-@dataclass
-class KernelAllocation:
-    """Complete allocation decision for one kernel."""
-
-    outputs: list[OutputAllocation]
-    size_params: list[str] = field(default_factory=list)
-
-    @property
-    def allocates_output(self) -> bool:
-        return any(not o.is_in_place for o in self.outputs)
-
-    @property
-    def written_param_names(self) -> set[str]:
-        """Names of input parameters the kernel writes in place.
-
-        The steady-state NumPy emitter needs this to decide whether an
-        affine gather may be a *view* into the source array (safe only
-        when the kernel never writes it) or must copy to preserve
-        read-before-write semantics.
-        """
-        return {o.aliased_param.name for o in self.outputs
-                if o.aliased_param is not None}
 
 
 def _strip_transfers(expr: Expr) -> Expr:
@@ -128,7 +91,8 @@ def allocate(kernel: Lambda) -> KernelAllocation:
                     "WriteTo target does not resolve to a kernel parameter")
             outputs.append(OutputAllocation(
                 scalar=_scalar_of(target.declared_type),
-                count=None, aliased_param=target))
+                count=None, aliased_name=target.name,
+                aliased_param=target))
             return
         if isinstance(expr, FunCall) and isinstance(expr.fun, TupleCons):
             for a in expr.args:
@@ -152,13 +116,14 @@ def allocate(kernel: Lambda) -> KernelAllocation:
                 seen.add(target.name)
                 outputs.append(OutputAllocation(
                     scalar=_scalar_of(target.declared_type),
-                    count=None, aliased_param=target))
+                    count=None, aliased_name=target.name,
+                    aliased_param=target))
             return
         t = expr.type
         if t is None:
             raise AllocationError("expression is untyped; run infer first")
         outputs.append(OutputAllocation(
-            scalar=_scalar_of(t), count=_count_of(t), aliased_param=None))
+            scalar=_scalar_of(t), count=_count_of(t)))
 
     place(body)
 

@@ -3,11 +3,13 @@
 **Compile tier** — :class:`CompileCache` memoises the
 :func:`repro.lift.codegen.host.compile_host` output per
 (scheme, precision, branch count, device hardware model).  It compiles
-through :func:`repro.acoustics.lift_programs.compiled_host`, the builder
+through :func:`repro.acoustics.host_io.host_program`, the builder
 ``RoomSimulation`` itself uses (``fi`` → the fused single-kernel host
 program; ``fi_mm``/``fd_mm`` → the two-kernel program), and hands the
 compiled ``HostProgram`` to jobs through ``SimConfig.host_program``, so
-a thousand jobs of the same shape compile once.  The device component of the key strips the spec's
+a thousand jobs of the same shape compile once, and a fresh pool
+worker finds each shape's program in the loops disk cache without
+loading the LIFT front end.  The device component of the key strips the spec's
 name/board — the shards of a ``"TitanBlack:2"`` pool are the same
 hardware and share entries.  The cache also carries the process-wide
 :func:`repro.gpu.autotune.autotune_memo`, so workgroup sweeps executed
@@ -73,8 +75,8 @@ class CompileCache:
             self.hits += 1
             return prog
         self.misses += 1
-        from ..acoustics.lift_programs import compiled_host
-        prog = compiled_host(request.scheme, request.precision, key[2])
+        from ..acoustics.host_io import host_program
+        prog = host_program(request.scheme, request.precision, key[2])
         self._programs[key] = prog
         return prog
 

@@ -192,3 +192,53 @@ def test_lift_exports_resolve_lazily():
     and ``import *`` — ``arith`` and ``types`` to their modules."""
     proc = _fresh(_LIFT_EXPORTS)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+#: names that moved to a module with no LIFT front end, by old home
+_MOVED = {
+    "repro.lift.codegen.host": ("ArgBinding", "BufferDecl", "CopyIn",
+                                "CopyOut", "HaloExchange", "HostPlan",
+                                "HostProgram", "KernelSource", "Launch"),
+    "repro.lift.codegen.opencl": ("KernelSource", "ParamInfo"),
+    "repro.lift.memory": ("KernelAllocation", "OutputAllocation"),
+    "repro.lift.analysis": ("Resources",),
+    "repro.lift.codegen.numpy_backend": ("NumpyKernel",),
+}
+_NEW_HOME = {"Resources": "repro.lift.resources",
+             "NumpyKernel": "repro.lift.codegen.arena"}
+
+
+@pytest.mark.parametrize("old", sorted(_MOVED))
+def test_moved_names_resolve_from_their_old_modules(old):
+    """The plan's data model, ``Resources`` and ``NumpyKernel`` live in
+    modules that import no LIFT front end; each old home still exports
+    the same object."""
+    import importlib
+    module = importlib.import_module(old)
+    for name in _MOVED[old]:
+        new = importlib.import_module(
+            _NEW_HOME.get(name, "repro.lift.codegen.plan"))
+        assert getattr(module, name) is getattr(new, name), (old, name)
+        assert getattr(new, name).__module__ == new.__name__
+
+
+_PLAN_ONLY = """
+import sys
+from repro.lift.codegen.plan import HostProgram
+import repro.gpu.autotune, repro.gpu.costmodel, repro.gpu.runtime
+front = [m for m in ("repro.lift.ast", "repro.lift.patterns",
+                     "repro.lift.type_inference", "repro.lift.analysis",
+                     "repro.lift.memory", "repro.lift.codegen.host",
+                     "repro.lift.codegen.opencl",
+                     "repro.lift.codegen.numpy_backend")
+         if m in sys.modules]
+assert not front, front
+"""
+
+
+def test_the_plan_and_the_runtime_load_no_front_end():
+    """The plan's data model, the cost model, the autotuner and the
+    virtual runtime import only ``lift.arith`` / ``lift.types`` of
+    LIFT's IR."""
+    proc = _fresh(_PLAN_ONLY)
+    assert proc.returncode == 0, proc.stderr[-2000:]
