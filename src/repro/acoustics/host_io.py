@@ -67,34 +67,23 @@ def host_inputs(scheme, grid, topology, table, prev, curr, g1=None, v=None):
 
 
 def host_program(scheme: str, precision, num_branches: int):
-    """``compiled_host(scheme, precision, num_branches)`` with every
-    kernel lowered and analysed
-    (:meth:`~repro.lift.codegen.plan.KernelSource.arena_program`,
-    :meth:`~repro.lift.codegen.plan.KernelSource.kernel_resources`),
-    kept in the loops disk cache
-    (:func:`~repro.lift.codegen.loops.cached_build`, kind ``host``)
-    without its AST nodes
-    (:meth:`~repro.lift.codegen.plan.HostProgram.portable`).  A process
-    that finds it there imports neither :mod:`.lift_programs` nor any of
-    the LIFT front end.  Keyed by ``(scheme, precision, num_branches or
-    3)``."""
+    """``compiled_host(scheme, precision, num_branches)``, kept in the
+    loops disk cache (:func:`~repro.lift.codegen.loops.cached_build`,
+    kind ``host``) with every kernel lowered and analysed and without
+    its AST nodes (:meth:`~repro.lift.codegen.plan.HostProgram.portable`;
+    with the cache off, each kernel lowers and analyses on first use
+    instead).  A process that finds it there imports neither
+    :mod:`.lift_programs` nor any of the LIFT front end.  Keyed by
+    ``(scheme, precision, num_branches or 3)``."""
     from ..lift.codegen.loops import cached_build
     from ..lift.codegen.plan import HostProgram
     branches = num_branches or 3
 
     def build() -> HostProgram:
         from .lift_programs import compiled_host
-        hp = compiled_host(scheme, precision, branches)
-        for ks in hp.kernels.values():
-            ks.arena_program()
-            ks.kernel_resources()
-        return hp
-
-    def count(hp) -> int:
-        return int(isinstance(hp, HostProgram) and all(
-            ks.program is not None and ks.resources is not None
-            for ks in hp.kernels.values()))
+        return compiled_host(scheme, precision, branches)
 
     return cached_build("host", (scheme, str(precision), str(branches)),
-                        BUILDERS, build, count=count,
+                        BUILDERS, build,
+                        count=lambda hp: int(isinstance(hp, HostProgram)),
                         portable=HostProgram.portable)

@@ -10,9 +10,10 @@ validated against (and benchmarked against) the hand-written baseline:
 ``scalar``
     The loop transliterations of the paper listings (tiny rooms only).
 ``lift`` (= ``numpy-steady``), ``numba``
-    LIFT programs (:mod:`.lift_programs`) lowered once to an
-    ``ArenaProgram`` (kept in the loops disk cache, so a warm process
-    loads no LIFT front end) and run as one step
+    The launches of the scheme's compiled host program, the one
+    ``virtual_gpu`` runs, each lowered to an ``ArenaProgram`` (kept in
+    the loops disk cache, so a warm process loads no LIFT front end) and
+    run as one step
     (:func:`repro.lift.codegen.loops.compile_step`) that overwrites
     ``prev`` in place — i.e. *generated* code: on whole arrays through
     the NumPy workspace-arena source, or compiled.
@@ -47,10 +48,10 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs as _obs
-from ..lift.codegen.loops import compile_step, lowered_programs
+from ..lift.codegen.loops import compile_step
 from .geometry import Room
 from .grid import Grid3D
-from .host_io import BUILDERS, LEAPFROG, host_inputs, host_program, host_sizes
+from .host_io import LEAPFROG, host_inputs, host_program, host_sizes
 from .materials import (FDMaterial, FIMaterial, MaterialTable,
                         default_fd_materials, default_fi_materials)
 from .topology import RoomTopology, build_topology
@@ -74,15 +75,6 @@ CHECKPOINT_VERSION = 3
 
 #: the ``virtual_gpu`` paths of a device pool, which advance in segments
 _SEGMENTED = ("parallel", "pool-loop")
-
-#: each scheme's LIFT kernels by role, in launch order: the builder of
-#: :mod:`.lift_programs` that makes each (``fd_mm_boundary`` also takes
-#: the table's branch count)
-_KERNELS = {"fi": {"fused": "fi_fused_flat"},
-            "fi_mm": {"volume": "volume_kernel",
-                      "boundary": "fi_mm_boundary"},
-            "fd_mm": {"volume": "volume_kernel",
-                      "boundary": "fd_mm_boundary"}}
 
 
 def _npz_path(path) -> str:
@@ -267,7 +259,7 @@ class SimConfig:
     #: multi-device pools only: one worker process per shard with
     #: compute/communication overlap (see class docstring)
     parallel: bool = False
-    #: a pre-compiled :class:`repro.lift.codegen.host.HostProgram` for
+    #: a pre-compiled :class:`repro.lift.codegen.plan.HostProgram` for
     #: the ``virtual_gpu`` backend (skips ``compile_host``); must match
     #: (scheme, precision, num_branches) — the serving layer's compile
     #: cache (``repro.serve.cache``) supplies this so repeated shapes
@@ -391,33 +383,17 @@ class RoomSimulation:
         return self._step_reference
 
     # -- LIFT backends ----------------------------------------------------------------
-    def _programs(self) -> dict:
-        """The scheme's LIFT kernels by role, in launch order
-        (``_KERNELS``)."""
-        from . import lift_programs
-        prec = self.config.precision
-        extra = {"fd_mm_boundary": (self.table.num_branches,)}
-        return {role: getattr(lift_programs, name)(prec, *extra.get(name, ()))
-                for role, name in _KERNELS[self.config.scheme].items()}
-
-    def _lower(self) -> list:
-        """:meth:`_programs` lowered to their ``ArenaProgram`` s."""
-        from ..lift.codegen.numpy_backend import lower_arena
-        return [lower_arena(p.kernel, p.name)
-                for p in self._programs().values()]
-
     def _compile_lift(self):
-        """Compile the lowered :meth:`_programs` into one step
-        (``_step``) over two time levels: on whole arrays for
-        ``numpy-steady``, compiled for ``numba``.  The lowering comes
-        from the loops disk cache when an earlier process stored it
-        (:func:`~repro.lift.codegen.loops.lowered_programs`), and then
-        no LIFT front end is loaded.  Returns the bound step."""
+        """Compile the launches of the scheme's host program, in plan
+        order, into one step (``_step``) over two time levels: on whole
+        arrays for ``numpy-steady``, compiled for ``numba``.  The program
+        is the one ``virtual_gpu`` runs (:func:`.host_io.host_program`),
+        so both paths build one step from the same kernels, and a warm
+        process takes it from the loops disk cache and loads no LIFT
+        front end.  Returns the bound step."""
         cfg = self.config
         steady = cfg.backend == "numpy-steady"
-        what = (repr(_KERNELS[cfg.scheme]), cfg.precision,
-                str(self.table.num_branches))
-        programs = lowered_programs(what, BUILDERS, self._lower)
+        programs = [ks.arena_program() for ks in self._launched(host_program)]
         self._step = compile_step(programs, tier="numpy" if steady else None)
         self._tier = self._step.tier
         if not steady:
@@ -509,12 +485,24 @@ class RoomSimulation:
                              f"backend; this is {self.config.backend!r}")
         self._make_gpu(resolve_device(devices))
 
+    def _launched(self, compile_) -> list:
+        """The kernels the scheme's host program launches, in plan
+        order, from ``compile_(scheme, precision, branches)``."""
+        from ..lift.codegen.plan import Launch
+        plan = compile_(self.config.scheme, self.config.precision,
+                        self.table.num_branches).plan
+        return [op.kernel for op in plan.ops if isinstance(op, Launch)]
+
     def _setup_interp(self):
+        """``lift_interp``: the interpreter runs the Lambdas of the
+        :meth:`_launched` kernels, compiled in process (a cached plan
+        holds none)."""
         from ..lift.interp import Interp
+        from .lift_programs import compiled_host
         self._scratch = np.zeros_like(self.curr)
         self._interp = Interp(sizes=host_sizes(self.grid, self.topology,
                                                self.table))
-        self._p = {role: p.kernel for role, p in self._programs().items()}
+        self._p = [ks.kernel_lambda for ks in self._launched(compiled_host)]
         return self._step_lift_interp
 
     # -- sources / receivers --------------------------------------------------------------
@@ -814,16 +802,16 @@ class RoomSimulation:
                   self.v, lam)
         self._trade()
 
-    def _kernel_args(self, out) -> dict:
-        """Positional arguments of each of :meth:`_programs`, by role,
+    def _kernel_args(self, out) -> list:
+        """Positional arguments of each launched kernel, in launch order,
         with ``out`` as the level the boundary program writes."""
         g = self.grid
         t = self.topology
         tb = self.table
         lam = self._lam()
         if self.config.scheme == "fi":
-            return {"fused": (self.prev, self.curr, self._nbrs_guarded, lam,
-                              tb.beta[0], g.nx, g.nx * g.ny)}
+            return [(self.prev, self.curr, self._nbrs_guarded, lam,
+                     tb.beta[0], g.nx, g.nx * g.ny)]
         boundary = (t.boundary_indices, t.material, self.nbrs, tb.beta)
         if self.config.scheme == "fi_mm":
             boundary += (out, self.prev, lam)
@@ -832,9 +820,8 @@ class RoomSimulation:
                          tb.F.reshape(-1), tb.D.reshape(-1),
                          out, self.prev, self.g1, self.v, self.v,
                          lam, t.num_boundary_points)
-        return {"volume": (self.prev, self.curr, self._nbrs_guarded, lam,
-                           g.nx, g.nx * g.ny),
-                "boundary": boundary}
+        return [(self.prev, self.curr, self._nbrs_guarded, lam,
+                 g.nx, g.nx * g.ny), boundary]
 
     def _step_args(self) -> dict:
         """The compiled step's arguments by name: :meth:`_kernel_args`
@@ -842,7 +829,7 @@ class RoomSimulation:
         sweep's, so the boundary program reads the guarded ``nbrs``."""
         args = host_sizes(self.grid, self.topology, self.table)
         for prog, values in zip(self._step.programs,
-                                self._kernel_args(self.prev).values()):
+                                self._kernel_args(self.prev)):
             for name, value in zip(prog.param_names, values):
                 args.setdefault(name, value)
         return args
@@ -886,11 +873,11 @@ class RoomSimulation:
         plan.events.clear()
 
     def _step_lift_interp(self):
-        for role, args in self._kernel_args(self._scratch).items():
+        for k, args in enumerate(self._kernel_args(self._scratch)):
             res = self._interp.run(
-                self._p[role], *(float(a) if isinstance(a, np.floating)
-                                 else a for a in args))
-            if role != "boundary":      # the boundary kernels write in place
+                self._p[k], *(float(a) if isinstance(a, np.floating)
+                              else a for a in args))
+            if k == 0:          # the boundary kernels write in place
                 self._scratch[:self._N] = np.asarray(res)
         self._trade()
 

@@ -23,7 +23,8 @@ import numpy as np
 from .. import obs as _obs
 from ..acoustics.lift_programs import (fd_mm_boundary, fi_fused_flat,
                                        fi_mm_boundary, volume_kernel)
-from ..lift.analysis import Resources, analyse_kernel
+from ..lift.analysis import analyse_kernel
+from ..lift.resources import Resources
 from ..gpu.autotune import autotune_workgroup
 from ..gpu.costmodel import (HANDWRITTEN_TRAITS, ImplTraits, KernelTiming,
                              LIFT_TRAITS)

@@ -37,7 +37,7 @@ same mask.  A shard with no boundary points drops the boundary launch
 and its empty buffers from its plan instead of allocating zero-size
 buffers.
 
-**Halo exchange** (:class:`~repro.lift.codegen.host.HaloExchange` ops)
+**Halo exchange** (:class:`~repro.lift.codegen.plan.HaloExchange` ops)
 moves the freshly written level's edge planes — ``prev1_h`` after the
 rotation — between neighbouring shards after each step; only that level
 needs exchanging, since the next step gathers neighbours from it while

@@ -11,7 +11,7 @@ realised on the virtual-GPU runtime.
 
 **Workers run the program they are handed.**  The parent shards the host
 program it was given (:func:`~.multi.shard_program`) and pickles each
-shard's :class:`~repro.lift.codegen.host.HostProgram` into the worker's
+shard's :class:`~repro.lift.codegen.plan.HostProgram` into the worker's
 task, together with its shard-local inputs and rotation cycles; a worker
 rebuilds nothing.  It steps the program as one device does: one compiled
 step over two time levels (:meth:`~.runtime.ResidentPlan.stepping`).
@@ -160,28 +160,29 @@ class _Ring:
         self.idx = (self.idx + 1) % self.depth
 
 
-def _shard_worker_main(task: dict, result_q) -> None:
+def _shard_worker_main(sync: dict, task_q, result_q) -> None:
     """One shard's process: run the resident step loop of the host
     program it was handed under the overlap schedule, ship the finals
     back.
 
-    Module-level (spawn pickles it by reference).  ``task`` carries only
-    picklable state: the shard's host program, shard-local inputs/sizes
-    and rotation cycles, ring attachments by name, the first step and
-    the step count, and the barrier every shard passes once set up.
+    Module-level (spawn pickles it by reference).  ``sync`` holds what
+    can only be pickled at spawn (index, rings, start barrier, OpenMP
+    threads); the task — the shard's host program, shard-local inputs,
+    sizes, rotation cycles and steps — follows through ``task_q``.
     """
     exit_with_parent()
-    os.environ["OMP_NUM_THREADS"] = str(task["omp_threads"])
-    index = task["index"]
+    os.environ["OMP_NUM_THREADS"] = str(sync["omp_threads"])
+    index = sync["index"]
     rings: dict[str, _Ring] = {}
     shms = []
     try:
+        task = task_q.get()
         plan = task["program"].plan
         li, ls = task["inputs"], task["sizes"]
         n_local, np_local, rp = task["n_local"], task["np_local"], task["rp"]
         first, steps = task["first_step"], task["steps"]
         dtype = np.dtype(task["field_dtype"])
-        for lane, (shm_name, free, filled) in task["rings"].items():
+        for lane, (shm_name, free, filled) in sync["rings"].items():
             shm = _attach_shm(shm_name)
             shms.append(shm)
             rings[lane] = _Ring(shm, rp, dtype, RING_DEPTH, free, filled)
@@ -193,7 +194,7 @@ def _shard_worker_main(task: dict, result_q) -> None:
         tier, cc_rung = st.kernel.tier, st.kernel.cc_rung
         # every shard is set up before any steps, so the measured loop
         # times the steps, not a later-spawned neighbour's start-up
-        task["barrier"].wait()
+        sync["barrier"].wait()
 
         # overlap needs a compiled step (the numpy tier runs whole
         # arrays only) whose edge blocks, the h planes at each end its
@@ -343,31 +344,39 @@ def execute_parallel(pool: MultiGPU, program: HostProgram, inputs: dict,
     o = _obs.get()
     masks: list[np.ndarray | None] = []
     procs: list = []
+    task_qs: list = []
     result_q = ctx.Queue()
     barrier = ctx.Barrier(k)
     t_total = _time.perf_counter()
     try:
+        # spawn arguments cross a pipe the child reads only once it has
+        # bootstrapped: kept far below its 64 KiB, a child that dies
+        # first cannot block start(); the multi-MB tasks follow through
+        # queues, whose feeder threads never block this one
         for shard in shards:
+            task_qs.append(ctx.Queue())
+            p = ctx.Process(target=_shard_worker_main,
+                            args=({"index": shard.index,
+                                   "rings": ring_cfg[shard.index],
+                                   "barrier": barrier, "omp_threads": omp},
+                                  task_qs[-1], result_q),
+                            name=f"repro-shard-{shard.index}")
+            p.start()
+            procs.append(p)
+        for shard, task_q in zip(shards, task_qs):
             li, ls, mask = pool._local_inputs(shard, inputs, sizes)
             masks.append(mask)
-            prog = shard_program(program, shard.index, ls)
-            task = {
-                "index": shard.index, "device": shard.device,
-                "program": prog, "inputs": li, "sizes": ls,
+            task_q.put({
+                "device": shard.device,
+                "program": shard_program(program, shard.index, ls),
+                "inputs": li, "sizes": ls,
                 "n_local": shard.n_local, "np_local": shard.np_local,
                 "rp": rp, "first_step": first_step, "steps": steps,
                 "rotations": rotations,
                 "field_dtype": field_dtype.str,
-                "rings": ring_cfg[shard.index], "barrier": barrier,
-                "omp_threads": omp,
                 "receivers": per_shard_recv[shard.index],
                 "kill_at_step": (pool._test_kill or {}).get(shard.index),
-            }
-            p = ctx.Process(target=_shard_worker_main,
-                            args=(task, result_q),
-                            name=f"repro-shard-{shard.index}")
-            p.start()
-            procs.append(p)
+            })
 
         payloads: dict[int, dict] = {}
         while len(payloads) < k:
@@ -394,8 +403,10 @@ def execute_parallel(pool: MultiGPU, program: HostProgram, inputs: dict,
             if p.is_alive():
                 p.terminate()
                 p.join(timeout=5)
-        result_q.close()
-        result_q.cancel_join_thread()
+        for q in (*task_qs, result_q):
+            # a dead worker's task is never read: drop it, do not wait
+            q.close()
+            q.cancel_join_thread()
         for shm in shms:
             try:
                 shm.close()

@@ -1,6 +1,6 @@
 """Virtual OpenCL runtime: executes LIFT host plans on a modelled GPU.
 
-Executes a :class:`~repro.lift.codegen.host.HostPlan` produced by the LIFT
+Executes a :class:`~repro.lift.codegen.plan.HostPlan` produced by the LIFT
 host-code generator:
 
 * device buffers are NumPy arrays; ``CopyIn``/``CopyOut`` model PCIe
@@ -76,9 +76,6 @@ GATHER_INDEX_PARAM = "boundaryIndices"
 #: device pool compiles each distinct kernel once, not once per device.
 _NP_KERNEL_CACHE: dict[str, NumpyKernel] = {}
 
-#: Companion cache for per-work-item resource analysis (same key).
-_RESOURCES_CACHE: dict[str, Resources] = {}
-
 
 def _kernel_source_key(ks) -> str:
     """Content hash identifying a kernel across VirtualGPU instances."""
@@ -95,10 +92,10 @@ _WALLCLOCK_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
 def kernel_cache_stats() -> dict:
     """Sizes of the process-wide kernel caches (for tests/diagnostics).
 
-    ``np_kernels``/``resources`` count compile-cache entries (per kernel
-    source hash: the NumPy kernel under a ``#steady`` suffix and the
-    executable that runs it — its one-program launch step, or the NumPy
-    kernel when the loop emitter declines — under ``#loops``; and the steps
+    ``np_kernels`` counts compile-cache entries (per kernel source hash:
+    the NumPy kernel under a ``#steady`` suffix and the executable that
+    runs it — its one-program launch step, or the NumPy kernel when the
+    loop emitter declines — under ``#loops``; and the steps
     :meth:`VirtualGPU.compile_step` builds under ``#step``);
     ``arena`` reports the workspace arena's process-wide hit/miss
     counters and resident bytes
@@ -108,23 +105,20 @@ def kernel_cache_stats() -> dict:
     reports the on-disk compiled-artifact cache the cc tier shares
     across processes and, as ``cc_rung`` and ``cc_isa``, which rung of
     the compiler flag ladder and which x86-64 psABI level built them;
-    with ``lowered_hits`` / ``lowered_misses`` and ``host_hits`` /
-    ``host_misses``, how many lowered step programs and compiled host
-    programs it served or had to build (see
+    with ``host_hits`` / ``host_misses`` and ``corrupt``, how many
+    compiled host programs it served or had to build and how many
+    artifacts it built again because they failed their check (see
     :func:`repro.lift.codegen.loops.loops_disk_cache_stats`).
     """
     from ..lift.codegen.loops import loops_disk_cache_stats
     return {"np_kernels": len(_NP_KERNEL_CACHE),
-            "resources": len(_RESOURCES_CACHE),
             "arena": arena_stats(),
             "loops_disk": loops_disk_cache_stats()}
 
 
 def clear_kernel_caches() -> None:
-    """Drop the shared NumPy-kernel and resource-analysis caches (test
-    isolation)."""
+    """Drop the shared NumPy-kernel cache (test isolation)."""
     _NP_KERNEL_CACHE.clear()
-    _RESOURCES_CACHE.clear()
 
 
 @dataclass
@@ -416,16 +410,6 @@ class VirtualGPU:
         if dm > 0:
             ctr.inc(dm, outcome="miss")
         self._arena_reported = (st["hits"], st["misses"])
-
-    def _kernel_resources(self, launch: Launch) -> Resources:
-        """The launch's per-work-item resources, as the plan carries them
-        (:meth:`KernelSource.kernel_resources`), shared process-wide by
-        source hash."""
-        key = _kernel_source_key(launch.kernel)
-        res = _RESOURCES_CACHE.get(key)
-        if res is None:
-            res = _RESOURCES_CACHE[key] = launch.kernel.kernel_resources()
-        return res
 
     # -- buffers / transfers ------------------------------------------------------------
     @staticmethod
@@ -810,7 +794,7 @@ class VirtualGPU:
 
         n_items = (int(op.global_size.evaluate(sizes))
                    if op.global_size is not None else 0)
-        res = self._kernel_resources(op)
+        res = op.kernel.kernel_resources()
         precision = self._launch_precision(op)
         return _PreparedLaunch(
             op=op, ex=self._exec_kernel(op),
@@ -934,7 +918,7 @@ def leapfrog_cycle(rotations) -> tuple[str, ...]:
 
 class ResidentPlan:
     """Execution state of one plan on one device: the one interpreter
-    that turns a :class:`~repro.lift.codegen.host.HostPlan` into
+    that turns a :class:`~repro.lift.codegen.plan.HostPlan` into
     allocations, transfers and launches.
 
     Opening a plan validates it with its inputs and sizes, allocates every

@@ -29,12 +29,11 @@ from .ast import (BinOp, Expr, FunCall, Lambda, Literal, Param, Select,
                   UnaryOp, UserFun)
 from .patterns import (AbstractMap, AbstractReduce, ArrayAccess,
                        ArrayAccess3, ArrayCons, Concat, Get, Id, Iota,
-                       Map, Map3D, MapGlb, MapGlb3D, MapSeq, OclKernel, Pad,
-                       Pad3D, Pattern, Skip, Slide, Slide3D, Split, Join,
-                       ToGPU, ToHost, TupleCons, WriteTo, Zip, Zip3D)
+                       Map, Map3D, MapGlb, MapGlb3D, MapSeq, Pad, Pad3D,
+                       Skip, Slide, Slide3D, Split, Join, ToGPU, ToHost,
+                       TupleCons, WriteTo, Zip, Zip3D)
 from .resources import Resources
-from .types import (ArrayType, Double, Float, Int, LiftType, Long,
-                    ScalarType, TupleType)
+from .types import ArrayType, Double, Float, Int, ScalarType
 from .type_inference import infer
 
 

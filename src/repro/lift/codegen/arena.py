@@ -429,7 +429,7 @@ class ArenaProgram:
     vec: frozenset = frozenset()
     #: vector names that are step-invariant
     inv: frozenset = frozenset()
-    #: memory-allocation plan (repro.lift.memory.KernelAllocation);
+    #: memory-allocation plan (repro.lift.codegen.plan.KernelAllocation);
     #: carried for the compiled callable, not part of the IR identity
     alloc: object | None = field(default=None, compare=False, repr=False)
 

@@ -24,9 +24,8 @@ from ..patterns import Id, OclKernel, ToGPU, ToHost, TupleCons, WriteTo
 from ..types import ArrayType, ScalarType
 from ..type_inference import infer
 from .opencl import compile_kernel
-# the plan's data model lives in the LIFT-free .plan; re-exported here
-from .plan import (ArgBinding, BufferDecl, CopyIn, CopyOut,  # noqa: F401
-                   HaloExchange, HostPlan, HostProgram, KernelSource, Launch)
+from .plan import (ArgBinding, BufferDecl, CopyIn, CopyOut, HostPlan,
+                   HostProgram, KernelSource, Launch)
 
 
 class HostCodegenError(Exception):

@@ -95,6 +95,7 @@ runtime's launch-by-launch ``execute()``.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -114,8 +115,8 @@ from .bounds import IndexCheck
 
 __all__ = ["LoopsUnsupported", "StepKernel", "available_tiers",
            "cached_build", "compile_launch", "compile_step",
-           "loops_cache_dir", "loops_disk_cache_stats", "lowered_programs",
-           "select_tier", "set_loops_cache_dir"]
+           "loops_cache_dir", "loops_disk_cache_stats", "select_tier",
+           "set_loops_cache_dir"]
 
 
 class LoopsUnsupported(RuntimeError):
@@ -198,11 +199,8 @@ def _cc_probe(path: str) -> str | None:
     try:
         record = rung and _cc_probe_record(path)
         if record:
-            tmp = f"{record}.{os.getpid()}.tmp"
             os.makedirs(os.path.dirname(record), exist_ok=True)
-            with open(tmp, "w", encoding="ascii") as f:
-                f.write(f"{rung} {isa}")
-            os.replace(tmp, record)
+            _write_atomic(record, f"{rung} {isa}".encode("ascii"))
     except OSError:
         pass                      # cache dir unusable: probe next time too
     return rung
@@ -285,9 +283,9 @@ _CC_LADDER = {"vector+openmp": (*_CC_VECTOR_FLAGS, "-fopenmp"),
               "vector": _CC_VECTOR_FLAGS,
               "openmp": ("-fopenmp",),
               "plain": ()}
-#: {"dir": str|None, "hits", "misses" (``.so`` files), "lowered_hits",
-#: "lowered_misses" (programs), "host_hits", "host_misses" (host
-#: programs): int}
+#: {"dir": str|None, "hits", "misses" (``.so`` files), "host_hits",
+#: "host_misses" (host programs), "corrupt" (artifacts of either kind
+#: that failed their check): int}
 _disk_cache: dict = {}
 
 
@@ -311,21 +309,21 @@ def loops_cache_dir() -> str | None:
     cache is pointed at ``<dir>/numba`` (via ``NUMBA_CACHE_DIR``, unless
     the caller already set one).
 
-    Three kinds of artifact live there: the cc tier's ``.so`` files
-    (with their ``.c`` source and the compiler's probe record), and two
-    pickles of :func:`cached_build`: the lowered step programs of
-    :func:`lowered_programs` (``lowered-*.pkl``) and the compiled
-    Listing-5 host programs of
-    :func:`repro.acoustics.host_io.host_program` (``host-*.pkl``, each
-    launch's kernel with its lowered program and resources).  A process
-    ``dlopen`` s the first and unpickles the other two, so all three run
-    code in it: the directory must be writable only by whoever may run
-    code as its user, like the ``.so`` files it already held.
+    Two kinds of artifact live there: the cc tier's ``.so`` files (with
+    their ``.c`` source, the ``.sha256`` digest recorded at build and the
+    compiler's probe record), and the compiled Listing-5 host programs
+    of :func:`repro.acoustics.host_io.host_program` (``host-*.pkl``,
+    :func:`cached_build`), whose launches every LIFT backend steps.  A
+    ``.so`` is loaded only once its bytes match its digest, a pickle
+    unpickled only once its frame (magic, length, SHA-256) checks; one
+    that fails is built again and counted as ``corrupt``.  The check
+    covers accidental corruption, not a hostile writer, who can write a
+    digest too: as both kinds run code in the process, the directory
+    must be writable only by whoever may run code as its user.
     """
     if "dir" not in _disk_cache:
         _disk_cache.update(dir=_resolve_cache_dir(), hits=0, misses=0,
-                           lowered_hits=0, lowered_misses=0, host_hits=0,
-                           host_misses=0)
+                           host_hits=0, host_misses=0, corrupt=0)
     return _disk_cache["dir"]
 
 
@@ -338,16 +336,15 @@ def set_loops_cache_dir(path) -> None:
 
 def loops_disk_cache_stats() -> dict:
     """Hit/miss counters and entry count of the on-disk ``.so`` cache,
-    how many lowered programs it served and how many were lowered
-    because it had none (``lowered_hits`` / ``lowered_misses``:
-    :func:`lowered_programs`), the same for compiled host programs
-    (``host_hits`` / ``host_misses``:
-    :func:`repro.acoustics.host_io.host_program`), the flag-ladder rung
-    and psABI level
-    (``cc_isa``) its artifacts are built with (``None`` until a cc-tier
-    kernel resolved the process's compiler), and ``probed``: whether
-    this process ran the compiler's probe round trip, which a process
-    that only loads cached artifacts never does; surfaced through
+    how many compiled host programs it served and how many were
+    compiled because it had none (``host_hits`` / ``host_misses``:
+    :func:`repro.acoustics.host_io.host_program`), how many artifacts of
+    either kind failed their check and were built again (``corrupt``),
+    the flag-ladder rung and psABI level (``cc_isa``) its artifacts are
+    built with (``None`` until a cc-tier kernel resolved the process's
+    compiler), and ``probed``: whether this process ran the compiler's
+    probe round trip, which a process that only loads cached artifacts
+    never does; surfaced through
     :func:`repro.gpu.runtime.kernel_cache_stats`."""
     d = loops_cache_dir()
     entries = 0
@@ -355,10 +352,9 @@ def loops_disk_cache_stats() -> dict:
         entries = sum(1 for f in os.listdir(d) if f.endswith(".so"))
     return {"dir": d, "enabled": d is not None,
             "hits": _disk_cache["hits"], "misses": _disk_cache["misses"],
-            "lowered_hits": _disk_cache["lowered_hits"],
-            "lowered_misses": _disk_cache["lowered_misses"],
             "host_hits": _disk_cache["host_hits"],
             "host_misses": _disk_cache["host_misses"],
+            "corrupt": _disk_cache["corrupt"],
             "entries": entries, "cc_rung": _cc_state.get("rung"),
             "cc_isa": _cc_state.get("isa"),
             "probed": _cc_state.get("probed", False)}
@@ -411,14 +407,49 @@ def _cc_workdir() -> str:
     return _build_dir[0]
 
 
-def _cc_compile(cc: str, flags: tuple, src: str, so: str):
-    """Run the compiler; raises :class:`LoopsUnsupported` when it fails.
-    Only a build imports :mod:`subprocess`: a warm process runs none."""
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file beside it and
+    ``os.replace``, so a reader sees the old file or the whole new one.
+    Raises what the write raised, and leaves no temp file."""
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.getpid()}-{os.path.basename(path)}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):           # the write failed
+            os.remove(tmp)
+
+
+def _cc_compile(cc: str, flags: tuple, source: str, src: str, so: str):
+    """Write ``source`` to ``src`` and compile it to ``so``; raises
+    :class:`LoopsUnsupported` when the compiler fails.  Only a build
+    imports :mod:`subprocess`: a warm process runs none."""
     import subprocess
+    with open(src, "w") as f:
+        f.write(source)
     r = subprocess.run([cc, *flags, src, "-o", so, "-lm"],
                        capture_output=True, text=True)
     if r.returncode != 0:
         raise LoopsUnsupported(f"C compilation failed:\n{r.stderr}")
+
+
+def _sha256(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest().encode("ascii")
+
+
+def _load_checked(so: str):
+    """The cached shared object ``so``, loaded only if its bytes match
+    the digest :func:`_cc_build` recorded beside it (``<so>.sha256``);
+    ``None`` when that digest is missing or differs, or the file does
+    not load."""
+    try:
+        with open(so + ".sha256", "rb") as f:
+            return ctypes.CDLL(so) if f.read() == _sha256(so) else None
+    except OSError:
+        return None
 
 
 def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
@@ -428,14 +459,17 @@ def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
 
     With the disk cache enabled the artifact is content-addressed by
     (source, compiler identity, flags): a prior build — by any process —
-    is dlopen'd directly, skipping the compiler entirely.  A build with
-    the process's flags first makes sure this process ran its own probe
-    (:func:`_cc_probe`): they may have come from a record, and a probe
-    that now finds another rung or level changes the flags and the key.
-    Builds land in the cache via an atomic rename, so concurrent worker
-    processes racing on the same kernel at worst compile twice, never
-    load a torn file.  Any cache-directory failure silently falls back
-    to the per-process temp-dir build.
+    is dlopen'd directly, skipping the compiler entirely, once its bytes
+    match the digest recorded at build (:func:`_load_checked`); one that
+    does not is removed, built again and counted as ``corrupt``.  A
+    build with the process's flags first makes sure this process ran its
+    own probe (:func:`_cc_probe`): they may have come from a record, and
+    a probe that now finds another rung or level changes the flags and
+    the key.  Builds land in the cache via an atomic rename, their
+    digest after it: a process racing another's build may find no digest
+    yet and build again, but never loads a file it could not check.  Any
+    cache-directory failure silently falls back to the per-process
+    temp-dir build.
     """
     flags = _cc_flags(build)
     cdir = loops_cache_dir() if cache else None
@@ -444,12 +478,13 @@ def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
         key = _cc_key(cc, " ".join(flags), source)
         so = os.path.join(cdir, f"{stem}-{key}.so")
         if os.path.exists(so):
-            try:
-                lib = ctypes.CDLL(so)
+            lib = _load_checked(so)
+            if lib is not None:
                 _disk_cache["hits"] += 1
                 return lib
-            except OSError:
-                pass                      # unreadable artifact: rebuild
+            _disk_cache["corrupt"] += 1   # rebuilt below, maybe re-keyed
+            with contextlib.suppress(OSError):
+                os.remove(so)
     if build is None and not _cc_state.get("probed"):
         if _cc_probe(cc) is None:
             raise LoopsUnsupported(f"C compiler {cc} no longer builds")
@@ -458,30 +493,23 @@ def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
         try:
             os.makedirs(cdir, exist_ok=True)
             tmp = os.path.join(cdir, f".build-{os.getpid()}-{stem}.so")
-            src = so[:-3] + ".c"          # kept beside the .so for debugging
-            with open(src, "w") as f:
-                f.write(source)
-            _cc_compile(cc, flags, src, tmp)
+            # the .c is kept beside the .so for debugging
+            _cc_compile(cc, flags, source, so[:-3] + ".c", tmp)
+            digest = _sha256(tmp)
             os.replace(tmp, so)
+            _write_atomic(so + ".sha256", digest)
             lib = ctypes.CDLL(so)
             _disk_cache["misses"] += 1
             return lib
-        except LoopsUnsupported:
-            raise
         except OSError:
             pass              # cache dir unusable: temp-dir build below
-    d = _cc_workdir()
     _build_seq[0] += 1
-    stem = f"{stem}_{_build_seq[0]}"
-    src = os.path.join(d, f"{stem}.c")
-    so = os.path.join(d, f"{stem}.so")
-    with open(src, "w") as f:
-        f.write(source)
-    _cc_compile(cc, flags, src, so)
-    return ctypes.CDLL(so)
+    path = os.path.join(_cc_workdir(), f"{stem}_{_build_seq[0]}")
+    _cc_compile(cc, flags, source, path + ".c", path + ".so")
+    return ctypes.CDLL(path + ".so")
 
 
-#: the LIFT package, whose sources every lowered program depends on
+#: the LIFT package, whose sources every cached host program depends on
 _LIFT_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _source_digests: dict = {}      # builders path -> digest
 
@@ -501,8 +529,31 @@ def _source_digest(builders: str) -> str:
     return _source_digests[builders]
 
 
+#: the frame of a pickle artifact: magic, payload length (8 bytes,
+#: little-endian), SHA-256 of the payload, then the payload
+_MAGIC = b"RPK1"
+_HEAD = len(_MAGIC) + 8 + 32
+
+
+def _frame(payload: bytes) -> bytes:
+    return (_MAGIC + len(payload).to_bytes(8, "little")
+            + hashlib.sha256(payload).digest() + payload)
+
+
+def _unframe(data: bytes) -> bytes:
+    """The payload :func:`_frame` wrapped in ``data``; raises
+    ``ValueError`` when the magic, the length or the digest does not
+    match it."""
+    payload = data[_HEAD:]
+    if (data[:4] != _MAGIC or int.from_bytes(data[4:12], "little")
+            != len(payload)
+            or hashlib.sha256(payload).digest() != data[12:_HEAD]):
+        raise ValueError("not a framed artifact, or a damaged one")
+    return payload
+
+
 def cached_build(kind: str, what: tuple, builders: str, build, *,
-                 count, portable=lambda value: value):
+                 count, portable):
     """What ``build()`` returns, kept in the disk cache beside the
     ``.so`` files, so a process that finds it there runs no ``build``
     and loads none of the LIFT front end ``build`` needs.
@@ -511,14 +562,16 @@ def cached_build(kind: str, what: tuple, builders: str, build, *,
     (strings naming the value), the Python minor version, NumPy's
     version and a digest of the LIFT sources and of ``builders``, the
     module whose builders made it.  It holds ``portable(value)``,
-    written through a temp file and ``os.replace``.  ``count(loaded)``
-    is how many items a loaded artifact holds (0 when it is not what
-    ``build`` returns): they count as ``<kind>_hits`` of
-    :func:`loops_disk_cache_stats`, a built value's as
-    ``<kind>_misses``.  A missing, unreadable or corrupt artifact is
-    built again and replaced; a failed write stores nothing and leaves
-    no temp file; with the cache disabled every call builds and nothing
-    is written.
+    pickled inside a frame (:func:`_frame`) that is checked before
+    anything is unpickled, written through a temp file and
+    ``os.replace``.  ``count(loaded)`` is how many items a loaded
+    artifact holds (0 when it is not what ``build`` returns): they count
+    as ``<kind>_hits`` of :func:`loops_disk_cache_stats`, a built
+    value's as ``<kind>_misses``.  A missing artifact is built; one that
+    fails its frame, does not unpickle or counts 0 is built again,
+    replaced and counted as ``corrupt``.  A failed write stores nothing
+    and leaves no temp file; with the cache disabled every call builds
+    and nothing is written.
     """
     cdir = loops_cache_dir()
     if cdir is None:
@@ -526,41 +579,27 @@ def cached_build(kind: str, what: tuple, builders: str, build, *,
     key = _key(kind, *what, "py%d.%d" % sys.version_info[:2],
                np.__version__, _source_digest(builders))
     path = os.path.join(cdir, f"{kind}-{key}.pkl")
-    try:
-        with open(path, "rb") as f:
-            value = pickle.load(f)
-        n = count(value)
-    except Exception:       # missing, unreadable or corrupt: build again
+    if os.path.exists(path):
         n = 0
-    if n:
-        _disk_cache[f"{kind}_hits"] += n
-        return value
+        try:
+            with open(path, "rb") as f:   # unpickles only what checked
+                value = pickle.loads(_unframe(f.read()))
+            n = count(value)
+        except Exception:
+            pass
+        if n:
+            _disk_cache[f"{kind}_hits"] += n
+            return value
+        _disk_cache["corrupt"] += 1
     value = build()
     _disk_cache[f"{kind}_misses"] += count(value)
-    tmp = os.path.join(cdir, f".{kind}-{os.getpid()}-{key}.pkl")
     try:
         os.makedirs(cdir, exist_ok=True)
-        with open(tmp, "wb") as f:
-            pickle.dump(portable(value), f, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        _write_atomic(path, _frame(pickle.dumps(
+            portable(value), protocol=pickle.HIGHEST_PROTOCOL)))
     except Exception:       # nothing stored; the built value still serves
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
+        pass
     return value
-
-
-def lowered_programs(what: tuple, builders: str, lower) -> list:
-    """The :class:`ArenaProgram` s ``lower()`` returns, through
-    :func:`cached_build` (kind ``lowered``).  The artifact holds the
-    programs without ``alloc`` (no part of the IR identity: an unpickled
-    program equals a fresh lowering)."""
-    return cached_build(
-        "lowered", what, builders, lower,
-        count=lambda ps: len(ps) if isinstance(ps, list) and all(
-            isinstance(p, ArenaProgram) for p in ps) else 0,
-        portable=lambda ps: [replace(p, alloc=None) for p in ps])
 
 
 def available_tiers() -> tuple[str, ...]:

@@ -37,16 +37,14 @@ from ..ast import (BinOp, Expr, FunCall, Lambda, Literal, Param, Select,
 from ..memory import allocate
 from ..patterns import (AbstractMap, AbstractReduce, ArrayAccess,
                         ArrayAccess3, ArrayCons, Concat, Get, Id, Iota, Map,
-                        MapGlb, MapGlb3D, MapSeq, Pad, Pad3D, Pattern, Skip,
-                        Slide, Slide3D, Split, Join, ToGPU, ToHost,
-                        TupleCons, WriteTo, Zip, Zip3D)
-from ..types import (ArrayType, Bool, Double, Float, Int, LiftType, Long,
-                     ScalarType)
+                        MapGlb, MapGlb3D, MapSeq, Pad, Pad3D, Skip, Slide,
+                        Slide3D, ToGPU, ToHost, TupleCons, WriteTo, Zip,
+                        Zip3D)
+from ..types import ArrayType, Double, Float, Int, LiftType, Long, ScalarType
 from .arena import (AliasOp, ArenaProgram, CastOp, ConstOp, ElemStoreOp,
-                    FullStoreOp, GidOp, IndexStoreOp, Pad3Op, PadOp, ScalarOp,
-                    ShiftOp, Slice3Op, SliceStoreOp, TakeOp, UfuncOp,
-                    VecExprOp, WhereOp)
-from .arena import NumpyKernel  # noqa: F401  (re-exported from its old home)
+                    FullStoreOp, GidOp, IndexStoreOp, NumpyKernel, Pad3Op,
+                    PadOp, ScalarOp, ShiftOp, Slice3Op, SliceStoreOp, TakeOp,
+                    UfuncOp, VecExprOp, WhereOp)
 from .c_ast import NameGen
 
 
@@ -504,7 +502,6 @@ def _gen_top(expr: Expr, out_name: str | None, ctx: _Ctx, kernel: Lambda):
 def _eta_expand(f, elem_t: LiftType) -> Lambda:
     """Wrap a pattern/userfun map function as a typed one-param lambda."""
     from ..type_inference import infer as _infer
-    import itertools
     p = Param(f"_eta_{next(_ETA_IDS)}", elem_t)
     call = FunCall(f, p)
     _infer(call)

@@ -32,19 +32,17 @@ from ..ast import (BinOp, Expr, FunCall, Lambda, Literal, Param, Select,
 from ..memory import allocate
 from ..patterns import (AbstractMap, AbstractReduce, ArrayAccess,
                         ArrayAccess3, ArrayCons, Concat, Get, Id, Iota, Map,
-                        Map3D, MapGlb, MapGlb3D, MapLcl, MapSeq, MapWrg, Pad,
-                        Pad3D, Pattern, Skip, Slide, Slide3D, Split, Join,
-                        ToGPU, ToHost, Transpose, TupleCons, WriteTo, Zip,
-                        Zip3D)
+                        MapGlb, MapGlb3D, MapLcl, MapSeq, MapWrg, Pad, Pad3D,
+                        Pattern, Skip, Slide, Slide3D, Split, Join, ToGPU,
+                        ToHost, TupleCons, WriteTo, Zip, Zip3D)
 from ..types import (ArrayType, Bool, Double, Float, Int, LiftType, Long,
-                     ScalarType, TupleType)
+                     ScalarType)
 from ..views import (InView, OutElement, OutMem, OutMem3D, OutOffset,
                      OutView, View3D, ViewConstant, ViewIota, ViewJoin,
                      ViewMem, ViewMem3D, ViewPad, ViewPad3D, ViewSlide,
-                     ViewSlide3D, ViewSplit, ViewTuple, ViewWindow,
-                     ViewWindow3D, ViewZip, ViewZip3D, in_view_to_out, paren)
+                     ViewSlide3D, ViewSplit, ViewTuple, ViewZip, ViewZip3D,
+                     in_view_to_out, paren)
 from .c_ast import CBlock, NameGen
-# LIFT-free homes (.plan), re-exported here
 from .plan import KernelAllocation, KernelSource, ParamInfo
 
 

@@ -9,8 +9,7 @@ of holding the front end's ``Param`` nodes, so a plan loaded from the
 loops disk cache loads no LIFT front end.  A kernel lowers its
 :class:`~repro.lift.codegen.arena.ArenaProgram` and analyses its
 :class:`~repro.lift.resources.Resources` at most once, on first use,
-and keeps both; a cached plan carries them.  The compilers' modules
-(:mod:`.host`, :mod:`.opencl`, :mod:`..memory`) re-export every name.
+and keeps both; a cached plan carries them.
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ class OutputAllocation:
     count: ArithExpr | None          # symbolic element count (None if aliased)
     #: the input parameter reused in place, if any
     aliased_name: str | None = None
-    #: that parameter's front-end ``Param`` (absent from a cached plan)
-    aliased_param: object | None = field(default=None, compare=False,
-                                         repr=False)
 
     @property
     def is_in_place(self) -> bool:
@@ -292,18 +288,15 @@ class HostProgram:
     def portable(self) -> "HostProgram":
         """This program as the loops disk cache stores it: every kernel
         carries its lowered program (without ``alloc``) and its
-        resources, and no LIFT AST node is left (no ``kernel_lambda``,
-        no aliased ``Param``), so unpickling it loads no front end.  A
-        kernel not yet lowered or analysed is, and keeps the result."""
+        resources, and no LIFT AST node is left (no ``kernel_lambda``),
+        so unpickling it loads no front end.  A kernel not yet lowered
+        or analysed is, and keeps the result."""
         stripped: dict[int, KernelSource] = {}
 
         def strip(ks: KernelSource) -> KernelSource:
             if id(ks) not in stripped:
-                outputs = [replace(o, aliased_param=None)
-                           for o in ks.allocation.outputs]
                 stripped[id(ks)] = replace(
-                    ks, allocation=replace(ks.allocation, outputs=outputs),
-                    kernel_lambda=None,
+                    ks, kernel_lambda=None,
                     program=replace(ks.arena_program(), alloc=None),
                     resources=ks.kernel_resources())
             return stripped[id(ks)]

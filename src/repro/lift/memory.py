@@ -20,11 +20,9 @@ from __future__ import annotations
 
 from .arith import ArithExpr
 from .ast import Expr, FunCall, Lambda, Param, pre_order
-from .patterns import (ArrayAccess, Id, OclKernel, ToGPU, ToHost, TupleCons,
-                       WriteTo)
-from .types import ArrayType, LiftType, ScalarType, TupleType, TypeError_
+from .patterns import ArrayAccess, Id, ToGPU, ToHost, TupleCons, WriteTo
+from .types import ArrayType, LiftType, ScalarType
 from .type_inference import infer
-# LIFT-free home (codegen.plan), re-exported here
 from .codegen.plan import KernelAllocation, OutputAllocation
 
 
@@ -91,8 +89,7 @@ def allocate(kernel: Lambda) -> KernelAllocation:
                     "WriteTo target does not resolve to a kernel parameter")
             outputs.append(OutputAllocation(
                 scalar=_scalar_of(target.declared_type),
-                count=None, aliased_name=target.name,
-                aliased_param=target))
+                count=None, aliased_name=target.name))
             return
         if isinstance(expr, FunCall) and isinstance(expr.fun, TupleCons):
             for a in expr.args:
@@ -116,8 +113,7 @@ def allocate(kernel: Lambda) -> KernelAllocation:
                 seen.add(target.name)
                 outputs.append(OutputAllocation(
                     scalar=_scalar_of(target.declared_type),
-                    count=None, aliased_name=target.name,
-                    aliased_param=target))
+                    count=None, aliased_name=target.name))
             return
         t = expr.type
         if t is None:

@@ -5,7 +5,7 @@ GFLOPS against the precision's peak.
 
 Rows are aggregated from the tracer's ``cat == "kernel"`` spans, whose
 attributes the runtime fills from :class:`repro.gpu.costmodel.KernelTiming`
-and :class:`repro.lift.analysis.Resources` at launch time, so the report
+and :class:`repro.lift.resources.Resources` at launch time, so the report
 reflects exactly what was executed (post-autotuning workgroup sizes,
 fault-free winning attempts and ``failed_kernel`` retries alike are
 distinguishable by category).

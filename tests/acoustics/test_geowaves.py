@@ -142,12 +142,12 @@ class TestLiftPrograms:
     def test_h_kernel_aliases_two_arrays(self):
         alloc = allocate(h_update_program().kernel)
         assert not alloc.allocates_output
-        assert {o.aliased_param.name for o in alloc.outputs} == {"Hx", "Hy"}
+        assert {o.aliased_name for o in alloc.outputs} == {"Hx", "Hy"}
 
     def test_e_kernel_aliases_ez(self):
         alloc = allocate(e_update_program().kernel)
         assert not alloc.allocates_output
-        assert {o.aliased_param.name for o in alloc.outputs} == {"Ez"}
+        assert {o.aliased_name for o in alloc.outputs} == {"Ez"}
 
     def test_opencl_generates(self):
         src = compile_kernel(h_update_program().kernel, "gpr_h").source

@@ -293,7 +293,7 @@ class TestBinding:
                        neighbors=sim._nbrs_guarded.astype(dtype))
 
     def test_written_buffer_takes_the_declared_type_only(self):
-        from repro.lift.codegen.host import BufferDecl
+        from repro.lift.codegen.plan import BufferDecl
         from repro.lift.types import Int
         sim = _sim("fd_mm")
         plan = sim._host_program.plan

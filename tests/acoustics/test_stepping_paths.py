@@ -274,7 +274,7 @@ def test_a_plan_the_step_refuses_is_refused_when_built(monkeypatch):
     when the simulation is built, as a pool does — there is no
     launch-by-launch path to fall back to."""
     from repro.gpu.runtime import VirtualGPU
-    from repro.lift.codegen.host import Launch
+    from repro.lift.codegen.plan import Launch
     from repro.lift.codegen.loops import _step_links
 
     host = _refused_host(monkeypatch)

@@ -15,7 +15,7 @@ from repro.gpu.costmodel import (HANDWRITTEN_TRAITS, LIFT_TRAITS,
 from repro.gpu.device import (AMD_HD7970, DeviceSpec, NVIDIA_GTX780,
                               NVIDIA_TITAN_BLACK, PAPER_DEVICES,
                               device_by_name)
-from repro.lift.analysis import Resources
+from repro.lift.resources import Resources
 
 
 class TestDeviceTable:

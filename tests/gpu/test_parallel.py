@@ -6,19 +6,26 @@ the seconds range.  ``TestHostProgramPickles`` checks, in-process, the
 round trip that hands each worker its host program.
 """
 
+import os
 import pickle
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs
 from repro.acoustics.geometry import DomeRoom, Room
 from repro.acoustics.grid import Grid3D
 from repro.acoustics.lift_programs import (LEAPFROG, compiled_host,
                                            two_kernel_host)
 from repro.acoustics.sim import RoomSimulation, SimConfig
-from repro.lift.codegen.host import Launch, compile_host
+from repro.lift.codegen.host import compile_host
 from repro.lift.codegen.loops import available_tiers
+from repro.lift.codegen.plan import Launch
 from repro.gpu import (ClInvalidValue, MultiGPU, NVIDIA_TITAN_BLACK,
                        ShardLost, VirtualGPU, clear_kernel_caches)
 
@@ -255,6 +262,49 @@ class TestDeadWorkerRecovery:
         N = fi_mm["N"]
         assert np.array_equal(res.result[:N], np.asarray(ref.result)[:N])
         assert res.overlap["executor"] == "parallel"
+
+    def test_a_worker_dead_at_start_up_loses_its_shard(self, tmp_path):
+        """A script with no ``__main__`` guard re-runs itself in every
+        spawned worker, which then raises while it bootstraps.  Its
+        shard task (half of two 40x30x20 double levels, more than a
+        pipe's 64 KiB) is no longer a spawn argument, so ``start()``
+        returns, the liveness loop reports the dead worker as
+        ``ShardLost`` and the simulation re-shards onto the survivor,
+        within the bound, leaving no shared memory behind."""
+        grid = Grid3D(40, 30, 20)
+        assert grid.num_points * 8 // 2 > 64 * 1024
+        script = tmp_path / "unguarded.py"
+        script.write_text(_UNGUARDED)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        shm = Path("/dev/shm")
+        before = set(os.listdir(shm)) if shm.is_dir() else set()
+        t0 = time.monotonic()
+        proc = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True,
+                              timeout=START_UP_DEATH_BOUND_S)
+        assert time.monotonic() - t0 < START_UP_DEATH_BOUND_S
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["pool-loop", "1", "4", "reshard"]
+        if shm.is_dir():
+            assert set(os.listdir(shm)) <= before
+
+
+#: the wall-clock bound on a run whose shard workers die at start-up
+START_UP_DEATH_BOUND_S = 120
+
+_UNGUARDED = """
+from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
+sim = RoomSimulation(SimConfig(room=Room(Grid3D(40, 30, 20), BoxRoom()),
+                               scheme="fd_mm", precision="double",
+                               backend="virtual_gpu", devices="TitanBlack:2",
+                               parallel=True))
+sim.add_impulse("center")
+sim.run(4)
+print(sim._path, len(sim.devices), sim.time_step,
+      *{p.action for p in sim.policy_log if p.action == "reshard"})
+"""
 
 
 def _sim(scheme, devices=None, steps=6, **kw):

@@ -7,7 +7,7 @@ from repro.acoustics import BoxRoom, Grid3D, Room
 from repro.acoustics.lift_programs import LEAPFROG
 from repro.acoustics.sim import RoomSimulation, SimConfig
 from repro.bench.harness import kernel_resources
-from repro.lift.codegen.host import Launch
+from repro.lift.codegen.plan import Launch
 from repro.gpu import (AutotuneMemo, NVIDIA_TITAN_BLACK, VirtualGPU,
                        autotune_memo, autotune_workgroup,
                        clear_kernel_caches, kernel_cache_stats,
@@ -28,17 +28,24 @@ def _run(devices="TitanBlack", steps=2):
 
 def _compile_caches():
     # the arena key carries cumulative hit/miss counters, which grow with
-    # every run; only the compile caches must stay fixed across reruns
+    # every run; only the compile cache must stay fixed across reruns
     return {k: v for k, v in kernel_cache_stats().items()
-            if k in ("np_kernels", "resources")}
+            if k == "np_kernels"}
 
 
 def test_kernel_compile_shared_across_instances():
     from repro.gpu.runtime import _NP_KERNEL_CACHE
     clear_kernel_caches()
-    _run()
+    sim = _run()
     first = _compile_caches()
-    assert first["np_kernels"] > 0 and first["resources"] > 0
+    assert first["np_kernels"] > 0
+    # each launch's resources are the ones its plan carries, analysed
+    # once per kernel and kept there, not in a process-wide table
+    assert "resources" not in kernel_cache_stats()
+    launches = [op for op in sim._host_program.plan.ops
+                if isinstance(op, Launch)]
+    assert launches
+    assert all(op.kernel.resources is not None for op in launches)
     # one entry per kernel and executable: the NumPy arena kernel and
     # its launch step; and one for the launches' compiled step
     assert all(key.endswith(("#steady", "#loops", "#step"))

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.lift.analysis import Resources, analyse_kernel
+from repro.lift.analysis import analyse_kernel
 from repro.lift.arith import Var
 from repro.lift.ast import BinOp, FunCall, Lambda, Param, Select, lam, lit
 from repro.lift.patterns import (ArrayAccess, Get, Iota, Map, Pad, Reduce,
                                  Slide, WriteTo, Zip)
+from repro.lift.resources import Resources
 from repro.lift.types import ArrayType, Double, Float, Int, TupleType
 
 from repro.acoustics.lift_programs import (fd_mm_boundary, fi_fused_3d,

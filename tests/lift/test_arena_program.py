@@ -27,9 +27,10 @@ import numpy as np
 import pytest
 
 from repro.acoustics.lift_programs import fi_fused_flat, fi_mm_boundary
+from repro.lift.codegen.arena import NumpyKernel
 from repro.lift.codegen.loops import (LoopsUnsupported, available_tiers,
                                       compile_launch)
-from repro.lift.codegen.numpy_backend import NumpyKernel, compile_numpy
+from repro.lift.codegen.numpy_backend import compile_numpy
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

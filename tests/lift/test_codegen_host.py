@@ -4,8 +4,8 @@ import pytest
 
 from repro.lift.arith import Var
 from repro.lift.ast import BinOp, FunCall, Lambda, Param, lam
-from repro.lift.codegen.host import (ArgBinding, CopyIn, CopyOut,
-                                     HostCodegenError, Launch, compile_host)
+from repro.lift.codegen.host import HostCodegenError, compile_host
+from repro.lift.codegen.plan import ArgBinding, CopyIn, CopyOut, Launch
 from repro.lift.patterns import Map, OclKernel, ToGPU, ToHost, WriteTo
 from repro.lift.types import ArrayType, Float, Int
 

@@ -1,17 +1,21 @@
 """Compiled host programs in the loops disk cache.
 
-A ``virtual_gpu`` simulation takes Listing 5's compiled host program
-from :func:`~repro.acoustics.host_io.host_program`: the first process
+Every simulation backend that steps a LIFT program takes Listing 5's
+compiled host program from
+:func:`~repro.acoustics.host_io.host_program` (``virtual_gpu`` its
+plan, ``numba`` and ``numpy-steady`` its launches): the first process
 compiles it, lowers and analyses every kernel, and stores it beside the
-lowered step programs and the ``.so`` files; a later one unpickles it
-and loads none of the LIFT front end.  A cached plan must run exactly
-what a fresh ``compiled_host`` runs, and anything the key covers — the
-LIFT sources, the builders' module, NumPy's version — or a damaged
-artifact must compile afresh.  A failed write never fails the run.
+``.so`` files; a later one unpickles it and loads none of the LIFT front
+end.  A cached plan must run exactly what a fresh ``compiled_host``
+runs, and anything the key covers — the LIFT sources, the builders'
+module, NumPy's version — or a damaged artifact must compile afresh: a
+changed byte anywhere in the artifact fails its frame and is counted as
+``corrupt``, never unpickled.  A failed write never fails the run.
 """
 
 import os
 import pickle
+import random
 import shutil
 import subprocess
 import sys
@@ -159,11 +163,11 @@ PATHS = {"resident": {}, "resilient": {"resilient": True},
 
 def _run(scheme, precision, path, **config):
     """A simulation stepped 12 times on ``path``, with its kernel
-    events; the process-wide kernel caches start empty, so every step,
-    NumPy kernel and resource count comes from this run's plan."""
+    events; the process-wide kernel cache starts empty, so every step
+    and NumPy kernel comes from this run's plan, as every resource count
+    does."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(runtime, "_NP_KERNEL_CACHE", {})
-        m.setattr(runtime, "_RESOURCES_CACHE", {})
         sim = RoomSimulation(SimConfig(
             room=Room(Grid3D(14, 12, 10), BoxRoom()), scheme=scheme,
             precision=precision, backend="virtual_gpu", **PATHS[path],
@@ -316,25 +320,167 @@ def test_a_disabled_cache_compiles_every_time_and_writes_nothing(
         base["host_hits"], base["host_misses"])
 
 
+# -- a changed byte is a counted rebuild, never a different answer ---------
+
+def _steps(backend, **config):
+    """A 20x16x12 ``fd_mm`` double box stepped 5 times on ``backend``;
+    the process-wide kernel cache starts empty."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(runtime, "_NP_KERNEL_CACHE", {})
+        sim = RoomSimulation(SimConfig(
+            room=Room(Grid3D(20, 16, 12), BoxRoom()), scheme="fd_mm",
+            precision="double", backend=backend, **config))
+        sim.add_impulse("center")
+        sim.add_receiver("a", (4, 5, 3))
+        sim.run(5)
+    return sim
+
+
+def _same_run(sim, other) -> None:
+    for name in ("prev", "curr", "g1", "v"):
+        assert np.array_equal(getattr(sim, name), getattr(other, name)), name
+    assert sim.receivers == other.receivers
+
+
+def _uncached(backend):
+    prev = loops.loops_cache_dir()
+    loops.set_loops_cache_dir(None)
+    try:
+        return _steps(backend)
+    finally:
+        loops.set_loops_cache_dir(prev)
+
+
+def _compiled() -> bool:
+    try:
+        loops.select_tier()
+    except loops.LoopsUnsupported:
+        return False
+    return True
+
+
+ALL_BACKENDS = [pytest.param("numba", marks=pytest.mark.skipif(
+    not _compiled(), reason="no compiled loop tier on this host")),
+    "numpy-steady", "virtual_gpu"]
+
+
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
+def test_a_changed_constant_is_rebuilt_not_run(cache_dir, backend):
+    """Every ``2.0`` in a cached ``fd_mm`` program turned ``3.0`` (the
+    artifact keeps its length, and its payload still unpickles to a
+    host program whose kernels compute something else): the frame
+    refuses it, the program is compiled again and counted as
+    ``corrupt``, and the run matches a run with the cache off."""
+    host_io.host_program("fd_mm", "double", 3)          # stores it
+    (artifact,) = cache_dir.glob("host-*.pkl")
+    data = artifact.read_bytes()
+    mutated = data.replace(b"2.0", b"3.0")
+    assert mutated != data and len(mutated) == len(data)
+    unchecked = pickle.loads(mutated[loops._HEAD:])
+    assert isinstance(unchecked, HostProgram)
+    assert [ks.program for ks in unchecked.kernels.values()] != [
+        ks.program for ks in pickle.loads(data[loops._HEAD:]).kernels.values()]
+    artifact.write_bytes(mutated)
+    base = loops.loops_disk_cache_stats()
+    sim = _steps(backend)
+    stats = loops.loops_disk_cache_stats()
+    assert stats["corrupt"] == base["corrupt"] + 1
+    assert stats["host_misses"] == base["host_misses"] + 1
+    assert artifact.read_bytes() != mutated
+    _same_run(sim, _uncached(backend))
+
+
+#: where the flipped bytes land, as fractions of the artifact's length:
+#: its first byte (the magic) and six drawn by ``random.Random(16)``
+FLIPS = [0.0, *sorted(round(random.Random(16).random(), 4)
+                      for _ in range(6))]
+
+
+@pytest.mark.parametrize("where", FLIPS)
+def test_a_flipped_byte_is_rebuilt(cache_dir, tree, where):
+    """One byte flipped anywhere in the artifact — frame, digest or
+    payload — is compiled again, replaced and counted as ``corrupt``;
+    the next process hits the replacement, and a run matches a run
+    with the cache off."""
+    _lift, _builders, compiles = tree
+    fresh = _host()
+    (artifact,) = cache_dir.glob("host-*.pkl")
+    data = bytearray(artifact.read_bytes())
+    offset = min(int(where * len(data)), len(data) - 1)
+    data[offset] ^= 0xFF
+    artifact.write_bytes(bytes(data))
+    base = loops.loops_disk_cache_stats()
+    assert _host().source == fresh.source and compiles.calls == 2
+    assert _host().source == fresh.source and compiles.calls == 2
+    stats = loops.loops_disk_cache_stats()
+    assert stats["corrupt"] == base["corrupt"] + 1
+    assert stats["host_hits"] == base["host_hits"] + 1
+    _same_run(_steps("numpy-steady"), _uncached("numpy-steady"))
+
+
+@pytest.mark.skipif(not _compiled(), reason="no compiled loop tier")
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_numba_and_virtual_gpu_share_one_step(cache_dir, monkeypatch,
+                                              scheme):
+    """A cold cache that runs ``numba`` and then ``virtual_gpu`` holds
+    one host program and one ``.so``: both paths step the host
+    program's launches under one name, so the second builds nothing."""
+    monkeypatch.setattr(runtime, "_NP_KERNEL_CACHE", {})
+    base = loops.loops_disk_cache_stats()
+    sims = []
+    for backend in ("numba", "virtual_gpu"):
+        sim = RoomSimulation(SimConfig(
+            room=Room(Grid3D(12, 10, 8), BoxRoom()), scheme=scheme,
+            backend=backend))
+        sim.add_impulse("center")
+        sim.run(3)
+        sims.append(sim)
+    numba, vgpu = sims
+    assert numba._step.name == vgpu._step.name
+    assert numba._step.source == vgpu._step.source
+    assert len(list(cache_dir.glob("*.so"))) == 1
+    assert len(list(cache_dir.glob("host-*.pkl"))) == 1
+    assert not list(cache_dir.glob("lowered-*.pkl"))
+    stats = loops.loops_disk_cache_stats()
+    if numba._step.tier == "cc":
+        assert (stats["misses"], stats["hits"]) == (
+            base["misses"] + 1, base["hits"] + 1)
+    assert (stats["host_misses"], stats["host_hits"]) == (
+        base["host_misses"] + 1, base["host_hits"] + 1)
+    _same_run(numba, vgpu)
+
+
 # -- a failed write ---------------------------------------------------------
 
-def _unpicklable(value, f, protocol=None):
-    raise pickle.PicklingError("cannot pickle this (test)")
+def _unpicklable(monkeypatch):
+    def dumps(value, protocol=None):
+        raise pickle.PicklingError("cannot pickle this (test)")
+    monkeypatch.setattr(loops.pickle, "dumps", dumps)
 
 
-def _disk_full(value, f, protocol=None):
-    f.write(b"\x80\x05partial")
-    raise OSError(28, "No space left on device (test)")
+def _disk_full(monkeypatch):
+    real = open
+
+    def partial(path, mode="r", *args, **kwargs):
+        f = real(path, mode, *args, **kwargs)
+        if "w" in mode and "b" in mode:
+            f.write(b"RPK1partial")
+            f.close()
+            raise OSError(28, "No space left on device (test)")
+        return f
+    monkeypatch.setattr("builtins.open", partial)
 
 
-@pytest.mark.parametrize("dump", [_unpicklable, _disk_full])
+@pytest.mark.parametrize("fault", [_unpicklable, _disk_full])
 def test_a_failed_write_stores_nothing_and_fails_nothing(cache_dir,
-                                                         monkeypatch, dump):
+                                                         monkeypatch, fault):
     """Any exception while writing an artifact means "nothing stored":
     the built value is returned and no temp file is left."""
-    monkeypatch.setattr(loops.pickle, "dump", dump)
-    built = loops.cached_build("lowered", ("t",), host_io.BUILDERS,
-                               lambda: ["value"], count=len)
+    fault(monkeypatch)
+    built = loops.cached_build("host", ("t",), host_io.BUILDERS,
+                               lambda: ["value"], count=len,
+                               portable=list)
+    monkeypatch.undo()
     assert built == ["value"]
     assert list(cache_dir.iterdir()) == []
 
@@ -342,7 +488,7 @@ def test_a_failed_write_stores_nothing_and_fails_nothing(cache_dir,
 @pytest.mark.parametrize("backend", ["numpy-steady", "virtual_gpu"])
 def test_a_failed_write_does_not_fail_the_constructor(cache_dir,
                                                       monkeypatch, backend):
-    monkeypatch.setattr(loops.pickle, "dump", _unpicklable)
+    _unpicklable(monkeypatch)
     sim = RoomSimulation(SimConfig(room=Room(Grid3D(12, 10, 8), BoxRoom()),
                                    scheme="fd_mm", backend=backend))
     sim.add_impulse("center")

@@ -2,7 +2,9 @@
 
 Artifacts are content-addressed by (source, compiler identity, flags): a
 second build of identical source — in this process or any other — is a
-dlopen, not a compile.  Beside them, a probe record keeps the flag-ladder
+dlopen, not a compile, once the artifact's bytes match the digest
+recorded beside it when it was built; one that does not is built again
+and counted as ``corrupt``.  Beside them, a probe record keeps the flag-ladder
 rung and psABI level a compiler's probe found on this CPU, so a process
 that only loads artifacts runs no compiler at all.  These tests drive
 ``_cc_build`` directly with tiny C sources so they are independent of
@@ -11,6 +13,7 @@ which kernels the suite compiled.
 
 import ctypes
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +93,59 @@ def test_corrupt_artifact_falls_back_to_rebuild(cache_dir):
     stats = loops.loops_disk_cache_stats()
     assert stats["hits"] == base["hits"]                 # rebuilt, not hit
     assert stats["misses"] == base["misses"] + 1
+    assert stats["corrupt"] == base["corrupt"] + 1
+
+
+#: where the flipped byte lands, as a fraction of the ``.so``'s length:
+#: its first byte (the ELF magic) and six drawn by ``random.Random(16)``
+FLIPS = [0.0, *sorted(round(random.Random(16).random(), 4)
+                      for _ in range(6))]
+
+
+@pytest.mark.parametrize("where", FLIPS)
+def test_a_flipped_byte_is_rebuilt_before_it_loads(cache_dir, where):
+    """A byte flipped anywhere in a cached ``.so`` fails its digest: the
+    artifact is built again, replaced and counted, and the next load of
+    the replacement is a hit."""
+    tag = f"flip{FLIPS.index(where)}"
+    loops._cc_build(CC, _source(tag), tag)
+    (so,) = cache_dir.glob(f"{tag}-*.so")
+    data = bytearray(so.read_bytes())
+    data[min(int(where * len(data)), len(data) - 1)] ^= 0xFF
+    # a new file: this process has the old one mapped
+    flipped = cache_dir / "flipped"
+    flipped.write_bytes(bytes(data))
+    os.replace(flipped, so)
+    base = loops.loops_disk_cache_stats()
+    getattr(loops._cc_build(CC, _source(tag), tag), f"repro_loop_{tag}")
+    stats = loops.loops_disk_cache_stats()
+    assert stats["corrupt"] == base["corrupt"] + 1
+    assert (stats["hits"], stats["misses"]) == (base["hits"],
+                                                base["misses"] + 1)
+    assert so.read_bytes() != bytes(data)
+    loops._cc_build(CC, _source(tag), tag)
+    assert loops.loops_disk_cache_stats()["hits"] == base["hits"] + 1
+
+
+def test_a_so_without_its_digest_is_rebuilt(cache_dir):
+    """A ``.so`` whose digest is missing (a build another process has
+    renamed into place but not yet recorded) is never loaded: it is
+    built again, and its digest written."""
+    loops._cc_build(CC, _source("nodigest"), "nodigest")
+    (digest,) = cache_dir.glob("nodigest-*.so.sha256")
+    digest.unlink()
+    base = loops.loops_disk_cache_stats()
+    loads, real = [], ctypes.CDLL
+    loops.ctypes.CDLL = lambda path, *a, **k: loads.append(
+        os.path.exists(path + ".sha256")) or real(path, *a, **k)
+    try:
+        loops._cc_build(CC, _source("nodigest"), "nodigest")
+    finally:
+        loops.ctypes.CDLL = real
+    stats = loops.loops_disk_cache_stats()
+    assert stats["corrupt"] == base["corrupt"] + 1
+    assert stats["misses"] == base["misses"] + 1
+    assert loads == [True] and digest.exists()
 
 
 def test_disabled_cache_still_builds(cache_dir):
@@ -183,6 +239,49 @@ def test_a_warm_process_starts_no_compiler(cache_dir, tmp_path):
     assert warm == ["0", "False", *cold[2:]]
     assert np.array_equal(field, again)
     assert len(list(cache_dir.glob("cc-probe-*.txt"))) == 1
+
+
+_FLIPPED = """
+import sys
+import numpy as np
+from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
+from repro.lift.codegen.loops import loops_disk_cache_stats
+sim = RoomSimulation(SimConfig(room=Room(Grid3D(20, 16, 12), BoxRoom()),
+                               scheme="fd_mm", backend="numba"))
+sim.add_impulse("center")
+sim.run(5)
+np.savez(sys.argv[1], prev=sim.prev, curr=sim.curr, g1=sim.g1, v=sim.v)
+stats = loops_disk_cache_stats()
+print(stats["corrupt"], stats["misses"], stats["hits"])
+"""
+
+
+def test_a_flipped_step_is_rebuilt_not_run(tmp_path):
+    """A byte flipped in the cached ``.so`` of a ``numba`` step: the
+    next process builds it again rather than load it, and steps what a
+    process with the cache off steps, bit for bit."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    runs = {}
+    for role, cache in (("cold", tmp_path / "cache"),
+                        ("flipped", tmp_path / "cache"), ("off", "off")):
+        if role == "flipped":
+            (so,) = (tmp_path / "cache").glob("step_*.so")
+            data = bytearray(so.read_bytes())
+            data[random.Random(16).randrange(len(data))] ^= 0xFF
+            so.write_bytes(bytes(data))
+        env = {**os.environ, "REPRO_LOOPS_CACHE_DIR": str(cache),
+               "REPRO_LOOP_TIER": "cc", "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / f"{role}.npz"
+        proc = subprocess.run([sys.executable, "-c", _FLIPPED, str(out)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        runs[role] = (proc.stdout.split(), dict(np.load(out)))
+    assert runs["cold"][0] == ["0", "1", "0"]
+    assert runs["flipped"][0] == ["1", "1", "0"]      # rebuilt, not loaded
+    for name, value in runs["off"][1].items():
+        assert np.array_equal(runs["flipped"][1][name], value), name
 
 
 def _volume_loop():

@@ -1,12 +1,13 @@
-"""Lowered step programs in the loops disk cache.
+"""The lowered step programs of ``numba`` and ``numpy-steady``.
 
-``numba`` and ``numpy-steady`` simulations take their ``ArenaProgram`` s
-from :func:`~repro.lift.codegen.loops.lowered_programs`: the first
-process lowers and stores them beside the ``.so`` files, a later one
-unpickles them and loads none of the LIFT front end.  A cached program
-must be the fresh lowering, to the last bit of what it runs, and
-anything the key covers — the LIFT sources, the builders' module,
-NumPy's version — or a damaged artifact must lower afresh.
+Both backends step the launches of the scheme's compiled host program,
+in plan order — the program ``virtual_gpu`` runs, which
+:func:`~repro.acoustics.host_io.host_program` keeps in the loops disk
+cache: the first process compiles and stores it beside the ``.so``
+files, a later one unpickles it and loads none of the LIFT front end.
+A cached program must be the fresh lowering, to the last bit of what it
+runs, and anything the key covers — the LIFT sources, the builders'
+module, NumPy's version — or a damaged artifact must compile afresh.
 """
 
 import os
@@ -21,15 +22,17 @@ import pytest
 
 import repro
 from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
+from repro.acoustics import host_io, lift_programs
 from repro.acoustics import sim as sim_module
-from repro.acoustics.lift_programs import fi_fused_flat
+from repro.acoustics.lift_programs import compiled_host
 from repro.lift.codegen import loops
-from repro.lift.codegen.numpy_backend import lower_arena
 
-#: the front end a warm process must not load
+#: the front end a warm process must not load (the plan's data model,
+#: ``lift.arith`` and ``lift.types`` are not part of it)
 FRONT_END = tuple(f"repro.lift.{m}" for m in (
-    "ast", "arith", "types", "patterns", "type_inference", "rewrite",
-    "views", "memory")) + ("repro.lift.codegen.numpy_backend",)
+    "ast", "patterns", "type_inference", "rewrite", "views", "memory",
+    "analysis", "codegen.numpy_backend", "codegen.opencl",
+    "codegen.host")) + ("repro.acoustics.lift_programs",)
 
 
 def _compiled() -> bool:
@@ -60,7 +63,6 @@ _STEP = """
 import sys
 import numpy as np
 from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
-from repro.acoustics import sim as sim_module
 from repro.lift.codegen.loops import loops_disk_cache_stats
 sim = RoomSimulation(SimConfig(room=Room(Grid3D(16, 12, 10), BoxRoom()),
                                scheme="fd_mm", backend=sys.argv[2]))
@@ -70,16 +72,16 @@ for _ in range(3):
 np.save(sys.argv[1], sim.curr)
 stats = loops_disk_cache_stats()
 loaded = [m for m in sys.argv[3:] if m in sys.modules]
-print(stats["lowered_hits"], stats["lowered_misses"], " ".join(loaded))
+print(stats["host_hits"], stats["host_misses"], " ".join(loaded))
 """
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_warm_process_loads_no_lift_front_end(backend, tmp_path):
-    """Two interpreters over one fresh cache: the first lowers both
-    ``fd_mm`` programs and stores them, the second unpickles both, loads
-    no module of the front end and steps the same field, bit for
-    bit."""
+    """Two interpreters over one fresh cache: the first compiles the
+    ``fd_mm`` host program and stores it, the second unpickles it,
+    steps its two launches, loads no module of the front end and steps
+    the same field, bit for bit.  No other pickle is stored."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = {**os.environ, "REPRO_LOOPS_CACHE_DIR": str(tmp_path / "cache"),
            "PYTHONPATH": os.pathsep.join(
@@ -93,10 +95,11 @@ def test_a_warm_process_loads_no_lift_front_end(backend, tmp_path):
         assert proc.returncode == 0, proc.stderr[-2000:]
         runs.append((proc.stdout.split(), np.load(out)))
     (cold, field), (warm, again) = runs
-    assert cold[:2] == ["0", "2"] and len(cold) > 2     # lowered: front end
-    assert warm == ["2", "0"]
+    assert cold[:2] == ["0", "1"] and len(cold) > 2     # compiled: front end
+    assert warm == ["1", "0"]
     assert np.array_equal(field, again)
-    assert len(list((tmp_path / "cache").glob("lowered-*.pkl"))) == 1
+    pickles = [p.name for p in (tmp_path / "cache").glob("*.pkl")]
+    assert len(pickles) == 1 and pickles[0].startswith("host-")
 
 
 # -- a cached program is the fresh lowering --------------------------------
@@ -125,15 +128,13 @@ def _sim(scheme, precision, backend):
 @pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
 def test_a_cached_program_is_the_fresh_lowering(matrix_cache, monkeypatch,
                                                 scheme, precision, backend):
-    _sim(scheme, precision, backend)                  # stores the lowering
-    with monkeypatch.context() as m:                  # lowers in process
-        m.setattr(sim_module, "lowered_programs",
-                  lambda what, builders, lower: lower())
+    _sim(scheme, precision, backend)                  # stores the program
+    with monkeypatch.context() as m:                  # compiles in process
+        m.setattr(sim_module, "host_program", compiled_host)
         fresh = _sim(scheme, precision, backend)
-    hits = loops.loops_disk_cache_stats()["lowered_hits"]
+    hits = loops.loops_disk_cache_stats()["host_hits"]
     cached = _sim(scheme, precision, backend)
-    n = len(cached._step.programs)
-    assert loops.loops_disk_cache_stats()["lowered_hits"] == hits + n
+    assert loops.loops_disk_cache_stats()["host_hits"] == hits + 1
 
     ours, theirs = cached._step.programs, fresh._step.programs
     assert all(p.alloc is None for p in ours)
@@ -153,95 +154,98 @@ def test_a_cached_program_is_the_fresh_lowering(matrix_cache, monkeypatch,
     assert cached.receivers == fresh.receivers
 
 
-# -- what lowers afresh ----------------------------------------------------
+# -- what compiles afresh --------------------------------------------------
 
-class _Lowering:
-    """``fi_fused_flat``'s lowering, counting the calls that ran it."""
+class _Compiles:
+    """``compiled_host``, counting the calls that ran it."""
 
     def __init__(self):
         self.calls = 0
 
-    def __call__(self):
+    def __call__(self, *args):
         self.calls += 1
-        p = fi_fused_flat("double")
-        return [lower_arena(p.kernel, p.name)]
+        return compiled_host(*args)
 
 
 @pytest.fixture
 def tree(tmp_path, monkeypatch):
-    """A copy of the LIFT sources and a builders module, digested in
-    place of the real ones."""
+    """A copy of the LIFT sources and of the builders' module, digested
+    in place of the real ones, and a counting ``compiled_host``."""
     lift = tmp_path / "src" / "lift"
     shutil.copytree(loops._LIFT_DIR, lift,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    builders = tmp_path / "src" / "builders.py"
-    builders.write_text("BUILDERS = 1\n")
+    builders = tmp_path / "src" / "lift_programs.py"
+    shutil.copy(host_io.BUILDERS, builders)
     monkeypatch.setattr(loops, "_LIFT_DIR", str(lift))
     monkeypatch.setattr(loops, "_source_digests", {})
-    return lift, builders
+    monkeypatch.setattr(host_io, "BUILDERS", str(builders))
+    compiles = _Compiles()
+    monkeypatch.setattr(lift_programs, "compiled_host", compiles)
+    return lift, builders, compiles
 
 
-def _lowered(builders, lower):
-    return loops.lowered_programs(("t", "double"), str(builders), lower)
+def _lowered() -> list:
+    """The step programs of a ``numpy-steady`` ``fi_mm`` simulation."""
+    return _sim("fi_mm", "double", "numpy-steady")._step.programs
 
 
 @pytest.mark.parametrize("where", ["types.py", "codegen/arena.py",
                                    "builders"])
 def test_a_changed_source_byte_lowers_afresh(cache_dir, tree, where):
-    lift, builders = tree
-    lower = _Lowering()
-    fresh = _lowered(builders, lower)
-    assert _lowered(builders, lower) == fresh and lower.calls == 1
+    lift, builders, compiles = tree
+    fresh = _lowered()
+    assert _lowered() == fresh and compiles.calls == 1
     path = builders if where == "builders" else lift / where
     data = bytearray(path.read_bytes())
     data[-1:] = b" " if data[-1:] != b" " else b"\t"
     path.write_bytes(bytes(data))
     loops._source_digests.clear()                 # a new process
-    assert _lowered(builders, lower) == fresh and lower.calls == 2
-    assert len(list(cache_dir.glob("lowered-*.pkl"))) == 2
+    assert _lowered() == fresh and compiles.calls == 2
+    assert len(list(cache_dir.glob("host-*.pkl"))) == 2
 
 
 def test_another_numpy_version_lowers_afresh(cache_dir, tree, monkeypatch):
-    _lift, builders = tree
-    lower = _Lowering()
-    _lowered(builders, lower)
+    _lift, _builders, compiles = tree
+    _lowered()
     monkeypatch.setattr(np, "__version__", np.__version__ + ".other")
-    _lowered(builders, lower)
-    assert lower.calls == 2
-    assert len(list(cache_dir.glob("lowered-*.pkl"))) == 2
+    _lowered()
+    assert compiles.calls == 2
+    assert len(list(cache_dir.glob("host-*.pkl"))) == 2
 
 
 @pytest.mark.parametrize("damage", ["truncated", "garbage", "not programs",
                                     "empty"])
 def test_a_bad_artifact_is_replaced(cache_dir, tree, damage):
-    _lift, builders = tree
-    lower = _Lowering()
-    fresh = _lowered(builders, lower)
-    (artifact,) = cache_dir.glob("lowered-*.pkl")
+    """A damaged artifact, or a well-framed one that holds no host
+    program, is compiled again, replaced and counted as corrupt."""
+    _lift, _builders, compiles = tree
+    fresh = _lowered()
+    (artifact,) = cache_dir.glob("host-*.pkl")
     data = artifact.read_bytes()
-    artifact.write_bytes({"truncated": data[:len(data) // 2],
-                          "garbage": b"\x80\x05not a pickle",
-                          "not programs": pickle.dumps(["fi_fused_flat"]),
-                          "empty": b""}[damage])
+    artifact.write_bytes({
+        "truncated": data[:len(data) // 2],
+        "garbage": b"\x80\x05not a pickle",
+        "not programs": loops._frame(pickle.dumps(["fi_fused_flat"])),
+        "empty": b""}[damage])
     base = loops.loops_disk_cache_stats()
-    assert _lowered(builders, lower) == fresh and lower.calls == 2
+    assert _lowered() == fresh and compiles.calls == 2
     assert artifact.read_bytes() != b""
-    assert _lowered(builders, lower) == fresh and lower.calls == 2
+    assert _lowered() == fresh and compiles.calls == 2
     stats = loops.loops_disk_cache_stats()
-    assert stats["lowered_misses"] == base["lowered_misses"] + 1
-    assert stats["lowered_hits"] == base["lowered_hits"] + 1
+    assert stats["host_misses"] == base["host_misses"] + 1
+    assert stats["host_hits"] == base["host_hits"] + 1
+    assert stats["corrupt"] == base["corrupt"] + 1
 
 
 def test_a_disabled_cache_lowers_every_time_and_writes_nothing(
         cache_dir, tree):
-    _lift, builders = tree
+    _lift, _builders, compiles = tree
     loops.set_loops_cache_dir(None)
     base = loops.loops_disk_cache_stats()
-    lower = _Lowering()
-    _lowered(builders, lower)
-    _lowered(builders, lower)
-    assert lower.calls == 2
+    _lowered()
+    _lowered()
+    assert compiles.calls == 2
     assert not cache_dir.exists()
     stats = loops.loops_disk_cache_stats()
-    assert (stats["lowered_hits"], stats["lowered_misses"]) == (
-        base["lowered_hits"], base["lowered_misses"])
+    assert (stats["host_hits"], stats["host_misses"]) == (
+        base["host_hits"], base["host_misses"])

@@ -25,7 +25,7 @@ class TestFreshOutputs:
         out = alloc.outputs[0]
         assert out.scalar is Float
         assert out.count == N
-        assert out.aliased_param is None
+        assert out.aliased_name is None
 
     def test_nested_output_count(self):
         from repro.lift.types import array
@@ -55,7 +55,7 @@ class TestInPlaceOutputs:
         prog = Lambda([A, B], FunCall(WriteTo(), A, B))
         alloc = allocate(prog)
         assert not alloc.allocates_output
-        assert alloc.outputs[0].aliased_param is A
+        assert alloc.outputs[0].aliased_name == "A"
         assert alloc.outputs[0].is_in_place
 
     def test_writeto_through_transfers(self):
@@ -63,17 +63,17 @@ class TestInPlaceOutputs:
         B = Param("B", ArrayType(Float, N))
         prog = Lambda([A, B], FunCall(WriteTo(), FunCall(ToGPU(), A), B))
         alloc = allocate(prog)
-        assert alloc.outputs[0].aliased_param is A
+        assert alloc.outputs[0].aliased_name == "A"
 
     def test_fi_mm_kernel_is_in_place(self):
         alloc = allocate(fi_mm_boundary("double").kernel)
         assert not alloc.allocates_output
-        assert alloc.outputs[0].aliased_param.name == "next"
+        assert alloc.outputs[0].aliased_name == "next"
 
     def test_fd_mm_kernel_aliases_three_arrays(self):
         alloc = allocate(fd_mm_boundary("double", 3).kernel)
         assert not alloc.allocates_output
-        names = {o.aliased_param.name for o in alloc.outputs}
+        names = {o.aliased_name for o in alloc.outputs}
         assert names == {"next", "g1", "vel_next"}
 
     def test_volume_kernel_allocates(self):
@@ -96,7 +96,7 @@ class TestInPlaceOutputs:
         prog = Lambda([A, B], FunCall(TupleCons(2), w1, w2))
         alloc = allocate(prog)
         assert not alloc.allocates_output
-        assert {o.aliased_param.name for o in alloc.outputs} == {"A", "B"}
+        assert {o.aliased_name for o in alloc.outputs} == {"A", "B"}
 
     def test_writeto_unresolvable_target(self):
         A = Param("A", ArrayType(Float, N))

@@ -194,12 +194,14 @@ def test_lift_exports_resolve_lazily():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
-#: names that moved to a module with no LIFT front end, by old home
+#: names that moved to a module with no LIFT front end, by old home:
+#: the ones each old home still imports because its own code uses them
 _MOVED = {
     "repro.lift.codegen.host": ("ArgBinding", "BufferDecl", "CopyIn",
-                                "CopyOut", "HaloExchange", "HostPlan",
-                                "HostProgram", "KernelSource", "Launch"),
-    "repro.lift.codegen.opencl": ("KernelSource", "ParamInfo"),
+                                "CopyOut", "HostPlan", "HostProgram",
+                                "KernelSource", "Launch"),
+    "repro.lift.codegen.opencl": ("KernelAllocation", "KernelSource",
+                                  "ParamInfo"),
     "repro.lift.memory": ("KernelAllocation", "OutputAllocation"),
     "repro.lift.analysis": ("Resources",),
     "repro.lift.codegen.numpy_backend": ("NumpyKernel",),
@@ -208,11 +210,17 @@ _NEW_HOME = {"Resources": "repro.lift.resources",
              "NumpyKernel": "repro.lift.codegen.arena"}
 
 
+def _all_moved() -> set[str]:
+    from repro.lift.codegen import plan
+    return {*plan.__all__, *_NEW_HOME}
+
+
 @pytest.mark.parametrize("old", sorted(_MOVED))
 def test_moved_names_resolve_from_their_old_modules(old):
     """The plan's data model, ``Resources`` and ``NumpyKernel`` live in
-    modules that import no LIFT front end; each old home still exports
-    the same object."""
+    modules that import no LIFT front end.  An old home holds a moved
+    name only where its own code uses it, as the same object, and
+    re-exports no other."""
     import importlib
     module = importlib.import_module(old)
     for name in _MOVED[old]:
@@ -220,6 +228,40 @@ def test_moved_names_resolve_from_their_old_modules(old):
             _NEW_HOME.get(name, "repro.lift.codegen.plan"))
         assert getattr(module, name) is getattr(new, name), (old, name)
         assert getattr(new, name).__module__ == new.__name__
+    kept = [n for n in sorted(_all_moved() - set(_MOVED[old]))
+            if hasattr(module, n)]
+    assert not kept, (old, kept)
+
+
+def _imports_from(path: Path, module: str):
+    """``(line, name)`` of every name a ``from ... import`` in ``path``
+    takes from ``module`` (relative imports resolved)."""
+    import ast
+    parts = path.resolve().with_suffix("").parts
+    package = (parts[parts.index("repro"):-1]
+               if "repro" in parts else ())
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        base = (node.module or "").split(".") if node.module else []
+        if node.level:
+            base = [*package[:len(package) - node.level + 1], *base]
+        if ".".join(base) == module:
+            for alias in node.names:
+                yield node.lineno, alias.name
+
+
+def test_callers_import_moved_names_from_their_new_homes():
+    """No module of the package, its tests or its examples takes a
+    moved name from its old home, though some old homes still hold it."""
+    root = Path(repro.__file__).resolve().parents[2]
+    moved = _all_moved()
+    found = [f"{path.relative_to(root)}:{line}: {name} from {old}"
+             for top in ("src", "tests", "examples")
+             for path in sorted((root / top).rglob("*.py"))
+             for old in _MOVED
+             for line, name in _imports_from(path, old) if name in moved]
+    assert not found, found
 
 
 _PLAN_ONLY = """
