@@ -23,9 +23,9 @@ validated against (and benchmarked against) the hand-written baseline:
     The full Listing-5 host orchestration executed on a virtual OpenCL
     device (:mod:`repro.gpu.runtime`): the room is uploaded once (the
     state arrays become the device buffers), then only kernels are
-    launched per step — on one device, the host program's launches
-    as one step — with modelled profiling times accumulated in
-    ``modelled_gpu_time_ms``.
+    launched per step — the host program's launches as one step, on a
+    device pool one slab of it per shard — with modelled profiling times
+    accumulated in ``modelled_gpu_time_ms``.
 
 The driver allocates state arrays with a one-z-plane guard of zeros at the
 end (see :mod:`.lift_programs` for why) and picks its stepping path once,
@@ -73,8 +73,8 @@ BACKENDS = ("numpy", "scalar", "lift", "numpy-steady", "numba",
 #: v1 / v2 ones ``v1`` and ``v2``, of which ``v2`` (read next) loads
 CHECKPOINT_VERSION = 3
 
-#: the ``virtual_gpu`` paths of a device pool, which advance in segments
-_SEGMENTED = ("parallel", "pool-loop")
+#: the ``virtual_gpu`` paths of a device pool, which recover a lost shard
+_POOL = ("parallel", "pool-loop")
 
 
 def _npz_path(path) -> str:
@@ -227,18 +227,15 @@ class SimConfig:
         TitanBlack, a :class:`DeviceSpec`, a paper name, ``"name:k"``
         shard syntax, or a list).  More than one resolved device selects
         Z-slab domain decomposition (:class:`repro.gpu.multi.MultiGPU`),
-        bit-identical to single-device execution.
+        bit-identical to single-device execution;
     ``parallel``
-        with more than one device, run each shard in its own OS process
-        (``MultiGPU(..., parallel=True)``, :mod:`repro.gpu.parallel`),
-        handed the simulation's own host program, with halo planes
-        exchanged through shared memory and interior compute overlapping
-        the exchange.  A pool the parallel path cannot run (fault
-        injection, resilient wrappers, one device left after a shard
-        loss) steps the in-process loop of ``MultiGPU.execute_many``
-        instead (``pool-loop``, counted as a fallback).  Either way
-        ``run()`` advances in segments between checkpoint/health
-        boundaries — bit-identical to one device.
+        with more than one device, step each shard's slab of the
+        simulation's own arrays on a thread of its own
+        (``MultiGPU(..., parallel=True)``); faults and ``resilient`` act
+        per shard as on any pool.  A pool that cannot thread its step
+        (one device left after a shard loss, a step off the cc tier)
+        steps it whole on the calling thread (``pool-loop``, counted as
+        a fallback) — bit-identical either way.
     """
 
     room: Room
@@ -256,8 +253,7 @@ class SimConfig:
     resilient: bool = False
     retry: object | None = None           # RetryPolicy for the resilient path
     devices: object | None = None         # resolve_device() designation
-    #: multi-device pools only: one worker process per shard with
-    #: compute/communication overlap (see class docstring)
+    #: multi-device pools only: one thread per shard (see class docstring)
     parallel: bool = False
     #: a pre-compiled :class:`repro.lift.codegen.plan.HostProgram` for
     #: the ``virtual_gpu`` backend (skips ``compile_host``); must match
@@ -336,20 +332,16 @@ class RoomSimulation:
 
         self.modelled_gpu_time_ms = 0.0
         self.modelled_halo_time_ms = 0.0
-        #: the last bulk-parallel segment's overlap report
-        #: (``MultiRunResult.overlap``); None before any segment ran
-        self.last_overlap: dict | None = None
         self.last_checkpoint: Checkpoint | None = None
         self._energy_ref: float | None = None
-        #: the open resident plan of the single-device ``virtual_gpu``
-        #: path (None on every other path, and before the first step)
+        #: the open plan of a ``virtual_gpu`` path: a resident plan, or a
+        #: pool's (None on every other path, and before the first step)
         self._plan = None
         #: the two-level step of ``numpy-steady``, ``numba`` and the
         #: ``resident`` path (None elsewhere)
         self._step = None
         #: the tier a step runs on, named on its ``sim.step`` span (None
-        #: on the reference backends and on ``parallel``, whose
-        #: ``sim.segment`` spans name their shards')
+        #: on the reference backends)
         self._tier = None
         #: why a ``virtual_gpu`` path is a fallback, named on its spans
         self._fallback = None
@@ -419,11 +411,12 @@ class RoomSimulation:
         program's launches as one two-level step per step
         (``VirtualGPU.compile_step``), which the resident plan models as
         its launches — under a ``ResilientGPU`` ladder when
-        ``resilient``.  A pool steps ``parallel`` when
-        ``_parallel_eligible()`` passes, else ``pool-loop``
-        (``MultiGPU.execute_many``'s in-process loop), in segments.  A
-        plan the step refuses raises ``LoopsUnsupported``.  Every path
-        writes the next level over ``prev``, so none allocates a level."""
+        ``resilient``.  A pool steps the same step over the same arrays
+        (``MultiGPU.stepping``), one slab per shard thread (``parallel``)
+        or whole (``pool-loop``, ``MultiGPU.serial_reason``), each
+        shard's launches modelled on its device.  A plan the step
+        refuses raises ``LoopsUnsupported``.  Every path writes the next
+        level over ``prev``, so none allocates a level."""
         from ..gpu.runtime import VirtualGPU
         cfg = self.config
         if pool is None and len(devices) > 1:
@@ -433,12 +426,13 @@ class RoomSimulation:
                             parallel=cfg.parallel)
         gpu = pool or VirtualGPU(devices[0], faults=cfg.faults)
         step = gpu.compile_step(self._host_program.plan, (LEAPFROG,))
-        why = None if pool is None else pool._parallel_eligible()
-        # a resident plan is bound to its executor
+        why = None if pool is None else pool.serial_reason(step)
+        # an open plan is bound to its executor (a pool's ends its
+        # threads when it goes)
         self._plan, self._step = None, step
         self._path = ("resident" if pool is None
                       else "pool-loop" if why else "parallel")
-        self._tier = None if self._path == "parallel" else step.tier
+        self._tier = step.tier
         self._fallback = why if cfg.parallel else None
         if pool is None and cfg.resilient:
             from ..gpu.resilient import ResilientGPU
@@ -531,10 +525,15 @@ class RoomSimulation:
     def receiver_signal(self, name: str) -> np.ndarray:
         return np.asarray(self.receivers[name][1])
 
+    @property
+    def last_overlap(self) -> dict | None:
+        """A pool's modelled overlap report (``PoolPlan.overlap``: per
+        shard, the interior / boundary / halo split the paper's devices
+        would overlap); None on one device and before the first step."""
+        return getattr(self._plan, "overlap", None)
+
     # -- stepping ---------------------------------------------------------------------------
     def step(self) -> None:
-        if self._path in _SEGMENTED:
-            return self._step_segment(self.time_step + 1)
         o, cfg = _obs.get(), self.config
         with (nullcontext() if o is None else o.tracer.span(
                 "sim.step", "sim", step=self.time_step, scheme=cfg.scheme,
@@ -543,7 +542,7 @@ class RoomSimulation:
 
     def _path_attrs(self) -> dict:
         """``path``, with ``tier`` and ``fallback`` where set: the
-        attributes of a step/segment span."""
+        attributes of a step span."""
         attrs = dict(path=self._path, tier=self._tier,
                      fallback=self._fallback)
         return {k: v for k, v in attrs.items() if v is not None}
@@ -558,8 +557,8 @@ class RoomSimulation:
         self._stepped(1)
 
     def _stepped(self, n: int) -> None:
-        """The trailer of ``n`` steps (one, or a bulk segment): counter,
-        periodic health check and checkpoint hook, then the metrics."""
+        """The trailer of ``n`` steps: counter, periodic health check and
+        checkpoint hook, then the metrics."""
         cfg = self.config
         self.time_step += n
         if cfg.health_interval and self.time_step % cfg.health_interval == 0:
@@ -601,56 +600,13 @@ class RoomSimulation:
         front so there is always a restore point."""
         from ..gpu.multi import ShardLost
         target = self.time_step + steps
-        if self._path in _SEGMENTED and self.last_checkpoint is None:
+        if self._path in _POOL and self.last_checkpoint is None:
             self.last_checkpoint = self.checkpoint()
         while self.time_step < target:
             try:
-                if self._path in _SEGMENTED:
-                    self._step_segment(target)
-                else:
-                    self.step()
+                self.step()
             except ShardLost as lost:
                 self._recover_shard_loss(lost)
-
-    def _step_segment(self, target: int) -> None:
-        """Advance a pool in one ``execute_many`` call — across the shard
-        worker processes (``parallel``) or in the in-process loop
-        (``pool-loop``) — stopping at the next checkpoint/health
-        boundary so periodic hooks fire at exactly the time steps a
-        step-by-step run fires them.  Receivers are sampled by the
-        shards (each step, post-rotation — where :meth:`_step_impl`
-        samples ``curr``) and splice back in bulk."""
-        cfg = self.config
-        n = target - self.time_step
-        for interval in (cfg.checkpoint_interval, cfg.health_interval):
-            if interval:
-                n = min(n, interval - self.time_step % interval)
-        o = _obs.get()
-        with (nullcontext() if o is None else o.tracer.span(
-                "sim.segment", "sim", step=self.time_step, steps=n,
-                scheme=cfg.scheme, shards=len(self.devices),
-                **self._path_attrs())) as span:
-            res = self._gpu.execute_many(
-                self._host_program, *self._vgpu_io(), n,
-                rotations=(LEAPFROG,),
-                receivers={name: idx
-                           for name, (idx, _s) in self.receivers.items()},
-                first_step=self.time_step)
-            if span is not None and res.overlap:
-                # the workers' step, known once it ran
-                span.attrs["tier"] = res.overlap["per_shard"][0]["tier"]
-        N = self._N
-        self.curr[:N] = res.buffers["final:prev1_h"]
-        self.prev[:N] = res.buffers["final:prev2_h"]
-        if cfg.scheme == "fd_mm":
-            self.g1[:] = res.buffers["final:g1_h"]
-            self.v[:] = res.buffers["final:v2_h"]     # the step's vel_prev
-        self.modelled_gpu_time_ms += res.kernel_time_ms()
-        self.modelled_halo_time_ms += res.halo_time_ms()
-        self.last_overlap = res.overlap
-        for name, samples in res.receivers.items():
-            self.receivers[name][1].extend(float(x) for x in samples)
-        self._stepped(n)
 
     def _recover_shard_loss(self, lost) -> None:
         """Drop the dead device, re-shard, and rewind to the checkpoint.
@@ -850,12 +806,13 @@ class RoomSimulation:
         read and write ``prev``/``curr`` and the branch state directly,
         and ``add_impulse``, receivers, checkpoints and the health
         monitor need no sync.  One call of the plan's step overwrites
-        ``prev`` (``ResidentPlan.stepping``, as every shard steps): the
-        plan's third level, the launches' output buffer, is declared but
-        has no host array, and the plan only records the launches it
-        models.  The plan rotates its levels as :meth:`_step_impl`
-        rotates the arrays, so the two stay one (under a
-        ``ResilientGPU``, every plan its ladder opens does)."""
+        ``prev`` (``ResidentPlan.stepping``; on a pool
+        ``MultiGPU.stepping``, one slab per shard): the plan's third
+        level, the launches' output buffer, is declared but has no host
+        array, and the plan only records the launches it models.  The
+        plan rotates its levels as :meth:`_step_impl` rotates the
+        arrays, so the two stay one (under a ``ResilientGPU``, every
+        plan its ladder opens does)."""
         plan = self._plan
         if plan is None:
             inputs, sizes = self._vgpu_io()
@@ -866,10 +823,13 @@ class RoomSimulation:
                 bound, setup_step=self.time_step)
         plan.run_fused(self.time_step)
         plan.rotate()
-        # only kernel time is charged, like RunResult.kernel_time_ms();
-        # drained every step so the event list cannot grow with the run
+        # only kernel and halo time are charged, like RunResult (a pool's
+        # kernel event is its step's critical path); drained every step
+        # so the event list cannot grow with the run
         self.modelled_gpu_time_ms += sum(
             e.duration_ms for e in plan.events if e.kind == "kernel")
+        self.modelled_halo_time_ms += sum(
+            e.duration_ms for e in plan.events if e.kind == "halo")
         plan.events.clear()
 
     def _step_lift_interp(self):

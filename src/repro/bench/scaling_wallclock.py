@@ -1,34 +1,30 @@
-"""Strong-scaling wallclock sweep over the multi-process shard executor.
+"""Strong-scaling wallclock sweep over the shard threads of a pool.
 
 ``python -m repro.bench scaling --wallclock`` runs the same room at a
 list of shard counts and reports, per count:
 
-* **measured** — real host seconds: total job wall (including process
-  spawn + shared-memory setup) and the steady-state step-loop wall (max
-  over workers), plus the fraction of exchange wallclock each worker
-  spent *not* blocked on neighbour planes;
+* **measured** — real host seconds: the whole call (including opening
+  the pool's plan and starting its shard threads) and the step loop;
 * **modelled** — the virtual-GPU cost model's overlapped step time
   (``max(interior, halo) + boundary``, :func:`repro.gpu.costmodel.
   overlapped_step_time_ms`) versus its BSP sum, the speedup/efficiency
   that implies for the paper's devices, and the share of halo time the
-  overlap schedule hides.
+  overlap schedule hides (:attr:`repro.gpu.parallel.PoolPlan.overlap`).
 
 Both columns matter because they answer different questions.  Measured
-numbers prove the executor *actually runs in parallel processes* and
-stays bit-identical; but on a 1-core CI container every shard shares
-that core, so measured speedup saturates at ~1x regardless of how good
-the schedule is (and the regression gate therefore never thresholds on
-it).  Modelled numbers carry the scaling claim — they price the same
-schedule on the paper's GPUs, where interior compute genuinely runs
-concurrently with the exchange.  On a real multi-core host the measured
-column converges toward the modelled one.
+numbers show the shard threads step the room bit-identically, at the
+speed this host's cores give them: on a 1-core CI container every
+thread shares that core, so measured speedup saturates at ~1x (and the
+regression gate therefore never thresholds on it).  Modelled numbers
+carry the scaling claim — they price the schedule on the paper's GPUs,
+where interior compute genuinely runs concurrently with the exchange.
 
 The 1-shard baseline is the *resident* single-device loop
-(:meth:`VirtualGPU.execute_many`): one compiled step over two time
-levels per step, the same stepping machinery the workers run, so ratios
-compare schedules rather than code paths.  Its ``loop_wall_s`` times the
-steps alone, after the plan is open, as each worker's does, and every
-measured speedup divides loop walls; ``wall_total_s`` is the whole call.
+(:meth:`VirtualGPU.execute_many`): the same compiled step over two time
+levels per step that the shard threads split, so ratios compare
+schedules rather than code paths.  Its ``loop_wall_s`` times the steps
+alone, after the plan is open, as a pool's does, and every measured
+speedup divides loop walls; ``wall_total_s`` is the whole call.
 """
 
 from __future__ import annotations
@@ -79,8 +75,8 @@ def _box_case(dims, scheme: str, precision: str):
 def _run_baseline(case, steps: int):
     """The 1-shard run, as :meth:`VirtualGPU.execute_many` steps it:
     ``(result, whole-call wall, step-loop wall, modelled kernel ms)``.
-    The loop wall times the steps alone, after the plan is open, as
-    every shard worker times its own."""
+    The loop wall times the steps alone, after the plan is open, as a
+    pool's does."""
     from ..acoustics.lift_programs import LEAPFROG
     from ..gpu import NVIDIA_TITAN_BLACK, VirtualGPU
     from ..gpu.runtime import ResidentPlan
@@ -125,8 +121,7 @@ def scaling_wallclock_benchmark(scale: int = 1, size: str = "302",
                 "measured": {"wall_total_s": base_wall,
                              "loop_wall_s": base_loop,
                              "seconds_per_step": base_loop / steps,
-                             "speedup": 1.0, "efficiency": 1.0,
-                             "hidden_fraction": 0.0},
+                             "speedup": 1.0, "efficiency": 1.0},
                 "modelled": {"step_ms": base_step_model,
                              "bsp_step_ms": base_step_model,
                              "speedup": 1.0, "efficiency": 1.0,
@@ -153,7 +148,6 @@ def scaling_wallclock_benchmark(scale: int = 1, size: str = "302",
                 "speedup": base_loop / loop_wall if loop_wall else 0.0,
                 "efficiency": (base_loop / loop_wall / k
                                if loop_wall else 0.0),
-                "hidden_fraction": ov["measured"]["hidden_fraction"],
             },
             "modelled": {
                 "step_ms": step_model,
@@ -192,8 +186,8 @@ def check_scaling_regression(payload: dict, baseline: dict,
     Thresholds only on host-independent facts: bit-identity at every
     shard count, the *modelled* speedup and hidden fraction at each
     shard count (must not drop more than ``tolerance`` relative /
-    ``tolerance`` absolute below the baseline), and that the overlap
-    schedule still engages (mode stays ``overlap``).  Measured speedup
+    ``tolerance`` absolute below the baseline), and that the modelled
+    schedule still overlaps (mode stays ``overlap``).  Measured speedup
     is never gated — it is whatever the host's core count makes it.
     """
     failures: list[str] = []

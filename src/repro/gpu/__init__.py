@@ -20,8 +20,9 @@ substitutes them with an analytic model so the reproduction runs anywhere:
 * :mod:`.multi` — 1-D domain decomposition across a device pool with
   cost-modelled halo exchange (p2p over an on-board bridge, e.g. the
   R9 295X2, or staged through host PCIe otherwise);
-* :mod:`.parallel` — the process-per-shard overlap executor a
-  ``MultiGPU(..., parallel=True)`` pool runs its resident steps on.
+* :mod:`.parallel` — the pool's open plan: one compiled step over the
+  shards' Z-block ranges of the caller's arrays, on one thread per shard
+  with ``parallel=True``.
 
 Device selection everywhere in the package goes through
 :func:`resolve_device`, which accepts a :class:`DeviceSpec`, a paper

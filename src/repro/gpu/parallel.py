@@ -1,546 +1,309 @@
-"""Multi-process shard executor with compute/communication overlap.
+"""A device pool's open plan: one compiled step over k Z-block ranges.
 
-:func:`execute_parallel` is the executor behind
-``MultiGPU(..., parallel=True).execute_many``: it turns the Z-slab
-decomposition of :class:`~.multi.MultiGPU` into *real* wallclock
-parallelism.  Each shard owns an OS process, halo planes move through
-shared-memory ring buffers, and the per-step schedule overlaps the
-interior sweep with the neighbour exchange — the MPI-X playbook for
-generated finite-difference solvers (Bisbas et al., arXiv:2312.13094)
-realised on the virtual-GPU runtime.
+:class:`PoolPlan` is what :meth:`~.multi.MultiGPU.stepping` opens and
+:meth:`~.multi.MultiGPU.execute_many` steps.  It keeps no copy of the
+field: it steps the caller's arrays — a simulation's own ``prev``,
+``curr``, ``g1`` and ``v``, bound in place — through the one compiled
+step a single device runs (:meth:`~.runtime.VirtualGPU.compile_step`).
+Shard ``i`` owns that step's Z-plane blocks ``[z0, z1)``
+(``StepKernel``'s ``_blocks``); the ranges add up to the full step bit
+for bit, so nothing is scattered, exchanged or merged.  With
+``parallel=True`` each shard's range runs on a persistent thread of its
+own (:class:`_ShardThreads`), started when the plan opens: a cc-tier
+call releases the GIL, each thread's OpenMP team is capped at
+``cpu_count // k``, and a step ends when every thread has run its range.
+Otherwise the calling thread runs the step whole
+(:meth:`~.multi.MultiGPU.serial_reason`).
 
-**Workers run the program they are handed.**  The parent shards the host
-program it was given (:func:`~.multi.shard_program`) and pickles each
-shard's :class:`~repro.lift.codegen.plan.HostProgram` into the worker's
-task, together with its shard-local inputs and rotation cycles; a worker
-rebuilds nothing.  It steps the program as one device does: one compiled
-step over two time levels (:meth:`~.runtime.ResidentPlan.stepping`).
-
-**Overlap schedule.** The serial BSP loop runs *step → rotate → exchange
-halos into ``prev1_h``*.  Restructured per worker over the step's Z-plane
-blocks (bit-identical, see ``docs/sharding.md``):
-
-* a segment's first step runs in one call —
-  :meth:`~.multi.Shard.shard_field` pre-filled the ``prev1``/``prev2``
-  halos, so there is nothing to exchange and nothing to overlap with;
-* every later step: **post** ``prev1_h``'s edge planes to both
-  neighbours, run the **interior** blocks ``[h, nb - h)`` (planes whose
-  stencil never touches halo data), **wait** for the neighbour planes
-  and copy them into ``prev1_h``'s halo regions, then run the two
-  **edge** blocks ``[0, h)`` and ``[nb - h, nb)``, and rotate.  Each
-  block's boundary points follow the block.
-
-``h`` is the sweep's shift footprint in planes, derived from the arena
-IR (:meth:`~repro.lift.codegen.arena.ArenaProgram.halo_footprint`), not
-hard-coded.  A step on whole arrays (``tier="numpy"``, no compiler)
-cannot be split, so its worker runs a BSP schedule — still
-process-parallel, still bit-identical, just without overlap.
-
-**Shared-memory rings.** One ``multiprocessing.shared_memory`` block
-per directed neighbour edge, :data:`RING_DEPTH` slots of one halo plane
-each, flow-controlled by a (free, filled) semaphore pair — a bounded
-SPSC queue, so a shard can run at most :data:`RING_DEPTH` steps ahead of
-a neighbour and no step ever reads a torn plane.
-
-**Fallbacks.** Fault injection, resilient wrappers (their recovery
-ladders step in-process) or a single shard make
-:meth:`~.multi.MultiGPU._parallel_eligible` refuse, and
-:meth:`~.multi.MultiGPU.execute_many` runs its in-process BSP loop.
-
-**Failure semantics.** A worker that dies (crash, OOM kill, injected
-``_test_kill``) surfaces as :class:`~.multi.ShardLost`, exactly like a
-lost device on the serial path: the simulation layer re-shards across
-the survivors via :meth:`~.multi.MultiGPU.without_device` — which keeps
-``parallel`` — and replays from the last checkpoint.  A worker whose
-parent dies exits at once (:func:`exit_with_parent`).
-
-**Start barrier.** Every worker waits at one barrier after opening its
-plan, so the measured columns (``loop_wall_s``, ``stall_s``) time the
-steps, not a later-spawned neighbour's imports and set-up.  A worker
-that dies before the barrier is caught by the parent's liveness poll
-like any other, and the workers waiting at it are terminated.
+Each shard's device is modelled by its shard plan (see
+:mod:`.multi`): every step, all of them consult their fault plans and
+record their launches on the calling thread — the tracer is
+single-threaded — before any range stores anything, so a fault or a
+retry leaves no half-stepped level.  :attr:`PoolPlan.overlap` prices the
+schedule the paper's devices would overlap the halo exchange with
+(Bisbas et al., arXiv:2312.13094): ``max(interior, halo) + boundary``
+per shard (:func:`~.costmodel.overlapped_step_time_ms`).
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import functools
 import os
-import queue as _queue
+import queue
 import threading
 import time as _time
-import traceback
+import weakref
 
 import numpy as np
 
 from .. import obs as _obs
-from ..lift.codegen.plan import HostProgram
+from ..lift.codegen.loops import omp_set_threads
+from ..lift.codegen.plan import HostPlan, Launch
 from .costmodel import halo_exchange_time_ms, overlapped_step_time_ms
-from .multi import (FIELD_PARAMS, PLANE_PARAM, MultiGPU, MultiRunResult,
-                    Shard, ShardLost, shard_program)
-from .runtime import ProfilingEvent, ResidentPlan, RunResult, VirtualGPU
-
-#: profiling-event kinds a worker aggregates back to the parent
-_EVENT_KINDS = ("kernel", "h2d", "d2h")
-
-#: slots of one halo plane per shared-memory ring: how many steps a
-#: shard may run ahead of its neighbour
-RING_DEPTH = 2
+from .multi import LOCAL_PARAMS, MultiGPU, MultiRunResult, shard_plan
+from .runtime import (GATHER_INDEX_PARAM, ProfilingEvent, VirtualGPU,
+                      leapfrog_cycle)
 
 
-def exit_with_parent() -> None:
-    """Exit this process as soon as the process that started it dies.
+class _ShardThreads:
+    """One persistent thread per shard, each running its Z-block range
+    of the step it is handed; :meth:`run` returns when every thread has
+    run its range (the step's barrier).  The threads end with this
+    object (or at :meth:`close`)."""
 
-    The one parent-death rule of every worker process (shard workers and
-    the gateway's pool workers): a daemon thread waits on the parent's
-    sentinel, which the OS closes however the parent dies, then ends the
-    process — idle, blocked on a halo ring or mid-job.  So no worker has
-    to be daemonic, and a worker may start workers of its own.  A no-op
-    in a process ``multiprocessing`` did not start.
-    """
-    parent = mp.parent_process()
-    if parent is None:
-        return
+    def __init__(self, ranges: list[tuple[int, int]], omp_threads: int):
+        self._inboxes = [queue.SimpleQueue() for _ in ranges]
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+        for i, (blocks, inbox) in enumerate(zip(ranges, self._inboxes)):
+            threading.Thread(target=_shard_thread, name=f"repro-shard-{i}",
+                             args=(blocks, omp_threads, inbox, self._done),
+                             daemon=True).start()
+        self.close = weakref.finalize(self, _stop_threads, self._inboxes)
 
-    def watch() -> None:
-        parent.join()
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True,
-                     name="repro-parent-watch").start()
-
-
-def _attach_shm(name: str):
-    """Attach to a parent-owned shared-memory block without registering
-    the attachment with the resource tracker.
-
-    The parent created (and registered) the segment and is the one that
-    unlinks it; on Python 3.11 ``SharedMemory(name=..., create=False)``
-    re-registers in the child, which either double-unlinks at interpreter
-    shutdown or spams ``KeyError`` warnings from the shared tracker when
-    the parent's unlink races the child's unregister.  Suppressing the
-    child-side registration sidesteps both.
-    """
-    from multiprocessing import resource_tracker
-    from multiprocessing.shared_memory import SharedMemory
-    orig = resource_tracker.register
-    try:
-        resource_tracker.register = lambda *_a, **_k: None
-        return SharedMemory(name=name, create=False)
-    finally:
-        resource_tracker.register = orig
+    def run(self, fn, args: dict) -> None:
+        for inbox in self._inboxes:
+            inbox.put((fn, args))
+        errors = [self._done.get() for _ in self._inboxes]
+        err = next((e for e in errors if e is not None), None)
+        if err is not None:
+            raise err
 
 
-class _Ring:
-    """One directed halo lane: a bounded SPSC ring over shared memory.
-
-    ``depth`` slots of ``count`` items each; ``free``/``filled`` are the
-    classic counting-semaphore pair.  Exactly one process sends and one
-    receives, so a single read/write index per side suffices.
-    """
-
-    def __init__(self, shm, count: int, dtype, depth: int, free, filled):
-        self.shm = shm
-        self.depth = depth
-        self.free = free
-        self.filled = filled
-        self.slots = np.ndarray((depth, count), dtype=dtype,
-                                buffer=shm.buf)
-        self.idx = 0
-
-    def send(self, plane: np.ndarray) -> None:
-        self.free.acquire()
-        self.slots[self.idx, :] = plane
-        self.filled.release()
-        self.idx = (self.idx + 1) % self.depth
-
-    def recv_into(self, dest: np.ndarray) -> None:
-        self.filled.acquire()
-        dest[:] = self.slots[self.idx, :]
-        self.free.release()
-        self.idx = (self.idx + 1) % self.depth
-
-
-def _shard_worker_main(sync: dict, task_q, result_q) -> None:
-    """One shard's process: run the resident step loop of the host
-    program it was handed under the overlap schedule, ship the finals
-    back.
-
-    Module-level (spawn pickles it by reference).  ``sync`` holds what
-    can only be pickled at spawn (index, rings, start barrier, OpenMP
-    threads); the task — the shard's host program, shard-local inputs,
-    sizes, rotation cycles and steps — follows through ``task_q``.
-    """
-    exit_with_parent()
-    os.environ["OMP_NUM_THREADS"] = str(sync["omp_threads"])
-    index = sync["index"]
-    rings: dict[str, _Ring] = {}
-    shms = []
-    try:
-        task = task_q.get()
-        plan = task["program"].plan
-        li, ls = task["inputs"], task["sizes"]
-        n_local, np_local, rp = task["n_local"], task["np_local"], task["rp"]
-        first, steps = task["first_step"], task["steps"]
-        dtype = np.dtype(task["field_dtype"])
-        for lane, (shm_name, free, filled) in sync["rings"].items():
-            shm = _attach_shm(shm_name)
-            shms.append(shm)
-            rings[lane] = _Ring(shm, rp, dtype, RING_DEPTH, free, filled)
-
-        gpu = VirtualGPU(task["device"])
-        events: list[ProfilingEvent] = []
-        st = ResidentPlan.stepping(gpu, plan, li, ls, task["rotations"],
-                                   events)
-        tier, cc_rung = st.kernel.tier, st.kernel.cc_rung
-        # every shard is set up before any steps, so the measured loop
-        # times the steps, not a later-spawned neighbour's start-up
-        sync["barrier"].wait()
-
-        # overlap needs a compiled step (the numpy tier runs whole
-        # arrays only) whose edge blocks, the h planes at each end its
-        # sweep's footprint reaches past, leave interior blocks between
-        # them.  Each block's boundary points follow the block, and
-        # posted planes were copied into the ring at send time, so
-        # nothing a block writes can tear an in-flight exchange.
-        h_lo, h_hi = st.halo_footprint()
-        plane = int(li[PLANE_PARAM])
-        h, nb = -(-max(h_lo, h_hi) // plane), n_local // plane
-        overlap = tier != "numpy" and 0 < h and 2 * h < nb
-
-        kill_at = task.get("kill_at_step")
-        receivers: dict[str, tuple[int, list]] = {
-            name: (idx, []) for name, idx in task["receivers"].items()}
-        send_up, recv_up = rings.get("send_up"), rings.get("recv_up")
-        send_dn, recv_dn = rings.get("send_dn"), rings.get("recv_dn")
-
-        stall_s = exchange_wall_s = post_s = 0.0
-        interior_ms = boundary_ms = 0.0
-
-        def _model_ms(mark: int) -> float:
-            return sum(e.duration_ms for e in events[mark:]
-                       if e.kind == "kernel")
-
-        t_loop = _time.perf_counter()
-        for step in range(first, first + steps):
-            if kill_at is not None and step == kill_at:
-                os.kill(os.getpid(), 9)
-            if step == first:
-                # halos pre-filled by shard_field: nothing to exchange
-                st.run_fused(step, shard=index)
-            else:
-                field = st.buffer_for(FIELD_PARAMS[0])
-                t0 = _time.perf_counter()
-                for ring, src in ((send_dn, 0), (send_up, n_local - rp)):
-                    if ring is not None:
-                        ring.send(field[src:src + rp])
-                post_s += _time.perf_counter() - t0
-                if overlap:
-                    mark = len(events)
-                    st.run_fused(step, (h, nb - h), shard=index)
-                    interior_ms += _model_ms(mark)
-                t0 = _time.perf_counter()
-                for ring, dst in ((recv_up, n_local),
-                                  (recv_dn, np_local - rp)):
-                    if ring is not None:
-                        t1 = _time.perf_counter()
-                        ring.filled.acquire()
-                        ring.filled.release()
-                        stall_s += _time.perf_counter() - t1
-                        ring.recv_into(field[dst:dst + rp])
-                exchange_wall_s += _time.perf_counter() - t0
-                mark = len(events)
-                if overlap:
-                    st.run_fused(step, (0, h), shard=index)
-                    st.run_fused(step, (nb - h, nb), shard=index)
-                    boundary_ms += _model_ms(mark)
-                else:
-                    st.run_fused(step, shard=index)
-            st.rotate()
-            for name, (idx, samples) in receivers.items():
-                samples.append(float(st.buffer_for(FIELD_PARAMS[0])[idx]))
-        loop_wall_s = _time.perf_counter() - t_loop
-
-        res = st.finish()
-        totals: dict[tuple[str, str], list] = {}
-        for e in events:
-            if e.kind in _EVENT_KINDS:
-                agg = totals.setdefault((e.kind, e.name), [0.0, 0])
-                agg[0] += e.duration_ms
-                agg[1] += 1
-        result_q.put({
-            "shard": index,
-            "result": np.asarray(res.result),
-            "final": {name: np.asarray(res.buffers[f"final:{name}"])
-                      for name in st.binding},
-            "event_totals": [(k, n, ms, c)
-                             for (k, n), (ms, c) in totals.items()],
-            "mode": "overlap" if overlap else "bsp",
-            "tier": tier, "cc_rung": cc_rung,
-            "footprint": (int(h_lo), int(h_hi)),
-            "interior_model_ms": interior_ms,
-            "boundary_model_ms": boundary_ms,
-            "stall_s": stall_s, "exchange_wall_s": exchange_wall_s,
-            "post_s": post_s, "loop_wall_s": loop_wall_s,
-            "receivers": {name: samples
-                          for name, (_i, samples) in receivers.items()},
-        })
-    except Exception:
+def _shard_thread(blocks, omp_threads: int, inbox, done) -> None:
+    omp_set_threads(omp_threads)
+    while (task := inbox.get()) is not None:
+        fn, args = task
         try:
-            result_q.put({"shard": index, "error": traceback.format_exc()})
-        except Exception:
-            pass
-    finally:
-        for shm in shms:
-            try:
-                shm.close()
-            except Exception:
-                pass
+            fn(**args, _blocks=blocks)
+            done.put(None)
+        except BaseException as err:    # handed to the stepping thread
+            done.put(err)
 
 
-def execute_parallel(pool: MultiGPU, program: HostProgram, inputs: dict,
-                     sizes: dict, steps: int, rotations: list,
-                     receivers: dict[str, int],
-                     first_step: int) -> MultiRunResult:
-    """``pool.execute_many`` with one worker process per shard (see the
-    module docstring); ``receivers`` maps names to *global* flat
-    indices the owning worker samples after every step."""
-    from multiprocessing.shared_memory import SharedMemory
+def _stop_threads(inboxes) -> None:
+    for inbox in inboxes:
+        inbox.put(None)
 
-    shards = pool._shards(inputs, sizes)
-    k = len(shards)
-    ctx = mp.get_context("spawn")
-    field_dtype = np.asarray(inputs[FIELD_PARAMS[0]]).dtype
-    rp = shards[0].radius * shards[0].plane
-    omp = max(1, (os.cpu_count() or 1) // k)
 
-    # receiver ownership: global flat index -> (shard, local index)
-    per_shard_recv: list[dict[str, int]] = [{} for _ in shards]
-    for name, gidx in receivers.items():
-        for sh in shards:
-            if sh.lo <= int(gidx) < sh.hi:
-                per_shard_recv[sh.index][name] = int(gidx) - sh.lo
-                break
+class PoolPlan:
+    """A pool's open plan (see the module docstring): the state arrays
+    stepped by one compiled step, one Z-block range per shard, and one
+    modelled device per shard.  It steps as a
+    :class:`~.runtime.ResidentPlan` does — :meth:`run_fused`, then
+    :meth:`rotate` — and ``events`` receives, per step, the step's
+    critical path (the slowest shard's kernel time, as one ``kernel``
+    event) and its ``halo`` events.  The shard plans' own events are
+    kept for :meth:`finish` with ``keep_shard_events``, else dropped
+    every step."""
 
-    # one ring per directed neighbour edge; the parent owns (and
-    # finally unlinks) every segment, children only attach
-    shms: list[SharedMemory] = []
-    ring_cfg: list[dict] = [{} for _ in shards]
-    nbytes = RING_DEPTH * rp * field_dtype.itemsize
-    for a, b in zip(shards, shards[1:]):
-        for lane_src, lane_dst, src in (("send_up", "recv_dn", a.index),
-                                        ("send_dn", "recv_up", b.index)):
-            shm = SharedMemory(create=True, size=nbytes)
-            shms.append(shm)
-            free = ctx.Semaphore(RING_DEPTH)
-            filled = ctx.Semaphore(0)
-            entry = (shm.name, free, filled)
-            if lane_src == "send_up":
-                ring_cfg[a.index]["send_up"] = entry
-                ring_cfg[b.index]["recv_dn"] = entry
-            else:
-                ring_cfg[b.index]["send_dn"] = entry
-                ring_cfg[a.index]["recv_up"] = entry
-
-    o = _obs.get()
-    masks: list[np.ndarray | None] = []
-    procs: list = []
-    task_qs: list = []
-    result_q = ctx.Queue()
-    barrier = ctx.Barrier(k)
-    t_total = _time.perf_counter()
-    try:
-        # spawn arguments cross a pipe the child reads only once it has
-        # bootstrapped: kept far below its 64 KiB, a child that dies
-        # first cannot block start(); the multi-MB tasks follow through
-        # queues, whose feeder threads never block this one
-        for shard in shards:
-            task_qs.append(ctx.Queue())
-            p = ctx.Process(target=_shard_worker_main,
-                            args=({"index": shard.index,
-                                   "rings": ring_cfg[shard.index],
-                                   "barrier": barrier, "omp_threads": omp},
-                                  task_qs[-1], result_q),
-                            name=f"repro-shard-{shard.index}")
-            p.start()
-            procs.append(p)
-        for shard, task_q in zip(shards, task_qs):
-            li, ls, mask = pool._local_inputs(shard, inputs, sizes)
-            masks.append(mask)
-            task_q.put({
-                "device": shard.device,
-                "program": shard_program(program, shard.index, ls),
-                "inputs": li, "sizes": ls,
-                "n_local": shard.n_local, "np_local": shard.np_local,
-                "rp": rp, "first_step": first_step, "steps": steps,
-                "rotations": rotations,
-                "field_dtype": field_dtype.str,
-                "receivers": per_shard_recv[shard.index],
-                "kill_at_step": (pool._test_kill or {}).get(shard.index),
-            })
-
-        payloads: dict[int, dict] = {}
-        while len(payloads) < k:
-            try:
-                msg = result_q.get(timeout=0.25)
-            except _queue.Empty:
-                for sh, p in zip(shards, procs):
-                    if sh.index not in payloads and not p.is_alive():
-                        raise _worker_lost(sh, p.exitcode)
+    def __init__(self, pool: MultiGPU, plan: HostPlan, inputs: dict,
+                 sizes: dict[str, int], rotations, events: list,
+                 in_place: dict | None, *, setup_step: int | None = None,
+                 keep_shard_events: bool = False):
+        self.pool = pool
+        self.kernel = pool.compile_step(plan, rotations)
+        self.rotations = [tuple(n for n in c if n != "__out__")
+                          for c in rotations]
+        #: the name the newest level rotates into
+        self.newest = leapfrog_cycle(rotations)[-2]
+        self.events = events
+        self.shards = pool._shards(inputs, sizes)
+        self._n = int(sizes["N"])
+        self._keep = keep_shard_events
+        # the state: the in_place arrays, else copies of the inputs at
+        # their buffers' width and count (the guard plane padded)
+        decls = {d.name: d for d in plan.buffers}
+        self.state: dict[str, np.ndarray] = {}
+        for name, buf in plan.host_buffers().items():
+            if in_place and name in in_place:
+                self.state[name] = in_place[name]
                 continue
-            if "error" in msg:
-                raise ShardLost(
-                    f"shard {msg['shard']} "
-                    f"({shards[msg['shard']].device.name}) worker "
-                    f"failed:\n{msg['error']}",
-                    shard=msg["shard"],
-                    device=shards[msg["shard"]].device.name)
-            payloads[msg["shard"]] = msg
-        for p in procs:
-            p.join(timeout=10)
-        wall_total_s = _time.perf_counter() - t_total
-    finally:
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=5)
-        for q in (*task_qs, result_q):
-            # a dead worker's task is never read: drop it, do not wait
-            q.close()
-            q.cancel_join_thread()
-        for shm in shms:
-            try:
-                shm.close()
-                shm.unlink()
-            except Exception:
-                pass
+            a = np.asarray(inputs[name]).reshape(-1)
+            self.state[name] = np.zeros(int(decls[buf].count.evaluate(sizes)),
+                                        decls[buf].scalar.np_dtype)
+            self.state[name][:a.size] = a
+        # the step's arguments by parameter name, as a resident plan binds
+        # them; the rotating ones are looked up per step
+        hosts = {b: n for n, b in plan.host_buffers().items()}
+        roles = {n for c in self.rotations for n in c}
+        self._args: dict = {}
+        self._rotating: list[tuple[str, str]] = []
+        for op in plan.ops:
+            if not isinstance(op, Launch):
+                continue
+            for b in op.args:
+                name = hosts.get(b.source)
+                if b.kind == "scalar":
+                    self._args[b.param_name] = inputs[b.source]
+                elif b.kind == "size":
+                    self._args[b.param_name] = int(sizes[b.param_name])
+                elif name in roles:
+                    self._rotating.append((b.param_name, name))
+                elif name is not None:      # not the launches' output
+                    self._args[b.param_name] = self.state[name]
+            for s in VirtualGPU._np_kernel(op).size_params:
+                self._args.setdefault(s, int(sizes[s]))
+        # one modelled device per shard, its arrays zeros bound in place
+        self.shard_events: list[list] = [[] for _ in self.shards]
+        self._locals: list[tuple[HostPlan, dict, dict]] = []
+        self._shard_plans: list = []
+        for shard, gpu, ev in zip(self.shards, pool._gpus, self.shard_events):
+            li, ls = pool._local_inputs(shard, inputs, sizes)
+            local = shard_plan(plan, shard.index, ls)
+            ldecls = {d.name: d for d in local.buffers}
+            zeros = {n: np.zeros(int(ldecls[b].count.evaluate(ls)),
+                                 ldecls[b].scalar.np_dtype)
+                     for n, b in local.host_buffers().items()
+                     if n in LOCAL_PARAMS}
+            li.update(zeros)
+            self._locals.append((local, li, ls))
+            with pool._shard_loss(shard):
+                self._shard_plans.append(gpu.stepping(
+                    local, li, ls, rotations, ev, zeros,
+                    setup_step=setup_step))
+        self._schedule = pool._halo_schedule(self.shards)
+        self.halo_bytes = 0
+        self._threads = None
+        if pool.serial_reason(self.kernel) is None:
+            self._threads = _ShardThreads(
+                [(s.z0, s.z1) for s in self.shards],
+                max(1, (os.cpu_count() or 1) // len(self.shards)))
 
-    return _merge_parallel(pool, shards, masks, payloads, inputs, first_step,
-                           steps, rp, field_dtype, wall_total_s, o)
+    def buffer_for(self, name: str) -> np.ndarray:
+        """The array currently bound to host parameter ``name``."""
+        return self.state[name]
 
-
-def _worker_lost(shard: Shard, exitcode) -> ShardLost:
-    return ShardLost(
-        f"shard {shard.index} ({shard.device.name}) worker process "
-        f"died (exit code {exitcode}); resident halo state is gone — "
-        f"re-shard across the survivors and replay",
-        shard=shard.index, device=shard.device.name)
-
-
-def _merge_parallel(pool: MultiGPU, shards, masks, payloads, inputs,
-                    first_step, steps, rp, field_dtype, wall_total_s,
-                    o) -> MultiRunResult:
-    # synthesise aggregate profiling events from the worker totals:
-    # per-shard kernel sums (and so kernel_time_ms = max over
-    # shards) are preserved exactly, only the per-step breakdown is
-    # collapsed
-    results: list[RunResult] = []
-    names: set[str] = set()
-    for sh in shards:
-        pl = payloads[sh.index]
-        ev = [ProfilingEvent(kind, name, ms)
-              for kind, name, ms, _c in pl["event_totals"]]
-        buffers = {f"final:{n}": a for n, a in pl["final"].items()}
-        results.append(RunResult(result=pl["result"], buffers=buffers,
-                                 events=ev))
-        names |= set(pl["final"])
-
-    # price the halo schedule the workers actually executed: one
-    # exchange phase per step after the segment's first (which consumed
-    # the pre-filled halos; the final field is merged trimmed, so no
-    # post-last-step exchange exists to price)
-    halo_events: list[ProfilingEvent] = []
-    halo_bytes = 0
-    halo_ms_to: dict[int, float] = {sh.index: 0.0 for sh in shards}
-    nbytes = rp * field_dtype.itemsize
-    if steps > 1:
-        for op in pool._halo_schedule(shards):
-            ms = halo_exchange_time_ms(nbytes,
-                                       shards[op.src_device].device,
-                                       shards[op.dst_device].device)
-            halo_ms_to[op.dst_device] += ms
-            for step in range(first_step + 1, first_step + steps):
-                halo_bytes += nbytes
-                pool._record_halo(shards[op.src_device].device,
-                                  shards[op.dst_device].device, nbytes,
-                                  f"halo:{op.src_device}->"
-                                  f"{op.dst_device}", halo_events, step)
-
-    per_shard = []
-    hidden_total = exposed_total = halo_total = 0.0
-    step_ms_max = bsp_step_ms_max = 0.0
-    for sh in shards:
-        pl = payloads[sh.index]
-        nsteps = max(1, steps - 1)
-        ot = overlapped_step_time_ms(
-            pl["interior_model_ms"] / nsteps,
-            pl["boundary_model_ms"] / nsteps,
-            halo_ms_to[sh.index])
-        hidden = ot.hidden_ms * nsteps if pl["mode"] == "overlap" else 0.0
-        halo_phase = halo_ms_to[sh.index] * nsteps
-        hidden_total += hidden
-        exposed_total += halo_phase - hidden
-        halo_total += halo_phase
-        if pl["mode"] == "overlap":
-            step_ms_max = max(step_ms_max, ot.step_ms)
-            bsp_step_ms_max = max(bsp_step_ms_max, ot.bsp_step_ms)
-        per_shard.append({
-            "shard": sh.index, "device": sh.device.name,
-            "mode": pl["mode"], "tier": pl["tier"],
-            "cc_rung": pl["cc_rung"], "footprint": pl["footprint"],
-            "interior_model_ms": pl["interior_model_ms"],
-            "boundary_model_ms": pl["boundary_model_ms"],
-            "halo_model_ms": halo_phase,
-            "hidden_model_ms": hidden,
-            "exposed_model_ms": halo_phase - hidden,
-            "stall_s": pl["stall_s"],
-            "exchange_wall_s": pl["exchange_wall_s"],
-            "post_s": pl["post_s"],
-            "loop_wall_s": pl["loop_wall_s"],
-        })
+    def run_fused(self, step: int) -> None:
+        """One step: every shard plan models its slab's launches — its
+        device's fault plan consulted at their sites, under its ladder —
+        before any range stores anything; then the shard threads run
+        their ranges (or this thread the whole step); then the critical
+        path and the halo exchange are priced."""
+        marks = [len(ev) for ev in self.shard_events]
+        for shard, sp in zip(self.shards, self._shard_plans):
+            with self.pool._shard_loss(shard):
+                sp.run_fused(step, compute=False, shard=shard.index)
+        args = dict(self._args,
+                    **{p: self.state[n] for p, n in self._rotating})
+        t0 = _time.perf_counter()
+        if self._threads is None:
+            self.kernel.fn(**args)
+        else:
+            self._threads.run(self.kernel.fn, args)
+        o = _obs.get()
         if o is not None:
-            o.tracer.event(f"shard{sh.index}.overlap", "overlap",
-                           hidden, shard=sh.index, mode=pl["mode"],
-                           device=sh.device.name)
-    if o is not None:
-        o.metrics.counter(
-            "repro_gpu_overlap_hidden_ms",
-            "Modelled halo-exchange time hidden behind interior "
-            "compute by the overlap schedule", ("mode",)).inc(
-                hidden_total, mode="overlap")
-        o.metrics.counter(
-            "repro_gpu_overlap_exposed_ms",
-            "Modelled halo-exchange time left on the critical path",
-            ("mode",)).inc(exposed_total, mode="overlap")
+            gpu = self.pool._gpus[0]
+            getattr(gpu, "gpu", gpu)._observe_host_time(
+                o, self.kernel.name, _time.perf_counter() - t0)
+        self.events.append(ProfilingEvent("kernel", "critical_path", max(
+            sum(e.duration_ms for e in ev[mark:] if e.kind == "kernel")
+            for ev, mark in zip(self.shard_events, marks))))
+        if not self._keep:
+            for ev in self.shard_events:
+                ev.clear()
+        for op in self._schedule:
+            src, dst = self.shards[op.src_device], self.shards[op.dst_device]
+            nbytes = op.count * self.state[op.buffer].itemsize
+            self.halo_bytes += nbytes
+            self.pool._record_halo(src.device, dst.device, nbytes,
+                                   f"halo:{op.src_device}->{op.dst_device}",
+                                   self.events, step)
 
-    # measured exposure: wallclock a worker actually spent blocked on
-    # neighbour planes, as a share of its total exchange wallclock
-    stall = sum(p["stall_s"] for p in payloads.values())
-    exch = sum(p["exchange_wall_s"] for p in payloads.values())
-    overlap = {
-        "executor": "parallel", "shards": len(shards), "steps": steps,
-        "per_shard": per_shard,
-        "modelled": {
-            "step_ms": step_ms_max,
-            "bsp_step_ms": bsp_step_ms_max,
-            "hidden_ms": hidden_total,
-            "exposed_ms": exposed_total,
-            "hidden_fraction": (hidden_total / halo_total
-                                if halo_total > 0 else 0.0),
-        },
-        "measured": {
-            "wall_total_s": wall_total_s,
-            "loop_wall_s": max(p["loop_wall_s"]
-                               for p in payloads.values()),
-            "stall_s": stall,
-            "exchange_wall_s": exch,
-            "hidden_fraction": (max(0.0, 1.0 - stall / exch)
-                                if exch > 0 else 0.0),
-        },
-    }
-    merged = pool._merge_many(shards, masks, names, results, inputs,
-                              halo_events, halo_bytes)
-    merged.overlap = overlap
-    merged.receivers = {name: np.asarray(samples)
-                        for pl in payloads.values()
-                        for name, samples in pl["receivers"].items()}
-    return merged
+    def rotate(self) -> None:
+        """Advance the level roles by one step, as
+        :meth:`~.runtime.ResidentPlan.rotate` does."""
+        for cycle in self.rotations:
+            olds = [self.state[n] for n in cycle]
+            for i, n in enumerate(cycle):
+                self.state[n] = olds[(i + 1) % len(cycle)]
+
+    def close(self) -> None:
+        """End the shard threads (the plan steps no more; a dropped plan
+        ends them too)."""
+        if self._threads is not None:
+            self._threads.close()
+
+    def finish(self) -> MultiRunResult:
+        """End the threads, read each shard's slab back (its ``d2h``
+        event) and return the run: the newest level as ``result``, every
+        host parameter's array as ``final:<name>``."""
+        self.close()
+        for sp in self._shard_plans:
+            sp.finish()
+        return MultiRunResult(
+            result=self.state[self.newest][:self._n],
+            buffers={f"final:{n}": a for n, a in self.state.items()},
+            shard_events=self.shard_events,
+            halo_events=[e for e in self.events if e.kind == "halo"],
+            halo_bytes=self.halo_bytes,
+            devices=tuple(d.name for d in self.pool.devices),
+            overlap=self.overlap)
+
+    @functools.cached_property
+    def overlap(self) -> dict:
+        """The schedule the paper's devices would overlap the halo
+        exchange with, modelled per step and shard: the interior blocks
+        (whose stencil reads no halo plane) against the halo planes
+        arriving, then the ``h`` edge blocks at each end and the later
+        launches, ``h`` being the sweep's footprint in planes
+        (:meth:`~repro.lift.codegen.arena.ArenaProgram.halo_footprint`):
+        ``mode`` ``overlap``.  A slab with no interior block prices the
+        serial sum: ``mode`` ``bsp``."""
+        env = {n: v for n, v in self._args.items()
+               if not isinstance(v, np.ndarray)}
+        foot = tuple(int(f) for f in
+                     self.kernel.programs[0].halo_footprint(env))
+        halo_to = [0.0] * len(self.shards)
+        for op in self._schedule:
+            halo_to[op.dst_device] += halo_exchange_time_ms(
+                op.count * self.state[op.buffer].itemsize,
+                self.shards[op.src_device].device,
+                self.shards[op.dst_device].device)
+        per_shard = []
+        for shard, gpu, (local, li, ls) in zip(self.shards, self.pool._gpus,
+                                               self._locals):
+            gpu = getattr(gpu, "gpu", gpu)
+            hosts = {b: n for n, b in local.host_buffers().items()}
+
+            def ms(op: Launch, n: int) -> float:
+                gather = next((np.asarray(li[hosts[b.source]])
+                               for b in op.args
+                               if b.param_name == GATHER_INDEX_PARAM), None)
+                return gpu._launch_timing(
+                    op.kernel.kernel_resources(), n,
+                    gpu._launch_precision(op), gather).time_ms
+
+            launches = [op for op in local.ops if isinstance(op, Launch)]
+            whole = [ms(op, int(op.global_size.evaluate(ls))
+                        if op.global_size is not None else 0)
+                     for op in launches]
+            h, nb = -(-max(foot) // shard.plane), shard.z1 - shard.z0
+            mode = "overlap" if 0 < h and 2 * h < nb else "bsp"
+            if mode == "overlap":
+                interior = ms(launches[0], (nb - 2 * h) * shard.plane)
+                boundary = 2 * ms(launches[0], h * shard.plane) + sum(whole[1:])
+            else:
+                interior, boundary = 0.0, sum(whole)
+            ot = overlapped_step_time_ms(interior, boundary,
+                                         halo_to[shard.index])
+            per_shard.append({
+                "shard": shard.index, "device": shard.device.name,
+                "mode": mode, "tier": self.kernel.tier, "cc_rung": self.kernel.cc_rung,
+                "footprint": foot, "interior_model_ms": interior,
+                "boundary_model_ms": boundary,
+                "halo_model_ms": halo_to[shard.index],
+                "hidden_model_ms": ot.hidden_ms,
+                "exposed_model_ms": ot.exposed_ms,
+                "step_model_ms": ot.step_ms,
+                "bsp_step_model_ms": ot.bsp_step_ms})
+        hidden, halo = (sum(p[k] for p in per_shard)
+                        for k in ("hidden_model_ms", "halo_model_ms"))
+        return {
+            "executor": "pool-loop" if self._threads is None else "parallel",
+            "shards": len(self.shards), "per_shard": per_shard,
+            "modelled": {
+                "step_ms": max(p["step_model_ms"] for p in per_shard),
+                "bsp_step_ms": max(p["bsp_step_model_ms"]
+                                   for p in per_shard),
+                "hidden_ms": hidden, "exposed_ms": halo - hidden,
+                "hidden_fraction": hidden / halo if halo > 0 else 0.0}}

@@ -341,9 +341,12 @@ class LadderPlan:
 
         self.events += self.owner._run("step", self.stages, attempt).events
 
-    def run_fused(self, step: int, **span_attrs) -> None:
-        """One step, retried and escalated until a stage completes it."""
-        self._climb(step, True, **span_attrs)
+    def run_fused(self, step: int, *, compute: bool = True,
+                  **span_attrs) -> None:
+        """One step, retried and escalated until a stage completes it
+        (with ``compute=False`` one modelled step of a pool's shard:
+        :meth:`~.runtime.ResidentPlan.run_fused`)."""
+        self._climb(step, True, compute=compute, **span_attrs)
 
     def rotate(self) -> None:
         for st in self._plans.values():

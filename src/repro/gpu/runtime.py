@@ -21,8 +21,8 @@ order) and reads the newest level back.  :meth:`VirtualGPU.execute` runs
 the launches once, one by one, with nothing rotating.  Every loop steps
 a plan opened by :meth:`ResidentPlan.stepping` instead — one compiled
 step over two time levels, the launches modelled only:
-:meth:`VirtualGPU.execute_many`, a ``resident`` simulation and every
-shard of a pool alike.
+:meth:`VirtualGPU.execute_many` and a ``resident`` simulation alike; the
+shards of a pool model theirs so (:class:`~.parallel.PoolPlan`).
 
 The runtime's kernel-time path is shared with the benchmark harness, so
 table/figure regeneration and actual execution agree by construction.
@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import time as _time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -858,17 +858,11 @@ class VirtualGPU:
 
     def _record_launch(self, prep: "_PreparedLaunch",
                        events: list[ProfilingEvent],
-                       step: int | None = None,
-                       rng: tuple[int, int] | None = None, **span_attrs
-                       ) -> None:
-        """Record one launch's modelled ``kernel`` event: its plan-time
-        timing, or the timing of its work-item range ``rng``; under an
-        observability session its span also carries ``span_attrs``."""
-        timing = prep.timing if rng is None else prep.range_timing.get(rng)
-        if timing is None:
-            timing = prep.range_timing[rng] = self._launch_timing(
-                prep.res, max(0, rng[1] - rng[0]), prep.precision,
-                prep.gather)
+                       step: int | None = None, **span_attrs) -> None:
+        """Record one launch's modelled ``kernel`` event at its plan-time
+        timing; under an observability session its span also carries
+        ``span_attrs``."""
+        timing = prep.timing
         attrs: dict = {}
         if _obs.get() is not None:
             attrs = {**self._launch_attrs(timing, prep.n_items,
@@ -898,13 +892,12 @@ class _PreparedLaunch:
     names: list[str]                   # the parameter each of args binds
     rotates: list[tuple[str, str]]     # (parameter, rotation name)
     out: np.ndarray | None             # the 'out' binding's array
-    gather: np.ndarray | None          # the gather index, priced per range
+    gather: np.ndarray | None          # the gather index the model prices
     size_kwargs: dict[str, int]
     n_items: int
     res: Resources
     precision: str
     timing: KernelTiming               # of the whole launch
-    range_timing: dict = field(default_factory=dict)  # (lo, hi) -> timing
 
 
 def leapfrog_cycle(rotations) -> tuple[str, ...]:
@@ -927,9 +920,9 @@ class ResidentPlan:
     one by one, once (:meth:`launch_all`: :meth:`VirtualGPU.execute`).
     A plan that rotates is opened by :meth:`stepping` and steps over two
     time levels: for each step :meth:`run_fused` (one compiled step),
-    then :meth:`rotate` and optionally patch resident buffers (a pool's
-    halo exchange) — :meth:`VirtualGPU.execute_many`, a ``resident``
-    simulation and every shard alike.  :meth:`finish` reads the newest
+    then :meth:`rotate` — :meth:`VirtualGPU.execute_many` and a
+    ``resident`` simulation alike; a pool's shard plans only model their
+    slab's step (``run_fused(compute=False)``).  :meth:`finish` reads the newest
     level back (one ``d2h`` event named ``result``).
 
     ``binding`` maps rotation names (the transferred host parameters) to
@@ -1096,15 +1089,7 @@ class ResidentPlan:
         """The array currently bound to rotation name ``name``."""
         return self.buffers[self.binding[name]]
 
-    def halo_footprint(self) -> tuple[int, int]:
-        """How many elements below / above its own the compiled step's
-        sweep reads, under the plan's bindings
-        (:meth:`~repro.lift.codegen.arena.ArenaProgram.halo_footprint`)."""
-        env = {n: v for n, v in self._fused_args.items()
-               if not isinstance(v, np.ndarray)}
-        return self.kernel.programs[0].halo_footprint(env)
-
-    def run_fused(self, step: int, blocks: tuple[int, int] | None = None,
+    def run_fused(self, step: int, *, compute: bool = True,
                   **span_attrs) -> None:
         """One step through the plan's compiled step (:meth:`stepping`),
         under a ``gpu.step`` span naming its ``tier`` and ``cc_rung``.
@@ -1112,23 +1097,14 @@ class ResidentPlan:
         fault plan is consulted at their sites and before the step
         stores anything; the host wall time is observed once.
 
-        ``blocks=(b0, b1)`` runs only those Z-plane blocks (of ``NxNy``
-        points, each with its boundary points): the sweep launch is
-        recorded over their work-items, the later launches whole with
-        the range that ends the step — the overlap schedule's split."""
+        ``compute=False`` models the step without running it: a pool's
+        shard plan, whose slab of the step a shard thread runs on the
+        pool's own arrays (:class:`~.parallel.PoolPlan`)."""
         kernel = self.kernel
         args = self._fused_args
         for name, role in self._fused_rotating:
             args[name] = self.buffer_for(role)
-        record, rng = self._prepared, None
-        if blocks is not None:
-            b0, b1 = blocks
-            n, blk = record[0].n_items, int(args["NxNy"])
-            if (b0, b1) != (0, -(-n // blk)):
-                rng = (b0 * blk, min(b1 * blk, n))
-                record = record if b1 * blk >= n else record[:1]
-            args = {**args, "_blocks": (b0, b1)}
-        for prep in record:
+        for prep in self._prepared:
             self.gpu._launch_faults(prep, step)
         # looked up per step: a plan may outlive the obs session it was
         # opened under (or be opened before one starts)
@@ -1138,14 +1114,14 @@ class ResidentPlan:
                             cc_rung=kernel.cc_rung, **span_attrs)
               if o is not None else nullcontext())
         with cm:
-            t0 = _time.perf_counter()
-            kernel.fn(**args)
-            host_secs = _time.perf_counter() - t0
-            if o is not None:
-                self.gpu._observe_host_time(o, kernel.name, host_secs)
-            for k, prep in enumerate(record):
-                self.gpu._record_launch(prep, self.events, step,
-                                        None if k else rng)
+            if compute:
+                t0 = _time.perf_counter()
+                kernel.fn(**args)
+                host_secs = _time.perf_counter() - t0
+                if o is not None:
+                    self.gpu._observe_host_time(o, kernel.name, host_secs)
+            for prep in self._prepared:
+                self.gpu._record_launch(prep, self.events, step)
 
     def launch_all(self, step: int | None) -> None:
         """Run every launch of a plan with nothing rotating once, one by

@@ -9,10 +9,9 @@ index arrays and the arithmetic on them), and raises ``IndexError`` for
 an index outside ``[-size, size)`` of the array it reads or writes —
 before the launch stores anything.
 
-It runs once per bound index arrays, like the step's block table
-(``loops._step_blocks``): a call with the same arrays (by identity),
-sizes, scalars and extent is not checked again, unless the indices are
-computed from an array the program writes.
+It runs once per bound index arrays: a call with the arrays of the last
+one checked (by identity), sizes, scalars and extent is not checked
+again, unless the indices are computed from an array the program writes.
 """
 
 from __future__ import annotations

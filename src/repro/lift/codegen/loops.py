@@ -104,6 +104,8 @@ import pickle
 import shutil
 import sys
 import tempfile
+import threading
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -214,6 +216,19 @@ def _cc_built() -> tuple[str | None, str | None]:
     if not _cc_path():
         return None, None
     return _cc_state["rung"], _cc_state["isa"]
+
+
+def omp_set_threads(n: int) -> None:
+    """Cap the OpenMP team of the calling thread's later cc-tier calls at
+    ``n`` threads (``omp_set_num_threads`` sets the calling thread's
+    own setting); a no-op unless the process builds with OpenMP through
+    libgomp."""
+    if "openmp" not in (_cc_built()[0] or ""):
+        return
+    try:
+        ctypes.CDLL("libgomp.so.1").omp_set_num_threads(ctypes.c_int(n))
+    except (OSError, AttributeError):
+        pass
 
 
 #: The CPU feature flags (as Linux names them) of each x86-64 psABI level
@@ -465,9 +480,12 @@ def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
     build with the process's flags first makes sure this process ran its
     own probe (:func:`_cc_probe`): they may have come from a record, and
     a probe that now finds another rung or level changes the flags and
-    the key.  Builds land in the cache via an atomic rename, their
-    digest after it: a process racing another's build may find no digest
-    yet and build again, but never loads a file it could not check.  Any
+    the key.  A build is loaded from its temp file, named by process,
+    stem and key (``dlopen`` hands back an object already loaded under
+    the same name), before it lands in the cache via an atomic rename,
+    its digest after it: a process racing another's build may find no
+    digest yet and build again, but never loads a file it could not
+    check, nor another's file in place of its own build.  Any
     cache-directory failure silently falls back to the per-process
     temp-dir build.
     """
@@ -492,13 +510,13 @@ def _cc_build(cc: str, source: str, stem: str, *, cache: bool = True,
     if so is not None:
         try:
             os.makedirs(cdir, exist_ok=True)
-            tmp = os.path.join(cdir, f".build-{os.getpid()}-{stem}.so")
+            tmp = os.path.join(cdir, f".build-{os.getpid()}-{stem}-{key}.so")
             # the .c is kept beside the .so for debugging
             _cc_compile(cc, flags, source, so[:-3] + ".c", tmp)
             digest = _sha256(tmp)
+            lib = ctypes.CDLL(tmp)
             os.replace(tmp, so)
             _write_atomic(so + ".sha256", digest)
-            lib = ctypes.CDLL(so)
             _disk_cache["misses"] += 1
             return lib
         except OSError:
@@ -1444,22 +1462,57 @@ def _block_range(name: str, blocks, n: int, blk: int) -> tuple[int, int]:
 
 
 class _StepDispatch:
+    """A compiled step's calls.  Specialisations and block ordinals are
+    built once, under :attr:`lock`, so threads stepping disjoint block
+    ranges of one state may make the first call together; a warm call
+    only reads the two tables and takes no lock."""
+
     def __init__(self, kernel: StepKernel):
         self.kernel = kernel
         self.specs: dict = {}
-        #: per index array, checked once: (array, (K, n, blk, dtype), _kb, _pb)
-        self.blocks: tuple = (None, None)
+        #: id of an index array -> (a weak reference to it, (K, n, blk,
+        #: dtype), _kb, _pb): one entry per live index array that steps
+        #: this kernel (process-wide), dropped with its array
+        self.blocks: dict = {}
+        self.lock = threading.Lock()
+
+    def _spec(self, key, bounds) -> _StepSpec:
+        with self.lock:
+            spec = self.specs.get(key)
+            if spec is None:
+                spec = _build_step(self.kernel, bounds)
+                self.kernel.source = spec.source
+                if self.kernel.tier == "cc":  # a build may have re-probed
+                    self.kernel.cc_rung, self.kernel.cc_isa = _cc_built()
+                self.specs[key] = spec
+            return spec
+
+    def _ordinals(self, index, ident) -> tuple:
+        """The block ordinals (``_kb``) and saved-value scratch (``_pb``)
+        of ``index``; threads stepping disjoint ranges share both, as
+        each block reads and writes only its own ordinals."""
+        entry = self.blocks.get(id(index))
+        if entry is not None and entry[0]() is index and entry[1] == ident:
+            return entry[2:]
+        with self.lock:
+            entry = self.blocks.get(id(index))
+            if entry is None or entry[0]() is not index or entry[1] != ident:
+                blocks, key = self.blocks, id(index)
+
+                def drop(ref):
+                    if blocks.get(key, (None,))[0] is ref:
+                        blocks.pop(key, None)
+
+                entry = blocks[key] = (weakref.ref(index, drop), ident,
+                                       *_step_blocks(np.asarray(
+                                           index[:ident[0]]), *ident[1:]))
+            return entry[2:]
 
     def __call__(self, _blocks=None, **args) -> None:
         kernel = self.kernel
         bounds = kernel.bind(args)
         key = tuple(map(_dtype_key, kernel.programs, bounds))
-        spec = self.specs.get(key)
-        if spec is None:
-            spec = self.specs[key] = _build_step(kernel, bounds)
-            kernel.source = spec.source
-            if kernel.tier == "cc":       # a build may have re-probed
-                kernel.cc_rung, kernel.cc_isa = _cc_built()
+        spec = self.specs.get(key) or self._spec(key, bounds)
         # every program's prologue — shift range checks included — runs
         # before the step stores anything
         launches = [_prologue(p, s, b) for p, s, b in
@@ -1479,13 +1532,8 @@ class _StepDispatch:
         if kernel.links:
             bnd = launches[1]
             index = bnd.arrays[kernel.links[1]]
-            ident = (bnd.n, sweep.n, blk, arrays[_IN_PLACE].dtype)
-            blocks = self.blocks
-            if blocks[0] is not index or blocks[1] != ident:
-                blocks = self.blocks = (
-                    index, ident, *_step_blocks(np.asarray(index[:bnd.n]),
-                                                sweep.n, blk, ident[3]))
-            arrays["_kb"], arrays["_pb"] = blocks[2:]
+            arrays["_kb"], arrays["_pb"] = self._ordinals(
+                index, (bnd.n, sweep.n, blk, arrays[_IN_PLACE].dtype))
             order += ["_pb", "_kb"]
         sizes = [launches[k].sizes[a] for k, a in spec.sizes.values()]
         tail = [launch.hd for launch in launches] + [sweep.n, blk, *run]

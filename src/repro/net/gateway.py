@@ -624,7 +624,7 @@ class Gateway:
                 wait_ms=result.wait_ms, latency_ms=result.latency_ms,
                 end_ms=result.end_ms, time_step=result.time_step,
                 devices=list(result.devices), attempts=result.attempts,
-                path=result.path, shard_modes=list(result.shard_modes))
+                path=result.path)
         elif handle.state in ("FAILED", "EVICTED"):
             out["error"] = handle.error
         return out

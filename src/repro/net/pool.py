@@ -12,12 +12,12 @@ interpreter (no GIL sharing) and its own per-process ``CompileCache``;
 the on-disk loops artifact cache (set ``loops_cache_dir``) keeps
 cc/numba compilations shared *across* processes.
 
-Workers are not daemonic, so a ``shards>1`` job's
-``MultiGPU(..., parallel=True)`` pool starts its shard workers inside
-the pool worker, exactly as in-process.  A worker exits as soon as its
-parent dies (:func:`repro.gpu.parallel.exit_with_parent`), idle or
-mid-job, and its shard workers follow it: a SIGKILLed gateway leaves no
-orphans.  A pool its owner never stopped is stopped at interpreter exit.
+A ``shards>1`` job's ``MultiGPU(..., parallel=True)`` pool steps its
+shards on threads of the pool worker, exactly as in-process; it starts
+no process of its own.  A worker exits as soon as its parent dies
+(:func:`exit_with_parent`), idle or mid-job: a SIGKILLed gateway leaves
+no orphans.  A pool its owner never stopped is stopped at interpreter
+exit.
 
 Transport protocol (all values picklable):
 
@@ -39,10 +39,31 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue as queue_mod
+import threading
 import time
 from multiprocessing import util as mp_util
 
 __all__ = ["WorkerPool"]
+
+
+def exit_with_parent() -> None:
+    """Exit this process as soon as the process that started it dies.
+
+    A daemon thread waits on the parent's sentinel, which the OS closes
+    however the parent dies, then ends the process — idle or mid-job.
+    So no worker has to be daemonic.  A no-op in a process
+    ``multiprocessing`` did not start.
+    """
+    parent = mp.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True,
+                     name="repro-parent-watch").start()
 
 
 def _worker_main(worker_id: int, cfg: dict, task_q, result_q) -> None:
@@ -53,7 +74,6 @@ def _worker_main(worker_id: int, cfg: dict, task_q, result_q) -> None:
     # imports happen inside the child: spawn re-imports repro fresh
     from ..acoustics.sim import Checkpoint
     from ..gpu.device import resolve_device
-    from ..gpu.parallel import exit_with_parent
     from ..serve.cache import CompileCache
     from ..serve.job import run_job
     from ..serve.journal import decode_request

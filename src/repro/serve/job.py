@@ -193,9 +193,6 @@ class JobResult:
     #: (``RoomSimulation._path``: ``resident``, ``pool-loop``,
     #: ``parallel``, ...); empty for a result loaded from the store
     path: str = ""
-    #: per shard of the last ``parallel`` segment, the schedule its
-    #: worker ran (``overlap`` or ``bsp``); empty on every other path
-    shard_modes: tuple[str, ...] = ()
 
     @property
     def wait_ms(self) -> float:
@@ -291,13 +288,10 @@ def run_job(request: SubmitRequest, lease, *, program=None, faults=None,
     ``program`` is a compiled host program for the ``virtual_gpu``
     backend (``None`` compiles per simulation).  More than one leased
     device runs Z-slab-decomposed on a ``MultiGPU(..., parallel=True)``
-    pool, whose shard workers are handed the simulation's host program
-    (``program`` when given) instead of rebuilding it — in a gateway pool
-    worker too; a pool the parallel executor cannot run
-    (``MultiGPU._parallel_eligible``: faults, resilient ladders) steps
-    the same segments in ``MultiGPU.execute_many``'s in-process loop
-    instead (``pool-loop``).  The result's ``path`` and ``shard_modes``
-    say which of these ran.
+    pool, one shard thread per device stepping the simulation's own
+    arrays — in a gateway pool worker too, which starts no process for
+    it; the result's ``path`` says which path ran (``parallel``, or
+    ``pool-loop`` where the step cannot run on threads).
     ``resume`` is a mid-job :class:`~repro.acoustics.sim.Checkpoint`:
     the simulation restores it and runs only the remaining steps, which
     is bit-identical to an unbroken run.  ``on_checkpoint`` is called
@@ -345,9 +339,6 @@ def run_job(request: SubmitRequest, lease, *, program=None, faults=None,
             if on_failure is not None:
                 on_failure(attempt, death)
             raise
-        overlap = sim.last_overlap if sim._path == "parallel" else None
-        shard_modes = tuple(p["mode"]
-                            for p in (overlap or {}).get("per_shard", ()))
         return JobResult(
             field=sim.curr[:sim._N].copy(), time_step=sim.time_step,
             scheme=request.scheme, precision=request.precision,
@@ -356,7 +347,7 @@ def run_job(request: SubmitRequest, lease, *, program=None, faults=None,
             halo_time_ms=sim.modelled_halo_time_ms,
             receivers={k: sim.receiver_signal(k) for k in sim.receivers},
             policy_log=tuple(sim.policy_log), attempts=attempt,
-            path=sim._path, shard_modes=shard_modes), ""
+            path=sim._path), ""
     return None, error or "exhausted retry budget"
 
 

@@ -12,7 +12,10 @@ placing sources and receivers tests one point, not a volume.
 
 The tally walks the simulation's object graph (``repro`` objects,
 containers, bound methods and closures) and adds up the distinct NumPy
-buffers it reaches — a structural count, not an RSS reading.
+buffers it reaches — a structural count, not an RSS reading.  A
+compiled step is process-wide (``VirtualGPU.compile_step``) and keeps a
+block table per index array that steps it; of those, the simulation
+keeps the one of its own boundary points.
 """
 
 import types
@@ -23,6 +26,7 @@ import pytest
 
 from repro.acoustics import (BoxRoom, DomeRoom, Grid3D, Room, RoomSimulation,
                              SimConfig, geometry)
+from repro.lift.codegen import loops
 from repro.lift.codegen.loops import available_tiers
 
 pytestmark = pytest.mark.skipif(available_tiers() == ("python",),
@@ -40,12 +44,17 @@ def resident_buffers(sim) -> list[np.ndarray]:
     ``sim``."""
     seen, bufs = set(), {}
     stack = [sim]
+    own = sim.topology.boundary_indices
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
+        if isinstance(obj, loops._StepDispatch):
+            stack.extend(v for k, v in vars(obj).items() if k != "blocks")
+            stack.extend(e[2:] for e in obj.blocks.values()
+                         if e[0]() is own)
+        elif isinstance(obj, np.ndarray):
             while isinstance(obj.base, np.ndarray):
                 obj = obj.base
             if obj.ndim:

@@ -2,9 +2,9 @@
 
 ``RoomSimulation`` picks its path once — the constructor for the host
 backends, ``_make_gpu`` for ``virtual_gpu`` (also after ``set_devices``
-and after a shard-loss re-shard) — and names it on every ``sim.step`` /
-``sim.segment`` span as ``path``, with the step's realisation as
-``tier`` where the path has one.  Every path holds two time levels.
+and after a shard-loss re-shard) — and names it on every ``sim.step``
+span as ``path``, with the step's realisation as ``tier`` where the path
+has one.  Every path holds two time levels.
 """
 
 import numpy as np
@@ -34,12 +34,11 @@ def _sim(backend="virtual_gpu", dims=(14, 12, 10), scheme="fi_mm", **kw):
 
 
 def _step_spans(tracer):
-    return [s for s in tracer.find("sim.", cat="sim")
-            if s.name in ("sim.step", "sim.segment")]
+    return tracer.find("sim.step", cat="sim")
 
 
 def _spans(sim, steps=2):
-    """Every step/segment span ``sim.run(steps)`` opens."""
+    """Every step span ``sim.run(steps)`` opens."""
     with obs.observe() as o:
         sim.run(steps)
     return _step_spans(o.tracer)
@@ -61,8 +60,13 @@ def _compiled_tier():
     return tier, loops._cc_built()[0] if tier == "cc" else None
 
 
+#: the path of a ``parallel=True`` pool: its shards step on threads
+#: where the step is on the cc tier, and the pool steps it whole else
+PARALLEL = "parallel" if _compiled_tier()[0] == "cc" else "pool-loop"
+
+
 def _paths(sim, steps=2):
-    """``path`` of every step/segment span ``sim.run(steps)`` opens."""
+    """``path`` of every step span ``sim.run(steps)`` opens."""
     return [s.attrs["path"] for s in _spans(sim, steps)]
 
 
@@ -91,57 +95,57 @@ def _refused_host(monkeypatch):
     (dict(faults=FaultPlan([], seed=1)), "resident"),
     (dict(resilient=True), "resident"),
     (dict(devices="TitanBlack:2"), "pool-loop"),
-    (dict(devices="TitanBlack:2", resilient=True, parallel=True),
-     "pool-loop"),
-    (dict(devices="TitanBlack:2", parallel=True), "parallel"),
+    (dict(devices="TitanBlack:2", resilient=True, parallel=True), PARALLEL),
+    (dict(devices="TitanBlack:2", parallel=True), PARALLEL),
 ], ids=["single", "single-parallel", "faults", "resilient", "pool",
         "pool-resilient-parallel", "parallel"])
 def test_virtual_gpu_paths(kw, path):
+    """Every path steps per step, on an open plan; a pool with faults
+    or ``resilient`` runs the same shard threads as a clean one."""
     sim = _sim(**kw)
     with obs.observe() as o:
         sim.run(3)
     spans = _step_spans(o.tracer)
-    assert [s.attrs["path"] for s in spans] == (
-        [path] * (3 if path == "resident" else 1))
-    assert (sim._plan is not None) == (path == "resident")
-    # every path names the tier it ran: that of its step kernel, on a
-    # parallel pool the one its workers report
-    tiers = {s.attrs.get("tier") for s in spans}
-    if path == "parallel":
-        expect = {p["tier"] for p in sim.last_overlap["per_shard"]}
-        assert expect <= set(available_tiers()) | {"numpy"}
+    assert [s.attrs["path"] for s in spans] == [path] * 3
+    assert sim._plan is not None
+    # every path names the tier its step kernel runs on, as the pool's
+    # overlap report does for each shard
+    assert {s.attrs.get("tier") for s in spans} == {sim._step.tier}
+    if "devices" in kw:
+        assert {p["tier"] for p in sim.last_overlap["per_shard"]} == {
+            sim._step.tier}
     else:
-        expect = {sim._step.tier}
-    assert tiers == expect
-    # only a parallel pool the parallel executor refuses falls back
+        assert sim.last_overlap is None
+    # only a parallel pool that cannot thread its step falls back
     assert {s.attrs.get("fallback") for s in spans} == {
-        "faults_or_resilient" if kw.get("parallel") and path == "pool-loop"
+        "step_tier" if kw.get("parallel") and path == "pool-loop"
         else None}
     assert not hasattr(sim, "nxt")
 
 
+@pytest.mark.skipif(PARALLEL != "parallel",
+                    reason="shard threads step the cc tier only")
 def test_fallbacks_are_counted():
     """Each fallback path selection counts once, by path and reason; the
-    clean ``resident`` and ``parallel`` paths count none."""
+    clean ``resident`` and ``parallel`` paths count none, nor do pools
+    with faults or ``resilient``, which thread their step alike."""
     with obs.observe() as o:
-        for kw in (dict(), dict(devices="TitanBlack:2", parallel=True)):
-            _sim(**kw).run(2)
-        assert o.metrics.get("repro_sim_path_fallbacks_total") is None
-        for kw in (dict(devices="TitanBlack:2", parallel=True,
+        for kw in (dict(), dict(devices="TitanBlack:2", parallel=True),
+                   dict(devices="TitanBlack:2", parallel=True,
                         faults=FaultPlan([], seed=1)),
                    dict(devices="TitanBlack:2", parallel=True,
                         resilient=True)):
             _sim(**kw).run(2)
-        fallbacks = o.metrics.get("repro_sim_path_fallbacks_total")
+        assert o.metrics.get("repro_sim_path_fallbacks_total") is None
+        # shard 0's device is lost at step 1: one device survives
         sim = _sim(devices="TitanBlack:2", parallel=True,
-                   checkpoint_interval=2)
-        sim._gpu._test_kill = {1: 1}       # one device survives
+                   checkpoint_interval=2, faults=FaultPlan(
+                       [FaultSpec("device_lost", steps=(1,), max_count=1)]))
         sim.run(4)
+        fallbacks = o.metrics.get("repro_sim_path_fallbacks_total")
         spans = _step_spans(o.tracer)
-    assert fallbacks.value(path="pool-loop",
-                           reason="faults_or_resilient") == 2
     assert fallbacks.value(path="pool-loop", reason="single_shard") == 1
-    assert fallbacks.total() == 3
+    assert fallbacks.total() == 1
     assert spans[-1].attrs["fallback"] == "single_shard"
 
 
@@ -179,7 +183,7 @@ def _reselect_and_restore(scheme):
             sim.set_devices(devices)
         seen.append(_paths(sim))
         has_nxt.append(hasattr(sim, "nxt"))
-    assert seen == [["resident"] * 2, ["pool-loop"], ["resident"] * 2]
+    assert seen == [["resident"] * 2, ["pool-loop"] * 2, ["resident"] * 2]
     assert has_nxt == [False, False, False]
     ref = _sim(scheme=scheme)
     ref.run(6)
@@ -304,19 +308,20 @@ def test_set_devices_refuses_a_host_backend():
 
 
 def test_killed_shard_leaves_one_device_stepping_per_step():
-    sim = _sim(devices="TitanBlack:2", parallel=True, checkpoint_interval=2)
-    sim._gpu._test_kill = {1: 1}       # worker 1 dies in the first segment
+    sim = _sim(devices="TitanBlack:2", parallel=True, checkpoint_interval=2,
+               faults=FaultPlan([FaultSpec("device_lost", steps=(1,),
+                                           max_count=1)]))
     paths = _paths(sim, 6)
     assert len(sim.devices) == 1
-    # the lost segment, then a replay from step 0 on the survivor, in
-    # segments between checkpoints
-    assert paths == ["parallel"] + ["pool-loop"] * 3
+    # step 0, the lost step 1, then a replay from step 0 on the survivor
+    assert paths == [PARALLEL] * 2 + ["pool-loop"] * 6
     assert sim.time_step == 6 and not hasattr(sim, "nxt")
 
 
 def test_bulk_segments_keep_the_per_step_trailer():
     """Step, receiver-sample and health-check counters and the
-    checkpoint-hook steps do not depend on how the pool steps."""
+    checkpoint-hook steps do not depend on whether the pool threads its
+    step."""
     def run(parallel):
         hooked = []
         sim = _sim(devices="TitanBlack:2", parallel=parallel,
@@ -344,8 +349,6 @@ _CLEAN: dict = {}
 def _clean(backend, scheme, precision, devices=None):
     key = backend, scheme, precision, devices
     if key not in _CLEAN:
-        # the same segments as the faulted run: a pool sums its time
-        # per segment
         sim = _sim(backend, scheme=scheme, precision=precision,
                    devices=devices, checkpoint_interval=2)
         sim.run(6)
@@ -353,8 +356,9 @@ def _clean(backend, scheme, precision, devices=None):
     return _CLEAN[key]
 
 
-@pytest.mark.parametrize("devices", [None, "TitanBlack:2"],
-                         ids=["one-device", "pool"])
+@pytest.mark.parametrize("devices", [None, "TitanBlack:2",
+                                     ("TitanBlack:2", True)],
+                         ids=["one-device", "pool", "pool-parallel"])
 @pytest.mark.parametrize("precision", ["single", "double"])
 @pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
 @pytest.mark.parametrize("kind", FAULT_KINDS)
@@ -363,11 +367,15 @@ def test_recovered_runs_are_bit_identical(kind, scheme, precision, devices):
     clean ``numpy-steady`` run.  Allocation and upload sites fire where a
     plan opens (step 0), launch sites at step 3.  One device retries;
     a pool retries each shard's step, and re-shards and replays after a
-    lost device.  Backoff stays out of kernel time."""
+    lost device, on shard threads or not.  Backoff stays out of kernel
+    time, which a pool prices the same either way."""
+    devices, parallel = (devices if isinstance(devices, tuple)
+                         else (devices, False))
     at = (3,) if kind in ("launch_abort", "device_lost") else (0,)
     plan = FaultPlan([FaultSpec(kind, steps=at, max_count=1)], seed=1)
     sim = _sim(scheme=scheme, precision=precision, devices=devices,
-               faults=plan, resilient=True, checkpoint_interval=2)
+               parallel=parallel, faults=plan, resilient=True,
+               checkpoint_interval=2)
     sim.run(6)
     assert [r.kind for r in plan.records] == [kind]
     assert _same(sim, _clean("numpy-steady", scheme, precision))

@@ -1,33 +1,36 @@
-"""Multi-process shard executor: bit-identity, overlap, dead-worker recovery.
+"""Shard threads: a ``parallel=True`` pool steps one compiled step over
+the Z-block range of each shard, on the caller's own arrays.
 
-Almost every test here runs real OS processes (spawn start method) — the
-fixtures reuse the small grid of ``test_multi`` so each case stays in
-the seconds range.  ``TestHostProgramPickles`` checks, in-process, the
-round trip that hands each worker its host program.
+The fixtures reuse the small grid of ``test_multi``.  Where the step is
+not on the cc tier, the pool steps it whole on the calling thread
+(``MultiGPU.serial_reason``), and the same tests check that path.
+``TestHostProgramPickles`` checks the round trip that stores a compiled
+host program in the loops disk cache.
 """
 
+import gc
+import multiprocessing
 import os
 import pickle
-import subprocess
-import sys
-import time
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro
 from repro import obs
-from repro.acoustics.geometry import DomeRoom, Room
+from repro.acoustics.geometry import BoxRoom, DomeRoom, Room
 from repro.acoustics.grid import Grid3D
 from repro.acoustics.lift_programs import (LEAPFROG, compiled_host,
                                            two_kernel_host)
 from repro.acoustics.sim import RoomSimulation, SimConfig
+from repro.lift.codegen import loops
 from repro.lift.codegen.host import compile_host
-from repro.lift.codegen.loops import available_tiers
+from repro.lift.codegen.loops import LoopsUnsupported, select_tier
 from repro.lift.codegen.plan import Launch
-from repro.gpu import (ClInvalidValue, MultiGPU, NVIDIA_TITAN_BLACK,
-                       ShardLost, VirtualGPU, clear_kernel_caches)
+from repro.gpu import (ClInvalidValue, FaultPlan, FaultSpec, MultiGPU,
+                       NVIDIA_TITAN_BLACK, ShardLost, VirtualGPU,
+                       clear_kernel_caches)
 
 from ..listing5 import listing5_problem
 from .conftest import step_launches
@@ -41,6 +44,18 @@ ROT_FI = [LEAPFROG]
 #: two buffers even where, as ``host_inputs`` binds them, they are one
 #: host array
 LISTING5_FD = [LEAPFROG, ("v2_h", "v1_h")]
+
+
+def _tier():
+    try:
+        return select_tier()
+    except LoopsUnsupported:
+        return "numpy"
+
+
+#: shard threads step the cc tier; elsewhere a parallel pool steps whole
+THREADED = _tier() == "cc"
+PARALLEL = "parallel" if THREADED else "pool-loop"
 
 
 @pytest.fixture(scope="module")
@@ -63,17 +78,24 @@ def _ref(case, rotations):
                          case["inputs"], case["sizes"], STEPS, rotations)
 
 
+def _shard_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("repro-shard-")]
+
+
 class TestParallelBitIdentity:
     @pytest.mark.parametrize("shards,rotations",
                              [(2, ROT_FI), (3, ROT_FI), (2, None)],
                              ids=["2", "3", "2-no-rotations"])
     def test_fi_mm_matches_single_and_serial(self, fi_mm, shards, rotations):
         if rotations is None:
-            # shards step over two time levels, which needs the leapfrog
-            # cycle: refused at the call, before any worker starts
+            # a pool steps over two time levels, which needs the leapfrog
+            # cycle: refused at the call, before any thread starts
+            before = len(_shard_threads())
             with pytest.raises(ClInvalidValue, match="leapfrog"):
                 MultiGPU(f"TitanBlack:{shards}", parallel=True).execute_many(
                     fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS)
+            assert len(_shard_threads()) == before
             return
         ref = _ref(fi_mm, rotations)
         serial = MultiGPU(f"TitanBlack:{shards}").execute_many(
@@ -86,8 +108,12 @@ class TestParallelBitIdentity:
         assert np.array_equal(par.result[:N], np.asarray(ref.result)[:N])
         assert np.array_equal(par.buffers["final:prev1_h"][:N],
                               serial.buffers["final:prev1_h"][:N])
-        assert par.overlap is not None
-        assert serial.overlap is None
+        assert par.overlap["executor"] == PARALLEL
+        assert serial.overlap["executor"] == "pool-loop"
+        # the same modelled clock either way
+        assert par.per_shard_kernel_time_ms() == \
+            serial.per_shard_kernel_time_ms()
+        assert par.halo_time_ms() == serial.halo_time_ms()
 
     def test_fd_mm_branch_state_matches(self, fd_mm):
         ref = _ref(fd_mm, LISTING5_FD)
@@ -103,27 +129,37 @@ class TestParallelBitIdentity:
 
     def test_workers_run_the_handed_program(self, fi_mm):
         # built by compile_host directly, not by any program builder the
-        # workers could rebuild it from
+        # pool could rebuild it from
         host = compile_host(two_kernel_host("fi_mm", "double").program,
                             "handed")
         par = MultiGPU("TitanBlack:2", parallel=True).execute_many(
             host, fi_mm["inputs"], fi_mm["sizes"], STEPS, rotations=ROT_FI)
         ref = _ref(fi_mm, ROT_FI)
         N = fi_mm["N"]
-        assert par.overlap["executor"] == "parallel"
+        assert par.overlap["executor"] == PARALLEL
         assert np.array_equal(par.result[:N], np.asarray(ref.result)[:N])
         launched = {e.name for ev in par.shard_events for e in ev
                     if e.kind == "kernel"}
         assert launched == {op.kernel.name for op in host.plan.ops
                             if isinstance(op, Launch)}
 
+    def test_the_callers_inputs_are_untouched(self, fi_mm):
+        """``execute_many`` steps copies; a simulation's plan steps its
+        own arrays (``MultiGPU.stepping`` with ``in_place``)."""
+        before = {k: np.array(v) for k, v in fi_mm["inputs"].items()
+                  if isinstance(v, np.ndarray)}
+        MultiGPU("TitanBlack:2", parallel=True).execute_many(
+            fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], 2,
+            rotations=ROT_FI)
+        for k, v in before.items():
+            assert np.array_equal(fi_mm["inputs"][k], v), k
+
 
 class TestHostProgramPickles:
-    """What a worker is handed: a host program after a pickle round trip
-    runs the same bits and prices the same modelled clock.  The kernel
-    caches are cleared before each run, so the copy compiles its own
-    kernels (as a fresh worker process does) instead of reusing the
-    original's."""
+    """A host program after a pickle round trip (as the loops disk cache
+    stores it) runs the same bits and prices the same modelled clock.
+    The kernel caches are cleared before each run, so the copy compiles
+    its own kernels instead of reusing the original's."""
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     @pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
@@ -154,13 +190,12 @@ class TestOverlapReport:
         res = par.execute_many(fi_mm["host"], fi_mm["inputs"],
                                fi_mm["sizes"], STEPS, rotations=ROT_FI)
         ov = res.overlap
-        assert ov["executor"] == "parallel"
+        assert ov["executor"] == PARALLEL
         assert ov["shards"] == 2 and ov["steps"] == STEPS
         plane = grid.nx * grid.ny
         for p in ov["per_shard"]:
             # the footprint comes from the kernel's own shift-op IR: one
             # z-plane on each side for the 7-point SLF stencil
-            assert p["mode"] == "overlap"
             assert p["footprint"] == (plane, plane)
             assert p["interior_model_ms"] > 0
             assert p["boundary_model_ms"] > 0
@@ -172,19 +207,17 @@ class TestOverlapReport:
         assert m["hidden_ms"] > 0
         meas = ov["measured"]
         assert meas["wall_total_s"] > meas["loop_wall_s"] > 0
-        assert 0.0 <= meas["hidden_fraction"] <= 1.0
 
     def test_halo_pricing_matches_worker_schedule(self, fi_mm):
-        # steps-1 exchange phases: the first step consumes the pre-filled
-        # halos
+        """Every step prices its exchange, threaded or not."""
         par = MultiGPU("TitanBlack:2", parallel=True).execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
             rotations=ROT_FI)
         serial = MultiGPU("TitanBlack:2").execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
             rotations=ROT_FI)
-        assert par.halo_time_ms() == pytest.approx(
-            serial.halo_time_ms() * (STEPS - 1) / STEPS)
+        assert par.halo_time_ms() == serial.halo_time_ms() > 0
+        assert len(par.halo_events) == 2 * STEPS
         assert all(e.kind == "halo" for e in par.halo_events)
 
 
@@ -192,20 +225,23 @@ class TestFallbacks:
     def test_the_in_process_loop_samples_receivers(self, fi_mm, grid):
         """Both executors sample receivers, at the same points."""
         loop = MultiGPU("TitanBlack:2")
-        assert loop._parallel_eligible() == "parallel=False"
+        assert loop.serial_reason(loop.compile_step(
+            fi_mm["host"].plan, ROT_FI)) == "parallel=False"
         mics = {"lo": 3 * grid.nx * grid.ny + 5,
                 "hi": 8 * grid.nx * grid.ny + 5}
         got, par = (MultiGPU("TitanBlack:2", parallel=p).execute_many(
             fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"], STEPS,
             rotations=ROT_FI, receivers=mics) for p in (False, True))
-        assert got.overlap is None and par.overlap is not None
+        assert got.overlap["executor"] == "pool-loop"
+        assert par.overlap["executor"] == PARALLEL
         for name in mics:
             assert len(got.receivers[name]) == STEPS
             assert np.array_equal(got.receivers[name], par.receivers[name])
 
     def test_single_shard_degenerates(self, fi_mm):
         par = MultiGPU(("TitanBlack",), parallel=True)
-        assert par._parallel_eligible() == "single_shard"
+        assert par.serial_reason(par.compile_step(
+            fi_mm["host"].plan, ROT_FI)) == "single_shard"
         res = par.execute_many(fi_mm["host"], fi_mm["inputs"],
                                fi_mm["sizes"], STEPS, rotations=ROT_FI)
         ref = _ref(fi_mm, ROT_FI)
@@ -240,20 +276,23 @@ class TestReceivers:
 
 
 class TestDeadWorkerRecovery:
+    """A shard's device lost (a killed shard worker process, before the
+    shards were threads) surfaces as :class:`ShardLost`."""
+
     def test_killed_worker_raises_shardlost(self, fi_mm):
-        par = MultiGPU("TitanBlack:2", parallel=True)
-        par._test_kill = {1: 3}
+        """The fault plan rides on the first device: a ``device_lost``
+        at its launch sites loses shard 0 before any slab is stepped."""
+        faults = FaultPlan([FaultSpec("device_lost", steps=(3,))])
+        par = MultiGPU("TitanBlack:2", faults=faults, parallel=True)
         with pytest.raises(ShardLost) as err:
             par.execute_many(fi_mm["host"], fi_mm["inputs"], fi_mm["sizes"],
                              STEPS, rotations=ROT_FI)
-        assert err.value.shard == 1
+        assert err.value.shard == 0 and err.value.context["step"] == 3
 
     def test_without_device_stays_parallel(self, fi_mm):
         par = MultiGPU("TitanBlack:3", parallel=True)
-        par._test_kill = {0: 1}
         survivors = par.without_device(0)
         assert survivors.parallel
-        assert survivors._test_kill is None  # the kill knob does not carry
         assert len(survivors.devices) == 2
         res = survivors.execute_many(fi_mm["host"], fi_mm["inputs"],
                                      fi_mm["sizes"], STEPS,
@@ -261,54 +300,11 @@ class TestDeadWorkerRecovery:
         ref = _ref(fi_mm, ROT_FI)
         N = fi_mm["N"]
         assert np.array_equal(res.result[:N], np.asarray(ref.result)[:N])
-        assert res.overlap["executor"] == "parallel"
-
-    def test_a_worker_dead_at_start_up_loses_its_shard(self, tmp_path):
-        """A script with no ``__main__`` guard re-runs itself in every
-        spawned worker, which then raises while it bootstraps.  Its
-        shard task (half of two 40x30x20 double levels, more than a
-        pipe's 64 KiB) is no longer a spawn argument, so ``start()``
-        returns, the liveness loop reports the dead worker as
-        ``ShardLost`` and the simulation re-shards onto the survivor,
-        within the bound, leaving no shared memory behind."""
-        grid = Grid3D(40, 30, 20)
-        assert grid.num_points * 8 // 2 > 64 * 1024
-        script = tmp_path / "unguarded.py"
-        script.write_text(_UNGUARDED)
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        shm = Path("/dev/shm")
-        before = set(os.listdir(shm)) if shm.is_dir() else set()
-        t0 = time.monotonic()
-        proc = subprocess.run([sys.executable, str(script)], env=env,
-                              capture_output=True, text=True,
-                              timeout=START_UP_DEATH_BOUND_S)
-        assert time.monotonic() - t0 < START_UP_DEATH_BOUND_S
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout.split() == ["pool-loop", "1", "4", "reshard"]
-        if shm.is_dir():
-            assert set(os.listdir(shm)) <= before
+        assert res.overlap["executor"] == PARALLEL
 
 
-#: the wall-clock bound on a run whose shard workers die at start-up
-START_UP_DEATH_BOUND_S = 120
-
-_UNGUARDED = """
-from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
-sim = RoomSimulation(SimConfig(room=Room(Grid3D(40, 30, 20), BoxRoom()),
-                               scheme="fd_mm", precision="double",
-                               backend="virtual_gpu", devices="TitanBlack:2",
-                               parallel=True))
-sim.add_impulse("center")
-sim.run(4)
-print(sim._path, len(sim.devices), sim.time_step,
-      *{p.action for p in sim.policy_log if p.action == "reshard"})
-"""
-
-
-def _sim(scheme, devices=None, steps=6, **kw):
-    cfg = SimConfig(room=Room(Grid3D(14, 12, 10), DomeRoom()),
+def _sim(scheme, devices=None, steps=6, room=DomeRoom, **kw):
+    cfg = SimConfig(room=Room(Grid3D(14, 12, 10), room()),
                     scheme=scheme, backend="virtual_gpu", devices=devices,
                     **kw)
     sim = RoomSimulation(cfg)
@@ -318,7 +314,43 @@ def _sim(scheme, devices=None, steps=6, **kw):
     return sim
 
 
+def _state(sim):
+    return [sim.prev, sim.curr, sim.g1, sim.v, sim.receiver_signal("mic")]
+
+
+def _lifecycle(sim):
+    """Steps, a mid-run checkpoint, an impulse between runs, a restore
+    and the same again: what a stepping path must reproduce."""
+    sim.run(3)
+    cp = sim.checkpoint()
+    sim.add_impulse((4, 5, 6), 0.5)
+    sim.run(2)
+    sim.step()
+    sim.restore(cp)
+    sim.add_impulse((4, 5, 6), 0.5)
+    sim.run(3)
+    return sim
+
+
 class TestSimParallel:
+    @pytest.mark.parametrize("shards", [2, 4])
+    @pytest.mark.parametrize("room", [BoxRoom, DomeRoom])
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
+    def test_shard_threads_are_bit_identical(self, scheme, precision, room,
+                                             shards):
+        """3 schemes x 2 precisions x box and dome x 2 and 4 shards,
+        with a receiver, a mid-run checkpoint restored and impulses
+        added between runs."""
+        ref = _lifecycle(_sim(scheme, precision=precision, room=room,
+                              steps=0))
+        par = _lifecycle(_sim(scheme, devices=f"TitanBlack:{shards}",
+                              parallel=True, precision=precision,
+                              room=room, steps=0))
+        assert par._path == PARALLEL and par.time_step == ref.time_step
+        for got, want in zip(_state(par), _state(ref)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("scheme", ["fi", "fi_mm", "fd_mm"])
     def test_bulk_parallel_bit_identical(self, scheme):
         ref = _sim(scheme)
@@ -330,9 +362,7 @@ class TestSimParallel:
         assert np.array_equal(par.receiver_signal("mic"),
                               ref.receiver_signal("mic"))
         assert par.time_step == ref.time_step
-        assert par.last_overlap["executor"] == "parallel"
-        assert all(p["mode"] == "overlap"
-                   for p in par.last_overlap["per_shard"])
+        assert par.last_overlap["executor"] == PARALLEL
 
     def test_single_precision_bit_identical(self):
         ref = _sim("fi_mm", precision="single")
@@ -351,11 +381,9 @@ class TestSimParallel:
                 == ref.last_checkpoint.time_step == 6)
 
     def test_segments_count_simulation_steps(self):
-        """A run in 3-step segments numbers its steps from each
-        segment's first: the halo events of 6 steps are at steps 1, 2,
-        4 and 5 (a segment's first step consumes the pre-filled halos),
-        and ``_test_kill`` names a simulation step, so a kill at step 4
-        fires in the second segment, which replays from step 3."""
+        """Every step prices its halo exchange, stamped with its
+        simulation step, and a fault plan names simulation steps: a
+        device lost at step 4 replays from the checkpoint at step 3."""
         ref = _sim("fi_mm", steps=6)
         cfg = SimConfig(room=Room(Grid3D(14, 12, 10), DomeRoom()),
                         scheme="fi_mm", backend="virtual_gpu",
@@ -369,39 +397,107 @@ class TestSimParallel:
         finally:
             obs.disable()
         halos = o.tracer.find("halo:", cat="halo")
-        assert sorted({h.attrs["step"] for h in halos}) == [1, 2, 4, 5]
-        assert len(halos) == 2 * 4           # both directions each step
+        assert sorted({h.attrs["step"] for h in halos}) == list(range(6))
+        assert len(halos) == 2 * 6           # both directions each step
         assert np.array_equal(sim.curr, ref.curr)
 
-        killed = RoomSimulation(cfg)
-        killed.add_impulse("center")
-        killed._gpu._test_kill = {1: 4}
-        killed.run(6)
-        assert len(killed.devices) == 1      # the kill fired ...
-        assert [p.detail for p in killed.policy_log
-                if p.action == "reshard"]    # ... in segment two
-        assert np.array_equal(killed.curr, ref.curr)
+        faults = FaultPlan([FaultSpec("device_lost", steps=(4,),
+                                      max_count=1)])
+        lost = RoomSimulation(SimConfig(**{**cfg.__dict__,
+                                           "faults": faults}))
+        lost.add_impulse("center")
+        lost.run(6)
+        assert len(lost.devices) == 1        # the loss fired ...
+        assert [p.detail for p in lost.policy_log if p.action == "reshard"]
+        assert [r.step for r in faults.records] == [4]
+        assert np.array_equal(lost.curr, ref.curr)
 
     def test_killed_shard_process_recovers_bit_identically(self):
         ref = _sim("fi_mm", steps=8)
         cfg = SimConfig(room=Room(Grid3D(14, 12, 10), DomeRoom()),
                         scheme="fi_mm", backend="virtual_gpu",
                         devices="TitanBlack:2", parallel=True,
-                        checkpoint_interval=2)
+                        checkpoint_interval=2, faults=FaultPlan(
+                            [FaultSpec("device_lost", steps=(1,),
+                                       max_count=1)]))
         sim = RoomSimulation(cfg)
         sim.add_impulse("center")
         sim.add_receiver("mic", (3, 3, 3))
-        # worker 1 SIGKILLs itself at step 1, in the first bulk segment
-        sim._gpu._test_kill = {1: 1}
         sim.run(8)
         assert np.array_equal(sim.curr, ref.curr)
+        assert np.array_equal(sim.receiver_signal("mic"),
+                              ref.receiver_signal("mic"))
         assert sim.time_step == 8
-        # the dead worker's device left the pool; the survivor pool keeps
-        # ``parallel`` (it just degenerates to the in-process loop at one
-        # shard)
+        # the lost device left the pool; the survivor pool keeps
+        # ``parallel`` (it just steps whole at one shard)
         assert sim._gpu.parallel
         assert sim._path == "pool-loop"
         assert len(sim.devices) == 1
+
+    def test_a_parallel_step_is_priced_as_the_pool_loop(self):
+        """14x12x10 dome, fi_mm, TitanBlack:2, 6 steps: one run, runs
+        between checkpoints every 3 steps and six direct steps read one
+        modelled clock, the pool loop's."""
+        def clock(parallel, **kw):
+            sim = RoomSimulation(SimConfig(
+                room=Room(Grid3D(14, 12, 10), DomeRoom()), scheme="fi_mm",
+                backend="virtual_gpu", devices="TitanBlack:2",
+                parallel=parallel, **kw))
+            sim.add_impulse("center")
+            if kw:
+                sim.run(6)
+            else:
+                for _ in range(6):
+                    sim.step()
+            return sim.modelled_gpu_time_ms, sim.modelled_halo_time_ms
+
+        loop = clock(False)
+        assert loop[0] == pytest.approx(0.0616, abs=5e-5)
+        for kw in (dict(checkpoint_interval=0), dict(checkpoint_interval=3),
+                   dict()):
+            assert clock(True, **kw) == loop
+
+
+class TestNoProcesses:
+    """A pool's shards are threads of the simulation's process: a pool
+    simulation starts no process and creates no shared memory — running,
+    stepping, checkpointing and restoring, and losing a shard."""
+
+    def test_a_pool_starts_no_process_and_no_shared_memory(self, tmp_path):
+        shm = Path("/dev/shm")
+        segments = (lambda: {n for n in os.listdir(shm)
+                             if n.startswith("psm_")}) if shm.is_dir() \
+            else set
+        before = segments()
+        gc.collect()                    # earlier tests' dropped plans
+        threads = set(_shard_threads())
+        sim = RoomSimulation(SimConfig(
+            room=Room(Grid3D(14, 12, 10), DomeRoom()), scheme="fd_mm",
+            backend="virtual_gpu", devices="TitanBlack:2", parallel=True,
+            checkpoint_interval=2, faults=FaultPlan(
+                [FaultSpec("device_lost", steps=(5,), max_count=1)])))
+        sim.add_impulse("center")
+        sim.run(3)
+        # one thread per shard, started once for the simulation
+        ours = set(_shard_threads()) - threads
+        assert len(ours) == 2 * THREADED
+        sim.step()
+        sim.save_checkpoint(tmp_path / "cp")
+        sim.run(1)
+        sim.load_checkpoint(tmp_path / "cp")
+        assert set(_shard_threads()) - threads == ours
+        sim.run(3)                      # loses shard 0 at step 5
+        assert len(sim.devices) == 1 and sim.time_step == 7
+        assert multiprocessing.active_children() == []
+        assert segments() <= before
+        # the re-sharded pool steps on this thread; the lost pool's
+        # threads ended with its plan, and a dropped simulation's end
+        del sim
+        gc.collect()
+        for t in ours:
+            t.join(timeout=5)
+            assert not t.is_alive()
+        assert not set(_shard_threads()) - threads
 
 
 class TestStepReport:
@@ -412,11 +508,8 @@ class TestStepReport:
         per = par.overlap["per_shard"]
         assert len(per) == 2
         for p in per:
-            assert p["tier"] in {*available_tiers(), "numpy"}
+            assert p["tier"] == _tier()
             assert (p["cc_rung"] is not None) == (p["tier"] == "cc")
-            # a compiled step overlaps; whole arrays cannot be split
-            assert p["mode"] == ("bsp" if p["tier"] == "numpy"
-                                 else "overlap")
 
     def test_a_segment_names_the_shards_tier(self, grid):
         sim = RoomSimulation(SimConfig(
@@ -428,8 +521,27 @@ class TestStepReport:
                 sim.run(3)
         finally:
             obs.disable()
-        segments = o.tracer.find("sim.segment", cat="sim")
-        assert len(segments) == 1
-        assert segments[0].attrs["path"] == "parallel"
-        assert segments[0].attrs["tier"] == (
-            sim.last_overlap["per_shard"][0]["tier"])
+        steps = o.tracer.find("sim.step", cat="sim")
+        assert [s.attrs["path"] for s in steps] == [PARALLEL] * 3
+        assert {s.attrs["tier"] for s in steps} == {
+            sim.last_overlap["per_shard"][0]["tier"]}
+
+
+def test_a_shard_threads_openmp_team_is_capped():
+    """``omp_set_threads`` caps the calling thread's own OpenMP team,
+    and only its: a shard thread runs ``cpu_count // k`` threads."""
+    if "openmp" not in (loops._cc_built()[0] or ""):
+        pytest.skip("the cc tier builds without OpenMP here")
+    import ctypes
+    gomp = ctypes.CDLL("libgomp.so.1")
+    main = gomp.omp_get_max_threads()
+    seen = []
+
+    def shard():
+        loops.omp_set_threads(1)
+        seen.append(gomp.omp_get_max_threads())
+
+    t = threading.Thread(target=shard)
+    t.start()
+    t.join()
+    assert seen == [1] and gomp.omp_get_max_threads() == main

@@ -14,6 +14,7 @@ which kernels the suite compiled.
 import ctypes
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -130,14 +131,15 @@ def test_a_flipped_byte_is_rebuilt_before_it_loads(cache_dir, where):
 def test_a_so_without_its_digest_is_rebuilt(cache_dir):
     """A ``.so`` whose digest is missing (a build another process has
     renamed into place but not yet recorded) is never loaded: it is
-    built again, and its digest written."""
+    built again — the process loads its own build, from the temp file it
+    hashed — and its digest written."""
     loops._cc_build(CC, _source("nodigest"), "nodigest")
     (digest,) = cache_dir.glob("nodigest-*.so.sha256")
     digest.unlink()
     base = loops.loops_disk_cache_stats()
     loads, real = [], ctypes.CDLL
     loops.ctypes.CDLL = lambda path, *a, **k: loads.append(
-        os.path.exists(path + ".sha256")) or real(path, *a, **k)
+        os.path.basename(path)) or real(path, *a, **k)
     try:
         loops._cc_build(CC, _source("nodigest"), "nodigest")
     finally:
@@ -145,7 +147,32 @@ def test_a_so_without_its_digest_is_rebuilt(cache_dir):
     stats = loops.loops_disk_cache_stats()
     assert stats["corrupt"] == base["corrupt"] + 1
     assert stats["misses"] == base["misses"] + 1
-    assert loads == [True] and digest.exists()
+    (loaded,) = loads
+    assert loaded.startswith(".build-") and digest.exists()
+
+
+def test_a_build_loads_the_bytes_it_hashed(cache_dir, monkeypatch):
+    """Another process's build renamed over this one's right after its
+    rename (a valid ``.so`` of the same symbol) does not replace this
+    process's own build: the build is loaded before it is renamed."""
+    other = loops._cc_build(
+        CC, "int repro_loop_which(void) { return 2; }\n", "other",
+        cache=False)
+    real = os.replace
+
+    def racing_replace(src, dst):
+        real(src, dst)
+        if str(dst).endswith(".so"):        # the other build lands
+            theirs = f"{dst}.theirs"
+            with open(other._name, "rb") as f, open(theirs, "wb") as out:
+                out.write(f.read())
+            real(theirs, dst)
+
+    monkeypatch.setattr(loops.os, "replace", racing_replace)
+    lib = loops._cc_build(CC, "int repro_loop_which(void) { return 1; }\n",
+                          "which")
+    monkeypatch.undo()
+    assert lib.repro_loop_which() == 1
 
 
 def test_disabled_cache_still_builds(cache_dir):
@@ -375,7 +402,9 @@ def test_two_cpus_share_one_cache_directory(cache_dir, fakecc, monkeypatch):
         assert stats["misses"] - base["misses"] == (process < 2)
         assert f"{stats['cc_rung']} {level}" in {
             p.read_text() for p in cache_dir.glob("cc-probe-*.txt")}
-        (so,) = [p for p in loaded if p.startswith(str(cache_dir))]
+        # a build loads its own temp file, then renames it to the artifact
+        (so,) = [re.sub(r"/\.build-\d+-([^/]*)$", r"/\1", p)
+                 for p in loaded if p.startswith(str(cache_dir))]
         assert artifacts.setdefault(level, so) == so
     assert len(list(cache_dir.glob("cc-probe-*.txt"))) == 2
     assert sorted(p.name for p in cache_dir.glob("cpu-*.so")) == sorted(

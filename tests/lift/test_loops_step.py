@@ -15,6 +15,7 @@ point makes of its own element before overwriting it.
 
 import dataclasses
 import subprocess
+import threading
 import tracemalloc
 
 import numpy as np
@@ -430,3 +431,100 @@ def test_the_numpy_tier_takes_only_the_full_block_range():
     full = _copied(before)
     step.fn(**full)
     assert np.array_equal(args["prev"], full["prev"])
+
+
+# -- the block table, per index array and under threads ----------------------
+
+requires_cc = pytest.mark.skipif("cc" not in available_tiers(),
+                                 reason="no cc tier on this host")
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of ``loops.<name>``."""
+    calls, real = [], getattr(loops, name)
+    monkeypatch.setattr(loops, name, lambda *a, **k: calls.append(1)
+                        or real(*a, **k))
+    return calls
+
+
+def test_two_alternating_index_arrays_keep_their_blocks(monkeypatch):
+    """Two rooms stepping one process-wide step (``virtual_gpu``'s)
+    alternately build each index array's block table once."""
+    sims = [RoomSimulation(SimConfig(room=Room(Grid3D(12, 10, 9), shape()),
+                                     scheme="fi_mm", backend="virtual_gpu"))
+            for shape in (BoxRoom, DomeRoom)]
+    assert sims[0]._step is sims[1]._step
+    calls = _counting(monkeypatch, "_step_blocks")
+    for _ in range(3):
+        for sim in sims:
+            sim.step()
+    assert len(calls) == (2 if sims[0]._step.tier != "numpy" else 0)
+
+
+@requires_cc
+@pytest.mark.parametrize("scheme", ["fi_mm", "fd_mm"])
+def test_threads_making_the_first_call_together_build_once(scheme,
+                                                           monkeypatch):
+    """k threads stepping disjoint block ranges of one state, all making
+    the step's first call at once, build one specialisation and one block
+    table, and step the state as one thread does."""
+    monkeypatch.setenv("REPRO_LOOP_TIER", "cc")
+    ref, sim = (_one_step_sim(scheme) for _ in range(2))
+    ref._advance()
+    builds = _counting(monkeypatch, "_build_step")
+    blocks = _counting(monkeypatch, "_step_blocks")
+    args, nb, k = sim._step_args(), sim.grid.nz, 3
+    start = threading.Barrier(k)
+    errors = []
+
+    def shard(b0, b1):
+        start.wait()
+        try:
+            sim._step.fn(**args, _blocks=(b0, b1))
+        except BaseException as err:
+            errors.append(err)
+
+    cuts = [i * nb // k for i in range(k + 1)]
+    threads = [threading.Thread(target=shard, args=(a, b))
+               for a, b in zip(cuts, cuts[1:])]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    assert (len(builds), len(blocks)) == (1, 1)
+    for name in ("prev", "curr", "g1", "v"):
+        assert np.array_equal(getattr(sim, name), getattr(ref, name)), name
+
+
+def _one_step_sim(scheme):
+    """A fresh ``numba``-backend simulation (its own, never-called step)
+    with an impulse in place."""
+    sim = RoomSimulation(SimConfig(
+        room=Room(Grid3D(12, 10, 9), DomeRoom()), scheme=scheme,
+        backend="numba",
+        materials=(default_fd_materials(3) if scheme == "fd_mm"
+                   else default_fi_materials(3))))
+    sim.add_impulse("center")
+    return sim
+
+
+@requires_cc
+@pytest.mark.parametrize("backend", ["numba", "virtual_gpu"])
+def test_a_warm_single_device_step_takes_no_lock(backend, monkeypatch):
+    monkeypatch.setenv("REPRO_LOOP_TIER", "cc")
+    sim = RoomSimulation(SimConfig(room=Room(Grid3D(12, 10, 9), DomeRoom()),
+                                   scheme="fd_mm", backend=backend))
+    sim.add_impulse("center")
+    sim.step()
+
+    class Refused:
+        def __enter__(self):
+            raise AssertionError("a warm step took the build lock")
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(sim._step.fn, "lock", Refused())
+    sim.run(2)
+    assert sim.time_step == 3

@@ -133,8 +133,9 @@ def test_undecodable_request_fails_and_the_worker_keeps_serving():
 
 
 #: a gateway stand-in: start a two-worker pool, put one worker on a
-#: ``shards=2`` job long enough to be cut short, report every process
-#: below this one once the job's shard workers run, then wait to be killed
+#: ``shards=2`` job long enough to be cut short (its shards step on
+#: threads of that worker), report every process below this one once the
+#: job runs, then wait to be killed
 _POOL_OWNER = """
 import os, sys, time
 from repro.acoustics import BoxRoom, Grid3D, Room
@@ -164,10 +165,7 @@ req = SubmitRequest(room=Room(Grid3D(16, 12, 12), BoxRoom()),
 pool.dispatch({"fingerprint": req.fingerprint(),
                "request": encode_request(req), "job_id": 1})
 assert pool.poll_message(120.0)[0] == "started"
-deadline = time.monotonic() + 120.0
-while (not any(len(children(p.pid)) == 2 for p in pool._procs)
-       and time.monotonic() < deadline):
-    time.sleep(0.05)
+time.sleep(1.0)
 print(" ".join(map(str, tree(os.getpid()))), flush=True)
 sys.stdin.read()
 """
@@ -200,9 +198,10 @@ def _shm_names() -> set:
     "/dev/shm"), reason="needs /proc and /dev/shm")
 def test_workers_exit_when_their_parent_is_killed():
     """A SIGKILLed gateway never sends the shutdown sentinel.  Its idle
-    worker, its busy worker and the busy worker's two shard workers all
-    notice their dead parent and exit instead of living on as orphans,
-    and the shard rings and queues they shared do not outlive them."""
+    worker and its busy worker, mid ``shards=2`` job, notice their dead
+    parent and exit instead of living on as orphans, and the queues they
+    shared do not outlive them.  The job's shards are threads of its
+    worker: no process of their own."""
     shm_before = _shm_names()
     owner = subprocess.Popen([sys.executable, "-c", _POOL_OWNER],
                              env=_child_env(),
@@ -224,8 +223,8 @@ def test_workers_exit_when_their_parent_is_killed():
     orphans = [p for p in pids if _running(p)]
     for p in orphans:                       # leave nothing behind
         os.kill(p, signal.SIGKILL)
-    # two pool workers, two shard workers, the resource tracker
-    assert len(pids) == 5, pids
+    # two pool workers, the resource tracker
+    assert len(pids) == 3, pids
     assert orphans == []
     assert _shm_names() - shm_before == set()
 
