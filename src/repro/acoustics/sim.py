@@ -13,12 +13,15 @@ validated against (and benchmarked against) the hand-written baseline:
     The launches of the scheme's compiled host program, the one
     ``virtual_gpu`` runs, each lowered to an ``ArenaProgram`` (kept in
     the loops disk cache, so a warm process loads no LIFT front end) and
-    run as one step
-    (:func:`repro.lift.codegen.loops.compile_step`) that overwrites
-    ``prev`` in place — i.e. *generated* code: on whole arrays through
-    the NumPy workspace-arena source, or compiled.
+    run as one step that overwrites ``prev`` in place — i.e.
+    *generated* code: on whole arrays through the NumPy workspace-arena
+    source, or compiled.  Both take the step ``virtual_gpu`` takes
+    (:func:`repro.lift.codegen.loops.plan_step`) and bind its arguments
+    as it does, by name from the plan
+    (:meth:`repro.lift.codegen.plan.HostPlan.step_arguments`).
 ``lift_interp``
-    LIFT programs run by the reference interpreter (tiny rooms only).
+    LIFT programs run by the reference interpreter (tiny rooms only),
+    their parameters bound by name from the same arguments.
 ``virtual_gpu``
     The full Listing-5 host orchestration executed on a virtual OpenCL
     device (:mod:`repro.gpu.runtime`): the room is uploaded once (the
@@ -48,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs as _obs
-from ..lift.codegen.loops import compile_step
+from ..lift.codegen.loops import plan_step
 from .geometry import Room
 from .grid import Grid3D
 from .host_io import LEAPFROG, host_inputs, host_program, host_sizes
@@ -340,6 +343,9 @@ class RoomSimulation:
         #: the two-level step of ``numpy-steady``, ``numba`` and the
         #: ``resident`` path (None elsewhere)
         self._step = None
+        #: a LIFT backend's step arguments and ``(parameter, level)``
+        #: pairs, bound on its first step (:meth:`_bound`)
+        self._args = self._levels = None
         #: the tier a step runs on, named on its ``sim.step`` span (None
         #: on the reference backends)
         self._tier = None
@@ -376,17 +382,21 @@ class RoomSimulation:
 
     # -- LIFT backends ----------------------------------------------------------------
     def _compile_lift(self):
-        """Compile the launches of the scheme's host program, in plan
-        order, into one step (``_step``) over two time levels: on whole
-        arrays for ``numpy-steady``, compiled for ``numba``.  The program
-        is the one ``virtual_gpu`` runs (:func:`.host_io.host_program`),
-        so both paths build one step from the same kernels, and a warm
-        process takes it from the loops disk cache and loads no LIFT
-        front end.  Returns the bound step."""
+        """Take the step of the scheme's host program (``_step``: its
+        launches as one step over two time levels, from
+        :func:`~repro.lift.codegen.loops.plan_step`, the constructor
+        ``virtual_gpu`` takes its step from too; its arguments
+        :meth:`_bound` binds): on whole arrays for ``numpy-steady``,
+        compiled for ``numba``.  The program is the one ``virtual_gpu`` runs
+        (:func:`.host_io.host_program`), so a warm process takes it from
+        the loops disk cache and loads no LIFT front end.  Returns the
+        bound step."""
         cfg = self.config
         steady = cfg.backend == "numpy-steady"
-        programs = [ks.arena_program() for ks in self._launched(host_program)]
-        self._step = compile_step(programs, tier="numpy" if steady else None)
+        self._host_program = host_program(cfg.scheme, cfg.precision,
+                                          self.table.num_branches)
+        self._step = plan_step(self._host_program.plan, LEAPFROG[0],
+                               tier="numpy" if steady else None)
         self._tier = self._step.tier
         if not steady:
             self._path = "fused-step"
@@ -479,24 +489,21 @@ class RoomSimulation:
                              f"backend; this is {self.config.backend!r}")
         self._make_gpu(resolve_device(devices))
 
-    def _launched(self, compile_) -> list:
-        """The kernels the scheme's host program launches, in plan
-        order, from ``compile_(scheme, precision, branches)``."""
-        from ..lift.codegen.plan import Launch
-        plan = compile_(self.config.scheme, self.config.precision,
-                        self.table.num_branches).plan
-        return [op.kernel for op in plan.ops if isinstance(op, Launch)]
-
     def _setup_interp(self):
-        """``lift_interp``: the interpreter runs the Lambdas of the
-        :meth:`_launched` kernels, compiled in process (a cached plan
-        holds none)."""
+        """``lift_interp``: the interpreter runs the Lambdas the scheme's
+        host program launches, compiled in process (a cached plan holds
+        none), on the arguments :meth:`_bound` binds by their parameter
+        names."""
         from ..lift.interp import Interp
         from .lift_programs import compiled_host
+        cfg = self.config
         self._scratch = np.zeros_like(self.curr)
+        self._host_program = compiled_host(cfg.scheme, cfg.precision,
+                                           self.table.num_branches)
         self._interp = Interp(sizes=host_sizes(self.grid, self.topology,
                                                self.table))
-        self._p = [ks.kernel_lambda for ks in self._launched(compiled_host)]
+        self._p = [op.kernel.kernel_lambda
+                   for op in self._host_program.plan.launches()]
         return self._step_lift_interp
 
     # -- sources / receivers --------------------------------------------------------------
@@ -730,9 +737,6 @@ class RoomSimulation:
         raise SimulationDiverged(self.time_step, reason, self.last_checkpoint)
 
     # -- backend steps ------------------------------------------------------------------------
-    def _lam(self):
-        return self.config.dtype(self.grid.courant)
-
     def _trade(self) -> None:
         """A reference step wrote the next level into its scratch level:
         that becomes ``prev``, for the rotation to make it ``curr``."""
@@ -758,46 +762,32 @@ class RoomSimulation:
                   self.v, lam)
         self._trade()
 
-    def _kernel_args(self, out) -> list:
-        """Positional arguments of each launched kernel, in launch order,
-        with ``out`` as the level the boundary program writes."""
-        g = self.grid
-        t = self.topology
-        tb = self.table
-        lam = self._lam()
-        if self.config.scheme == "fi":
-            return [(self.prev, self.curr, self._nbrs_guarded, lam,
-                     tb.beta[0], g.nx, g.nx * g.ny)]
-        boundary = (t.boundary_indices, t.material, self.nbrs, tb.beta)
-        if self.config.scheme == "fi_mm":
-            boundary += (out, self.prev, lam)
-        else:
-            boundary += (tb.BI.reshape(-1), tb.DI.reshape(-1),
-                         tb.F.reshape(-1), tb.D.reshape(-1),
-                         out, self.prev, self.g1, self.v, self.v,
-                         lam, t.num_boundary_points)
-        return [(self.prev, self.curr, self._nbrs_guarded, lam,
-                 g.nx, g.nx * g.ny), boundary]
-
-    def _step_args(self) -> dict:
-        """The compiled step's arguments by name: :meth:`_kernel_args`
-        with ``prev`` as the written level, one value per name — the
-        sweep's, so the boundary program reads the guarded ``nbrs``."""
-        args = host_sizes(self.grid, self.topology, self.table)
-        for prog, values in zip(self._step.programs,
-                                self._kernel_args(self.prev)):
-            for name, value in zip(prog.param_names, values):
-                args.setdefault(name, value)
-        return args
+    def _bound(self, out) -> dict:
+        """The launches' arguments by name: Listing 5's host inputs
+        (``HostPlan.step_arguments``), bound on the first step, with
+        ``prev``, ``curr`` and ``out`` (the level written) as the
+        leapfrog cycle's ``prev2_h``, ``prev1_h`` and ``__out__``."""
+        if self._args is None:
+            self._args, self._levels = (
+                self._host_program.plan.step_arguments(*self._vgpu_io(),
+                                                       LEAPFROG))
+        levels = dict(zip(LEAPFROG, (self.prev, self.curr, out)))
+        for name, role in self._levels:
+            self._args[name] = levels[role]
+        return self._args
 
     def _step_fused(self):
-        self._step.fn(**self._step_args())
+        self._step.fn(**self._bound(self.prev))
 
     def _vgpu_io(self) -> tuple[dict, dict]:
         """Listing 5's host inputs and sizes (``host_inputs``), bound to
-        the live state arrays, not copies."""
-        return host_inputs(self.config.scheme, self.grid, self.topology,
-                           self.table, self.prev, self.curr, self.g1, self.v)
+        the live state arrays and the simulation's guarded ``nbrs``, not
+        copies."""
+        inputs, sizes = host_inputs(self.config.scheme, self.grid,
+                                    self.topology, self.table, self.prev,
+                                    self.curr, self.g1, self.v)
+        inputs["neighbors"] = self._nbrs_guarded
+        return inputs, sizes
 
     def _step_resident(self):
         """One device-resident step: no transfers.  The plan is opened
@@ -833,10 +823,11 @@ class RoomSimulation:
         plan.events.clear()
 
     def _step_lift_interp(self):
-        for k, args in enumerate(self._kernel_args(self._scratch)):
-            res = self._interp.run(
-                self._p[k], *(float(a) if isinstance(a, np.floating)
-                              else a for a in args))
+        args = self._bound(self._scratch)
+        for k, program in enumerate(self._p):
+            res = self._interp.run(program, *(
+                float(a) if isinstance(a, np.floating) else a
+                for a in (args[p.name] for p in program.params)))
             if k == 0:          # the boundary kernels write in place
                 self._scratch[:self._N] = np.asarray(res)
         self._trade()

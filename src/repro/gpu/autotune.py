@@ -26,7 +26,8 @@ from dataclasses import replace
 import numpy as np
 
 from ..lift.resources import Resources
-from .costmodel import ImplTraits, KernelTiming, LIFT_TRAITS, kernel_time
+from .costmodel import (ImplTraits, KernelTiming, LIFT_TRAITS,
+                        workgroup_pricer)
 from .device import DeviceSpec
 
 #: the workgroup sizes the sweep considers (powers of two up to the
@@ -128,12 +129,15 @@ def autotune_workgroup(resources: Resources, n_items: int,
     cached = m.lookup(key)
     if cached is not None:
         return cached
+    # bytes and flops do not depend on the workgroup: priced once, and
+    # only the occupancy is swept
+    price = workgroup_pricer(resources, n_items, device, precision, traits,
+                             gather_index)
     best: KernelTiming | None = None
     for wg in candidates:
         if wg > device.max_workgroup:
             continue
-        t = kernel_time(resources, n_items, device, precision, traits,
-                        gather_index, workgroup=wg)
+        t = price(wg)
         if best is None or t.time_ms < best.time_ms:
             best = t
     if best is None:

@@ -33,6 +33,7 @@ paper-vs-model numbers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,37 +183,23 @@ def halo_exchange_time_ms(nbytes: float, src: DeviceSpec,
     return transfer_time_ms(nbytes, src) + transfer_time_ms(nbytes, dst)
 
 
-_SECTOR_CACHE: dict[tuple[int, int, int, int], float] = {}
-
-
 def sector_bytes_per_item(indices: np.ndarray, width: int,
                           sector: int) -> float:
     """Mean DRAM bytes moved per element for a gather at ``indices``.
 
     Counts the distinct ``sector``-byte lines the access stream touches —
     the exact coalescing behaviour of a GPU memory system for a warp-wide
-    gather — and amortises them over the elements.  Results are memoised
-    per (buffer, width, sector) since benchmark sweeps re-price the same
-    boundary-index arrays hundreds of times.
+    gather — and amortises them over the elements.  The lines of an
+    ascending index (a boundary-index array) are counted as runs as they
+    come; any other order is counted on a sorted copy.
     """
     if indices.size == 0:
         return float(width)
-    # cheap O(n) checksum guards against buffer-address reuse
-    key = (indices.__array_interface__["data"][0], indices.size, width,
-           sector, int(indices[0]), int(indices[-1]),
-           int(indices.sum(dtype=np.int64)))
-    hit = _SECTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    # distinct lines = runs in the sorted stream (np.unique's count
-    # without its inverse/mask machinery)
     lines = indices.astype(np.int64) * width // sector
-    lines.sort()
+    if np.any(lines[1:] < lines[:-1]):
+        lines.sort()
     n_lines = 1 + int(np.count_nonzero(lines[1:] != lines[:-1]))
-    value = float(n_lines * sector) / float(indices.size)
-    if len(_SECTOR_CACHE) < 4096:
-        _SECTOR_CACHE[key] = value
-    return value
+    return float(n_lines * sector) / float(indices.size)
 
 
 def _occupancy(n_items: int, wg: int, device: DeviceSpec,
@@ -245,7 +232,25 @@ def kernel_time(resources: Resources, n_items: int, device: DeviceSpec,
     (the boundary-index array); when absent, gathers are priced at one
     full sector each.
     """
+    return workgroup_pricer(resources, n_items, device, precision, traits,
+                            gather_index)(workgroup)
+
+
+def workgroup_pricer(resources: Resources, n_items: int, device: DeviceSpec,
+                     precision: str, traits: ImplTraits = LIFT_TRAITS,
+                     gather_index: np.ndarray | None = None):
+    """:func:`kernel_time` as a function of the workgroup size alone:
+    the launch's bytes and flops — its memory and compute time, each
+    gather's sectors counted once per access width — are priced here,
+    once, and only the occupancy is left per workgroup."""
     sector = device.sector_bytes
+
+    @functools.cache
+    def gathered(width: int) -> float:
+        if gather_index is None:
+            return float(sector)
+        return sector_bytes_per_item(gather_index, width, sector)
+
     bytes_per_item = 0.0
 
     # contiguous loads: collapse multi-loads of one array (stencil reuse)
@@ -262,11 +267,7 @@ def kernel_time(resources: Resources, n_items: int, device: DeviceSpec,
                 eff = width * count
             per_array[arr] = per_array.get(arr, 0.0) + eff
         elif cls == "gathered":
-            if gather_index is not None:
-                eff = sector_bytes_per_item(gather_index, width, sector) * count
-            else:
-                eff = sector * count
-            per_array[arr] = per_array.get(arr, 0.0) + eff
+            per_array[arr] = per_array.get(arr, 0.0) + gathered(width) * count
         elif cls == "table":
             frac = _TABLE_CACHED_FRACTION
             per_array[arr] = per_array.get(arr, 0.0) + width * count * frac
@@ -274,11 +275,7 @@ def kernel_time(resources: Resources, n_items: int, device: DeviceSpec,
 
     for (arr, cls, width), count in resources.stores_detail.items():
         if cls == "gathered":
-            if gather_index is not None:
-                bytes_per_item += sector_bytes_per_item(
-                    gather_index, width, sector) * count
-            else:
-                bytes_per_item += sector * count
+            bytes_per_item += gathered(width) * count
         else:
             bytes_per_item += width * count
 
@@ -302,13 +299,15 @@ def kernel_time(resources: Resources, n_items: int, device: DeviceSpec,
     if (has_tables and not traits.table_in_constant_memory
             and device.vendor == "nvidia" and precision == "double"):
         table_penalty = _NVIDIA_DOUBLE_TABLE_PENALTY
+    registers_heavy = resources.memory_accesses > 20
 
-    occ = _occupancy(n_items, workgroup, device,
-                     registers_heavy=resources.memory_accesses > 20)
-    t = max(t_mem, t_comp) * table_penalty / occ
-    t += device.launch_overhead_us * 1e-6
-    return KernelTiming(time_ms=t * 1e3, mem_time_ms=t_mem * 1e3,
-                        compute_time_ms=t_comp * 1e3,
-                        bytes_per_item=bytes_per_item,
-                        flops_per_item=flops, occupancy=occ,
-                        workgroup=workgroup)
+    def at(workgroup: int) -> KernelTiming:
+        occ = _occupancy(n_items, workgroup, device, registers_heavy)
+        t = max(t_mem, t_comp) * table_penalty / occ
+        t += device.launch_overhead_us * 1e-6
+        return KernelTiming(time_ms=t * 1e3, mem_time_ms=t_mem * 1e3,
+                            compute_time_ms=t_comp * 1e3,
+                            bytes_per_item=bytes_per_item,
+                            flops_per_item=flops, occupancy=occ,
+                            workgroup=workgroup)
+    return at

@@ -4,7 +4,9 @@
 :meth:`~.multi.MultiGPU.execute_many` steps.  It keeps no copy of the
 field: it steps the caller's arrays — a simulation's own ``prev``,
 ``curr``, ``g1`` and ``v``, bound in place — through the one compiled
-step a single device runs (:meth:`~.runtime.VirtualGPU.compile_step`).
+step a single device runs (:meth:`~.runtime.VirtualGPU.compile_step`),
+its arguments bound as a resident plan binds them
+(:meth:`~repro.lift.codegen.plan.HostPlan.step_arguments`).
 Shard ``i`` owns that step's Z-plane blocks ``[z0, z1)``
 (``StepKernel``'s ``_blocks``); the ranges add up to the full step bit
 for bit, so nothing is scattered, exchanged or merged.  With
@@ -41,8 +43,7 @@ from ..lift.codegen.loops import omp_set_threads
 from ..lift.codegen.plan import HostPlan, Launch
 from .costmodel import halo_exchange_time_ms, overlapped_step_time_ms
 from .multi import LOCAL_PARAMS, MultiGPU, MultiRunResult, shard_plan
-from .runtime import (GATHER_INDEX_PARAM, ProfilingEvent, VirtualGPU,
-                      leapfrog_cycle)
+from .runtime import GATHER_INDEX_PARAM, ProfilingEvent, leapfrog_cycle
 
 
 class _ShardThreads:
@@ -122,27 +123,11 @@ class PoolPlan:
             self.state[name] = np.zeros(int(decls[buf].count.evaluate(sizes)),
                                         decls[buf].scalar.np_dtype)
             self.state[name][:a.size] = a
-        # the step's arguments by parameter name, as a resident plan binds
-        # them; the rotating ones are looked up per step
-        hosts = {b: n for n, b in plan.host_buffers().items()}
-        roles = {n for c in self.rotations for n in c}
-        self._args: dict = {}
-        self._rotating: list[tuple[str, str]] = []
-        for op in plan.ops:
-            if not isinstance(op, Launch):
-                continue
-            for b in op.args:
-                name = hosts.get(b.source)
-                if b.kind == "scalar":
-                    self._args[b.param_name] = inputs[b.source]
-                elif b.kind == "size":
-                    self._args[b.param_name] = int(sizes[b.param_name])
-                elif name in roles:
-                    self._rotating.append((b.param_name, name))
-                elif name is not None:      # not the launches' output
-                    self._args[b.param_name] = self.state[name]
-            for s in VirtualGPU._np_kernel(op).size_params:
-                self._args.setdefault(s, int(sizes[s]))
+        # the step's arguments (HostPlan.step_arguments), as a resident
+        # plan binds them; the rotating ones are looked up per step
+        self._args, self._rotating = plan.step_arguments(
+            dict(inputs, **self.state), sizes,
+            {n for c in self.rotations for n in c})
         # one modelled device per shard, its arrays zeros bound in place
         self.shard_events: list[list] = [[] for _ in self.shards]
         self._locals: list[tuple[HostPlan, dict, dict]] = []
@@ -273,7 +258,7 @@ class PoolPlan:
                     op.kernel.kernel_resources(), n,
                     gpu._launch_precision(op), gather).time_ms
 
-            launches = [op for op in local.ops if isinstance(op, Launch)]
+            launches = local.launches()
             whole = [ms(op, int(op.global_size.evaluate(ls))
                         if op.global_size is not None else 0)
                      for op in launches]

@@ -39,7 +39,6 @@ testing.
 
 from __future__ import annotations
 
-import hashlib
 import time as _time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -49,8 +48,8 @@ import numpy as np
 from .. import obs as _obs
 from ..obs.tracer import ModelClock
 from ..lift.codegen.arena import NumpyKernel, Workspace, arena_stats
-from ..lift.codegen.loops import (_IN_PLACE, LoopsUnsupported, StepKernel,
-                                  compile_launch, compile_step)
+from ..lift.codegen.loops import (LoopsUnsupported, StepKernel,
+                                  compile_launch, plan_step)
 from ..lift.codegen.plan import (BufferDecl, CopyIn, CopyOut, HostPlan,
                                  HostProgram, KernelSource, Launch)
 from ..lift.resources import Resources
@@ -67,20 +66,14 @@ from .faults import FaultPlan
 #: boundary-point index (``repro.acoustics.lift_programs``)
 GATHER_INDEX_PARAM = "boundaryIndices"
 
-#: Process-wide NumPy-kernel compile cache, keyed by kernel-*source* hash
-#: (not kernel name: two programs may reuse a name for different code,
-#: e.g. the single- vs double-precision variants of ``volume_kernel``).
+#: Process-wide cache of the executables of :meth:`VirtualGPU.execute`'s
+#: launches, keyed by kernel-*source* hash
+#: (:meth:`~repro.lift.codegen.plan.KernelSource.source_key`).
 #: Compiling the NumPy realisation of a kernel Lambda is pure — the same
 #: source always yields the same compiled callable — so every
 #: :class:`VirtualGPU` shares this table: spinning up a ``"name:k"``
 #: device pool compiles each distinct kernel once, not once per device.
 _NP_KERNEL_CACHE: dict[str, NumpyKernel] = {}
-
-
-def _kernel_source_key(ks) -> str:
-    """Content hash identifying a kernel across VirtualGPU instances."""
-    basis = ks.source if ks.source else repr(ks.kernel_lambda)
-    return f"{ks.name}:{hashlib.sha1(basis.encode()).hexdigest()}"
 
 
 #: real-seconds histogram buckets for ``repro_host_wallclock_seconds``
@@ -92,11 +85,12 @@ _WALLCLOCK_BUCKETS = (1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2,
 def kernel_cache_stats() -> dict:
     """Sizes of the process-wide kernel caches (for tests/diagnostics).
 
-    ``np_kernels`` counts compile-cache entries (per kernel source hash:
-    the NumPy kernel under a ``#steady`` suffix and the executable that
-    runs it — its one-program launch step, or the NumPy kernel when the
-    loop emitter declines — under ``#loops``; and the steps
-    :meth:`VirtualGPU.compile_step` builds under ``#step``);
+    ``np_kernels`` counts compile-cache entries: the steps every path
+    takes from :func:`~repro.lift.codegen.loops.plan_step`, and per
+    kernel source hash what a one-shot :meth:`VirtualGPU.execute` runs —
+    the NumPy kernel under a ``#steady`` suffix and its executable (its
+    one-program launch step, or the NumPy kernel when the loop emitter
+    declines) under ``#loops``;
     ``arena`` reports the workspace arena's process-wide hit/miss
     counters and resident bytes
     (see :func:`repro.lift.codegen.arena.arena_stats`) — the temporaries
@@ -110,15 +104,17 @@ def kernel_cache_stats() -> dict:
     artifacts it built again because they failed their check (see
     :func:`repro.lift.codegen.loops.loops_disk_cache_stats`).
     """
-    from ..lift.codegen.loops import loops_disk_cache_stats
-    return {"np_kernels": len(_NP_KERNEL_CACHE),
+    from ..lift.codegen.loops import _PLAN_STEPS, loops_disk_cache_stats
+    return {"np_kernels": len(_NP_KERNEL_CACHE) + len(_PLAN_STEPS),
             "arena": arena_stats(),
             "loops_disk": loops_disk_cache_stats()}
 
 
 def clear_kernel_caches() -> None:
-    """Drop the shared NumPy-kernel cache (test isolation)."""
+    """Drop the shared kernel and step caches (test isolation)."""
+    from ..lift.codegen.loops import _PLAN_STEPS
     _NP_KERNEL_CACHE.clear()
+    _PLAN_STEPS.clear()
 
 
 @dataclass
@@ -204,8 +200,8 @@ class VirtualGPU:
         self.autotune = autotune
         self.workgroup = workgroup
         self.faults = faults
-        #: workspace arenas of prepared launches, keyed by (kernel,
-        #: array shapes/dtypes, sizes) so repeated per-step execute()
+        #: workspace arenas of execute()'s NumPy-kernel launches, keyed by
+        #: (kernel, array shapes/dtypes, sizes) so repeated execute()
         #: calls of the same program reuse their temporaries
         self._workspaces: dict[tuple, Workspace] = {}
         self._arena_reported = (0, 0)   # last (hits, misses) fed to obs
@@ -269,7 +265,7 @@ class VirtualGPU:
         running the same program compiles each kernel once.  The entry
         is cached under a ``#steady`` suffix of the source hash.
         """
-        key = _kernel_source_key(launch.kernel) + "#steady"
+        key = launch.kernel.source_key() + "#steady"
         nk = _NP_KERNEL_CACHE.get(key)
         if nk is None:
             nk = _NP_KERNEL_CACHE[key] = VirtualGPU._program(
@@ -287,7 +283,7 @@ class VirtualGPU:
         never changes a result, and both name it as ``tier`` (``numpy``
         for the fallback).  Remembered process-wide under a ``#loops``
         suffix of the same source hash."""
-        key = _kernel_source_key(launch.kernel) + "#loops"
+        key = launch.kernel.source_key() + "#loops"
         ex = _NP_KERNEL_CACHE.get(key)
         if ex is None:
             nk = VirtualGPU._np_kernel(launch)
@@ -299,61 +295,24 @@ class VirtualGPU:
         return ex
 
     def compile_step(self, plan: HostPlan, rotations) -> StepKernel:
-        """The plan's launches as one step over two time levels
-        (:func:`~repro.lift.codegen.loops.compile_step`), built from the
-        programs the plan carries (:meth:`_program`), so the plan a
-        caller compiled is the one that runs.
-
-        ``rotations`` must hold the plan's leapfrog cycle, and no other
-        may name a buffer bound to a parameter of the step's
-        ``aliases``, as Listing 5's FD-MM ``("v2_h", "v1_h")`` swap
-        would, undoing the in-place update (:class:`ClInvalidValue`).
-        The step overwrites the oldest level in place, so the sweep must
-        read it as ``prev``, the boundary program must scatter into the
-        sweep's output, and a parameter name two launches share must
-        name one source.  Raises
-        :class:`~repro.lift.codegen.loops.LoopsUnsupported` when the
-        plan is wired otherwise, or when ``compile_step`` refuses the
-        programs.  With no compiled tier on the host the step is the
-        same schedule on whole arrays (``tier="numpy"``).
-
-        The step is remembered process-wide under a ``#step`` suffix of
-        its launches' source hashes, like :meth:`_exec_kernel`'s launches,
-        so every simulation of a scheme shares one step and its compiled
-        specialisations; only the wiring check runs per plan."""
+        """The plan's step over two time levels, overwriting the oldest
+        level of the leapfrog cycle in ``rotations``
+        (:func:`~repro.lift.codegen.loops.plan_step`, which checks the
+        plan; ``tier="numpy"`` with no compiled tier on the host).  No
+        other rotation may name a buffer the step updates in place, as
+        Listing 5's FD-MM ``("v2_h", "v1_h")`` swap would
+        (:class:`ClInvalidValue`)."""
         leapfrog = leapfrog_cycle(rotations)
-        launches = [op for op in plan.ops if isinstance(op, Launch)]
-        key = "+".join(_kernel_source_key(op.kernel)
-                       for op in launches) + "#step"
-        step = _NP_KERNEL_CACHE.get(key)
-        if step is None:
-            programs = [self._program(op.kernel) for op in launches]
-            try:
-                step = compile_step(programs)
-            except LoopsUnsupported:
-                # no compiled tier (programs the step refuses are
-                # refused again, by the same check)
-                step = compile_step(programs, tier="numpy")
-            _NP_KERNEL_CACHE[key] = step
-        sources: dict[str, object] = {}
-        for op in launches:
-            for b in op.args:
-                if b.param_name == "out" or b.kind == "size":
-                    continue
-                if sources.setdefault(b.param_name, b.source) != b.source:
-                    raise LoopsUnsupported(
-                        f"parameter {b.param_name!r} is bound to both "
-                        f"{sources[b.param_name]!r} and {b.source!r}")
-        out, hosts = launches[0].out_buffer, plan.host_buffers()
-        wired = {_IN_PLACE: hosts.get(leapfrog[0])}
-        if step.links is not None:
-            wired[step.links[0]] = out
-        if out is None or any(sources.get(n) != b for n, b in wired.items()):
-            raise LoopsUnsupported(
-                f"the launches of {step.name} do not overwrite "
-                f"{leapfrog[0]!r} with their output")
-        written = {sources[n] for n in (*step.aliases, *step.aliases.values())
-                   if n in sources}
+        try:
+            step = plan_step(plan, leapfrog[0])
+        except LoopsUnsupported:
+            # no compiled tier (a plan the step refuses is refused again,
+            # by the same check)
+            step = plan_step(plan, leapfrog[0], tier="numpy")
+        aliased = {*step.aliases, *step.aliases.values()}
+        written = {b.source for op in plan.launches() for b in op.args
+                   if b.param_name in aliased}
+        hosts = plan.host_buffers()
         for cycle in rotations:
             named = [h for h in cycle if hosts.get(h) in written]
             if tuple(cycle) != leapfrog and named:
@@ -363,20 +322,15 @@ class VirtualGPU:
                     updated=named)
         return step
 
-    def _workspace_for(self, nk: NumpyKernel, args: list,
-                       out_array: np.ndarray | None,
-                       size_kwargs: dict[str, int]) -> Workspace:
-        """Arena of a prepared launch: keyed by kernel object, array
-        shapes/dtypes and sizes, so a simulation stepping through
-        repeated execute() calls reuses one set of temporaries while a
-        different grid/precision never shares buffers with it.  Sharing
-        one across plans is safe: launches run one at a time, and
-        ``const`` slots are keyed by every scalar argument."""
-        shapes = tuple((a.shape, a.dtype.str) for a in args
+    def _workspace_for(self, nk: NumpyKernel, args: dict) -> Workspace:
+        """Arena of a NumPy-kernel launch, keyed by kernel object, array
+        shapes/dtypes and sizes: repeated execute() calls reuse one set
+        of temporaries (safe: launches run one at a time, and ``const``
+        slots are keyed by every scalar argument)."""
+        shapes = tuple((n, a.shape, a.dtype.str) for n, a in args.items()
                        if isinstance(a, np.ndarray))
-        if out_array is not None:
-            shapes += ((out_array.shape, out_array.dtype.str),)
-        key = (nk.name, id(nk), shapes, tuple(sorted(size_kwargs.items())))
+        key = (nk.name, id(nk), shapes,
+               tuple((n, args[n]) for n in nk.size_params))
         ws = self._workspaces.get(key)
         if ws is None:
             ws = self._workspaces[key] = Workspace(
@@ -736,75 +690,20 @@ class VirtualGPU:
             peak_gflops=self.device.flops_rate(precision) / 1e9)
 
     def _prepare_launch(self, op: Launch, buffers: dict[str, np.ndarray],
-                        inputs: dict, sizes: dict[str, int],
-                        rotating: dict[str, str]) -> "_PreparedLaunch":
-        """Hoist every per-step-invariant part of a launch out of the
-        resident-plan step loop: the executable kernel, scalar
-        argument values, resolved ``size_kwargs``, resource analysis,
-        precision, ``global_size`` evaluation and the autotuned
-        :class:`KernelTiming`.  ``rotating`` maps the buffers whose role
-        rotates to their rotation names, which the compiled step rebinds
-        per step.  The launch takes the arena :meth:`_workspace_for`
-        keeps for its kernel, shapes and sizes.
-        """
-        nk = self._np_kernel(op)
-        args: list = []
-        names: list[str] = []
-        rotates: list[tuple[str, str]] = []
-        size_kwargs: dict[str, int] = {}
-        out: np.ndarray | None = None
-        gather: np.ndarray | None = None
-        for binding in op.args:
-            if binding.kind == "buffer":
-                buf = buffers[binding.source]
-                if binding.param_name == "out":
-                    out = buf
-                else:
-                    if binding.source in rotating:
-                        rotates.append((binding.param_name,
-                                        rotating[binding.source]))
-                    args.append(buf)
-                    names.append(binding.param_name)
-                if binding.param_name == GATHER_INDEX_PARAM:
-                    gather = buf
-            elif binding.kind == "scalar":
-                args.append(inputs[binding.source])
-                names.append(binding.param_name)
-            elif binding.kind == "size":
-                name = binding.param_name
-                size_kwargs[name] = int(sizes[name])
-            else:
-                raise ClInvalidKernelArgs(
-                    f"launch of kernel {op.kernel.name!r}: argument "
-                    f"{binding.param_name!r} has unknown binding kind "
-                    f"{binding.kind!r} (expected 'buffer', 'scalar' or "
-                    f"'size'); HostPlans built by compile_host() only emit "
-                    f"those three — was this plan edited by hand?",
-                    kernel=op.kernel.name, param=binding.param_name,
-                    kind=binding.kind)
-        for s in nk.size_params:
-            if s not in size_kwargs:
-                size_kwargs[s] = int(sizes[s])
-        if nk.returns_out and out is None:
-            raise ClInvalidKernelArgs(
-                f"kernel {op.kernel.name!r} allocates a fresh output "
-                f"but its launch has no 'out' buffer binding; "
-                f"compile_host() normally adds one — check the plan's "
-                f"Launch.args", kernel=op.kernel.name)
-
+                        sizes: dict[str, int]) -> "_PreparedLaunch":
+        """Hoist the model of a launch out of the step loop: its fault
+        site, ``global_size``, precision and autotuned
+        :class:`KernelTiming`, whose gathers are priced at the index
+        array bound to :data:`GATHER_INDEX_PARAM`."""
+        gather = next((buffers[b.source] for b in op.args
+                       if b.param_name == GATHER_INDEX_PARAM), None)
         n_items = (int(op.global_size.evaluate(sizes))
                    if op.global_size is not None else 0)
-        res = op.kernel.kernel_resources()
         precision = self._launch_precision(op)
         return _PreparedLaunch(
-            op=op, ex=self._exec_kernel(op),
-            ws=self._workspace_for(nk, args, out, size_kwargs),
-            site=f"launch:{op.kernel.name}",
-            args=args, names=names, rotates=rotates,
-            out=out if nk.returns_out else None, gather=gather,
-            size_kwargs=size_kwargs, n_items=n_items, res=res,
-            precision=precision,
-            timing=self._launch_timing(res, n_items, precision, gather))
+            op=op, site=f"launch:{op.kernel.name}", n_items=n_items,
+            precision=precision, timing=self._launch_timing(
+                op.kernel.kernel_resources(), n_items, precision, gather))
 
     def _launch_timing(self, res: Resources, n_items: int, precision: str,
                        gather_index: np.ndarray | None) -> KernelTiming:
@@ -833,26 +732,42 @@ class VirtualGPU:
                 f"clEnqueueNDRangeKernel aborted for kernel {name!r}{at}",
                 kernel=name, step=step, injected=True)
 
-    def _run_prepared(self, prep: "_PreparedLaunch",
-                      events: list[ProfilingEvent],
-                      step: int | None = None) -> None:
-        """Execute one prepared launch on the buffers it was prepared
-        with, its executable called by parameter name; its ``kernel``
-        event names the executable's ``tier`` and ``cc_rung``."""
+    def _run_launch(self, prep: "_PreparedLaunch",
+                    buffers: dict[str, np.ndarray], inputs: dict,
+                    sizes: dict[str, int], events: list[ProfilingEvent],
+                    step: int | None = None) -> None:
+        """Execute one launch of a one-shot :meth:`execute`: its
+        executable (:meth:`_exec_kernel`) called by parameter name on the
+        plan's buffers; its ``kernel`` event names the executable's
+        ``tier`` and ``cc_rung``."""
+        op = prep.op
+        nk = self._np_kernel(op)
+        args: dict = {}
+        for b in op.args:
+            args[b.param_name] = (buffers[b.source] if b.kind == "buffer"
+                                  else inputs[b.source] if b.kind == "scalar"
+                                  else int(sizes[b.param_name]))
+        for s in nk.size_params:
+            args.setdefault(s, int(sizes[s]))
+        if not nk.returns_out:
+            args.pop("out", None)
+        elif "out" not in args:
+            raise ClInvalidKernelArgs(
+                f"kernel {op.kernel.name!r} allocates a fresh output "
+                f"but its launch has no 'out' buffer binding; "
+                f"compile_host() normally adds one — check the plan's "
+                f"Launch.args", kernel=op.kernel.name)
         self._launch_faults(prep, step)
-        ex = prep.ex
-        args = dict(zip(prep.names, prep.args), **prep.size_kwargs)
-        if prep.out is not None:
-            args["out"] = prep.out
+        ex = self._exec_kernel(op)
         t0 = _time.perf_counter()
         if isinstance(ex, StepKernel):
             ex.fn(**args)
         else:
-            ex.fn(**args, _ws=prep.ws)
+            ex.fn(**args, _ws=self._workspace_for(nk, args))
         host_secs = _time.perf_counter() - t0
         o = _obs.get()
         if o is not None:
-            self._observe_host_time(o, prep.op.kernel.name, host_secs)
+            self._observe_host_time(o, op.kernel.name, host_secs)
         self._record_launch(prep, events, step, tier=ex.tier,
                             cc_rung=ex.cc_rung)
 
@@ -881,21 +796,12 @@ class VirtualGPU:
 
 @dataclass
 class _PreparedLaunch:
-    """One launch of a resident plan with every step-invariant part
-    pre-resolved (see :meth:`VirtualGPU._prepare_launch`)."""
+    """The model of one launch of a resident plan, resolved when the
+    plan opens (see :meth:`VirtualGPU._prepare_launch`)."""
 
     op: Launch
-    ex: object                         # VirtualGPU._exec_kernel's executable
-    ws: Workspace                      # arena (VirtualGPU._workspace_for)
     site: str                          # fault-injection site string
-    args: list                         # positional args
-    names: list[str]                   # the parameter each of args binds
-    rotates: list[tuple[str, str]]     # (parameter, rotation name)
-    out: np.ndarray | None             # the 'out' binding's array
-    gather: np.ndarray | None          # the gather index the model prices
-    size_kwargs: dict[str, int]
     n_items: int
-    res: Resources
     precision: str
     timing: KernelTiming               # of the whole launch
 
@@ -915,14 +821,20 @@ class ResidentPlan:
     allocations, transfers and launches.
 
     Opening a plan validates it with its inputs and sizes, allocates every
-    buffer and uploads every ``CopyIn`` — all before the first launch,
-    Listing 5's order.  A plan with nothing rotating runs its launches
-    one by one, once (:meth:`launch_all`: :meth:`VirtualGPU.execute`).
-    A plan that rotates is opened by :meth:`stepping` and steps over two
+    buffer, uploads every ``CopyIn`` — all before the first launch,
+    Listing 5's order — and prices each launch (its fault site, size and
+    autotuned timing: :meth:`VirtualGPU._prepare_launch`).  A plan with
+    nothing rotating runs its launches one by one, once
+    (:meth:`launch_all`: :meth:`VirtualGPU.execute`), each on its own
+    executable, NumPy kernel and workspace, looked up as it runs.  A
+    plan that rotates is opened by :meth:`stepping` and steps over two
     time levels: for each step :meth:`run_fused` (one compiled step),
     then :meth:`rotate` — :meth:`VirtualGPU.execute_many` and a
     ``resident`` simulation alike; a pool's shard plans only model their
-    slab's step (``run_fused(compute=False)``).  :meth:`finish` reads the newest
+    slab's step (``run_fused(compute=False)``).  It builds nothing else:
+    the step, and its arguments bound once by
+    :meth:`~repro.lift.codegen.plan.HostPlan.step_arguments`, the
+    rotating levels looked up per step.  :meth:`finish` reads the newest
     level back (one ``d2h`` event named ``result``).
 
     ``binding`` maps rotation names (the transferred host parameters) to
@@ -969,7 +881,7 @@ class ResidentPlan:
         self.events = events
 
         host_to_buffer = plan.host_buffers()
-        launches = [op for op in plan.ops if isinstance(op, Launch)]
+        launches = plan.launches()
         out_buffer = next((op.out_buffer for op in reversed(launches)
                            if op.out_buffer is not None), None)
 
@@ -1021,23 +933,11 @@ class ResidentPlan:
 
         self.buffers = buffers
         self.binding = binding
+        self.inputs, self.sizes = inputs, sizes
         # the name the newest level rotates into: the one before __out__
         self._newest = leapfrog[-2] if leapfrog else None
-
-        # buffers whose bound array changes between steps, by rotation
-        # name; every other binding is resolved once, here
-        rotating = {host_to_buffer[n]: n for c in self.rotations for n in c}
-        self._prepared = [
-            gpu._prepare_launch(op, buffers, inputs, sizes, rotating)
-            for op in launches]
-        # the keyword arguments of a fused step (run_fused): the prepared
-        # launches' bindings by parameter name, rotating ones per step
-        self._fused_args: dict = {}
-        self._fused_rotating: list[tuple[str, str]] = []
-        for prep in self._prepared:
-            self._fused_args.update(prep.size_kwargs)
-            self._fused_args.update(zip(prep.names, prep.args))
-            self._fused_rotating += prep.rotates
+        self._prepared = [gpu._prepare_launch(op, buffers, sizes)
+                          for op in launches]
 
     @classmethod
     def stepping(cls, gpu: VirtualGPU, plan: HostPlan, inputs: dict,
@@ -1054,6 +954,11 @@ class ResidentPlan:
         st = cls(gpu, plan, inputs, sizes, rotations, events, in_place,
                  setup_step=setup_step)
         st.kernel = kernel
+        # the step's arguments (HostPlan.step_arguments): the rotating
+        # levels looked up per step, every other one bound here
+        st._args, st._rotating = plan.step_arguments(
+            dict(inputs, **{n: st.buffer_for(n) for n in st.binding}),
+            sizes, {n for c in st.rotations for n in c})
         return st
 
     @staticmethod
@@ -1067,6 +972,13 @@ class ResidentPlan:
                     f"unknown plan op {op!r}; the virtual runtime "
                     f"executes CopyIn/Launch/CopyOut plans from "
                     f"compile_host()", op=repr(op))
+            for b in getattr(op, "args", ()):
+                if b.kind not in ("buffer", "scalar", "size"):
+                    raise ClInvalidKernelArgs(
+                        f"launch of kernel {op.kernel.name!r}: argument "
+                        f"{b.param_name!r} has unknown binding kind "
+                        f"{b.kind!r}", kernel=op.kernel.name,
+                        param=b.param_name, kind=b.kind)
         missing_sizes = plan.missing_sizes(sizes)
         if missing_sizes:
             detail = "; ".join(
@@ -1101,8 +1013,8 @@ class ResidentPlan:
         shard plan, whose slab of the step a shard thread runs on the
         pool's own arrays (:class:`~.parallel.PoolPlan`)."""
         kernel = self.kernel
-        args = self._fused_args
-        for name, role in self._fused_rotating:
+        args = self._args
+        for name, role in self._rotating:
             args[name] = self.buffer_for(role)
         for prep in self._prepared:
             self.gpu._launch_faults(prep, step)
@@ -1128,7 +1040,8 @@ class ResidentPlan:
         one, with no span of its own (a one-shot
         :meth:`VirtualGPU.execute` is not a loop step)."""
         for prep in self._prepared:
-            self.gpu._run_prepared(prep, self.events, step)
+            self.gpu._run_launch(prep, self.buffers, self.inputs, self.sizes,
+                                 self.events, step)
 
     def rotate(self) -> None:
         """Advance the buffer roles by one step.

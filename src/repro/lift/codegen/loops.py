@@ -117,8 +117,8 @@ from .bounds import IndexCheck
 
 __all__ = ["LoopsUnsupported", "StepKernel", "available_tiers",
            "cached_build", "compile_launch", "compile_step",
-           "loops_cache_dir", "loops_disk_cache_stats", "select_tier",
-           "set_loops_cache_dir"]
+           "loops_cache_dir", "loops_disk_cache_stats", "plan_step",
+           "select_tier", "set_loops_cache_dir"]
 
 
 class LoopsUnsupported(RuntimeError):
@@ -344,9 +344,12 @@ def loops_cache_dir() -> str | None:
 
 def set_loops_cache_dir(path) -> None:
     """Relocate (or with ``None`` disable) the on-disk artifact cache
-    for this process; counters keep accumulating across the switch."""
+    for this process; counters keep accumulating across the switch.
+    The steps :func:`plan_step` remembers are forgotten with it, so the
+    next ones load from, or build into, the new cache."""
     loops_cache_dir()
     _disk_cache["dir"] = None if path is None else os.fspath(path)
+    _PLAN_STEPS.clear()
 
 
 def loops_disk_cache_stats() -> dict:
@@ -1560,13 +1563,20 @@ def _saved_gather(bnd: ArenaProgram, slot: str) -> ArenaProgram:
         array_params=[*bnd.array_params, "_pb"], vec=bnd.vec | {"_pb"})
 
 
+#: argument-shape sets a ``numpy``-tier step keeps its temporaries for
+_NUMPY_ARENAS = 4
+
+
 class _NumpyStep:
     """The ``numpy`` realisation of a step: the compiled step's schedule
     on whole arrays.  It gathers ``prev`` at the boundary points into
     ``_pb``, runs the sweep's NumPy function with ``out=prev``, then the
     boundary program's, rewritten to read ``_pb`` (:func:`_saved_gather`)
     and ``vel_prev`` by copy.  One workspace per program and one ``_pb``
-    per argument-shape set: a warm step allocates no slot and no ``_pb``."""
+    per argument-shape set: a warm step allocates no slot and no ``_pb``.
+    A step is shared process-wide (:func:`plan_step`), so it keeps them
+    for the :data:`_NUMPY_ARENAS` latest sets, not for every room it
+    ever stepped."""
 
     def __init__(self, kernel: StepKernel):
         self.kernel = kernel
@@ -1603,6 +1613,8 @@ class _NumpyStep:
             pb = None
             if kernel.links:
                 pb = np.empty(extents[1][1], bounds[0][_IN_PLACE].dtype)
+            if len(self.arenas) >= _NUMPY_ARENAS:
+                del self.arenas[next(iter(self.arenas))]
             arena = self.arenas[key] = (
                 [Workspace(f"step:{p.name}") for p in self.programs], pb,
                 extents)
@@ -1649,6 +1661,50 @@ def compile_step(programs: list, *, tier: str | None = None) -> StepKernel:
     if links and _velocity_in_place(programs[1]):
         aliases[_VEL_NEXT] = _VEL_PREV
     return _compile(programs, tier, links, aliases)
+
+
+#: the steps :func:`plan_step` built, by their launches' kernel sources
+#: and tier
+_PLAN_STEPS: dict[tuple, StepKernel] = {}
+
+
+def plan_step(plan, written: str, *, tier: str | None = None) -> StepKernel:
+    """The launches of a host plan as one step (:func:`compile_step`)
+    overwriting host parameter ``written``, Listing 5's oldest level:
+    what every path steps.  Remembered process-wide per kernel sources
+    and tier (``"numpy"``, or :func:`select_tier`'s), so all simulations
+    of a scheme share one step; the wiring is checked per call, before
+    anything is built.  Raises :class:`LoopsUnsupported` with no
+    compiled tier for ``tier=None``, for programs :func:`compile_step`
+    refuses, or unless the sweep reads ``written`` as ``prev``, the
+    boundary program scatters into the sweep's output and a parameter
+    two launches share names one buffer."""
+    launches = plan.launches()
+    programs = [op.kernel.arena_program() for op in launches]
+    links = _step_links(programs)
+    sources: dict[str, object] = {}
+    for op in launches:
+        for b in op.args:
+            if b.param_name == "out" or b.kind == "size":
+                continue
+            if sources.setdefault(b.param_name, b.source) != b.source:
+                raise LoopsUnsupported(
+                    f"parameter {b.param_name!r} is bound to both "
+                    f"{sources[b.param_name]!r} and {b.source!r}")
+    out = launches[0].out_buffer
+    wired = {_IN_PLACE: plan.host_buffers().get(written)}
+    if links is not None:
+        wired[links[0]] = out
+    if out is None or any(sources.get(n) != b for n, b in wired.items()):
+        raise LoopsUnsupported(
+            f"the launches {[p.name for p in programs]} do not overwrite "
+            f"{written!r} with their output")
+    tier = "numpy" if tier == "numpy" else select_tier(tier)
+    key = (*(op.kernel.source_key() for op in launches), tier)
+    step = _PLAN_STEPS.get(key)
+    if step is None:
+        step = _PLAN_STEPS[key] = compile_step(programs, tier=tier)
+    return step
 
 
 def compile_launch(program: ArenaProgram, *,

@@ -14,6 +14,7 @@ and keeps both; a cached plan carries them.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 from ..arith import ArithExpr
@@ -97,6 +98,14 @@ class KernelSource:
 
     def __str__(self) -> str:
         return self.source
+
+    def source_key(self) -> str:
+        """Content hash identifying this kernel across devices and
+        plans: by source, not by name alone (a name may stand for
+        different code, e.g. the single- and double-precision
+        ``volume_kernel``)."""
+        basis = self.source if self.source else repr(self.kernel_lambda)
+        return f"{self.name}:{hashlib.sha1(basis.encode()).hexdigest()}"
 
     def arena_program(self):
         """:attr:`program`, lowered from :attr:`kernel_lambda` on first
@@ -259,6 +268,39 @@ class HostPlan:
         ``CopyIn`` fills (how results name a parameter's device copy)."""
         return {op.host_name: op.buffer for op in self.ops
                 if isinstance(op, CopyIn)}
+
+    def launches(self) -> list[Launch]:
+        """The plan's launches, in order."""
+        return [op for op in self.ops if isinstance(op, Launch)]
+
+    def step_arguments(self, values: dict, sizes: dict,
+                       roles) -> tuple[dict, list[tuple[str, str]]]:
+        """The keyword arguments of the launches run as one step: each
+        launch's bindings and its lowered program's size names, the
+        first launch's value per name, from ``values`` (host parameter
+        name -> the array behind its buffer, or the scalar).  A buffer
+        whose host parameter is in ``roles`` is left to the caller, as a
+        ``(parameter, role)`` pair, and so is a launch's output when
+        ``roles`` names ``"__out__"``.  Returns ``(fixed, rotating)``."""
+        hosts = {b: n for n, b in self.host_buffers().items()}
+        fixed: dict = {}
+        rotating: list[tuple[str, str]] = []
+        for op in self.launches():
+            for b in op.args:
+                name = b.param_name
+                if b.kind == "size":
+                    fixed.setdefault(name, int(sizes[name]))
+                elif b.kind == "scalar":
+                    fixed.setdefault(name, values[b.source])
+                else:
+                    host = hosts.get(b.source, "__out__")
+                    if host in roles:
+                        rotating.append((name, host))
+                    elif host != "__out__":
+                        fixed.setdefault(name, values[host])
+            for s in op.kernel.arena_program().size_params:
+                fixed.setdefault(s, int(sizes[s]))
+        return fixed, rotating
 
     def written_buffers(self) -> set[str]:
         """Device buffers some launch writes: every output buffer, and

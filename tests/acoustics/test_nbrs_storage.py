@@ -152,6 +152,7 @@ def test_min_bytes_against_the_ledgers_formula(scheme, mb_int32, mb_int8):
     assert narrow == _ledger_formula(sim) + correction
     sim._nbrs_guarded = sim._nbrs_guarded.astype(np.int32)
     sim.nbrs = sim._nbrs_guarded[:sim._N]
+    sim._args = None            # bound on the first step: bind them again
     wide = _step_min_bytes(sim)
     assert wide == _ledger_formula(sim) + correction
     k = sim.topology.num_boundary_points if scheme != "fi" else 0

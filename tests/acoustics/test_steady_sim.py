@@ -13,11 +13,15 @@ from repro.acoustics.geometry import DomeRoom, Room
 from repro.acoustics.grid import Grid3D
 from repro.acoustics.materials import (default_fd_materials,
                                        default_fi_materials)
+from repro.gpu.runtime import clear_kernel_caches
 
 
 def make_sim(scheme, precision, grid=(12, 10, 9)):
     mats = (default_fd_materials(3) if scheme == "fd_mm"
             else default_fi_materials(3))
+    # the step is shared process-wide: a fresh one holds this
+    # simulation's workspaces only
+    clear_kernel_caches()
     sim = RoomSimulation(SimConfig(
         room=Room(Grid3D(*grid), DomeRoom()), scheme=scheme,
         backend="numpy-steady", precision=precision, materials=mats))
@@ -50,3 +54,19 @@ def test_single_precision_sim_state_stays_float32():
         for name, buf in ws._slots.items():
             assert buf.dtype != np.float64, (
                 f"{ws.label}: slot {name!r} upcast to float64")
+
+
+def test_the_shared_step_keeps_its_latest_rooms_temporaries():
+    """Every ``numpy-steady`` simulation of a scheme steps one
+    process-wide step, which keeps the workspaces of the four latest
+    rooms it stepped, not of every room."""
+    clear_kernel_caches()
+    sims = [RoomSimulation(SimConfig(
+        room=Room(Grid3D(12, 10, 6 + k), DomeRoom()), scheme="fi",
+        backend="numpy-steady")) for k in range(6)]
+    for sim in sims:
+        sim.step()
+    step = sims[0]._step
+    assert all(sim._step is step for sim in sims)
+    assert len(step.fn.arenas) == 4
+    assert len(step.fn.workspaces()) == 4

@@ -94,14 +94,10 @@ def _distinct_lines(idx: np.ndarray, width: int, sector: int) -> float:
     return float(lines.size * sector) / float(idx.size)
 
 
-def _fresh_count(idx: np.ndarray, width: int, sector: int) -> float:
-    costmodel._SECTOR_CACHE.clear()      # count, do not recall
-    return sector_bytes_per_item(idx, width, sector)
-
-
 class TestSectorCount:
-    """The distinct-line count is a sort and a count of runs; it must be
-    the integer ``np.unique`` gives, whatever the order of the stream."""
+    """The distinct-line count is a count of runs, of a sorted copy when
+    the stream does not ascend; it must be the integer ``np.unique``
+    gives, whatever the order of the stream."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 20000), max_size=300),
@@ -117,7 +113,7 @@ class TestSectorCount:
         else:
             values = values + values[:len(values) // 2]
         idx = np.asarray(values, dtype=np.int64)
-        assert _fresh_count(idx, width, sector) \
+        assert sector_bytes_per_item(idx, width, sector) \
             == _distinct_lines(idx, width, sector)
 
     @pytest.mark.parametrize("sector", [32, 64, 128])
@@ -125,8 +121,39 @@ class TestSectorCount:
     @pytest.mark.parametrize("values", [[], [7], [5, 5, 5], [9, 3, 9, 0]])
     def test_small_streams(self, values, width, sector):
         idx = np.asarray(values, dtype=np.int64)
-        assert _fresh_count(idx, width, sector) \
+        assert sector_bytes_per_item(idx, width, sector) \
             == _distinct_lines(idx, width, sector)
+
+    def test_an_index_edited_in_place_is_counted_afresh(self):
+        """Nothing is recalled: the same array, edited in place, is
+        priced by the lines it touches now."""
+        idx = np.array([0, 4, 12, 16])
+        assert sector_bytes_per_item(idx, 8, 32) == 32.0
+        idx[1:3] = [8, 8]
+        assert sector_bytes_per_item(idx, 8, 32) == 24.0
+
+    def test_the_sweep_prices_each_gather_once(self, monkeypatch):
+        """The workgroup sweep prices a launch's gathers once per access
+        width, not once per candidate, and picks the timing
+        ``kernel_time`` gives at the best candidate, bit for bit."""
+        from repro.bench.harness import kernel_resources
+        from repro.gpu.autotune import AutotuneMemo
+        res = kernel_resources("fd_mm", "double")
+        idx = build_topology(Room(Grid3D(30, 24, 20), DomeRoom()),
+                             4).boundary_indices
+        widths, real = [], costmodel.sector_bytes_per_item
+        monkeypatch.setattr(costmodel, "sector_bytes_per_item",
+                            lambda i, w, s: widths.append(w) or real(i, w, s))
+        best = autotune_workgroup(res, idx.size, NVIDIA_TITAN_BLACK,
+                                  "double", gather_index=idx,
+                                  memo=AutotuneMemo())
+        assert widths and len(widths) == len(set(widths))
+        want = min((kernel_time(res, idx.size, NVIDIA_TITAN_BLACK, "double",
+                                gather_index=idx, workgroup=wg)
+                    for wg in CANDIDATE_WORKGROUPS
+                    if wg <= NVIDIA_TITAN_BLACK.max_workgroup),
+                   key=lambda t: t.time_ms)
+        assert best == want
 
     @pytest.mark.parametrize("width, sector", [(8, 32), (1, 32), (8, 128)])
     @pytest.mark.parametrize("shape", [BoxRoom, DomeRoom])
@@ -135,8 +162,8 @@ class TestSectorCount:
                              4).boundary_indices
         shuffled = np.random.default_rng(3).permutation(idx)
         want = _distinct_lines(idx, width, sector)
-        assert _fresh_count(idx, width, sector) == want
-        assert _fresh_count(shuffled, width, sector) == want
+        assert sector_bytes_per_item(idx, width, sector) == want
+        assert sector_bytes_per_item(shuffled, width, sector) == want
 
 
 def _gather_resources():

@@ -1,9 +1,9 @@
 """Prepared resident launches: step-invariant work hoisted out of the loop.
 
-``ResidentPlan`` resolves each launch once at setup — steady kernel,
-argument list, ``size_kwargs``, resource analysis, precision and the
-autotuned timing — leaving only the rebinding of rotating buffers and
-the step call per step.
+A stepping ``ResidentPlan`` resolves, once at setup, the model of each
+launch — precision, size and the autotuned timing — and the compiled
+step's arguments (``HostPlan.step_arguments``), leaving only the
+rebinding of rotating buffers and the step call per step.
 """
 
 import dataclasses
@@ -42,11 +42,11 @@ class TestHoisting:
         state = self._plan(problem)
         assert len(state._prepared) == 2
         for prep in state._prepared:
-            assert prep.size_kwargs            # sizes resolved at setup
-            assert all(isinstance(v, int)
-                       for v in prep.size_kwargs.values())
-            assert prep.res is not None        # resources analysed once
+            assert prep.n_items > 0            # global size evaluated once
             assert prep.precision == "double"
+        # the step's sizes are resolved at setup, one value per name
+        assert all(isinstance(state._args[n], int)
+                   for n in ("N", "NP", "K", "M"))
 
     def test_timing_cached_when_gather_static(self, problem):
         # the boundary-index gather buffer never rotates, so both
@@ -56,8 +56,7 @@ class TestHoisting:
 
     def test_rotating_positions_marked(self, problem):
         state = self._plan(problem)
-        rotating = {role for prep in state._prepared
-                    for _param, role in prep.rotates}
+        rotating = {role for _param, role in state._rotating}
         # the leapfrog cycle's two levels; the output level never rotates
         assert rotating == {"prev1_h", "prev2_h"}
 

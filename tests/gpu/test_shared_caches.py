@@ -1,5 +1,7 @@
 """Process-wide caches: NumPy-kernel sharing and the autotune memo."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from repro.gpu import (AutotuneMemo, NVIDIA_TITAN_BLACK, VirtualGPU,
                        autotune_memo, autotune_workgroup,
                        clear_kernel_caches, kernel_cache_stats,
                        resolve_device)
-from repro.gpu.runtime import _NP_KERNEL_CACHE, _kernel_source_key
+from repro.gpu.runtime import _NP_KERNEL_CACHE
+from repro.lift.codegen.arena import arena_stats
 
 from .conftest import step_launches
 
@@ -34,11 +37,11 @@ def _compile_caches():
 
 
 def test_kernel_compile_shared_across_instances():
-    from repro.gpu.runtime import _NP_KERNEL_CACHE
     clear_kernel_caches()
     sim = _run()
     first = _compile_caches()
-    assert first["np_kernels"] > 0
+    # the launches' compiled step, and nothing a launch would run alone
+    assert first["np_kernels"] == 1 and not _NP_KERNEL_CACHE
     # each launch's resources are the ones its plan carries, analysed
     # once per kernel and kept there, not in a process-wide table
     assert "resources" not in kernel_cache_stats()
@@ -46,16 +49,52 @@ def test_kernel_compile_shared_across_instances():
                 if isinstance(op, Launch)]
     assert launches
     assert all(op.kernel.resources is not None for op in launches)
-    # one entry per kernel and executable: the NumPy arena kernel and
-    # its launch step; and one for the launches' compiled step
-    assert all(key.endswith(("#steady", "#loops", "#step"))
-               for key in _NP_KERNEL_CACHE)
     # a second simulation of the same program adds no new cache entries
     _run()
     assert _compile_caches() == first
     # and a shard pool running the same program also reuses them
     _run(devices="TitanBlack:2")
     assert _compile_caches() == first
+
+
+@pytest.mark.parametrize("devices", ["TitanBlack", "TitanBlack:2"])
+def test_a_stepping_plan_builds_only_its_step(devices):
+    """A resident or pool ``fd_mm`` run builds what its step runs and
+    nothing else: one compiled step, and no NumPy kernel, per-launch
+    executable or arena workspace; a one-shot ``execute()`` still runs
+    launch by launch, each launch on its own executable."""
+    clear_kernel_caches()
+    gc.collect()
+    live = arena_stats()["workspaces"]
+    cfg = SimConfig(room=Room(Grid3D(12, 10, 8), BoxRoom()), scheme="fd_mm",
+                    backend="virtual_gpu", devices=devices)
+    sim = RoomSimulation(cfg)
+    sim.add_impulse("center")
+    sim.run(3)
+    assert kernel_cache_stats()["np_kernels"] == 1
+    if sim._step.tier != "numpy":     # the numpy tier steps in workspaces
+        assert arena_stats()["workspaces"] == live
+    res = VirtualGPU(NVIDIA_TITAN_BLACK).execute(sim._host_program,
+                                                 *sim._vgpu_io())
+    kernels = [e for e in res.events if e.kind == "kernel"]
+    assert [e.name for e in kernels] == [
+        op.kernel.name for op in sim._host_program.plan.launches()]
+    # each launch's NumPy kernel and executable
+    assert kernel_cache_stats()["np_kernels"] == 1 + 2 * len(kernels)
+
+
+def test_a_refused_wiring_builds_no_step():
+    """The wiring is checked before the step is built: a leapfrog cycle
+    that names the wrong oldest level is refused on every tier, and no
+    step of any tier is left behind."""
+    from repro.lift.codegen.loops import LoopsUnsupported
+    clear_kernel_caches()
+    sim = _run(steps=0)
+    built = kernel_cache_stats()["np_kernels"]
+    with pytest.raises(LoopsUnsupported, match="do not overwrite"):
+        sim._gpu.compile_step(sim._host_program.plan,
+                              [("prev1_h", "prev2_h", "__out__")])
+    assert kernel_cache_stats()["np_kernels"] == built
 
 
 def test_kernel_cache_results_stay_bit_identical():
@@ -94,7 +133,7 @@ def test_one_device_runs_each_precisions_own_kernel(order):
         # source: its own launch step, or the NumPy kernel itself
         for op in sim._host_program.plan.ops:
             if isinstance(op, Launch):
-                key = _kernel_source_key(op.kernel)
+                key = op.kernel.source_key()
                 ex = _NP_KERNEL_CACHE[key + "#loops"]
                 nk = _NP_KERNEL_CACHE[key + "#steady"]
                 programs = [nk.program] if ex is nk else ex.programs

@@ -35,6 +35,7 @@ from repro.lift.codegen.arena import (ShiftOp, SliceStoreOp, TakeOp,
                                       Workspace)
 from repro.lift.codegen.loops import (LoopsUnsupported, _step_links,
                                       available_tiers, compile_step)
+from repro.gpu.runtime import clear_kernel_caches
 from repro.lift.codegen.numpy_backend import compile_numpy
 from repro.lift.patterns import ArrayAccess, Iota, Map
 from repro.lift.types import ArrayType, Double, Int
@@ -355,7 +356,7 @@ def _step_case(scheme, precision, shape):
                    else default_fi_materials(3))))
     sim.add_impulse("center")
     sim.run(4)
-    return sim._step, sim._step_args(), sim.grid.nz
+    return sim._step, sim._bound(sim.prev), sim.grid.nz
 
 
 def _copied(args):
@@ -400,7 +401,7 @@ def test_a_block_range_outside_the_step_raises(tier, monkeypatch):
             room=Room(Grid3D(12, 10, 9), DomeRoom()), scheme="fi_mm",
             backend="numpy-steady"))
         sim.add_impulse("center")
-        step, args, nb = sim._step, sim._step_args(), sim.grid.nz
+        step, args, nb = sim._step, sim._bound(sim.prev), sim.grid.nz
     else:
         monkeypatch.setenv("REPRO_LOOP_TIER", tier)
         step, args, nb = _step_case("fi_mm", "double", DomeRoom)
@@ -418,7 +419,7 @@ def test_the_numpy_tier_takes_only_the_full_block_range():
         room=Room(Grid3D(12, 10, 9), DomeRoom()), scheme="fd_mm",
         backend="numpy-steady"))
     sim.add_impulse("center")
-    step, args, nb = sim._step, sim._step_args(), sim.grid.nz
+    step, args, nb = sim._step, sim._bound(sim.prev), sim.grid.nz
     assert step.tier == "numpy"
     before = _copied(args)
     for blocks in ((0, nb - 1), (1, nb), (0, 0)):
@@ -469,11 +470,11 @@ def test_threads_making_the_first_call_together_build_once(scheme,
     the step's first call at once, build one specialisation and one block
     table, and step the state as one thread does."""
     monkeypatch.setenv("REPRO_LOOP_TIER", "cc")
-    ref, sim = (_one_step_sim(scheme) for _ in range(2))
-    ref._advance()
+    clear_kernel_caches()           # a step of its own, never called
+    sim = _one_step_sim(scheme)
     builds = _counting(monkeypatch, "_build_step")
     blocks = _counting(monkeypatch, "_step_blocks")
-    args, nb, k = sim._step_args(), sim.grid.nz, 3
+    args, nb, k = sim._bound(sim.prev), sim.grid.nz, 3
     start = threading.Barrier(k)
     errors = []
 
@@ -493,13 +494,14 @@ def test_threads_making_the_first_call_together_build_once(scheme,
         t.join()
     assert not errors
     assert (len(builds), len(blocks)) == (1, 1)
+    ref = _one_step_sim(scheme)
+    ref._advance()
     for name in ("prev", "curr", "g1", "v"):
         assert np.array_equal(getattr(sim, name), getattr(ref, name)), name
 
 
 def _one_step_sim(scheme):
-    """A fresh ``numba``-backend simulation (its own, never-called step)
-    with an impulse in place."""
+    """A fresh ``numba``-backend simulation with an impulse in place."""
     sim = RoomSimulation(SimConfig(
         room=Room(Grid3D(12, 10, 9), DomeRoom()), scheme=scheme,
         backend="numba",

@@ -25,6 +25,7 @@ from repro.acoustics import BoxRoom, Grid3D, Room, RoomSimulation, SimConfig
 from repro.acoustics import host_io, lift_programs
 from repro.acoustics import sim as sim_module
 from repro.acoustics.lift_programs import compiled_host
+from repro.gpu.runtime import clear_kernel_caches
 from repro.lift.codegen import loops
 
 #: the front end a warm process must not load (the plan's data model,
@@ -129,9 +130,11 @@ def _sim(scheme, precision, backend):
 def test_a_cached_program_is_the_fresh_lowering(matrix_cache, monkeypatch,
                                                 scheme, precision, backend):
     _sim(scheme, precision, backend)                  # stores the program
+    clear_kernel_caches()       # each simulation builds a step of its own
     with monkeypatch.context() as m:                  # compiles in process
         m.setattr(sim_module, "host_program", compiled_host)
         fresh = _sim(scheme, precision, backend)
+    clear_kernel_caches()
     hits = loops.loops_disk_cache_stats()["host_hits"]
     cached = _sim(scheme, precision, backend)
     assert loops.loops_disk_cache_stats()["host_hits"] == hits + 1
