@@ -769,8 +769,8 @@ class RoomSimulation:
         leapfrog cycle's ``prev2_h``, ``prev1_h`` and ``__out__``."""
         if self._args is None:
             self._args, self._levels = (
-                self._host_program.plan.step_arguments(*self._vgpu_io(),
-                                                       LEAPFROG))
+                self._host_program.plan.step_arguments(
+                    *self._vgpu_io(), LEAPFROG, out=LEAPFROG[-1]))
         levels = dict(zip(LEAPFROG, (self.prev, self.curr, out)))
         for name, role in self._levels:
             self._args[name] = levels[role]

@@ -1563,20 +1563,15 @@ def _saved_gather(bnd: ArenaProgram, slot: str) -> ArenaProgram:
         array_params=[*bnd.array_params, "_pb"], vec=bnd.vec | {"_pb"})
 
 
-#: argument-shape sets a ``numpy``-tier step keeps its temporaries for
-_NUMPY_ARENAS = 4
-
-
 class _NumpyStep:
     """The ``numpy`` realisation of a step: the compiled step's schedule
     on whole arrays.  It gathers ``prev`` at the boundary points into
     ``_pb``, runs the sweep's NumPy function with ``out=prev``, then the
     boundary program's, rewritten to read ``_pb`` (:func:`_saved_gather`)
     and ``vel_prev`` by copy.  One workspace per program and one ``_pb``
-    per argument-shape set: a warm step allocates no slot and no ``_pb``.
-    A step is shared process-wide (:func:`plan_step`), so it keeps them
-    for the :data:`_NUMPY_ARENAS` latest sets, not for every room it
-    ever stepped."""
+    per argument-shape set, and per caller stepping that shape at once
+    (the step is shared process-wide, :func:`plan_step`): a warm step
+    allocates no slot and no ``_pb``."""
 
     def __init__(self, kernel: StepKernel):
         self.kernel = kernel
@@ -1590,21 +1585,25 @@ class _NumpyStep:
         self.programs = programs
         self.fns = [p.numpy_fn() for p in programs]
         self.checks = [IndexCheck(p) for p in kernel.programs]
-        #: argument shapes and scalars -> (one workspace per program, _pb,
-        #: each program's host scalars and extent)
+        #: argument shapes and scalars -> the free arenas of that shape:
+        #: (one workspace per program, _pb, each program's host scalars
+        #: and extent); a call takes one, or builds one if none is free
         self.arenas: dict = {}
         kernel.source = "\n\n".join(p.render() for p in programs)
 
     def workspaces(self) -> list:
-        return [ws for wss, _pb, _ext in self.arenas.values() for ws in wss]
+        return [ws for free in self.arenas.values()
+                for wss, _pb, _ext in free for ws in wss]
 
     def __call__(self, _blocks=None, **args) -> None:
         kernel = self.kernel
         bounds = kernel.bind(args)
         key = tuple((v.shape, v.dtype.str) if isinstance(v, np.ndarray)
                     else (type(v), v) for b in bounds for v in b.values())
-        arena = self.arenas.get(key)
-        if arena is None:
+        free = self.arenas.setdefault(key, [])
+        try:
+            arena = free.pop()
+        except IndexError:
             extents = []
             for prog, bound in zip(kernel.programs, bounds):
                 env = prog._with_scalar_ops(_host_env(prog, bound))
@@ -1613,11 +1612,15 @@ class _NumpyStep:
             pb = None
             if kernel.links:
                 pb = np.empty(extents[1][1], bounds[0][_IN_PLACE].dtype)
-            if len(self.arenas) >= _NUMPY_ARENAS:
-                del self.arenas[next(iter(self.arenas))]
-            arena = self.arenas[key] = (
-                [Workspace(f"step:{p.name}") for p in self.programs], pb,
-                extents)
+            arena = ([Workspace(f"step:{p.name}") for p in self.programs],
+                     pb, extents)
+        try:
+            self._run(arena, bounds, _blocks)
+        finally:
+            free.append(arena)
+
+    def _run(self, arena, bounds, _blocks) -> None:
+        kernel = self.kernel
         workspaces, pb, extents = arena
         if _blocks is not None:
             env, n = extents[0]

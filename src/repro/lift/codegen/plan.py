@@ -273,18 +273,21 @@ class HostPlan:
         """The plan's launches, in order."""
         return [op for op in self.ops if isinstance(op, Launch)]
 
-    def step_arguments(self, values: dict, sizes: dict,
-                       roles) -> tuple[dict, list[tuple[str, str]]]:
+    def step_arguments(self, values: dict, sizes: dict, rotating,
+                       out: str | None = None
+                       ) -> tuple[dict, list[tuple[str, str]]]:
         """The keyword arguments of the launches run as one step: each
         launch's bindings and its lowered program's size names, the
         first launch's value per name, from ``values`` (host parameter
         name -> the array behind its buffer, or the scalar).  A buffer
-        whose host parameter is in ``roles`` is left to the caller, as a
-        ``(parameter, role)`` pair, and so is a launch's output when
-        ``roles`` names ``"__out__"``.  Returns ``(fixed, rotating)``."""
+        whose host parameter is in ``rotating`` is left to the caller, as
+        a ``(parameter, host parameter)`` pair.  A launch's output, the
+        buffer no host parameter fills, is left as a ``(parameter,
+        out)`` pair, or with ``out=None`` not bound: a step overwrites a
+        rotating level in place.  Returns ``(fixed, rotating)``."""
         hosts = {b: n for n, b in self.host_buffers().items()}
         fixed: dict = {}
-        rotating: list[tuple[str, str]] = []
+        pairs: list[tuple[str, str]] = []
         for op in self.launches():
             for b in op.args:
                 name = b.param_name
@@ -292,15 +295,16 @@ class HostPlan:
                     fixed.setdefault(name, int(sizes[name]))
                 elif b.kind == "scalar":
                     fixed.setdefault(name, values[b.source])
+                elif b.source not in hosts:
+                    if out is not None:
+                        pairs.append((name, out))
+                elif hosts[b.source] in rotating:
+                    pairs.append((name, hosts[b.source]))
                 else:
-                    host = hosts.get(b.source, "__out__")
-                    if host in roles:
-                        rotating.append((name, host))
-                    elif host != "__out__":
-                        fixed.setdefault(name, values[host])
+                    fixed.setdefault(name, values[hosts[b.source]])
             for s in op.kernel.arena_program().size_params:
                 fixed.setdefault(s, int(sizes[s]))
-        return fixed, rotating
+        return fixed, pairs
 
     def written_buffers(self) -> set[str]:
         """Device buffers some launch writes: every output buffer, and

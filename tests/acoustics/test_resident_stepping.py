@@ -120,7 +120,6 @@ def test_simulations_of_a_scheme_share_one_step(monkeypatch):
     from repro.lift.codegen import loops
 
     monkeypatch.setattr(runtime, "_NP_KERNEL_CACHE", {})
-    monkeypatch.setattr(loops, "_PLAN_STEPS", {})
     builds = []
 
     def counting_build(kernel, bounds):

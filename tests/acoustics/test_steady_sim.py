@@ -5,6 +5,8 @@ other backend, and the reference interpreter, by
 ``test_backend_matrix.py``).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,11 @@ from repro.acoustics.geometry import DomeRoom, Room
 from repro.acoustics.grid import Grid3D
 from repro.acoustics.materials import (default_fd_materials,
                                        default_fi_materials)
-from repro.gpu.runtime import clear_kernel_caches
 
 
 def make_sim(scheme, precision, grid=(12, 10, 9)):
     mats = (default_fd_materials(3) if scheme == "fd_mm"
             else default_fi_materials(3))
-    # the step is shared process-wide: a fresh one holds this
-    # simulation's workspaces only
-    clear_kernel_caches()
     sim = RoomSimulation(SimConfig(
         room=Room(Grid3D(*grid), DomeRoom()), scheme=scheme,
         backend="numpy-steady", precision=precision, materials=mats))
@@ -56,17 +54,33 @@ def test_single_precision_sim_state_stays_float32():
                 f"{ws.label}: slot {name!r} upcast to float64")
 
 
-def test_the_shared_step_keeps_its_latest_rooms_temporaries():
-    """Every ``numpy-steady`` simulation of a scheme steps one
-    process-wide step, which keeps the workspaces of the four latest
-    rooms it stepped, not of every room."""
-    clear_kernel_caches()
-    sims = [RoomSimulation(SimConfig(
-        room=Room(Grid3D(12, 10, 6 + k), DomeRoom()), scheme="fi",
-        backend="numpy-steady")) for k in range(6)]
-    for sim in sims:
-        sim.step()
-    step = sims[0]._step
-    assert all(sim._step is step for sim in sims)
-    assert len(step.fn.arenas) == 4
-    assert len(step.fn.workspaces()) == 4
+
+@pytest.mark.parametrize("scheme", ["fi", "fd_mm"])
+def test_simulations_of_one_room_step_at_once(scheme):
+    """Simulations of one room share one step, and stepping them on two
+    threads at once computes what stepping them one after the other
+    does: a caller never steps in another's workspaces."""
+    ref = [make_sim(scheme, "double", (40, 36, 30)) for _ in range(2)]
+    for sim in ref:
+        sim.run(30)
+    sims = [make_sim(scheme, "double", (40, 36, 30)) for _ in range(2)]
+    assert sims[0]._step is sims[1]._step
+    start = threading.Barrier(2)
+    errors = []
+
+    def run(sim):
+        start.wait()
+        try:
+            sim.run(30)
+        except Exception as exc:                # noqa: BLE001
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(s,)) for s in sims]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    for sim, r in zip(sims, ref):
+        assert np.array_equal(sim.curr, r.curr)
+        assert np.array_equal(sim.prev, r.prev)

@@ -60,6 +60,24 @@ class TestHoisting:
         # the leapfrog cycle's two levels; the output level never rotates
         assert rotating == {"prev1_h", "prev2_h"}
 
+    def test_the_output_is_bound_only_under_a_named_role(self, problem):
+        """The launches' output, which no host parameter fills, is left
+        to the caller under the role ``out`` names, and with no role not
+        bound at all: a step overwrites a level in place."""
+        plan = problem["host"].plan
+        launches = plan.launches()
+        outs = [b.param_name for op in launches for b in op.args
+                if b.source == launches[0].out_buffer]
+        assert outs
+        fixed, pairs = plan.step_arguments(problem["inputs"],
+                                           problem["sizes"], LEAPFROG)
+        assert not set(outs) & {*fixed, *(p for p, _role in pairs)}
+        named, named_pairs = plan.step_arguments(
+            problem["inputs"], problem["sizes"], LEAPFROG, out="level")
+        assert named == fixed
+        assert sorted(named_pairs) == sorted(
+            [*pairs, *((p, "level") for p in outs)])
+
     def test_run_step_matches_execute_many(self, problem):
         """The compiled step a stepping plan runs (``run_fused``, what
         ``execute_many`` loops over) matches the launches run one by one

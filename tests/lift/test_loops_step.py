@@ -35,7 +35,6 @@ from repro.lift.codegen.arena import (ShiftOp, SliceStoreOp, TakeOp,
                                       Workspace)
 from repro.lift.codegen.loops import (LoopsUnsupported, _step_links,
                                       available_tiers, compile_step)
-from repro.gpu.runtime import clear_kernel_caches
 from repro.lift.codegen.numpy_backend import compile_numpy
 from repro.lift.patterns import ArrayAccess, Iota, Map
 from repro.lift.types import ArrayType, Double, Int
@@ -470,7 +469,6 @@ def test_threads_making_the_first_call_together_build_once(scheme,
     the step's first call at once, build one specialisation and one block
     table, and step the state as one thread does."""
     monkeypatch.setenv("REPRO_LOOP_TIER", "cc")
-    clear_kernel_caches()           # a step of its own, never called
     sim = _one_step_sim(scheme)
     builds = _counting(monkeypatch, "_build_step")
     blocks = _counting(monkeypatch, "_step_blocks")
